@@ -57,11 +57,17 @@ def _meta(args, **extra):
 
 def _load_colouring(path):
     obj = json.loads(Path(path).read_text())
-    L, n = obj["L"], obj["n"]
-    bits = obj["colours"]
+    if not isinstance(obj, dict) or not {"L", "n", "colours"} <= obj.keys():
+        raise EquihomError("a colouring file needs the keys L, n and colours")
+    L, n, bits = obj["L"], obj["n"], obj["colours"]
+    for name, value in (("L", L), ("n", n)):
+        if type(value) is not int or value < 1:
+            raise EquihomError(f"{name} must be a positive integer, got {value!r}")
+    if not isinstance(bits, list) or any(b not in (0, 1) for b in bits):
+        raise EquihomError("colours must be a list of 0/1 bits")
+    if len(bits) != L ** n:
+        raise EquihomError(f"expected {L ** n} colour bits, got {len(bits)}")
     verts = list(range(L)) if n == 1 else list(iter_product(range(L), repeat=n))
-    if len(bits) != len(verts):
-        raise EquihomError(f"expected {len(verts)} colour bits, got {len(bits)}")
     colours = {v: (BLUE if b else YELLOW) for v, b in zip(verts, bits)}
     return L, n, colours
 

@@ -2,11 +2,16 @@
 
 All arithmetic uses Python integers, so entries may grow without bound during
 elimination.  The Smith form runs in two phases: a sparse phase that eliminates
-unit pivots chosen by Markowitz cost (which covers almost every pivot of the
-boundary matrices arising from cell complexes), and a dense textbook phase on
-whatever small block survives.
+unit pivots (which covers almost every pivot of the boundary matrices arising
+from cell complexes), and a dense textbook phase on whatever small block
+survives.  The sparse phase takes the shortest row that holds a +-1 entry and,
+within it, the unit with the shortest column; rows known to hold no unit are
+skipped until an elimination step changes them, so choosing a pivot never
+rescans the matrix.  Invariant factors are unique, so the pivot order does not
+change the result.
 """
 
+import heapq
 import math
 
 from .errors import InvalidInputError
@@ -73,11 +78,16 @@ class SparseMat:
 
 
 class SmithResult:
-    """Invariant factors d_1 | d_2 | ... (all positive) and the rank."""
+    """Invariant factors d_1 | d_2 | ... (all positive) and the rank.
 
-    def __init__(self, invariants):
+    ``unit_pivots`` counts the invariant factors found by the sparse phase;
+    the remaining ``rank - unit_pivots`` come from the dense residual block.
+    """
+
+    def __init__(self, invariants, unit_pivots=0):
         self.invariants = tuple(invariants)
         self.rank = len(self.invariants)
+        self.unit_pivots = unit_pivots
 
     @property
     def torsion(self):
@@ -105,46 +115,32 @@ def smith_normal_form(matrix, ncols=None):
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
-    by_len = {}
-    for i, r in rows.items():
-        by_len.setdefault(len(r), set()).add(i)
-
-    def unregister(i):
-        bucket = by_len[len(rows[i])]
-        bucket.discard(i)
-        if not bucket:
-            del by_len[len(rows[i])]
-
-    def register(i):
-        by_len.setdefault(len(rows[i]), set()).add(i)
+    # Candidate pivot rows keyed by (length, row index).  An entry goes stale
+    # when its row changes length or is dropped, and is skipped when popped.
+    queue = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(queue)
+    no_unit = set()
 
     n_unit = 0
-    # Phase 1: eliminate entries of absolute value 1.  Scanning only the
-    # shortest rows that contain a unit keeps fill-in low (Markowitz-style)
-    # without rescanning the whole matrix per pivot.
-    while True:
-        best = None
-        for length in sorted(by_len):
-            for i in sorted(by_len[length]):
-                r = rows[i]
-                units = [(len(cols[j]), j) for j, v in r.items()
-                         if v == 1 or v == -1]
-                if units:
-                    cd, j = min(units)
-                    cand = ((length - 1) * (cd - 1), i, j)
-                    if best is None or cand < best:
-                        best = cand
-            if best is not None:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        s = rows[pi][pj]
-        pivot_row = rows[pi]
+    # Phase 1: eliminate entries of absolute value 1.  The pivot row is the
+    # shortest row holding a unit (lowest index first), and the pivot is its
+    # unit with the shortest column, which keeps fill-in low.  A row found to
+    # hold no unit is skipped until an elimination step changes it.
+    while queue:
+        length, pi = heapq.heappop(queue)
+        pivot_row = rows.get(pi)
+        if pivot_row is None or len(pivot_row) != length or pi in no_unit:
+            continue
+        units = [(len(cols[j]), j) for j, v in pivot_row.items()
+                 if v == 1 or v == -1]
+        if not units:
+            no_unit.add(pi)
+            continue
+        _, pj = min(units)
+        s = pivot_row[pj]
         for i in list(cols[pj]):
             if i == pi:
                 continue
-            unregister(i)
             r = rows[i]
             factor = r[pj] * s
             for j, v in pivot_row.items():
@@ -157,15 +153,15 @@ def smith_normal_form(matrix, ncols=None):
                     if j in r:
                         del r[j]
                         cols[j].discard(i)
+            no_unit.discard(i)
             if r:
-                register(i)
+                heapq.heappush(queue, (len(r), i))
             else:
                 del rows[i]
         # Column pj now meets only row pi, and clearing row pi with column
         # operations touches no other row, so dropping the row and column is a
         # valid Smith reduction step contributing the invariant factor 1.
-        unregister(pi)
-        for j in rows[pi]:
+        for j in pivot_row:
             cols[j].discard(pi)
             if not cols[j]:
                 del cols[j]
@@ -179,7 +175,7 @@ def smith_normal_form(matrix, ncols=None):
         col_ids = sorted({j for r in rows.values() for j in r})
         dense = [[rows[i].get(j, 0) for j in col_ids] for i in row_ids]
         invariants.extend(_dense_smith_invariants(dense))
-    return SmithResult(invariants)
+    return SmithResult(invariants, n_unit)
 
 
 def _dense_smith_invariants(a):
@@ -325,6 +321,10 @@ def kernel_basis(matrix):
     return [[t[i][j] for i in range(n)] for j in range(rank, n)]
 
 
+def _nonzero_pairs(dense):
+    return [[(k, v) for k, v in enumerate(row) if v] for row in dense]
+
+
 class ExactSolver:
     """Prefactorized integer linear solver for repeated right-hand sides."""
 
@@ -332,10 +332,13 @@ class ExactSolver:
         self.m = len(matrix)
         self.n = len(matrix[0]) if self.m else 0
         self.diag, self.s, self.t = snf_with_transforms(matrix)
+        # the transforms are mostly zero: keep each row's nonzero (k, v) pairs
+        self._s_rows = _nonzero_pairs(self.s)
+        self._t_rows = _nonzero_pairs(self.t)
 
     def solve(self, rhs):
         m, n = self.m, self.n
-        c = [sum(self.s[i][k] * rhs[k] for k in range(m)) for i in range(m)]
+        c = [sum(v * rhs[k] for k, v in row) for row in self._s_rows]
         y = [0] * n
         for i in range(min(m, n)):
             if self.diag[i]:
@@ -347,7 +350,7 @@ class ExactSolver:
         for i in range(min(m, n), m):
             if c[i]:
                 raise InvalidInputError("no integer solution")
-        return [sum(self.t[i][k] * y[k] for k in range(n)) for i in range(n)]
+        return [sum(v * y[k] for k, v in row) for row in self._t_rows]
 
 
 def solve_exact(matrix, rhs):

@@ -151,32 +151,55 @@ def elementary_two_group(rank):
     return CohomologyGroup(0, (2,) * rank)
 
 
+class _Coboundaries:
+    """A coboundary list whose Smith forms and dd = 0 checks run once each."""
+
+    def __init__(self, deltas):
+        self.deltas = deltas
+        self._smith = {}
+        self._composes = set()
+
+    def smith(self, k):
+        if k not in self._smith:
+            self._smith[k] = smith_normal_form(self.deltas[k])
+        return self._smith[k]
+
+    def check_composes(self, k):
+        if k not in self._composes:
+            if not self.deltas[k].matmul(self.deltas[k - 1]).is_zero():
+                raise InvalidInputError("coboundaries do not compose to zero")
+            self._composes.add(k)
+
+    def cohomology(self, d):
+        if d < 0:
+            raise InvalidParameterError("negative degree")
+        deltas = self.deltas
+        delta_d = deltas[d] if d < len(deltas) else None
+        delta_prev = deltas[d - 1] if 1 <= d <= len(deltas) else None
+        if delta_d is not None and delta_prev is not None:
+            self.check_composes(d)
+        if delta_d is not None:
+            dim_d = delta_d.ncols
+        elif delta_prev is not None:
+            dim_d = delta_prev.nrows
+        else:
+            raise InvalidParameterError("no matrix describes this degree")
+        rank_d = self.smith(d).rank if delta_d is not None else 0
+        if delta_prev is not None:
+            prev = self.smith(d - 1)
+            rank_prev, torsion = prev.rank, prev.torsion
+        else:
+            rank_prev, torsion = 0, ()
+        return CohomologyGroup(dim_d - rank_d - rank_prev, torsion)
+
+
 def cohomology(deltas, d):
     """H^d = ker(delta_d) / im(delta_(d-1)) from the coboundary list.
 
     ``deltas[k]`` maps k-cochains to (k+1)-cochains; indices beyond the list
     are zero maps.  Verifies that consecutive coboundaries compose to zero.
     """
-    if d < 0:
-        raise InvalidParameterError("negative degree")
-    delta_d = deltas[d] if d < len(deltas) else None
-    delta_prev = deltas[d - 1] if 1 <= d <= len(deltas) else None
-    if delta_d is not None and delta_prev is not None:
-        if not delta_d.matmul(delta_prev).is_zero():
-            raise InvalidInputError("coboundaries do not compose to zero")
-    if delta_d is not None:
-        dim_d = delta_d.ncols
-    elif delta_prev is not None:
-        dim_d = delta_prev.nrows
-    else:
-        raise InvalidParameterError("no matrix describes this degree")
-    rank_d = smith_normal_form(delta_d).rank if delta_d is not None else 0
-    if delta_prev is not None:
-        prev = smith_normal_form(delta_prev)
-        rank_prev, torsion = prev.rank, prev.torsion
-    else:
-        rank_prev, torsion = 0, ()
-    return CohomologyGroup(dim_d - rank_d - rank_prev, torsion)
+    return _Coboundaries(deltas).cohomology(d)
 
 
 def ordinary_cochain_complex(x, max_dim):
@@ -209,10 +232,10 @@ def equivariant_complex(x, max_dim):
 
 
 @lru_cache(maxsize=32)
-def _torus_deltas(n, L, coefficients):
+def _torus_coboundaries(n, L, coefficients):
     x = gamma_power(L, n, cap=max(3, n))
     cx = equivariant_complex(x, n)
-    return tuple(specialize(cx, coefficients))
+    return _Coboundaries(tuple(specialize(cx, coefficients)))
 
 
 def bredon_torus(n, L, d, coefficients="Zminus"):
@@ -225,7 +248,7 @@ def bredon_torus(n, L, d, coefficients="Zminus"):
         raise InvalidParameterError("need n >= 1")
     if d > n:
         return CohomologyGroup(0, ())  # no cells above the torus dimension
-    return cohomology(_torus_deltas(n, L, coefficients), d)
+    return _torus_coboundaries(n, L, coefficients).cohomology(d)
 
 
 def expected_bredon(n, d):

@@ -1,6 +1,8 @@
 import json
 from itertools import product as iproduct
 
+import pytest
+
 from equihom.cli import main
 from equihom.simplicial import SimplicialSet
 
@@ -78,6 +80,19 @@ def test_degree_verb_rejects_non_equivariant(tmp_path):
     col = tmp_path / "col.json"
     _write_colouring(col, 4, 2, lambda v: 1)
     assert run(["degree", "--colouring", str(col)]) == 2
+
+
+@pytest.mark.parametrize("verb, content", [
+    (["degree"], {"L": "8", "n": 1, "colours": [1, 1, 1, 1, 0, 0, 0, 0]}),
+    (["degree"], {"L": 4, "n": 2}),
+    (["swap-stats", "--i", "1"], {"L": 4, "n": 2, "colours": 7}),
+], ids=["string-L", "missing-colours", "non-list-colours"])
+def test_malformed_colouring_file_is_a_usage_error(tmp_path, capsys, verb, content):
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps(content))
+    assert run(verb + ["--colouring", str(col)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_hom_complex_verb(tmp_path):

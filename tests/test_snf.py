@@ -3,9 +3,11 @@ import random
 import pytest
 
 from equihom.errors import InvalidInputError
-from equihom.snf import (QuotientPresentation, SparseMat, gf2_rank,
-                         kernel_basis, smith_normal_form, snf_with_transforms,
-                         solve_exact)
+from equihom.simplicial import gamma_power
+from equihom.snf import (QuotientPresentation, SparseMat,
+                         _dense_smith_invariants, gf2_rank, kernel_basis,
+                         smith_normal_form, snf_with_transforms, solve_exact)
+from equihom.zz2 import equivariant_complex, specialize
 
 from oracles import determinantal_invariants
 
@@ -78,6 +80,55 @@ def test_sparse_phase_handles_large_sparse():
     res = smith_normal_form(mat)
     assert res.rank == n + 2
     assert res.invariants[-1] % res.invariants[-2] == 0
+
+
+def _unit_dominated(rng, m, n, density):
+    """Random sparse matrix whose nonzero entries are mostly +-1."""
+    values = (1, -1, 1, -1, 1, -1, 2, -2, 3)
+    return [[rng.choice(values) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+
+
+def test_unit_dominated_small_against_determinantal_divisors():
+    rng = random.Random(11)
+    for _ in range(300):
+        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+        mat = _unit_dominated(rng, m, n, rng.choice((0.3, 0.5, 0.8)))
+        got = list(smith_normal_form(mat).invariants)
+        assert got == determinantal_invariants(mat), mat
+
+
+def test_unit_dominated_medium_against_dense_phase():
+    rng = random.Random(12)
+    for _ in range(40):
+        m, n = rng.randrange(8, 40), rng.randrange(8, 40)
+        mat = _unit_dominated(rng, m, n, rng.choice((0.08, 0.15, 0.3)))
+        res = smith_normal_form(mat)
+        assert list(res.invariants) == _dense_smith_invariants(
+            [list(r) for r in mat]), mat
+
+
+def test_row_gains_unit_after_elimination():
+    # Row 0 is the first candidate and holds no unit.  Pivoting on row 1,
+    # column 0 turns it into (0, 1, 0), so it must be reconsidered: both
+    # unit pivots happen in the sparse phase and only the 2 is left dense.
+    mat = [[2, 3, 0], [1, 1, 0], [0, 0, 2]]
+    res = smith_normal_form(mat)
+    assert res.invariants == (1, 1, 2)
+    assert res.unit_pivots == 2
+    assert list(res.invariants) == determinantal_invariants(mat)
+
+
+def test_gamma4_four_torus_sign_coboundaries():
+    # (number of unit invariant factors, torsion) of delta_0 .. delta_3
+    x = gamma_power(4, 4, cap=4)
+    deltas = specialize(equivariant_complex(x, 4), "Zminus")
+    got = []
+    for delta in deltas:
+        res = smith_normal_form(delta)
+        got.append((res.invariants.count(1), res.torsion))
+    assert got == [(127, (2,)), (1789, (2, 2, 2)), (4605, (2, 2, 2)),
+                   (3071, (2,))]
 
 
 def test_quotient_presentation_z_mod_2():

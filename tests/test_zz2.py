@@ -1,5 +1,6 @@
 import pytest
 
+from equihom import zz2
 from equihom.errors import (InvalidInputError, InvalidParameterError,
                             NotFreeActionError)
 from equihom.graphs import complete_graph
@@ -95,9 +96,25 @@ def test_bredon_examples():
 
 
 def test_bredon_table_small():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for d in range(1, n + 1):
             assert bredon_torus(n, 4, d) == expected_bredon(n, d)
+
+
+def test_bredon_torus_factors_each_coboundary_once(monkeypatch):
+    zz2._torus_coboundaries.cache_clear()
+    smith_calls, products = [], []
+    real_smith, real_matmul = zz2.smith_normal_form, SparseMat.matmul
+    monkeypatch.setattr(zz2, "smith_normal_form",
+                        lambda m: smith_calls.append(m) or real_smith(m))
+    monkeypatch.setattr(SparseMat, "matmul",
+                        lambda a, b: products.append(a) or real_matmul(a, b))
+    for _ in range(2):
+        for d in range(1, 4):
+            assert bredon_torus(3, 4, d) == expected_bredon(3, d)
+    # delta_0, delta_1, delta_2 once each; pairs (1, 0) and (2, 1) once each
+    assert len(smith_calls) == 3
+    assert len(products) == 2
 
 
 def test_bredon_independent_of_l_at_n2():
