@@ -63,6 +63,8 @@ def _load_colouring(path):
     for name, value in (("L", L), ("n", n)):
         if type(value) is not int or value < 1:
             raise EquihomError(f"{name} must be a positive integer, got {value!r}")
+    if L % 4:
+        raise EquihomError(f"L must be a multiple of 4, got {L}")
     if not isinstance(bits, list) or any(b not in (0, 1) for b in bits):
         raise EquihomError("colours must be a list of 0/1 bits")
     if len(bits) != L ** n:
@@ -92,10 +94,26 @@ def cmd_enumerate(args):
     return 0
 
 
+def _check_hom_record(obj):
+    """Reject a polymorphism record that does not match the stream format."""
+    if not isinstance(obj, dict):
+        raise EquihomError("a polymorphism record must be a JSON object, "
+                           f"got {type(obj).__name__}")
+    for key in ("domain_base", "codomain", "arity"):
+        value = obj.get(key)
+        if type(value) is not int or value < 1:
+            raise EquihomError(f"{key} must be a positive integer, got {value!r}")
+    if not isinstance(obj.get("values"), list):
+        raise EquihomError("values must be a list")
+
+
 def cmd_phi(args):
     lines = [json.loads(line) for line in Path(args.infile).read_text().splitlines()
              if line.strip()]
-    records = [obj for obj in lines if not obj.get("trailer")]
+    records = [obj for obj in lines
+               if not (isinstance(obj, dict) and obj.get("trailer"))]
+    for obj in records:
+        _check_hom_record(obj)
     t = search_t_colouring(_resolve_cache(args))
     pipelines = {}
     out = []
@@ -435,8 +453,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="equihom",
         description="homomorphism complexes, degree invariants, torus cohomology")
-    parser.add_argument("--max-cells", type=int, default=None,
-                        help="cell budget for product constructions")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -520,9 +536,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_cells:
-        from . import simplicial
-        simplicial.MAX_CELLS = args.max_cells
     try:
         code = args.fn(args)
     except InvariantViolationError as exc:

@@ -15,7 +15,7 @@ from .errors import (InvalidParameterError, InvariantViolationError,
 from .graphs import MinorSpec
 from .homcomplexes import CyclePipeline
 from .simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap, boundary,
-                         gamma_power, map_from_colouring)
+                         gamma_power, gamma_product, map_from_colouring)
 
 
 class TorusComplex:
@@ -27,16 +27,9 @@ class TorusComplex:
     """
 
     def __init__(self, L, Lp, cap=3):
-        for value in (L, Lp):
-            if value < 4 or value % 4:
-                raise InvalidParameterError("torus sides must be multiples of 4, >= 4")
         self.L = L
         self.Lp = Lp
-        if L == Lp:
-            self.sset = gamma_power(L, 2, cap=max(3, cap))
-        else:
-            from .simplicial import gamma, sproduct
-            self.sset = sproduct([gamma(L), gamma(Lp)], cap=cap)
+        self.sset = gamma_product((L, Lp), cap)
         x1_cells = {((a, 0), (b, 0)) for (a, b) in
                     (e for e in _circle_edges(L))}
         self.x1 = ModTwoChain(1, x1_cells)
@@ -79,11 +72,6 @@ def _circle_edges(L):
         yield (a, (a - 1) % L)
 
 
-def deg1(g, torus):
-    """deg1 of a simplicial map (or colouring) on the given 2-torus."""
-    return torus.deg1(g)
-
-
 class OddVector:
     """An element of the odd-weight Z_2-vector minion."""
 
@@ -114,10 +102,6 @@ class OddVector:
 
     def __repr__(self):
         return f"OddVector{self.bits}"
-
-
-def oddvector_minor(a, pi):
-    return a.minor(pi)
 
 
 def _torus_params(g, L=None, n=None):

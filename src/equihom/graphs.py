@@ -6,7 +6,6 @@ and encode vertex tuples in mixed radix, row-major, with the first coordinate
 most significant, so serialized polymorphisms are portable.
 """
 
-import json
 import random
 import warnings
 from itertools import product
@@ -342,7 +341,3 @@ def hom_from_json(obj):
     base = cycle_graph(obj["domain_base"])
     cod = complete_graph(obj["codomain"])
     return GraphHom(power(base, obj["arity"]), cod, obj["values"])
-
-
-def graph_to_json_str(g):
-    return json.dumps(g.to_json(), sort_keys=True)

@@ -12,6 +12,7 @@ structure map into the two-vertex sphere used by the degree pipeline.
 import hashlib
 import json
 import os
+import tempfile
 from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
@@ -20,8 +21,8 @@ from typing import NamedTuple
 from .errors import (InternalError, InvalidParameterError,
                      UnsupportedInputError)
 from .graphs import PowerGraph, complete_graph, cycle_graph, power
-from .simplicial import (BLUE, YELLOW, SimplicialMap, gamma, map_from_colouring,
-                         order_complex, sproduct)
+from .simplicial import (BLUE, YELLOW, SimplicialMap, gamma, gamma_power,
+                         map_from_colouring, order_complex)
 
 CACHE_ENV_VAR = "EQUIHOM_CACHE"
 T_FILE_NAME = "t_colouring_hom_k2_k4.json"
@@ -193,7 +194,16 @@ class TColouring:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def save(self, path):
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True, indent=1))
+        """Write atomically: readers see the old file or the new one, never half."""
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(self.to_json(), sort_keys=True, indent=1))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def from_json(cls, obj):
@@ -283,8 +293,9 @@ def search_t_colouring(persist=None):
 class CyclePipeline:
     """Everything needed to turn polymorphisms of (C_ell, K_4) into torus maps.
 
-    Holds the cycle's homomorphism complex, the canonical circle isomorphism,
-    the chosen structure colouring t, and cached torus triangulations.
+    Holds the cycle's homomorphism complex, the canonical circle isomorphism
+    and the chosen structure colouring t; the tori gamma(4*ell)^n come from
+    the shared torus cache behind ``gamma_power``.
     """
 
     def __init__(self, ell, t=None, cap=3):
@@ -295,21 +306,10 @@ class CyclePipeline:
         self.iso_map = dict(self.iso.vertex_map)
         self.t = t if t is not None else search_t_colouring(default_cache_dir())
         self.t_map = self.t.as_vertex_map()
-        self.cap = cap
-        self._tori = {}
 
     @property
     def period(self):
         return 4 * self.ell
-
-    def torus(self, n):
-        if n not in self._tori:
-            if n == 1:
-                self._tori[n] = self.iso.domain
-            else:
-                self._tori[n] = sproduct([gamma(self.period) for _ in range(n)],
-                                         cap=self.cap)
-        return self._tori[n]
 
     def check_polymorphism(self, f):
         dom = f.domain
@@ -325,12 +325,9 @@ class CyclePipeline:
         iso_map = self.iso_map
         t_map = self.t_map
         colours = {}
-        if n == 1:
-            for v in range(self.period):
-                colours[v] = t_map[mu_prime(f, (iso_map[v],))]
-        else:
-            for v in self.torus(n).vertices:
-                colours[v] = t_map[mu_prime(f, tuple(iso_map[c] for c in v))]
+        for v in gamma_power(self.period, n).vertices:
+            coords = (v,) if n == 1 else v
+            colours[v] = t_map[mu_prime(f, tuple(iso_map[c] for c in coords))]
         return colours
 
     def mu(self, f):
@@ -338,6 +335,7 @@ class CyclePipeline:
         n = self.check_polymorphism(f)
         colours = self.mu_colours(f)
         try:
-            return map_from_colouring(self.torus(n), colours, check_equivariance=True)
+            return map_from_colouring(gamma_power(self.period, n), colours,
+                                      check_equivariance=True)
         except Exception as exc:  # the composite is simplicial by construction
             raise InternalError(f"mu(f) failed validity: {exc}") from exc

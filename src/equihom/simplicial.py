@@ -1,4 +1,4 @@
-"""Relational simplicial sets: spheres, triangulated circles, products.
+"""Relational simplicial sets: spheres, triangulated circles and their tori.
 
 A relational simplicial set stores, per dimension up to a cap, the set of
 non-degenerate simplices as ordered vertex tuples.  Degenerate simplices are
@@ -9,6 +9,7 @@ it has a consecutive repeat.
 
 from functools import lru_cache
 from itertools import product
+from math import comb, prod
 
 from .errors import (AlternatingSimplexError, CapacityExceededError,
                      InvalidParameterError, NotEquivariantError)
@@ -17,8 +18,8 @@ from .snf import gf2_rank
 YELLOW = "yellow"
 BLUE = "blue"
 
-# process-wide budget for product construction; the CLI can override it
-MAX_CELLS = 1 << 22
+# most cells a torus may have; checked against the closed-form count
+CELL_LIMIT = 1 << 22
 
 
 def normalize_simplex(tup):
@@ -32,16 +33,6 @@ def normalize_simplex(tup):
 
 def alternations(tup):
     return sum(1 for a, b in zip(tup, tup[1:]) if a != b)
-
-
-def _compositions(total, parts):
-    """All ways to write total as an ordered sum of ``parts`` positive ints."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 class SimplicialSet:
@@ -111,23 +102,6 @@ class SimplicialSet:
             return False
         core = normalize_simplex(tup)
         return core in self.cells(len(core) - 1)
-
-    def weak_simplices(self, d):
-        """All d-simplices including degenerate ones."""
-        for k in range(min(d, self.cap) + 1):
-            for core in self._cells[k]:
-                if k == d:
-                    yield core
-                else:
-                    for mult in _compositions(d + 1, k + 1):
-                        out = []
-                        for v, m in zip(core, mult):
-                            out.extend([v] * m)
-                        yield tuple(out)
-
-    def count_weak_simplices(self, d):
-        from math import comb
-        return sum(comb(d, k) * len(self._cells[k]) for k in range(min(d, self.cap) + 1))
 
     def involution_vertex(self, v):
         return self.involution[v]
@@ -234,60 +208,71 @@ def order_complex(elements, less_than, cap, involution=None):
     return SimplicialSet(elements, simplices, cap, involution=involution)
 
 
-def sproduct(factors, cap=None, max_cells=None, check=True):
-    """Product of simplicial sets; simplices are taken dimension-wise.
+def product_cell_count(sides, d):
+    """Number of non-degenerate d-cells of gamma(L_1) x ... x gamma(L_k).
 
-    The involution (present on all factors or none) acts diagonally.  A
-    product simplex is non-degenerate iff no two consecutive vertex tuples
-    coincide, which can happen even when some components are degenerate.
+    A d-chain of the product poset moves j of the k coordinates, each once,
+    from an even value to one of its two odd neighbours, and the moves fill
+    the d steps: d! S(j, d) surjections, counted by inclusion-exclusion.
+    Every coordinate has L_i starting choices whether it moves or not.
     """
-    if max_cells is None:
-        max_cells = MAX_CELLS
-    factors = list(factors)
-    if not factors:
-        raise InvalidParameterError("sproduct needs at least one factor")
-    if len(factors) == 1:
-        return factors[0]
-    with_inv = [f.involution is not None for f in factors]
-    if any(with_inv) and not all(with_inv):
-        raise InvalidParameterError("involutions must be present on all factors or none")
-    if cap is None:
-        cap = min(f.cap for f in factors)
-    total = 0
-    for d in range(cap + 1):
-        counts = 1
-        for f in factors:
-            counts *= f.count_weak_simplices(d)
-        total += counts
-    if total > max_cells:
-        raise CapacityExceededError(
-            f"product would scan {total} candidate cells (limit {max_cells})")
+    k = len(sides)
+    return prod(sides) * sum(
+        comb(k, j) * sum((-1) ** i * comb(d, i) * (d - i) ** j for i in range(d + 1))
+        for j in range(d, k + 1))
 
-    vertices = [tuple(vs) for vs in product(*[f.vertices for f in factors])]
-    simplices = {}
-    for d in range(1, cap + 1):
-        found = []
-        for combo in product(*[list(f.weak_simplices(d)) for f in factors]):
-            cell = tuple(zip(*combo))
-            if any(a == b for a, b in zip(cell, cell[1:])):
-                continue
-            found.append(cell)
-        simplices[d] = found
-    involution = None
-    if all(with_inv):
-        involution = {v: tuple(f.involution[x] for f, x in zip(factors, v))
-                      for v in vertices}
-    return SimplicialSet(vertices, simplices, cap, involution=involution, check=check)
+
+def gamma_product(sides, cap=None):
+    """Cached torus gamma(L_1) x ... x gamma(L_k) with the diagonal involution.
+
+    Built as the order complex of the product of the alternating cyclic
+    posets: the cells are the strict chains, and a vertex lies below exactly
+    the tuples obtained by moving a nonempty subset of its even coordinates to
+    a neighbour.  ``cap`` is raised to max(3, k), so every spelling of one
+    torus shares one cache entry; a single side gives gamma(L) itself, with
+    integer labels.
+    """
+    sides = tuple(sides)
+    top = max(3, len(sides))
+    return _gamma_product(sides, top if cap is None else max(cap, top))
 
 
 @lru_cache(maxsize=16)
+def _gamma_product(sides, cap):
+    if not sides:
+        raise InvalidParameterError("a torus needs at least one side")
+    if len(sides) == 1:
+        return gamma(sides[0], cap=cap)
+    if any(L < 4 or L % 4 for L in sides):
+        raise InvalidParameterError("gamma(L) needs L >= 4 divisible by 4")
+    total = sum(product_cell_count(sides, d) for d in range(len(sides) + 1))
+    if total > CELL_LIMIT:
+        raise CapacityExceededError(
+            f"torus {sides} has {total} cells (limit {CELL_LIMIT})")
+    vertices = list(product(*(range(L) for L in sides)))
+    label = {v: v for v in vertices}  # one shared tuple per vertex in every cell
+    ups = {}
+    for v in vertices:
+        options = [(x,) if x % 2 else (x, (x + 1) % L, (x - 1) % L)
+                   for x, L in zip(v, sides)]
+        ups[v] = [label[w] for w in product(*options) if w != v]
+    simplices = {}
+    chains = [(v,) for v in vertices]
+    for d in range(1, len(sides) + 1):
+        chains = [chain + (w,) for chain in chains for w in ups[chain[-1]]]
+        simplices[d] = chains
+    involution = {v: label[tuple((x + L // 2) % L for x, L in zip(v, sides))]
+                  for v in vertices}
+    return SimplicialSet(vertices, simplices, cap, involution=involution)
+
+
+# the one torus cache, reachable under the public name
+gamma_product.cache_info = _gamma_product.cache_info
+
+
 def gamma_power(L, n, cap=None):
-    """Cached torus triangulation gamma(L)^n with the diagonal involution."""
-    if cap is None:
-        cap = max(3, n)
-    if n == 1:
-        return gamma(L, cap=cap)
-    return sproduct([gamma(L) for _ in range(n)], cap=cap)
+    """The torus gamma(L)^n with the diagonal involution."""
+    return gamma_product((L,) * n, cap)
 
 
 def replace_involution(x, mapping):

@@ -18,7 +18,7 @@ from math import comb
 
 from .errors import (InvalidInputError, InvalidParameterError,
                      InvariantViolationError, NotFreeActionError)
-from .simplicial import gamma, gamma_power, replace_involution, sproduct
+from .simplicial import gamma_power, gamma_product, replace_involution
 from .snf import (QuotientPresentation, SparseMat, smith_normal_form)
 
 COEFFICIENTS = ("Zminus", "Zplus", "ZZ2")
@@ -233,7 +233,7 @@ def equivariant_complex(x, max_dim):
 
 @lru_cache(maxsize=32)
 def _torus_coboundaries(n, L, coefficients):
-    x = gamma_power(L, n, cap=max(3, n))
+    x = gamma_power(L, n)
     cx = equivariant_complex(x, n)
     return _Coboundaries(tuple(specialize(cx, coefficients)))
 
@@ -273,10 +273,9 @@ def quotient_by_first_shift(L, n):
     if L % 8:
         raise InvalidParameterError("the quotient circle needs L/2 divisible by 4")
     half = L // 2
+    quotient = gamma_product((half,) + (L,) * (n - 1))
     if n == 1:
-        return gamma(half), lambda v: v % half
-    factors = [gamma(half)] + [gamma(L) for _ in range(n - 1)]
-    quotient = sproduct(factors, cap=max(3, n))
+        return quotient, lambda v: v % half
 
     def project(v):
         return (v[0] % half,) + v[1:]
@@ -296,7 +295,7 @@ def quotient_pstar_check(n, L, d):
     """
     if not 1 <= d <= n:
         raise InvalidParameterError("need 1 <= d <= n")
-    x = gamma_power(L, n, cap=max(3, n))
+    x = gamma_power(L, n)
     nu_map = {}
     first = _first_coordinate_involution(L, n)
     for v in x.vertices:

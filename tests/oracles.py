@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected values.
 
 Everything here recomputes quantities from first principles, avoiding the
-library code paths under test: raw loops over tuples, determinantal divisors
-for Smith forms, closed-form counts for cycle colourings.
+library code paths under test: raw loops over tuples, the generic product of
+simplicial sets, determinantal divisors for Smith forms, closed-form counts
+for cycle colourings.
 """
 
 import math
@@ -47,6 +48,45 @@ def strict_chains(L, n, length):
     for _ in range(length - 1):
         chains = [c + (w,) for c in chains for w in poset_covers(c[-1], L)]
     return chains
+
+
+def _compositions(total, parts):
+    """All ways to write total as an ordered sum of ``parts`` positive ints."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def weak_simplices(x, d):
+    """All d-simplices of a relational simplicial set, degenerate ones included."""
+    for k in range(min(d, x.cap) + 1):
+        for core in x.cells(k):
+            for mult in _compositions(d + 1, k + 1):
+                yield tuple(v for v, m in zip(core, mult) for _ in range(m))
+
+
+def sproduct(factors, cap):
+    """Product of simplicial sets, taken dimension-wise over weak simplices.
+
+    A tuple of weak simplices, one per factor, is a non-degenerate product
+    cell iff no two consecutive vertex tuples coincide.  Returns the vertex
+    tuple, the cells per dimension 0..cap and the diagonal involution.
+    """
+    vertices = tuple(product(*[f.vertices for f in factors]))
+    cells = {0: frozenset((v,) for v in vertices)}
+    for d in range(1, cap + 1):
+        found = set()
+        for combo in product(*[list(weak_simplices(f, d)) for f in factors]):
+            cell = tuple(zip(*combo))
+            if all(a != b for a, b in zip(cell, cell[1:])):
+                found.add(cell)
+        cells[d] = frozenset(found)
+    involution = {v: tuple(f.involution[x] for f, x in zip(factors, v))
+                  for v in vertices}
+    return vertices, cells, involution
 
 
 def brute_deg1(colour, L, Lp):

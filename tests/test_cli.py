@@ -53,6 +53,28 @@ def test_phi_on_unary_file(tmp_path, monkeypatch):
     assert all(obj["t_fingerprint"] == fp for obj in records)
 
 
+PHI_RECORD = {"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, 2]}
+
+
+@pytest.mark.parametrize("record", [
+    {k: v for k, v in PHI_RECORD.items() if k != "domain_base"},
+    [3, 1, 4, [0, 1, 2]],
+    dict(PHI_RECORD, arity="1"),
+    dict(PHI_RECORD, codomain=None),
+    dict(PHI_RECORD, values=7),
+], ids=["missing-domain-base", "list-line", "string-arity", "null-codomain",
+        "non-list-values"])
+def test_phi_malformed_record_is_a_usage_error(tmp_path, monkeypatch, capsys, record):
+    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+    polys = tmp_path / "polys.jsonl"
+    polys.write_text(json.dumps(PHI_RECORD) + "\n" + json.dumps(record) + "\n")
+    assert run(["phi", "--in", str(polys)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_reports_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -86,7 +108,8 @@ def test_degree_verb_rejects_non_equivariant(tmp_path):
     (["degree"], {"L": "8", "n": 1, "colours": [1, 1, 1, 1, 0, 0, 0, 0]}),
     (["degree"], {"L": 4, "n": 2}),
     (["swap-stats", "--i", "1"], {"L": 4, "n": 2, "colours": 7}),
-], ids=["string-L", "missing-colours", "non-list-colours"])
+    (["swap-stats", "--i", "1"], {"L": 6, "n": 2, "colours": [1, 0] * 18}),
+], ids=["string-L", "missing-colours", "non-list-colours", "L-not-multiple-of-4"])
 def test_malformed_colouring_file_is_a_usage_error(tmp_path, capsys, verb, content):
     col = tmp_path / "col.json"
     col.write_text(json.dumps(content))

@@ -1,3 +1,4 @@
+import io
 import random
 from itertools import product as iproduct
 
@@ -178,6 +179,36 @@ def test_search_t_persistence(tmp_path):
     assert again.fingerprint() == first.fingerprint()
     loaded = TColouring.load(path)
     assert loaded.colours == first.colours
+
+
+def test_t_colouring_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "t.json"
+    first = search_t_colouring(path)
+    second = TColouring([1 - b for b in first.colours])
+    real_open = io.open
+
+    class FailsHalfway:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    monkeypatch.setattr(io, "open", lambda *a, **k: FailsHalfway(real_open(*a, **k)))
+    with pytest.raises(OSError):
+        second.save(path)
+    monkeypatch.undo()
+    assert TColouring.load(path).colours == first.colours
+    assert search_t_colouring(path).colours == first.colours
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_mu_arity_one_valid():

@@ -3,15 +3,16 @@ import random
 
 import pytest
 
+from equihom import simplicial
 from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
                             InvalidParameterError, NotEquivariantError)
 from equihom.simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap,
                                 SimplicialSet, boundary, gamma, gamma_power,
-                                map_from_colouring, mod2_homology_ranks,
-                                normalize_simplex, order_complex, sigma,
-                                sproduct)
+                                gamma_product, map_from_colouring,
+                                mod2_homology_ranks, normalize_simplex,
+                                order_complex, product_cell_count, sigma)
 
-from oracles import strict_chains
+from oracles import sproduct, strict_chains
 
 
 def test_sigma2_structure():
@@ -59,7 +60,7 @@ def test_gamma_involution_free():
 
 def test_product_torus_counts():
     # oracle: cells of the product are strict chains of the product poset
-    t = sproduct([gamma(4), gamma(4)])
+    t = gamma_product((4, 4))
     assert len(t.vertices) == 16
     assert t.n_cells(1) == len(strict_chains(4, 2, 2)) == 48
     assert t.n_cells(2) == len(strict_chains(4, 2, 3)) == 32
@@ -68,7 +69,7 @@ def test_product_torus_counts():
 
 
 def test_product_two_triangles_per_square():
-    t = sproduct([gamma(4), gamma(8)])
+    t = gamma_product((4, 8))
     assert t.n_cells(2) == 2 * 4 * 8
     diagonals = {}
     for cell in t.cells(2):
@@ -81,7 +82,7 @@ def test_product_two_triangles_per_square():
 
 
 def test_product_closure_explicit():
-    t = sproduct([gamma(4), gamma(8)])
+    t = gamma_product((4, 8))
     for d in (1, 2):
         for cell in t.cells(d):
             for i in range(d + 1):
@@ -89,26 +90,41 @@ def test_product_closure_explicit():
                 assert t.has_simplex(face)
 
 
-def test_product_of_zero_spheres():
-    p = sproduct([sigma(0), sigma(0)], cap=3)
-    assert len(p.vertices) == 4
-    assert p.n_cells(1) == 0
-
-
 def test_unary_product_is_identity():
-    g = gamma(4)
-    assert sproduct([g]) is g
+    g = gamma_product((4,))
+    assert g.vertices == tuple(range(4))
+    for d in range(g.cap + 1):
+        assert g.cells(d) == gamma(4).cells(d)
+    assert g.involution == gamma(4).involution
 
 
-def test_product_capacity():
+def test_product_capacity(monkeypatch):
+    def no_building(*args):
+        raise AssertionError("started building a torus over the cell limit")
+
+    monkeypatch.setattr(simplicial, "product", no_building)
     with pytest.raises(CapacityExceededError):
-        sproduct([gamma(12), gamma(12), gamma(12)], max_cells=1000)
+        gamma_product((64,) * 4)
 
 
-def test_product_involution_mismatch():
-    plain = SimplicialSet([0, 1], {1: [(0, 1), (1, 0)]}, cap=2)
-    with pytest.raises(InvalidParameterError):
-        sproduct([gamma(4), plain])
+@pytest.mark.parametrize("sides", [(4, 4), (4, 8), (8, 4), (4, 4, 4), (4, 8, 8),
+                                   (8, 8, 8)])
+def test_gamma_product_matches_generic_product(sides):
+    t = gamma_product(sides)
+    vertices, cells, involution = sproduct([gamma(L) for L in sides], t.cap)
+    assert t.vertices == vertices
+    for d in range(t.cap + 1):
+        assert t.cells(d) == cells[d]
+        assert t.n_cells(d) == product_cell_count(sides, d)
+    assert t.involution == involution
+
+
+def test_torus_spellings_share_one_cache_entry():
+    torus = gamma_product((12, 12))
+    assert gamma_power(12, 2) is torus
+    assert gamma_power(12, 2, cap=3) is torus
+    assert gamma_product([12, 12], cap=2) is torus
+    assert gamma_power(4, 1) is gamma_product((4,))
 
 
 def test_closure_checked():
@@ -182,7 +198,7 @@ def test_boundary_squared_zero():
 
 def test_simplicial_map_validity():
     g4 = gamma(4)
-    sq = sproduct([g4, g4])
+    sq = gamma_product((4, 4))
     proj = SimplicialMap(sq, g4, {v: v[0] for v in sq.vertices})
     assert proj.is_equivariant()
     with pytest.raises(InvalidParameterError):
@@ -213,8 +229,3 @@ def test_normalize_simplex():
     assert normalize_simplex((1, 1, 2, 2, 3)) == (1, 2, 3)
     assert normalize_simplex((1, 2, 1)) == (1, 2, 1)
 
-
-def test_weak_simplices_count():
-    g4 = gamma(4)
-    # L vertices each giving C(d,0) degeneracies plus L edges giving C(d,1)
-    assert sum(1 for _ in g4.weak_simplices(3)) == g4.count_weak_simplices(3) == 16
