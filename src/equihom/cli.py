@@ -22,8 +22,8 @@ from .homcomplexes import (CyclePipeline, default_cache_dir, hom_complex,
                            mu_prime, multihoms, search_t_colouring)
 from .degrees import (TorusComplex, deg_vector, find_colour_swapping_edge,
                       monomial_colouring, phi, torus_complex, winding_colouring)
-from .simplicial import (BLUE, YELLOW, gamma_power, map_from_colouring,
-                         mod2_homology_ranks)
+from .simplicial import (BLUE, YELLOW, equivariant_colourings, gamma_power,
+                         map_from_colouring, mod2_homology_ranks)
 from .slices import (arity_experiment, swap_fraction, zeta0)
 from .zz2 import (bredon_torus, expected_bredon, quotient_pstar_check)
 
@@ -242,28 +242,11 @@ def _check_band_identity():
     return True, "band boundary = cycle + antipodal cycle for L, L' in {4,8,12}"
 
 
-def _iter_equivariant_colourings(L, n):
-    x = gamma_power(L, n)
-    nu = x.involution
-    reps, seen = [], set()
-    for v in x.vertices:
-        if v not in seen:
-            seen.add(v)
-            seen.add(nu[v])
-            reps.append(v)
-    for bits in iter_product((0, 1), repeat=len(reps)):
-        col = {}
-        for rep, b in zip(reps, bits):
-            col[rep] = BLUE if b else YELLOW
-            col[nu[rep]] = YELLOW if b else BLUE
-        yield col
-
-
 def _check_two_torus_battery():
     torus = torus_complex(4, 4)
     bound = Fraction(1, 3 * 16)
     count = 0
-    for col in _iter_equivariant_colourings(4, 2):
+    for col in equivariant_colourings(gamma_power(4, 2)):
         gmap = map_from_colouring(gamma_power(4, 2), col, check_equivariance=True)
         alpha = deg_vector(gmap, L=4, n=2)  # odd weight enforced internally
         for i in (1, 2):

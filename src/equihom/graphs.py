@@ -43,9 +43,6 @@ class Graph:
     def has_edge(self, u, v):
         return (u, v) in self.edges
 
-    def degree(self, v):
-        return len(self._adj[v])
-
     def is_loopless(self):
         return all((v, v) not in self.edges for v in self.vertices())
 
@@ -159,12 +156,6 @@ class MinorSpec:
     def __call__(self, i):
         return self.mapping[i - 1]
 
-    def then(self, sigma):
-        """The composite sigma(pi(.)): [n] -> [sigma.m]."""
-        if sigma.n != self.m:
-            raise InvalidParameterError("minor specs do not compose")
-        return MinorSpec(self.n, sigma.m, tuple(sigma(self(i)) for i in range(1, self.n + 1)))
-
     def preimage(self, j):
         return [i for i in range(1, self.n + 1) if self(i) == j]
 
@@ -206,10 +197,6 @@ class GraphHom:
 
     def __repr__(self):
         return f"GraphHom({self.values})"
-
-    def is_valid(self):
-        return all((self.values[u], self.values[v]) in self.codomain.edges
-                   for (u, v) in self.domain.edges)
 
 
 def minor(f, pi):
@@ -302,11 +289,6 @@ class HomStream:
 def enumerate_homs(dom, cod, limit=None):
     """All homomorphisms dom -> cod in lexicographic order of the value array."""
     return HomStream(dom, cod, limit=limit)
-
-
-def polymorphisms(base, arity, cod, limit=None):
-    """Stream of arity-ary polymorphisms base^arity -> cod."""
-    return enumerate_homs(power(base, arity), cod, limit=limit)
 
 
 def sample_homs(dom, cod, count, rng):

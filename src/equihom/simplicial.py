@@ -31,6 +31,32 @@ def normalize_simplex(tup):
     return tuple(out)
 
 
+def is_degenerate(tup):
+    """True when the tuple repeats a vertex consecutively."""
+    return any(a == b for a, b in zip(tup, tup[1:]))
+
+
+def faces(cell):
+    """The codimension-1 faces of a cell as (sign, face) pairs.
+
+    Face i drops vertex i, comes in ascending i and carries the sign (-1)^i.
+    """
+    for i in range(len(cell)):
+        yield -1 if i % 2 else 1, cell[:i] + cell[i + 1:]
+
+
+def incidence(cells, index):
+    """Signed boundary rows [(index[face], +-1), ...], one per cell.
+
+    ``index`` maps each non-degenerate face to its label in the chosen basis
+    (a position, or an (orbit, parity) pair); degenerate faces are dropped.
+    The one boundary builder behind GF(2), Z and Z[Z_2] chains.
+    """
+    return [[(index[face], sign) for sign, face in faces(cell)
+             if not is_degenerate(face)]
+            for cell in cells]
+
+
 def alternations(tup):
     return sum(1 for a, b in zip(tup, tup[1:]) if a != b)
 
@@ -58,17 +84,21 @@ class SimplicialSet:
 
     def _check(self, closure):
         for d in range(1, self.cap + 1):
+            below = self._cells[d - 1]
             for s in self._cells[d]:
                 if len(s) != d + 1:
                     raise InvalidParameterError(f"stored {d}-simplex of wrong length: {s}")
-                if any(a == b for a, b in zip(s, s[1:])):
+                if is_degenerate(s):
                     raise InvalidParameterError(f"stored simplex is degenerate: {s}")
                 if any(v not in self.vertex_set for v in s):
                     raise InvalidParameterError(f"simplex uses unknown vertex: {s}")
                 if closure:
-                    for i in range(d + 1):
-                        face = s[:i] + s[i + 1:]
-                        if not self.has_simplex(face):
+                    # the vertices are known, so a non-degenerate face is a
+                    # simplex iff it is stored one dimension down; a stored
+                    # face is never degenerate, so only a degenerate face
+                    # (or a missing one) is left to normalize
+                    for _, face in faces(s):
+                        if face not in below and not self.has_simplex(face):
                             raise InvalidParameterError(
                                 f"closure violated: face {face} of {s} missing")
         nu = self.involution
@@ -345,6 +375,29 @@ def map_from_colouring(x, colouring, check_equivariance=False):
     return SimplicialMap(x, target, col, check=False)
 
 
+def equivariant_colourings(x):
+    """Every yellow/blue vertex colouring of x giving antipodes opposite colours.
+
+    One vertex per involution orbit, in vertex order, is the free choice; the
+    colourings run through the choices in binary order, blue for a one bit.
+    """
+    nu = x.involution
+    if nu is None:
+        raise InvalidParameterError("an involution is required")
+    reps, seen = [], set()
+    for v in x.vertices:
+        if v not in seen:
+            seen.add(v)
+            seen.add(nu[v])
+            reps.append(v)
+    for bits in product((0, 1), repeat=len(reps)):
+        col = {}
+        for rep, b in zip(reps, bits):
+            col[rep] = BLUE if b else YELLOW
+            col[nu[rep]] = YELLOW if b else BLUE
+        yield col
+
+
 class ModTwoChain:
     """A mod-2 cellular chain: a set of non-degenerate cells of one dimension."""
 
@@ -353,7 +406,7 @@ class ModTwoChain:
         self.cells = frozenset(cells)
         if any(len(c) != dimension + 1 for c in self.cells):
             raise InvalidParameterError("cell of wrong dimension in chain")
-        if any(a == b for c in self.cells for a, b in zip(c, c[1:])):
+        if any(is_degenerate(c) for c in self.cells):
             raise InvalidParameterError("degenerate cell in chain")
 
     def __add__(self, other):
@@ -384,12 +437,8 @@ def boundary(chain):
     if chain.dimension < 1:
         raise InvalidParameterError("boundary needs dimension >= 1")
     acc = set()
-    for cell in chain.cells:
-        for i in range(len(cell)):
-            face = cell[:i] + cell[i + 1:]
-            if any(a == b for a, b in zip(face, face[1:])):
-                continue
-            acc ^= {face}
+    for cell in chain.cells:  # a non-degenerate cell has distinct faces
+        acc ^= {face for _, face in faces(cell) if not is_degenerate(face)}
     return ModTwoChain(chain.dimension - 1, acc)
 
 
@@ -403,13 +452,10 @@ def mod2_homology_ranks(x, top=None):
     bnd_rank = [0] * (top + 3)
     for d in range(1, top + 2):
         rows = []
-        for cell in cells[d]:
+        for row in incidence(cells[d], index[d - 1]):
             mask = 0
-            for i in range(len(cell)):
-                face = cell[:i] + cell[i + 1:]
-                if any(a == b for a, b in zip(face, face[1:])):
-                    continue
-                mask ^= 1 << index[d - 1][face]
+            for k, _ in row:
+                mask ^= 1 << k
             rows.append(mask)
         bnd_rank[d] = gf2_rank(rows)
     for d in range(top + 1):

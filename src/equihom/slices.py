@@ -118,21 +118,6 @@ def standard_diagonal(n, L):
     return GeneralizedDiagonal(L, n - 1, path)
 
 
-class EdgeClass:
-    """The coordinate edges in direction i whose lower endpoint has height h."""
-
-    def __init__(self, i, h, members):
-        self.i = i
-        self.h = h
-        self.members = tuple(members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 def iter_coordinate_edges(L, n, i, h):
     """Stream the edges of E_i(h): lower endpoint u with u_i even, height h."""
     if not 1 <= i <= n:
@@ -157,13 +142,6 @@ def iter_coordinate_edges(L, n, i, h):
                 v = list(u)
                 v[i - 1] = (v[i - 1] + sign) % L
                 yield (tuple(u), tuple(v))
-
-
-def edge_classes(L, n, i, h):
-    """Materialized E_i(h); stream with iter_coordinate_edges above n = 4."""
-    if n > 4:
-        raise InvalidParameterError("materializing above n = 4 is not supported; stream instead")
-    return EdgeClass(i, h, iter_coordinate_edges(L, n, i, h))
 
 
 def swap_fraction(colours, L, n, i, h):

@@ -353,11 +353,6 @@ class ExactSolver:
         return [sum(v * y[k] for k, v in row) for row in self._t_rows]
 
 
-def solve_exact(matrix, rhs):
-    """Solve A x = b over the integers; raises if no integer solution exists."""
-    return ExactSolver([list(r) for r in matrix]).solve(rhs)
-
-
 class QuotientPresentation:
     """The quotient ker(A) / im(B) of integer lattices, with coordinates.
 

@@ -2,14 +2,18 @@
 
 A free simplicial involution makes the cellular chain complex a complex of
 free modules over the group ring Z[Z2] = Z[nu]/(nu^2 - 1), with one generator
-per cell orbit.  Mapping equivariantly into a coefficient module turns the
-orbit boundary matrices into integer coboundary matrices: the sign
-representation sends a + b*nu to a - b, the trivial one to a + b, and the
-group ring itself to the 2x2 block [[a, b], [b, a]].  Smith normal forms of
-those matrices give the Bredon cohomology groups; for the n-torus with the
-diagonal action and sign coefficients the answer in degree d is an elementary
-abelian 2-group of rank C(n-1, d-1), which the quotient-projection check
-reproduces through the cokernel of the pullback along the double cover.
+per cell orbit.  The orbit boundary comes from the shared incidence builder
+of ``simplicial``: each face of an orbit representative is labelled by its
+orbit and by whether it is the representative or its mate, so the sign of
+the face lands in a or in b of the entry a + b*nu.  Mapping equivariantly
+into a coefficient module turns the orbit boundary matrices into integer
+coboundary matrices: the sign representation sends a + b*nu to a - b, the
+trivial one to a + b, and the group ring itself to the 2x2 block
+[[a, b], [b, a]].  Smith normal forms of those matrices give the Bredon
+cohomology groups; for the n-torus with the diagonal action and sign
+coefficients the answer in degree d is an elementary abelian 2-group of rank
+C(n-1, d-1), which the quotient-projection check reproduces through the
+cokernel of the pullback along the double cover.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,8 @@ from math import comb
 
 from .errors import (InvalidInputError, InvalidParameterError,
                      InvariantViolationError, NotFreeActionError)
-from .simplicial import gamma_power, gamma_product, replace_involution
+from .simplicial import (gamma_power, gamma_product, incidence, is_degenerate,
+                         replace_involution)
 from .snf import (QuotientPresentation, SparseMat, smith_normal_form)
 
 COEFFICIENTS = ("Zminus", "Zplus", "ZZ2")
@@ -56,14 +61,9 @@ class EquivariantChainComplex:
         boundaries = []
         for d in range(1, max_dim + 1):
             mat = {}
-            for j, cell in enumerate(reps[d]):
-                for i in range(d + 1):
-                    face = cell[:i] + cell[i + 1:]
-                    if any(a == b for a, b in zip(face, face[1:])):
-                        continue
-                    row, par = index[d - 1][face]
+            for j, row_faces in enumerate(incidence(reps[d], index[d - 1])):
+                for (row, par), sign in row_faces:
                     a, b = mat.get((row, j), (0, 0))
-                    sign = -1 if i % 2 else 1
                     if par:
                         b += sign
                     else:
@@ -209,12 +209,9 @@ def ordinary_cochain_complex(x, max_dim):
     deltas = []
     for d in range(1, max_dim + 1):
         delta = SparseMat(len(cells[d]), len(cells[d - 1]))
-        for j, cell in enumerate(cells[d]):
-            for i in range(d + 1):
-                face = cell[:i] + cell[i + 1:]
-                if any(a == b for a, b in zip(face, face[1:])):
-                    continue
-                delta.add_at(j, index[d - 1][face], -1 if i % 2 else 1)
+        for j, row in enumerate(incidence(cells[d], index[d - 1])):
+            for k, sign in row:
+                delta.add_at(j, k, sign)
         deltas.append(delta)
     return deltas, cells
 
@@ -311,7 +308,7 @@ def quotient_pstar_check(n, L, d):
         images = set()
         for cell in x_first.cells(dim):
             img = tuple(project(v) for v in cell)
-            if any(a == b for a, b in zip(img, img[1:])):
+            if is_degenerate(img):
                 raise InvariantViolationError("projection degenerates a cell")
             images.add(img)
         if images != quotient.cells(dim):

@@ -2,8 +2,8 @@
 
 Everything here recomputes quantities from first principles, avoiding the
 library code paths under test: raw loops over tuples, the generic product of
-simplicial sets, determinantal divisors for Smith forms, closed-form counts
-for cycle colourings.
+simplicial sets, the signed boundary of a cell complex, determinantal divisors
+for Smith forms, closed-form counts for cycle colourings.
 """
 
 import math
@@ -26,6 +26,38 @@ def brute_multihom_count(edges, nverts):
                     if all((a, b) in edges for a in left for b in right):
                         count += 1
     return count
+
+
+def is_graph_hom(values, dom_edges, cod_edges):
+    """Every domain edge (u, v) goes to a codomain edge (values[u], values[v])."""
+    return all((values[u], values[v]) in cod_edges for u, v in dom_edges)
+
+
+def composite_mapping(pi, sigma):
+    """The 1-based map i -> sigma(pi(i)) of two minor maps given as tuples."""
+    return tuple(sigma[p - 1] for p in pi)
+
+
+def signed_boundary_rows(x, d):
+    """Integer boundary of the sorted d-cells of x in the sorted (d-1)-cells.
+
+    Raw loop: drop vertex i, skip a face with a consecutive repeat, add
+    (-1)^i at the face's position.  Row j maps positions to coefficients.
+    """
+    position = {c: k for k, c in enumerate(sorted(x.cells(d - 1)))}
+    rows = []
+    for cell in sorted(x.cells(d)):
+        row = {}
+        for i in range(len(cell)):
+            face = cell[:i] + cell[i + 1:]
+            if any(face[k] == face[k + 1] for k in range(len(face) - 1)):
+                continue
+            k = position[face]
+            row[k] = row.get(k, 0) + (-1) ** i
+            if not row[k]:
+                del row[k]
+        rows.append(row)
+    return rows
 
 
 def poset_covers(u, L):

@@ -17,8 +17,8 @@ from equihom.graphs import (MinorSpec, complete_graph, cycle_graph,
 from equihom.homcomplexes import (CyclePipeline, canonical_cycle_iso,
                                   hom_complex, mu_prime, multihoms,
                                   search_t_colouring)
-from equihom.simplicial import (BLUE, YELLOW, gamma_power, map_from_colouring,
-                                mod2_homology_ranks)
+from equihom.simplicial import (equivariant_colourings, gamma_power,
+                                map_from_colouring, mod2_homology_ranks)
 from equihom.slices import arity_experiment, swap_fraction, zeta0
 from equihom.zz2 import bredon_torus, expected_bredon, quotient_pstar_check
 
@@ -41,23 +41,6 @@ def pipeline():
 @pytest.fixture(scope="module")
 def binary_polymorphisms():
     return list(enumerate_homs(power(cycle_graph(3), 2), complete_graph(4)))
-
-
-def equivariant_colourings(L, n):
-    x = gamma_power(L, n)
-    nu = x.involution
-    reps, seen = [], set()
-    for v in x.vertices:
-        if v not in seen:
-            seen.add(v)
-            seen.add(nu[v])
-            reps.append(v)
-    for bits in iproduct((0, 1), repeat=len(reps)):
-        col = {}
-        for rep, b in zip(reps, bits):
-            col[rep] = BLUE if b else YELLOW
-            col[nu[rep]] = YELLOW if b else BLUE
-        yield col
 
 
 def test_criterion_01_hom_complex_structure():
@@ -107,7 +90,7 @@ def test_criterion_05_two_torus_battery():
     torus = torus_complex(4, 4)
     bound = Fraction(1, 3 * 16)
     count = 0
-    for col in equivariant_colourings(4, 2):
+    for col in equivariant_colourings(gamma_power(4, 2)):
         gmap = map_from_colouring(gamma_power(4, 2), col, check_equivariance=True)
         alpha = deg_vector(gmap, L=4, n=2)
         assert alpha.weight % 2 == 1

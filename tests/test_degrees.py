@@ -1,5 +1,4 @@
 import random
-from itertools import product as iproduct
 
 import pytest
 
@@ -12,26 +11,10 @@ from equihom.errors import (InvalidParameterError, InvariantViolationError,
 from equihom.graphs import (GraphHom, MinorSpec, complete_graph, cycle_graph,
                             enumerate_homs, minor, power)
 from equihom.homcomplexes import CyclePipeline
-from equihom.simplicial import (BLUE, YELLOW, gamma_power, map_from_colouring)
+from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
+                                gamma_power, map_from_colouring)
 
-from oracles import brute_deg1
-
-
-def equivariant_colourings(L, n):
-    x = gamma_power(L, n)
-    nu = x.involution
-    reps, seen = [], set()
-    for v in x.vertices:
-        if v not in seen:
-            seen.add(v)
-            seen.add(nu[v])
-            reps.append(v)
-    for bits in iproduct((0, 1), repeat=len(reps)):
-        col = {}
-        for rep, b in zip(reps, bits):
-            col[rep] = BLUE if b else YELLOW
-            col[nu[rep]] = YELLOW if b else BLUE
-        yield col
+from oracles import brute_deg1, composite_mapping
 
 
 def as_bits(col):
@@ -61,13 +44,13 @@ def test_deg1_second_coordinate_only_is_zero():
 
 def test_deg1_matches_brute_force_exhaustively():
     torus = torus_complex(4, 4)
-    for col in equivariant_colourings(4, 2):
+    for col in equivariant_colourings(gamma_power(4, 2)):
         assert torus.deg1(col) == brute_deg1(as_bits(col), 4, 4)
 
 
 def test_exhaustive_battery_odd_weight():
     distribution = {}
-    for col in equivariant_colourings(4, 2):
+    for col in equivariant_colourings(gamma_power(4, 2)):
         gmap = map_from_colouring(gamma_power(4, 2), col, check_equivariance=True)
         alpha = deg_vector(gmap, L=4, n=2)
         assert alpha.weight % 2 == 1
@@ -86,13 +69,14 @@ def test_minor_map_identity_and_swap():
 
 
 def test_minor_map_composition():
-    it = equivariant_colourings(4, 2)
+    it = equivariant_colourings(gamma_power(4, 2))
     cols = [next(it) for _ in range(5)]
     pi = MinorSpec(2, 3, (2, 3))
     sigma = MinorSpec(3, 2, (1, 1, 2))
     for col in cols:
         lhs = minor_map(minor_map(col, pi, L=4, n=2), sigma, L=4, n=3)
-        rhs = minor_map(col, pi.then(sigma), L=4, n=2)
+        composite = MinorSpec(pi.n, sigma.m, composite_mapping(pi.mapping, sigma.mapping))
+        rhs = minor_map(col, composite, L=4, n=2)
         assert lhs.vertex_map == rhs.vertex_map
 
 
@@ -105,7 +89,7 @@ def test_deg_vector_projection_units():
 
 
 def test_deg_vector_arity_one_always_unit():
-    for col in equivariant_colourings(8, 1):
+    for col in equivariant_colourings(gamma_power(8, 1)):
         assert deg_vector(col, L=8, n=1).bits == (1,)
 
 
@@ -140,7 +124,7 @@ def test_deg1_invariant_under_double_shifts():
     # precomposing with the shift-a-coordinate-by-2 automorphisms fixes deg1
     from equihom.slices import shift_coordinate
     torus = torus_complex(4, 4)
-    for col in equivariant_colourings(4, 2):
+    for col in equivariant_colourings(gamma_power(4, 2)):
         base = torus.deg1(col)
         for i in (1, 2):
             shifted = {v: col[shift_coordinate(v, i, 4)] for v in col}
@@ -241,7 +225,7 @@ def test_find_colour_swapping_edge():
 def test_swap_edge_found_for_all_degree_one_maps():
     torus = torus_complex(4, 4)
     found = 0
-    for col in equivariant_colourings(4, 2):
+    for col in equivariant_colourings(gamma_power(4, 2)):
         if torus.deg1(col) == 1:
             u, v = find_colour_swapping_edge(col, torus)
             assert col[u] != col[v]

@@ -7,10 +7,11 @@ from equihom import simplicial
 from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
                             InvalidParameterError, NotEquivariantError)
 from equihom.simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap,
-                                SimplicialSet, boundary, gamma, gamma_power,
-                                gamma_product, map_from_colouring,
-                                mod2_homology_ranks, normalize_simplex,
-                                order_complex, product_cell_count, sigma)
+                                SimplicialSet, boundary, faces, gamma,
+                                gamma_power, gamma_product, is_degenerate,
+                                map_from_colouring, mod2_homology_ranks,
+                                normalize_simplex, order_complex,
+                                product_cell_count, sigma)
 
 from oracles import sproduct, strict_chains
 
@@ -130,6 +131,33 @@ def test_torus_spellings_share_one_cache_entry():
 def test_closure_checked():
     with pytest.raises(InvalidParameterError):
         SimplicialSet([0, 1, 2], {2: [(0, 1, 2)]}, cap=2)
+
+
+def test_closure_missing_nondegenerate_face():
+    # (0, 1, 0) has the faces (1, 0), (0, 0) and (0, 1); only (1, 0) is missing
+    with pytest.raises(InvalidParameterError, match=r"face \(1, 0\) of \(0, 1, 0\)"):
+        SimplicialSet([0, 1], {1: [(0, 1)], 2: [(0, 1, 0)]}, cap=2)
+    SimplicialSet([0, 1], {1: [(0, 1), (1, 0)], 2: [(0, 1, 0)]}, cap=2)
+
+
+def test_closure_degenerate_faces_normalize():
+    # a middle face of a sigma(k) cell repeats a vertex, so it is never stored
+    # and sigma(k) only constructs if the closure check normalizes it
+    for k in (2, 3):
+        s = sigma(k)
+        degenerate = {face for cell in s.cells(k) for _, face in faces(cell)
+                      if is_degenerate(face)}
+        assert degenerate and not degenerate & s.cells(k - 1)
+
+
+def test_closure_missing_torus_face():
+    t = gamma_product((4, 4))
+    cell = sorted(t.cells(2))[5]
+    for _, face in faces(cell):
+        simplices = {d: set(t.cells(d)) for d in (1, 2)}
+        simplices[1].discard(face)
+        with pytest.raises(InvalidParameterError, match="closure violated"):
+            SimplicialSet(t.vertices, simplices, cap=2)
 
 
 def test_gamma_powers_euler_zero():

@@ -5,9 +5,9 @@ import pytest
 
 from equihom.degrees import winding_colouring
 from equihom.errors import InvalidParameterError, InvariantViolationError
-from equihom.simplicial import BLUE, YELLOW, gamma_power
+from equihom.simplicial import BLUE, YELLOW, equivariant_colourings, gamma_power
 from equihom.slices import (GeneralizedDiagonal, arity_experiment,
-                            chain_alternations, edge_classes, height,
+                            chain_alternations, height,
                             iter_coordinate_edges, permute_coordinates,
                             sample_maximal_chain, shift_coordinate,
                             slice_check, standard_diagonal, swap_fraction,
@@ -34,12 +34,12 @@ def test_coordinate_edges_raise_height_by_one():
 
 def test_edge_class_cardinalities():
     # oracle: lower endpoints have coordinate i even, h of the others odd
-    ec = edge_classes(4, 2, 1, 0)
+    ec = list(iter_coordinate_edges(4, 2, 1, 0))
     assert len(ec) == 8
-    assert len(edge_classes(4, 2, 1, 1)) == 8
-    assert len(edge_classes(4, 2, 2, 0)) == len(ec)  # direction symmetry
-    members0 = set(edge_classes(4, 2, 1, 0))
-    members1 = set(edge_classes(4, 2, 1, 1))
+    assert len(list(iter_coordinate_edges(4, 2, 1, 1))) == 8
+    assert len(list(iter_coordinate_edges(4, 2, 2, 0))) == len(ec)  # direction symmetry
+    members0 = set(ec)
+    members1 = set(iter_coordinate_edges(4, 2, 1, 1))
     assert not members0 & members1  # heights partition the direction class
 
 
@@ -107,10 +107,9 @@ def test_swap_fraction_values():
 
 def test_swap_fraction_bound_over_battery():
     # every degree-one direction keeps at least one swap in 16 edges: 1/16 >= 1/48
-    from test_degrees import equivariant_colourings
     from equihom.degrees import deg_vector
     bound = Fraction(1, 48)
-    for col in equivariant_colourings(4, 2):
+    for col in equivariant_colourings(gamma_power(4, 2)):
         alpha = deg_vector(col, L=4, n=2)
         for i in (1, 2):
             if alpha.bits[i - 1]:

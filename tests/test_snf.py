@@ -4,9 +4,9 @@ import pytest
 
 from equihom.errors import InvalidInputError
 from equihom.simplicial import gamma_power
-from equihom.snf import (QuotientPresentation, SparseMat,
+from equihom.snf import (ExactSolver, QuotientPresentation, SparseMat,
                          _dense_smith_invariants, gf2_rank, kernel_basis,
-                         smith_normal_form, snf_with_transforms, solve_exact)
+                         smith_normal_form, snf_with_transforms)
 from equihom.zz2 import equivariant_complex, specialize
 
 from oracles import determinantal_invariants
@@ -62,10 +62,10 @@ def test_kernel_and_solve():
     assert len(basis) == 2
     for vec in basis:
         assert all(sum(r[j] * vec[j] for j in range(3)) == 0 for r in mat)
-    x = solve_exact([[2, 0], [0, 5]], [4, 10])
+    x = ExactSolver([[2, 0], [0, 5]]).solve([4, 10])
     assert x == [2, 2]
     with pytest.raises(InvalidInputError):
-        solve_exact([[2]], [3])
+        ExactSolver([[2]]).solve([3])
 
 
 def test_sparse_phase_handles_large_sparse():

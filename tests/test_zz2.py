@@ -1,16 +1,21 @@
 import pytest
 
-from equihom import zz2
+from equihom import simplicial, zz2
 from equihom.errors import (InvalidInputError, InvalidParameterError,
                             NotFreeActionError)
 from equihom.graphs import complete_graph
 from equihom.homcomplexes import hom_complex
-from equihom.simplicial import (SimplicialSet, gamma, gamma_power, sigma)
+from equihom.simplicial import (ModTwoChain, SimplicialSet, boundary, gamma,
+                                gamma_power, gamma_product, mod2_homology_ranks,
+                                sigma)
 from equihom.snf import SparseMat
 from equihom.zz2 import (CohomologyGroup, EquivariantChainComplex, bredon_torus,
                          cohomology, equivariant_complex, expected_bredon,
-                         ordinary_cohomology, quotient_by_first_shift,
-                         quotient_pstar_check, specialize)
+                         ordinary_cochain_complex, ordinary_cohomology,
+                         quotient_by_first_shift, quotient_pstar_check,
+                         specialize)
+
+from oracles import signed_boundary_rows
 
 
 def test_orbit_ranks():
@@ -154,3 +159,59 @@ def test_quotient_pstar_check_n2():
 def test_dd_zero_is_verified():
     cx = equivariant_complex(gamma_power(4, 2), 2)
     cx.verify_dd_zero()  # must not raise
+
+
+BUILDER_CASES = {
+    "sigma3": lambda: sigma(3),  # has degenerate faces
+    "hom_K4": lambda: hom_complex(complete_graph(4)),
+    "gamma_4x8": lambda: gamma_product((4, 8)),
+    "gamma4_cubed": lambda: gamma_power(4, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILDER_CASES))
+def test_shared_builder_matches_raw_boundary_loop(case, monkeypatch):
+    x = BUILDER_CASES[case]()
+    top = x.dimension()
+    cells = [sorted(x.cells(d)) for d in range(top + 1)]
+    reference = [None] + [signed_boundary_rows(x, d) for d in range(1, top + 1)]
+
+    # Z: the ordinary complex, entry for entry
+    deltas, ordinary_cells = ordinary_cochain_complex(x, top)
+    assert ordinary_cells == cells
+    assert [delta.rows for delta in deltas] == reference[1:]
+
+    # GF(2): the bitmask rows of the mod-2 homology, and the chain boundary
+    seen = []
+    real_rank = simplicial.gf2_rank
+    monkeypatch.setattr(simplicial, "gf2_rank",
+                        lambda rows: seen.append(list(rows)) or real_rank(rows))
+    mod2_homology_ranks(x)
+    assert seen == [[sum(1 << k for k, v in row.items() if v % 2) for row in rows]
+                    for rows in reference[1:]] + [[]]
+    for d in range(1, top + 1):
+        odd = set()
+        for row in reference[d]:
+            odd ^= {cells[d - 1][k] for k, v in row.items() if v % 2}
+        assert boundary(ModTwoChain(d, x.cells(d))).cells == odd
+
+    # Z[Z_2]: the orbit entries a + b*nu, and the group-ring coefficients
+    # giving back the cohomology of the space itself
+    cx = equivariant_complex(x, top)
+    for d in range(1, top + 1):
+        orbit = {}
+        for i, rep in enumerate(cx.reps[d - 1]):
+            orbit[rep] = (i, 0)
+            orbit[x.involution_simplex(rep)] = (i, 1)
+        expected = {}
+        for j, rep in enumerate(cx.reps[d]):
+            for k, v in reference[d][cells[d].index(rep)].items():
+                i, parity = orbit[cells[d - 1][k]]
+                ab = list(expected.get((i, j), (0, 0)))
+                ab[parity] += v
+                expected[(i, j)] = tuple(ab)
+        assert cx.boundaries[d - 1] == {key: ab for key, ab in expected.items()
+                                        if ab != (0, 0)}
+    ring = specialize(cx, "ZZ2")
+    for d in range(top + 1):
+        assert cohomology(ring, d) == cohomology(deltas, d)
