@@ -8,10 +8,10 @@ composing with the polymorphism pipeline realizes the minion homomorphism into
 odd Z_2-vectors.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import (InvalidParameterError, InvariantViolationError,
-                     NotEquivariantError)
+from .errors import (AlternatingSimplexError, InvalidParameterError,
+                     InvariantViolationError, NotEquivariantError)
 from .graphs import MinorSpec
 from .homcomplexes import CyclePipeline
 from .simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap, boundary,
@@ -64,6 +64,72 @@ class TorusComplex:
 @lru_cache(maxsize=16)
 def torus_complex(L, Lp):
     return TorusComplex(L, Lp)
+
+
+class TorusTables:
+    """Integer index tables of gamma(L)^n for colourings given as lists.
+
+    A list holds one value per vertex in row-major order, the order of
+    ``gamma_power(L, n).vertices``.  ``antipode[k]`` is the position of the
+    antipode of vertex k, and ``slices[i - 1]`` holds the ``x1`` edges and
+    ``b1`` band triangles of ``torus_complex(L, L)`` pulled back through
+    ``sigma_minor(n, i)``: the count over them is deg1 of the i-th minor.
+    ``cells3`` holds the 3-cells (none when n < 3) as four columns of
+    positions; only the alternation check reads them, so they are built on
+    its first call.
+    """
+
+    def __init__(self, L, n):
+        x = self.torus = gamma_power(L, n)
+        self.vertices = x.vertices
+        position = {v: k for k, v in enumerate(x.vertices)}
+        self.antipode = [position[x.involution[v]] for v in x.vertices]
+        torus = torus_complex(L, L)
+        self.slices = []
+        for i in range(1, n + 1):
+            pi = sigma_minor(n, i)
+            lift = {}  # vertex y of the 2-torus -> the position minor i reads
+            for y in torus.sset.vertices:
+                src = tuple(y[pi(j) - 1] for j in range(1, n + 1))
+                lift[y] = position[src if n > 1 else src[0]]
+            self.slices.append(([tuple(lift[y] for y in e) for e in torus.x1.cells],
+                                [tuple(lift[y] for y in c) for c in torus.b1.cells]))
+
+    def check_equivariant(self, values):
+        """Antipodal vertices must carry different values."""
+        for k, j in enumerate(self.antipode):
+            if values[k] == values[j]:
+                v = self.vertices[k]
+                raise NotEquivariantError(
+                    f"vertex {v} and its antipode share a colour", witness=v)
+
+    @cached_property
+    def cells3(self):
+        position = {v: k for k, v in enumerate(self.vertices)}
+        cells = self.torus.cells(3)
+        return tuple(tuple(position[cell[i]] for cell in cells) for i in range(4))
+
+    def check_alternation(self, bits):
+        """No 3-cell may have a 3-alternating image (the validity of the map)."""
+        for a, b, c, d in zip(*self.cells3):
+            if bits[a] != bits[b] != bits[c] != bits[d]:
+                simplex = tuple(self.vertices[k] for k in (a, b, c, d))
+                raise AlternatingSimplexError(
+                    f"3-simplex {simplex} has a 3-alternating image", witness=simplex)
+
+    def degrees(self, bits):
+        """deg1 of each 2-variable minor of a blue-bit list, in coordinate order.
+
+        Edges (blue, yellow) plus band triangles (blue, yellow, blue), mod 2.
+        """
+        return [(sum([bits[u] > bits[v] for u, v in x1])
+                 + sum([bits[p] > bits[q] < bits[r] for p, q, r in b1])) % 2
+                for x1, b1 in self.slices]
+
+
+@lru_cache(maxsize=16)
+def torus_tables(L, n):
+    return TorusTables(L, n)
 
 
 def _circle_edges(L):
@@ -157,31 +223,39 @@ def minor_map(g, pi, L=None, n=None):
 def deg_vector(g, L=None, n=None):
     """The vector (deg_1, ..., deg_n) of an equivariant torus map; odd weight.
 
-    Raises if the input is not equivariant or if the computed weight comes out
-    even, which would indicate a bug or an invalid input.
+    Raises if the input is not equivariant, if a vertex lacks a yellow/blue
+    colour, or if the computed weight comes out even, which would indicate a
+    bug or an invalid input.  Coordinate i is deg1 of the 2-variable minor
+    along ``sigma_minor(n, i)``, counted on the index tables.
     """
     L, n = _torus_params(g, L, n)
     colours = _vertex_colours(g)
-    domain = gamma_power(L, n)
-    nu = domain.involution
-    for v in domain.vertices:
-        if colours[nu[v]] == colours[v]:
-            raise NotEquivariantError("degree vectors need equivariant maps", witness=v)
-    torus = torus_complex(L, L)
-    bits = []
-    for i in range(1, n + 1):
-        mm = minor_map(g, sigma_minor(n, i), L=L, n=n)
-        bits.append(torus.deg1(mm))
-    return OddVector(bits)
+    tables = torus_tables(L, n)
+    values = [colours[v] for v in tables.vertices]
+    tables.check_equivariant(values)
+    for v, c in zip(tables.vertices, values):
+        if c not in (YELLOW, BLUE):
+            raise InvalidParameterError(f"vertex {v} lacks a yellow/blue colour")
+    return OddVector(tables.degrees([c == BLUE for c in values]))
 
 
 def phi(f, pipeline):
-    """The odd vector attached to a polymorphism: the degree vector of mu(f)."""
+    """The odd vector attached to a polymorphism: the degree vector of mu(f).
+
+    Runs on the blue bits of ``pipeline.mu_bits(f)`` and the index tables of
+    gamma(4*ell)^n, with the checks ``mu(f)`` and ``deg_vector`` make: no
+    3-cell of the torus has a 3-alternating image (AlternatingSimplexError),
+    antipodes get opposite colours (NotEquivariantError), and the degree
+    vector has odd weight (InvariantViolationError, from OddVector).
+    """
     if not isinstance(pipeline, CyclePipeline):
         raise InvalidParameterError("phi needs a CyclePipeline")
     n = pipeline.check_polymorphism(f)
-    g = pipeline.mu(f)
-    return deg_vector(g, L=pipeline.period, n=n)
+    bits = pipeline.mu_bits(f)
+    tables = torus_tables(pipeline.period, n)
+    tables.check_alternation(bits)
+    tables.check_equivariant(bits)
+    return OddVector(tables.degrees(bits))
 
 
 def find_colour_swapping_edge(g, torus):

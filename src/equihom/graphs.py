@@ -8,6 +8,7 @@ most significant, so serialized polymorphisms are portable.
 
 import random
 import warnings
+from functools import lru_cache
 from itertools import product
 
 from .errors import CapacityExceededError, InvalidParameterError
@@ -133,8 +134,12 @@ def complete_graph(size):
     return make_template("complete", size)
 
 
+@lru_cache(maxsize=32)
 def power(g, n, max_vertices=DEFAULT_MAX_POWER_VERTICES):
-    """The categorical power g^n; for n = 1 a PowerGraph equal to g."""
+    """The categorical power g^n; for n = 1 a PowerGraph equal to g.
+
+    Cached: minors, bundling and decoding ask for the same few powers again.
+    """
     if n < 1:
         raise InvalidParameterError("power exponent must be >= 1")
     return PowerGraph(g, n, max_vertices=max_vertices)

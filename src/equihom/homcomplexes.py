@@ -296,6 +296,18 @@ class CyclePipeline:
     Holds the cycle's homomorphism complex, the canonical circle isomorphism
     and the chosen structure colouring t; the tori gamma(4*ell)^n come from
     the shared torus cache behind ``gamma_power``.
+
+    The pipeline runs on integer tables.  ``t_table`` holds the blue bit of t
+    at index (left mask << 4) | right mask, where a side's mask sets bit c for
+    each vertex c of K_4 in it, and None where the pair is not a
+    multihomomorphism of K_4.  For each arity n, on first use, the pipeline
+    caches the sides of iota(iso(y_1), ..., iso(y_n)) for every vertex y of
+    gamma(4*ell)^n in row-major order, as tuples of encoded domain indices.
+    ``mu_bits`` then reads mu_prime(f) of a vertex as the two masks OR-ing
+    1 << f(i) over each side, and t as one table lookup; ``mu_prime`` itself
+    is not called.  The only check here is that every side pair is a
+    multihomomorphism.  ``mu`` runs the full validity and equivariance check
+    of the simplicial map; ``degrees.phi`` runs the same checks on the bits.
     """
 
     def __init__(self, ell, t=None, cap=3):
@@ -305,7 +317,11 @@ class CyclePipeline:
         self.iso = canonical_cycle_iso(ell, cap=cap)
         self.iso_map = dict(self.iso.vertex_map)
         self.t = t if t is not None else search_t_colouring(default_cache_dir())
-        self.t_map = self.t.as_vertex_map()
+        self.t_table = [None] * 256
+        for m, bit in zip(self.t.labels, self.t.colours):
+            left, right = (sum(1 << c for c in side) for side in m)
+            self.t_table[left << 4 | right] = bit
+        self._sides = {}
 
     @property
     def period(self):
@@ -319,16 +335,43 @@ class CyclePipeline:
             raise InvalidParameterError("codomain must be the 4-clique")
         return dom.exponent
 
+    def _side_table(self, n):
+        """Distinct sides of iota over gamma(4*ell)^n, and where each vertex's are.
+
+        A side is a tuple of encoded domain indices; ``lefts[k]`` and
+        ``rights[k]`` are the positions of vertex k's sides in ``sides``.
+        """
+        table = self._sides.get(n)
+        if table is None:
+            position = {}
+            lefts, rights = [], []
+            for v in gamma_power(self.period, n).vertices:
+                m = iota([self.iso_map[c] for c in ((v,) if n == 1 else v)], self.base)
+                lefts.append(position.setdefault(m.left, len(position)))
+                rights.append(position.setdefault(m.right, len(position)))
+            table = self._sides[n] = (tuple(position), lefts, rights)
+        return table
+
+    def mu_bits(self, f):
+        """Blue bit of mu(f) at every vertex of gamma(4*ell)^n, in vertex order."""
+        n = self.check_polymorphism(f)
+        sides, lefts, rights = self._side_table(n)
+        values = f.values
+        masks = [sum({1 << values[i] for i in side}) for side in sides]
+        table = self.t_table
+        bits = [table[masks[a] << 4 | masks[b]] for a, b in zip(lefts, rights)]
+        if None in bits:
+            v = gamma_power(self.period, n).vertices[bits.index(None)]
+            raise InvalidParameterError(
+                f"f sends the multihomomorphism at vertex {v} to a pair of "
+                "sides that is not a multihomomorphism of K_4")
+        return bits
+
     def mu_colours(self, f):
         """Vertex colouring of gamma(4*ell)^n induced by the polymorphism f."""
         n = self.check_polymorphism(f)
-        iso_map = self.iso_map
-        t_map = self.t_map
-        colours = {}
-        for v in gamma_power(self.period, n).vertices:
-            coords = (v,) if n == 1 else v
-            colours[v] = t_map[mu_prime(f, tuple(iso_map[c] for c in coords))]
-        return colours
+        return {v: (BLUE if b else YELLOW)
+                for v, b in zip(gamma_power(self.period, n).vertices, self.mu_bits(f))}
 
     def mu(self, f):
         """The verified equivariant simplicial map gamma(4*ell)^n -> sigma(2)."""

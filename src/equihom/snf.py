@@ -412,15 +412,19 @@ class QuotientPresentation:
 
 
 def gf2_rank(rows):
-    """Rank over GF(2) of a matrix given as a list of bitmask integers."""
-    rank = 0
-    basis = []
+    """Rank over GF(2) of a matrix given as a list of bitmask integers.
+
+    The basis is kept by each pivot row's lowest set bit; a row is reduced
+    only against the pivots at its own lowest bit, which strictly raises
+    that bit, until it is zero or starts a new pivot.
+    """
+    pivots = {}
     for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row:
-            basis.append(row)
-            rank += 1
-    return rank
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)

@@ -3,11 +3,18 @@
 Everything here recomputes quantities from first principles, avoiding the
 library code paths under test: raw loops over tuples, the generic product of
 simplicial sets, the signed boundary of a cell complex, determinantal divisors
-for Smith forms, closed-form counts for cycle colourings.
+for Smith forms, closed-form counts for cycle colourings.  The reference
+formulas that table-driven paths replaced (``mu_prime`` per torus vertex, the
+degree of each 2-variable minor map, GF(2) elimination against every basis
+row) are kept here too, built from the slower public pieces.
 """
 
 import math
 from itertools import combinations, product
+
+from equihom.degrees import minor_map, sigma_minor, torus_complex
+from equihom.homcomplexes import mu_prime
+from equihom.simplicial import gamma_power
 
 
 def cycle_hom_count(ell, k):
@@ -184,3 +191,33 @@ def _det(a):
         minor = [row[:j] + row[j + 1:] for row in a[1:]]
         total += (-1) ** j * a[0][j] * _det(minor)
     return total
+
+
+def gf2_rank_reference(rows):
+    """GF(2) rank of bitmask rows, reducing each row against every basis row."""
+    basis = []
+    for row in rows:
+        for b in basis:
+            if row & (b & -b):
+                row ^= b
+        if row:
+            basis.append(row)
+    return len(basis)
+
+
+def mu_colours_reference(pipeline, f):
+    """The colouring t(mu_prime(f, iso(y_1), ..., iso(y_n))) of each torus vertex."""
+    n = pipeline.check_polymorphism(f)
+    t_map = pipeline.t.as_vertex_map()
+    colours = {}
+    for v in gamma_power(pipeline.period, n).vertices:
+        coords = (v,) if n == 1 else v
+        colours[v] = t_map[mu_prime(f, tuple(pipeline.iso_map[c] for c in coords))]
+    return colours
+
+
+def minor_degree_vector(g, L, n):
+    """deg1 of each 2-variable minor map of a torus colouring, as a raw list."""
+    torus = torus_complex(L, L)
+    return [torus.deg1(minor_map(g, sigma_minor(n, i), L=L, n=n))
+            for i in range(1, n + 1)]

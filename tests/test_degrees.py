@@ -6,19 +6,32 @@ from equihom.degrees import (OddVector, TorusComplex, deg_vector,
                              find_colour_swapping_edge, minor_map,
                              monomial_colouring, phi, torus_complex,
                              winding_colouring)
-from equihom.errors import (InvalidParameterError, InvariantViolationError,
-                            NotEquivariantError)
+from equihom.errors import (AlternatingSimplexError, InvalidParameterError,
+                            InvariantViolationError, NotEquivariantError)
 from equihom.graphs import (GraphHom, MinorSpec, complete_graph, cycle_graph,
-                            enumerate_homs, minor, power)
+                            enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline
 from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
                                 gamma_power, map_from_colouring)
 
-from oracles import brute_deg1, composite_mapping
+from oracles import (brute_deg1, composite_mapping, minor_degree_vector,
+                     mu_colours_reference)
 
 
 def as_bits(col):
     return lambda v: 1 if col[v] == BLUE else 0
+
+
+def random_equivariant_colouring(x, rng):
+    """Antipodes opposite; one coin per orbit, first orbit vertex in vertex order."""
+    nu = x.involution
+    col = {}
+    for v in x.vertices:
+        if v not in col:
+            bit = rng.random() < 0.5
+            col[v] = BLUE if bit else YELLOW
+            col[nu[v]] = YELLOW if bit else BLUE
+    return col
 
 
 def test_band_identity_all_sizes():
@@ -103,19 +116,8 @@ def test_deg_vector_odd_weight_sampled_gamma8():
     # exhaustive at L = 4 above; at L = 8 sample seeded equivariant colourings
     rng = random.Random(2026)
     x = gamma_power(8, 2)
-    nu = x.involution
-    reps, seen = [], set()
-    for v in x.vertices:
-        if v not in seen:
-            seen.add(v)
-            seen.add(nu[v])
-            reps.append(v)
     for _ in range(40):
-        col = {}
-        for rep in reps:
-            bit = rng.random() < 0.5
-            col[rep] = BLUE if bit else YELLOW
-            col[nu[rep]] = YELLOW if bit else BLUE
+        col = random_equivariant_colouring(x, rng)
         alpha = deg_vector(col, L=8, n=2)  # odd weight asserted internally
         assert alpha.bits in {(1, 0), (0, 1)}
 
@@ -231,3 +233,90 @@ def test_swap_edge_found_for_all_degree_one_maps():
             assert col[u] != col[v]
             found += 1
     assert found == 128
+
+
+@pytest.fixture(scope="module")
+def pipe():
+    return CyclePipeline(3)
+
+
+@pytest.fixture(scope="module")
+def binary_maps():
+    return list(enumerate_homs(power(cycle_graph(3), 2), complete_graph(4)))
+
+
+@pytest.fixture(scope="module")
+def ternary_maps():
+    return sample_homs(power(cycle_graph(3), 3), complete_graph(4), 40,
+                       random.Random(11))
+
+
+def test_deg_vector_matches_minor_formula_gamma4_squared():
+    count = 0
+    for col in equivariant_colourings(gamma_power(4, 2)):
+        assert list(deg_vector(col, L=4, n=2).bits) == minor_degree_vector(col, 4, 2)
+        count += 1
+    assert count == 256
+
+
+def test_deg_vector_matches_minor_formula_gamma8_cubed():
+    # random equivariant colourings need not be simplicial maps, so the raw
+    # degree vector may have even weight; deg_vector must then refuse it
+    rng = random.Random(8)
+    x = gamma_power(8, 3)
+    parities = set()
+    for _ in range(60):
+        col = random_equivariant_colouring(x, rng)
+        expected = minor_degree_vector(col, 8, 3)
+        parities.add(sum(expected) % 2)
+        if sum(expected) % 2:
+            assert list(deg_vector(col, L=8, n=3).bits) == expected
+        else:
+            with pytest.raises(InvariantViolationError):
+                deg_vector(col, L=8, n=3)
+    assert parities == {0, 1}
+
+
+def test_deg_vector_rejects_unknown_colour():
+    col = winding_colouring(4, 2, 1)
+    col[(0, 1)], col[(2, 3)] = "red", "green"
+    with pytest.raises(InvalidParameterError, match="yellow/blue"):
+        deg_vector(col, L=4, n=2)
+
+
+def test_phi_equals_degree_vector_of_mu(pipe, binary_maps, ternary_maps):
+    assert len(binary_maps) == 1056 and len(ternary_maps) == 40
+    for f in binary_maps + ternary_maps:
+        assert phi(f, pipe) == deg_vector(pipe.mu(f))
+
+
+def test_phi_matches_reference_formulas_on_ternary_sample(pipe, ternary_maps):
+    for f in ternary_maps:
+        expected = minor_degree_vector(mu_colours_reference(pipe, f), 12, 3)
+        assert list(phi(f, pipe).bits) == expected
+
+
+def test_phi_checks_equivariance(pipe, binary_maps, monkeypatch):
+    all_blue = [None if b is None else 1 for b in pipe.t_table]
+    monkeypatch.setattr(pipe, "t_table", all_blue)
+    with pytest.raises(NotEquivariantError) as exc:
+        phi(binary_maps[0], pipe)
+    assert exc.value.witness == (0, 0)
+
+
+def test_phi_checks_three_alternation_on_the_whole_torus(pipe, ternary_maps,
+                                                         monkeypatch):
+    f = ternary_maps[0]
+    x = gamma_power(12, 3)
+    position = {v: k for k, v in enumerate(x.vertices)}
+    bits = pipe.mu_bits(f)
+    cell = min(x.cells(3))
+    for k, v in enumerate(cell):
+        bits[position[v]] = k % 2
+        bits[position[x.involution[v]]] = 1 - k % 2
+    monkeypatch.setattr(pipe, "mu_bits", lambda g: bits)
+    with pytest.raises(AlternatingSimplexError) as exc:
+        phi(f, pipe)
+    witness = exc.value.witness
+    assert witness in x.cells(3)
+    assert [bits[position[v]] for v in witness] in ([0, 1, 0, 1], [1, 0, 1, 0])

@@ -58,6 +58,17 @@ def test_power_capacity():
         power(complete_graph(4), 3, max_vertices=10)
 
 
+def test_power_is_reused_by_minor():
+    c3, k4 = cycle_graph(3), complete_graph(4)
+    f = next(iter(enumerate_homs(power(c3, 2), k4)))
+    swap = minor(f, MinorSpec(2, 2, (2, 1)))
+    diag = minor(f, MinorSpec(2, 2, (1, 1)))
+    assert swap.domain is diag.domain is power(cycle_graph(3), 2)
+    assert power(k4, 3) is power(k4, 3)
+    with pytest.raises(CapacityExceededError):  # the limit is part of the key
+        power(k4, 3, max_vertices=10)
+
+
 def test_power_encoding_row_major():
     p = power(cycle_graph(5), 3)
     assert p.encode((1, 0, 0)) == 25  # first coordinate most significant

@@ -6,14 +6,14 @@ import pytest
 
 from equihom.errors import InvalidParameterError, UnsupportedInputError
 from equihom.graphs import (GraphHom, MinorSpec, complete_graph, cycle_graph,
-                            enumerate_homs, minor, power)
+                            enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring,
                                   canonical_cycle_iso, hom_complex, iota,
                                   mu_prime, multihoms, search_t_colouring)
-from equihom.simplicial import (BLUE, YELLOW, map_from_colouring,
+from equihom.simplicial import (BLUE, YELLOW, gamma_power, map_from_colouring,
                                 mod2_homology_ranks)
 
-from oracles import brute_multihom_count
+from oracles import brute_multihom_count, mu_colours_reference
 
 
 def test_multihom_counts_against_brute_force():
@@ -226,3 +226,24 @@ def test_mu_checks_polymorphism():
     k4 = complete_graph(4)
     with pytest.raises(InvalidParameterError):
         pipe.mu(GraphHom(power(cycle_graph(5), 1), k4, (0, 1, 0, 1, 2)))
+
+
+def test_mu_colours_matches_reference_loop():
+    pipe = CyclePipeline(3)
+    c3, k4 = cycle_graph(3), complete_graph(4)
+    unary = list(enumerate_homs(power(c3, 1), k4))
+    binary = list(enumerate_homs(power(c3, 2), k4))
+    ternary = sample_homs(power(c3, 3), k4, 40, random.Random(5))
+    assert (len(unary), len(binary), len(ternary)) == (24, 1056, 40)
+    for f in unary + binary + ternary:
+        colours = pipe.mu_colours(f)
+        assert colours == mu_colours_reference(pipe, f)
+        assert tuple(colours) == gamma_power(12, f.domain.exponent).vertices
+
+
+def test_mu_bits_rejects_a_side_pair_that_is_no_multihom():
+    pipe = CyclePipeline(3)
+    constant = GraphHom(power(cycle_graph(3), 2), complete_graph(4), (0,) * 9,
+                        check=False)
+    with pytest.raises(InvalidParameterError, match="not a multihomomorphism"):
+        pipe.mu_bits(constant)

@@ -165,6 +165,10 @@ def test_gamma_powers_euler_zero():
         assert gamma_power(4, n).euler_characteristic() == 0
 
 
+def test_mod2_homology_of_gamma8_cubed():
+    assert mod2_homology_ranks(gamma_power(8, 3)) == (1, 3, 3, 1)
+
+
 def test_map_from_colouring_constant_valid():
     t = gamma_power(4, 2)
     col = {v: BLUE for v in t.vertices}

@@ -9,7 +9,7 @@ from equihom.snf import (ExactSolver, QuotientPresentation, SparseMat,
                          smith_normal_form, snf_with_transforms)
 from equihom.zz2 import equivariant_complex, specialize
 
-from oracles import determinantal_invariants
+from oracles import determinantal_invariants, gf2_rank_reference
 
 
 def test_examples():
@@ -162,6 +162,18 @@ def test_gf2_rank():
     assert gf2_rank([0b11, 0b01, 0b10]) == 2
     assert gf2_rank([0, 0]) == 0
     assert gf2_rank([0b111, 0b011, 0b100]) == 2
+
+
+def test_gf2_rank_matches_reference_loop():
+    rng = random.Random(77)
+    for _ in range(300):
+        width = rng.randrange(1, 40)
+        density = rng.choice((0.05, 0.2, 0.5))
+        rows = [sum(1 << j for j in range(width) if rng.random() < density)
+                for _ in range(rng.randrange(0, 50))]
+        rows += rng.sample(rows, min(len(rows), 3))  # repeated rows are dependent
+        rng.shuffle(rows)
+        assert gf2_rank(rows) == gf2_rank_reference(rows)
 
 
 def test_sparse_matmul_and_transpose():
