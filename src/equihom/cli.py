@@ -103,8 +103,13 @@ def _check_hom_record(obj):
         value = obj.get(key)
         if type(value) is not int or value < 1:
             raise EquihomError(f"{key} must be a positive integer, got {value!r}")
-    if not isinstance(obj.get("values"), list):
+    values = obj.get("values")
+    if not isinstance(values, list):
         raise EquihomError("values must be a list")
+    for v in values:
+        if type(v) is not int or not 0 <= v < obj["codomain"]:
+            raise EquihomError("values must be integers in [0, codomain), "
+                               f"got {v!r}")
 
 
 def cmd_phi(args):
@@ -524,7 +529,8 @@ def main(argv=None):
     except InvariantViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (EquihomError, OSError, json.JSONDecodeError) as exc:
+    except (EquihomError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.verbose and getattr(args, "out", None):

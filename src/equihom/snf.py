@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, kernels, lattice quotients.
+"""Exact integer linear algebra: sparse matrices and their Smith normal form.
 
 All arithmetic uses Python integers, so entries may grow without bound during
 elimination.  The Smith form runs in two phases: a sparse phase that eliminates
@@ -26,12 +26,10 @@ class SparseMat:
         self.rows = [dict() for _ in range(nrows)] if rows is None else rows
 
     @classmethod
-    def from_dense(cls, dense, ncols=None):
-        nrows = len(dense)
-        if ncols is None:
-            ncols = len(dense[0]) if dense else 0
+    def from_dense(cls, dense):
+        ncols = len(dense[0]) if dense else 0
         rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
-        return cls(nrows, ncols, rows)
+        return cls(len(dense), ncols, rows)
 
     def to_dense(self):
         return [[r.get(j, 0) for j in range(self.ncols)] for r in self.rows]
@@ -51,13 +49,6 @@ class SparseMat:
     def is_zero(self):
         return all(not r for r in self.rows)
 
-    def transpose(self):
-        out = SparseMat(self.ncols, self.nrows)
-        for i, r in enumerate(self.rows):
-            for j, v in r.items():
-                out.rows[j][i] = v
-        return out
-
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise InvalidInputError("matrix shapes do not compose")
@@ -72,9 +63,6 @@ class SparseMat:
                     else:
                         del acc[j]
         return out
-
-    def mulvec(self, vec):
-        return [sum(v * vec[j] for j, v in r.items()) for r in self.rows]
 
 
 class SmithResult:
@@ -97,19 +85,19 @@ class SmithResult:
         return f"SmithResult(invariants={self.invariants})"
 
 
-def _as_sparse(matrix, ncols=None):
+def _as_sparse(matrix):
     if isinstance(matrix, SparseMat):
         return matrix
-    return SparseMat.from_dense([list(r) for r in matrix], ncols=ncols)
+    return SparseMat.from_dense([list(r) for r in matrix])
 
 
-def smith_normal_form(matrix, ncols=None):
+def smith_normal_form(matrix):
     """Invariant factors of an integer matrix; deterministic pivot choice.
 
     ``matrix`` may be a SparseMat or a list of rows (lists).  Only the
     invariant factors and the rank are computed, not the transforms.
     """
-    m = _as_sparse(matrix, ncols)
+    m = _as_sparse(matrix)
     rows = {i: dict(r) for i, r in enumerate(m.rows) if r}
     cols = {}
     for i, r in rows.items():
@@ -180,7 +168,7 @@ def smith_normal_form(matrix, ncols=None):
 
 def _dense_smith_invariants(a):
     """Invariant factors of a dense matrix, via diagonalization."""
-    diag = _diagonalize(a, None, None)
+    diag = _diagonalize(a)
     diag = [abs(d) for d in diag if d]
     # enforce the divisibility chain with pairwise gcd/lcm replacement
     for i in range(len(diag)):
@@ -192,11 +180,10 @@ def _dense_smith_invariants(a):
     return sorted(diag)
 
 
-def _diagonalize(a, s, t):
+def _diagonalize(a):
     """Diagonalize ``a`` in place by unimodular row/column operations.
 
-    ``s`` and ``t`` (optional) accumulate the operations so that the final
-    matrix equals s * a_original * t.  Returns the diagonal.
+    Returns the diagonal.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -205,29 +192,17 @@ def _diagonalize(a, s, t):
         ai, ak = a[i], a[k]
         for j in range(n):
             ai[j] -= q * ak[j]
-        if s is not None:
-            si, sk = s[i], s[k]
-            for j in range(len(si)):
-                si[j] -= q * sk[j]
 
     def col_op(j, k, q):
         for row in a:
             row[j] -= q * row[k]
-        if t is not None:
-            for row in t:
-                row[j] -= q * row[k]
 
     def row_swap(i, k):
         a[i], a[k] = a[k], a[i]
-        if s is not None:
-            s[i], s[k] = s[k], s[i]
 
     def col_swap(j, k):
         for row in a:
             row[j], row[k] = row[k], row[j]
-        if t is not None:
-            for row in t:
-                row[j], row[k] = row[k], row[j]
 
     top = 0
     while True:
@@ -267,148 +242,8 @@ def _diagonalize(a, s, t):
         if a[top][top] < 0:
             for j in range(n):
                 a[top][j] = -a[top][j]
-            if s is not None:
-                for j in range(len(s[top])):
-                    s[top][j] = -s[top][j]
         top += 1
     return [a[i][i] for i in range(min(m, n))]
-
-
-def snf_with_transforms(matrix):
-    """Smith form with transforms: returns (diag, S, T) with S*A*T diagonal.
-
-    The diagonal satisfies the divisibility chain.  Intended for the modest
-    dense matrices arising in cohomology-class computations.
-    """
-    a = [list(r) for r in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    s = [[int(i == j) for j in range(m)] for i in range(m)]
-    t = [[int(i == j) for j in range(n)] for i in range(n)]
-    diag = _diagonalize(a, s, t)
-    # repair divisibility violations: merge the offending columns and
-    # re-diagonalize (cheap at these sizes, and obviously correct)
-    while True:
-        rank = sum(1 for d in diag if d)
-        bad = None
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                if diag[j] % diag[i]:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
-        if bad is None:
-            break
-        i, j = bad
-        for row in a:
-            row[i] += row[j]
-        for row in t:
-            row[i] += row[j]
-        diag = _diagonalize(a, s, t)
-    return [abs(d) for d in diag], s, t
-
-
-def kernel_basis(matrix):
-    """Basis (list of integer vectors) of the kernel of an integer matrix."""
-    a = [list(r) for r in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0 or n == 0:
-        return [[int(i == j) for i in range(n)] for j in range(n)]
-    diag, _, t = snf_with_transforms(a)
-    rank = sum(1 for d in diag if d)
-    return [[t[i][j] for i in range(n)] for j in range(rank, n)]
-
-
-def _nonzero_pairs(dense):
-    return [[(k, v) for k, v in enumerate(row) if v] for row in dense]
-
-
-class ExactSolver:
-    """Prefactorized integer linear solver for repeated right-hand sides."""
-
-    def __init__(self, matrix):
-        self.m = len(matrix)
-        self.n = len(matrix[0]) if self.m else 0
-        self.diag, self.s, self.t = snf_with_transforms(matrix)
-        # the transforms are mostly zero: keep each row's nonzero (k, v) pairs
-        self._s_rows = _nonzero_pairs(self.s)
-        self._t_rows = _nonzero_pairs(self.t)
-
-    def solve(self, rhs):
-        m, n = self.m, self.n
-        c = [sum(v * rhs[k] for k, v in row) for row in self._s_rows]
-        y = [0] * n
-        for i in range(min(m, n)):
-            if self.diag[i]:
-                if c[i] % self.diag[i]:
-                    raise InvalidInputError("no integer solution")
-                y[i] = c[i] // self.diag[i]
-            elif c[i]:
-                raise InvalidInputError("no integer solution")
-        for i in range(min(m, n), m):
-            if c[i]:
-                raise InvalidInputError("no integer solution")
-        return [sum(v * y[k] for k, v in row) for row in self._t_rows]
-
-
-class QuotientPresentation:
-    """The quotient ker(A) / im(B) of integer lattices, with coordinates.
-
-    ``a`` is a (r x dim) matrix (dense rows, possibly empty), ``b`` a
-    (dim x m) matrix whose columns must lie in ker(a).  Exposes the free rank,
-    the torsion coefficients, cocycle representatives of the free generators,
-    and class coordinates of arbitrary kernel vectors.
-    """
-
-    def __init__(self, a, b, dim):
-        self.dim = dim
-        if a and any(any(row) for row in a):
-            self.kernel = kernel_basis(a)
-        else:
-            self.kernel = [[int(i == j) for i in range(dim)] for j in range(dim)]
-        k = len(self.kernel)
-        # columns of the kernel-basis matrix are the basis vectors
-        self._solver = ExactSolver([[self.kernel[j][i] for j in range(k)]
-                                    for i in range(dim)])
-        ncols_b = len(b[0]) if (b and b[0] is not None and len(b)) else 0
-        if k == 0:
-            self.diag, self._s = [], []
-            self._s_solver = None
-            self.free_positions = []
-            self.torsion = ()
-            self.free_rank = 0
-            return
-        if ncols_b:
-            coords = [self._solver.solve([b[i][j] for i in range(dim)])
-                      for j in range(ncols_b)]
-            c = [[coords[j][i] for j in range(ncols_b)] for i in range(k)]
-            self.diag, self._s, _ = snf_with_transforms(c)
-        else:
-            self.diag = []
-            self._s = [[int(i == j) for j in range(k)] for i in range(k)]
-        self._s_solver = ExactSolver(self._s)
-        rank = sum(1 for d in self.diag if d)
-        self.free_positions = list(range(rank, k))
-        self.torsion = tuple(sorted(d for d in self.diag if d > 1))
-        self.free_rank = len(self.free_positions)
-
-    def class_coords(self, z):
-        """(free, torsion) coordinates of a kernel vector's quotient class."""
-        k = len(self.kernel)
-        y = self._solver.solve(z)
-        w = [sum(self._s[i][j] * y[j] for j in range(k)) for i in range(k)]
-        free = [w[p] for p in self.free_positions]
-        tors = [w[i] % d for i, d in enumerate(self.diag) if d > 1]
-        return free, tors
-
-    def free_representative(self, j):
-        """A cocycle representing the j-th free generator."""
-        k = len(self.kernel)
-        pos = self.free_positions[j]
-        x = self._s_solver.solve([int(i == pos) for i in range(k)])
-        return [sum(self.kernel[i][c] * x[i] for i in range(k)) for c in range(self.dim)]
 
 
 def gf2_rank(rows):

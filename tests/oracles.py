@@ -6,15 +6,22 @@ simplicial sets, the signed boundary of a cell complex, determinantal divisors
 for Smith forms, closed-form counts for cycle colourings.  The reference
 formulas that table-driven paths replaced (``mu_prime`` per torus vertex, the
 degree of each 2-variable minor map, GF(2) elimination against every basis
-row) are kept here too, built from the slower public pieces.
+row) are kept here too, built from the slower public pieces.  So is the
+dense Smith form with transforms, with the kernels, solvers and lattice
+quotients built on it, which computed the map induced on cohomology by the
+quotient projection before the mapping cone did.
 """
 
 import math
 from itertools import combinations, product
 
 from equihom.degrees import minor_map, sigma_minor, torus_complex
+from equihom.errors import InvalidInputError
 from equihom.homcomplexes import mu_prime
 from equihom.simplicial import gamma_power
+from equihom.snf import smith_normal_form
+from equihom.zz2 import (CohomologyGroup, bredon_torus, expected_bredon,
+                         ordinary_cochain_complex, quotient_by_first_shift)
 
 
 def cycle_hom_count(ell, k):
@@ -221,3 +228,277 @@ def minor_degree_vector(g, L, n):
     torus = torus_complex(L, L)
     return [torus.deg1(minor_map(g, sigma_minor(n, i), L=L, n=n))
             for i in range(1, n + 1)]
+
+
+def _diagonalize(a, s, t):
+    """Diagonalize ``a`` in place by unimodular row/column operations.
+
+    ``s`` and ``t`` (optional) accumulate the operations so that the final
+    matrix equals s * a_original * t.  Returns the diagonal.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+
+    def row_op(i, k, q):
+        ai, ak = a[i], a[k]
+        for j in range(n):
+            ai[j] -= q * ak[j]
+        if s is not None:
+            si, sk = s[i], s[k]
+            for j in range(len(si)):
+                si[j] -= q * sk[j]
+
+    def col_op(j, k, q):
+        for row in a:
+            row[j] -= q * row[k]
+        if t is not None:
+            for row in t:
+                row[j] -= q * row[k]
+
+    def row_swap(i, k):
+        a[i], a[k] = a[k], a[i]
+        if s is not None:
+            s[i], s[k] = s[k], s[i]
+
+    def col_swap(j, k):
+        for row in a:
+            row[j], row[k] = row[k], row[j]
+        if t is not None:
+            for row in t:
+                row[j], row[k] = row[k], row[j]
+
+    top = 0
+    while True:
+        pi = pj = None
+        best = None
+        for i in range(top, m):
+            row = a[i]
+            for j in range(top, n):
+                v = abs(row[j])
+                if v and (best is None or v < best):
+                    best, pi, pj = v, i, j
+        if best is None:
+            break
+        row_swap(top, pi)
+        col_swap(top, pj)
+        while True:
+            p = a[top][top]
+            restart = False
+            for i in range(top + 1, m):
+                if a[i][top]:
+                    row_op(i, top, a[i][top] // p)
+                    if a[i][top]:
+                        row_swap(top, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(top + 1, n):
+                if a[top][j]:
+                    col_op(j, top, a[top][j] // p)
+                    if a[top][j]:
+                        col_swap(top, j)
+                        restart = True
+                        break
+            if not restart:
+                break
+        if a[top][top] < 0:
+            for j in range(n):
+                a[top][j] = -a[top][j]
+            if s is not None:
+                for j in range(len(s[top])):
+                    s[top][j] = -s[top][j]
+        top += 1
+    return [a[i][i] for i in range(min(m, n))]
+
+
+def snf_with_transforms(matrix):
+    """Smith form with transforms: returns (diag, S, T) with S*A*T diagonal.
+
+    The diagonal satisfies the divisibility chain.  Intended for the modest
+    dense matrices arising in cohomology-class computations.
+    """
+    a = [list(r) for r in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    s = [[int(i == j) for j in range(m)] for i in range(m)]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    diag = _diagonalize(a, s, t)
+    # repair divisibility violations: merge the offending columns and
+    # re-diagonalize (cheap at these sizes, and obviously correct)
+    while True:
+        rank = sum(1 for d in diag if d)
+        bad = None
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                if diag[j] % diag[i]:
+                    bad = (i, j)
+                    break
+            if bad:
+                break
+        if bad is None:
+            break
+        i, j = bad
+        for row in a:
+            row[i] += row[j]
+        for row in t:
+            row[i] += row[j]
+        diag = _diagonalize(a, s, t)
+    return [abs(d) for d in diag], s, t
+
+
+def kernel_basis(matrix):
+    """Basis (list of integer vectors) of the kernel of an integer matrix."""
+    a = [list(r) for r in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if m == 0 or n == 0:
+        return [[int(i == j) for i in range(n)] for j in range(n)]
+    diag, _, t = snf_with_transforms(a)
+    rank = sum(1 for d in diag if d)
+    return [[t[i][j] for i in range(n)] for j in range(rank, n)]
+
+
+def _nonzero_pairs(dense):
+    return [[(k, v) for k, v in enumerate(row) if v] for row in dense]
+
+
+class ExactSolver:
+    """Prefactorized integer linear solver for repeated right-hand sides."""
+
+    def __init__(self, matrix):
+        self.m = len(matrix)
+        self.n = len(matrix[0]) if self.m else 0
+        self.diag, self.s, self.t = snf_with_transforms(matrix)
+        # the transforms are mostly zero: keep each row's nonzero (k, v) pairs
+        self._s_rows = _nonzero_pairs(self.s)
+        self._t_rows = _nonzero_pairs(self.t)
+
+    def solve(self, rhs):
+        m, n = self.m, self.n
+        c = [sum(v * rhs[k] for k, v in row) for row in self._s_rows]
+        y = [0] * n
+        for i in range(min(m, n)):
+            if self.diag[i]:
+                if c[i] % self.diag[i]:
+                    raise InvalidInputError("no integer solution")
+                y[i] = c[i] // self.diag[i]
+            elif c[i]:
+                raise InvalidInputError("no integer solution")
+        for i in range(min(m, n), m):
+            if c[i]:
+                raise InvalidInputError("no integer solution")
+        return [sum(v * y[k] for k, v in row) for row in self._t_rows]
+
+
+class QuotientPresentation:
+    """The quotient ker(A) / im(B) of integer lattices, with coordinates.
+
+    ``a`` is a (r x dim) matrix (dense rows, possibly empty), ``b`` a
+    (dim x m) matrix whose columns must lie in ker(a).  Exposes the free rank,
+    the torsion coefficients, cocycle representatives of the free generators,
+    and class coordinates of arbitrary kernel vectors.
+    """
+
+    def __init__(self, a, b, dim):
+        self.dim = dim
+        if a and any(any(row) for row in a):
+            self.kernel = kernel_basis(a)
+        else:
+            self.kernel = [[int(i == j) for i in range(dim)] for j in range(dim)]
+        k = len(self.kernel)
+        # columns of the kernel-basis matrix are the basis vectors
+        self._solver = ExactSolver([[self.kernel[j][i] for j in range(k)]
+                                    for i in range(dim)])
+        ncols_b = len(b[0]) if (b and b[0] is not None and len(b)) else 0
+        if k == 0:
+            self.diag, self._s = [], []
+            self._s_solver = None
+            self.free_positions = []
+            self.torsion = ()
+            self.free_rank = 0
+            return
+        if ncols_b:
+            coords = [self._solver.solve([b[i][j] for i in range(dim)])
+                      for j in range(ncols_b)]
+            c = [[coords[j][i] for j in range(ncols_b)] for i in range(k)]
+            self.diag, self._s, _ = snf_with_transforms(c)
+        else:
+            self.diag = []
+            self._s = [[int(i == j) for j in range(k)] for i in range(k)]
+        self._s_solver = ExactSolver(self._s)
+        rank = sum(1 for d in self.diag if d)
+        self.free_positions = list(range(rank, k))
+        self.torsion = tuple(sorted(d for d in self.diag if d > 1))
+        self.free_rank = len(self.free_positions)
+
+    def class_coords(self, z):
+        """(free, torsion) coordinates of a kernel vector's quotient class."""
+        k = len(self.kernel)
+        y = self._solver.solve(z)
+        w = [sum(self._s[i][j] * y[j] for j in range(k)) for i in range(k)]
+        free = [w[p] for p in self.free_positions]
+        tors = [w[i] % d for i, d in enumerate(self.diag) if d > 1]
+        return free, tors
+
+    def free_representative(self, j):
+        """A cocycle representing the j-th free generator."""
+        k = len(self.kernel)
+        pos = self.free_positions[j]
+        x = self._s_solver.solve([int(i == pos) for i in range(k)])
+        return [sum(self.kernel[i][c] * x[i] for i in range(k)) for c in range(self.dim)]
+
+
+def quotient_pstar_reference(n, L, d):
+    """The quotient-projection record from the induced map on cohomology.
+
+    Presents H^d of the torus X and of its quotient Q by the first-coordinate
+    shift as lattice quotients, pulls back cocycles representing the free
+    generators of H^d(Q), reads off their classes in H^d(X), and takes the
+    Smith form of the resulting matrix.
+    """
+    x = gamma_power(L, n)
+    quotient, project = quotient_by_first_shift(L, n)
+    deltas_x, cells_x = ordinary_cochain_complex(x, n)
+    deltas_q, cells_q = ordinary_cochain_complex(quotient, n)
+    qindex = {c: i for i, c in enumerate(cells_q[d])}
+    pullback = [qindex[tuple(project(v) for v in cell)] for cell in cells_x[d]]
+
+    # delta_(d-1) maps (d-1)-cochains to d-cochains, so its columns (indexed
+    # by d-cells) generate the image lattice inside C^d
+    a_x = deltas_x[d].to_dense() if d < len(deltas_x) else []
+    b_x = deltas_x[d - 1].to_dense()
+    h_x = QuotientPresentation(a_x, b_x, len(cells_x[d]))
+    a_q = deltas_q[d].to_dense() if d < len(deltas_q) else []
+    b_q = deltas_q[d - 1].to_dense()
+    h_q = QuotientPresentation(a_q, b_q, len(cells_q[d]))
+    assert not h_x.torsion and not h_q.torsion
+    assert h_x.free_rank == h_q.free_rank == math.comb(n, d)
+
+    induced = []
+    for j in range(h_q.free_rank):
+        z = h_q.free_representative(j)
+        free, tors = h_x.class_coords([z[k] for k in pullback])
+        assert not any(tors)
+        induced.append(free)
+    matrix = [[induced[j][i] for j in range(h_q.free_rank)]
+              for i in range(h_x.free_rank)]
+    snf = smith_normal_form(matrix)
+    injective = snf.rank == h_q.free_rank
+    factors = sorted(snf.invariants)
+    expected_factors = sorted([1] * math.comb(n - 1, d)
+                              + [2] * math.comb(n - 1, d - 1))
+    cokernel = CohomologyGroup(h_x.free_rank - snf.rank,
+                               tuple(sorted(t for t in snf.invariants if t > 1)))
+    bredon = bredon_torus(n, L, d)
+    return {
+        "n": n, "L": L, "d": d,
+        "pstar_injective": injective,
+        "pstar_invariant_factors": list(snf.invariants),
+        "expected_invariant_factors": expected_factors,
+        "cokernel": {"free_rank": cokernel.free_rank, "torsion": list(cokernel.torsion)},
+        "bredon": {"free_rank": bredon.free_rank, "torsion": list(bredon.torsion)},
+        "matches_expected": (injective and factors == expected_factors
+                             and cokernel == expected_bredon(n, d)
+                             and bredon == expected_bredon(n, d)),
+    }

@@ -183,6 +183,10 @@ def test_criterion_10_bredon_table():
     for d in (1, 2):
         rec = quotient_pstar_check(2, 8, d)
         assert rec["pstar_injective"] and rec["matches_expected"]
+    for d, factors in ((1, [1, 1, 2]), (2, [1, 2, 2]), (3, [2])):
+        rec = quotient_pstar_check(3, 8, d)
+        assert rec["pstar_injective"] and rec["matches_expected"]
+        assert rec["pstar_invariant_factors"] == factors
     for n in (1, 2, 3):
         odd_vectors = sum(1 for bits in iproduct((0, 1), repeat=n)
                           if sum(bits) % 2 == 1)

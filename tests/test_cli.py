@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from itertools import product as iproduct
 
@@ -62,8 +64,13 @@ PHI_RECORD = {"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, 2]}
     dict(PHI_RECORD, arity="1"),
     dict(PHI_RECORD, codomain=None),
     dict(PHI_RECORD, values=7),
+    dict(PHI_RECORD, values=[0.0, 1, 2]),
+    dict(PHI_RECORD, values=[True, 1, 2]),
+    dict(PHI_RECORD, values=[7, 1, 2]),
+    dict(PHI_RECORD, values=["a", 1, 2]),
 ], ids=["missing-domain-base", "list-line", "string-arity", "null-codomain",
-        "non-list-values"])
+        "non-list-values", "float-value", "bool-value", "out-of-range-value",
+        "string-value"])
 def test_phi_malformed_record_is_a_usage_error(tmp_path, monkeypatch, capsys, record):
     monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
     polys = tmp_path / "polys.jsonl"
@@ -73,6 +80,57 @@ def test_phi_malformed_record_is_a_usage_error(tmp_path, monkeypatch, capsys, re
     assert captured.out == ""
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("verb, flag", [
+    (["phi"], "--in"),
+    (["degree"], "--colouring"),
+    (["swap-stats", "--i", "1"], "--colouring"),
+], ids=["phi", "degree", "swap-stats"])
+def test_non_utf8_input_file_is_a_usage_error(tmp_path, capsys, verb, flag):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{}\n")
+    assert run(verb + [flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_fuzzed_inputs_never_escape_main(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+    polys, col = tmp_path / "polys.jsonl", tmp_path / "col.json"
+    # integral floats and bools compare equal to the ints they stand for
+    scalars = st.one_of(st.integers(-2, 6), st.integers(-2, 6).map(float),
+                        st.floats(), st.booleans(), st.text(max_size=3), st.none())
+    fields = st.one_of(scalars, st.lists(scalars, max_size=4))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        overrides=st.dictionaries(st.sampled_from(sorted(PHI_RECORD)), fields,
+                                  max_size=2),
+        entry=st.none() | st.tuples(st.integers(0, 2), scalars),
+        colouring=st.binary(max_size=24),
+        colouring_verb=st.sampled_from([["degree"], ["swap-stats", "--i", "1"]]))
+    def check(overrides, entry, colouring, colouring_verb):
+        record = dict(PHI_RECORD, values=list(PHI_RECORD["values"]))
+        if entry is not None:
+            record["values"][entry[0]] = entry[1]
+        record.update(overrides)
+        polys.write_text(json.dumps(record) + "\n")
+        col.write_bytes(colouring)
+        for argv in (["phi", "--in", str(polys)],
+                     colouring_verb + ["--colouring", str(col)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2), (argv, record, colouring)
+            assert "Traceback" not in err.getvalue()
+
+    check()
 
 
 def test_reports_byte_identical(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import pytest
 
 from equihom import simplicial, zz2
 from equihom.errors import (InvalidInputError, InvalidParameterError,
-                            NotFreeActionError)
+                            InvariantViolationError, NotFreeActionError)
 from equihom.graphs import complete_graph
 from equihom.homcomplexes import hom_complex
 from equihom.simplicial import (ModTwoChain, SimplicialSet, boundary, gamma,
@@ -15,7 +15,7 @@ from equihom.zz2 import (CohomologyGroup, EquivariantChainComplex, bredon_torus,
                          quotient_by_first_shift, quotient_pstar_check,
                          specialize)
 
-from oracles import signed_boundary_rows
+from oracles import quotient_pstar_reference, signed_boundary_rows
 
 
 def test_orbit_ranks():
@@ -154,6 +154,29 @@ def test_quotient_pstar_check_n2():
         assert rec["cokernel"] == {"free_rank": 0, "torsion": [2]}
     rec = quotient_pstar_check(2, 8, 1)
     assert sorted(rec["pstar_invariant_factors"]) == [1, 2]
+
+
+@pytest.mark.parametrize("n, L, d", [(1, 8, 1), (1, 16, 1), (2, 8, 1), (2, 8, 2)])
+def test_quotient_pstar_cone_matches_dense_reference(n, L, d):
+    assert quotient_pstar_check(n, L, d) == quotient_pstar_reference(n, L, d)
+
+
+def test_quotient_pstar_cone_at_l16():
+    # the dense reference takes tens of seconds here, so the factors are pinned
+    factors = [quotient_pstar_check(2, 16, d)["pstar_invariant_factors"]
+               for d in (1, 2)]
+    assert factors == [[1, 2], [2]]
+
+
+def test_quotient_pstar_failure_reports_cone_groups(monkeypatch):
+    monkeypatch.setattr(zz2, "expected_bredon",
+                        lambda n, d: CohomologyGroup(0, (2, 2)))
+    with pytest.raises(InvariantViolationError) as info:
+        quotient_pstar_check(2, 8, 1)
+    message = str(info.value)
+    assert "'cone': {'0': {'free_rank': 0, 'torsion': []}, " \
+           "'1': {'free_rank': 0, 'torsion': [2]}}" in message
+    assert "induced_matrix" not in message
 
 
 def test_dd_zero_is_verified():
