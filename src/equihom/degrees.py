@@ -8,13 +8,13 @@ composing with the polymorphism pipeline realizes the minion homomorphism into
 odd Z_2-vectors.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .errors import (AlternatingSimplexError, InvalidParameterError,
-                     InvariantViolationError, NotEquivariantError)
+from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import MinorSpec
 from .homcomplexes import CyclePipeline
 from .simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap, boundary,
+                         check_alternation, check_antipodes, check_colours,
                          gamma_power, gamma_product, map_from_colouring)
 
 
@@ -24,15 +24,16 @@ class TorusComplex:
     ``x1`` is the chain of horizontal edges at second coordinate 0; ``b1`` is
     the band of all non-degenerate triangles whose second coordinates lie in
     [0, L'/2], whose boundary is x1 plus its antipodal translate.
+    ``x1_positions`` and ``b1_positions`` hold the same cells as tuples of
+    vertex positions of ``sset``, the form ``count_deg1`` reads.
     """
 
-    def __init__(self, L, Lp, cap=3):
+    def __init__(self, L, Lp):
         self.L = L
         self.Lp = Lp
-        self.sset = gamma_product((L, Lp), cap)
-        x1_cells = {((a, 0), (b, 0)) for (a, b) in
-                    (e for e in _circle_edges(L))}
-        self.x1 = ModTwoChain(1, x1_cells)
+        self.sset = gamma_product((L, Lp))
+        self.x1 = ModTwoChain(1, {((a, 0), (b, 0))
+                                  for a, b in gamma_product((L,)).cells(1)})
         half = Lp // 2
         band = {cell for cell in self.sset.cells(2)
                 if all(v[1] <= half for v in cell)}
@@ -40,6 +41,9 @@ class TorusComplex:
         expected = self.x1 + self.x1.apply_involution(self.sset)
         if boundary(self.b1) != expected:
             raise InvariantViolationError("band boundary != cycle + antipodal cycle")
+        position = self.sset.position
+        self.x1_positions = [tuple(position[v] for v in e) for e in self.x1.cells]
+        self.b1_positions = [tuple(position[v] for v in c) for c in self.b1.cells]
 
     def colour_of(self, colouring):
         if isinstance(colouring, SimplicialMap):
@@ -51,14 +55,17 @@ class TorusComplex:
     def deg1(self, colouring):
         """Edge crossings on the coordinate cycle plus alternating band triangles."""
         col = self.colour_of(colouring)
-        count = 0
-        for (u, v) in self.x1.cells:
-            if col(u) == BLUE and col(v) == YELLOW:
-                count += 1
-        for (p, q, r) in self.b1.cells:
-            if col(p) == BLUE and col(q) == YELLOW and col(r) == BLUE:
-                count += 1
-        return count % 2
+        values = [col(v) for v in self.sset.vertices]
+        check_colours(self.sset, values)
+        return count_deg1([c == BLUE for c in values],
+                          self.x1_positions, self.b1_positions)
+
+
+def count_deg1(bits, x1, b1):
+    """deg1 of a blue-bit list: (blue, yellow) edges plus (blue, yellow, blue)
+    band triangles, mod 2, with the cells given as position tuples into bits."""
+    return (sum([bits[u] > bits[v] for u, v in x1])
+            + sum([bits[p] > bits[q] < bits[r] for p, q, r in b1])) % 2
 
 
 @lru_cache(maxsize=16)
@@ -67,75 +74,36 @@ def torus_complex(L, Lp):
 
 
 class TorusTables:
-    """Integer index tables of gamma(L)^n for colourings given as lists.
+    """The degree slices of gamma(L)^n, for colourings given as lists.
 
-    A list holds one value per vertex in row-major order, the order of
-    ``gamma_power(L, n).vertices``.  ``antipode[k]`` is the position of the
-    antipode of vertex k, and ``slices[i - 1]`` holds the ``x1`` edges and
-    ``b1`` band triangles of ``torus_complex(L, L)`` pulled back through
-    ``sigma_minor(n, i)``: the count over them is deg1 of the i-th minor.
-    ``cells3`` holds the 3-cells (none when n < 3) as four columns of
-    positions; only the alternation check reads them, so they are built on
-    its first call.
+    A list holds one value per vertex of ``torus = gamma_power(L, n)``, in
+    vertex order, the order the checks of ``simplicial`` read.
+    ``slices[i - 1]`` holds the ``x1`` edges and ``b1`` band triangles of
+    ``torus_complex(L, L)`` pulled back through ``sigma_minor(n, i)``, as
+    positions of ``torus``: ``count_deg1`` over them is deg1 of the i-th minor.
     """
 
     def __init__(self, L, n):
         x = self.torus = gamma_power(L, n)
-        self.vertices = x.vertices
-        position = {v: k for k, v in enumerate(x.vertices)}
-        self.antipode = [position[x.involution[v]] for v in x.vertices]
-        torus = torus_complex(L, L)
+        plane = torus_complex(L, L)
         self.slices = []
         for i in range(1, n + 1):
             pi = sigma_minor(n, i)
-            lift = {}  # vertex y of the 2-torus -> the position minor i reads
-            for y in torus.sset.vertices:
+            lift = []  # position on the 2-torus -> the position minor i reads
+            for y in plane.sset.vertices:
                 src = tuple(y[pi(j) - 1] for j in range(1, n + 1))
-                lift[y] = position[src if n > 1 else src[0]]
-            self.slices.append(([tuple(lift[y] for y in e) for e in torus.x1.cells],
-                                [tuple(lift[y] for y in c) for c in torus.b1.cells]))
-
-    def check_equivariant(self, values):
-        """Antipodal vertices must carry different values."""
-        for k, j in enumerate(self.antipode):
-            if values[k] == values[j]:
-                v = self.vertices[k]
-                raise NotEquivariantError(
-                    f"vertex {v} and its antipode share a colour", witness=v)
-
-    @cached_property
-    def cells3(self):
-        position = {v: k for k, v in enumerate(self.vertices)}
-        cells = self.torus.cells(3)
-        return tuple(tuple(position[cell[i]] for cell in cells) for i in range(4))
-
-    def check_alternation(self, bits):
-        """No 3-cell may have a 3-alternating image (the validity of the map)."""
-        for a, b, c, d in zip(*self.cells3):
-            if bits[a] != bits[b] != bits[c] != bits[d]:
-                simplex = tuple(self.vertices[k] for k in (a, b, c, d))
-                raise AlternatingSimplexError(
-                    f"3-simplex {simplex} has a 3-alternating image", witness=simplex)
+                lift.append(x.position[src if n > 1 else src[0]])
+            self.slices.append(([tuple(lift[p] for p in e) for e in plane.x1_positions],
+                                [tuple(lift[p] for p in c) for c in plane.b1_positions]))
 
     def degrees(self, bits):
-        """deg1 of each 2-variable minor of a blue-bit list, in coordinate order.
-
-        Edges (blue, yellow) plus band triangles (blue, yellow, blue), mod 2.
-        """
-        return [(sum([bits[u] > bits[v] for u, v in x1])
-                 + sum([bits[p] > bits[q] < bits[r] for p, q, r in b1])) % 2
-                for x1, b1 in self.slices]
+        """deg1 of each 2-variable minor of a blue-bit list, in coordinate order."""
+        return [count_deg1(bits, x1, b1) for x1, b1 in self.slices]
 
 
 @lru_cache(maxsize=16)
 def torus_tables(L, n):
     return TorusTables(L, n)
-
-
-def _circle_edges(L):
-    for a in range(0, L, 2):
-        yield (a, (a + 1) % L)
-        yield (a, (a - 1) % L)
 
 
 class OddVector:
@@ -231,11 +199,9 @@ def deg_vector(g, L=None, n=None):
     L, n = _torus_params(g, L, n)
     colours = _vertex_colours(g)
     tables = torus_tables(L, n)
-    values = [colours[v] for v in tables.vertices]
-    tables.check_equivariant(values)
-    for v, c in zip(tables.vertices, values):
-        if c not in (YELLOW, BLUE):
-            raise InvalidParameterError(f"vertex {v} lacks a yellow/blue colour")
+    values = [colours[v] for v in tables.torus.vertices]
+    check_antipodes(tables.torus, values)
+    check_colours(tables.torus, values)
     return OddVector(tables.degrees([c == BLUE for c in values]))
 
 
@@ -253,8 +219,8 @@ def phi(f, pipeline):
     n = pipeline.check_polymorphism(f)
     bits = pipeline.mu_bits(f)
     tables = torus_tables(pipeline.period, n)
-    tables.check_alternation(bits)
-    tables.check_equivariant(bits)
+    check_alternation(tables.torus, bits)
+    check_antipodes(tables.torus, bits)
     return OddVector(tables.degrees(bits))
 
 

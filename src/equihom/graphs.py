@@ -262,37 +262,42 @@ class HomStream:
         if not ac3(domains, {(x, y) for x in range(n) for y in neighbours[x]}):
             return
 
-        assignment = [None] * n
-
-        def extend(v, domains):
-            nonlocal emitted
-            if v == n:
-                if limit is not None and emitted >= limit:
-                    self.truncated = True
-                    return False
-                emitted += 1
-                yield GraphHom(dom, cod, tuple(assignment), check=False)
-                return
+        # Depth-first search on an explicit stack of (vertex, domains, values
+        # left) frames; AC-3 replaces domain lists and never edits one, so a
+        # frame shares the lists it did not prune with the frame below.
+        def frame(v, domains):
             order = list(domains[v])
             if rng is not None:
                 rng.shuffle(order)
-            for a in order:
-                assignment[v] = a
-                nxt = [d if w <= v else list(d) for w, d in enumerate(domains)]
-                nxt[v] = [a]
-                ok = ac3(nxt, {(w, v) for w in neighbours[v] if w > v})
-                if ok:
-                    result = yield from extend(v + 1, nxt)
-                    if result is False:
-                        assignment[v] = None
-                        return False
-            assignment[v] = None
+            return v, domains, iter(order)
 
-        yield from extend(0, domains)
+        assignment = [None] * n
+        stack = [frame(0, domains)]
+        while stack:
+            v, domains, values = stack[-1]
+            for a in values:
+                nxt = list(domains)
+                nxt[v] = [a]
+                if ac3(nxt, {(w, v) for w in neighbours[v] if w > v}):
+                    assignment[v] = a
+                    break
+            else:
+                stack.pop()
+                continue
+            if v + 1 < n:
+                stack.append(frame(v + 1, nxt))
+                continue
+            if limit is not None and emitted >= limit:
+                self.truncated = True
+                return
+            emitted += 1
+            yield GraphHom(dom, cod, tuple(assignment), check=False)
 
 
 def enumerate_homs(dom, cod, limit=None):
     """All homomorphisms dom -> cod in lexicographic order of the value array."""
+    if limit is not None and limit < 0:
+        raise InvalidParameterError(f"limit must be >= 0, got {limit}")
     return HomStream(dom, cod, limit=limit)
 
 

@@ -79,19 +79,19 @@ def multihoms(g):
 
 
 @lru_cache(maxsize=16)
-def hom_complex(g, cap=3):
-    """The order complex of mhom(K_2, g) with the swap involution."""
+def hom_complex(g):
+    """The order complex of mhom(K_2, g) with the swap involution, cap 3."""
     if not g.is_loopless():
         raise UnsupportedInputError("hom_complex needs a loopless graph")
     elements = multihoms(g)
     involution = {m: m.swap() for m in elements}
-    x = order_complex(elements, Multihom.lt, cap, involution=involution)
+    x = order_complex(elements, Multihom.lt, 3, involution=involution)
     if not x.has_free_involution():
         raise InternalError("swap involution is not free on a loopless graph")
     return x
 
 
-def canonical_cycle_iso(ell, cap=3):
+def canonical_cycle_iso(ell):
     """The equivariant isomorphism gamma(4*ell) -> hom_complex(C_ell).
 
     Seeds at the multihomomorphism ({0},{1}) and walks the 4*ell-cycle of the
@@ -101,7 +101,7 @@ def canonical_cycle_iso(ell, cap=3):
     if ell < 3 or ell % 2 == 0:
         raise InvalidParameterError("need an odd cycle length >= 3")
     g = cycle_graph(ell)
-    target = hom_complex(g, cap=cap)
+    target = hom_complex(g)
     elements = multihoms(g)
     neighbours = {m: [] for m in elements}
     for a in elements:
@@ -125,7 +125,7 @@ def canonical_cycle_iso(ell, cap=3):
     for k in range(4 * ell):
         if vertex_map[(k + 2 * ell) % (4 * ell)] != vertex_map[k].swap():
             raise InternalError("walk does not conjugate the shift to the swap")
-    iso = SimplicialMap(gamma(4 * ell, cap=cap), target, vertex_map)
+    iso = SimplicialMap(gamma(4 * ell), target, vertex_map)
     if len(set(vertex_map.values())) != 4 * ell:
         raise InternalError("walk is not injective on vertices")
     edge_images = {iso.image_simplex(e) for e in iso.domain.cells(1)}
@@ -240,16 +240,14 @@ def search_t_colouring(persist=None):
             return t
 
     x = hom_complex(complete_graph(4))
-    labels = list(multihoms(complete_graph(4)))
-    index = {m: i for i, m in enumerate(labels)}
-    partner = {i: index[m.swap()] for i, m in enumerate(labels)}
-    three_cells = [tuple(index[v] for v in s) for s in x.cells(3)]
+    # the vertices are multihoms(K_4) in the canonical order of TColouring
+    count, partner = len(x.vertices), x.antipode
     by_vertex = {}
-    for cell in three_cells:
+    for cell in zip(*x.cell3_columns):
         for i in cell:
             by_vertex.setdefault(i, []).append(cell)
 
-    colours = [None] * len(labels)
+    colours = [None] * count
 
     def consistent(i):
         for cell in by_vertex.get(i, ()):
@@ -269,9 +267,9 @@ def search_t_colouring(persist=None):
         return False
 
     def search(pos, first):
-        while pos < len(labels) and colours[pos] is not None:
+        while pos < count and colours[pos] is not None:
             pos += 1
-        if pos == len(labels):
+        if pos == count:
             return True
         for bit in ((0,) if first else (0, 1)):
             if assign(pos, bit):
@@ -310,11 +308,11 @@ class CyclePipeline:
     of the simplicial map; ``degrees.phi`` runs the same checks on the bits.
     """
 
-    def __init__(self, ell, t=None, cap=3):
+    def __init__(self, ell, t=None):
         self.ell = ell
         self.base = cycle_graph(ell)
         self.codomain = complete_graph(4)
-        self.iso = canonical_cycle_iso(ell, cap=cap)
+        self.iso = canonical_cycle_iso(ell)
         self.iso_map = dict(self.iso.vertex_map)
         self.t = t if t is not None else search_t_colouring(default_cache_dir())
         self.t_table = [None] * 256

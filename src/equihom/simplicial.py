@@ -7,7 +7,7 @@ consecutive repeats leaves a stored tuple, and it is degenerate exactly when
 it has a consecutive repeat.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, prod
 
@@ -55,10 +55,6 @@ def incidence(cells, index):
     return [[(index[face], sign) for sign, face in faces(cell)
              if not is_degenerate(face)]
             for cell in cells]
-
-
-def alternations(tup):
-    return sum(1 for a, b in zip(tup, tup[1:]) if a != b)
 
 
 class SimplicialSet:
@@ -114,6 +110,22 @@ class SimplicialSet:
                         raise InvalidParameterError(
                             f"involution does not preserve simplices: {s}")
 
+    @cached_property
+    def position(self):
+        """Vertex -> its index in ``vertices``."""
+        return {v: k for k, v in enumerate(self.vertices)}
+
+    @cached_property
+    def antipode(self):
+        """The position of each vertex's mate under the involution, in vertex order."""
+        return [self.position[self.involution[v]] for v in self.vertices]
+
+    @cached_property
+    def cell3_columns(self):
+        """The 3-cells as four columns of vertex positions, in ``cells(3)`` order."""
+        cells, position = self.cells(3), self.position
+        return tuple(tuple(position[cell[i]] for cell in cells) for i in range(4))
+
     def cells(self, d):
         """Non-degenerate d-simplices (empty beyond the stored range)."""
         return self._cells.get(d, frozenset())
@@ -146,7 +158,7 @@ class SimplicialSet:
             self.involution[v] != v for v in self.vertices)
 
     def to_json(self):
-        index = {v: i for i, v in enumerate(self.vertices)}
+        index = self.position
         obj = {"vertices": [_label_to_json(v) for v in self.vertices],
                "cap": self.cap,
                "simplices": {str(d): sorted([index[v] for v in s] for s in self.cells(d))
@@ -178,24 +190,20 @@ def _label_from_json(v):
     return v
 
 
-def sigma(k, cap=None):
+def sigma(k):
     """The two-vertex sphere model: simplices are tuples with <= k alternations.
 
     Carries the free involution swapping the two vertices.  Non-degenerate
-    d-simplices exist for d <= k only, two per dimension.
+    d-simplices exist for d <= k only, two per dimension; the cap is 3.
     """
     if not 0 <= k <= 3:
         raise InvalidParameterError("sigma(k) supports 0 <= k <= 3")
-    if cap is None:
-        cap = max(3, k)
-    if cap < k:
-        raise InvalidParameterError("cap must cover the sphere dimension")
     simplices = {}
-    for d in range(1, min(k, cap) + 1):
+    for d in range(1, k + 1):
         a = tuple(YELLOW if i % 2 == 0 else BLUE for i in range(d + 1))
         b = tuple(BLUE if i % 2 == 0 else YELLOW for i in range(d + 1))
         simplices[d] = [a, b]
-    return SimplicialSet([YELLOW, BLUE], simplices, cap,
+    return SimplicialSet([YELLOW, BLUE], simplices, 3,
                          involution={YELLOW: BLUE, BLUE: YELLOW})
 
 
@@ -204,20 +212,24 @@ def sigma2():
     return sigma(2)
 
 
-def gamma(L, cap=3):
-    """Order complex of the alternating cyclic poset on Z_L.
+def _check_side(L):
+    if L < 4 or L % 4:
+        raise InvalidParameterError("gamma(L) needs L >= 4 divisible by 4")
+
+
+def gamma(L):
+    """Order complex of the alternating cyclic poset on Z_L, with cap 3.
 
     a < b iff a is even, b is odd and a - b = +-1 mod L; the involution is the
     shift by L/2.  A triangulated circle with L vertices and L edges.
     """
-    if L < 4 or L % 4:
-        raise InvalidParameterError("gamma(L) needs L >= 4 divisible by 4")
+    _check_side(L)
     edges = []
     for a in range(0, L, 2):
         edges.append((a, (a + 1) % L))
         edges.append((a, (a - 1) % L))
     involution = {v: (v + L // 2) % L for v in range(L)}
-    return SimplicialSet(range(L), {1: edges}, cap, involution=involution)
+    return SimplicialSet(range(L), {1: edges}, 3, involution=involution)
 
 
 def order_complex(elements, less_than, cap, involution=None):
@@ -252,29 +264,27 @@ def product_cell_count(sides, d):
         for j in range(d, k + 1))
 
 
-def gamma_product(sides, cap=None):
+def gamma_product(sides):
     """Cached torus gamma(L_1) x ... x gamma(L_k) with the diagonal involution.
 
     Built as the order complex of the product of the alternating cyclic
     posets: the cells are the strict chains, and a vertex lies below exactly
     the tuples obtained by moving a nonempty subset of its even coordinates to
-    a neighbour.  ``cap`` is raised to max(3, k), so every spelling of one
-    torus shares one cache entry; a single side gives gamma(L) itself, with
+    a neighbour.  The cap is max(3, k), and every spelling of one torus
+    shares one cache entry; a single side gives gamma(L) itself, with
     integer labels.
     """
-    sides = tuple(sides)
-    top = max(3, len(sides))
-    return _gamma_product(sides, top if cap is None else max(cap, top))
+    return _gamma_product(tuple(sides))
 
 
 @lru_cache(maxsize=16)
-def _gamma_product(sides, cap):
+def _gamma_product(sides):
     if not sides:
         raise InvalidParameterError("a torus needs at least one side")
     if len(sides) == 1:
-        return gamma(sides[0], cap=cap)
-    if any(L < 4 or L % 4 for L in sides):
-        raise InvalidParameterError("gamma(L) needs L >= 4 divisible by 4")
+        return gamma(sides[0])
+    for L in sides:
+        _check_side(L)
     total = sum(product_cell_count(sides, d) for d in range(len(sides) + 1))
     if total > CELL_LIMIT:
         raise CapacityExceededError(
@@ -293,16 +303,17 @@ def _gamma_product(sides, cap):
         simplices[d] = chains
     involution = {v: label[tuple((x + L // 2) % L for x, L in zip(v, sides))]
                   for v in vertices}
-    return SimplicialSet(vertices, simplices, cap, involution=involution)
+    return SimplicialSet(vertices, simplices, max(3, len(sides)),
+                         involution=involution)
 
 
 # the one torus cache, reachable under the public name
 gamma_product.cache_info = _gamma_product.cache_info
 
 
-def gamma_power(L, n, cap=None):
+def gamma_power(L, n):
     """The torus gamma(L)^n with the diagonal involution."""
-    return gamma_product((L,) * n, cap)
+    return gamma_product((L,) * n)
 
 
 def replace_involution(x, mapping):
@@ -345,6 +356,31 @@ class SimplicialMap:
         return all(vm[nu_x[v]] == nu_y[vm[v]] for v in self.domain.vertices)
 
 
+def check_colours(x, values):
+    """Every vertex of x must carry yellow or blue (values in vertex order)."""
+    for v, c in zip(x.vertices, values):
+        if c not in (YELLOW, BLUE):
+            raise InvalidParameterError(f"vertex {v} lacks a yellow/blue colour")
+
+
+def check_alternation(x, values):
+    """No 3-cell of x may have a 3-alternating image (values in vertex order)."""
+    for a, b, c, d in zip(*x.cell3_columns):
+        if values[a] != values[b] != values[c] != values[d]:
+            simplex = tuple(x.vertices[k] for k in (a, b, c, d))
+            raise AlternatingSimplexError(
+                f"3-simplex {simplex} has a 3-alternating image", witness=simplex)
+
+
+def check_antipodes(x, values):
+    """Antipodal vertices of x must carry different values (in vertex order)."""
+    for k, j in enumerate(x.antipode):
+        if values[k] == values[j]:
+            v = x.vertices[k]
+            raise NotEquivariantError(
+                f"vertex {v} and its antipode share a colour", witness=v)
+
+
 def map_from_colouring(x, colouring, check_equivariance=False):
     """The simplicial map into sigma(2) described by a yellow/blue colouring.
 
@@ -355,24 +391,15 @@ def map_from_colouring(x, colouring, check_equivariance=False):
     """
     if x.cap < 3:
         raise InvalidParameterError("need the 3-simplices: construct x with cap >= 3")
-    target = sigma2()
     col = dict(colouring) if not isinstance(colouring, dict) else colouring
-    for v in x.vertices:
-        if col.get(v) not in (YELLOW, BLUE):
-            raise InvalidParameterError(f"vertex {v} lacks a yellow/blue colour")
-    for s in x.cells(3):
-        img = tuple(col[v] for v in s)
-        if alternations(img) == 3:
-            raise AlternatingSimplexError(
-                f"3-simplex {s} has a 3-alternating image", witness=s)
+    values = [col.get(v) for v in x.vertices]
+    check_colours(x, values)
+    check_alternation(x, values)
     if check_equivariance:
         if x.involution is None:
             raise InvalidParameterError("domain has no involution")
-        for v in x.vertices:
-            if col[x.involution[v]] == col[v]:
-                raise NotEquivariantError(
-                    f"vertex {v} and its antipode share a colour", witness=v)
-    return SimplicialMap(x, target, col, check=False)
+        check_antipodes(x, values)
+    return SimplicialMap(x, sigma2(), col, check=False)
 
 
 def equivariant_colourings(x):

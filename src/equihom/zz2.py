@@ -5,11 +5,11 @@ free modules over the group ring Z[Z2] = Z[nu]/(nu^2 - 1), with one generator
 per cell orbit.  The orbit boundary comes from the shared incidence builder
 of ``simplicial``: each face of an orbit representative is labelled by its
 orbit and by whether it is the representative or its mate, so the sign of
-the face lands in a or in b of the entry a + b*nu.  Mapping equivariantly
-into a coefficient module turns the orbit boundary matrices into integer
-coboundary matrices: the sign representation sends a + b*nu to a - b, the
-trivial one to a + b, and the group ring itself to the 2x2 block
-[[a, b], [b, a]].  Smith normal forms of those matrices give the Bredon
+the face lands in A or in B of the coboundary A + B*nu, a pair of integer
+SparseMats.  Mapping equivariantly into a coefficient module turns the pair
+into one integer coboundary matrix: the sign representation gives A - B, the
+trivial one A + B, and the group ring itself the 2x2 blocks [[a, b], [b, a]]
+of each entry a + b*nu.  Smith normal forms of those matrices give the Bredon
 cohomology groups; for the n-torus with the diagonal action and sign
 coefficients the answer in degree d is an elementary abelian 2-group of rank
 C(n-1, d-1).  The quotient-projection check reproduces it as the cokernel of
@@ -31,11 +31,17 @@ COEFFICIENTS = ("Zminus", "Zplus", "ZZ2")
 
 
 class EquivariantChainComplex:
-    """Orbit-basis boundary matrices with entries a + b*nu (stored as pairs)."""
+    """The orbit complex: representatives per degree and coboundaries A + B*nu.
 
-    def __init__(self, reps, boundaries):
+    ``coboundaries[d - 1]`` is the pair (A, B) of SparseMats whose row j
+    lists the faces of ``reps[d][j]`` by their orbit in ``reps[d - 1]``: the
+    sign of a face goes to A when the face is the representative and to B
+    when it is the mate.
+    """
+
+    def __init__(self, reps, coboundaries):
         self.reps = reps
-        self.boundaries = boundaries  # list, d-th entry: dict (i, j) -> (a, b)
+        self.coboundaries = coboundaries
 
     @classmethod
     def from_simplicial_set(cls, x, max_dim):
@@ -59,22 +65,15 @@ class EquivariantChainComplex:
                     chosen.append(c)
             reps.append(chosen)
             index.append(lookup)
-        boundaries = []
+        coboundaries = []
         for d in range(1, max_dim + 1):
-            mat = {}
-            for j, row_faces in enumerate(incidence(reps[d], index[d - 1])):
-                for (row, par), sign in row_faces:
-                    a, b = mat.get((row, j), (0, 0))
-                    if par:
-                        b += sign
-                    else:
-                        a += sign
-                    if a or b:
-                        mat[(row, j)] = (a, b)
-                    else:
-                        mat.pop((row, j), None)
-            boundaries.append(mat)
-        complex_ = cls(reps, boundaries)
+            a = SparseMat(len(reps[d]), len(reps[d - 1]))
+            b = SparseMat(a.nrows, a.ncols)
+            for j, row in enumerate(incidence(reps[d], index[d - 1])):
+                for (i, is_mate), sign in row:
+                    (b if is_mate else a).add_at(j, i, sign)
+            coboundaries.append((a, b))
+        complex_ = cls(reps, coboundaries)
         complex_.verify_dd_zero()
         return complex_
 
@@ -85,55 +84,59 @@ class EquivariantChainComplex:
         return len(self.reps) - 1
 
     def verify_dd_zero(self):
-        """Composition of consecutive boundaries vanishes in Z[Z2] arithmetic."""
+        """Consecutive coboundaries compose to zero over Z[Z2].
+
+        As nu^2 = 1, (A + B*nu)(A' + B'*nu) = (AA' + BB') + (AB' + BA')*nu.
+        """
         for d in range(2, self.top() + 1):
-            outer_cols = {}
-            for (i, k), v in self.boundaries[d - 2].items():
-                outer_cols.setdefault(k, []).append((i, v))
-            inner_cols = {}
-            for (k, j), v in self.boundaries[d - 1].items():
-                inner_cols.setdefault(j, []).append((k, v))
-            for j, col in inner_cols.items():
-                acc = {}
-                for k, (c, dd) in col:
-                    for i, (a, b) in outer_cols.get(k, ()):
-                        prev = acc.get(i, (0, 0))
-                        acc[i] = (prev[0] + a * c + b * dd,
-                                  prev[1] + a * dd + b * c)
-                if any(v != (0, 0) for v in acc.values()):
+            a, b = self.coboundaries[d - 1]
+            a2, b2 = self.coboundaries[d - 2]
+            for p, q in ((a.matmul(a2), b.matmul(b2)), (a.matmul(b2), b.matmul(a2))):
+                if any(_row_sum(r, s) for r, s in zip(p.rows, q.rows)):
                     raise InvariantViolationError(
                         f"boundary composition nonzero in dimension {d}")
+
+
+def _row_sum(r, s, sign=1):
+    """The sparse row r + sign * s, without zero entries."""
+    out = dict(r)
+    for k, v in s.items():
+        c = out.get(k, 0) + sign * v
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
 
 
 def specialize(complex_, coefficients):
     """Integer coboundary matrices for the chosen coefficient module.
 
     Returns the list [delta^0, ..., delta^(top-1)] of SparseMat, where
-    delta^d maps equivariant d-cochains to (d+1)-cochains; boundaries are
-    transposed and each entry a + b*nu is evaluated in the module.
+    delta^d maps equivariant d-cochains to (d+1)-cochains: A - B for the sign
+    representation, A + B for the trivial one, and for the group ring the
+    blocks [[a, b], [b, a]] of each entry a + b*nu.
     """
     if coefficients not in COEFFICIENTS:
         raise InvalidParameterError(f"coefficients must be one of {COEFFICIENTS}")
     deltas = []
-    for d in range(1, complex_.top() + 1):
-        n_rows = complex_.rank(d)
-        n_cols = complex_.rank(d - 1)
+    for a, b in complex_.coboundaries:
         if coefficients == "ZZ2":
-            delta = SparseMat(2 * n_rows, 2 * n_cols)
-            for (i, j), (a, b) in complex_.boundaries[d - 1].items():
-                # transpose: cochain row j, column i; blocks [[a, b], [b, a]]
-                delta.add_at(2 * j, 2 * i, a)
-                delta.add_at(2 * j, 2 * i + 1, b)
-                delta.add_at(2 * j + 1, 2 * i, b)
-                delta.add_at(2 * j + 1, 2 * i + 1, a)
-        else:
-            delta = SparseMat(n_rows, n_cols)
-            for (i, j), (a, b) in complex_.boundaries[d - 1].items():
-                value = a - b if coefficients == "Zminus" else a + b
-                if value:
-                    delta.add_at(j, i, value)
-        deltas.append(delta)
+            rows = []
+            for ra, rb in zip(a.rows, b.rows):
+                rows.append(_interleave(ra, rb))
+                rows.append(_interleave(rb, ra))
+            deltas.append(SparseMat(2 * a.nrows, 2 * a.ncols, rows))
+            continue
+        sign = -1 if coefficients == "Zminus" else 1
+        rows = [_row_sum(ra, rb, sign) for ra, rb in zip(a.rows, b.rows)]
+        deltas.append(SparseMat(a.nrows, a.ncols, rows))
     return deltas
+
+
+def _interleave(even, odd):
+    """One row of group-ring blocks: ``even`` in columns 2i, ``odd`` in 2i + 1."""
+    return {2 * i: v for i, v in even.items()} | {2 * i + 1: v for i, v in odd.items()}
 
 
 @dataclass(frozen=True)

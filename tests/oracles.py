@@ -9,7 +9,9 @@ degree of each 2-variable minor map, GF(2) elimination against every basis
 row) are kept here too, built from the slower public pieces.  So is the
 dense Smith form with transforms, with the kernels, solvers and lattice
 quotients built on it, which computed the map induced on cohomology by the
-quotient projection before the mapping cone did.
+quotient projection before the mapping cone did, and the orbit complex with
+its entries a + b*nu kept as pairs in one dict, before it became two sparse
+matrices.
 """
 
 import math
@@ -18,8 +20,8 @@ from itertools import combinations, product
 from equihom.degrees import minor_map, sigma_minor, torus_complex
 from equihom.errors import InvalidInputError
 from equihom.homcomplexes import mu_prime
-from equihom.simplicial import gamma_power
-from equihom.snf import smith_normal_form
+from equihom.simplicial import gamma_power, incidence
+from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import (CohomologyGroup, bredon_torus, expected_bredon,
                          ordinary_cochain_complex, quotient_by_first_shift)
 
@@ -228,6 +230,65 @@ def minor_degree_vector(g, L, n):
     torus = torus_complex(L, L)
     return [torus.deg1(minor_map(g, sigma_minor(n, i), L=L, n=n))
             for i in range(1, n + 1)]
+
+
+def orbit_complex_reference(x, max_dim):
+    """Orbit representatives and boundaries of x as dicts (i, j) -> (a, b).
+
+    Entry (i, j) of the d-th dict is a + b*nu, the coefficient of orbit i of
+    dimension d - 1 in the boundary of orbit j of dimension d.
+    """
+    reps = []
+    index = []
+    for d in range(max_dim + 1):
+        chosen = []
+        lookup = {}
+        for c in sorted(x.cells(d)):
+            mate = x.involution_simplex(c)
+            if c <= mate:
+                lookup[c] = (len(chosen), 0)
+                lookup[mate] = (len(chosen), 1)
+                chosen.append(c)
+        reps.append(chosen)
+        index.append(lookup)
+    boundaries = []
+    for d in range(1, max_dim + 1):
+        mat = {}
+        for j, row_faces in enumerate(incidence(reps[d], index[d - 1])):
+            for (row, par), sign in row_faces:
+                a, b = mat.get((row, j), (0, 0))
+                if par:
+                    b += sign
+                else:
+                    a += sign
+                if a or b:
+                    mat[(row, j)] = (a, b)
+                else:
+                    mat.pop((row, j), None)
+        boundaries.append(mat)
+    return reps, boundaries
+
+
+def specialize_reference(reps, boundaries, coefficients):
+    """Coboundaries of the dict orbit complex: transpose, evaluate a + b*nu."""
+    deltas = []
+    for d in range(1, len(reps)):
+        n_rows, n_cols = len(reps[d]), len(reps[d - 1])
+        if coefficients == "ZZ2":
+            delta = SparseMat(2 * n_rows, 2 * n_cols)
+            for (i, j), (a, b) in boundaries[d - 1].items():
+                delta.add_at(2 * j, 2 * i, a)
+                delta.add_at(2 * j, 2 * i + 1, b)
+                delta.add_at(2 * j + 1, 2 * i, b)
+                delta.add_at(2 * j + 1, 2 * i + 1, a)
+        else:
+            delta = SparseMat(n_rows, n_cols)
+            for (i, j), (a, b) in boundaries[d - 1].items():
+                value = a - b if coefficients == "Zminus" else a + b
+                if value:
+                    delta.add_at(j, i, value)
+        deltas.append(delta)
+    return deltas
 
 
 def _diagonalize(a, s, t):

@@ -41,6 +41,14 @@ def test_enumerate_rejects_even_cycle():
     assert run(["enumerate", "--ell", "4", "--arity", "1"]) == 2
 
 
+def test_enumerate_rejects_negative_limit(tmp_path, capsys):
+    out = tmp_path / "polys.jsonl"
+    assert run(["enumerate", "--ell", "3", "--arity", "2", "--limit", "-1",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: limit must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_phi_on_unary_file(tmp_path, monkeypatch):
     monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
     polys = tmp_path / "polys.jsonl"

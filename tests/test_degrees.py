@@ -304,9 +304,9 @@ def test_phi_checks_equivariance(pipe, binary_maps, monkeypatch):
     assert exc.value.witness == (0, 0)
 
 
-def test_phi_checks_three_alternation_on_the_whole_torus(pipe, ternary_maps,
-                                                         monkeypatch):
-    f = ternary_maps[0]
+def alternating_cell_bits(pipe, f):
+    """mu(f)'s blue bits, made 3-alternating on the least 3-cell and kept
+    equivariant."""
     x = gamma_power(12, 3)
     position = {v: k for k, v in enumerate(x.vertices)}
     bits = pipe.mu_bits(f)
@@ -314,9 +314,42 @@ def test_phi_checks_three_alternation_on_the_whole_torus(pipe, ternary_maps,
     for k, v in enumerate(cell):
         bits[position[v]] = k % 2
         bits[position[x.involution[v]]] = 1 - k % 2
+    return x, position, bits
+
+
+def test_phi_checks_three_alternation_on_the_whole_torus(pipe, ternary_maps,
+                                                         monkeypatch):
+    f = ternary_maps[0]
+    x, position, bits = alternating_cell_bits(pipe, f)
     monkeypatch.setattr(pipe, "mu_bits", lambda g: bits)
     with pytest.raises(AlternatingSimplexError) as exc:
         phi(f, pipe)
     witness = exc.value.witness
     assert witness in x.cells(3)
     assert [bits[position[v]] for v in witness] in ([0, 1, 0, 1], [1, 0, 1, 0])
+
+
+def test_map_from_colouring_and_phi_name_the_same_alternating_cell(
+        pipe, ternary_maps, monkeypatch):
+    f = ternary_maps[0]
+    x, _, bits = alternating_cell_bits(pipe, f)
+    monkeypatch.setattr(pipe, "mu_bits", lambda g: bits)
+    with pytest.raises(AlternatingSimplexError) as from_phi:
+        phi(f, pipe)
+    col = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
+    with pytest.raises(AlternatingSimplexError) as from_map:
+        map_from_colouring(x, col, check_equivariance=True)
+    assert from_map.value.witness == from_phi.value.witness
+    assert str(from_map.value) == str(from_phi.value)
+
+
+def test_map_from_colouring_and_deg_vector_name_the_same_antipode():
+    col = winding_colouring(8, 3, 2)
+    for v in [(1, 2, 3), (5, 6, 7)]:  # (5, 6, 7) is the antipode of (1, 2, 3)
+        col[v] = BLUE
+    with pytest.raises(NotEquivariantError) as from_degrees:
+        deg_vector(col, L=8, n=3)
+    with pytest.raises(NotEquivariantError) as from_map:
+        map_from_colouring(gamma_power(8, 3), col, check_equivariance=True)
+    assert from_map.value.witness == from_degrees.value.witness == (1, 2, 3)
+    assert str(from_map.value) == str(from_degrees.value)

@@ -85,6 +85,14 @@ def test_enumerate_homs_counts_and_order():
     assert values == sorted(values)
 
 
+def test_enumeration_deeper_than_the_recursion_limit():
+    dom, cod = cycle_graph(1201), complete_graph(3)
+    stream = enumerate_homs(dom, cod, limit=1)
+    homs = list(stream)
+    assert len(homs) == 1 and stream.truncated
+    assert is_graph_hom(homs[0].values, dom.edges, cod.edges)
+
+
 def test_enumerate_homs_edge_preservation_exhaustive():
     dom, cod = power(cycle_graph(3), 2), complete_graph(4)
     for f in enumerate_homs(dom, cod):

@@ -121,7 +121,7 @@ def test_row_gains_unit_after_elimination():
 
 def test_gamma4_four_torus_sign_coboundaries():
     # (number of unit invariant factors, torsion) of delta_0 .. delta_3
-    x = gamma_power(4, 4, cap=4)
+    x = gamma_power(4, 4)
     deltas = specialize(equivariant_complex(x, 4), "Zminus")
     got = []
     for delta in deltas:

@@ -15,7 +15,8 @@ from equihom.zz2 import (CohomologyGroup, EquivariantChainComplex, bredon_torus,
                          quotient_by_first_shift, quotient_pstar_check,
                          specialize)
 
-from oracles import quotient_pstar_reference, signed_boundary_rows
+from oracles import (orbit_complex_reference, quotient_pstar_reference,
+                     signed_boundary_rows, specialize_reference)
 
 
 def test_orbit_ranks():
@@ -34,19 +35,21 @@ def test_not_free_action_detected():
         equivariant_complex(fixed, 1)
 
 
+def single_orbit_pair(a, b):
+    """One vertex orbit, one edge orbit, boundary entry a + b*nu."""
+    pair = (SparseMat.from_dense([[a]]), SparseMat.from_dense([[b]]))
+    return EquivariantChainComplex(reps=[["v"], ["e"]], coboundaries=[pair])
+
+
 def test_specialization_rules():
-    # a single orbit pair with boundary entry 1 + nu
-    cx = EquivariantChainComplex(reps=[["v"], ["e"]],
-                                 boundaries=[{(0, 0): (1, 1)}])
+    cx = single_orbit_pair(1, 1)
     minus = specialize(cx, "Zminus")[0]
     assert minus.to_dense() == [[0]]
     plus = specialize(cx, "Zplus")[0]
     assert plus.to_dense() == [[2]]
     ring = specialize(cx, "ZZ2")[0]
     assert ring.to_dense() == [[1, 1], [1, 1]]
-    cx2 = EquivariantChainComplex(reps=[["v"], ["e"]],
-                                  boundaries=[{(0, 0): (1, -1)}])
-    assert specialize(cx2, "Zminus")[0].to_dense() == [[2]]
+    assert specialize(single_orbit_pair(1, -1), "Zminus")[0].to_dense() == [[2]]
     with pytest.raises(InvalidParameterError):
         specialize(cx, "Zother")
 
@@ -117,9 +120,10 @@ def test_bredon_torus_factors_each_coboundary_once(monkeypatch):
     for _ in range(2):
         for d in range(1, 4):
             assert bredon_torus(3, 4, d) == expected_bredon(3, d)
-    # delta_0, delta_1, delta_2 once each; pairs (1, 0) and (2, 1) once each
+    # delta_0, delta_1, delta_2 once each; pairs (1, 0) and (2, 1) once each,
+    # after the orbit complex's four products AA', BB', AB', BA' per pair
     assert len(smith_calls) == 3
-    assert len(products) == 2
+    assert len(products) == 2 * 4 + 2
 
 
 def test_bredon_independent_of_l_at_n2():
@@ -184,6 +188,43 @@ def test_dd_zero_is_verified():
     cx.verify_dd_zero()  # must not raise
 
 
+def test_dd_zero_catches_one_corrupted_mate_entry():
+    cx = equivariant_complex(gamma_power(4, 3), 3)
+    b = cx.coboundaries[1][1]
+    j = next(j for j, row in enumerate(b.rows) if row)
+    i = next(iter(b.rows[j]))
+    b.add_at(j, i, 1)
+    with pytest.raises(InvariantViolationError, match="dimension 2"):
+        cx.verify_dd_zero()
+
+
+ORBIT_CASES = {
+    "sigma2": lambda: sigma(2),
+    "sigma3": lambda: sigma(3),
+    "gamma4": lambda: gamma(4),
+    "hom_K4": lambda: hom_complex(complete_graph(4)),
+    "gamma4_squared": lambda: gamma_power(4, 2),
+    "gamma4_cubed": lambda: gamma_power(4, 3),
+    "gamma4_fourth": lambda: gamma_power(4, 4),
+    "gamma8_cubed": lambda: gamma_power(8, 3),
+    "gamma_4x8": lambda: gamma_product((4, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_pair_matches_dict_reference(case):
+    x = ORBIT_CASES[case]()
+    top = x.dimension()
+    cx = equivariant_complex(x, top)
+    reps, boundaries = orbit_complex_reference(x, top)
+    assert cx.reps == reps
+    for coefficients in zz2.COEFFICIENTS:
+        got = specialize(cx, coefficients)
+        want = specialize_reference(reps, boundaries, coefficients)
+        assert [(m.nrows, m.ncols, m.rows) for m in got] == \
+            [(m.nrows, m.ncols, m.rows) for m in want]
+
+
 BUILDER_CASES = {
     "sigma3": lambda: sigma(3),  # has degenerate faces
     "hom_K4": lambda: hom_complex(complete_graph(4)),
@@ -233,8 +274,10 @@ def test_shared_builder_matches_raw_boundary_loop(case, monkeypatch):
                 ab = list(expected.get((i, j), (0, 0)))
                 ab[parity] += v
                 expected[(i, j)] = tuple(ab)
-        assert cx.boundaries[d - 1] == {key: ab for key, ab in expected.items()
-                                        if ab != (0, 0)}
+        a, b = cx.coboundaries[d - 1]
+        got = {(i, j): (a.rows[j].get(i, 0), b.rows[j].get(i, 0))
+               for j in range(a.nrows) for i in a.rows[j].keys() | b.rows[j].keys()}
+        assert got == {key: ab for key, ab in expected.items() if ab != (0, 0)}
     ring = specialize(cx, "ZZ2")
     for d in range(top + 1):
         assert cohomology(ring, d) == cohomology(deltas, d)
