@@ -11,14 +11,15 @@ dense Smith form with transforms, with the kernels, solvers and lattice
 quotients built on it, which computed the map induced on cohomology by the
 quotient projection before the mapping cone did, and the orbit complex with
 its entries a + b*nu kept as pairs in one dict, before it became two sparse
-matrices.
+matrices.  The tuple-based validation of a simplicial set, one cell at a
+time, is the reference for the column check the library runs on positions.
 """
 
 import math
 from itertools import combinations, product
 
 from equihom.degrees import minor_map, sigma_minor, torus_complex
-from equihom.errors import InvalidInputError
+from equihom.errors import InvalidInputError, InvalidParameterError
 from equihom.homcomplexes import mu_prime
 from equihom.simplicial import gamma_power, incidence
 from equihom.snf import SparseMat, smith_normal_form
@@ -74,6 +75,62 @@ def signed_boundary_rows(x, d):
                 del row[k]
         rows.append(row)
     return rows
+
+
+def check_reference(vertices, simplices, cap, involution=None, closure=True):
+    """Validate simplicial-set data one labelled cell at a time.
+
+    Raises what the ``SimplicialSet`` constructor raises, with the same
+    messages: duplicate labels, a bad cap, a stored cell of the wrong length,
+    a degenerate or unknown-vertex cell, a missing face (only with
+    ``closure``), and an involution that is no self-inverse vertex
+    permutation or does not preserve the cells.
+    """
+    vertices = tuple(vertices)
+    vertex_set = frozenset(vertices)
+    if len(vertex_set) != len(vertices):
+        raise InvalidParameterError("duplicate vertex labels")
+    if cap < 1:
+        raise InvalidParameterError("dimension cap must be >= 1")
+    cells = {0: frozenset((v,) for v in vertices)}
+    for d in range(1, cap + 1):
+        cells[d] = frozenset(tuple(s) for s in simplices.get(d, ()))
+
+    def degenerate(tup):
+        return any(a == b for a, b in zip(tup, tup[1:]))
+
+    def has_simplex(tup):
+        if not tup or any(v not in vertex_set for v in tup):
+            return False
+        core = tuple(v for k, v in enumerate(tup) if k == 0 or v != tup[k - 1])
+        return core in cells.get(len(core) - 1, ())
+
+    for d in range(1, cap + 1):
+        for s in cells[d]:
+            if len(s) != d + 1:
+                raise InvalidParameterError(f"stored {d}-simplex of wrong length: {s}")
+            if degenerate(s):
+                raise InvalidParameterError(f"stored simplex is degenerate: {s}")
+            if any(v not in vertex_set for v in s):
+                raise InvalidParameterError(f"simplex uses unknown vertex: {s}")
+            if closure:
+                for i in range(len(s)):
+                    face = s[:i] + s[i + 1:]
+                    if face not in cells[d - 1] and not has_simplex(face):
+                        raise InvalidParameterError(
+                            f"closure violated: face {face} of {s} missing")
+    nu = involution
+    if nu is not None:
+        if set(nu) != vertex_set or set(nu.values()) != vertex_set:
+            raise InvalidParameterError("involution is not a vertex permutation")
+        for v in vertices:
+            if nu[nu[v]] != v:
+                raise InvalidParameterError("involution is not self-inverse")
+        for d in range(1, cap + 1):
+            for s in cells[d]:
+                if tuple(nu[v] for v in s) not in cells[d]:
+                    raise InvalidParameterError(
+                        f"involution does not preserve simplices: {s}")
 
 
 def poset_covers(u, L):

@@ -13,7 +13,10 @@ from equihom.simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap,
                                 normalize_simplex, order_complex,
                                 product_cell_count, sigma)
 
-from oracles import sproduct, strict_chains
+from equihom.graphs import complete_graph
+from equihom.homcomplexes import hom_complex
+
+from oracles import check_reference, sproduct, strict_chains
 
 
 def test_sigma2_structure():
@@ -157,6 +160,124 @@ def test_closure_missing_torus_face():
         simplices[1].discard(face)
         with pytest.raises(InvalidParameterError, match="closure violated"):
             SimplicialSet(t.vertices, simplices, cap=2)
+
+
+GAMMA4_EDGES = [(0, 1), (0, 3), (2, 3), (2, 1)]
+SHIFT4 = {0: 2, 1: 3, 2: 0, 3: 1}
+
+# one defect each: constructor arguments and the exact rejection message
+REJECTIONS = {
+    "duplicate labels": (([0, 1, 0], {}, 1), {},
+                         "duplicate vertex labels"),
+    "wrong length": ((range(4), {1: GAMMA4_EDGES + [(0, 1, 2)]}, 1), {},
+                     "stored 1-simplex of wrong length: (0, 1, 2)"),
+    "degenerate": ((range(4), {1: GAMMA4_EDGES + [(0, 0)]}, 1), {},
+                   "stored simplex is degenerate: (0, 0)"),
+    "unknown vertex": ((range(4), {1: GAMMA4_EDGES + [(1, 9)]}, 1), {},
+                       "simplex uses unknown vertex: (1, 9)"),
+    "missing face": (([0, 1, 2], {1: [(0, 1), (1, 2)], 2: [(0, 1, 2)]}, 2), {},
+                     "closure violated: face (0, 2) of (0, 1, 2) missing"),
+    "not a permutation": ((range(4), {1: GAMMA4_EDGES}, 1),
+                          {"involution": {0: 2, 1: 3, 2: 0, 3: 0}},
+                          "involution is not a vertex permutation"),
+    "not self-inverse": ((range(4), {}, 1),
+                         {"involution": {0: 1, 1: 2, 2: 3, 3: 0}},
+                         "involution is not self-inverse"),
+    "not preserving": (([0, 1, 2], {1: [(0, 1), (2, 1), (0, 2)]}, 1),
+                       {"involution": {0: 2, 1: 1, 2: 0}},
+                       "involution does not preserve simplices: (0, 2)"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(REJECTIONS))
+def test_each_rejection_names_its_defect(defect):
+    args, kwargs, message = REJECTIONS[defect]
+    with pytest.raises(InvalidParameterError) as err:
+        SimplicialSet(*args, **kwargs)
+    assert type(err.value) is InvalidParameterError
+    assert str(err.value) == message
+    with pytest.raises(InvalidParameterError) as ref:
+        check_reference(*args, **kwargs)
+    assert str(ref.value) == message
+
+
+def _raw(x):
+    """Constructor arguments that rebuild x: vertices, cells, cap, involution."""
+    simplices = {d: set(x.cells(d)) for d in range(1, x.cap + 1)}
+    return list(x.vertices), simplices, x.cap, dict(x.involution)
+
+
+PREFIXES = {
+    "wrong length": "stored 1-simplex of wrong length",
+    "degenerate": "stored simplex is degenerate",
+    "unknown vertex": "simplex uses unknown vertex",
+    "missing face": "closure violated",
+    "not preserving": "involution does not preserve simplices",
+    "not a permutation": "involution is not a vertex permutation",
+    "not self-inverse": "involution is not self-inverse",
+}
+
+
+def _corruptions(x, rng, ghost):
+    """x's own data, then one copy per defect, each with exactly that defect."""
+    vertices, simplices, cap, nu = _raw(x)
+    top = x.dimension()
+    yield "intact", (vertices, simplices, cap, nu)
+    cell = rng.choice(sorted(simplices[top]))
+
+    def changed(d, add=(), drop=()):
+        out = {k: set(v) for k, v in simplices.items()}
+        out[d] |= set(add)
+        out[d] -= set(drop)
+        return out
+
+    yield "wrong length", (vertices, changed(1, add=[cell]), cap, nu)
+    v = cell[0]
+    yield "degenerate", (vertices, changed(1, add=[(v, v)]), cap, nu)
+    yield "unknown vertex", (vertices, changed(1, add=[(v, ghost)]), cap, nu)
+    face = rng.choice(sorted(f for _, f in faces(cell) if not is_degenerate(f)))
+    yield "missing face", (vertices, changed(top - 1, drop=[face]), cap, nu)
+    # the top cell's mate now maps onto a missing cell
+    yield "not preserving", (vertices, changed(top, drop=[cell]), cap, nu)
+    bad = dict(nu)
+    bad[v] = v
+    yield "not a permutation", (vertices, simplices, cap, bad)
+    others = [w for w in vertices if w not in (v, nu[v])]
+    if others:  # a 4-cycle through two orbits; sigma(k) has only one
+        w = rng.choice(others)
+        cycle = dict(nu)
+        cycle.update({v: w, w: nu[v], nu[v]: nu[w], nu[w]: v})
+        yield "not self-inverse", (vertices, simplices, cap, cycle)
+
+
+def _outcome(build, args):
+    try:
+        build(*args)
+    except InvalidParameterError as exc:
+        message = str(exc)
+        # a missing face may lie on several cells; either names the defect
+        return type(exc), message.split(" of ")[0] if "closure" in message else message
+    return None
+
+
+@pytest.mark.parametrize("make", [lambda: gamma_power(4, 2), lambda: gamma_power(8, 3),
+                                  lambda: sigma(3),
+                                  lambda: hom_complex(complete_graph(4))],
+                         ids=["gamma4^2", "gamma8^3", "sigma3", "hom_K4"])
+def test_position_check_agrees_with_reference(make):
+    x = make()
+    names = []
+    for name, args in _corruptions(x, random.Random(11), ghost="ghost"):
+        got = _outcome(lambda *a: SimplicialSet(*a[:3], involution=a[3]), args)
+        want = _outcome(lambda *a: check_reference(*a[:3], involution=a[3]), args)
+        assert got == want, name
+        if name == "intact":
+            assert got is None
+        else:
+            assert got[0] is InvalidParameterError
+            assert got[1].startswith(PREFIXES[name]), (name, got)
+        names.append(name)
+    assert len(names) == 8 - (x.n_cells(0) == 2)
 
 
 def test_gamma_powers_euler_zero():
