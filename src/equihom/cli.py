@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from pathlib import Path
 
@@ -437,7 +438,9 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="equihom",
         description="homomorphism complexes, degree invariants, torus cohomology")

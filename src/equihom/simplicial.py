@@ -1,15 +1,19 @@
 """Relational simplicial sets: spheres, triangulated circles and their tori.
 
 A relational simplicial set stores, per dimension up to a cap, the set of
-non-degenerate simplices as ordered vertex tuples.  Degenerate simplices are
-reconstructed on demand: a tuple is a simplex exactly when collapsing its
-consecutive repeats leaves a stored tuple, and it is degenerate exactly when
-it has a consecutive repeat.
+non-degenerate simplices as tuples of vertex positions, the indices into its
+vertex list; the same simplices as ordered vertex tuples are a view built on
+first use.  Degenerate simplices are reconstructed on demand: a tuple is a
+simplex exactly when collapsing its consecutive repeats leaves a stored
+tuple, and it is degenerate exactly when it has a consecutive repeat.  Tori
+list their vertices in row-major order, so their position tuples sort like
+their vertex tuples.
 """
 
 from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, prod
+from operator import eq, itemgetter
 
 from .errors import (AlternatingSimplexError, CapacityExceededError,
                      InvalidParameterError, NotEquivariantError)
@@ -58,57 +62,102 @@ def incidence(cells, index):
 
 
 class SimplicialSet:
-    """A relational simplicial set with an optional vertex involution."""
+    """A relational simplicial set with an optional vertex involution.
+
+    Each dimension is stored once, as a frozenset of tuples of vertex
+    positions, the indices into ``vertices``; ``cells(d)`` is the view of the
+    same cells as vertex tuples, built on first use.  The involution is
+    stored as ``antipode``, the position of each vertex's mate.
+    """
 
     def __init__(self, vertices, simplices, cap, involution=None, check=True):
-        self.vertices = tuple(vertices)
-        self.vertex_set = frozenset(self.vertices)
-        if len(self.vertex_set) != len(self.vertices):
+        vertices = tuple(vertices)
+        position = {v: k for k, v in enumerate(vertices)}
+        if len(position) != len(vertices):
             raise InvalidParameterError("duplicate vertex labels")
         if cap < 1:
             raise InvalidParameterError("dimension cap must be >= 1")
+        cells = {d: frozenset(_position_cell(s, position) for s in simplices.get(d, ()))
+                 for d in range(1, cap + 1)}
+        self.position = position
+        self._setup(vertices, cells, cap, _antipode(involution, position), check)
+
+    @classmethod
+    def _from_positions(cls, vertices, cells, cap, antipode, check=True):
+        """A simplicial set from position cells: ``cells[d]`` is a frozenset of
+        tuples of indices into the tuple ``vertices``, and ``antipode`` a list
+        or None.  The dict ``cells`` becomes the new set's own."""
+        x = cls.__new__(cls)
+        x._setup(vertices, cells, cap, antipode, check)
+        return x
+
+    def _setup(self, vertices, cells, cap, antipode, check):
+        self.vertices = vertices
+        self.vertex_set = frozenset(vertices)
         self.cap = cap
-        cells = {0: frozenset((v,) for v in self.vertices)}
+        cells[0] = frozenset((k,) for k in range(len(vertices)))
         for d in range(1, cap + 1):
-            cells[d] = frozenset(tuple(s) for s in simplices.get(d, ()))
-        self._cells = cells
-        self.involution = dict(involution) if involution is not None else None
+            cells.setdefault(d, frozenset())
+        self._positions = cells
+        self._views = {}
+        self.antipode = antipode
         if check:
             self._check(closure=True)
-        elif self.involution is not None:
+        elif antipode is not None:
             self._check(closure=False)
 
     def _check(self, closure):
+        """Reject malformed cells or involutions, a column of positions at a time.
+
+        The k-th entries of the d-cells form column k: a cell is degenerate
+        where two neighbouring columns agree, face i zips the columns but
+        the i-th, and the mate of a column is its image under ``antipode``.
+        Only a failing test goes back over the cells to name the culprit.
+        """
+        cells, label = self._positions, self.labels
         for d in range(1, self.cap + 1):
-            below = self._cells[d - 1]
-            for s in self._cells[d]:
-                if len(s) != d + 1:
-                    raise InvalidParameterError(f"stored {d}-simplex of wrong length: {s}")
-                if is_degenerate(s):
-                    raise InvalidParameterError(f"stored simplex is degenerate: {s}")
-                if any(v not in self.vertex_set for v in s):
-                    raise InvalidParameterError(f"simplex uses unknown vertex: {s}")
-                if closure:
-                    # the vertices are known, so a non-degenerate face is a
-                    # simplex iff it is stored one dimension down; a stored
-                    # face is never degenerate, so only a degenerate face
-                    # (or a missing one) is left to normalize
-                    for _, face in faces(s):
-                        if face not in below and not self.has_simplex(face):
+            here = cells[d]
+            if not here:
+                continue
+            if set(map(len, here)) != {d + 1}:
+                bad = next(s for s in here if len(s) != d + 1)
+                raise InvalidParameterError(
+                    f"stored {d}-simplex of wrong length: {label(bad)}")
+            columns = [tuple(map(itemgetter(k), here)) for k in range(d + 1)]
+            for a, b in zip(columns, columns[1:]):
+                if any(map(eq, a, b)):
+                    bad = next(s for s in here if is_degenerate(s))
+                    raise InvalidParameterError(f"stored simplex is degenerate: {label(bad)}")
+            if not closure:
+                continue
+            below = cells[d - 1]
+            if all(below.issuperset(zip(*columns[:i], *columns[i + 1:]))
+                   for i in range(d + 1)):
+                continue
+            # only a missing face, or a degenerate one, is left to normalize
+            for s in here:
+                for _, face in faces(s):
+                    if face not in below:
+                        core = normalize_simplex(face)
+                        if core not in cells[len(core) - 1]:
                             raise InvalidParameterError(
-                                f"closure violated: face {face} of {s} missing")
-        nu = self.involution
-        if nu is not None:
-            if set(nu) != self.vertex_set or set(nu.values()) != self.vertex_set:
-                raise InvalidParameterError("involution is not a vertex permutation")
-            for v in self.vertices:
-                if nu[nu[v]] != v:
-                    raise InvalidParameterError("involution is not self-inverse")
-            for d in range(1, self.cap + 1):
-                for s in self._cells[d]:
-                    if self.involution_simplex(s) not in self._cells[d]:
-                        raise InvalidParameterError(
-                            f"involution does not preserve simplices: {s}")
+                                f"closure violated: face {label(face)} of {label(s)} missing")
+        antipode = self.antipode
+        if antipode is None:
+            return
+        count = len(self.vertices)
+        if sorted(antipode) != list(range(count)):
+            raise InvalidParameterError("involution is not a vertex permutation")
+        if list(map(antipode.__getitem__, antipode)) != list(range(count)):
+            raise InvalidParameterError("involution is not self-inverse")
+        mate = antipode.__getitem__
+        for d in range(1, self.cap + 1):
+            here = cells[d]
+            mates = zip(*(map(mate, map(itemgetter(k), here)) for k in range(d + 1)))
+            if not here.issuperset(mates):
+                bad = next(s for s in here if tuple(map(mate, s)) not in here)
+                raise InvalidParameterError(
+                    f"involution does not preserve simplices: {label(bad)}")
 
     @cached_property
     def position(self):
@@ -116,34 +165,62 @@ class SimplicialSet:
         return {v: k for k, v in enumerate(self.vertices)}
 
     @cached_property
-    def antipode(self):
-        """The position of each vertex's mate under the involution, in vertex order."""
-        return [self.position[self.involution[v]] for v in self.vertices]
+    def involution(self):
+        """Vertex -> its mate, or None without an involution."""
+        if self.antipode is None:
+            return None
+        vertices = self.vertices
+        return {v: vertices[j] for v, j in zip(vertices, self.antipode)}
 
     @cached_property
     def cell3_columns(self):
-        """The 3-cells as four columns of vertex positions, in ``cells(3)`` order."""
-        cells, position = self.cells(3), self.position
-        return tuple(tuple(position[cell[i]] for cell in cells) for i in range(4))
+        """The 3-cells as four columns of vertex positions, in ``position_cells(3)`` order."""
+        cells = self.position_cells(3)
+        return tuple(tuple(map(itemgetter(k), cells)) for k in range(4))
+
+    @cached_property
+    def _vertices_sorted(self):
+        vertices = self.vertices
+        return all(a < b for a, b in zip(vertices, vertices[1:]))
+
+    def labels(self, cell):
+        """The vertex tuple of a position tuple."""
+        return tuple(map(self.vertices.__getitem__, cell))
+
+    def position_cells(self, d):
+        """Non-degenerate d-simplices as position tuples (empty beyond the stored range)."""
+        return self._positions.get(d, frozenset())
+
+    def sorted_position_cells(self, d):
+        """The position d-cells in the sorted order of their vertex tuples.
+
+        Row-major tori list their vertices sorted, so there this is a plain sort.
+        """
+        cells = self.position_cells(d)
+        return sorted(cells) if self._vertices_sorted else sorted(cells, key=self.labels)
 
     def cells(self, d):
-        """Non-degenerate d-simplices (empty beyond the stored range)."""
-        return self._cells.get(d, frozenset())
+        """Non-degenerate d-simplices as vertex tuples (empty beyond the stored range)."""
+        view = self._views.get(d)
+        if view is None:
+            view = self._views[d] = frozenset(map(self.labels, self.position_cells(d)))
+        return view
 
     def n_cells(self, d):
-        return len(self.cells(d))
+        return len(self.position_cells(d))
 
     def dimension(self):
-        return max((d for d in range(self.cap + 1) if self._cells.get(d)), default=0)
+        return max((d for d in range(self.cap + 1) if self._positions.get(d)), default=0)
 
     def euler_characteristic(self):
         return sum((-1) ** d * self.n_cells(d) for d in range(self.cap + 1))
 
     def has_simplex(self, tup):
-        if not tup or any(v not in self.vertex_set for v in tup):
+        position = self.position
+        if not tup or any(v not in position for v in tup):
             return False
-        core = normalize_simplex(tup)
-        return core in self.cells(len(core) - 1)
+        core = normalize_simplex(tuple(position[v] for v in tup))
+        return core in self.position_cells(len(core) - 1)
 
     def involution_vertex(self, v):
         return self.involution[v]
@@ -154,17 +231,16 @@ class SimplicialSet:
 
     def has_free_involution(self):
         # freeness on vertices implies freeness on all cells
-        return self.involution is not None and all(
-            self.involution[v] != v for v in self.vertices)
+        return self.antipode is not None and not any(
+            map(eq, self.antipode, range(len(self.vertices))))
 
     def to_json(self):
-        index = self.position
         obj = {"vertices": [_label_to_json(v) for v in self.vertices],
                "cap": self.cap,
-               "simplices": {str(d): sorted([index[v] for v in s] for s in self.cells(d))
+               "simplices": {str(d): sorted(map(list, self.position_cells(d)))
                              for d in range(1, self.cap + 1)}}
-        if self.involution is not None:
-            obj["involution"] = [index[self.involution[v]] for v in self.vertices]
+        if self.antipode is not None:
+            obj["involution"] = list(self.antipode)
         return obj
 
     @classmethod
@@ -176,6 +252,27 @@ class SimplicialSet:
         if "involution" in obj:
             involution = {vertices[i]: vertices[j] for i, j in enumerate(obj["involution"])}
         return cls(vertices, simplices, obj["cap"], involution)
+
+
+def _position_cell(simplex, position):
+    try:
+        return tuple(map(position.__getitem__, simplex))
+    except KeyError:
+        raise InvalidParameterError(
+            f"simplex uses unknown vertex: {tuple(simplex)}") from None
+
+
+def _antipode(involution, position):
+    """The mate positions of a vertex -> vertex involution (None passes through).
+
+    A mate outside the vertices becomes -1, which the permutation check rejects.
+    """
+    if involution is None:
+        return None
+    involution = dict(involution)
+    if involution.keys() != position.keys():
+        raise InvalidParameterError("involution is not a vertex permutation")
+    return [position.get(involution[v], -1) for v in position]
 
 
 def _label_to_json(v):
@@ -289,22 +386,33 @@ def _gamma_product(sides):
     if total > CELL_LIMIT:
         raise CapacityExceededError(
             f"torus {sides} has {total} cells (limit {CELL_LIMIT})")
-    vertices = list(product(*(range(L) for L in sides)))
-    label = {v: v for v in vertices}  # one shared tuple per vertex in every cell
-    ups = {}
-    for v in vertices:
-        options = [(x,) if x % 2 else (x, (x + 1) % L, (x - 1) % L)
-                   for x, L in zip(v, sides)]
-        ups[v] = [label[w] for w in product(*options) if w != v]
-    simplices = {}
-    chains = [(v,) for v in vertices]
+    vertices, cells, antipode = _product_chains(sides)
+    return SimplicialSet._from_positions(vertices, cells, max(3, len(sides)), antipode)
+
+
+def _product_chains(sides):
+    """Vertices, strict chains by dimension and antipode of the product poset.
+
+    Positions are row-major: vertices[p] is the p-th tuple of the product,
+    and every chain shares the one int object of each position.  The
+    up-lists are dropped on return, before the torus is checked.
+    """
+    vertices = tuple(product(*(range(L) for L in sides)))
+    strides = [prod(sides[i + 1:]) for i in range(len(sides))]
+    positions = list(range(len(vertices)))
+    ups = []
+    for p, v in enumerate(vertices):
+        options = [(x * s,) if x % 2 else (x * s, (x + 1) % L * s, (x - 1) % L * s)
+                   for x, L, s in zip(v, sides, strides)]
+        ups.append([positions[q] for q in map(sum, product(*options)) if q != p])
+    cells = {}
+    chains = [(p,) for p in positions]
     for d in range(1, len(sides) + 1):
         chains = [chain + (w,) for chain in chains for w in ups[chain[-1]]]
-        simplices[d] = chains
-    involution = {v: label[tuple((x + L // 2) % L for x, L in zip(v, sides))]
-                  for v in vertices}
-    return SimplicialSet(vertices, simplices, max(3, len(sides)),
-                         involution=involution)
+        cells[d] = frozenset(chains)
+    antipode = [sum((x + L // 2) % L * s for x, L, s in zip(v, sides, strides))
+                for v in vertices]
+    return vertices, cells, antipode
 
 
 # the one torus cache, reachable under the public name
@@ -318,8 +426,9 @@ def gamma_power(L, n):
 
 def replace_involution(x, mapping):
     """Copy of x with a different involution (validated)."""
-    simplices = {d: x.cells(d) for d in range(1, x.cap + 1)}
-    return SimplicialSet(x.vertices, simplices, x.cap, involution=mapping, check=False)
+    cells = {d: x.position_cells(d) for d in range(1, x.cap + 1)}
+    return SimplicialSet._from_positions(x.vertices, cells, x.cap,
+                                         _antipode(mapping, x.position), check=False)
 
 
 class SimplicialMap:
@@ -473,7 +582,7 @@ def mod2_homology_ranks(x, top=None):
     """Ranks of the mod-2 cellular homology computed from non-degenerate cells."""
     if top is None:
         top = x.dimension()
-    cells = [sorted(x.cells(d)) for d in range(top + 2)]
+    cells = [x.sorted_position_cells(d) for d in range(top + 2)]
     index = [{c: i for i, c in enumerate(cs)} for cs in cells]
     ranks = []
     bnd_rank = [0] * (top + 3)

@@ -33,10 +33,12 @@ COEFFICIENTS = ("Zminus", "Zplus", "ZZ2")
 class EquivariantChainComplex:
     """The orbit complex: representatives per degree and coboundaries A + B*nu.
 
-    ``coboundaries[d - 1]`` is the pair (A, B) of SparseMats whose row j
-    lists the faces of ``reps[d][j]`` by their orbit in ``reps[d - 1]``: the
-    sign of a face goes to A when the face is the representative and to B
-    when it is the mate.
+    ``reps[d]`` lists one d-cell per orbit, the smaller of the cell and its
+    mate in the order of vertex tuples, as a tuple of vertex positions of the
+    simplicial set.  ``coboundaries[d - 1]`` is the pair (A, B) of SparseMats
+    whose row j lists the faces of ``reps[d][j]`` by their orbit in
+    ``reps[d - 1]``: the sign of a face goes to A when the face is the
+    representative and to B when it is the mate.
     """
 
     def __init__(self, reps, coboundaries):
@@ -45,24 +47,28 @@ class EquivariantChainComplex:
 
     @classmethod
     def from_simplicial_set(cls, x, max_dim):
-        if x.involution is None:
+        if x.antipode is None:
             raise InvalidParameterError("an involution is required")
         if max_dim > x.cap:
             raise InvalidParameterError("max_dim exceeds the stored dimension cap")
+        mate = x.antipode.__getitem__
         reps = []
         index = []
         for d in range(max_dim + 1):
-            cells = sorted(x.cells(d))
             chosen = []
             lookup = {}
-            for c in cells:
-                mate = x.involution_simplex(c)
-                if mate == c:
-                    raise NotFreeActionError(f"cell {c} is fixed by the involution")
-                if c <= mate:
-                    lookup[c] = (len(chosen), 0)
-                    lookup[mate] = (len(chosen), 1)
-                    chosen.append(c)
+            # in sorted order a cell is its orbit's representative, the
+            # smaller of the two, unless its mate came first
+            for c in x.sorted_position_cells(d):
+                if c in lookup:
+                    continue
+                m = tuple(map(mate, c))
+                if m == c:
+                    raise NotFreeActionError(
+                        f"cell {x.labels(c)} is fixed by the involution")
+                lookup[c] = (len(chosen), 0)
+                lookup[m] = (len(chosen), 1)
+                chosen.append(c)
             reps.append(chosen)
             index.append(lookup)
         coboundaries = []
@@ -207,8 +213,12 @@ def cohomology(deltas, d):
 
 
 def ordinary_cochain_complex(x, max_dim):
-    """Integer coboundaries on all non-degenerate cells (no group action)."""
-    cells = [sorted(x.cells(d)) for d in range(max_dim + 1)]
+    """Integer coboundaries on all non-degenerate cells (no group action).
+
+    Returns the coboundaries and, per degree, the cells that index them: the
+    position tuples of x in the sorted order of their vertex tuples.
+    """
+    cells = [x.sorted_position_cells(d) for d in range(max_dim + 1)]
     index = [{c: i for i, c in enumerate(cs)} for cs in cells]
     deltas = []
     for d in range(1, max_dim + 1):
@@ -325,25 +335,25 @@ def quotient_pstar_check(n, L, d):
     if not 1 <= d <= n:
         raise InvalidParameterError("need 1 <= d <= n")
     x = gamma_power(L, n)
-    nu_map = {}
     first = _first_coordinate_involution(L, n)
-    for v in x.vertices:
-        nu_map[v] = first(v)
-    x_first = replace_involution(x, nu_map)
+    x_first = replace_involution(x, {v: first(v) for v in x.vertices})
     if not x_first.has_free_involution():
         raise InvariantViolationError("first-coordinate shift is not free")
 
     quotient, project = quotient_by_first_shift(L, n)
+    # the projection on positions; a vertex off the quotient maps to None
+    qposition = quotient.position
+    pmap = [qposition.get(project(v)) for v in x.vertices].__getitem__
 
     # the image of the cell set under the projection is exactly the quotient
     for dim in range(n + 1):
         images = set()
-        for cell in x_first.cells(dim):
-            img = tuple(project(v) for v in cell)
+        for cell in x_first.position_cells(dim):
+            img = tuple(map(pmap, cell))
             if is_degenerate(img):
                 raise InvariantViolationError("projection degenerates a cell")
             images.add(img)
-        if images != quotient.cells(dim):
+        if images != quotient.position_cells(dim):
             raise InvariantViolationError(
                 f"quotient cells mismatch in dimension {dim}")
 
@@ -356,8 +366,7 @@ def quotient_pstar_check(n, L, d):
         qindex = {c: i for i, c in enumerate(cells_q[k])}
         p = SparseMat(len(cells_x[k]), len(cells_q[k]))
         for r, cell in enumerate(cells_x[k]):
-            img = tuple(project(v) for v in cell)
-            p.set(r, qindex[img], 1)
+            p.set(r, qindex[tuple(map(pmap, cell))], 1)
         pullbacks.append(p)
     for k in range(n):
         lhs = deltas_x[k].matmul(pullbacks[k])

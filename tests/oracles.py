@@ -577,19 +577,21 @@ def quotient_pstar_reference(n, L, d):
     """
     x = gamma_power(L, n)
     quotient, project = quotient_by_first_shift(L, n)
-    deltas_x, cells_x = ordinary_cochain_complex(x, n)
-    deltas_q, cells_q = ordinary_cochain_complex(quotient, n)
-    qindex = {c: i for i, c in enumerate(cells_q[d])}
-    pullback = [qindex[tuple(project(v) for v in cell)] for cell in cells_x[d]]
+    deltas_x, _ = ordinary_cochain_complex(x, n)
+    deltas_q, _ = ordinary_cochain_complex(quotient, n)
+    # both complexes index their cochains by the sorted vertex tuples
+    cells_x, cells_q = sorted(x.cells(d)), sorted(quotient.cells(d))
+    qindex = {c: i for i, c in enumerate(cells_q)}
+    pullback = [qindex[tuple(project(v) for v in cell)] for cell in cells_x]
 
     # delta_(d-1) maps (d-1)-cochains to d-cochains, so its columns (indexed
     # by d-cells) generate the image lattice inside C^d
     a_x = deltas_x[d].to_dense() if d < len(deltas_x) else []
     b_x = deltas_x[d - 1].to_dense()
-    h_x = QuotientPresentation(a_x, b_x, len(cells_x[d]))
+    h_x = QuotientPresentation(a_x, b_x, len(cells_x))
     a_q = deltas_q[d].to_dense() if d < len(deltas_q) else []
     b_q = deltas_q[d - 1].to_dense()
-    h_q = QuotientPresentation(a_q, b_q, len(cells_q[d]))
+    h_q = QuotientPresentation(a_q, b_q, len(cells_q))
     assert not h_x.torsion and not h_q.torsion
     assert h_x.free_rank == h_q.free_rank == math.comb(n, d)
 

@@ -5,6 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from equihom import cli
 from equihom.cli import main
 from equihom.simplicial import SimplicialSet
 
@@ -228,6 +229,32 @@ def test_bredon_verb(tmp_path):
     report = json.loads(out.read_text())
     assert report["coefficients"] == "Zminus"
     assert report["free_rank"] == 0 and report["torsion"] == [2]
+
+
+def test_one_parser_serves_every_call(capsys):
+    calls = [["bredon", "--n", "2", "--L", "4", "--d", "1"],
+             ["bredon", "--n", "two", "--L", "4", "--d", "1"],
+             ["hom-complex", "--graph", "complete:4"]]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            out = capsys.readouterr()
+            seen.append((code, out.out, out.err))
+        return seen
+
+    cli.build_parser.cache_clear()
+    reused = outcomes(fresh=False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [0, 2, 0]
+    assert "invalid int value: 'two'" in reused[1][2]
+    assert reused == outcomes(fresh=True)
 
 
 def test_experiment_verb(tmp_path):

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from equihom import simplicial
 from equihom.degrees import (OddVector, TorusComplex, deg_vector,
                              find_colour_swapping_edge, minor_map,
                              monomial_colouring, phi, torus_complex,
-                             winding_colouring)
+                             torus_tables, winding_colouring)
 from equihom.errors import (AlternatingSimplexError, InvalidParameterError,
                             InvariantViolationError, NotEquivariantError)
 from equihom.graphs import (GraphHom, MinorSpec, complete_graph, cycle_graph,
@@ -288,6 +289,18 @@ def test_phi_equals_degree_vector_of_mu(pipe, binary_maps, ternary_maps):
     assert len(binary_maps) == 1056 and len(ternary_maps) == 40
     for f in binary_maps + ternary_maps:
         assert phi(f, pipe) == deg_vector(pipe.mu(f))
+
+
+def test_phi_and_deg_vector_leave_the_vertex_view_unbuilt(pipe, ternary_maps):
+    # both read positions only; the vertex-tuple cells of gamma(12)^3 would
+    # take about as much memory again as the torus itself
+    simplicial._gamma_product.cache_clear()
+    torus_tables.cache_clear()
+    phi(ternary_maps[0], pipe)
+    deg_vector(winding_colouring(12, 3, 1), L=12, n=3)
+    x = gamma_power(12, 3)
+    assert torus_tables(12, 3).torus is x
+    assert not x._views
 
 
 def test_phi_matches_reference_formulas_on_ternary_sample(pipe, ternary_maps):
