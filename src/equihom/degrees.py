@@ -100,6 +100,13 @@ class TorusTables:
         """deg1 of each 2-variable minor of a blue-bit list, in coordinate order."""
         return [count_deg1(bits, x1, b1) for x1, b1 in self.slices]
 
+    def odd_vector(self, bits):
+        """The degree vector of a blue-bit list, with the checks it needs:
+        antipodes get different bits (NotEquivariantError), and the weight
+        is odd (InvariantViolationError, from OddVector)."""
+        check_antipodes(self.torus, bits)
+        return OddVector(self.degrees(bits))
+
 
 @lru_cache(maxsize=16)
 def torus_tables(L, n):
@@ -211,8 +218,9 @@ def phi(f, pipeline):
     Runs on the blue bits of ``pipeline.mu_bits(f)`` and the index tables of
     gamma(4*ell)^n, with the checks ``mu(f)`` and ``deg_vector`` make: no
     3-cell of the torus has a 3-alternating image (AlternatingSimplexError),
-    antipodes get opposite colours (NotEquivariantError), and the degree
-    vector has odd weight (InvariantViolationError, from OddVector).
+    then, in ``TorusTables.odd_vector``, antipodes get opposite colours
+    (NotEquivariantError) and the degree vector has odd weight
+    (InvariantViolationError, from OddVector).
     """
     if not isinstance(pipeline, CyclePipeline):
         raise InvalidParameterError("phi needs a CyclePipeline")
@@ -220,8 +228,7 @@ def phi(f, pipeline):
     bits = pipeline.mu_bits(f)
     tables = torus_tables(pipeline.period, n)
     check_alternation(tables.torus, bits)
-    check_antipodes(tables.torus, bits)
-    return OddVector(tables.degrees(bits))
+    return tables.odd_vector(bits)
 
 
 def find_colour_swapping_edge(g, torus):

@@ -238,14 +238,14 @@ class HomStream:
         emitted = 0
         all_values = sorted(cod.vertices())
         neighbours = [sorted(dom.neighbours(v)) for v in range(n)]
+        support = [cod.neighbours(a) for a in all_values]  # values b with (a, b) an edge
 
         def ac3(domains, queue):
             # arcs are directed pairs (x, y) with y adjacent to x
             while queue:
                 x, y = queue.pop()
                 dy = domains[y]
-                keep = [a for a in domains[x]
-                        if any((a, b) in cod.edges for b in dy)]
+                keep = [a for a in domains[x] if not support[a].isdisjoint(dy)]
                 if len(keep) != len(domains[x]):
                     domains[x] = keep
                     if not keep:

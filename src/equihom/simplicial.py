@@ -361,6 +361,14 @@ def product_cell_count(sides, d):
         for j in range(d, k + 1))
 
 
+def check_cell_limit(sides):
+    """Refuse a product of circles with more than CELL_LIMIT cells in all."""
+    total = sum(product_cell_count(sides, d) for d in range(len(sides) + 1))
+    if total > CELL_LIMIT:
+        raise CapacityExceededError(
+            f"torus {sides} has {total} cells (limit {CELL_LIMIT})")
+
+
 def gamma_product(sides):
     """Cached torus gamma(L_1) x ... x gamma(L_k) with the diagonal involution.
 
@@ -382,10 +390,7 @@ def _gamma_product(sides):
         return gamma(sides[0])
     for L in sides:
         _check_side(L)
-    total = sum(product_cell_count(sides, d) for d in range(len(sides) + 1))
-    if total > CELL_LIMIT:
-        raise CapacityExceededError(
-            f"torus {sides} has {total} cells (limit {CELL_LIMIT})")
+    check_cell_limit(sides)
     vertices, cells, antipode = _product_chains(sides)
     return SimplicialSet._from_positions(vertices, cells, max(3, len(sides)), antipode)
 

@@ -10,12 +10,14 @@ two complementary heights; pairing it with a free coordinate embeds a 2-torus
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from . import __version__
 from .errors import (InvalidParameterError, InvariantViolationError)
 from .graphs import complete_graph, power, sample_homs, enumerate_homs
-from .degrees import deg_vector, torus_complex
+from .degrees import torus_complex, torus_tables
 from .homcomplexes import CyclePipeline
+from .simplicial import check_cell_limit
 
 
 def height(v):
@@ -209,10 +211,18 @@ def sample_maximal_chain(L, n, rng):
     return chain
 
 
+def _label(v):
+    """The torus label of a vertex tuple: its one coordinate at arity 1."""
+    return v if len(v) > 1 else v[0]
+
+
+def _alternations(labels):
+    return sum(1 for a, b in zip(labels, labels[1:]) if a != b)
+
+
 def chain_alternations(colours, chain):
     col = colours.vertex_map if hasattr(colours, "vertex_map") else colours
-    labels = [col[v if len(v) > 1 else v[0]] for v in chain]
-    return sum(1 for a, b in zip(labels, labels[1:]) if a != b)
+    return _alternations([col[_label(v)] for v in chain])
 
 
 def arity_experiment(ell, n_max, seed=0, sample_size=40, chain_samples=4000,
@@ -224,9 +234,31 @@ def arity_experiment(ell, n_max, seed=0, sample_size=40, chain_samples=4000,
     records the weight of its degree vector, counts colour alternations along
     sampled maximal chains of the torus (the sphere target caps these at two),
     and tabulates swap fractions per coordinate and height for a few maps.
+
+    Each map is read once, as the blue bits ``pipeline.mu_bits(f)`` of
+    gamma(4*ell)^n in row-major vertex order, with the checks of
+    ``mu_colours`` and ``deg_vector``: f is a polymorphism whose side pairs
+    are multihomomorphisms, antipodes get different bits, and the degree
+    vector has odd weight.  Chains read the bits at the positions of their
+    vertices; only the first ``swap_stat_maps`` maps become colour dicts,
+    for ``swap_fraction``.
+
+    With H(k) the exact number of polymorphisms at arity k and H(0) = 0,
+    arity n is sampled without enumerating when arity n-1 was truncated,
+    or when n*H(n-1) - C(n,2)*H(n-2) > enumerate_cutoff: either way
+    H(n) > enumerate_cutoff, so the enumeration would be cut short.  The
+    enumeration draws nothing from the rng, so the report is the same.
+    Torus sizes are checked against the cell limit before any work.
     """
     if ell < 3 or ell % 2 == 0:
         raise InvalidParameterError("need an odd cycle length >= 3")
+    if n_max < 1:
+        raise InvalidParameterError(f"n_max must be >= 1, got {n_max}")
+    if chain_samples < 0:
+        raise InvalidParameterError(f"chain_samples must be >= 0, got {chain_samples}")
+    L = 4 * ell
+    for n in range(2, n_max + 1):  # the first torus gamma_product would refuse
+        check_cell_limit((L,) * n)
     rng = random.Random(seed)
     pipeline = CyclePipeline(ell)
     k4 = complete_graph(4)
@@ -241,40 +273,56 @@ def arity_experiment(ell, n_max, seed=0, sample_size=40, chain_samples=4000,
         "per_n": [],
         "truncated": False,
     }
-    L = pipeline.period
+    # H(n-1) and H(n-2) while no arity was truncated; no constant map is a
+    # hom into the loopless K_4, so H(0) = 0, and C(1, 2) = 0
+    below, two_below = 0, 0
     for n in range(1, n_max + 1):
         dom = power(pipeline.base, n)
-        stream = enumerate_homs(dom, k4, limit=enumerate_cutoff)
-        polys = list(stream)
-        mode = "exhaustive"
-        if stream.truncated:
+        # The maps that depend only on a set S of n-1 coordinates are the homs
+        # at arity n-1 composed with the projection to S, since every edge of
+        # C_ell^(n-1) lifts to one of C_ell^n; two such sets share the maps
+        # that depend only on S & T, H(n-2) of them.  By Bonferroni the n sets
+        # hold at least n*H(n-1) - C(n,2)*H(n-2) maps, and H(n) >= H(n-1).
+        polys = None
+        if (not report["truncated"]
+                and n * below - comb(n, 2) * two_below <= enumerate_cutoff):
+            stream = enumerate_homs(dom, k4, limit=enumerate_cutoff)
+            polys = list(stream)
+            if stream.truncated:
+                polys = None
+        if polys is None:
             mode = "sampled"
             report["truncated"] = True
-            polys = sample_homs(dom, k4, sample_size, rng)
-        inspected = polys if mode == "exhaustive" else polys[:sample_size]
+            inspected = sample_homs(dom, k4, sample_size, rng)
+        else:
+            mode = "exhaustive"
+            below, two_below = len(polys), below
+            inspected = polys
+        tables = torus_tables(L, n)
         weights = {}
-        alpha_by_values = {}
-        colour_cache = []
+        bit_cache = []
+        alphas = []
         for f in inspected:
-            colours = pipeline.mu_colours(f)
-            alpha = deg_vector(colours, L=L, n=n)
+            bits = pipeline.mu_bits(f)
+            alpha = tables.odd_vector(bits)
             weights[alpha.weight] = weights.get(alpha.weight, 0) + 1
-            alpha_by_values[f.values] = alpha.bits
-            colour_cache.append((f, colours))
+            bit_cache.append(bits)
+            alphas.append(alpha.bits)
+        position = tables.torus.position
         max_alts = 0
         violations = 0
         chains_done = 0
-        while chains_done < chain_samples and colour_cache:
-            f, colours = colour_cache[chains_done % len(colour_cache)]
+        while chains_done < chain_samples and bit_cache:
+            bits = bit_cache[chains_done % len(bit_cache)]
             chain = sample_maximal_chain(L, n, rng)
-            alts = chain_alternations(colours, chain)
+            alts = _alternations([bits[position[_label(v)]] for v in chain])
             max_alts = max(max_alts, alts)
             if alts > 2:
                 violations += 1
             chains_done += 1
         swap_stats = {}
-        for f, colours in colour_cache[:swap_stat_maps]:
-            alpha = alpha_by_values[f.values]
+        for f, alpha in zip(inspected[:swap_stat_maps], alphas):
+            colours = pipeline.mu_colours(f)
             for i in range(1, n + 1):
                 if alpha[i - 1] != 1:
                     continue

@@ -13,15 +13,25 @@ quotient projection before the mapping cone did, and the orbit complex with
 its entries a + b*nu kept as pairs in one dict, before it became two sparse
 matrices.  The tuple-based validation of a simplicial set, one cell at a
 time, is the reference for the column check the library runs on positions.
+The homomorphism search with its arc consistency testing value pairs against
+the edge set is the reference for the support-table pruning, and the arity
+survey on colour dicts, enumerating every arity up to the cutoff, is the
+reference for the survey on blue bits.
 """
 
 import math
+import random
 from itertools import combinations, product
 
-from equihom.degrees import minor_map, sigma_minor, torus_complex
+from equihom import __version__
+from equihom.degrees import deg_vector, minor_map, sigma_minor, torus_complex
 from equihom.errors import InvalidInputError, InvalidParameterError
-from equihom.homcomplexes import mu_prime
+from equihom.graphs import (GraphHom, complete_graph, enumerate_homs, power,
+                            sample_homs)
+from equihom.homcomplexes import CyclePipeline, mu_prime
 from equihom.simplicial import gamma_power, incidence
+from equihom.slices import (chain_alternations, sample_maximal_chain,
+                            swap_fraction)
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import (CohomologyGroup, bredon_torus, expected_bredon,
                          ordinary_cochain_complex, quotient_by_first_shift)
@@ -622,3 +632,181 @@ def quotient_pstar_reference(n, L, d):
                              and cokernel == expected_bredon(n, d)
                              and bredon == expected_bredon(n, d)),
     }
+
+
+class HomStreamReference:
+    """``graphs.HomStream`` with AC-3 testing each value against every
+    neighbour value pair in ``cod.edges``.
+
+    Iterator over homomorphisms with a truncation flag.
+
+    ``truncated`` becomes True when a limit cut the enumeration short; it is
+    reliable once iteration has finished.
+    """
+
+    def __init__(self, dom, cod, limit=None, rng=None):
+        self.truncated = False
+        self._gen = self._run(dom, cod, limit, rng)
+
+    def __iter__(self):
+        return self._gen
+
+    def _run(self, dom, cod, limit, rng):
+        n = dom.vertex_count
+        emitted = 0
+        all_values = sorted(cod.vertices())
+        neighbours = [sorted(dom.neighbours(v)) for v in range(n)]
+
+        def ac3(domains, queue):
+            # arcs are directed pairs (x, y) with y adjacent to x
+            while queue:
+                x, y = queue.pop()
+                dy = domains[y]
+                keep = [a for a in domains[x]
+                        if any((a, b) in cod.edges for b in dy)]
+                if len(keep) != len(domains[x]):
+                    domains[x] = keep
+                    if not keep:
+                        return False
+                    for z in neighbours[x]:
+                        if z != y:
+                            queue.add((z, x))
+            return True
+
+        domains = [list(all_values) for _ in range(n)]
+        for v in range(n):
+            if dom.has_edge(v, v):
+                domains[v] = [a for a in domains[v] if (a, a) in cod.edges]
+        if not ac3(domains, {(x, y) for x in range(n) for y in neighbours[x]}):
+            return
+
+        # Depth-first search on an explicit stack of (vertex, domains, values
+        # left) frames; AC-3 replaces domain lists and never edits one, so a
+        # frame shares the lists it did not prune with the frame below.
+        def frame(v, domains):
+            order = list(domains[v])
+            if rng is not None:
+                rng.shuffle(order)
+            return v, domains, iter(order)
+
+        assignment = [None] * n
+        stack = [frame(0, domains)]
+        while stack:
+            v, domains, values = stack[-1]
+            for a in values:
+                nxt = list(domains)
+                nxt[v] = [a]
+                if ac3(nxt, {(w, v) for w in neighbours[v] if w > v}):
+                    assignment[v] = a
+                    break
+            else:
+                stack.pop()
+                continue
+            if v + 1 < n:
+                stack.append(frame(v + 1, nxt))
+                continue
+            if limit is not None and emitted >= limit:
+                self.truncated = True
+                return
+            emitted += 1
+            yield GraphHom(dom, cod, tuple(assignment), check=False)
+
+
+def sample_homs_reference(dom, cod, count, rng):
+    """Distinct homomorphisms found by randomized backtracking restarts.
+
+    Used when the full enumeration is too large; the rng drives the value
+    order of each restart, so results are reproducible from the seed.
+    """
+    found = {}
+    attempts = 0
+    while len(found) < count and attempts < 50 * count:
+        attempts += 1
+        sub = random.Random(rng.getrandbits(64))
+        for hom in HomStreamReference(dom, cod, limit=1, rng=sub):
+            found[hom.values] = hom
+            break
+    return list(found.values())
+
+
+def arity_experiment_reference(ell, n_max, seed=0, sample_size=40, chain_samples=4000,
+                     enumerate_cutoff=3000, swap_stat_maps=3):
+    """The arity survey on colour dicts, enumerating every arity to the cutoff.
+
+    Survey polymorphism degree weights and chain alternations up to n_max.
+    Enumerates polymorphisms exhaustively while the count stays below the
+    cutoff and falls back to seeded random sampling beyond; for each map it
+    records the weight of its degree vector, counts colour alternations along
+    sampled maximal chains of the torus (the sphere target caps these at two),
+    and tabulates swap fractions per coordinate and height for a few maps.
+    """
+    if ell < 3 or ell % 2 == 0:
+        raise InvalidParameterError("need an odd cycle length >= 3")
+    rng = random.Random(seed)
+    pipeline = CyclePipeline(ell)
+    k4 = complete_graph(4)
+    report = {
+        "tool": "equihom",
+        "version": __version__,
+        "seed": seed,
+        "t_fingerprint": pipeline.t.fingerprint(),
+        "parameters": {"ell": ell, "n_max": n_max, "sample_size": sample_size,
+                       "chain_samples": chain_samples,
+                       "enumerate_cutoff": enumerate_cutoff},
+        "per_n": [],
+        "truncated": False,
+    }
+    L = pipeline.period
+    for n in range(1, n_max + 1):
+        dom = power(pipeline.base, n)
+        stream = enumerate_homs(dom, k4, limit=enumerate_cutoff)
+        polys = list(stream)
+        mode = "exhaustive"
+        if stream.truncated:
+            mode = "sampled"
+            report["truncated"] = True
+            polys = sample_homs(dom, k4, sample_size, rng)
+        inspected = polys if mode == "exhaustive" else polys[:sample_size]
+        weights = {}
+        alpha_by_values = {}
+        colour_cache = []
+        for f in inspected:
+            colours = pipeline.mu_colours(f)
+            alpha = deg_vector(colours, L=L, n=n)
+            weights[alpha.weight] = weights.get(alpha.weight, 0) + 1
+            alpha_by_values[f.values] = alpha.bits
+            colour_cache.append((f, colours))
+        max_alts = 0
+        violations = 0
+        chains_done = 0
+        while chains_done < chain_samples and colour_cache:
+            f, colours = colour_cache[chains_done % len(colour_cache)]
+            chain = sample_maximal_chain(L, n, rng)
+            alts = chain_alternations(colours, chain)
+            max_alts = max(max_alts, alts)
+            if alts > 2:
+                violations += 1
+            chains_done += 1
+        swap_stats = {}
+        for f, colours in colour_cache[:swap_stat_maps]:
+            alpha = alpha_by_values[f.values]
+            for i in range(1, n + 1):
+                if alpha[i - 1] != 1:
+                    continue
+                for h in range(0, (n - 1) // 2 + 1):
+                    frac = swap_fraction(colours, L, n, i, h)
+                    key = f"i={i},h={h}"
+                    entry = swap_stats.setdefault(key, [])
+                    entry.append(str(frac))
+        report["per_n"].append({
+            "n": n,
+            "mode": mode,
+            "maps_inspected": len(inspected),
+            "weight_histogram": {str(k): v for k, v in sorted(weights.items())},
+            "max_weight": max(weights) if weights else 0,
+            "chains_sampled": chains_done,
+            "max_chain_alternations": max_alts,
+            "alternation_violations": violations,
+            "swap_fractions": swap_stats,
+        })
+    return report

@@ -267,6 +267,17 @@ def test_experiment_verb(tmp_path):
     assert report["per_n"][0]["max_weight"] == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n-max", "0"], "n_max must be >= 1, got 0"),
+    (["--n-max", "-2"], "n_max must be >= 1, got -2"),
+    (["--chain-samples", "-5"], "chain_samples must be >= 0, got -5")])
+def test_experiment_rejects_bad_parameters(tmp_path, capsys, flags, message):
+    out = tmp_path / "exp.json"
+    assert run(["experiment", "--ell", "3", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_complexes_suite(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
     assert run(["verify", "--suite", "complexes"]) == 0

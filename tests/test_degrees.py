@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -200,14 +201,36 @@ def test_phi_dictators_and_unary():
         assert phi(dictator, pipe).bits == tuple(1 if i == j else 0 for i in (1, 2))
 
 
+BINARY_MINORS = [MinorSpec(2, 1, (1, 1))] + [
+    MinorSpec(2, 2, m) for m in ((1, 2), (2, 1), (1, 1), (2, 2))]
+
+
 def test_phi_minor_compatibility_sampled():
     pipe = CyclePipeline(3)
     c3, k4 = cycle_graph(3), complete_graph(4)
     polys = list(enumerate_homs(power(c3, 2), k4))
     rng = random.Random(13)
-    specs = [MinorSpec(2, 1, (1, 1))] + [MinorSpec(2, 2, m)
-                                         for m in ((1, 2), (2, 1), (1, 1), (2, 2))]
     for f in rng.sample(polys, 30):
+        alpha = phi(f, pipe)
+        for pi in BINARY_MINORS:
+            assert phi(minor(f, pi), pipe) == alpha.minor(pi)
+
+
+@pytest.mark.parametrize("ell, n, count, seed", [(5, 2, 12, 5), (7, 2, 12, 7),
+                                                 (5, 3, 6, 3)])
+def test_phi_minor_compatibility_beyond_ell_3(ell, n, count, seed):
+    """phi(f^pi) == phi(f)^pi on seeded samples where enumeration is out of
+    reach: every binary minor at arity 2, and at arity 3 every minor onto
+    two coordinates plus the collapse to one.  Budget: at most 5 s in all,
+    most of it the index tables of gamma(20)^3."""
+    pipe = CyclePipeline(ell)
+    specs = BINARY_MINORS if n == 2 else (
+        [MinorSpec(3, 2, m) for m in product((1, 2), repeat=3)]
+        + [MinorSpec(3, 1, (1, 1, 1))])
+    polys = sample_homs(power(cycle_graph(ell), n), complete_graph(4), count,
+                        random.Random(seed))
+    assert len(polys) == count
+    for f in polys:
         alpha = phi(f, pipe)
         for pi in specs:
             assert phi(minor(f, pi), pipe) == alpha.minor(pi)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,7 +9,8 @@ from equihom.graphs import (Graph, GraphHom, MinorSpec, complete_graph,
                             hom_to_json, make_template, minor, power,
                             sample_homs)
 
-from oracles import composite_mapping, cycle_hom_count, is_graph_hom
+from oracles import (HomStreamReference, composite_mapping, cycle_hom_count,
+                     is_graph_hom, sample_homs_reference)
 
 
 def test_templates():
@@ -178,9 +180,37 @@ def test_invalid_hom_rejected():
 
 
 def test_sample_homs_reproducible():
-    import random
     dom, cod = power(cycle_graph(3), 2), complete_graph(4)
     a = sample_homs(dom, cod, 10, random.Random(5))
     b = sample_homs(dom, cod, 10, random.Random(5))
     assert [f.values for f in a] == [f.values for f in b]
     assert all(is_graph_hom(f.values, dom.edges, cod.edges) for f in a)
+
+
+AC3_CASES = {  # domain, codomain, limit, maps emitted
+    "C3^1->K4": (power(cycle_graph(3), 1), complete_graph(4), None, 24),
+    "C3^2->K4": (power(cycle_graph(3), 2), complete_graph(4), None, 1056),
+    "C3^3->K4": (power(cycle_graph(3), 3), complete_graph(4), 5000, 5000),
+    "C5^2->K4": (power(cycle_graph(5), 2), complete_graph(4), 3000, 3000),
+    "C5->K3": (cycle_graph(5), complete_graph(3), None, 30),
+    "K4->K3": (complete_graph(4), complete_graph(3), None, 0),
+    "looped": (Graph(4, {(0, 0), (0, 1), (1, 2), (2, 3)}),
+               Graph(3, {(0, 0), (0, 1), (1, 2), (2, 2)}), None, 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AC3_CASES))
+def test_support_table_search_matches_reference(case):
+    # the support-table pruning keeps exactly the values the pairwise edge
+    # test keeps, so the streams and the rng-driven samples agree in order
+    dom, cod, limit, count = AC3_CASES[case]
+    stream = enumerate_homs(dom, cod, limit=limit)
+    reference = HomStreamReference(dom, cod, limit=limit)
+    values = [f.values for f in stream]
+    assert len(values) == count
+    assert values == [f.values for f in reference]
+    assert stream.truncated == reference.truncated
+    for seed in (0, 1):
+        got = sample_homs(dom, cod, 6, random.Random(seed))
+        want = sample_homs_reference(dom, cod, 6, random.Random(seed))
+        assert [f.values for f in got] == [f.values for f in want]

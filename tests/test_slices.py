@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from equihom.degrees import winding_colouring
-from equihom.errors import InvalidParameterError, InvariantViolationError
+from equihom import degrees, slices
+from equihom.degrees import TorusTables, winding_colouring
+from equihom.errors import (CapacityExceededError, InvalidParameterError,
+                            InvariantViolationError, NotEquivariantError)
+from equihom.graphs import enumerate_homs
+from equihom.homcomplexes import CyclePipeline
 from equihom.simplicial import BLUE, YELLOW, equivariant_colourings, gamma_power
 from equihom.slices import (GeneralizedDiagonal, arity_experiment,
                             chain_alternations, height,
@@ -12,6 +16,9 @@ from equihom.slices import (GeneralizedDiagonal, arity_experiment,
                             sample_maximal_chain, shift_coordinate,
                             slice_check, standard_diagonal, swap_fraction,
                             zeta0)
+
+import oracles
+from oracles import arity_experiment_reference
 
 
 def test_height_basics():
@@ -202,3 +209,86 @@ def test_arity_experiment_shape_and_determinism():
         assert all(int(w) % 2 == 1 for w in row["weight_histogram"])
     assert rep1["per_n"][0]["max_weight"] == 1
     assert rep1["per_n"][1]["max_weight"] == 1  # parity forces weight one at n = 2
+
+
+@pytest.mark.parametrize("ell, n_max, cutoff", [
+    (3, 3, 1000), (3, 3, 3095), (3, 3, 3096), (3, 3, 3097), (5, 2, 3000)])
+def test_arity_experiment_matches_reference(ell, n_max, cutoff):
+    # at ell = 3 the bound 3*1056 - 3*24 = 3096 decides arity 3 when it
+    # exceeds the cutoff; at ell = 5 the binary enumeration still decides
+    kwargs = dict(seed=4, chain_samples=60, enumerate_cutoff=cutoff)
+    report = arity_experiment(ell, n_max, **kwargs)
+    assert report == arity_experiment_reference(ell, n_max, **kwargs)
+    binary = "exhaustive" if ell == 3 and cutoff >= 1056 else "sampled"
+    assert [row["mode"] for row in report["per_n"]] == [
+        "exhaustive", binary, "sampled"][:n_max]
+
+
+@pytest.mark.parametrize("cutoff, arities", [(3000, [1, 2]), (3096, [1, 2, 3])])
+def test_arity_experiment_skips_enumeration_bound_to_truncate(cutoff, arities,
+                                                             monkeypatch):
+    calls = []
+
+    def counted(dom, cod, limit=None):
+        calls.append(dom.exponent)
+        return enumerate_homs(dom, cod, limit=limit)
+
+    monkeypatch.setattr(slices, "enumerate_homs", counted)
+    arity_experiment(3, 3, seed=2, chain_samples=10, enumerate_cutoff=cutoff)
+    assert calls == arities
+
+
+def test_arity_experiment_reads_bits_not_colour_dicts(monkeypatch):
+    deg_calls, colour_calls = [], []
+    deg_vector, mu_colours = degrees.deg_vector, CyclePipeline.mu_colours
+
+    def counted_deg_vector(*args, **kwargs):
+        deg_calls.append(1)
+        return deg_vector(*args, **kwargs)
+
+    def counted_mu_colours(pipeline, f):
+        colour_calls.append(f.domain.exponent)
+        return mu_colours(pipeline, f)
+
+    # patched where it lives and where a module-level import would bind it
+    monkeypatch.setattr(degrees, "deg_vector", counted_deg_vector)
+    monkeypatch.setattr(slices, "deg_vector", counted_deg_vector, raising=False)
+    monkeypatch.setattr(CyclePipeline, "mu_colours", counted_mu_colours)
+    arity_experiment(3, 3, seed=2, chain_samples=10, swap_stat_maps=3)
+    assert not deg_calls
+    assert colour_calls and all(colour_calls.count(n) <= 3 for n in (1, 2, 3))
+
+
+class AllBluePipeline(CyclePipeline):
+    def __init__(self, ell):
+        super().__init__(ell)
+        self.t_table = [None if b is None else 1 for b in self.t_table]
+
+
+@pytest.mark.parametrize("survey", [arity_experiment, arity_experiment_reference])
+def test_arity_experiment_checks_equivariance(survey, monkeypatch):
+    monkeypatch.setattr(slices, "CyclePipeline", AllBluePipeline)
+    monkeypatch.setattr(oracles, "CyclePipeline", AllBluePipeline)
+    with pytest.raises(NotEquivariantError):
+        survey(3, 2, chain_samples=10)
+
+
+@pytest.mark.parametrize("survey", [arity_experiment, arity_experiment_reference])
+def test_arity_experiment_checks_odd_weight(survey, monkeypatch):
+    monkeypatch.setattr(TorusTables, "degrees", lambda self, bits: [0] * len(self.slices))
+    with pytest.raises(InvariantViolationError, match="even weight"):
+        survey(3, 2, chain_samples=10)
+
+
+@pytest.mark.parametrize("n_max", [5, 9])
+def test_arity_experiment_refuses_large_tori_before_any_work(n_max, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerated before the capacity check")
+
+    monkeypatch.setattr(slices, "enumerate_homs", fail)
+    monkeypatch.setattr(slices, "CyclePipeline", fail)
+    with pytest.raises(CapacityExceededError) as exc:
+        arity_experiment(3, n_max)
+    # the first torus gamma_product refuses, whatever n_max is
+    assert str(exc.value) == "torus (12, 12, 12, 12, 12) has 269236224 cells (limit 4194304)"
+
