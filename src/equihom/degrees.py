@@ -23,27 +23,24 @@ class TorusComplex:
 
     ``x1`` is the chain of horizontal edges at second coordinate 0; ``b1`` is
     the band of all non-degenerate triangles whose second coordinates lie in
-    [0, L'/2], whose boundary is x1 plus its antipodal translate.
-    ``x1_positions`` and ``b1_positions`` hold the same cells as tuples of
-    vertex positions of ``sset``, the form ``count_deg1`` reads.
+    [0, L'/2], whose boundary is x1 plus its antipodal translate.  Both are
+    lists of cells as tuples of vertex positions of ``sset``, where vertex
+    (a, b) sits at a*L' + b, the form ``count_deg1`` reads.
     """
 
     def __init__(self, L, Lp):
         self.L = L
         self.Lp = Lp
         self.sset = gamma_product((L, Lp))
-        self.x1 = ModTwoChain(1, {((a, 0), (b, 0))
-                                  for a, b in gamma_product((L,)).cells(1)})
+        self.x1 = [(a * Lp, b * Lp) for a, b in gamma_product((L,)).position_cells(1)]
         half = Lp // 2
-        band = {cell for cell in self.sset.cells(2)
-                if all(v[1] <= half for v in cell)}
-        self.b1 = ModTwoChain(2, band)
-        expected = self.x1 + self.x1.apply_involution(self.sset)
-        if boundary(self.b1) != expected:
+        self.b1 = [cell for cell in self.sset.position_cells(2)
+                   if all(p % Lp <= half for p in cell)]
+        mate = self.sset.antipode.__getitem__
+        antipodal = [tuple(map(mate, e)) for e in self.x1]
+        expected = ModTwoChain(1, self.x1) + ModTwoChain(1, antipodal)
+        if boundary(ModTwoChain(2, self.b1)) != expected:
             raise InvariantViolationError("band boundary != cycle + antipodal cycle")
-        position = self.sset.position
-        self.x1_positions = [tuple(position[v] for v in e) for e in self.x1.cells]
-        self.b1_positions = [tuple(position[v] for v in c) for c in self.b1.cells]
 
     def colour_of(self, colouring):
         if isinstance(colouring, SimplicialMap):
@@ -57,8 +54,7 @@ class TorusComplex:
         col = self.colour_of(colouring)
         values = [col(v) for v in self.sset.vertices]
         check_colours(self.sset, values)
-        return count_deg1([c == BLUE for c in values],
-                          self.x1_positions, self.b1_positions)
+        return count_deg1([c == BLUE for c in values], self.x1, self.b1)
 
 
 def count_deg1(bits, x1, b1):
@@ -93,8 +89,8 @@ class TorusTables:
             for y in plane.sset.vertices:
                 src = tuple(y[pi(j) - 1] for j in range(1, n + 1))
                 lift.append(x.position[src if n > 1 else src[0]])
-            self.slices.append(([tuple(lift[p] for p in e) for e in plane.x1_positions],
-                                [tuple(lift[p] for p in c) for c in plane.b1_positions]))
+            self.slices.append(([tuple(lift[p] for p in e) for e in plane.x1],
+                                [tuple(lift[p] for p in c) for c in plane.b1]))
 
     def degrees(self, bits):
         """deg1 of each 2-variable minor of a blue-bit list, in coordinate order."""

@@ -222,9 +222,6 @@ class SimplicialSet:
         core = normalize_simplex(tuple(position[v] for v in tup))
         return core in self.position_cells(len(core) - 1)
 
-    def involution_vertex(self, v):
-        return self.involution[v]
-
     def involution_simplex(self, tup):
         nu = self.involution
         return tuple(nu[v] for v in tup)
@@ -568,9 +565,6 @@ class ModTwoChain:
 
     def __repr__(self):
         return f"ModTwoChain(dim={self.dimension}, {len(self.cells)} cells)"
-
-    def apply_involution(self, x):
-        return ModTwoChain(self.dimension, {x.involution_simplex(c) for c in self.cells})
 
 
 def boundary(chain):

@@ -14,7 +14,7 @@ from equihom.graphs import (GraphHom, MinorSpec, complete_graph, cycle_graph,
                             enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline
 from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
-                                gamma_power, map_from_colouring)
+                                gamma_power, gamma_product, map_from_colouring)
 
 from oracles import (brute_deg1, composite_mapping, minor_degree_vector,
                      mu_colours_reference)
@@ -40,6 +40,16 @@ def test_band_identity_all_sizes():
     for L in (4, 8, 12):
         for Lp in (4, 8, 12):
             TorusComplex(L, Lp)  # construction verifies the boundary identity
+
+
+@pytest.mark.parametrize("L, Lp", [(4, 4), (8, 12)])
+def test_torus_complex_leaves_the_vertex_view_unbuilt(L, Lp):
+    # the cycle, the band and the band identity all live on positions
+    simplicial._gamma_product.cache_clear()
+    torus_complex.cache_clear()
+    torus = torus_complex(L, Lp)
+    assert torus.sset is gamma_product((L, Lp))
+    assert not torus.sset._views
 
 
 def test_deg1_winding_is_one():

@@ -1,0 +1,96 @@
+"""The verify battery's table, driver and report, with every check stubbed."""
+
+import json
+
+import pytest
+
+from equihom import verify
+from equihom.cli import main
+from equihom.errors import InvariantViolationError
+
+ALL = ["hom-complex-K4-sphere", "cycle-circle-isomorphism",
+       "structure-colouring-search", "band-boundary-identity",
+       "two-torus-exhaustive-battery", "degree-patterns-realized",
+       "minion-minor-compatibility", "lax-minor-inequality",
+       "generalized-diagonal-invariants", "equivariant-torus-table",
+       "quotient-projection-check", "odd-vector-count",
+       "chain-alternation-ceiling"]
+
+
+def stub_checks(monkeypatch, outcomes=()):
+    """Swap every check for a stub, keeping each row's suite and name.
+
+    A stub passes with detail "ok" unless ``outcomes`` names it: then it
+    returns that pair, or raises it if it is an exception.  Returns the
+    list of ``(name, seed)`` calls.
+    """
+    outcomes = dict(outcomes)
+    calls = []
+
+    def stub(name):
+        def check(seed):
+            calls.append((name, seed))
+            outcome = outcomes.get(name, (True, "ok"))
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+        return check
+
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        (suite, name, stub(name)) for suite, name, _ in verify.CHECKS))
+    return calls
+
+
+def printed_names(out):
+    return [line.split()[1] for line in out.splitlines()]
+
+
+def test_all_runs_every_check_in_report_order(monkeypatch, capsys):
+    calls = stub_checks(monkeypatch)
+    assert main(["verify", "--seed", "5"]) == 0
+    assert printed_names(capsys.readouterr().out) == ALL
+    assert calls == [(name, 5) for name in ALL]
+
+
+@pytest.mark.parametrize("suite, names", [
+    ("complexes", ["hom-complex-K4-sphere", "cycle-circle-isomorphism",
+                   "structure-colouring-search"]),
+    ("degrees", ["band-boundary-identity", "two-torus-exhaustive-battery",
+                 "degree-patterns-realized", "minion-minor-compatibility",
+                 "lax-minor-inequality"]),
+    ("slices", ["generalized-diagonal-invariants", "chain-alternation-ceiling"]),
+    ("bredon", ["equivariant-torus-table", "quotient-projection-check",
+                "odd-vector-count"])])
+def test_each_suite_runs_its_own_checks_in_order(monkeypatch, capsys, suite, names):
+    calls = stub_checks(monkeypatch)
+    assert main(["verify", "--suite", suite]) == 0
+    assert printed_names(capsys.readouterr().out) == names
+    assert calls == [(name, 0) for name in names]
+
+
+def test_failing_check_fails_the_run_and_the_rest_still_run(tmp_path, monkeypatch,
+                                                            capsys):
+    stub_checks(monkeypatch, {"band-boundary-identity": (False, "x")})
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "degrees", "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL  " + "band-boundary-identity".ljust(34) + "  x"
+    assert len(lines) == 5 and all(line.startswith("PASS") for line in lines[1:])
+    rows = json.loads(out.read_text())["results"]
+    assert rows[0] == {"check": "band-boundary-identity", "pass": False, "detail": "x"}
+    assert [row["pass"] for row in rows[1:]] == [True] * 4
+
+
+def test_raising_check_becomes_a_failed_row(tmp_path, monkeypatch, capsys):
+    stub_checks(monkeypatch, {"equivariant-torus-table":
+                              InvariantViolationError("boom")})
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "bredon", "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert printed_names(printed.out) == ["equivariant-torus-table",
+                                          "quotient-projection-check",
+                                          "odd-vector-count"]
+    row = json.loads(out.read_text())["results"][0]
+    assert row == {"check": "equivariant-torus-table", "pass": False,
+                   "detail": "InvariantViolationError: boom"}
