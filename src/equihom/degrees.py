@@ -217,14 +217,24 @@ def phi(f, pipeline):
     then, in ``TorusTables.odd_vector``, antipodes get opposite colours
     (NotEquivariantError) and the degree vector has odd weight
     (InvariantViolationError, from OddVector).
+
+    Every step reads only the pipeline's tables and ``f.values``, so an
+    accepted result is memoised on the pipeline under ``f.values``; a later
+    call with the same values returns it after ``check_polymorphism``.  A
+    failing input is not stored and raises again on every call.
     """
     if not isinstance(pipeline, CyclePipeline):
         raise InvalidParameterError("phi needs a CyclePipeline")
     n = pipeline.check_polymorphism(f)
-    bits = pipeline.mu_bits(f)
-    tables = torus_tables(pipeline.period, n)
-    check_alternation(tables.torus, bits)
-    return tables.odd_vector(bits)
+    memo, vectors = pipeline.phi_memo, pipeline.phi_vectors
+    alpha = memo.get(f.values)
+    if alpha is None:
+        bits = pipeline.mu_bits(f)
+        tables = torus_tables(pipeline.period, n)
+        check_alternation(tables.torus, bits)
+        alpha = tables.odd_vector(bits)
+        alpha = memo[f.values] = vectors.setdefault(alpha.bits, alpha)
+    return alpha
 
 
 def find_colour_swapping_edge(g, torus):

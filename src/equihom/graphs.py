@@ -205,35 +205,49 @@ class GraphHom:
 
 
 def minor(f, pi):
-    """The pi-minor of a polymorphism: substitute variables along pi."""
+    """The pi-minor of a polymorphism: substitute variables along pi.
+
+    Vertex ys of base^m takes the value of f at (ys[pi(1)], ..., ys[pi(n)]),
+    read through the cached ``_gather`` table of encoded source indices.
+    """
     dom = f.domain
     if not isinstance(dom, PowerGraph) or dom.exponent != pi.n:
         raise InvalidParameterError("minor arity does not match the domain power")
-    base = dom.base
-    target = power(base, pi.m)
-    values = []
-    for idx in range(target.vertex_count):
-        ys = target.decode(idx)
-        xs = tuple(ys[pi(i) - 1] for i in range(1, pi.n + 1))
-        values.append(f.values[dom.encode(xs)])
-    return GraphHom(target, f.codomain, values)
+    values = f.values
+    table = _gather(dom.base.vertex_count, pi.n, pi.m, pi.mapping)
+    return GraphHom(power(dom.base, pi.m), f.codomain, [values[k] for k in table])
+
+
+@lru_cache(maxsize=64)
+def _gather(radix, n, m, mapping):
+    """For each vertex of base^m in row-major order, the encoded vertex of
+    base^n whose coordinate i is the target's coordinate mapping[i - 1]."""
+    # coordinate j of the target adds radix^(n - i) for each slot i it fills
+    weight = [0] * m
+    for i, j in enumerate(mapping, start=1):
+        weight[j - 1] += radix ** (n - i)
+    table = [0]
+    for w in weight:
+        table = [k + x * w for k in table for x in range(radix)]
+    return tuple(table)
 
 
 class HomStream:
     """Iterator over homomorphisms with a truncation flag.
 
     ``truncated`` becomes True when a limit cut the enumeration short; it is
-    reliable once iteration has finished.
+    reliable once iteration has finished.  With a ``budget``, the search
+    ends once it would push more than that many frames past the first.
     """
 
-    def __init__(self, dom, cod, limit=None, rng=None):
+    def __init__(self, dom, cod, limit=None, rng=None, budget=None):
         self.truncated = False
-        self._gen = self._run(dom, cod, limit, rng)
+        self._gen = self._run(dom, cod, limit, rng, budget)
 
     def __iter__(self):
         return self._gen
 
-    def _run(self, dom, cod, limit, rng):
+    def _run(self, dom, cod, limit, rng, budget):
         n = dom.vertex_count
         emitted = 0
         all_values = sorted(cod.vertices())
@@ -273,6 +287,7 @@ class HomStream:
 
         assignment = [None] * n
         stack = [frame(0, domains)]
+        pushed = 0
         while stack:
             v, domains, values = stack[-1]
             for a in values:
@@ -285,6 +300,9 @@ class HomStream:
                 stack.pop()
                 continue
             if v + 1 < n:
+                if pushed == budget:
+                    return
+                pushed += 1
                 stack.append(frame(v + 1, nxt))
                 continue
             if limit is not None and emitted >= limit:
@@ -305,14 +323,18 @@ def sample_homs(dom, cod, count, rng):
     """Distinct homomorphisms found by randomized backtracking restarts.
 
     Used when the full enumeration is too large; the rng drives the value
-    order of each restart, so results are reproducible from the seed.
+    order of each restart, so results are reproducible from the seed.  Each
+    restart may push ``20 * dom.vertex_count`` search frames; one that needs
+    more is a failed attempt, which bounds the heavy tail of unlucky value
+    orders.
     """
     found = {}
     attempts = 0
+    budget = 20 * dom.vertex_count
     while len(found) < count and attempts < 50 * count:
         attempts += 1
         sub = random.Random(rng.getrandbits(64))
-        for hom in HomStream(dom, cod, limit=1, rng=sub):
+        for hom in HomStream(dom, cod, limit=1, rng=sub, budget=budget):
             found[hom.values] = hom
             break
     return list(found.values())

@@ -304,6 +304,14 @@ class CyclePipeline:
     is not called.  The only check here is that every side pair is a
     multihomomorphism.  ``mu`` runs the full validity and equivariance check
     of the simplicial map; ``degrees.phi`` runs the same checks on the bits.
+
+    ``phi_memo`` maps the value tuple of each polymorphism ``degrees.phi``
+    has accepted to its odd vector, and ``phi_vectors`` holds one shared
+    ``OddVector`` per distinct result; ``phi`` reads them instead of
+    repeating its checks on the same tables and values.  Invariant:
+    rebinding or deleting an attribute drops the memoised results, so a
+    pipeline whose tables change (a subclass, a test patch) never answers
+    from results its old tables produced.
     """
 
     def __init__(self, ell, t=None):
@@ -318,6 +326,17 @@ class CyclePipeline:
             left, right = (sum(1 << c for c in side) for side in m)
             self.t_table[left << 4 | right] = bit
         self._sides = {}
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        self._forget()
+
+    def __delattr__(self, name):
+        super().__delattr__(name)
+        self._forget()
+
+    def _forget(self):
+        self.__dict__.update(phi_memo={}, phi_vectors={})
 
     @property
     def period(self):

@@ -16,7 +16,8 @@ time, is the reference for the column check the library runs on positions.
 The homomorphism search with its arc consistency testing value pairs against
 the edge set is the reference for the support-table pruning, and the arity
 survey on colour dicts, enumerating every arity up to the cutoff, is the
-reference for the survey on blue bits.
+reference for the survey on blue bits.  Minors by decoding and re-encoding
+every target vertex are the reference for the cached gather tables.
 """
 
 import math
@@ -26,8 +27,8 @@ from itertools import combinations, product
 from equihom import __version__
 from equihom.degrees import deg_vector, minor_map, sigma_minor, torus_complex
 from equihom.errors import InvalidInputError, InvalidParameterError
-from equihom.graphs import (GraphHom, complete_graph, enumerate_homs, power,
-                            sample_homs)
+from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
+                            enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, mu_prime
 from equihom.simplicial import gamma_power, incidence
 from equihom.slices import (chain_alternations, sample_maximal_chain,
@@ -58,6 +59,21 @@ def brute_multihom_count(edges, nverts):
 def is_graph_hom(values, dom_edges, cod_edges):
     """Every domain edge (u, v) goes to a codomain edge (values[u], values[v])."""
     return all((values[u], values[v]) in cod_edges for u, v in dom_edges)
+
+
+def minor_reference(f, pi):
+    """The pi-minor of a polymorphism, decoding and re-encoding each vertex."""
+    dom = f.domain
+    if not isinstance(dom, PowerGraph) or dom.exponent != pi.n:
+        raise InvalidParameterError("minor arity does not match the domain power")
+    base = dom.base
+    target = power(base, pi.m)
+    values = []
+    for idx in range(target.vertex_count):
+        ys = target.decode(idx)
+        xs = tuple(ys[pi(i) - 1] for i in range(1, pi.n + 1))
+        values.append(f.values[dom.encode(xs)])
+    return GraphHom(target, f.codomain, values)
 
 
 def composite_mapping(pi, sigma):

@@ -399,3 +399,61 @@ def test_map_from_colouring_and_deg_vector_name_the_same_antipode():
         map_from_colouring(gamma_power(8, 3), col, check_equivariance=True)
     assert from_map.value.witness == from_degrees.value.witness == (1, 2, 3)
     assert str(from_map.value) == str(from_degrees.value)
+
+
+def all_blue(pipe):
+    return [None if b is None else 1 for b in pipe.t_table]
+
+
+def test_memoised_phi_matches_unmemoised_phi_on_all_binary_minors(binary_maps):
+    memoised, fresh = CyclePipeline(3), CyclePipeline(3)
+
+    def unmemoised(f):
+        fresh.phi_memo.clear()
+        return phi(f, fresh)
+
+    for f in binary_maps:
+        for g in [f] + [minor(f, pi) for pi in BINARY_MINORS]:
+            assert phi(g, memoised) == unmemoised(g)
+            assert phi(g, memoised) is phi(g, memoised)
+    # 1 056 binary maps plus 24 unary collapses; one vector per value
+    assert len(memoised.phi_memo) == 1080
+    assert set(memoised.phi_vectors) == {(1,), (1, 0), (0, 1)}
+    assert len({id(v) for v in memoised.phi_memo.values()}) == 3
+
+
+def test_phi_raises_the_same_error_on_every_call(binary_maps):
+    pipe = CyclePipeline(3)
+    pipe.t_table = all_blue(pipe)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NotEquivariantError) as exc:
+            phi(binary_maps[0], pipe)
+        errors.append(exc.value)
+    assert [e.witness for e in errors] == [(0, 0), (0, 0)]
+    assert str(errors[0]) == str(errors[1])
+    assert not pipe.phi_memo
+
+
+def test_rebinding_an_attribute_drops_the_memo(binary_maps):
+    pipe = CyclePipeline(3)
+    f = binary_maps[0]
+    phi(f, pipe)
+    assert f.values in pipe.phi_memo
+    pipe.t_table = all_blue(pipe)
+    assert not pipe.phi_memo
+    with pytest.raises(NotEquivariantError):
+        phi(f, pipe)
+
+
+def test_pipelines_never_share_memo_entries(binary_maps):
+    first, second = CyclePipeline(3), CyclePipeline(3)
+    f = binary_maps[0]
+    alpha = phi(f, first)
+    assert first.phi_memo is not second.phi_memo
+    assert first.phi_vectors is not second.phi_vectors
+    assert not second.phi_memo and not second.phi_vectors
+    second.t_table = all_blue(second)
+    with pytest.raises(NotEquivariantError):
+        phi(f, second)
+    assert phi(f, first) is alpha

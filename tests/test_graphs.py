@@ -1,16 +1,18 @@
 import json
 import random
+import time
+from itertools import product
 
 import pytest
 
 from equihom.errors import CapacityExceededError, InvalidParameterError
-from equihom.graphs import (Graph, GraphHom, MinorSpec, complete_graph,
-                            cycle_graph, enumerate_homs, hom_from_json,
-                            hom_to_json, make_template, minor, power,
-                            sample_homs)
+from equihom.graphs import (Graph, GraphHom, HomStream, MinorSpec,
+                            complete_graph, cycle_graph, enumerate_homs,
+                            hom_from_json, hom_to_json, make_template, minor,
+                            power, sample_homs)
 
 from oracles import (HomStreamReference, composite_mapping, cycle_hom_count,
-                     is_graph_hom, sample_homs_reference)
+                     is_graph_hom, minor_reference, sample_homs_reference)
 
 
 def test_templates():
@@ -148,6 +150,20 @@ def test_minor_identity():
     assert minor(f, MinorSpec(2, 2, (1, 2))).values == f.values
 
 
+@pytest.mark.parametrize("ell", [3, 5])
+def test_minor_matches_reference_on_every_small_spec(ell):
+    # every pi: [n] -> [m] with n, m <= 3, on seeded maps of each arity
+    k4 = complete_graph(4)
+    for n in (1, 2, 3):
+        polys = sample_homs(power(cycle_graph(ell), n), k4, 3, random.Random(n))
+        assert len(polys) == 3
+        for m in (1, 2, 3):
+            for mapping in product(range(1, m + 1), repeat=n):
+                pi = MinorSpec(n, m, mapping)
+                for f in polys:
+                    assert minor(f, pi) == minor_reference(f, pi), (ell, pi)
+
+
 def test_minor_arity_mismatch():
     c3, k4 = cycle_graph(3), complete_graph(4)
     f = next(iter(enumerate_homs(power(c3, 2), k4)))
@@ -214,3 +230,28 @@ def test_support_table_search_matches_reference(case):
         got = sample_homs(dom, cod, 6, random.Random(seed))
         want = sample_homs_reference(dom, cod, 6, random.Random(seed))
         assert [f.values for f in got] == [f.values for f in want]
+
+
+def test_hom_stream_budget_counts_pushed_frames():
+    # C_3^2 -> K_4 is found without backtracking: the first map pushes one
+    # frame per vertex after the first
+    dom, cod = power(cycle_graph(3), 2), complete_graph(4)
+    first = next(iter(enumerate_homs(dom, cod))).values
+    stream = HomStream(dom, cod, limit=1, budget=dom.vertex_count - 1)
+    assert [f.values for f in stream] == [first]
+    stream = HomStream(dom, cod, limit=1, budget=dom.vertex_count - 2)
+    assert list(stream) == [] and not stream.truncated
+
+
+def test_sample_homs_bounded_restarts_on_c5_cubed():
+    """Each restart has a budget of 20 frames per domain vertex; without it,
+    an unlucky restart on some of these seeds searches for minutes (seed 7
+    for over two).  Budget: 30 s for the eight seeds; about 2 s on a 2-vCPU
+    Xeon."""
+    dom, cod = power(cycle_graph(5), 3), complete_graph(4)
+    start = time.perf_counter()
+    for seed in range(8):
+        got = sample_homs(dom, cod, 6, random.Random(seed))
+        assert len({f.values for f in got}) == 6, seed
+        assert all(is_graph_hom(f.values, dom.edges, cod.edges) for f in got)
+    assert time.perf_counter() - start < 30
