@@ -59,8 +59,8 @@ def _load_colouring(path):
         raise EquihomError("colours must be a list of 0/1 bits")
     if len(bits) != L ** n:
         raise EquihomError(f"expected {L ** n} colour bits, got {len(bits)}")
-    verts = list(range(L)) if n == 1 else list(iter_product(range(L), repeat=n))
-    colours = {v: (BLUE if b else YELLOW) for v, b in zip(verts, bits)}
+    colours = {v: (BLUE if b else YELLOW)
+               for v, b in zip(iter_product(range(L), repeat=n), bits)}
     return L, n, colours
 
 
@@ -129,7 +129,7 @@ def cmd_phi(args):
 def cmd_degree(args):
     L, n, colours = _load_colouring(args.colouring)
     gmap = map_from_colouring(gamma_power(L, n), colours, check_equivariance=True)
-    alpha = deg_vector(gmap, L=L, n=n)
+    alpha = deg_vector(gmap, L, n)
     report = _meta(args, params={"colouring": str(args.colouring), "L": L, "n": n},
                    alpha=list(alpha.bits), weight=alpha.weight)
     _write_lines([report], args.out)

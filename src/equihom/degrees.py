@@ -13,9 +13,9 @@ from functools import lru_cache
 from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import MinorSpec
 from .homcomplexes import CyclePipeline
-from .simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap, boundary,
-                         check_alternation, check_antipodes, check_colours,
-                         gamma_power, gamma_product, map_from_colouring)
+from .simplicial import (BLUE, YELLOW, ModTwoChain, boundary, check_alternation,
+                         check_antipodes, check_colours, colour_values,
+                         gamma_power, gamma_product)
 
 
 class TorusComplex:
@@ -42,17 +42,9 @@ class TorusComplex:
         if boundary(ModTwoChain(2, self.b1)) != expected:
             raise InvariantViolationError("band boundary != cycle + antipodal cycle")
 
-    def colour_of(self, colouring):
-        if isinstance(colouring, SimplicialMap):
-            if colouring.domain.vertex_set != self.sset.vertex_set:
-                raise InvalidParameterError("map domain is not this torus")
-            return colouring.vertex_map.__getitem__
-        return colouring.__getitem__
-
     def deg1(self, colouring):
         """Edge crossings on the coordinate cycle plus alternating band triangles."""
-        col = self.colour_of(colouring)
-        values = [col(v) for v in self.sset.vertices]
+        values = colour_values(self.sset, colouring)
         check_colours(self.sset, values)
         return count_deg1([c == BLUE for c in values], self.x1, self.b1)
 
@@ -87,8 +79,7 @@ class TorusTables:
             pi = sigma_minor(n, i)
             lift = []  # position on the 2-torus -> the position minor i reads
             for y in plane.sset.vertices:
-                src = tuple(y[pi(j) - 1] for j in range(1, n + 1))
-                lift.append(x.position[src if n > 1 else src[0]])
+                lift.append(x.position[tuple(y[pi(j) - 1] for j in range(1, n + 1))])
             self.slices.append(([tuple(lift[p] for p in e) for e in plane.x1],
                                 [tuple(lift[p] for p in c) for c in plane.b1]))
 
@@ -141,68 +132,22 @@ class OddVector:
         return f"OddVector{self.bits}"
 
 
-def _torus_params(g, L=None, n=None):
-    """Recover (L, n) from a map on gamma(L)^n; explicit arguments win."""
-    vertices = g.domain.vertices if isinstance(g, SimplicialMap) else None
-    if L is None or n is None:
-        if vertices is None:
-            raise InvalidParameterError("pass L and n explicitly for raw colourings")
-        sample = vertices[0]
-        if isinstance(sample, tuple):
-            inferred_n = len(sample)
-            inferred_l = max(max(v) for v in vertices) + 1
-        else:
-            inferred_n = 1
-            inferred_l = max(vertices) + 1
-        L = inferred_l if L is None else L
-        n = inferred_n if n is None else n
-    return L, n
-
-
-def _vertex_colours(g):
-    return g.vertex_map if isinstance(g, SimplicialMap) else dict(g)
-
-
 def sigma_minor(n, i):
     """The 2-variable minor sending slot i to coordinate 1, the rest to 2."""
     return MinorSpec(n, 2, tuple(1 if j == i else 2 for j in range(1, n + 1)))
 
 
-def minor_map(g, pi, L=None, n=None):
-    """Precompose a torus map with the coordinate-duplication along pi.
+def deg_vector(g, L, n):
+    """The vector (deg_1, ..., deg_n) of an equivariant map on gamma(L)^n; odd weight.
 
-    The result colours vertex (y_1..y_m) by g(y_{pi(1)}, ..., y_{pi(n)}); it
-    is a valid simplicial map on gamma(L)^m.
+    ``g`` is a colour dict or a SimplicialMap on the torus.  Raises if the
+    input is not equivariant, if a vertex lacks a yellow/blue colour, or if
+    the computed weight comes out even, which would indicate a bug or an
+    invalid input.  Coordinate i is deg1 of the 2-variable minor along
+    ``sigma_minor(n, i)``, counted on the index tables.
     """
-    L, n = _torus_params(g, L, n)
-    if pi.n != n:
-        raise InvalidParameterError("minor arity does not match the map")
-    colours = _vertex_colours(g)
-    target = gamma_power(L, pi.m)
-    out = {}
-    if pi.m == 1:
-        for y in range(L):
-            src = tuple(y for _ in range(n))
-            out[y] = colours[src if n > 1 else y]
-    else:
-        for y in target.vertices:
-            src = tuple(y[pi(i) - 1] for i in range(1, n + 1))
-            out[y] = colours[src if n > 1 else src[0]]
-    return map_from_colouring(target, out)
-
-
-def deg_vector(g, L=None, n=None):
-    """The vector (deg_1, ..., deg_n) of an equivariant torus map; odd weight.
-
-    Raises if the input is not equivariant, if a vertex lacks a yellow/blue
-    colour, or if the computed weight comes out even, which would indicate a
-    bug or an invalid input.  Coordinate i is deg1 of the 2-variable minor
-    along ``sigma_minor(n, i)``, counted on the index tables.
-    """
-    L, n = _torus_params(g, L, n)
-    colours = _vertex_colours(g)
     tables = torus_tables(L, n)
-    values = [colours[v] for v in tables.torus.vertices]
+    values = colour_values(tables.torus, g)
     check_antipodes(tables.torus, values)
     check_colours(tables.torus, values)
     return OddVector(tables.degrees([c == BLUE for c in values]))
@@ -241,13 +186,13 @@ def find_colour_swapping_edge(g, torus):
     """A horizontal edge with differently coloured endpoints; needs deg1 = 1."""
     if torus.deg1(g) != 1:
         raise InvalidParameterError("colour-swapping edges are guaranteed only for deg1 = 1")
-    col = torus.colour_of(g)
+    values, vertices = colour_values(torus.sset, g), torus.sset.vertices
     L, Lp = torus.L, torus.Lp
     for b in range(Lp):
         for a in range(L):
-            u, v = (a, b), ((a + 1) % L, b)
-            if col(u) != col(v):
-                return u, v
+            u, v = a * Lp + b, (a + 1) % L * Lp + b
+            if values[u] != values[v]:
+                return vertices[u], vertices[v]
     raise InvariantViolationError("no colour-swapping edge on a deg1 = 1 map")
 
 
@@ -256,8 +201,6 @@ def winding_colouring(L, n, j):
     if not 1 <= j <= n:
         raise InvalidParameterError("coordinate out of range")
     half = L // 2
-    if n == 1:
-        return {v: (BLUE if v < half else YELLOW) for v in range(L)}
     return {v: (BLUE if v[j - 1] < half else YELLOW)
             for v in gamma_power(L, n).vertices}
 
@@ -283,8 +226,6 @@ def monomial_colouring(L, n, support):
     half = L // 2
 
     def level(v):
-        coords = (v,) if n == 1 else v
-        return sum((coords[j - 1] + coords[j - 1] % 2) for j in support) % L
+        return sum((v[j - 1] + v[j - 1] % 2) for j in support) % L
 
-    verts = range(L) if n == 1 else gamma_power(L, n).vertices
-    return {v: (BLUE if level(v) < half else YELLOW) for v in verts}
+    return {v: (BLUE if level(v) < half else YELLOW) for v in gamma_power(L, n).vertices}

@@ -13,7 +13,8 @@ from itertools import product
 
 from .errors import CapacityExceededError, InvalidParameterError
 
-DEFAULT_MAX_POWER_VERTICES = 1 << 24
+# most vertices a power graph may have
+MAX_POWER_VERTICES = 1 << 24
 
 
 class Graph:
@@ -74,13 +75,13 @@ class Graph:
 class PowerGraph(Graph):
     """The n-fold categorical power of a base graph, with tuple codecs."""
 
-    def __init__(self, base, exponent, max_vertices=DEFAULT_MAX_POWER_VERTICES):
+    def __init__(self, base, exponent):
         if exponent < 1:
             raise InvalidParameterError("exponent must be >= 1")
         count = base.vertex_count ** exponent
-        if count > max_vertices:
-            raise CapacityExceededError(
-                f"{base.vertex_count}^{exponent} = {count} vertices exceeds the limit {max_vertices}")
+        if count > MAX_POWER_VERTICES:
+            raise CapacityExceededError(f"{base.vertex_count}^{exponent} = {count} "
+                                        f"vertices exceeds the limit {MAX_POWER_VERTICES}")
         self.base = base
         self.exponent = exponent
         edges = set()
@@ -135,14 +136,14 @@ def complete_graph(size):
 
 
 @lru_cache(maxsize=32)
-def power(g, n, max_vertices=DEFAULT_MAX_POWER_VERTICES):
+def power(g, n):
     """The categorical power g^n; for n = 1 a PowerGraph equal to g.
 
     Cached: minors, bundling and decoding ask for the same few powers again.
     """
     if n < 1:
         raise InvalidParameterError("power exponent must be >= 1")
-    return PowerGraph(g, n, max_vertices=max_vertices)
+    return PowerGraph(g, n)
 
 
 class MinorSpec:

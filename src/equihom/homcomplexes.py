@@ -361,7 +361,7 @@ class CyclePipeline:
             position = {}
             lefts, rights = [], []
             for v in gamma_power(self.period, n).vertices:
-                m = iota([self.iso_map[c] for c in ((v,) if n == 1 else v)], self.base)
+                m = iota([self.iso_map[c] for c in v], self.base)
                 lefts.append(position.setdefault(m.left, len(position)))
                 rights.append(position.setdefault(m.right, len(position)))
             table = self._sides[n] = (tuple(position), lefts, rights)

@@ -79,7 +79,6 @@ class SimplicialSet:
             raise InvalidParameterError("dimension cap must be >= 1")
         cells = {d: frozenset(_position_cell(s, position) for s in simplices.get(d, ()))
                  for d in range(1, cap + 1)}
-        self.position = position
         self._setup(vertices, cells, cap, _antipode(involution, position), check)
 
     @classmethod
@@ -373,8 +372,7 @@ def gamma_product(sides):
     posets: the cells are the strict chains, and a vertex lies below exactly
     the tuples obtained by moving a nonempty subset of its even coordinates to
     a neighbour.  The cap is max(3, k), and every spelling of one torus
-    shares one cache entry; a single side gives gamma(L) itself, with
-    integer labels.
+    shares one cache entry.
     """
     return _gamma_product(tuple(sides))
 
@@ -383,8 +381,6 @@ def gamma_product(sides):
 def _gamma_product(sides):
     if not sides:
         raise InvalidParameterError("a torus needs at least one side")
-    if len(sides) == 1:
-        return gamma(sides[0])
     for L in sides:
         _check_side(L)
     check_cell_limit(sides)
@@ -492,6 +488,19 @@ def check_antipodes(x, values):
                 f"vertex {v} and its antipode share a colour", witness=v)
 
 
+def colour_values(x, colouring):
+    """The colours of x's vertices in vertex order, the form the checks read.
+
+    ``colouring`` is a vertex -> colour dict or a SimplicialMap on x; a vertex
+    the colouring misses reads None, which ``check_colours`` rejects.
+    """
+    if isinstance(colouring, SimplicialMap):
+        if colouring.domain.vertex_set != x.vertex_set:
+            raise InvalidParameterError("map domain is not this torus")
+        colouring = colouring.vertex_map
+    return list(map(colouring.get, x.vertices))
+
+
 def map_from_colouring(x, colouring, check_equivariance=False):
     """The simplicial map into sigma(2) described by a yellow/blue colouring.
 
@@ -502,15 +511,14 @@ def map_from_colouring(x, colouring, check_equivariance=False):
     """
     if x.cap < 3:
         raise InvalidParameterError("need the 3-simplices: construct x with cap >= 3")
-    col = dict(colouring) if not isinstance(colouring, dict) else colouring
-    values = [col.get(v) for v in x.vertices]
+    values = colour_values(x, colouring)
     check_colours(x, values)
     check_alternation(x, values)
     if check_equivariance:
         if x.involution is None:
             raise InvalidParameterError("domain has no involution")
         check_antipodes(x, values)
-    return SimplicialMap(x, sigma2(), col, check=False)
+    return SimplicialMap(x, sigma2(), zip(x.vertices, values), check=False)
 
 
 def equivariant_colourings(x):

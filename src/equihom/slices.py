@@ -19,6 +19,11 @@ from .degrees import torus_complex, torus_tables
 from .homcomplexes import CyclePipeline
 from .simplicial import check_cell_limit
 
+# maps drawn per arity once the survey samples, and maps per arity whose
+# swap fractions it tabulates
+SAMPLE_SIZE = 40
+SWAP_STAT_MAPS = 3
+
 
 def height(v):
     """Number of odd coordinates of a torus-grid vertex (int or tuple)."""
@@ -148,15 +153,12 @@ def iter_coordinate_edges(L, n, i, h):
 
 def swap_fraction(colours, L, n, i, h):
     """Fraction of colour-swapping edges in E_i(h) together with E_i(n-1-h)."""
-    col = colours.vertex_map if hasattr(colours, "vertex_map") else colours
     heights = {h, n - 1 - h}
     total = swaps = 0
     for hh in sorted(heights):
         for (u, v) in iter_coordinate_edges(L, n, i, hh):
             total += 1
-            cu = col[u if n > 1 else u[0]]
-            cv = col[v if n > 1 else v[0]]
-            if cu != cv:
+            if colours[u] != colours[v]:
                 swaps += 1
     return Fraction(swaps, total)
 
@@ -168,14 +170,13 @@ def slice_check(colours, L, n, zeta):
     restrict to degree 1 on it (checked, a precondition), and then a swapping
     edge must exist by the degree argument.
     """
-    col = colours.vertex_map if hasattr(colours, "vertex_map") else colours
     if zeta.ambient != n - 1 or zeta.L != L:
         raise InvalidParameterError("diagonal does not match the ambient torus")
 
     def full(x, y):
         return (x,) + zeta.path[y]
 
-    restricted = {(x, y): col[full(x, y)]
+    restricted = {(x, y): colours[full(x, y)]
                   for x in range(L) for y in range(zeta.period)}
     torus = torus_complex(L, zeta.period)
     if torus.deg1(restricted) != 1:
@@ -183,7 +184,7 @@ def slice_check(colours, L, n, zeta):
     for y in range(zeta.period):
         for x in range(L):
             u, v = full(x, y), full((x + 1) % L, y)
-            if col[u] != col[v]:
+            if colours[u] != colours[v]:
                 return u, v
     raise InvariantViolationError("no swapping edge on a degree-1 slice")
 
@@ -211,22 +212,15 @@ def sample_maximal_chain(L, n, rng):
     return chain
 
 
-def _label(v):
-    """The torus label of a vertex tuple: its one coordinate at arity 1."""
-    return v if len(v) > 1 else v[0]
-
-
 def _alternations(labels):
     return sum(1 for a, b in zip(labels, labels[1:]) if a != b)
 
 
 def chain_alternations(colours, chain):
-    col = colours.vertex_map if hasattr(colours, "vertex_map") else colours
-    return _alternations([col[_label(v)] for v in chain])
+    return _alternations([colours[v] for v in chain])
 
 
-def arity_experiment(ell, n_max, seed=0, sample_size=40, chain_samples=4000,
-                     enumerate_cutoff=3000, swap_stat_maps=3):
+def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=3000):
     """Survey polymorphism degree weights and chain alternations up to n_max.
 
     Enumerates polymorphisms exhaustively while the count stays below the
@@ -240,7 +234,7 @@ def arity_experiment(ell, n_max, seed=0, sample_size=40, chain_samples=4000,
     ``mu_colours`` and ``deg_vector``: f is a polymorphism whose side pairs
     are multihomomorphisms, antipodes get different bits, and the degree
     vector has odd weight.  Chains read the bits at the positions of their
-    vertices; only the first ``swap_stat_maps`` maps become colour dicts,
+    vertices; only the first ``SWAP_STAT_MAPS`` maps become colour dicts,
     for ``swap_fraction``.
 
     With H(k) the exact number of polymorphisms at arity k and H(0) = 0,
@@ -267,7 +261,7 @@ def arity_experiment(ell, n_max, seed=0, sample_size=40, chain_samples=4000,
         "version": __version__,
         "seed": seed,
         "t_fingerprint": pipeline.t.fingerprint(),
-        "parameters": {"ell": ell, "n_max": n_max, "sample_size": sample_size,
+        "parameters": {"ell": ell, "n_max": n_max, "sample_size": SAMPLE_SIZE,
                        "chain_samples": chain_samples,
                        "enumerate_cutoff": enumerate_cutoff},
         "per_n": [],
@@ -293,7 +287,7 @@ def arity_experiment(ell, n_max, seed=0, sample_size=40, chain_samples=4000,
         if polys is None:
             mode = "sampled"
             report["truncated"] = True
-            inspected = sample_homs(dom, k4, sample_size, rng)
+            inspected = sample_homs(dom, k4, SAMPLE_SIZE, rng)
         else:
             mode = "exhaustive"
             below, two_below = len(polys), below
@@ -315,13 +309,13 @@ def arity_experiment(ell, n_max, seed=0, sample_size=40, chain_samples=4000,
         while chains_done < chain_samples and bit_cache:
             bits = bit_cache[chains_done % len(bit_cache)]
             chain = sample_maximal_chain(L, n, rng)
-            alts = _alternations([bits[position[_label(v)]] for v in chain])
+            alts = _alternations([bits[position[v]] for v in chain])
             max_alts = max(max_alts, alts)
             if alts > 2:
                 violations += 1
             chains_done += 1
         swap_stats = {}
-        for f, alpha in zip(inspected[:swap_stat_maps], alphas):
+        for f, alpha in zip(inspected[:SWAP_STAT_MAPS], alphas):
             colours = pipeline.mu_colours(f)
             for i in range(1, n + 1):
                 if alpha[i - 1] != 1:

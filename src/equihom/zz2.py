@@ -266,14 +266,6 @@ def expected_bredon(n, d):
     return elementary_two_group(comb(n - 1, d - 1)) if d >= 1 else CohomologyGroup(0, ())
 
 
-def _first_coordinate_involution(L, n):
-    def nu(v):
-        if n == 1:
-            return (v + L // 2) % L
-        return ((v[0] + L // 2) % L,) + v[1:]
-    return nu
-
-
 def quotient_by_first_shift(L, n):
     """The quotient of gamma(L)^n by the first-coordinate half shift.
 
@@ -285,8 +277,6 @@ def quotient_by_first_shift(L, n):
         raise InvalidParameterError("the quotient circle needs L/2 divisible by 4")
     half = L // 2
     quotient = gamma_product((half,) + (L,) * (n - 1))
-    if n == 1:
-        return quotient, lambda v: v % half
 
     def project(v):
         return (v[0] % half,) + v[1:]
@@ -335,8 +325,8 @@ def quotient_pstar_check(n, L, d):
     if not 1 <= d <= n:
         raise InvalidParameterError("need 1 <= d <= n")
     x = gamma_power(L, n)
-    first = _first_coordinate_involution(L, n)
-    x_first = replace_involution(x, {v: first(v) for v in x.vertices})
+    x_first = replace_involution(x, {v: ((v[0] + L // 2) % L,) + v[1:]
+                                     for v in x.vertices})
     if not x_first.has_free_involution():
         raise InvariantViolationError("first-coordinate shift is not free")
 

@@ -17,7 +17,9 @@ The homomorphism search with its arc consistency testing value pairs against
 the edge set is the reference for the support-table pruning, and the arity
 survey on colour dicts, enumerating every arity up to the cutoff, is the
 reference for the survey on blue bits.  Minors by decoding and re-encoding
-every target vertex are the reference for the cached gather tables.
+every target vertex are the reference for the cached gather tables, and
+the minor maps of a torus colouring, precomposed vertex by vertex, are the
+reference for the degree slices of ``TorusTables``.
 """
 
 import math
@@ -25,12 +27,13 @@ import random
 from itertools import combinations, product
 
 from equihom import __version__
-from equihom.degrees import deg_vector, minor_map, sigma_minor, torus_complex
+from equihom.degrees import deg_vector, sigma_minor, torus_complex
 from equihom.errors import InvalidInputError, InvalidParameterError
 from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, mu_prime
-from equihom.simplicial import gamma_power, incidence
+from equihom.simplicial import (colour_values, gamma_power, incidence,
+                                map_from_colouring)
 from equihom.slices import (chain_alternations, sample_maximal_chain,
                             swap_fraction)
 from equihom.snf import SparseMat, smith_normal_form
@@ -303,9 +306,24 @@ def mu_colours_reference(pipeline, f):
     t_map = pipeline.t.as_vertex_map()
     colours = {}
     for v in gamma_power(pipeline.period, n).vertices:
-        coords = (v,) if n == 1 else v
-        colours[v] = t_map[mu_prime(f, tuple(pipeline.iso_map[c] for c in coords))]
+        colours[v] = t_map[mu_prime(f, tuple(pipeline.iso_map[c] for c in v))]
     return colours
+
+
+def minor_map(g, pi, L, n):
+    """Precompose a map on gamma(L)^n with the coordinate-duplication along pi.
+
+    The result colours vertex (y_1..y_m) by g(y_{pi(1)}, ..., y_{pi(n)}); it
+    is a valid simplicial map on gamma(L)^m.
+    """
+    if pi.n != n:
+        raise InvalidParameterError("minor arity does not match the map")
+    source = gamma_power(L, n)
+    colours = dict(zip(source.vertices, colour_values(source, g)))
+    target = gamma_power(L, pi.m)
+    out = {y: colours[tuple(y[pi(i) - 1] for i in range(1, n + 1))]
+           for y in target.vertices}
+    return map_from_colouring(target, out)
 
 
 def minor_degree_vector(g, L, n):

@@ -5,9 +5,9 @@ import pytest
 
 from equihom import simplicial
 from equihom.degrees import (OddVector, TorusComplex, deg_vector,
-                             find_colour_swapping_edge, minor_map,
-                             monomial_colouring, phi, torus_complex,
-                             torus_tables, winding_colouring)
+                             find_colour_swapping_edge, monomial_colouring,
+                             phi, torus_complex, torus_tables,
+                             winding_colouring)
 from equihom.errors import (AlternatingSimplexError, InvalidParameterError,
                             InvariantViolationError, NotEquivariantError)
 from equihom.graphs import (GraphHom, MinorSpec, complete_graph, cycle_graph,
@@ -17,7 +17,7 @@ from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
                                 gamma_power, gamma_product, map_from_colouring)
 
 from oracles import (brute_deg1, composite_mapping, minor_degree_vector,
-                     mu_colours_reference)
+                     minor_map, mu_colours_reference)
 
 
 def as_bits(col):
@@ -318,10 +318,42 @@ def test_deg_vector_rejects_unknown_colour():
         deg_vector(col, L=4, n=2)
 
 
+def _map_on(sides):
+    """A valid map on gamma(L_1) x ... into sigma(2): blue on the lower half
+    of the first circle."""
+    x = gamma_product(sides)
+    half = sides[0] // 2
+    return map_from_colouring(x, {v: BLUE if v[0] < half else YELLOW
+                                  for v in x.vertices})
+
+
+def _missing_origin(L, n):
+    col = winding_colouring(L, n, 1)
+    del col[(0,) * n]
+    return col
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: deg_vector(_map_on((8, 12)), 12, 2), "map domain is not this torus"),
+    (lambda: deg_vector(_map_on((8, 12)), 8, 2), "map domain is not this torus"),
+    (lambda: deg_vector(_map_on((4, 4)), 8, 2), "map domain is not this torus"),
+    (lambda: deg_vector(_missing_origin(4, 2), 4, 2),
+     "vertex (0, 0) lacks a yellow/blue colour"),
+    (lambda: torus_complex(4, 4).deg1(_missing_origin(4, 2)),
+     "vertex (0, 0) lacks a yellow/blue colour"),
+], ids=["map-on-8x12-read-at-12", "map-on-8x12-read-at-8", "map-on-4x4-read-at-8",
+        "deg-vector-missing-vertex", "deg1-missing-vertex"])
+def test_colourings_off_the_torus_are_refused(call, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        call()
+    assert type(exc.value) is InvalidParameterError
+    assert str(exc.value) == message
+
+
 def test_phi_equals_degree_vector_of_mu(pipe, binary_maps, ternary_maps):
     assert len(binary_maps) == 1056 and len(ternary_maps) == 40
     for f in binary_maps + ternary_maps:
-        assert phi(f, pipe) == deg_vector(pipe.mu(f))
+        assert phi(f, pipe) == deg_vector(pipe.mu(f), pipe.period, f.domain.exponent)
 
 
 def test_phi_and_deg_vector_leave_the_vertex_view_unbuilt(pipe, ternary_maps):

@@ -59,7 +59,7 @@ def test_power_k2_squared_exhaustive():
 
 def test_power_capacity():
     with pytest.raises(CapacityExceededError):
-        power(complete_graph(4), 3, max_vertices=10)
+        power(complete_graph(4), 13)  # 4^13 vertices, over MAX_POWER_VERTICES
 
 
 def test_power_is_reused_by_minor():
@@ -69,8 +69,6 @@ def test_power_is_reused_by_minor():
     diag = minor(f, MinorSpec(2, 2, (1, 1)))
     assert swap.domain is diag.domain is power(cycle_graph(3), 2)
     assert power(k4, 3) is power(k4, 3)
-    with pytest.raises(CapacityExceededError):  # the limit is part of the key
-        power(k4, 3, max_vertices=10)
 
 
 def test_power_encoding_row_major():

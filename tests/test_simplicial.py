@@ -95,11 +95,30 @@ def test_product_closure_explicit():
 
 
 def test_unary_product_is_identity():
-    g = gamma_product((4,))
-    assert g.vertices == tuple(range(4))
+    # the circle as a torus: gamma(4) with each label v spelt (v,)
+    g, circle = gamma_product((4,)), gamma(4)
+    assert g.vertices == tuple((v,) for v in range(4))
+    assert g.cap == circle.cap
     for d in range(g.cap + 1):
-        assert g.cells(d) == gamma(4).cells(d)
-    assert g.involution == gamma(4).involution
+        assert g.position_cells(d) == circle.position_cells(d)
+        assert g.cells(d) == {tuple((v,) for v in c) for c in circle.cells(d)}
+    assert g.antipode == circle.antipode
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_torus_vertices_are_n_tuples(n):
+    x = gamma_power(4, n)
+    assert len(x.vertices) == 4 ** n
+    assert all(type(v) is tuple and len(v) == n for v in x.vertices)
+
+
+@pytest.mark.parametrize("L", [4, 8, 12])
+def test_arity_one_torus_is_the_circle_on_positions(L):
+    x, circle = gamma_power(L, 1), gamma(L)
+    assert x is not circle
+    for d in range(max(x.cap, circle.cap) + 1):
+        assert x.position_cells(d) == circle.position_cells(d)
+    assert x.antipode == circle.antipode
 
 
 def test_product_capacity(monkeypatch):

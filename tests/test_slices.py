@@ -254,7 +254,7 @@ def test_arity_experiment_reads_bits_not_colour_dicts(monkeypatch):
     monkeypatch.setattr(degrees, "deg_vector", counted_deg_vector)
     monkeypatch.setattr(slices, "deg_vector", counted_deg_vector, raising=False)
     monkeypatch.setattr(CyclePipeline, "mu_colours", counted_mu_colours)
-    arity_experiment(3, 3, seed=2, chain_samples=10, swap_stat_maps=3)
+    arity_experiment(3, 3, seed=2, chain_samples=10)
     assert not deg_calls
     assert colour_calls and all(colour_calls.count(n) <= 3 for n in (1, 2, 3))
 

@@ -144,8 +144,12 @@ def test_quotient_construction_oracle():
     assert image_vertices == set(g4.vertices)
     assert image_edges == g4.cells(1)
     q, proj = quotient_by_first_shift(8, 1)
+    # the quotient is gamma(4) with 1-tuple labels, projected mod 4
+    assert q.vertices == tuple((v,) for v in g4.vertices)
     for d in (0, 1):
-        assert q.cells(d) == g4.cells(d)
+        assert q.position_cells(d) == g4.position_cells(d)
+    assert [proj(v) for v in gamma_power(8, 1).vertices] == [
+        (v % 4,) for v in g8.vertices]
     with pytest.raises(InvalidParameterError):
         quotient_by_first_shift(4, 1)
 
