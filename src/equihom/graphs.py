@@ -11,7 +11,8 @@ import warnings
 from functools import lru_cache
 from itertools import product
 
-from .errors import CapacityExceededError, InvalidParameterError
+from .errors import (CapacityExceededError, InvalidParameterError,
+                     InvariantViolationError)
 
 # most vertices a power graph may have
 MAX_POWER_VERTICES = 1 << 24
@@ -49,9 +50,9 @@ class Graph:
         return all((v, v) not in self.edges for v in self.vertices())
 
     def __eq__(self, other):
-        return (isinstance(other, Graph)
-                and self.vertex_count == other.vertex_count
-                and self.edges == other.edges)
+        return self is other or (isinstance(other, Graph)
+                                 and self.vertex_count == other.vertex_count
+                                 and self.edges == other.edges)
 
     def __hash__(self):
         return hash((self.vertex_count, self.edges))
@@ -174,7 +175,11 @@ class MinorSpec:
 
 
 class GraphHom:
-    """A graph homomorphism given by its vertex value array."""
+    """A graph homomorphism given by its vertex value array.
+
+    ``checked`` records that the edges are known to be preserved: the
+    constructor checked them, or the map is a minor of a checked one.
+    """
 
     def __init__(self, domain, codomain, values, check=True):
         values = tuple(values)
@@ -188,6 +193,7 @@ class GraphHom:
         self.domain = domain
         self.codomain = codomain
         self.values = values
+        self.checked = check
 
     def __call__(self, v):
         return self.values[v]
@@ -210,26 +216,37 @@ def minor(f, pi):
 
     Vertex ys of base^m takes the value of f at (ys[pi(1)], ..., ys[pi(n)]),
     read through the cached ``_gather`` table of encoded source indices.
+    The table carries every edge of base^m onto an edge of base^n, so the
+    minor of a checked homomorphism needs no edge check of its own; the
+    minor of an unchecked one is checked edge by edge.
     """
     dom = f.domain
     if not isinstance(dom, PowerGraph) or dom.exponent != pi.n:
         raise InvalidParameterError("minor arity does not match the domain power")
     values = f.values
-    table = _gather(dom.base.vertex_count, pi.n, pi.m, pi.mapping)
-    return GraphHom(power(dom.base, pi.m), f.codomain, [values[k] for k in table])
+    target = power(dom.base, pi.m)
+    table = _gather(dom, target, pi.mapping)
+    g = GraphHom(target, f.codomain, [values[k] for k in table], check=not f.checked)
+    g.checked = True
+    return g
 
 
 @lru_cache(maxsize=64)
-def _gather(radix, n, m, mapping):
-    """For each vertex of base^m in row-major order, the encoded vertex of
-    base^n whose coordinate i is the target's coordinate mapping[i - 1]."""
+def _gather(dom, target, mapping):
+    """For each vertex of the power ``target`` of dom's base, in row-major
+    order, the encoded vertex of ``dom`` whose coordinate i is the target's
+    coordinate mapping[i - 1].  Checked once: every edge of ``target`` must
+    land on an edge of ``dom``."""
+    radix, n = dom.base.vertex_count, dom.exponent
     # coordinate j of the target adds radix^(n - i) for each slot i it fills
-    weight = [0] * m
+    weight = [0] * target.exponent
     for i, j in enumerate(mapping, start=1):
         weight[j - 1] += radix ** (n - i)
     table = [0]
     for w in weight:
         table = [k + x * w for k in table for x in range(radix)]
+    if any((table[u], table[v]) not in dom.edges for u, v in target.edges):
+        raise InvariantViolationError(f"minor table {mapping} does not preserve edges")
     return tuple(table)
 
 

@@ -11,7 +11,7 @@ their vertex tuples.
 """
 
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import comb, prod
 from operator import eq, itemgetter
 
@@ -50,15 +50,42 @@ def faces(cell):
 
 
 def incidence(cells, index):
-    """Signed boundary rows [(index[face], +-1), ...], one per cell.
+    """Signed boundary rows {index[face]: +-1}, one per cell, built by columns.
 
-    ``index`` maps each non-degenerate face to its label in the chosen basis
-    (a position, or an (orbit, parity) pair); degenerate faces are dropped.
-    The one boundary builder behind GF(2), Z and Z[Z_2] chains.
+    ``cells`` lists stored d-cells (d >= 1) as position tuples, and ``index``
+    maps each non-degenerate face, one to one, to its label in the chosen
+    basis: a position, or an orbit k, written ~k for the mate.  The cells
+    become d + 1 columns of positions, and face i, with sign (-1)^i, zips
+    every column but the i-th and is looked up in one pass.  A stored cell
+    is non-degenerate, so face i is degenerate exactly where columns i - 1
+    and i + 1 agree; those faces are dropped.  A face missing from ``index``
+    raises KeyError naming the first one a cell-by-cell scan meets.  The one
+    boundary builder behind GF(2), Z and Z[Z_2] chains.
     """
-    return [[(index[face], sign) for sign, face in faces(cell)
-             if not is_degenerate(face)]
-            for cell in cells]
+    if not cells:
+        return []
+    width = len(cells[0])
+    columns = [tuple(map(itemgetter(k), cells)) for k in range(width)]
+    keys = []
+    degenerate = False
+    try:
+        for i in range(width):
+            face = zip(*columns[:i], *columns[i + 1:])
+            if 0 < i < width - 1 and any(map(eq, columns[i - 1], columns[i + 1])):
+                degenerate = True
+                keys.append([None if a == b else index[f]
+                             for f, a, b in zip(face, columns[i - 1], columns[i + 1])])
+            else:
+                keys.append(list(map(index.__getitem__, face)))
+    except KeyError:
+        raise KeyError(next(face for cell in cells for _, face in faces(cell)
+                            if face not in index and not is_degenerate(face))) from None
+    signs = tuple(-1 if i % 2 else 1 for i in range(width))
+    rows = list(map(dict, map(zip, zip(*keys), repeat(signs))))
+    if degenerate:
+        for row in rows:
+            row.pop(None, None)
+    return rows
 
 
 class SimplicialSet:
@@ -594,12 +621,7 @@ def mod2_homology_ranks(x, top=None):
     ranks = []
     bnd_rank = [0] * (top + 3)
     for d in range(1, top + 2):
-        rows = []
-        for row in incidence(cells[d], index[d - 1]):
-            mask = 0
-            for k, _ in row:
-                mask ^= 1 << k
-            rows.append(mask)
+        rows = [sum(1 << k for k in row) for row in incidence(cells[d], index[d - 1])]
         bnd_rank[d] = gf2_rank(rows)
     for d in range(top + 1):
         ranks.append(len(cells[d]) - bnd_rank[d] - bnd_rank[d + 1])

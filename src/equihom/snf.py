@@ -8,7 +8,9 @@ survives.  The sparse phase takes the shortest row that holds a +-1 entry and,
 within it, the unit with the shortest column; rows known to hold no unit are
 skipped until an elimination step changes them, so choosing a pivot never
 rescans the matrix.  Invariant factors are unique, so the pivot order does not
-change the result.
+change the result.  Nor does the orientation: a matrix with more rows than
+columns is transposed before the sparse phase, which then runs on the wide
+side, where its row heap does less bookkeeping.
 """
 
 import heapq
@@ -94,11 +96,18 @@ def _as_sparse(matrix):
 def smith_normal_form(matrix):
     """Invariant factors of an integer matrix; deterministic pivot choice.
 
-    ``matrix`` may be a SparseMat or a list of rows (lists).  Only the
-    invariant factors and the rank are computed, not the transforms.
+    ``matrix`` may be a SparseMat or a list of rows (lists); a tall one is
+    transposed first.  Only the invariant factors and the rank are computed,
+    not the transforms.
     """
     m = _as_sparse(matrix)
-    rows = {i: dict(r) for i, r in enumerate(m.rows) if r}
+    if m.nrows > m.ncols:
+        rows = {}
+        for i, r in enumerate(m.rows):
+            for j, v in r.items():
+                rows.setdefault(j, {})[i] = v
+    else:
+        rows = {i: dict(r) for i, r in enumerate(m.rows) if r}
     cols = {}
     for i, r in rows.items():
         for j in r:

@@ -2,24 +2,28 @@
 
 A free simplicial involution makes the cellular chain complex a complex of
 free modules over the group ring Z[Z2] = Z[nu]/(nu^2 - 1), with one generator
-per cell orbit.  The orbit boundary comes from the shared incidence builder
-of ``simplicial``: each face of an orbit representative is labelled by its
-orbit and by whether it is the representative or its mate, so the sign of
-the face lands in A or in B of the coboundary A + B*nu, a pair of integer
-SparseMats.  Mapping equivariantly into a coefficient module turns the pair
-into one integer coboundary matrix: the sign representation gives A - B, the
-trivial one A + B, and the group ring itself the 2x2 blocks [[a, b], [b, a]]
-of each entry a + b*nu.  Smith normal forms of those matrices give the Bredon
-cohomology groups; for the n-torus with the diagonal action and sign
-coefficients the answer in degree d is an elementary abelian 2-group of rank
-C(n-1, d-1).  The quotient-projection check reproduces it as the cokernel of
-the pullback along the double cover, read off the cohomology of the mapping
-cone of the pullback with the same sparse Smith form.
+per cell orbit.  The representative of an orbit is the cell whose first
+vertex precedes that vertex's mate.  The orbit boundary comes from the
+shared columnar incidence builder of ``simplicial``: each face of a
+representative is labelled k when it is the representative of orbit k and
+~k when it is the mate, so the sign of the face lands in A or in B of the
+coboundary A + B*nu, a pair of integer SparseMats.  Mapping equivariantly
+into a coefficient module turns the pair into one integer coboundary matrix:
+the sign representation gives A - B, the trivial one A + B, and the group
+ring itself the 2x2 blocks [[a, b], [b, a]] of each entry a + b*nu.  Smith
+normal forms of those matrices give the Bredon cohomology groups; for the
+n-torus with the diagonal action and sign coefficients the answer in degree
+d is an elementary abelian 2-group of rank C(n-1, d-1).  The
+quotient-projection check reproduces it as the cokernel of the pullback
+along the double cover, read off the cohomology of the mapping cone of the
+pullback with the same sparse Smith form.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
 from math import comb
+from operator import invert, itemgetter, not_
 
 from .errors import (InvalidInputError, InvalidParameterError,
                      InvariantViolationError, NotFreeActionError)
@@ -47,38 +51,43 @@ class EquivariantChainComplex:
 
     @classmethod
     def from_simplicial_set(cls, x, max_dim):
+        """The orbit complex of x up to ``max_dim``, one degree at a time.
+
+        No vertex may be fixed, which makes the involution free on every
+        cell; the first fixed vertex in sorted order is reported as a fixed
+        0-cell.  A cell then precedes its mate, in the order of vertex
+        tuples, exactly when its first vertex precedes that vertex's mate,
+        so the representatives are read off the first position column.
+        The orbit index of the d-cells labels representative k as k and its
+        mate as ~k, and lives only while the (d + 1)-cells are built; the
+        mate entries of each boundary row go to B.
+        """
         if x.antipode is None:
             raise InvalidParameterError("an involution is required")
         if max_dim > x.cap:
             raise InvalidParameterError("max_dim exceeds the stored dimension cap")
-        mate = x.antipode.__getitem__
-        reps = []
-        index = []
+        antipode, vertices = x.antipode, x.vertices
+        fixed = [c for c in x.sorted_position_cells(0) if antipode[c[0]] == c[0]]
+        if fixed:
+            raise NotFreeActionError(f"cell {x.labels(fixed[0])} is fixed by the involution")
+        leads = [vertices[k] < vertices[j] for k, j in enumerate(antipode)]
+        reps, coboundaries = [], []
         for d in range(max_dim + 1):
-            chosen = []
-            lookup = {}
-            # in sorted order a cell is its orbit's representative, the
-            # smaller of the two, unless its mate came first
-            for c in x.sorted_position_cells(d):
-                if c in lookup:
-                    continue
-                m = tuple(map(mate, c))
-                if m == c:
-                    raise NotFreeActionError(
-                        f"cell {x.labels(c)} is fixed by the involution")
-                lookup[c] = (len(chosen), 0)
-                lookup[m] = (len(chosen), 1)
-                chosen.append(c)
+            cells = x.sorted_position_cells(d)
+            first = list(map(leads.__getitem__, map(itemgetter(0), cells)))
+            chosen = list(compress(cells, first))
+            if d:
+                a_rows = incidence(chosen, index)
+                b_rows = list(map(_take_mates, a_rows))
+                coboundaries.append((SparseMat(len(chosen), len(reps[-1]), a_rows),
+                                     SparseMat(len(chosen), len(reps[-1]), b_rows)))
             reps.append(chosen)
-            index.append(lookup)
-        coboundaries = []
-        for d in range(1, max_dim + 1):
-            a = SparseMat(len(reps[d]), len(reps[d - 1]))
-            b = SparseMat(a.nrows, a.ncols)
-            for j, row in enumerate(incidence(reps[d], index[d - 1])):
-                for (i, is_mate), sign in row:
-                    (b if is_mate else a).add_at(j, i, sign)
-            coboundaries.append((a, b))
+            if d < max_dim:
+                index = dict(zip(chosen, count()))
+                others = list(compress(cells, map(not_, first)))
+                mates = zip(*(map(antipode.__getitem__, map(itemgetter(k), others))
+                              for k in range(d + 1)))
+                index.update(zip(others, map(invert, map(index.__getitem__, mates))))
         complex_ = cls(reps, coboundaries)
         complex_.verify_dd_zero()
         return complex_
@@ -101,6 +110,14 @@ class EquivariantChainComplex:
                 if any(_row_sum(r, s) for r, s in zip(p.rows, q.rows)):
                     raise InvariantViolationError(
                         f"boundary composition nonzero in dimension {d}")
+
+
+def _take_mates(row):
+    """Remove the mate entries ~k of an orbit-labelled row, and return them
+    keyed by k."""
+    if min(row, default=0) >= 0:
+        return {}
+    return {~k: row.pop(k) for k in [k for k in row if k < 0]}
 
 
 def _row_sum(r, s, sign=1):
@@ -220,13 +237,8 @@ def ordinary_cochain_complex(x, max_dim):
     """
     cells = [x.sorted_position_cells(d) for d in range(max_dim + 1)]
     index = [{c: i for i, c in enumerate(cs)} for cs in cells]
-    deltas = []
-    for d in range(1, max_dim + 1):
-        delta = SparseMat(len(cells[d]), len(cells[d - 1]))
-        for j, row in enumerate(incidence(cells[d], index[d - 1])):
-            for k, sign in row:
-                delta.add_at(j, k, sign)
-        deltas.append(delta)
+    deltas = [SparseMat(len(cells[d]), len(cells[d - 1]), incidence(cells[d], index[d - 1]))
+              for d in range(1, max_dim + 1)]
     return deltas, cells
 
 

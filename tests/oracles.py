@@ -19,7 +19,10 @@ survey on colour dicts, enumerating every arity up to the cutoff, is the
 reference for the survey on blue bits.  Minors by decoding and re-encoding
 every target vertex are the reference for the cached gather tables, and
 the minor maps of a torus colouring, precomposed vertex by vertex, are the
-reference for the degree slices of ``TorusTables``.
+reference for the degree slices of ``TorusTables``.  The boundary rows built
+one cell and one face at a time, and the orbit complex that picks each
+representative by comparing the cell with its mate and adds its faces to A
+and B entry by entry, are the references for the columnar builder.
 """
 
 import math
@@ -28,12 +31,13 @@ from itertools import combinations, product
 
 from equihom import __version__
 from equihom.degrees import deg_vector, sigma_minor, torus_complex
-from equihom.errors import InvalidInputError, InvalidParameterError
+from equihom.errors import (InvalidInputError, InvalidParameterError,
+                            NotFreeActionError)
 from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, mu_prime
-from equihom.simplicial import (colour_values, gamma_power, incidence,
-                                map_from_colouring)
+from equihom.simplicial import (colour_values, faces, gamma_power,
+                                is_degenerate, map_from_colouring)
 from equihom.slices import (chain_alternations, sample_maximal_chain,
                             swap_fraction)
 from equihom.snf import SparseMat, smith_normal_form
@@ -333,6 +337,55 @@ def minor_degree_vector(g, L, n):
             for i in range(1, n + 1)]
 
 
+def incidence_reference(cells, index):
+    """Signed boundary rows [(index[face], +-1), ...], one cell at a time.
+
+    Each cell yields its faces in ascending order, a degenerate face is
+    dropped after a scan for a consecutive repeat, and a missing face fails
+    the lookup with a KeyError naming it.
+    """
+    return [[(index[face], sign) for sign, face in faces(cell)
+             if not is_degenerate(face)]
+            for cell in cells]
+
+
+def orbit_pairs_reference(x, max_dim):
+    """Orbit representatives and coboundaries (A, B) of x, a cell at a time.
+
+    Walks the sorted cells of each dimension, choosing a cell unless its
+    mate came first and raising NotFreeActionError on a fixed cell; then
+    adds the sign of each face of each representative to A or B entry by
+    entry, as the face is the representative of its orbit or the mate.
+    """
+    mate = x.antipode.__getitem__
+    reps = []
+    index = []
+    for d in range(max_dim + 1):
+        chosen = []
+        lookup = {}
+        for c in x.sorted_position_cells(d):
+            if c in lookup:
+                continue
+            m = tuple(map(mate, c))
+            if m == c:
+                raise NotFreeActionError(
+                    f"cell {x.labels(c)} is fixed by the involution")
+            lookup[c] = (len(chosen), 0)
+            lookup[m] = (len(chosen), 1)
+            chosen.append(c)
+        reps.append(chosen)
+        index.append(lookup)
+    coboundaries = []
+    for d in range(1, max_dim + 1):
+        a = SparseMat(len(reps[d]), len(reps[d - 1]))
+        b = SparseMat(a.nrows, a.ncols)
+        for j, row in enumerate(incidence_reference(reps[d], index[d - 1])):
+            for (i, is_mate), sign in row:
+                (b if is_mate else a).add_at(j, i, sign)
+        coboundaries.append((a, b))
+    return reps, coboundaries
+
+
 def orbit_complex_reference(x, max_dim):
     """Orbit representatives and boundaries of x as dicts (i, j) -> (a, b).
 
@@ -355,7 +408,7 @@ def orbit_complex_reference(x, max_dim):
     boundaries = []
     for d in range(1, max_dim + 1):
         mat = {}
-        for j, row_faces in enumerate(incidence(reps[d], index[d - 1])):
+        for j, row_faces in enumerate(incidence_reference(reps[d], index[d - 1])):
             for (row, par), sign in row_faces:
                 a, b = mat.get((row, j), (0, 0))
                 if par:

@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
-from equihom.errors import CapacityExceededError, InvalidParameterError
-from equihom.graphs import (Graph, GraphHom, HomStream, MinorSpec,
+from equihom.errors import (CapacityExceededError, InvalidParameterError,
+                            InvariantViolationError)
+from equihom.graphs import (Graph, GraphHom, HomStream, MinorSpec, _gather,
                             complete_graph, cycle_graph, enumerate_homs,
                             hom_from_json, hom_to_json, make_template, minor,
                             power, sample_homs)
@@ -160,6 +161,36 @@ def test_minor_matches_reference_on_every_small_spec(ell):
                 pi = MinorSpec(n, m, mapping)
                 for f in polys:
                     assert minor(f, pi) == minor_reference(f, pi), (ell, pi)
+
+
+def test_minor_of_an_unchecked_map_is_checked_edge_by_edge():
+    c3, k4 = cycle_graph(3), complete_graph(4)
+    constant = GraphHom(power(c3, 2), k4, [0] * 9, check=False)  # K_4 has no loop
+    for pi in (MinorSpec(2, 2, (2, 1)), MinorSpec(2, 1, (1, 1))):
+        messages = []
+        for take in (minor, minor_reference):
+            with pytest.raises(InvalidParameterError, match="not preserved") as exc:
+                take(constant, pi)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
+def test_minor_of_a_checked_map_is_not_checked_again():
+    c3, k4 = cycle_graph(3), complete_graph(4)
+    f = GraphHom(power(c3, 2), k4, next(iter(enumerate_homs(power(c3, 2), k4))).values)
+    swap = minor(f, MinorSpec(2, 2, (2, 1)))
+    assert f.checked and swap.checked and swap == minor_reference(f, MinorSpec(2, 2, (2, 1)))
+    # a map marked checked is trusted: its minors skip the per-edge loop
+    constant = GraphHom(power(c3, 2), k4, [0] * 9, check=False)
+    constant.checked = True
+    assert minor(constant, MinorSpec(2, 1, (1, 1))).values == (0, 0, 0)
+
+
+def test_gather_table_must_carry_edges_onto_edges():
+    # a loop of the target has no image among the loopless edges of C_3^2
+    looped = power(Graph(3, {(0, 0)}), 1)
+    with pytest.raises(InvariantViolationError, match="does not preserve edges"):
+        _gather(power(cycle_graph(3), 2), looped, (1, 1))
 
 
 def test_minor_arity_mismatch():

@@ -8,15 +8,16 @@ from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
                             InvalidParameterError, NotEquivariantError)
 from equihom.simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap,
                                 SimplicialSet, boundary, faces, gamma,
-                                gamma_power, gamma_product, is_degenerate,
-                                map_from_colouring, mod2_homology_ranks,
+                                gamma_power, gamma_product, incidence,
+                                is_degenerate, map_from_colouring,
+                                mod2_homology_ranks,
                                 normalize_simplex, order_complex,
                                 product_cell_count, sigma)
 
 from equihom.graphs import complete_graph
 from equihom.homcomplexes import hom_complex
 
-from oracles import check_reference, sproduct, strict_chains
+from oracles import check_reference, incidence_reference, sproduct, strict_chains
 
 
 def test_sigma2_structure():
@@ -179,6 +180,40 @@ def test_closure_missing_torus_face():
         simplices[1].discard(face)
         with pytest.raises(InvalidParameterError, match="closure violated"):
             SimplicialSet(t.vertices, simplices, cap=2)
+
+
+# tori of one to four sides, and complexes whose cells have degenerate faces
+INCIDENCE_CASES = {
+    **{f"gamma_product{sides}": (lambda sides=sides: gamma_product(sides))
+       for sides in ((8,), (4, 8), (4, 4, 8), (4, 4, 4, 4))},
+    **{f"sigma{k}": (lambda k=k: sigma(k)) for k in (1, 2, 3)},
+    "hom_K4": lambda: hom_complex(complete_graph(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCIDENCE_CASES))
+def test_columnar_incidence_matches_cell_by_cell_reference(case):
+    x = INCIDENCE_CASES[case]()
+    for d in range(1, x.dimension() + 1):
+        cells = x.sorted_position_cells(d)
+        index = {c: k for k, c in enumerate(x.sorted_position_cells(d - 1))}
+        # the same entries in the same face order, degenerate faces dropped
+        assert [list(row.items()) for row in incidence(cells, index)] == \
+            incidence_reference(cells, index)
+
+
+def test_incidence_names_the_missing_face_a_cell_scan_meets_first():
+    # (1, 3) is missing first in face order, (0, 2) first in cell order
+    x = SimplicialSet(range(4), {1: [(0, 1), (1, 2), (0, 3)],
+                                 2: [(0, 1, 2), (0, 1, 3)]}, cap=2, check=False)
+    cells = x.sorted_position_cells(2)
+    index = {c: k for k, c in enumerate(x.sorted_position_cells(1))}
+    errors = []
+    for builder in (incidence, incidence_reference):
+        with pytest.raises(KeyError) as exc:
+            builder(cells, index)
+        errors.append(exc.value.args)
+    assert errors == [((0, 2),), ((0, 2),)]
 
 
 GAMMA4_EDGES = [(0, 1), (0, 3), (2, 3), (2, 1)]

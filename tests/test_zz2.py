@@ -15,8 +15,9 @@ from equihom.zz2 import (CohomologyGroup, EquivariantChainComplex, bredon_torus,
                          quotient_by_first_shift, quotient_pstar_check,
                          specialize)
 
-from oracles import (orbit_complex_reference, quotient_pstar_reference,
-                     signed_boundary_rows, specialize_reference)
+from oracles import (orbit_complex_reference, orbit_pairs_reference,
+                     quotient_pstar_reference, signed_boundary_rows,
+                     specialize_reference)
 
 
 def test_orbit_ranks():
@@ -227,6 +228,29 @@ def test_orbit_pair_matches_dict_reference(case):
         want = specialize_reference(reps, boundaries, coefficients)
         assert [(m.nrows, m.ncols, m.rows) for m in got] == \
             [(m.nrows, m.ncols, m.rows) for m in want]
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_complex_matches_cell_by_cell_reference(case):
+    x = ORBIT_CASES[case]()
+    top = x.dimension()
+    cx = equivariant_complex(x, top)
+    reps, coboundaries = orbit_pairs_reference(x, top)
+    assert cx.reps == reps
+    assert [(a.nrows, a.ncols, a.rows, b.rows) for a, b in cx.coboundaries] == \
+        [(a.nrows, a.ncols, a.rows, b.rows) for a, b in coboundaries]
+
+
+def test_fixed_cell_is_named_as_by_the_reference():
+    # vertices 1 and 3 are fixed; listed out of label order, 1 sorts first
+    x = SimplicialSet([3, 1, 0, 2], {1: [(0, 1), (2, 1), (0, 3), (2, 3)]}, cap=1,
+                      involution={3: 3, 1: 1, 0: 2, 2: 0})
+    errors = []
+    for builder in (equivariant_complex, orbit_pairs_reference):
+        with pytest.raises(NotFreeActionError) as exc:
+            builder(x, 1)
+        errors.append(str(exc.value))
+    assert errors == ["cell (1,) is fixed by the involution"] * 2
 
 
 BUILDER_CASES = {
