@@ -1,13 +1,13 @@
 """Relational simplicial sets: spheres, triangulated circles and their tori.
 
-A relational simplicial set stores, per dimension up to a cap, the set of
+A relational simplicial set stores, per dimension up to a cap, its
 non-degenerate simplices as tuples of vertex positions, the indices into its
-vertex list; the same simplices as ordered vertex tuples are a view built on
-first use.  Degenerate simplices are reconstructed on demand: a tuple is a
-simplex exactly when collapsing its consecutive repeats leaves a stored
-tuple, and it is degenerate exactly when it has a consecutive repeat.  Tori
-list their vertices in row-major order, so their position tuples sort like
-their vertex tuples.
+vertex list, in the sorted order of their vertex tuples; the same simplices
+as ordered vertex tuples are a set built on first use.  Degenerate simplices
+are reconstructed on demand: a tuple is a simplex exactly when collapsing its
+consecutive repeats leaves a stored tuple, and it is degenerate exactly when
+it has a consecutive repeat.  Tori list their vertices in row-major order, so
+their chains come out of the builder already in that order.
 """
 
 from functools import cached_property, lru_cache
@@ -91,10 +91,12 @@ def incidence(cells, index):
 class SimplicialSet:
     """A relational simplicial set with an optional vertex involution.
 
-    Each dimension is stored once, as a frozenset of tuples of vertex
-    positions, the indices into ``vertices``; ``cells(d)`` is the view of the
-    same cells as vertex tuples, built on first use.  The involution is
-    stored as ``antipode``, the position of each vertex's mate.
+    Each dimension is stored once, as a tuple of tuples of vertex positions,
+    the indices into ``vertices``, sorted in the order of their vertex tuples
+    and without repeats; every consumer reads the cells in that one order.
+    ``cells(d)`` is the set of the same cells as vertex tuples, built on
+    first use.  The involution is stored as ``antipode``, the position of
+    each vertex's mate.  The labels of one set must be mutually comparable.
     """
 
     def __init__(self, vertices, simplices, cap, involution=None, check=True):
@@ -104,15 +106,23 @@ class SimplicialSet:
             raise InvalidParameterError("duplicate vertex labels")
         if cap < 1:
             raise InvalidParameterError("dimension cap must be >= 1")
-        cells = {d: frozenset(_position_cell(s, position) for s in simplices.get(d, ()))
-                 for d in range(1, cap + 1)}
+        cells = {0: [(k,) for k in range(len(vertices))]}
+        for d in range(1, cap + 1):
+            cells[d] = {_position_cell(s, position) for s in simplices.get(d, ())}
+
+        def label(cell):
+            return tuple(map(vertices.__getitem__, cell))
+
+        cells = {d: tuple(sorted(here, key=label)) for d, here in cells.items()}
         self._setup(vertices, cells, cap, _antipode(involution, position), check)
 
     @classmethod
     def _from_positions(cls, vertices, cells, cap, antipode, check=True):
-        """A simplicial set from position cells: ``cells[d]`` is a frozenset of
-        tuples of indices into the tuple ``vertices``, and ``antipode`` a list
-        or None.  The dict ``cells`` becomes the new set's own."""
+        """A simplicial set from position cells: ``cells[d]`` is a tuple of
+        tuples of indices into the tuple ``vertices``, in the sorted order of
+        their vertex tuples and without repeats, for d = 0 up to at most
+        ``cap``; ``antipode`` is a list or None.  The dict ``cells`` becomes
+        the new set's own."""
         x = cls.__new__(cls)
         x._setup(vertices, cells, cap, antipode, check)
         return x
@@ -121,9 +131,8 @@ class SimplicialSet:
         self.vertices = vertices
         self.vertex_set = frozenset(vertices)
         self.cap = cap
-        cells[0] = frozenset((k,) for k in range(len(vertices)))
-        for d in range(1, cap + 1):
-            cells.setdefault(d, frozenset())
+        for d in range(cap + 1):
+            cells.setdefault(d, ())
         self._positions = cells
         self._views = {}
         self.antipode = antipode
@@ -138,36 +147,12 @@ class SimplicialSet:
         The k-th entries of the d-cells form column k: a cell is degenerate
         where two neighbouring columns agree, face i zips the columns but
         the i-th, and the mate of a column is its image under ``antipode``.
-        Only a failing test goes back over the cells to name the culprit.
+        The face and mate lookups go to a set of one dimension at a time,
+        dropped when that dimension is done.  Only a failing test goes back
+        over the cells, in their stored order, to name the culprit.
         """
-        cells, label = self._positions, self.labels
         for d in range(1, self.cap + 1):
-            here = cells[d]
-            if not here:
-                continue
-            if set(map(len, here)) != {d + 1}:
-                bad = next(s for s in here if len(s) != d + 1)
-                raise InvalidParameterError(
-                    f"stored {d}-simplex of wrong length: {label(bad)}")
-            columns = [tuple(map(itemgetter(k), here)) for k in range(d + 1)]
-            for a, b in zip(columns, columns[1:]):
-                if any(map(eq, a, b)):
-                    bad = next(s for s in here if is_degenerate(s))
-                    raise InvalidParameterError(f"stored simplex is degenerate: {label(bad)}")
-            if not closure:
-                continue
-            below = cells[d - 1]
-            if all(below.issuperset(zip(*columns[:i], *columns[i + 1:]))
-                   for i in range(d + 1)):
-                continue
-            # only a missing face, or a degenerate one, is left to normalize
-            for s in here:
-                for _, face in faces(s):
-                    if face not in below:
-                        core = normalize_simplex(face)
-                        if core not in cells[len(core) - 1]:
-                            raise InvalidParameterError(
-                                f"closure violated: face {label(face)} of {label(s)} missing")
+            self._check_cells(d, closure)
         antipode = self.antipode
         if antipode is None:
             return
@@ -176,14 +161,42 @@ class SimplicialSet:
             raise InvalidParameterError("involution is not a vertex permutation")
         if list(map(antipode.__getitem__, antipode)) != list(range(count)):
             raise InvalidParameterError("involution is not self-inverse")
-        mate = antipode.__getitem__
         for d in range(1, self.cap + 1):
-            here = cells[d]
-            mates = zip(*(map(mate, map(itemgetter(k), here)) for k in range(d + 1)))
-            if not here.issuperset(mates):
-                bad = next(s for s in here if tuple(map(mate, s)) not in here)
-                raise InvalidParameterError(
-                    f"involution does not preserve simplices: {label(bad)}")
+            self._check_mates(d)
+
+    def _check_cells(self, d, closure):
+        here, label = self._positions[d], self.labels
+        if not here:
+            return
+        if set(map(len, here)) != {d + 1}:
+            bad = next(s for s in here if len(s) != d + 1)
+            raise InvalidParameterError(f"stored {d}-simplex of wrong length: {label(bad)}")
+        columns = [tuple(map(itemgetter(k), here)) for k in range(d + 1)]
+        for a, b in zip(columns, columns[1:]):
+            if any(map(eq, a, b)):
+                bad = next(s for s in here if is_degenerate(s))
+                raise InvalidParameterError(f"stored simplex is degenerate: {label(bad)}")
+        if not closure:
+            return
+        below = set(self._positions[d - 1])
+        if all(all(map(below.__contains__, zip(*columns[:i], *columns[i + 1:])))
+               for i in range(d + 1)):
+            return
+        # only a missing face, or a degenerate one, is left to normalize
+        for s in here:
+            for _, face in faces(s):
+                if face not in below and not self.has_simplex(label(face)):
+                    raise InvalidParameterError(
+                        f"closure violated: face {label(face)} of {label(s)} missing")
+
+    def _check_mates(self, d):
+        here, mate = self._positions[d], self.antipode.__getitem__
+        stored = set(here)
+        mates = zip(*(map(mate, map(itemgetter(k), here)) for k in range(d + 1)))
+        if not all(map(stored.__contains__, mates)):
+            bad = next(s for s in here if tuple(map(mate, s)) not in stored)
+            raise InvalidParameterError(
+                f"involution does not preserve simplices: {self.labels(bad)}")
 
     @cached_property
     def position(self):
@@ -204,26 +217,14 @@ class SimplicialSet:
         cells = self.position_cells(3)
         return tuple(tuple(map(itemgetter(k), cells)) for k in range(4))
 
-    @cached_property
-    def _vertices_sorted(self):
-        vertices = self.vertices
-        return all(a < b for a, b in zip(vertices, vertices[1:]))
-
     def labels(self, cell):
         """The vertex tuple of a position tuple."""
         return tuple(map(self.vertices.__getitem__, cell))
 
     def position_cells(self, d):
-        """Non-degenerate d-simplices as position tuples (empty beyond the stored range)."""
-        return self._positions.get(d, frozenset())
-
-    def sorted_position_cells(self, d):
-        """The position d-cells in the sorted order of their vertex tuples.
-
-        Row-major tori list their vertices sorted, so there this is a plain sort.
-        """
-        cells = self.position_cells(d)
-        return sorted(cells) if self._vertices_sorted else sorted(cells, key=self.labels)
+        """Non-degenerate d-simplices as position tuples, in the sorted order of
+        their vertex tuples (empty beyond the stored range)."""
+        return self._positions.get(d, ())
 
     def cells(self, d):
         """Non-degenerate d-simplices as vertex tuples (empty beyond the stored range)."""
@@ -242,11 +243,10 @@ class SimplicialSet:
         return sum((-1) ** d * self.n_cells(d) for d in range(self.cap + 1))
 
     def has_simplex(self, tup):
-        position = self.position
-        if not tup or any(v not in position for v in tup):
+        if not tup or not self.vertex_set.issuperset(tup):
             return False
-        core = normalize_simplex(tuple(position[v] for v in tup))
-        return core in self.position_cells(len(core) - 1)
+        core = normalize_simplex(tuple(tup))
+        return core in self.cells(len(core) - 1)
 
     def involution_simplex(self, tup):
         nu = self.involution
@@ -420,7 +420,8 @@ def _product_chains(sides):
 
     Positions are row-major: vertices[p] is the p-th tuple of the product,
     and every chain shares the one int object of each position.  The
-    up-lists are dropped on return, before the torus is checked.
+    up-lists are sorted, so each dimension comes out in the sorted order of
+    its vertex tuples, and are dropped on return, before the torus is checked.
     """
     vertices = tuple(product(*(range(L) for L in sides)))
     strides = [prod(sides[i + 1:]) for i in range(len(sides))]
@@ -429,12 +430,10 @@ def _product_chains(sides):
     for p, v in enumerate(vertices):
         options = [(x * s,) if x % 2 else (x * s, (x + 1) % L * s, (x - 1) % L * s)
                    for x, L, s in zip(v, sides, strides)]
-        ups.append([positions[q] for q in map(sum, product(*options)) if q != p])
-    cells = {}
-    chains = [(p,) for p in positions]
+        ups.append(sorted([positions[q] for q in map(sum, product(*options)) if q != p]))
+    cells = {0: tuple((p,) for p in positions)}
     for d in range(1, len(sides) + 1):
-        chains = [chain + (w,) for chain in chains for w in ups[chain[-1]]]
-        cells[d] = frozenset(chains)
+        cells[d] = tuple([chain + (w,) for chain in cells[d - 1] for w in ups[chain[-1]]])
     antipode = [sum((x + L // 2) % L * s for x, L, s in zip(v, sides, strides))
                 for v in vertices]
     return vertices, cells, antipode
@@ -451,7 +450,7 @@ def gamma_power(L, n):
 
 def replace_involution(x, mapping):
     """Copy of x with a different involution (validated)."""
-    cells = {d: x.position_cells(d) for d in range(1, x.cap + 1)}
+    cells = {d: x.position_cells(d) for d in range(x.cap + 1)}
     return SimplicialSet._from_positions(x.vertices, cells, x.cap,
                                          _antipode(mapping, x.position), check=False)
 
@@ -498,7 +497,10 @@ def check_colours(x, values):
 
 
 def check_alternation(x, values):
-    """No 3-cell of x may have a 3-alternating image (values in vertex order)."""
+    """No 3-cell of x may have a 3-alternating image (values in vertex order).
+
+    The witness is the least 3-alternating 3-cell in the order of vertex tuples.
+    """
     for a, b, c, d in zip(*x.cell3_columns):
         if values[a] != values[b] != values[c] != values[d]:
             simplex = tuple(x.vertices[k] for k in (a, b, c, d))
@@ -616,7 +618,7 @@ def mod2_homology_ranks(x, top=None):
     """Ranks of the mod-2 cellular homology computed from non-degenerate cells."""
     if top is None:
         top = x.dimension()
-    cells = [x.sorted_position_cells(d) for d in range(top + 2)]
+    cells = [x.position_cells(d) for d in range(top + 2)]
     index = [{c: i for i, c in enumerate(cs)} for cs in cells]
     ranks = []
     bnd_rank = [0] * (top + 3)

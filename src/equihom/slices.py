@@ -26,10 +26,8 @@ SWAP_STAT_MAPS = 3
 
 
 def height(v):
-    """Number of odd coordinates of a torus-grid vertex (int or tuple)."""
-    if isinstance(v, tuple):
-        return sum(x % 2 for x in v)
-    return v % 2
+    """Number of odd coordinates of a torus-grid vertex tuple."""
+    return sum(x % 2 for x in v)
 
 
 def _is_edge(u, v, L):

@@ -67,13 +67,13 @@ class EquivariantChainComplex:
         if max_dim > x.cap:
             raise InvalidParameterError("max_dim exceeds the stored dimension cap")
         antipode, vertices = x.antipode, x.vertices
-        fixed = [c for c in x.sorted_position_cells(0) if antipode[c[0]] == c[0]]
+        fixed = [c for c in x.position_cells(0) if antipode[c[0]] == c[0]]
         if fixed:
             raise NotFreeActionError(f"cell {x.labels(fixed[0])} is fixed by the involution")
         leads = [vertices[k] < vertices[j] for k, j in enumerate(antipode)]
         reps, coboundaries = [], []
         for d in range(max_dim + 1):
-            cells = x.sorted_position_cells(d)
+            cells = x.position_cells(d)
             first = list(map(leads.__getitem__, map(itemgetter(0), cells)))
             chosen = list(compress(cells, first))
             if d:
@@ -233,9 +233,9 @@ def ordinary_cochain_complex(x, max_dim):
     """Integer coboundaries on all non-degenerate cells (no group action).
 
     Returns the coboundaries and, per degree, the cells that index them: the
-    position tuples of x in the sorted order of their vertex tuples.
+    position tuples of x in their stored order, that of their vertex tuples.
     """
-    cells = [x.sorted_position_cells(d) for d in range(max_dim + 1)]
+    cells = [x.position_cells(d) for d in range(max_dim + 1)]
     index = [{c: i for i, c in enumerate(cs)} for cs in cells]
     deltas = [SparseMat(len(cells[d]), len(cells[d - 1]), incidence(cells[d], index[d - 1]))
               for d in range(1, max_dim + 1)]
@@ -347,29 +347,22 @@ def quotient_pstar_check(n, L, d):
     qposition = quotient.position
     pmap = [qposition.get(project(v)) for v in x.vertices].__getitem__
 
-    # the image of the cell set under the projection is exactly the quotient
-    for dim in range(n + 1):
-        images = set()
-        for cell in x_first.position_cells(dim):
-            img = tuple(map(pmap, cell))
-            if is_degenerate(img):
-                raise InvariantViolationError("projection degenerates a cell")
-            images.add(img)
-        if images != quotient.position_cells(dim):
-            raise InvariantViolationError(
-                f"quotient cells mismatch in dimension {dim}")
-
     deltas_x, cells_x = ordinary_cochain_complex(x, n)
     deltas_q, cells_q = ordinary_cochain_complex(quotient, n)
 
-    # pullback cochain matrices P_k: rows X-cells, columns quotient cells
+    # pullback cochain matrices P_k: rows X-cells, columns quotient cells.
+    # Each X-cell is projected once, and the images must be exactly the
+    # quotient cells before any of them is looked up.
     pullbacks = []
     for k in range(n + 1):
-        qindex = {c: i for i, c in enumerate(cells_q[k])}
-        p = SparseMat(len(cells_x[k]), len(cells_q[k]))
-        for r, cell in enumerate(cells_x[k]):
-            p.set(r, qindex[tuple(map(pmap, cell))], 1)
-        pullbacks.append(p)
+        images = [tuple(map(pmap, cell)) for cell in cells_x[k]]
+        if any(map(is_degenerate, images)):
+            raise InvariantViolationError("projection degenerates a cell")
+        qindex = dict(zip(cells_q[k], count()))
+        if qindex.keys() != set(images):
+            raise InvariantViolationError(f"quotient cells mismatch in dimension {k}")
+        pullbacks.append(SparseMat(len(images), len(qindex),
+                                   [{qindex[img]: 1} for img in images]))
     for k in range(n):
         lhs = deltas_x[k].matmul(pullbacks[k])
         rhs = pullbacks[k + 1].matmul(deltas_q[k])

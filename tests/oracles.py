@@ -22,7 +22,10 @@ the minor maps of a torus colouring, precomposed vertex by vertex, are the
 reference for the degree slices of ``TorusTables``.  The boundary rows built
 one cell and one face at a time, and the orbit complex that picks each
 representative by comparing the cell with its mate and adds its faces to A
-and B entry by entry, are the references for the columnar builder.
+and B entry by entry, are the references for the columnar builder.  The
+strict chains of each poset, extended one element above at a time, and the
+two-vertex sphere's tuples that change colour at every step are the
+references for the cells a simplicial set stores.
 """
 
 import math
@@ -36,8 +39,8 @@ from equihom.errors import (InvalidInputError, InvalidParameterError,
 from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, mu_prime
-from equihom.simplicial import (colour_values, faces, gamma_power,
-                                is_degenerate, map_from_colouring)
+from equihom.simplicial import (BLUE, YELLOW, colour_values, faces,
+                                gamma_power, is_degenerate, map_from_colouring)
 from equihom.slices import (chain_alternations, sample_maximal_chain,
                             swap_fraction)
 from equihom.snf import SparseMat, smith_normal_form
@@ -50,17 +53,23 @@ def cycle_hom_count(ell, k):
     return (k - 1) ** ell + (-1) ** ell * (k - 1)
 
 
-def brute_multihom_count(edges, nverts):
-    """Count ordered pairs of non-empty subsets spanning complete bipartite."""
+def brute_multihoms(edges, nverts):
+    """Ordered pairs of non-empty subsets, as sorted tuples, spanning a
+    complete bipartite subgraph."""
     verts = range(nverts)
-    count = 0
+    pairs = []
     for r in range(1, nverts + 1):
         for left in combinations(verts, r):
             for s in range(1, nverts + 1):
                 for right in combinations(verts, s):
                     if all((a, b) in edges for a in left for b in right):
-                        count += 1
-    return count
+                        pairs.append((left, right))
+    return pairs
+
+
+def brute_multihom_count(edges, nverts):
+    """Count ordered pairs of non-empty subsets spanning complete bipartite."""
+    return len(brute_multihoms(edges, nverts))
 
 
 def is_graph_hom(values, dom_edges, cod_edges):
@@ -166,8 +175,9 @@ def check_reference(vertices, simplices, cap, involution=None, closure=True):
                         f"involution does not preserve simplices: {s}")
 
 
-def poset_covers(u, L):
-    """Successors of a vertex tuple in the product of alternating cyclic posets."""
+def poset_covers(u, sides):
+    """Successors of a vertex tuple in the product of alternating cyclic posets
+    of the given sides, one per coordinate."""
     idx = [i for i in range(len(u)) if u[i] % 2 == 0]
     out = []
     for r in range(1, len(idx) + 1):
@@ -175,7 +185,7 @@ def poset_covers(u, L):
             for signs in product((1, -1), repeat=r):
                 w = list(u)
                 for i, sgn in zip(subset, signs):
-                    w[i] = (w[i] + sgn) % L
+                    w[i] = (w[i] + sgn) % sides[i]
                 out.append(tuple(w))
     return out
 
@@ -184,8 +194,49 @@ def strict_chains(L, n, length):
     """All strict chains with ``length`` vertices in the torus product poset."""
     chains = [(v,) for v in product(range(L), repeat=n)]
     for _ in range(length - 1):
-        chains = [c + (w,) for c in chains for w in poset_covers(c[-1], L)]
+        chains = [c + (w,) for c in chains for w in poset_covers(c[-1], (L,) * n)]
     return chains
+
+
+def order_complex_cells(elements, above, cap):
+    """The cells of an order complex by dimension 0..cap, as sets of tuples:
+    the strict chains, each extended by every element ``above`` its top."""
+    cells = {0: {(a,) for a in elements}}
+    for d in range(1, cap + 1):
+        cells[d] = {c + (b,) for c in cells[d - 1] for b in above(c[-1])}
+    return cells
+
+
+def torus_cells_reference(sides, cap):
+    """The cells of gamma(L_1) x ... x gamma(L_k) by dimension 0..cap, as
+    tuples of vertex tuples."""
+    return order_complex_cells(product(*map(range, sides)),
+                               lambda u: poset_covers(u, sides), cap)
+
+
+def circle_cells_reference(L):
+    """The cells of gamma(L), with int vertices, by dimension 0..3."""
+    return order_complex_cells(range(L), lambda a: [b for (b,) in poset_covers((a,), (L,))], 3)
+
+
+def sphere_model_cells_reference(k):
+    """The cells of sigma(k) by dimension 0..3: in dimension d <= k, the
+    colour tuples of length d + 1 that change colour at every step."""
+    return {d: {t for t in product((YELLOW, BLUE), repeat=d + 1)
+                if all(a != b for a, b in zip(t, t[1:]))} if d <= k else set()
+            for d in range(4)}
+
+
+def hom_complex_cells_reference(edges, nverts):
+    """The cells of Hom(K_2, G) by dimension 0..3: chains of multihomomorphisms
+    under componentwise inclusion."""
+    elements = brute_multihoms(edges, nverts)
+
+    def above(m):
+        return [o for o in elements
+                if o != m and set(m[0]) <= set(o[0]) and set(m[1]) <= set(o[1])]
+
+    return order_complex_cells(elements, above, 3)
 
 
 def _compositions(total, parts):
@@ -363,7 +414,7 @@ def orbit_pairs_reference(x, max_dim):
     for d in range(max_dim + 1):
         chosen = []
         lookup = {}
-        for c in x.sorted_position_cells(d):
+        for c in sorted(x.position_cells(d), key=x.labels):
             if c in lookup:
                 continue
             m = tuple(map(mate, c))

@@ -382,16 +382,16 @@ def test_phi_checks_equivariance(pipe, binary_maps, monkeypatch):
     assert exc.value.witness == (0, 0)
 
 
-def alternating_cell_bits(pipe, f):
-    """mu(f)'s blue bits, made 3-alternating on the least 3-cell and kept
-    equivariant."""
+def alternating_cell_bits(pipe, f, cells=None):
+    """mu(f)'s blue bits, made 3-alternating on the given 3-cells in turn (the
+    least one by default) and kept equivariant."""
     x = gamma_power(12, 3)
     position = {v: k for k, v in enumerate(x.vertices)}
     bits = pipe.mu_bits(f)
-    cell = min(x.cells(3))
-    for k, v in enumerate(cell):
-        bits[position[v]] = k % 2
-        bits[position[x.involution[v]]] = 1 - k % 2
+    for cell in cells or [min(x.cells(3))]:
+        for k, v in enumerate(cell):
+            bits[position[v]] = k % 2
+            bits[position[x.involution[v]]] = 1 - k % 2
     return x, position, bits
 
 
@@ -419,6 +419,25 @@ def test_map_from_colouring_and_phi_name_the_same_alternating_cell(
         map_from_colouring(x, col, check_equivariance=True)
     assert from_map.value.witness == from_phi.value.witness
     assert str(from_map.value) == str(from_phi.value)
+
+
+def test_the_least_alternating_cell_is_the_witness(pipe, ternary_maps, monkeypatch):
+    # two cells far apart in vertex-tuple order are made alternating, the
+    # greater one first; with their neighbours and mates many cells alternate
+    cells = sorted(gamma_power(12, 3).cells(3))
+    f = ternary_maps[0]
+    x, position, bits = alternating_cell_bits(pipe, f, [cells[-1], cells[len(cells) // 2]])
+    alternating = [c for c in cells
+                   if bits[position[c[0]]] != bits[position[c[1]]]
+                   != bits[position[c[2]]] != bits[position[c[3]]]]
+    assert len(alternating) > 1
+    monkeypatch.setattr(pipe, "mu_bits", lambda g: bits)
+    with pytest.raises(AlternatingSimplexError) as from_phi:
+        phi(f, pipe)
+    col = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
+    with pytest.raises(AlternatingSimplexError) as from_map:
+        map_from_colouring(x, col, check_equivariance=True)
+    assert from_phi.value.witness == from_map.value.witness == alternating[0]
 
 
 def test_map_from_colouring_and_deg_vector_name_the_same_antipode():

@@ -17,7 +17,11 @@ from equihom.simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap,
 from equihom.graphs import complete_graph
 from equihom.homcomplexes import hom_complex
 
-from oracles import check_reference, incidence_reference, sproduct, strict_chains
+from oracles import (check_reference, circle_cells_reference,
+                     hom_complex_cells_reference, incidence_reference,
+                     sphere_model_cells_reference, sproduct, strict_chains,
+                     torus_cells_reference)
+from test_zz2 import ORBIT_CASES
 
 
 def test_sigma2_structure():
@@ -195,19 +199,52 @@ INCIDENCE_CASES = {
 def test_columnar_incidence_matches_cell_by_cell_reference(case):
     x = INCIDENCE_CASES[case]()
     for d in range(1, x.dimension() + 1):
-        cells = x.sorted_position_cells(d)
-        index = {c: k for k, c in enumerate(x.sorted_position_cells(d - 1))}
+        cells = x.position_cells(d)
+        index = {c: k for k, c in enumerate(x.position_cells(d - 1))}
         # the same entries in the same face order, degenerate faces dropped
         assert [list(row.items()) for row in incidence(cells, index)] == \
             incidence_reference(cells, index)
+
+
+def _torus(*sides):
+    return lambda: torus_cells_reference(sides, max(3, len(sides)))
+
+
+# the cells of each complex the orbit and incidence tests build, by dimension,
+# from a reference builder
+CELL_REFERENCES = {
+    **{f"gamma_product{sides}": _torus(*sides)
+       for sides in ((8,), (4, 8), (4, 4, 8), (4, 4, 4, 4))},
+    "gamma_4x8": _torus(4, 8),
+    "gamma4_squared": _torus(4, 4),
+    "gamma4_cubed": _torus(4, 4, 4),
+    "gamma4_fourth": _torus(4, 4, 4, 4),
+    "gamma8_cubed": _torus(8, 8, 8),
+    "gamma4": lambda: circle_cells_reference(4),
+    **{f"sigma{k}": (lambda k=k: sphere_model_cells_reference(k)) for k in (1, 2, 3)},
+    "hom_K4": lambda: hom_complex_cells_reference(complete_graph(4).edges, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCIDENCE_CASES.keys() | ORBIT_CASES.keys()))
+def test_each_dimension_is_stored_once_in_vertex_tuple_order(case):
+    x = {**INCIDENCE_CASES, **ORBIT_CASES}[case]()
+    reference = CELL_REFERENCES[case]()
+    assert x.cap == max(reference)
+    for d in range(x.cap + 1):
+        stored = x.position_cells(d)
+        assert type(stored) is tuple
+        labelled = list(map(x.labels, stored))
+        assert all(a < b for a, b in zip(labelled, labelled[1:]))
+        assert set(labelled) == reference[d]
 
 
 def test_incidence_names_the_missing_face_a_cell_scan_meets_first():
     # (1, 3) is missing first in face order, (0, 2) first in cell order
     x = SimplicialSet(range(4), {1: [(0, 1), (1, 2), (0, 3)],
                                  2: [(0, 1, 2), (0, 1, 3)]}, cap=2, check=False)
-    cells = x.sorted_position_cells(2)
-    index = {c: k for k, c in enumerate(x.sorted_position_cells(1))}
+    cells = x.position_cells(2)
+    index = {c: k for k, c in enumerate(x.position_cells(1))}
     errors = []
     for builder in (incidence, incidence_reference):
         with pytest.raises(KeyError) as exc:
@@ -376,10 +413,10 @@ def test_map_from_colouring_alternation_witness():
            for v in t3.vertices}
     with pytest.raises(AlternatingSimplexError) as err:
         map_from_colouring(t3, col)
-    witness = err.value.witness
-    assert witness in t3.cells(3)
-    images = [col[v] for v in witness]
-    assert sum(1 for a, b in zip(images, images[1:]) if a != b) == 3
+    alternating = sorted(c for c in t3.cells(3)
+                         if col[c[0]] != col[c[1]] != col[c[2]] != col[c[3]])
+    assert len(alternating) > 1
+    assert err.value.witness == alternating[0]
 
 
 def test_boundary_of_triangle():

@@ -24,7 +24,6 @@ from oracles import arity_experiment_reference
 def test_height_basics():
     assert height((0, 0, 0)) == 0
     assert height((1, 0, 1)) == 2
-    assert height(3) == 1
 
 
 def test_every_edge_raises_height():

@@ -188,6 +188,21 @@ def test_quotient_pstar_failure_reports_cone_groups(monkeypatch):
     assert "induced_matrix" not in message
 
 
+# projections onto the vertices of gamma(4) x gamma(8): one merges the ends of
+# the edge from (4, 0) to (5, 0), the other sends it to the reversed edge from
+# (1, 0) to (0, 0); either is named before a pullback lookup
+@pytest.mark.parametrize("project, message", [
+    (lambda v: ((v[0] - (v[0] == 5)) % 4, v[1]), "projection degenerates a cell"),
+    (lambda v: (v[0] % 4 ^ v[0] // 4, v[1]), "quotient cells mismatch in dimension 1"),
+], ids=["degenerate", "mismatch"])
+def test_quotient_pstar_rejects_a_bad_projection(project, message, monkeypatch):
+    monkeypatch.setattr(zz2, "quotient_by_first_shift",
+                        lambda L, n: (gamma_product((4, 8)), project))
+    with pytest.raises(InvariantViolationError) as info:
+        quotient_pstar_check(2, 8, 1)
+    assert str(info.value) == message
+
+
 def test_dd_zero_is_verified():
     cx = equivariant_complex(gamma_power(4, 2), 2)
     cx.verify_dd_zero()  # must not raise
