@@ -14,7 +14,8 @@ import json
 import os
 import tempfile
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from operator import or_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -298,9 +299,10 @@ class CyclePipeline:
     each vertex c of K_4 in it, and None where the pair is not a
     multihomomorphism of K_4.  For each arity n, on first use, the pipeline
     caches the sides of iota(iso(y_1), ..., iso(y_n)) for every vertex y of
-    gamma(4*ell)^n in row-major order, as tuples of encoded domain indices.
-    ``mu_bits`` then reads mu_prime(f) of a vertex as the two masks OR-ing
-    1 << f(i) over each side, and t as one table lookup; ``mu_prime`` itself
+    gamma(4*ell)^n in row-major order, the distinct ones as index columns of
+    encoded domain indices, one group of columns per side size.  ``mu_bits``
+    then reads mu_prime(f) of a vertex as the two masks OR-ing 1 << f(i)
+    over each side, and t as one table lookup; ``mu_prime`` itself
     is not called.  The only check here is that every side pair is a
     multihomomorphism.  ``mu`` runs the full validity and equivariance check
     of the simplicial map; ``degrees.phi`` runs the same checks on the bits.
@@ -353,8 +355,11 @@ class CyclePipeline:
     def _side_table(self, n):
         """Distinct sides of iota over gamma(4*ell)^n, and where each vertex's are.
 
-        A side is a tuple of encoded domain indices; ``lefts[k]`` and
-        ``rights[k]`` are the positions of vertex k's sides in ``sides``.
+        A side is a tuple of encoded domain indices.  The distinct sides are
+        grouped by size, and a group of size s is stored as s index columns,
+        column j holding the j-th index of each side; ``lefts[k]`` and
+        ``rights[k]`` are the positions of vertex k's sides in the grouped
+        order.
         """
         table = self._sides.get(n)
         if table is None:
@@ -364,17 +369,33 @@ class CyclePipeline:
                 m = iota([self.iso_map[c] for c in v], self.base)
                 lefts.append(position.setdefault(m.left, len(position)))
                 rights.append(position.setdefault(m.right, len(position)))
-            table = self._sides[n] = (tuple(position), lefts, rights)
+            grouped = sorted(position, key=len)
+            moved = [0] * len(grouped)
+            for k, side in enumerate(grouped):
+                moved[position[side]] = k
+            columns = [tuple(zip(*group)) for _, group in groupby(grouped, len)]
+            table = self._sides[n] = (columns, list(map(moved.__getitem__, lefts)),
+                                      list(map(moved.__getitem__, rights)))
         return table
 
     def mu_bits(self, f):
-        """Blue bit of mu(f) at every vertex of gamma(4*ell)^n, in vertex order."""
+        """Blue bit of mu(f) at every vertex of gamma(4*ell)^n, in vertex order.
+
+        A side's mask ORs 1 << f(i) over its indices, a whole index column
+        at a time.
+        """
         n = self.check_polymorphism(f)
-        sides, lefts, rights = self._side_table(n)
-        values = f.values
-        masks = [sum({1 << values[i] for i in side}) for side in sides]
-        table = self.t_table
-        bits = [table[masks[a] << 4 | masks[b]] for a, b in zip(lefts, rights)]
+        columns, lefts, rights = self._side_table(n)
+        pv = [1 << v for v in f.values]
+        masks = []
+        for group in columns:
+            acc = map(pv.__getitem__, group[0])
+            for column in group[1:]:
+                acc = map(or_, acc, map(pv.__getitem__, column))
+            masks.extend(acc)
+        high = [m << 4 for m in masks]
+        bits = list(map(self.t_table.__getitem__,
+                        map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))))
         if None in bits:
             v = gamma_power(self.period, n).vertices[bits.index(None)]
             raise InvalidParameterError(

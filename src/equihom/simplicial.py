@@ -7,7 +7,8 @@ as ordered vertex tuples are a set built on first use.  Degenerate simplices
 are reconstructed on demand: a tuple is a simplex exactly when collapsing its
 consecutive repeats leaves a stored tuple, and it is degenerate exactly when
 it has a consecutive repeat.  Tori list their vertices in row-major order, so
-their chains come out of the builder already in that order.
+their chains come out of the builder already in that order, and a torus
+builds and checks each dimension on its first read.
 """
 
 from functools import cached_property, lru_cache
@@ -97,6 +98,8 @@ class SimplicialSet:
     ``cells(d)`` is the set of the same cells as vertex tuples, built on
     first use.  The involution is stored as ``antipode``, the position of
     each vertex's mate.  The labels of one set must be mutually comparable.
+    A set built from up-lists holds only its 0-cells at first: dimension d is
+    built, checked and stored on its first read, after the dimensions below.
     """
 
     def __init__(self, vertices, simplices, cap, involution=None, check=True):
@@ -117,25 +120,37 @@ class SimplicialSet:
         self._setup(vertices, cells, cap, _antipode(involution, position), check)
 
     @classmethod
-    def _from_positions(cls, vertices, cells, cap, antipode, check=True):
+    def _from_positions(cls, vertices, cells, cap, antipode, check=True, ups=None):
         """A simplicial set from position cells: ``cells[d]`` is a tuple of
         tuples of indices into the tuple ``vertices``, in the sorted order of
         their vertex tuples and without repeats, for d = 0 up to at most
         ``cap``; ``antipode`` is a list or None.  The dict ``cells`` becomes
-        the new set's own."""
+        the new set's own.
+
+        With ``ups``, one sorted list of the positions above each vertex of a
+        strict order, ``cells`` holds the 0-cells only, and the d-cells are
+        the (d-1)-cells extended through the up-list of their last vertex,
+        built when first read.  ``check`` is then ignored: the involution,
+        which ``antipode`` must give, is checked on the vertices at once, and
+        each dimension in full as it is built.
+        """
         x = cls.__new__(cls)
-        x._setup(vertices, cells, cap, antipode, check)
+        x._setup(vertices, cells, cap, antipode, check, ups)
         return x
 
-    def _setup(self, vertices, cells, cap, antipode, check):
+    def _setup(self, vertices, cells, cap, antipode, check, ups=None):
         self.vertices = vertices
         self.vertex_set = frozenset(vertices)
         self.cap = cap
-        for d in range(cap + 1):
-            cells.setdefault(d, ())
         self._positions = cells
         self._views = {}
         self.antipode = antipode
+        self._ups = ups
+        if ups is not None:
+            self._check_antipode()
+            return
+        for d in range(cap + 1):
+            cells.setdefault(d, ())
         if check:
             self._check(closure=True)
         elif antipode is not None:
@@ -151,21 +166,25 @@ class SimplicialSet:
         dropped when that dimension is done.  Only a failing test goes back
         over the cells, in their stored order, to name the culprit.
         """
+        cells = self._positions
         for d in range(1, self.cap + 1):
-            self._check_cells(d, closure)
-        antipode = self.antipode
-        if antipode is None:
+            self._check_cells(d, cells[d], closure)
+        if self.antipode is None:
             return
-        count = len(self.vertices)
+        self._check_antipode()
+        for d in range(1, self.cap + 1):
+            self._check_mates(d, cells[d])
+
+    def _check_antipode(self):
+        antipode, count = self.antipode, len(self.vertices)
         if sorted(antipode) != list(range(count)):
             raise InvalidParameterError("involution is not a vertex permutation")
         if list(map(antipode.__getitem__, antipode)) != list(range(count)):
             raise InvalidParameterError("involution is not self-inverse")
-        for d in range(1, self.cap + 1):
-            self._check_mates(d)
 
-    def _check_cells(self, d, closure):
-        here, label = self._positions[d], self.labels
+    def _check_cells(self, d, here, closure):
+        """Check the d-cells ``here`` against the stored (d-1)-cells."""
+        label = self.labels
         if not here:
             return
         if set(map(len, here)) != {d + 1}:
@@ -189,14 +208,28 @@ class SimplicialSet:
                     raise InvalidParameterError(
                         f"closure violated: face {label(face)} of {label(s)} missing")
 
-    def _check_mates(self, d):
-        here, mate = self._positions[d], self.antipode.__getitem__
+    def _check_mates(self, d, here):
+        """Check that the mate of each d-cell of ``here`` is in ``here``."""
+        mate = self.antipode.__getitem__
         stored = set(here)
         mates = zip(*(map(mate, map(itemgetter(k), here)) for k in range(d + 1)))
         if not all(map(stored.__contains__, mates)):
             bad = next(s for s in here if tuple(map(mate, s)) not in stored)
             raise InvalidParameterError(
                 f"involution does not preserve simplices: {self.labels(bad)}")
+
+    def _grow(self, d):
+        """Build dimensions up to d from the up-lists, each checked before it
+        is stored; the up-lists are dropped once the cap is built."""
+        cells, ups = self._positions, self._ups
+        for e in range(len(cells), d + 1):
+            here = tuple([chain + (w,) for chain in cells[e - 1] for w in ups[chain[-1]]])
+            self._check_cells(e, here, closure=True)
+            self._check_mates(e, here)
+            cells[e] = here
+        if d == self.cap:
+            self._ups = None
+        return cells[d]
 
     @cached_property
     def position(self):
@@ -224,7 +257,12 @@ class SimplicialSet:
     def position_cells(self, d):
         """Non-degenerate d-simplices as position tuples, in the sorted order of
         their vertex tuples (empty beyond the stored range)."""
-        return self._positions.get(d, ())
+        cells = self._positions.get(d)
+        if cells is None:
+            if self._ups is None or not 0 < d <= self.cap:
+                return ()
+            cells = self._grow(d)
+        return cells
 
     def cells(self, d):
         """Non-degenerate d-simplices as vertex tuples (empty beyond the stored range)."""
@@ -237,7 +275,7 @@ class SimplicialSet:
         return len(self.position_cells(d))
 
     def dimension(self):
-        return max((d for d in range(self.cap + 1) if self._positions.get(d)), default=0)
+        return max((d for d in range(self.cap + 1) if self.position_cells(d)), default=0)
 
     def euler_characteristic(self):
         return sum((-1) ** d * self.n_cells(d) for d in range(self.cap + 1))
@@ -399,7 +437,8 @@ def gamma_product(sides):
     posets: the cells are the strict chains, and a vertex lies below exactly
     the tuples obtained by moving a nonempty subset of its even coordinates to
     a neighbour.  The cap is max(3, k), and every spelling of one torus
-    shares one cache entry.
+    shares one cache entry.  The cell limit and the involution on vertices
+    are checked at once; each dimension is built and checked on first read.
     """
     return _gamma_product(tuple(sides))
 
@@ -411,17 +450,18 @@ def _gamma_product(sides):
     for L in sides:
         _check_side(L)
     check_cell_limit(sides)
-    vertices, cells, antipode = _product_chains(sides)
-    return SimplicialSet._from_positions(vertices, cells, max(3, len(sides)), antipode)
+    vertices, points, antipode, ups = _product_chains(sides)
+    return SimplicialSet._from_positions(vertices, {0: points}, max(3, len(sides)),
+                                         antipode, ups=ups)
 
 
 def _product_chains(sides):
-    """Vertices, strict chains by dimension and antipode of the product poset.
+    """Vertices, 0-cells, antipode and up-lists of the product poset.
 
     Positions are row-major: vertices[p] is the p-th tuple of the product,
-    and every chain shares the one int object of each position.  The
-    up-lists are sorted, so each dimension comes out in the sorted order of
-    its vertex tuples, and are dropped on return, before the torus is checked.
+    and every chain shares the one int object of each position.  ``ups[p]``
+    lists the positions above vertex p in sorted order, so chains extended
+    through them come out in the sorted order of their vertex tuples.
     """
     vertices = tuple(product(*(range(L) for L in sides)))
     strides = [prod(sides[i + 1:]) for i in range(len(sides))]
@@ -431,12 +471,9 @@ def _product_chains(sides):
         options = [(x * s,) if x % 2 else (x * s, (x + 1) % L * s, (x - 1) % L * s)
                    for x, L, s in zip(v, sides, strides)]
         ups.append(sorted([positions[q] for q in map(sum, product(*options)) if q != p]))
-    cells = {0: tuple((p,) for p in positions)}
-    for d in range(1, len(sides) + 1):
-        cells[d] = tuple([chain + (w,) for chain in cells[d - 1] for w in ups[chain[-1]]])
     antipode = [sum((x + L // 2) % L * s for x, L, s in zip(v, sides, strides))
                 for v in vertices]
-    return vertices, cells, antipode
+    return vertices, tuple((p,) for p in positions), antipode, ups
 
 
 # the one torus cache, reachable under the public name

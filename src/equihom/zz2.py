@@ -102,12 +102,21 @@ class EquivariantChainComplex:
         """Consecutive coboundaries compose to zero over Z[Z2].
 
         As nu^2 = 1, (A + B*nu)(A' + B'*nu) = (AA' + BB') + (AB' + BA')*nu.
+        Each row of the two parts is summed in one pass over the row of A
+        and of B, so no product matrix is built.
         """
         for d in range(2, self.top() + 1):
             a, b = self.coboundaries[d - 1]
-            a2, b2 = self.coboundaries[d - 2]
-            for p, q in ((a.matmul(a2), b.matmul(b2)), (a.matmul(b2), b.matmul(a2))):
-                if any(_row_sum(r, s) for r, s in zip(p.rows, q.rows)):
+            a2, b2 = (m.rows for m in self.coboundaries[d - 2])
+            for ra, rb in zip(a.rows, b.rows):
+                one, nu = {}, {}
+                for row, by_a2, by_b2 in ((ra, one, nu), (rb, nu, one)):
+                    for k, v in row.items():
+                        for j, w in a2[k].items():
+                            by_a2[j] = by_a2.get(j, 0) + v * w
+                        for j, w in b2[k].items():
+                            by_b2[j] = by_b2.get(j, 0) + v * w
+                if any(one.values()) or any(nu.values()):
                     raise InvariantViolationError(
                         f"boundary composition nonzero in dimension {d}")
 

@@ -5,11 +5,12 @@ library code paths under test: raw loops over tuples, the generic product of
 simplicial sets, the signed boundary of a cell complex, determinantal divisors
 for Smith forms, closed-form counts for cycle colourings.  The reference
 formulas that table-driven paths replaced (``mu_prime`` per torus vertex, the
-degree of each 2-variable minor map, GF(2) elimination against every basis
-row) are kept here too, built from the slower public pieces.  So is the
-dense Smith form with transforms, with the kernels, solvers and lattice
-quotients built on it, which computed the map induced on cohomology by the
-quotient projection before the mapping cone did, and the orbit complex with
+side masks of ``mu_bits`` one side at a time, the degree of each 2-variable
+minor map, GF(2) elimination against every basis row) are kept here too,
+built from the slower public pieces.  So is the dense Smith form with
+transforms, with the kernels, solvers and lattice quotients built on it,
+which computed the map induced on cohomology by the quotient projection
+before the mapping cone did, and the orbit complex with
 its entries a + b*nu kept as pairs in one dict, before it became two sparse
 matrices.  The tuple-based validation of a simplicial set, one cell at a
 time, is the reference for the column check the library runs on positions.
@@ -28,6 +29,7 @@ two-vertex sphere's tuples that change colour at every step are the
 references for the cells a simplicial set stores.
 """
 
+import functools
 import math
 import random
 from itertools import combinations, product
@@ -38,7 +40,7 @@ from equihom.errors import (InvalidInputError, InvalidParameterError,
                             NotFreeActionError)
 from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
-from equihom.homcomplexes import CyclePipeline, mu_prime
+from equihom.homcomplexes import CyclePipeline, iota, mu_prime
 from equihom.simplicial import (BLUE, YELLOW, colour_values, faces,
                                 gamma_power, is_degenerate, map_from_colouring)
 from equihom.slices import (chain_alternations, sample_maximal_chain,
@@ -363,6 +365,30 @@ def mu_colours_reference(pipeline, f):
     for v in gamma_power(pipeline.period, n).vertices:
         colours[v] = t_map[mu_prime(f, tuple(pipeline.iso_map[c] for c in v))]
     return colours
+
+
+@functools.lru_cache(maxsize=8)
+def _iota_sides(pipeline, n):
+    """The two sides of iota(iso(y_1), ..., iso(y_n)) of each torus vertex y."""
+    return [tuple(iota([pipeline.iso_map[c] for c in v], pipeline.base))
+            for v in gamma_power(pipeline.period, n).vertices]
+
+
+def mu_bits_reference(pipeline, f):
+    """The blue bit of mu(f) at each torus vertex, one side at a time: a side's
+    mask ORs 1 << f(i) over its indices, and t is read at (left << 4) | right."""
+    n = pipeline.check_polymorphism(f)
+    values, table = f.values, pipeline.t_table
+    bits = []
+    for v, sides in zip(gamma_power(pipeline.period, n).vertices, _iota_sides(pipeline, n)):
+        left, right = (sum({1 << values[i] for i in side}) for side in sides)
+        bit = table[left << 4 | right]
+        if bit is None:
+            raise InvalidParameterError(
+                f"f sends the multihomomorphism at vertex {v} to a pair of "
+                "sides that is not a multihomomorphism of K_4")
+        bits.append(bit)
+    return bits
 
 
 def minor_map(g, pi, L, n):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from itertools import product as iproduct
@@ -265,6 +266,19 @@ def test_experiment_verb(tmp_path):
     assert report["seed"] == 3
     assert report["t_fingerprint"]
     assert report["per_n"][0]["max_weight"] == 1
+
+
+# SHA-256 of the report of `experiment --ell 3 --n-max 3 --chain-samples 4000
+# --seed 3`, the same on Python 3.10, 3.11 and 3.12
+SURVEY_REPORT_SHA256 = "71985439fb0d3fb3c295951bea32e4ee06f881a229135862ee3c40c29058f9ef"
+
+
+def test_experiment_report_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("EQUIHOM_CACHE", raising=False)
+    out = tmp_path / "survey.json"
+    assert run(["experiment", "--ell", "3", "--n-max", "3", "--chain-samples", "4000",
+                "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SURVEY_REPORT_SHA256
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -13,7 +13,7 @@ from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring,
 from equihom.simplicial import (BLUE, YELLOW, gamma_power, map_from_colouring,
                                 mod2_homology_ranks)
 
-from oracles import brute_multihom_count, mu_colours_reference
+from oracles import brute_multihom_count, mu_bits_reference, mu_colours_reference
 
 
 def test_multihom_counts_against_brute_force():
@@ -247,3 +247,40 @@ def test_mu_bits_rejects_a_side_pair_that_is_no_multihom():
                         check=False)
     with pytest.raises(InvalidParameterError, match="not a multihomomorphism"):
         pipe.mu_bits(constant)
+
+
+@pytest.mark.parametrize("ell, n, count, seed", [
+    (3, 1, None, None), (3, 2, None, None), (3, 3, 40, 5), (5, 2, 20, 3), (5, 3, 6, 3)])
+def test_mu_bits_matches_the_per_side_loop(ell, n, count, seed):
+    """The column-wise masks of mu_bits against one set of indices per side:
+    every arity-1 and binary map at ell = 3, seeded ternary maps, and seeded
+    maps at ell = 5."""
+    pipe = CyclePipeline(ell)
+    dom, k4 = power(cycle_graph(ell), n), complete_graph(4)
+    maps = (list(enumerate_homs(dom, k4)) if count is None
+            else sample_homs(dom, k4, count, random.Random(seed)))
+    assert len(maps) == (count or {1: 24, 2: 1056}[n])
+    for f in maps:
+        assert pipe.mu_bits(f) == mu_bits_reference(pipe, f)
+
+
+def test_mu_bits_names_the_first_bad_vertex_as_the_per_side_loop():
+    """Maps off the polymorphisms, each with one value changed, fail at the
+    same first vertex in both, or pass in both."""
+    pipe = CyclePipeline(3)
+    dom, k4 = power(cycle_graph(3), 2), complete_graph(4)
+    rng = random.Random(7)
+    failed = 0
+    for f in rng.sample(list(enumerate_homs(dom, k4)), 30):
+        values = list(f.values)
+        values[rng.randrange(len(values))] = rng.randrange(4)
+        g = GraphHom(dom, k4, tuple(values), check=False)
+        outcomes = []
+        for read in (pipe.mu_bits, lambda g: mu_bits_reference(pipe, g)):
+            try:
+                outcomes.append(read(g))
+            except InvalidParameterError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        failed += isinstance(outcomes[0], str)
+    assert failed >= 10

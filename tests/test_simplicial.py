@@ -14,8 +14,10 @@ from equihom.simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap,
                                 normalize_simplex, order_complex,
                                 product_cell_count, sigma)
 
+from equihom.degrees import torus_complex, torus_tables
 from equihom.graphs import complete_graph
 from equihom.homcomplexes import hom_complex
+from equihom.slices import arity_experiment
 
 from oracles import (check_reference, circle_cells_reference,
                      hom_complex_cells_reference, incidence_reference,
@@ -152,6 +154,71 @@ def test_torus_spellings_share_one_cache_entry():
     assert gamma_power(12, 2) is torus
     assert gamma_product([12, 12]) is torus
     assert gamma_power(4, 1) is gamma_product((4,))
+
+
+@pytest.fixture
+def fresh_tori():
+    """Empty torus caches before and after the test, so that it reads only the
+    tori it builds itself and leaves none of them behind."""
+    caches = (simplicial._gamma_product, torus_tables, torus_complex)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_the_survey_builds_no_torus_cell_above_the_vertices(fresh_tori):
+    arity_experiment(3, 3, seed=3, chain_samples=100)
+    torus = gamma_power(12, 3)
+    assert torus_tables(12, 3).torus is torus
+    assert sorted(torus._positions) == [0]
+    assert torus.n_cells(3) == product_cell_count((12,) * 3, 3)
+    assert sorted(torus._positions) == [0, 1, 2, 3]
+
+
+def _dropping(monkeypatch, moves):
+    """Make the torus generator leave each (p, q) of ``moves`` out of the
+    up-list of p, and return the chains the broken up-lists give, by dimension."""
+    build = simplicial._product_chains
+    chains = {}
+
+    def broken(sides):
+        vertices, points, antipode, ups = build(sides)
+        for p, q in moves:
+            ups[p].remove(q)
+        chains[0] = list(points)
+        for d in range(1, len(sides) + 1):
+            chains[d] = [c + (w,) for c in chains[d - 1] for w in ups[c[-1]]]
+        return vertices, points, antipode, ups
+
+    monkeypatch.setattr(simplicial, "_product_chains", broken)
+    return chains
+
+
+@pytest.mark.parametrize("moves, d, message", [
+    # (0, 0) < (1, 1) and its mate (2, 2) < (3, 3) go: every edge keeps its
+    # mate, but the 2-cells through (0, 1) or (1, 0) lose a face
+    ([(0, 5), (10, 15)], 2,
+     "closure violated: face ((0, 0), (1, 1)) of ((0, 0), (0, 1), (1, 1)) missing"),
+    # (0, 0) < (1, 0) goes, and no chain has it as a face, but its mate stays
+    ([(0, 4)], 1, "involution does not preserve simplices: ((2, 2), (3, 2))"),
+], ids=["face", "mate"])
+def test_a_broken_torus_dimension_is_refused_on_each_read(moves, d, message,
+                                                          fresh_tori, monkeypatch):
+    chains = _dropping(monkeypatch, moves)
+    torus = gamma_product((4, 4))
+    assert sorted(torus._positions) == [0]
+    # the eager check of the same cells raises the same message
+    simplices = {e: [torus.labels(c) for c in chains[e]] for e in (1, 2)}
+    with pytest.raises(InvalidParameterError) as eager:
+        SimplicialSet(torus.vertices, simplices, torus.cap, torus.involution)
+    assert str(eager.value) == message
+    for read in (d, 3, d):
+        with pytest.raises(InvalidParameterError) as lazy:
+            torus.position_cells(read)
+        assert str(lazy.value) == message
+        assert sorted(torus._positions) == list(range(d))
 
 
 def test_closure_checked():

@@ -122,9 +122,9 @@ def test_bredon_torus_factors_each_coboundary_once(monkeypatch):
         for d in range(1, 4):
             assert bredon_torus(3, 4, d) == expected_bredon(3, d)
     # delta_0, delta_1, delta_2 once each; pairs (1, 0) and (2, 1) once each,
-    # after the orbit complex's four products AA', BB', AB', BA' per pair
+    # and the orbit complex's dd = 0 check multiplies no matrices
     assert len(smith_calls) == 3
-    assert len(products) == 2 * 4 + 2
+    assert len(products) == 2
 
 
 def test_bredon_independent_of_l_at_n2():
@@ -215,6 +215,29 @@ def test_dd_zero_catches_one_corrupted_mate_entry():
     i = next(iter(b.rows[j]))
     b.add_at(j, i, 1)
     with pytest.raises(InvariantViolationError, match="dimension 2"):
+        cx.verify_dd_zero()
+
+
+@pytest.mark.parametrize("a, b, a2, b2, nonzero", [
+    (1, 0, 1, 0, True),   # only the 1 part: AA'
+    (0, 1, 0, 1, True),   # only the 1 part: BB'
+    (1, 0, 0, 1, True),   # only the nu part: AB'
+    (0, 1, 1, 0, True),   # only the nu part: BA'
+    (1, 1, 1, -1, False),  # (1 + nu)(1 - nu) = 1 - nu^2 = 0
+    (2, -1, 1, 1, True),  # (2 - nu)(1 + nu) = 1 + nu
+], ids=["AA", "BB", "AB", "BA", "cancels", "both"])
+def test_dd_zero_reads_both_parts_of_the_composition(a, b, a2, b2, nonzero):
+    """Hand-built 1 x 1 coboundaries, with (A + B*nu)(A' + B'*nu) =
+    (AA' + BB') + (AB' + BA')*nu."""
+    def pair(x, y):
+        return SparseMat(1, 1, [{0: x} if x else {}]), SparseMat(1, 1, [{0: y} if y else {}])
+
+    cx = EquivariantChainComplex([[(0,)], [(0, 1)], [(0, 1, 2)]], [pair(a2, b2), pair(a, b)])
+    if nonzero:
+        with pytest.raises(InvariantViolationError,
+                           match="^boundary composition nonzero in dimension 2$"):
+            cx.verify_dd_zero()
+    else:
         cx.verify_dd_zero()
 
 
