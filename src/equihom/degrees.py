@@ -13,9 +13,8 @@ from functools import lru_cache
 from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import MinorSpec
 from .homcomplexes import CyclePipeline
-from .simplicial import (BLUE, YELLOW, ModTwoChain, boundary, check_alternation,
-                         check_antipodes, check_colours, colour_values,
-                         gamma_power, gamma_product)
+from .simplicial import (BLUE, YELLOW, ModTwoChain, boundary, check_antipodes,
+                         check_colours, colour_values, gamma_power, gamma_product)
 
 
 class TorusComplex:
@@ -62,37 +61,35 @@ def torus_complex(L, Lp):
 
 
 class TorusTables:
-    """The degree slices of gamma(L)^n, for colourings given as lists.
+    """The degree slices of gamma(L)^n, as row-major positions of its vertices.
 
-    A list holds one value per vertex of ``torus = gamma_power(L, n)``, in
-    vertex order, the order the checks of ``simplicial`` read.
     ``slices[i - 1]`` holds the ``x1`` edges and ``b1`` band triangles of
-    ``torus_complex(L, L)`` pulled back through ``sigma_minor(n, i)``, as
-    positions of ``torus``: ``count_deg1`` over them is deg1 of the i-th minor.
+    ``torus_complex(L, L)`` pulled back through ``sigma_minor(n, i)``:
+    ``count_deg1`` over them is deg1 of the i-th minor.  The vertex (a, b)
+    of the plane lifts to a * w_1 + b * w_2, with w_k summing L^(n-j) over
+    the slots j that the minor sends to k.  ``positions`` lists, in
+    increasing order, every position a slice reads.  gamma(L)^n itself is
+    not built.
     """
 
     def __init__(self, L, n):
-        x = self.torus = gamma_power(L, n)
         plane = torus_complex(L, L)
         self.slices = []
         for i in range(1, n + 1):
-            pi = sigma_minor(n, i)
-            lift = []  # position on the 2-torus -> the position minor i reads
-            for y in plane.sset.vertices:
-                lift.append(x.position[tuple(y[pi(j) - 1] for j in range(1, n + 1))])
+            pi, w = sigma_minor(n, i), [0, 0]
+            for j in range(1, n + 1):
+                w[pi(j) - 1] += L ** (n - j)
+            lift = [a * w[0] + b * w[1] for a in range(L) for b in range(L)]
             self.slices.append(([tuple(lift[p] for p in e) for e in plane.x1],
                                 [tuple(lift[p] for p in c) for c in plane.b1]))
+        self.positions = tuple(sorted({p for x1, b1 in self.slices
+                                       for cell in x1 + b1 for p in cell}))
 
     def degrees(self, bits):
-        """deg1 of each 2-variable minor of a blue-bit list, in coordinate order."""
+        """deg1 of each 2-variable minor, in coordinate order, of the blue
+        bits ``bits[p]`` at the ``positions`` p: a list in vertex order, or
+        a dict on ``positions``."""
         return [count_deg1(bits, x1, b1) for x1, b1 in self.slices]
-
-    def odd_vector(self, bits):
-        """The degree vector of a blue-bit list, with the checks it needs:
-        antipodes get different bits (NotEquivariantError), and the weight
-        is odd (InvariantViolationError, from OddVector)."""
-        check_antipodes(self.torus, bits)
-        return OddVector(self.degrees(bits))
 
 
 @lru_cache(maxsize=16)
@@ -146,27 +143,24 @@ def deg_vector(g, L, n):
     invalid input.  Coordinate i is deg1 of the 2-variable minor along
     ``sigma_minor(n, i)``, counted on the index tables.
     """
-    tables = torus_tables(L, n)
-    values = colour_values(tables.torus, g)
-    check_antipodes(tables.torus, values)
-    check_colours(tables.torus, values)
-    return OddVector(tables.degrees([c == BLUE for c in values]))
+    x = gamma_power(L, n)
+    values = colour_values(x, g)
+    check_antipodes(x, values)
+    check_colours(x, values)
+    return OddVector(torus_tables(L, n).degrees([c == BLUE for c in values]))
 
 
 def phi(f, pipeline):
     """The odd vector attached to a polymorphism: the degree vector of mu(f).
 
-    Runs on the blue bits of ``pipeline.mu_bits(f)`` and the index tables of
-    gamma(4*ell)^n, with the checks ``mu(f)`` and ``deg_vector`` make: no
-    3-cell of the torus has a 3-alternating image (AlternatingSimplexError),
-    then, in ``TorusTables.odd_vector``, antipodes get opposite colours
-    (NotEquivariantError) and the degree vector has odd weight
-    (InvariantViolationError, from OddVector).
-
-    Every step reads only the pipeline's tables and ``f.values``, so an
-    accepted result is memoised on the pipeline under ``f.values``; a later
-    call with the same values returns it after ``check_polymorphism``.  A
-    failing input is not stored and raises again on every call.
+    Reads the blue bits of mu(f) only at the vertices the degree slices of
+    gamma(4*ell)^n touch, and builds no such torus.  The pipeline's
+    certificate stands for the checks of the whole torus (see
+    ``CyclePipeline``), so per map f must pass ``check_polymorphism`` and
+    the vector must have odd weight (InvariantViolationError).  An accepted
+    result is memoised on the pipeline under ``f.values``, and a later call
+    with the same values returns it after ``check_polymorphism``; a failing
+    input is not stored and raises again on every call.
     """
     if not isinstance(pipeline, CyclePipeline):
         raise InvalidParameterError("phi needs a CyclePipeline")
@@ -174,10 +168,9 @@ def phi(f, pipeline):
     memo, vectors = pipeline.phi_memo, pipeline.phi_vectors
     alpha = memo.get(f.values)
     if alpha is None:
-        bits = pipeline.mu_bits(f)
         tables = torus_tables(pipeline.period, n)
-        check_alternation(tables.torus, bits)
-        alpha = tables.odd_vector(bits)
+        bits = pipeline.mu_bits(f, tables.positions)
+        alpha = OddVector(tables.degrees(dict(zip(tables.positions, bits))))
         alpha = memo[f.values] = vectors.setdefault(alpha.bits, alpha)
     return alpha
 

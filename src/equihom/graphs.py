@@ -178,7 +178,8 @@ class GraphHom:
     """A graph homomorphism given by its vertex value array.
 
     ``checked`` records that the edges are known to be preserved: the
-    constructor checked them, or the map is a minor of a checked one.
+    constructor checked them, the search of ``HomStream`` found the map, or
+    the map is a minor of a checked one.
     """
 
     def __init__(self, domain, codomain, values, check=True):
@@ -253,9 +254,11 @@ def _gather(dom, target, mapping):
 class HomStream:
     """Iterator over homomorphisms with a truncation flag.
 
-    ``truncated`` becomes True when a limit cut the enumeration short; it is
-    reliable once iteration has finished.  With a ``budget``, the search
-    ends once it would push more than that many frames past the first.
+    Each map is marked ``checked``: a vertex takes a value only once AC-3
+    has kept it for an edge to every assigned neighbour.  ``truncated``
+    becomes True when a limit cut the enumeration short; it is reliable
+    once iteration has finished.  With a ``budget``, the search ends once
+    it would push more than that many frames past the first.
     """
 
     def __init__(self, dom, cod, limit=None, rng=None, budget=None):
@@ -327,7 +330,9 @@ class HomStream:
                 self.truncated = True
                 return
             emitted += 1
-            yield GraphHom(dom, cod, tuple(assignment), check=False)
+            hom = GraphHom(dom, cod, tuple(assignment), check=False)
+            hom.checked = True
+            yield hom
 
 
 def enumerate_homs(dom, cod, limit=None):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import (InternalError, InvalidParameterError,
                      UnsupportedInputError)
-from .graphs import PowerGraph, complete_graph, cycle_graph, power
+from .graphs import GraphHom, PowerGraph, complete_graph, cycle_graph, power
 from .simplicial import (BLUE, YELLOW, SimplicialMap, gamma, gamma_power,
                          map_from_colouring, order_complex)
 
@@ -97,7 +97,8 @@ def canonical_cycle_iso(ell):
 
     Seeds at the multihomomorphism ({0},{1}) and walks the 4*ell-cycle of the
     poset's comparability graph, taking the canonically smaller neighbour
-    first; verified bijective on vertices and edges and equivariant.
+    first; verified bijective on vertices and edges, equivariant, and
+    monotone: each odd vertex goes above both of its even neighbours.
     """
     if ell < 3 or ell % 2 == 0:
         raise InvalidParameterError("need an odd cycle length >= 3")
@@ -126,6 +127,8 @@ def canonical_cycle_iso(ell):
     for k in range(4 * ell):
         if vertex_map[(k + 2 * ell) % (4 * ell)] != vertex_map[k].swap():
             raise InternalError("walk does not conjugate the shift to the swap")
+        if k % 2 and not (walk[k - 1].lt(walk[k]) and walk[(k + 1) % (4 * ell)].lt(walk[k])):
+            raise InternalError(f"walk does not send {k} above its even neighbours")
     iso = SimplicialMap(gamma(4 * ell), target, vertex_map)
     if len(set(vertex_map.values())) != 4 * ell:
         raise InternalError("walk is not injective on vertices")
@@ -223,62 +226,27 @@ def default_cache_dir():
 def search_t_colouring(persist=None):
     """Find (or reload) an equivariant colouring of Hom(K_2, K_4) into sigma(2).
 
-    Backtracks over the 25 antipodal orbit pairs in canonical vertex order
-    with the first orbit's colour fixed, rejecting partial assignments that
-    complete a 3-alternating 3-simplex; the first solution is persisted to
-    ``persist`` (a file path) and reloaded verbatim on later runs.
+    Hom(K_2, K_4) has no 3-simplex, so every equivariant colouring is a
+    simplicial map; the one chosen colours the first vertex of each of the
+    25 antipodal orbits yellow, in canonical vertex order, which is the
+    first solution of a backtracking search over the orbits.  It is checked,
+    persisted to ``persist`` (a file path) and reloaded verbatim later.
     """
+    x = hom_complex(complete_graph(4))
     if persist is not None:
         persist = Path(persist)
         if persist.suffix != ".json":  # directories hold the default file name
             persist = persist / T_FILE_NAME
         if persist.exists():
             t = TColouring.load(persist)
-            map_from_colouring(hom_complex(complete_graph(4)), t.as_vertex_map(),
-                               check_equivariance=True)
+            map_from_colouring(x, t.as_vertex_map(), check_equivariance=True)
             return t
 
-    x = hom_complex(complete_graph(4))
     # the vertices are multihoms(K_4) in the canonical order of TColouring
-    count, partner = len(x.vertices), x.antipode
-    by_vertex = {}
-    for cell in zip(*x.cell3_columns):
-        for i in cell:
-            by_vertex.setdefault(i, []).append(cell)
-
-    colours = [None] * count
-
-    def consistent(i):
-        for cell in by_vertex.get(i, ()):
-            cs = [colours[j] for j in cell]
-            if None in cs:
-                continue
-            if cs[0] != cs[1] and cs[1] != cs[2] and cs[2] != cs[3]:
-                return False
-        return True
-
-    def assign(i, bit):
-        colours[i] = bit
-        colours[partner[i]] = 1 - bit
-        if consistent(i) and consistent(partner[i]):
-            return True
-        colours[i] = colours[partner[i]] = None
-        return False
-
-    def search(pos, first):
-        while pos < count and colours[pos] is not None:
-            pos += 1
-        if pos == count:
-            return True
-        for bit in ((0,) if first else (0, 1)):
-            if assign(pos, bit):
-                if search(pos + 1, False):
-                    return True
-                colours[pos] = colours[partner[pos]] = None
-        return False
-
-    if not search(0, True):
-        raise InternalError("exhausted the colouring search; this cannot happen")
+    colours = [None] * len(x.vertices)
+    for i, j in enumerate(x.antipode):
+        if colours[i] is None:
+            colours[i], colours[j] = 0, 1
     t = TColouring(colours)
     map_from_colouring(x, t.as_vertex_map(), check_equivariance=True)
     if persist is not None:
@@ -287,33 +255,40 @@ def search_t_colouring(persist=None):
     return t
 
 
+def _t_index(m):
+    """(left mask << 4) | right mask, a side's mask setting bit c for each c."""
+    left, right = (sum(1 << c for c in side) for side in m)
+    return left << 4 | right
+
+
 class CyclePipeline:
     """Everything needed to turn polymorphisms of (C_ell, K_4) into torus maps.
 
     Holds the cycle's homomorphism complex, the canonical circle isomorphism
-    and the chosen structure colouring t; the tori gamma(4*ell)^n come from
-    the shared torus cache behind ``gamma_power``.
+    and the chosen structure colouring t, and runs on integer tables.
+    ``t_table`` is a tuple with the blue bit of t at ``_t_index(m)`` for each
+    multihomomorphism m of K_4, None elsewhere.  For each arity n and tuple
+    of row-major vertex positions of gamma(4*ell)^n, the pipeline caches the
+    distinct sides of iota(iso(y_1), ..., iso(y_n)) at those vertices y as
+    index columns of encoded domain indices, one group per side size;
+    ``mu_bits`` ORs 1 << f(i) over each side and reads t with one lookup.
 
-    The pipeline runs on integer tables.  ``t_table`` holds the blue bit of t
-    at index (left mask << 4) | right mask, where a side's mask sets bit c for
-    each vertex c of K_4 in it, and None where the pair is not a
-    multihomomorphism of K_4.  For each arity n, on first use, the pipeline
-    caches the sides of iota(iso(y_1), ..., iso(y_n)) for every vertex y of
-    gamma(4*ell)^n in row-major order, the distinct ones as index columns of
-    encoded domain indices, one group of columns per side size.  ``mu_bits``
-    then reads mu_prime(f) of a vertex as the two masks OR-ing 1 << f(i)
-    over each side, and t as one table lookup; ``mu_prime`` itself
-    is not called.  The only check here is that every side pair is a
-    multihomomorphism.  ``mu`` runs the full validity and equivariance check
-    of the simplicial map; ``degrees.phi`` runs the same checks on the bits.
+    mu(f) = t o f_* o iota o iso^n.  iso is equivariant and sends each odd
+    vertex above its even neighbours (``canonical_cycle_iso`` checks both),
+    iota is monotone and equivariant, and so is f_* when f is a homomorphism
+    (``check_polymorphism``).  So a torus 3-cell goes to a weak chain of
+    multihomomorphisms of K_4, and antipodes to swapped pairs: a
+    3-alternating image would be a 3-simplex of Hom(K_2, K_4) on which t
+    alternates (it has none), and an antipode clash a failure of t's
+    equivariance.  ``certify`` checks t once for every f, with a witness in
+    Hom(K_2, K_4); ``mu`` still checks the whole torus.
 
     ``phi_memo`` maps the value tuple of each polymorphism ``degrees.phi``
-    has accepted to its odd vector, and ``phi_vectors`` holds one shared
-    ``OddVector`` per distinct result; ``phi`` reads them instead of
-    repeating its checks on the same tables and values.  Invariant:
-    rebinding or deleting an attribute drops the memoised results, so a
-    pipeline whose tables change (a subclass, a test patch) never answers
-    from results its old tables produced.
+    has accepted to its odd vector, one shared ``OddVector`` per result in
+    ``phi_vectors``.  Invariant: rebinding or deleting an attribute drops
+    the certificate and the memos, so a pipeline whose tables change (a
+    subclass, a test patch, a t passed in) is certified again before it
+    answers.
     """
 
     def __init__(self, ell, t=None):
@@ -323,10 +298,8 @@ class CyclePipeline:
         self.iso = canonical_cycle_iso(ell)
         self.iso_map = dict(self.iso.vertex_map)
         self.t = t if t is not None else search_t_colouring(default_cache_dir())
-        self.t_table = [None] * 256
-        for m, bit in zip(self.t.labels, self.t.colours):
-            left, right = (sum(1 << c for c in side) for side in m)
-            self.t_table[left << 4 | right] = bit
+        bits = dict(zip(map(_t_index, self.t.labels), self.t.colours))
+        self.t_table = tuple(map(bits.get, range(256)))
         self._sides = {}
 
     def __setattr__(self, name, value):
@@ -338,35 +311,53 @@ class CyclePipeline:
         self._forget()
 
     def _forget(self):
-        self.__dict__.update(phi_memo={}, phi_vectors={})
+        self.__dict__.update(phi_memo={}, phi_vectors={}, certificate=None)
 
     @property
     def period(self):
         return 4 * self.ell
 
+    def certify(self):
+        """The equivariant map Hom(K_2, K_4) -> sigma(2) that ``t_table``
+        gives, checked by ``map_from_colouring`` on first use and kept."""
+        if self.certificate is None:
+            x = hom_complex(self.codomain)
+            colours = {m: {0: YELLOW, 1: BLUE}.get(self.t_table[_t_index(m)])
+                       for m in x.vertices}
+            self.__dict__["certificate"] = map_from_colouring(
+                x, colours, check_equivariance=True)
+        return self.certificate
+
     def check_polymorphism(self, f):
+        """The arity of f, a homomorphism C_ell^n -> K_4; the edges of a map
+        whose ``checked`` is false are checked here."""
         dom = f.domain
         if not isinstance(dom, PowerGraph) or dom.base != self.base:
             raise InvalidParameterError("not a polymorphism over this cycle")
         if f.codomain != self.codomain:
             raise InvalidParameterError("codomain must be the 4-clique")
+        if not f.checked:
+            GraphHom(dom, f.codomain, f.values)
         return dom.exponent
 
-    def _side_table(self, n):
-        """Distinct sides of iota over gamma(4*ell)^n, and where each vertex's are.
+    def _side_table(self, n, positions):
+        """Distinct sides of iota at the vertices of gamma(4*ell)^n at
+        ``positions`` (all of them for None), and where each vertex's are.
 
         A side is a tuple of encoded domain indices.  The distinct sides are
         grouped by size, and a group of size s is stored as s index columns,
         column j holding the j-th index of each side; ``lefts[k]`` and
-        ``rights[k]`` are the positions of vertex k's sides in the grouped
-        order.
+        ``rights[k]`` are the positions of the k-th vertex's sides in the
+        grouped order.
         """
-        table = self._sides.get(n)
+        table = self._sides.get((n, positions))
         if table is None:
+            L, iso = self.period, self.iso_map
+            strides = [L ** k for k in range(n - 1, -1, -1)]
             position = {}
             lefts, rights = [], []
-            for v in gamma_power(self.period, n).vertices:
-                m = iota([self.iso_map[c] for c in v], self.base)
+            for p in range(L ** n) if positions is None else positions:
+                m = iota([iso[p // s % L] for s in strides], self.base)
                 lefts.append(position.setdefault(m.left, len(position)))
                 rights.append(position.setdefault(m.right, len(position)))
             grouped = sorted(position, key=len)
@@ -374,18 +365,21 @@ class CyclePipeline:
             for k, side in enumerate(grouped):
                 moved[position[side]] = k
             columns = [tuple(zip(*group)) for _, group in groupby(grouped, len)]
-            table = self._sides[n] = (columns, list(map(moved.__getitem__, lefts)),
-                                      list(map(moved.__getitem__, rights)))
+            table = self._sides[n, positions] = (columns, list(map(moved.__getitem__, lefts)),
+                                                 list(map(moved.__getitem__, rights)))
         return table
 
-    def mu_bits(self, f):
-        """Blue bit of mu(f) at every vertex of gamma(4*ell)^n, in vertex order.
+    def mu_bits(self, f, positions=None):
+        """Blue bit of mu(f) at the vertices of gamma(4*ell)^n at the tuple
+        ``positions`` of row-major positions, or at every vertex in vertex
+        order by default, once the pipeline is certified.
 
         A side's mask ORs 1 << f(i) over its indices, a whole index column
         at a time.
         """
         n = self.check_polymorphism(f)
-        columns, lefts, rights = self._side_table(n)
+        self.certify()
+        columns, lefts, rights = self._side_table(n, positions)
         pv = [1 << v for v in f.values]
         masks = []
         for group in columns:
@@ -394,14 +388,8 @@ class CyclePipeline:
                 acc = map(or_, acc, map(pv.__getitem__, column))
             masks.extend(acc)
         high = [m << 4 for m in masks]
-        bits = list(map(self.t_table.__getitem__,
+        return list(map(self.t_table.__getitem__,
                         map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))))
-        if None in bits:
-            v = gamma_power(self.period, n).vertices[bits.index(None)]
-            raise InvalidParameterError(
-                f"f sends the multihomomorphism at vertex {v} to a pair of "
-                "sides that is not a multihomomorphism of K_4")
-        return bits
 
     def mu_colours(self, f):
         """Vertex colouring of gamma(4*ell)^n induced by the polymorphism f."""

@@ -128,11 +128,12 @@ class SimplicialSet:
         the new set's own.
 
         With ``ups``, one sorted list of the positions above each vertex of a
-        strict order, ``cells`` holds the 0-cells only, and the d-cells are
-        the (d-1)-cells extended through the up-list of their last vertex,
-        built when first read.  ``check`` is then ignored: the involution,
-        which ``antipode`` must give, is checked on the vertices at once, and
-        each dimension in full as it is built.
+        strict order, and a cap of at least 2, ``cells`` holds the 0-cells
+        only, and the d-cells are the (d-1)-cells extended through the
+        up-list of their last vertex, built when first read.  ``check`` is
+        then ignored: the involution, which ``antipode`` must give, is
+        checked on the vertices at once, and each dimension in full as it
+        is built.
         """
         x = cls.__new__(cls)
         x._setup(vertices, cells, cap, antipode, check, ups)
@@ -220,15 +221,25 @@ class SimplicialSet:
 
     def _grow(self, d):
         """Build dimensions up to d from the up-lists, each checked before it
-        is stored; the up-lists are dropped once the cap is built."""
-        cells, ups = self._positions, self._ups
+        is stored.  The up-lists are dropped once the cap's cells are made,
+        before their check; if it fails, they are read back off the 1-cells,
+        so the next read fails again."""
+        cells = self._positions
         for e in range(len(cells), d + 1):
+            ups = self._ups
             here = tuple([chain + (w,) for chain in cells[e - 1] for w in ups[chain[-1]]])
-            self._check_cells(e, here, closure=True)
-            self._check_mates(e, here)
+            if e == self.cap:
+                self._ups = ups = None
+            try:
+                self._check_cells(e, here, closure=True)
+                self._check_mates(e, here)
+            except InvalidParameterError:
+                if self._ups is None:
+                    self._ups = [[] for _ in self.vertices]
+                    for p, q in cells[1]:
+                        self._ups[p].append(q)
+                raise
             cells[e] = here
-        if d == self.cap:
-            self._ups = None
         return cells[d]
 
     @cached_property

@@ -15,9 +15,9 @@ from math import comb
 from . import __version__
 from .errors import (InvalidParameterError, InvariantViolationError)
 from .graphs import complete_graph, power, sample_homs, enumerate_homs
-from .degrees import torus_complex, torus_tables
+from .degrees import OddVector, torus_complex, torus_tables
 from .homcomplexes import CyclePipeline
-from .simplicial import check_cell_limit
+from .simplicial import check_cell_limit, gamma_power
 
 # maps drawn per arity once the survey samples, and maps per arity whose
 # swap fractions it tabulates
@@ -228,12 +228,12 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
     and tabulates swap fractions per coordinate and height for a few maps.
 
     Each map is read once, as the blue bits ``pipeline.mu_bits(f)`` of
-    gamma(4*ell)^n in row-major vertex order, with the checks of
-    ``mu_colours`` and ``deg_vector``: f is a polymorphism whose side pairs
-    are multihomomorphisms, antipodes get different bits, and the degree
-    vector has odd weight.  Chains read the bits at the positions of their
-    vertices; only the first ``SWAP_STAT_MAPS`` maps become colour dicts,
-    for ``swap_fraction``.
+    gamma(4*ell)^n in row-major vertex order.  The checks are those of
+    ``degrees.phi``: f is a polymorphism, the pipeline's certificate stands
+    for the validity and equivariance of mu(f) (see ``CyclePipeline``), and
+    the degree vector has odd weight.  Chains read the bits at the
+    positions of their vertices; only the first ``SWAP_STAT_MAPS`` maps
+    become colour dicts, for ``swap_fraction``.
 
     With H(k) the exact number of polymorphisms at arity k and H(0) = 0,
     arity n is sampled without enumerating when arity n-1 was truncated,
@@ -296,11 +296,11 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
         alphas = []
         for f in inspected:
             bits = pipeline.mu_bits(f)
-            alpha = tables.odd_vector(bits)
+            alpha = OddVector(tables.degrees(bits))
             weights[alpha.weight] = weights.get(alpha.weight, 0) + 1
             bit_cache.append(bits)
             alphas.append(alpha.bits)
-        position = tables.torus.position
+        position = gamma_power(L, n).position
         max_alts = 0
         violations = 0
         chains_done = 0

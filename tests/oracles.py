@@ -26,7 +26,11 @@ representative by comparing the cell with its mate and adds its faces to A
 and B entry by entry, are the references for the columnar builder.  The
 strict chains of each poset, extended one element above at a time, and the
 two-vertex sphere's tuples that change colour at every step are the
-references for the cells a simplicial set stores.
+references for the cells a simplicial set stores.  ``phi`` with its scans of
+the whole torus, the bits of every vertex, every 3-cell and every antipode,
+is the reference for ``phi`` on the slice vertices under the pipeline's
+certificate, and the backtracking search for t is the reference for the
+colouring ``search_t_colouring`` writes down.
 """
 
 import functools
@@ -40,9 +44,10 @@ from equihom.errors import (InvalidInputError, InvalidParameterError,
                             NotFreeActionError)
 from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
-from equihom.homcomplexes import CyclePipeline, iota, mu_prime
-from equihom.simplicial import (BLUE, YELLOW, colour_values, faces,
-                                gamma_power, is_degenerate, map_from_colouring)
+from equihom.homcomplexes import CyclePipeline, hom_complex, iota, mu_prime
+from equihom.simplicial import (BLUE, YELLOW, check_alternation, colour_values,
+                                faces, gamma_power, is_degenerate,
+                                map_from_colouring)
 from equihom.slices import (chain_alternations, sample_maximal_chain,
                             swap_fraction)
 from equihom.snf import SparseMat, smith_normal_form
@@ -389,6 +394,52 @@ def mu_bits_reference(pipeline, f):
                 "sides that is not a multihomomorphism of K_4")
         bits.append(bit)
     return bits
+
+
+def search_t_reference():
+    """The colours of t from a backtracking search over the antipodal orbit
+    pairs of Hom(K_2, K_4) in canonical vertex order, the first orbit's
+    colour fixed, rejecting assignments that complete a 3-alternating
+    3-simplex: the reference for the colouring ``search_t_colouring``
+    writes down."""
+    x = hom_complex(complete_graph(4))
+    count, partner = len(x.vertices), x.antipode
+    cells = list(zip(*x.cell3_columns))
+    colours = [None] * count
+
+    def consistent():
+        return not any(None not in cs and cs[0] != cs[1] != cs[2] != cs[3]
+                       for cs in ([colours[j] for j in cell] for cell in cells))
+
+    def search(pos, first):
+        while pos < count and colours[pos] is not None:
+            pos += 1
+        if pos == count:
+            return True
+        for bit in ((0,) if first else (0, 1)):
+            colours[pos], colours[partner[pos]] = bit, 1 - bit
+            if consistent() and search(pos + 1, False):
+                return True
+            colours[pos] = colours[partner[pos]] = None
+        return False
+
+    assert search(0, True)
+    return colours
+
+
+def phi_reference(f, pipeline):
+    """phi with the checks on the whole torus gamma(4*ell)^n that the
+    pipeline's certificate stands for: the blue bits of every vertex, read
+    by ``mu_bits_reference`` (a side pair that is not a multihomomorphism
+    raises), no 3-cell with a 3-alternating image (AlternatingSimplexError),
+    then ``deg_vector``'s check that antipodes get opposite colours
+    (NotEquivariantError) and the odd weight."""
+    n = pipeline.check_polymorphism(f)
+    x = gamma_power(pipeline.period, n)
+    bits = mu_bits_reference(pipeline, f)
+    check_alternation(x, bits)
+    colours = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
+    return deg_vector(colours, pipeline.period, n)
 
 
 def minor_map(g, pi, L, n):

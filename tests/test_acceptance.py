@@ -4,6 +4,7 @@ Budgets are wall-clock seconds; every numeric expectation is either exact or
 frozen from an independent oracle in oracles.py.
 """
 
+import random
 import time
 from fractions import Fraction
 from itertools import product as iproduct
@@ -13,7 +14,7 @@ import pytest
 from equihom.degrees import (TorusComplex, deg_vector, find_colour_swapping_edge,
                              monomial_colouring, phi, torus_complex)
 from equihom.graphs import (MinorSpec, complete_graph, cycle_graph,
-                            enumerate_homs, minor, power)
+                            enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import (CyclePipeline, canonical_cycle_iso,
                                   hom_complex, mu_prime, multihoms,
                                   search_t_colouring)
@@ -207,3 +208,27 @@ def test_criterion_11_alternation_ceiling():
     assert all(row["max_chain_alternations"] <= 2 for row in rep["per_n"])
     report(11, f"{total} sampled chains show at most two alternations",
            started, 120)
+
+
+def test_criterion_12_minion_homomorphism_sampled_to_arity_5():
+    """phi(f^pi) == phi(f)^pi for seeded maps f at each arity n <= top and
+    seeded pi: [n] -> [m], two for each m <= top, so the minors go up, down
+    and across: top = 5 at ell = 3, top = 3 at ell = 5 and 7.  Most of the
+    time is sampling C_ell^n."""
+    started = time.monotonic()
+    checked = 0
+    for ell, top in ((3, 5), (5, 3), (7, 3)):
+        pipe = CyclePipeline(ell)
+        rng = random.Random(ell)
+        for n in range(1, top + 1):
+            maps = sample_homs(power(cycle_graph(ell), n), complete_graph(4), 2, rng)
+            assert len(maps) == 2
+            for f in maps:
+                alpha = phi(f, pipe)
+                for m in range(1, top + 1):
+                    for _ in range(2):
+                        pi = MinorSpec(n, m, [rng.randint(1, m) for _ in range(n)])
+                        assert phi(minor(f, pi), pipe) == alpha.minor(pi)
+                        checked += 1
+    report(12, f"degree map respects {checked} sampled minors up to arity 5",
+           started, 10)

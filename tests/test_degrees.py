@@ -12,12 +12,14 @@ from equihom.errors import (AlternatingSimplexError, InvalidParameterError,
                             InvariantViolationError, NotEquivariantError)
 from equihom.graphs import (GraphHom, MinorSpec, complete_graph, cycle_graph,
                             enumerate_homs, minor, power, sample_homs)
-from equihom.homcomplexes import CyclePipeline
+from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring, _t_index,
+                                  hom_complex)
 from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
                                 gamma_power, gamma_product, map_from_colouring)
 
+import oracles
 from oracles import (brute_deg1, composite_mapping, minor_degree_vector,
-                     minor_map, mu_colours_reference)
+                     minor_map, mu_colours_reference, phi_reference)
 
 
 def as_bits(col):
@@ -356,16 +358,17 @@ def test_phi_equals_degree_vector_of_mu(pipe, binary_maps, ternary_maps):
         assert phi(f, pipe) == deg_vector(pipe.mu(f), pipe.period, f.domain.exponent)
 
 
-def test_phi_and_deg_vector_leave_the_vertex_view_unbuilt(pipe, ternary_maps):
-    # both read positions only; the vertex-tuple cells of gamma(12)^3 would
-    # take about as much memory again as the torus itself
+def test_phi_and_deg_vector_leave_the_vertex_view_unbuilt(ternary_maps):
+    # phi builds no gamma(12)^3, and deg_vector reads its vertices by
+    # position only; the vertex-tuple cells would take about as much memory
+    # again as the torus itself
     simplicial._gamma_product.cache_clear()
     torus_tables.cache_clear()
-    phi(ternary_maps[0], pipe)
+    phi(ternary_maps[0], CyclePipeline(3))
     deg_vector(winding_colouring(12, 3, 1), L=12, n=3)
     x = gamma_power(12, 3)
-    assert torus_tables(12, 3).torus is x
     assert not x._views
+    assert sorted(x._positions) == [0]
 
 
 def test_phi_matches_reference_formulas_on_ternary_sample(pipe, ternary_maps):
@@ -377,8 +380,13 @@ def test_phi_matches_reference_formulas_on_ternary_sample(pipe, ternary_maps):
 def test_phi_checks_equivariance(pipe, binary_maps, monkeypatch):
     all_blue = [None if b is None else 1 for b in pipe.t_table]
     monkeypatch.setattr(pipe, "t_table", all_blue)
+    # the certificate names the least multihomomorphism of K_4, the scan of
+    # the whole torus its least vertex
     with pytest.raises(NotEquivariantError) as exc:
         phi(binary_maps[0], pipe)
+    assert exc.value.witness == Multihom((0,), (1,))
+    with pytest.raises(NotEquivariantError) as exc:
+        phi_reference(binary_maps[0], pipe)
     assert exc.value.witness == (0, 0)
 
 
@@ -399,9 +407,9 @@ def test_phi_checks_three_alternation_on_the_whole_torus(pipe, ternary_maps,
                                                          monkeypatch):
     f = ternary_maps[0]
     x, position, bits = alternating_cell_bits(pipe, f)
-    monkeypatch.setattr(pipe, "mu_bits", lambda g: bits)
+    monkeypatch.setattr(oracles, "mu_bits_reference", lambda pipeline, g: bits)
     with pytest.raises(AlternatingSimplexError) as exc:
-        phi(f, pipe)
+        phi_reference(f, pipe)
     witness = exc.value.witness
     assert witness in x.cells(3)
     assert [bits[position[v]] for v in witness] in ([0, 1, 0, 1], [1, 0, 1, 0])
@@ -411,9 +419,9 @@ def test_map_from_colouring_and_phi_name_the_same_alternating_cell(
         pipe, ternary_maps, monkeypatch):
     f = ternary_maps[0]
     x, _, bits = alternating_cell_bits(pipe, f)
-    monkeypatch.setattr(pipe, "mu_bits", lambda g: bits)
+    monkeypatch.setattr(oracles, "mu_bits_reference", lambda pipeline, g: bits)
     with pytest.raises(AlternatingSimplexError) as from_phi:
-        phi(f, pipe)
+        phi_reference(f, pipe)
     col = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
     with pytest.raises(AlternatingSimplexError) as from_map:
         map_from_colouring(x, col, check_equivariance=True)
@@ -431,9 +439,9 @@ def test_the_least_alternating_cell_is_the_witness(pipe, ternary_maps, monkeypat
                    if bits[position[c[0]]] != bits[position[c[1]]]
                    != bits[position[c[2]]] != bits[position[c[3]]]]
     assert len(alternating) > 1
-    monkeypatch.setattr(pipe, "mu_bits", lambda g: bits)
+    monkeypatch.setattr(oracles, "mu_bits_reference", lambda pipeline, g: bits)
     with pytest.raises(AlternatingSimplexError) as from_phi:
-        phi(f, pipe)
+        phi_reference(f, pipe)
     col = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
     with pytest.raises(AlternatingSimplexError) as from_map:
         map_from_colouring(x, col, check_equivariance=True)
@@ -481,7 +489,7 @@ def test_phi_raises_the_same_error_on_every_call(binary_maps):
         with pytest.raises(NotEquivariantError) as exc:
             phi(binary_maps[0], pipe)
         errors.append(exc.value)
-    assert [e.witness for e in errors] == [(0, 0), (0, 0)]
+    assert [e.witness for e in errors] == [Multihom((0,), (1,))] * 2
     assert str(errors[0]) == str(errors[1])
     assert not pipe.phi_memo
 
@@ -508,3 +516,88 @@ def test_pipelines_never_share_memo_entries(binary_maps):
     with pytest.raises(NotEquivariantError):
         phi(f, second)
     assert phi(f, first) is alpha
+
+
+def test_phi_equals_the_whole_torus_reference(pipe, binary_maps, ternary_maps):
+    """phi on the slice vertices under the certificate against phi with its
+    scans of the whole torus: all 1 056 binary maps, 40 seeded ternary maps
+    and 4 seeded arity-4 maps.  The reference builds the 1.24 M 3-cells of
+    gamma(12)^4 (about 6 s and 350 MB), which the torus cache drops after."""
+    arity4 = sample_homs(power(cycle_graph(3), 4), complete_graph(4), 4, random.Random(4))
+    assert len(arity4) == 4
+    try:
+        for f in binary_maps + ternary_maps + arity4:
+            assert phi(f, pipe) == phi_reference(f, pipe)
+    finally:
+        simplicial._gamma_product.cache_clear()
+
+
+def test_phi_builds_no_torus_of_its_arity(monkeypatch):
+    """With every torus of three or more sides refused, phi still runs at
+    arity 3, 4 and 5 (gamma(12)^5 has 269 M cells, over the cell limit),
+    and agrees with the minors onto two coordinates."""
+    build = simplicial._gamma_product
+
+    def refuse(sides):
+        if len(sides) >= 3:
+            raise AssertionError(f"built the torus {sides}")
+        return build(sides)
+
+    monkeypatch.setattr(simplicial, "_gamma_product", refuse)
+    torus_tables.cache_clear()
+    pipe = CyclePipeline(3)
+    rng = random.Random(5)
+    for n in (3, 4, 5):
+        maps = sample_homs(power(cycle_graph(3), n), complete_graph(4), 3, rng)
+        assert len(maps) == 3
+        for f in maps:
+            alpha = phi(f, pipe)
+            assert alpha.n == n
+            pi = MinorSpec(n, 2, (1,) + (2,) * (n - 1))
+            assert phi(minor(f, pi), pipe) == alpha.minor(pi)
+
+
+K4_VERTEX_0 = Multihom((0,), (1,))
+K4_VERTEX_7 = hom_complex(complete_graph(4)).vertices[7]
+K4_MATE_7 = K4_VERTEX_7.swap()
+
+
+def _patched_table(pipe, value):
+    """``pipe.t_table`` with ``value`` at K4_VERTEX_7."""
+    table = list(pipe.t_table)
+    table[_t_index(K4_VERTEX_7)] = value
+    return table
+
+
+@pytest.mark.parametrize("patch, error, witness", [
+    (lambda pipe: setattr(pipe, "t_table", all_blue(pipe)),
+     NotEquivariantError, K4_VERTEX_0),
+    (lambda pipe: setattr(pipe, "t_table", _patched_table(pipe, None)),
+     InvalidParameterError, None),
+    (lambda pipe: setattr(pipe, "t_table", _patched_table(
+        pipe, 1 - pipe.t_table[_t_index(K4_VERTEX_7)])),
+     NotEquivariantError, min(K4_VERTEX_7, K4_MATE_7, key=Multihom.sort_key)),
+    (lambda pipe: CyclePipeline(3, TColouring([1] * 50)),
+     NotEquivariantError, K4_VERTEX_0),
+    (lambda pipe: CyclePipeline(3, TColouring(
+        [1 - b if k == 7 else b for k, b in enumerate(pipe.t.colours)])),
+     NotEquivariantError, min(K4_VERTEX_7, K4_MATE_7, key=Multihom.sort_key)),
+], ids=["all-blue-table", "none-at-a-multihom", "broken-antipode-pair",
+        "all-blue-t", "broken-antipode-pair-t"])
+def test_a_pipeline_with_a_bad_t_is_refused(patch, error, witness, binary_maps):
+    """The certificate refuses a patched t_table, and a bad t passed in, on
+    the first use and every later one, with a witness in Hom(K_2, K_4).
+    No t can alternate on a 3-simplex there: Hom(K_2, K_4) has none."""
+    pipe = CyclePipeline(3)
+    pipe = patch(pipe) or pipe
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            phi(binary_maps[0], pipe)
+        if witness is None:
+            assert str(exc.value) == f"vertex {K4_VERTEX_7} lacks a yellow/blue colour"
+        else:
+            assert exc.value.witness == witness
+    assert not pipe.phi_memo
+    with pytest.raises(error):
+        pipe.mu_bits(binary_maps[0])
+    assert not hom_complex(complete_graph(4)).cells(3)

@@ -13,7 +13,8 @@ from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring,
 from equihom.simplicial import (BLUE, YELLOW, gamma_power, map_from_colouring,
                                 mod2_homology_ranks)
 
-from oracles import brute_multihom_count, mu_bits_reference, mu_colours_reference
+from oracles import (brute_multihom_count, mu_bits_reference, mu_colours_reference,
+                     search_t_reference)
 
 
 def test_multihom_counts_against_brute_force():
@@ -170,6 +171,11 @@ def test_search_t_properties(tmp_path):
         assert vm[m] != vm[m.swap()]  # antipodal vertices get opposite colours
 
 
+def test_search_t_writes_down_the_first_solution_of_the_search():
+    assert list(search_t_colouring().colours) == search_t_reference()
+    assert not hom_complex(complete_graph(4)).cells(3)
+
+
 def test_search_t_persistence(tmp_path):
     path = tmp_path / "t.json"
     first = search_t_colouring(path)
@@ -245,7 +251,9 @@ def test_mu_bits_rejects_a_side_pair_that_is_no_multihom():
     pipe = CyclePipeline(3)
     constant = GraphHom(power(cycle_graph(3), 2), complete_graph(4), (0,) * 9,
                         check=False)
-    with pytest.raises(InvalidParameterError, match="not a multihomomorphism"):
+    # each side pair would be ({0}, {0}); the edge check of an unchecked map
+    # refuses the map before any of them is read
+    with pytest.raises(InvalidParameterError, match="not preserved"):
         pipe.mu_bits(constant)
 
 

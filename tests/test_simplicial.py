@@ -171,7 +171,6 @@ def fresh_tori():
 def test_the_survey_builds_no_torus_cell_above_the_vertices(fresh_tori):
     arity_experiment(3, 3, seed=3, chain_samples=100)
     torus = gamma_power(12, 3)
-    assert torus_tables(12, 3).torus is torus
     assert sorted(torus._positions) == [0]
     assert torus.n_cells(3) == product_cell_count((12,) * 3, 3)
     assert sorted(torus._positions) == [0, 1, 2, 3]
@@ -219,6 +218,31 @@ def test_a_broken_torus_dimension_is_refused_on_each_read(moves, d, message,
             torus.position_cells(read)
         assert str(lazy.value) == message
         assert sorted(torus._positions) == list(range(d))
+
+
+def test_the_up_lists_are_gone_while_the_cap_is_checked(fresh_tori, monkeypatch):
+    """The cap's check runs without the up-lists; if it fails, the next read
+    builds and checks the cap again, and fails again, and once the check
+    passes the cap is stored like any other dimension."""
+    torus = gamma_product((4, 4, 4))
+    check = SimplicialSet._check_mates
+    seen = []
+
+    def failing(self, d, here):
+        if d == self.cap:
+            seen.append(self._ups)
+            raise InvalidParameterError("refused at the cap")
+        check(self, d, here)
+
+    monkeypatch.setattr(SimplicialSet, "_check_mates", failing)
+    for _ in range(2):
+        with pytest.raises(InvalidParameterError, match="refused at the cap"):
+            torus.position_cells(3)
+        assert sorted(torus._positions) == [0, 1, 2]
+    assert seen == [None, None]
+    monkeypatch.setattr(SimplicialSet, "_check_mates", check)
+    assert torus.n_cells(3) == product_cell_count((4, 4, 4), 3)
+    assert torus._ups is None
 
 
 def test_closure_checked():
