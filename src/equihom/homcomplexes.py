@@ -102,35 +102,34 @@ def canonical_cycle_iso(ell):
     """
     if ell < 3 or ell % 2 == 0:
         raise InvalidParameterError("need an odd cycle length >= 3")
-    g = cycle_graph(ell)
-    target = hom_complex(g)
-    elements = multihoms(g)
-    neighbours = {m: [] for m in elements}
-    for a in elements:
-        for b in elements:
-            if a.lt(b):
-                neighbours[a].append(b)
-                neighbours[b].append(a)
-    seed = Multihom((0,), (1,))
-    walk = [seed]
-    visited = {seed}
-    while len(walk) < 4 * ell:
-        options = [m for m in neighbours[walk[-1]] if m not in visited]
+    period = 4 * ell
+    target = hom_complex(cycle_graph(ell))
+    # a 1-cell is a pair (below, above) of positions, and positions follow
+    # the canonical order, so the least position is the canonically least
+    edges = set(target.position_cells(1))
+    neighbours = [[] for _ in target.vertices]
+    for p, q in target.position_cells(1):
+        neighbours[p].append(q)
+        neighbours[q].append(p)
+    walk = [target.position[Multihom((0,), (1,))]]
+    visited = set(walk)
+    while len(walk) < period:
+        options = [q for q in neighbours[walk[-1]] if q not in visited]
         if not options:
             raise InternalError("comparability walk got stuck before closing")
-        nxt = min(options, key=Multihom.sort_key)
-        walk.append(nxt)
-        visited.add(nxt)
+        walk.append(min(options))
+        visited.add(walk[-1])
     if walk[0] not in neighbours[walk[-1]]:
         raise InternalError("comparability walk did not close into a cycle")
-    vertex_map = {k: walk[k] for k in range(4 * ell)}
-    for k in range(4 * ell):
-        if vertex_map[(k + 2 * ell) % (4 * ell)] != vertex_map[k].swap():
+    for k in range(period):
+        if walk[(k + 2 * ell) % period] != target.antipode[walk[k]]:
             raise InternalError("walk does not conjugate the shift to the swap")
-        if k % 2 and not (walk[k - 1].lt(walk[k]) and walk[(k + 1) % (4 * ell)].lt(walk[k])):
+        if k % 2 and not ((walk[k - 1], walk[k]) in edges
+                          and (walk[(k + 1) % period], walk[k]) in edges):
             raise InternalError(f"walk does not send {k} above its even neighbours")
-    iso = SimplicialMap(gamma(4 * ell), target, vertex_map)
-    if len(set(vertex_map.values())) != 4 * ell:
+    vertex_map = {k: target.vertices[p] for k, p in enumerate(walk)}
+    iso = SimplicialMap(gamma(period), target, vertex_map)
+    if len(set(walk)) != period:
         raise InternalError("walk is not injective on vertices")
     edge_images = {iso.image_simplex(e) for e in iso.domain.cells(1)}
     if edge_images != target.cells(1):

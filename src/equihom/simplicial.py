@@ -6,9 +6,11 @@ vertex list, in the sorted order of their vertex tuples; the same simplices
 as ordered vertex tuples are a set built on first use.  Degenerate simplices
 are reconstructed on demand: a tuple is a simplex exactly when collapsing its
 consecutive repeats leaves a stored tuple, and it is degenerate exactly when
-it has a consecutive repeat.  Tori list their vertices in row-major order, so
-their chains come out of the builder already in that order, and a torus
-builds and checks each dimension on its first read.
+it has a consecutive repeat.  Every order complex, the circles, the tori and
+the homomorphism complexes, is built by one chain builder: its chains come
+out already in that order, and each dimension is built and checked on its
+first read.  Explicit sets, the spheres and those read from JSON, are
+checked and stored at once.
 """
 
 from functools import cached_property, lru_cache
@@ -98,17 +100,13 @@ class SimplicialSet:
     ``cells(d)`` is the set of the same cells as vertex tuples, built on
     first use.  The involution is stored as ``antipode``, the position of
     each vertex's mate.  The labels of one set must be mutually comparable.
-    A set built from up-lists holds only its 0-cells at first: dimension d is
-    built, checked and stored on its first read, after the dimensions below.
+    An order complex holds only its 0-cells at first: dimension d is built,
+    checked and stored on its first read, after the dimensions below.
     """
 
-    def __init__(self, vertices, simplices, cap, involution=None, check=True):
+    def __init__(self, vertices, simplices, cap, involution=None):
         vertices = tuple(vertices)
-        position = {v: k for k, v in enumerate(vertices)}
-        if len(position) != len(vertices):
-            raise InvalidParameterError("duplicate vertex labels")
-        if cap < 1:
-            raise InvalidParameterError("dimension cap must be >= 1")
+        position = _vertex_positions(vertices, cap)
         cells = {0: [(k,) for k in range(len(vertices))]}
         for d in range(1, cap + 1):
             cells[d] = {_position_cell(s, position) for s in simplices.get(d, ())}
@@ -117,29 +115,26 @@ class SimplicialSet:
             return tuple(map(vertices.__getitem__, cell))
 
         cells = {d: tuple(sorted(here, key=label)) for d, here in cells.items()}
-        self._setup(vertices, cells, cap, _antipode(involution, position), check)
+        self._store(vertices, cells, cap, _antipode(involution, position))
 
     @classmethod
-    def _from_positions(cls, vertices, cells, cap, antipode, check=True, ups=None):
-        """A simplicial set from position cells: ``cells[d]`` is a tuple of
-        tuples of indices into the tuple ``vertices``, in the sorted order of
-        their vertex tuples and without repeats, for d = 0 up to at most
-        ``cap``; ``antipode`` is a list or None.  The dict ``cells`` becomes
-        the new set's own.
-
-        With ``ups``, one sorted list of the positions above each vertex of a
-        strict order, and a cap of at least 2, ``cells`` holds the 0-cells
-        only, and the d-cells are the (d-1)-cells extended through the
-        up-list of their last vertex, built when first read.  ``check`` is
-        then ignored: the involution, which ``antipode`` must give, is
-        checked on the vertices at once, and each dimension in full as it
-        is built.
-        """
+    def _from_ups(cls, vertices, points, cap, antipode, ups):
+        """The order complex of a strict order on the tuple ``vertices``:
+        ``points`` are the 0-cells and ``ups[p]`` the positions above vertex
+        p, both in the order of the labels, so the d-cells, the (d-1)-cells
+        extended through the up-list of their last vertex, come out sorted
+        when first read.  ``antipode`` (or None) is checked on the vertices
+        at once, and each dimension in full as it is built."""
         x = cls.__new__(cls)
-        x._setup(vertices, cells, cap, antipode, check, ups)
+        x._store(vertices, {0: points}, cap, antipode, ups)
         return x
 
-    def _setup(self, vertices, cells, cap, antipode, check, ups=None):
+    def _store(self, vertices, cells, cap, antipode, ups=None):
+        """Store the given position cells, ``cells[d]`` in the sorted order of
+        their vertex tuples and without repeats for every d = 0..cap, or for
+        d = 0 alone with ``ups``, and reject malformed ones: every given
+        dimension's cells, closure included, are checked first, then the
+        involution and only then the mates."""
         self.vertices = vertices
         self.vertex_set = frozenset(vertices)
         self.cap = cap
@@ -147,44 +142,31 @@ class SimplicialSet:
         self._views = {}
         self.antipode = antipode
         self._ups = ups
-        if ups is not None:
-            self._check_antipode()
-            return
-        for d in range(cap + 1):
-            cells.setdefault(d, ())
-        if check:
-            self._check(closure=True)
-        elif antipode is not None:
-            self._check(closure=False)
-
-    def _check(self, closure):
-        """Reject malformed cells or involutions, a column of positions at a time.
-
-        The k-th entries of the d-cells form column k: a cell is degenerate
-        where two neighbouring columns agree, face i zips the columns but
-        the i-th, and the mate of a column is its image under ``antipode``.
-        The face and mate lookups go to a set of one dimension at a time,
-        dropped when that dimension is done.  Only a failing test goes back
-        over the cells, in their stored order, to name the culprit.
-        """
-        cells = self._positions
-        for d in range(1, self.cap + 1):
-            self._check_cells(d, cells[d], closure)
-        if self.antipode is None:
-            return
+        given = range(1, len(cells))
+        for d in given:
+            self._check_cells(d, cells[d])
         self._check_antipode()
-        for d in range(1, self.cap + 1):
+        for d in given:
             self._check_mates(d, cells[d])
 
     def _check_antipode(self):
         antipode, count = self.antipode, len(self.vertices)
+        if antipode is None:
+            return
         if sorted(antipode) != list(range(count)):
             raise InvalidParameterError("involution is not a vertex permutation")
         if list(map(antipode.__getitem__, antipode)) != list(range(count)):
             raise InvalidParameterError("involution is not self-inverse")
 
-    def _check_cells(self, d, here, closure):
-        """Check the d-cells ``here`` against the stored (d-1)-cells."""
+    def _check_cells(self, d, here):
+        """Check the d-cells ``here`` against the stored (d-1)-cells.
+
+        The k-th entries of the cells form column k: a cell is degenerate
+        where two neighbouring columns agree, and face i zips the columns
+        but the i-th, looked up in a set of the (d-1)-cells.  Only a failing
+        test goes back over the cells, in their stored order, to name the
+        culprit.
+        """
         label = self.labels
         if not here:
             return
@@ -196,8 +178,6 @@ class SimplicialSet:
             if any(map(eq, a, b)):
                 bad = next(s for s in here if is_degenerate(s))
                 raise InvalidParameterError(f"stored simplex is degenerate: {label(bad)}")
-        if not closure:
-            return
         below = set(self._positions[d - 1])
         if all(all(map(below.__contains__, zip(*columns[:i], *columns[i + 1:])))
                for i in range(d + 1)):
@@ -211,6 +191,8 @@ class SimplicialSet:
 
     def _check_mates(self, d, here):
         """Check that the mate of each d-cell of ``here`` is in ``here``."""
+        if self.antipode is None:
+            return
         mate = self.antipode.__getitem__
         stored = set(here)
         mates = zip(*(map(mate, map(itemgetter(k), here)) for k in range(d + 1)))
@@ -231,12 +213,12 @@ class SimplicialSet:
             if e == self.cap:
                 self._ups = ups = None
             try:
-                self._check_cells(e, here, closure=True)
+                self._check_cells(e, here)
                 self._check_mates(e, here)
             except InvalidParameterError:
                 if self._ups is None:
                     self._ups = [[] for _ in self.vertices]
-                    for p, q in cells[1]:
+                    for p, q in cells.get(1, here):
                         self._ups[p].append(q)
                 raise
             cells[e] = here
@@ -326,6 +308,17 @@ class SimplicialSet:
         return cls(vertices, simplices, obj["cap"], involution)
 
 
+def _vertex_positions(vertices, cap):
+    """Vertex -> its index in the tuple ``vertices``, for distinct labels and
+    a dimension cap of at least 1."""
+    position = {v: k for k, v in enumerate(vertices)}
+    if len(position) != len(vertices):
+        raise InvalidParameterError("duplicate vertex labels")
+    if cap < 1:
+        raise InvalidParameterError("dimension cap must be >= 1")
+    return position
+
+
 def _position_cell(simplex, position):
     try:
         return tuple(map(position.__getitem__, simplex))
@@ -389,34 +382,28 @@ def _check_side(L):
 def gamma(L):
     """Order complex of the alternating cyclic poset on Z_L, with cap 3.
 
-    a < b iff a is even, b is odd and a - b = +-1 mod L; the involution is the
-    shift by L/2.  A triangulated circle with L vertices and L edges.
+    a < b iff a is even and b = a +- 1 mod L; the involution is the shift by
+    L/2.  A triangulated circle with L vertices and L edges.
     """
     _check_side(L)
-    edges = []
-    for a in range(0, L, 2):
-        edges.append((a, (a + 1) % L))
-        edges.append((a, (a - 1) % L))
-    involution = {v: (v + L // 2) % L for v in range(L)}
-    return SimplicialSet(range(L), {1: edges}, 3, involution=involution)
+    return order_complex(range(L), lambda a, b: a % 2 == 0 and (b - a) % L in (1, L - 1),
+                         3, {v: (v + L // 2) % L for v in range(L)})
 
 
 def order_complex(elements, less_than, cap, involution=None):
-    """Order complex of a finite strict order: simplices are strict chains."""
-    elements = list(elements)
-    ups = {a: [b for b in elements if less_than(a, b)] for a in elements}
-    simplices = {}
-    chains = [(a,) for a in elements]
-    for d in range(1, cap + 1):
-        nxt = []
-        for chain in chains:
-            for b in ups[chain[-1]]:
-                nxt.append(chain + (b,))
-        if not nxt:
-            break
-        simplices[d] = nxt
-        chains = nxt
-    return SimplicialSet(elements, simplices, cap, involution=involution)
+    """Order complex of a finite strict order: simplices are strict chains.
+
+    Positions follow the order of ``elements``; the 0-cells and each vertex's
+    up-list follow the order of the labels, so chains extended through the
+    up-lists come out sorted.  Each dimension is built and checked on its
+    first read, as for a torus.
+    """
+    vertices = tuple(elements)
+    position = _vertex_positions(vertices, cap)
+    by_label = sorted(range(len(vertices)), key=vertices.__getitem__)
+    ups = [[q for q in by_label if less_than(a, vertices[q])] for a in vertices]
+    return SimplicialSet._from_ups(vertices, tuple((p,) for p in by_label), cap,
+                                   _antipode(involution, position), ups)
 
 
 def product_cell_count(sides, d):
@@ -462,8 +449,7 @@ def _gamma_product(sides):
         _check_side(L)
     check_cell_limit(sides)
     vertices, points, antipode, ups = _product_chains(sides)
-    return SimplicialSet._from_positions(vertices, {0: points}, max(3, len(sides)),
-                                         antipode, ups=ups)
+    return SimplicialSet._from_ups(vertices, points, max(3, len(sides)), antipode, ups)
 
 
 def _product_chains(sides):
@@ -498,9 +484,10 @@ def gamma_power(L, n):
 
 def replace_involution(x, mapping):
     """Copy of x with a different involution (validated)."""
-    cells = {d: x.position_cells(d) for d in range(x.cap + 1)}
-    return SimplicialSet._from_positions(x.vertices, cells, x.cap,
-                                         _antipode(mapping, x.position), check=False)
+    y = SimplicialSet.__new__(SimplicialSet)
+    y._store(x.vertices, {d: x.position_cells(d) for d in range(x.cap + 1)}, x.cap,
+             _antipode(mapping, x.position))
+    return y
 
 
 class SimplicialMap:

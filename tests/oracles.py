@@ -40,14 +40,13 @@ from itertools import combinations, product
 
 from equihom import __version__
 from equihom.degrees import deg_vector, sigma_minor, torus_complex
-from equihom.errors import (InvalidInputError, InvalidParameterError,
-                            NotFreeActionError)
+from equihom.errors import (AlternatingSimplexError, InvalidInputError,
+                            InvalidParameterError, NotFreeActionError)
 from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, hom_complex, iota, mu_prime
-from equihom.simplicial import (BLUE, YELLOW, check_alternation, colour_values,
-                                faces, gamma_power, is_degenerate,
-                                map_from_colouring)
+from equihom.simplicial import (BLUE, YELLOW, colour_values, faces,
+                                gamma_power, is_degenerate, map_from_colouring)
 from equihom.slices import (chain_alternations, sample_maximal_chain,
                             swap_fraction)
 from equihom.snf import SparseMat, smith_normal_form
@@ -427,19 +426,52 @@ def search_t_reference():
     return colours
 
 
+@functools.lru_cache(maxsize=1 << 15)
+def sorted_covers(u, sides):
+    """``poset_covers(u, sides)`` in sorted order, kept for later streams."""
+    return sorted(poset_covers(u, sides))
+
+
+def alternating_cells_reference(vertices, values, sides):
+    """The 3-cells of gamma(L_1) x ... x gamma(L_k) with a 3-alternating
+    image, streamed in the order of their vertex tuples without storing any.
+
+    ``values`` lists a value per vertex of ``vertices``, the product's tuples
+    in sorted order.  Each chain is extended through the sorted
+    ``poset_covers`` of its top, and one that already repeats a value is not
+    extended further, since every 3-cell through it repeats it too.
+    """
+    value = dict(zip(vertices, values))
+    for a in vertices:
+        for b in sorted_covers(a, sides):
+            if value[b] == value[a]:
+                continue
+            for c in sorted_covers(b, sides):
+                if value[c] == value[b]:
+                    continue
+                for d in sorted_covers(c, sides):
+                    if value[d] != value[c]:
+                        yield a, b, c, d
+
+
 def phi_reference(f, pipeline):
     """phi with the checks on the whole torus gamma(4*ell)^n that the
     pipeline's certificate stands for: the blue bits of every vertex, read
     by ``mu_bits_reference`` (a side pair that is not a multihomomorphism
-    raises), no 3-cell with a 3-alternating image (AlternatingSimplexError),
-    then ``deg_vector``'s check that antipodes get opposite colours
+    raises), no 3-cell with a 3-alternating image (AlternatingSimplexError
+    on the least one, as ``check_alternation`` names it, found by
+    ``alternating_cells_reference`` without building the 3-cells), then
+    ``deg_vector``'s check that antipodes get opposite colours
     (NotEquivariantError) and the odd weight."""
     n = pipeline.check_polymorphism(f)
-    x = gamma_power(pipeline.period, n)
+    L = pipeline.period
+    vertices = gamma_power(L, n).vertices
     bits = mu_bits_reference(pipeline, f)
-    check_alternation(x, bits)
-    colours = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
-    return deg_vector(colours, pipeline.period, n)
+    for cell in alternating_cells_reference(vertices, bits, (L,) * n):
+        raise AlternatingSimplexError(
+            f"3-simplex {cell} has a 3-alternating image", witness=cell)
+    colours = {v: (BLUE if b else YELLOW) for v, b in zip(vertices, bits)}
+    return deg_vector(colours, L, n)
 
 
 def minor_map(g, pi, L, n):

@@ -194,6 +194,19 @@ def test_hom_complex_verb(tmp_path):
     assert run(["hom-complex", "--graph", "wedge:9"]) == 2
 
 
+HOM_COMPLEX_SHA256 = {
+    "complete:4": "f4a6ac55ca1e7863ff7197f87629a2e73e76f7b0cce7a094233b61e5660153ba",
+    "cycle:5": "2501988b5fb1d6969f5c64a172be5417017c5ac7d3d43546ce55d04550f25723",
+}
+
+
+@pytest.mark.parametrize("graph", sorted(HOM_COMPLEX_SHA256))
+def test_hom_complex_report_is_pinned(tmp_path, graph):
+    out = tmp_path / "complex.json"
+    assert run(["hom-complex", "--graph", graph, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HOM_COMPLEX_SHA256[graph]
+
+
 def test_search_t_verb(tmp_path):
     out = tmp_path / "t.json"
     cache = tmp_path / "cache"

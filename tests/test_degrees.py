@@ -521,8 +521,8 @@ def test_pipelines_never_share_memo_entries(binary_maps):
 def test_phi_equals_the_whole_torus_reference(pipe, binary_maps, ternary_maps):
     """phi on the slice vertices under the certificate against phi with its
     scans of the whole torus: all 1 056 binary maps, 40 seeded ternary maps
-    and 4 seeded arity-4 maps.  The reference builds the 1.24 M 3-cells of
-    gamma(12)^4 (about 6 s and 350 MB), which the torus cache drops after."""
+    and 4 seeded arity-4 maps.  The reference streams the 3-cells of
+    gamma(12)^4 without storing them; the torus cache is emptied after."""
     arity4 = sample_homs(power(cycle_graph(3), 4), complete_graph(4), 4, random.Random(4))
     assert len(arity4) == 4
     try:

@@ -73,6 +73,13 @@ def test_cycle_iso_full_verification(ell):
     # conjugates the shift involution to the swap involution
     for k in range(4 * ell):
         assert vm[(k + 2 * ell) % (4 * ell)] == vm[k].swap()
+    # each step takes the canonically least comparable multihom not yet visited
+    elements = multihoms(cycle_graph(ell))
+    assert vm[0] == Multihom((0,), (1,))
+    for k in range(1, 4 * ell):
+        options = [m for m in elements if (m.lt(vm[k - 1]) or vm[k - 1].lt(m))
+                   and m not in [vm[j] for j in range(k)]]
+        assert vm[k] == min(options, key=Multihom.sort_key)
 
 
 def test_cycle_iso_rejects_even():
@@ -273,8 +280,9 @@ def test_mu_bits_matches_the_per_side_loop(ell, n, count, seed):
 
 
 def test_mu_bits_names_the_first_bad_vertex_as_the_per_side_loop():
-    """Maps off the polymorphisms, each with one value changed, fail at the
-    same first vertex in both, or pass in both."""
+    """Maps off the polymorphisms, each with one value changed: mu_bits and
+    the per-side loop both refuse a map with the same ``not preserved``
+    message of the edge check, or both pass it with the same bits."""
     pipe = CyclePipeline(3)
     dom, k4 = power(cycle_graph(3), 2), complete_graph(4)
     rng = random.Random(7)
@@ -288,6 +296,7 @@ def test_mu_bits_names_the_first_bad_vertex_as_the_per_side_loop():
             try:
                 outcomes.append(read(g))
             except InvalidParameterError as exc:
+                assert "not preserved" in str(exc)
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
         failed += isinstance(outcomes[0], str)

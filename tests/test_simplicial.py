@@ -15,7 +15,7 @@ from equihom.simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap,
                                 product_cell_count, sigma)
 
 from equihom.degrees import torus_complex, torus_tables
-from equihom.graphs import complete_graph
+from equihom.graphs import complete_graph, cycle_graph
 from equihom.homcomplexes import hom_complex
 from equihom.slices import arity_experiment
 
@@ -312,14 +312,21 @@ CELL_REFERENCES = {
     "gamma4_fourth": _torus(4, 4, 4, 4),
     "gamma8_cubed": _torus(8, 8, 8),
     "gamma4": lambda: circle_cells_reference(4),
+    "gamma12": lambda: circle_cells_reference(12),
     **{f"sigma{k}": (lambda k=k: sphere_model_cells_reference(k)) for k in (1, 2, 3)},
     "hom_K4": lambda: hom_complex_cells_reference(complete_graph(4).edges, 4),
+    "hom_C5": lambda: hom_complex_cells_reference(cycle_graph(5).edges, 5),
 }
 
+# order complexes the incidence and orbit tables do not build
+STORED_ORDER_CASES = {"gamma12": lambda: gamma(12),
+                      "hom_C5": lambda: hom_complex(cycle_graph(5))}
 
-@pytest.mark.parametrize("case", sorted(INCIDENCE_CASES.keys() | ORBIT_CASES.keys()))
+
+@pytest.mark.parametrize("case", sorted(INCIDENCE_CASES.keys() | ORBIT_CASES.keys()
+                                         | STORED_ORDER_CASES.keys()))
 def test_each_dimension_is_stored_once_in_vertex_tuple_order(case):
-    x = {**INCIDENCE_CASES, **ORBIT_CASES}[case]()
+    x = {**INCIDENCE_CASES, **ORBIT_CASES, **STORED_ORDER_CASES}[case]()
     reference = CELL_REFERENCES[case]()
     assert x.cap == max(reference)
     for d in range(x.cap + 1):
@@ -332,10 +339,8 @@ def test_each_dimension_is_stored_once_in_vertex_tuple_order(case):
 
 def test_incidence_names_the_missing_face_a_cell_scan_meets_first():
     # (1, 3) is missing first in face order, (0, 2) first in cell order
-    x = SimplicialSet(range(4), {1: [(0, 1), (1, 2), (0, 3)],
-                                 2: [(0, 1, 2), (0, 1, 3)]}, cap=2, check=False)
-    cells = x.position_cells(2)
-    index = {c: k for k, c in enumerate(x.position_cells(1))}
+    cells = [(0, 1, 2), (0, 1, 3)]
+    index = {c: k for k, c in enumerate([(0, 1), (0, 3), (1, 2)])}
     errors = []
     for builder in (incidence, incidence_reference):
         with pytest.raises(KeyError) as exc:
@@ -546,6 +551,27 @@ def test_order_complex_matches_gamma():
     oc = order_complex(range(8), less, cap=3)
     g8 = gamma(8)
     assert oc.cells(1) == g8.cells(1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: order_complex("abcd", lambda a, b: a < b, 3),
+    lambda: gamma(8),
+    lambda: hom_complex.__wrapped__(cycle_graph(5)),
+    lambda: hom_complex.__wrapped__(complete_graph(4))],
+    ids=["chains", "gamma8", "hom_C5", "hom_K4"])
+def test_a_fresh_order_complex_holds_only_its_vertices(make):
+    """Circles and homomorphism complexes are built by the chain builder of
+    the tori: each dimension on its first read, after those below, equal to
+    the same cells given to the eager constructor."""
+    x = make()
+    assert sorted(x._positions) == [0]
+    x.position_cells(2)
+    assert sorted(x._positions) == [0, 1, 2]
+    simplices = {d: x.cells(d) for d in range(1, x.cap + 1)}
+    eager = SimplicialSet(x.vertices, simplices, x.cap, x.involution)
+    for d in range(x.cap + 1):
+        assert x.position_cells(d) == eager.position_cells(d)
+    assert x.antipode == eager.antipode
 
 
 def test_json_roundtrip():
