@@ -10,7 +10,10 @@ skipped until an elimination step changes them, so choosing a pivot never
 rescans the matrix.  Invariant factors are unique, so the pivot order does not
 change the result.  Nor does the orientation: a matrix with more rows than
 columns is transposed before the sparse phase, which then runs on the wide
-side, where its row heap does less bookkeeping.
+side, where its row heap does less bookkeeping.  The sparse phase records the
+original column of each unit pivot (``SmithResult.pivot_columns``): the pivot's
+working row when the matrix was transposed, its working column otherwise.  A
+cochain complex uses them to clear the coboundary below (``zz2``).
 """
 
 import heapq
@@ -70,14 +73,22 @@ class SparseMat:
 class SmithResult:
     """Invariant factors d_1 | d_2 | ... (all positive) and the rank.
 
-    ``unit_pivots`` counts the invariant factors found by the sparse phase;
-    the remaining ``rank - unit_pivots`` come from the dense residual block.
+    ``pivot_columns`` lists, in elimination order, the column of the input
+    matrix that each unit pivot of the sparse phase eliminated.  The index is
+    always one of the input's columns, also when the matrix was transposed
+    and the pivot was a working row.  ``unit_pivots`` is their number, the
+    count of invariant factors found by the sparse phase; the remaining
+    ``rank - unit_pivots`` come from the dense residual block.
     """
 
-    def __init__(self, invariants, unit_pivots=0):
+    def __init__(self, invariants, pivot_columns=()):
         self.invariants = tuple(invariants)
         self.rank = len(self.invariants)
-        self.unit_pivots = unit_pivots
+        self.pivot_columns = pivot_columns
+
+    @property
+    def unit_pivots(self):
+        return len(self.pivot_columns)
 
     @property
     def torsion(self):
@@ -97,11 +108,12 @@ def smith_normal_form(matrix):
     """Invariant factors of an integer matrix; deterministic pivot choice.
 
     ``matrix`` may be a SparseMat or a list of rows (lists); a tall one is
-    transposed first.  Only the invariant factors and the rank are computed,
-    not the transforms.
+    transposed first.  Only the invariant factors, the rank and the pivot
+    columns of the sparse phase are computed, not the transforms.
     """
     m = _as_sparse(matrix)
-    if m.nrows > m.ncols:
+    transposed = m.nrows > m.ncols
+    if transposed:
         rows = {}
         for i, r in enumerate(m.rows):
             for j, v in r.items():
@@ -118,7 +130,7 @@ def smith_normal_form(matrix):
     heapq.heapify(queue)
     no_unit = set()
 
-    n_unit = 0
+    pivot_columns = []
     # Phase 1: eliminate entries of absolute value 1.  The pivot row is the
     # shortest row holding a unit (lowest index first), and the pivot is its
     # unit with the shortest column, which keeps fill-in low.  A row found to
@@ -163,16 +175,16 @@ def smith_normal_form(matrix):
             if not cols[j]:
                 del cols[j]
         del rows[pi]
-        n_unit += 1
+        pivot_columns.append(pi if transposed else pj)
 
-    invariants = [1] * n_unit
+    invariants = [1] * len(pivot_columns)
     if rows:
         # Phase 2: dense Smith form of the small residual block.
         row_ids = sorted(rows)
         col_ids = sorted({j for r in rows.values() for j in r})
         dense = [[rows[i].get(j, 0) for j in col_ids] for i in row_ids]
         invariants.extend(_dense_smith_invariants(dense))
-    return SmithResult(invariants, n_unit)
+    return SmithResult(invariants, pivot_columns)
 
 
 def _dense_smith_invariants(a):

@@ -145,11 +145,11 @@ def _check_generalized_diagonals(seed):
     return True, f"{count} diagonals pass edge, antipodality and height checks"
 
 
-def _bredon_table_mismatch(arities):
-    """The first (n, L, d) with L in {4, 8} where the Bredon group is not
+def _bredon_table_mismatch(arities, lengths=(4, 8)):
+    """The first (n, L, d) with L in ``lengths`` where the Bredon group is not
     Z2^C(n-1,d-1), as a failing detail, or None."""
     for n in arities:
-        for L in (4, 8):
+        for L in lengths:
             for d in range(1, n + 1):
                 got = bredon_torus(n, L, d)
                 if got != expected_bredon(n, d):
@@ -169,6 +169,13 @@ def _check_bredon_table_n4(seed):
     if mismatch:
         return False, mismatch
     return True, "Z2^C(3,d-1) for all 1 <= d <= 4 at n = 4, L in {4,8}"
+
+
+def _check_bredon_table_n5(seed):
+    mismatch = _bredon_table_mismatch((5,), (4,))
+    if mismatch:
+        return False, mismatch
+    return True, "Z2^C(4,d-1) for all 1 <= d <= 5 at n = 5, L = 4"
 
 
 def _check_quotient_projection(seed):
@@ -216,9 +223,11 @@ CHECKS = (
     ("bredon", "odd-vector-count", _check_odd_vector_count),
     ("slices", "chain-alternation-ceiling", _check_alternation_ceiling),
     ("bredon-large", "equivariant-torus-table-n4", _check_bredon_table_n4),
+    ("bredon-large", "equivariant-torus-table-n5", _check_bredon_table_n5),
 )
 
-# suites too slow for "all": the n = 4 table takes about 18 s
+# suites too slow for "all": the n = 4 and (n, L) = (5, 4) tables take about
+# 25 s together
 NOT_IN_ALL = frozenset({"bredon-large"})
 
 # the --suite choices: each suite in order of first appearance, then all

@@ -17,6 +17,15 @@ d is an elementary abelian 2-group of rank C(n-1, d-1).  The
 quotient-projection check reproduces it as the cokernel of the pullback
 along the double cover, read off the cohomology of the mapping cone of the
 pullback with the same sparse Smith form.
+
+The coboundaries of a complex are reduced from the top down, and each one is
+cleared first: the rows of delta_k that are unit pivot columns of
+delta_(k+1) are dropped before its Smith form is taken.  This is the clearing
+("twist") of Chen and Kerber, "Persistent homology computation with a twist"
+(EuroCG 2011), and by the Gaussian-elimination lemma for chain complexes
+(Skoldberg, "Morse theory from an algebraic viewpoint", Trans. AMS 2006) it
+keeps every cohomology group and every invariant factor, provided
+delta_(k+1) delta_k = 0; ``_Coboundaries`` checks that before it drops a row.
 """
 
 from dataclasses import dataclass
@@ -188,7 +197,33 @@ def elementary_two_group(rank):
 
 
 class _Coboundaries:
-    """A coboundary list whose Smith forms and dd = 0 checks run once each."""
+    """A coboundary list whose Smith forms and dd = 0 checks run once each.
+
+    ``smith(k)`` is the Smith form of delta_k with its rows at the unit pivot
+    columns of ``smith(k + 1)`` removed, so every Smith form below the top
+    one is taken of a cleared matrix.  A unit pivot (b, t) of delta_(k+1)
+    pairs the (k+2)-cochain b with the (k+1)-cochain t, and the
+    Gaussian-elimination lemma (Skoldberg 2006) removes both from the
+    complex: delta_(k+1) becomes its Schur complement, which is what the
+    sparse Smith phase leaves after that pivot, and delta_k loses row t and
+    nothing else.  Applied to the p pivots in turn it leaves every group
+    unchanged, and the invariant factors of the cleared delta_k equal those
+    of delta_k:
+
+    - the torsion of delta_k is that of coker delta_k, which is the torsion
+      of H^(k+1) because im delta_(k+1) is free, and the lemma keeps
+      H^(k+1);
+    - the rank stays: dim C^(k+1) and the rank of the Schur complement of
+      delta_(k+1) both fall by p, so their difference, rank delta_k plus the
+      free rank of H^(k+1), is unchanged, and with H^(k+1) so is rank
+      delta_k.
+
+    The lemma holds for complexes only: on a list with delta_(k+1) delta_k
+    != 0, dropping rows can change the rank.  So ``smith(k)`` runs
+    ``check_composes(k + 1)`` before ``smith(k + 1)`` and before any row is
+    dropped, and a list that does not compose is refused with nothing stored.
+    The top coboundary, with none above it, is taken whole.
+    """
 
     def __init__(self, deltas):
         self.deltas = deltas
@@ -197,7 +232,14 @@ class _Coboundaries:
 
     def smith(self, k):
         if k not in self._smith:
-            self._smith[k] = smith_normal_form(self.deltas[k])
+            delta = self.deltas[k]
+            if k + 1 < len(self.deltas):
+                self.check_composes(k + 1)
+                cleared = set(self.smith(k + 1).pivot_columns)
+                delta = SparseMat(delta.nrows - len(cleared), delta.ncols,
+                                  [r for i, r in enumerate(delta.rows)
+                                   if i not in cleared])
+            self._smith[k] = smith_normal_form(delta)
         return self._smith[k]
 
     def check_composes(self, k):

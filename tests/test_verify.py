@@ -61,7 +61,7 @@ def test_all_runs_every_check_in_report_order(monkeypatch, capsys):
     ("slices", ["generalized-diagonal-invariants", "chain-alternation-ceiling"]),
     ("bredon", ["equivariant-torus-table", "quotient-projection-check",
                 "odd-vector-count"]),
-    ("bredon-large", ["equivariant-torus-table-n4"])])
+    ("bredon-large", ["equivariant-torus-table-n4", "equivariant-torus-table-n5"])])
 def test_each_suite_runs_its_own_checks_in_order(monkeypatch, capsys, suite, names):
     calls = stub_checks(monkeypatch)
     assert main(["verify", "--suite", suite]) == 0

@@ -8,7 +8,7 @@ from equihom.homcomplexes import hom_complex
 from equihom.simplicial import (ModTwoChain, SimplicialSet, boundary, gamma,
                                 gamma_power, gamma_product, mod2_homology_ranks,
                                 sigma)
-from equihom.snf import SparseMat
+from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import (CohomologyGroup, EquivariantChainComplex, bredon_torus,
                          cohomology, equivariant_complex, expected_bredon,
                          ordinary_cochain_complex, ordinary_cohomology,
@@ -59,6 +59,19 @@ def test_cohomology_rejects_non_complex():
     bad = [SparseMat.from_dense([[1]]), SparseMat.from_dense([[1]])]
     with pytest.raises(InvalidInputError):
         cohomology(bad, 1)
+
+
+def test_clearing_refuses_a_list_that_does_not_compose():
+    """delta_0 is cleared by the pivots of delta_1 only once
+    delta_1 delta_0 = 0 is checked, so H^0 of a non-complex is refused."""
+    bad = [SparseMat.from_dense([[1]]), SparseMat.from_dense([[1]])]
+    with pytest.raises(InvalidInputError, match="do not compose"):
+        cohomology(bad, 0)
+    coboundaries = zz2._Coboundaries(bad)
+    with pytest.raises(InvalidInputError, match="do not compose"):
+        coboundaries.smith(0)
+    assert coboundaries._smith == {}
+    assert coboundaries._composes == set()
 
 
 def test_point_cohomology():
@@ -125,6 +138,49 @@ def test_bredon_torus_factors_each_coboundary_once(monkeypatch):
     # and the orbit complex's dd = 0 check multiplies no matrices
     assert len(smith_calls) == 3
     assert len(products) == 2
+    # top coboundary first and whole; each lower one loses the rows at the
+    # unit pivot columns of the one above it
+    coboundaries = zz2._torus_coboundaries(3, 4, "Zminus")
+    deltas = coboundaries.deltas
+    assert smith_calls[0] is deltas[2]
+    assert (deltas[2].nrows, deltas[2].ncols) == (192, 384)
+    for call, k in zip(smith_calls[1:], (1, 0)):
+        assert call.ncols == deltas[k].ncols
+        assert call.nrows == deltas[k].nrows - coboundaries.smith(k + 1).unit_pivots
+
+
+def assert_clearing_keeps_every_invariant(deltas):
+    """Each cleared Smith form has the invariant factors of the whole
+    coboundary."""
+    cleared = zz2._Coboundaries(deltas)
+    for k, delta in enumerate(deltas):
+        assert cleared.smith(k).invariants == smith_normal_form(delta).invariants, k
+
+
+@pytest.mark.parametrize("coefficients", zz2.COEFFICIENTS)
+@pytest.mark.parametrize("n, L", [(1, 4), (2, 4), (3, 4), (4, 4),
+                                  (1, 8), (2, 8), (3, 8)])
+def test_cleared_torus_coboundaries_keep_their_invariants(n, L, coefficients):
+    cx = equivariant_complex(gamma_power(L, n), n)
+    assert_clearing_keeps_every_invariant(specialize(cx, coefficients))
+
+
+def test_cleared_ordinary_coboundaries_keep_their_invariants():
+    quotient, _ = quotient_by_first_shift(8, 2)
+    for x in (gamma_power(8, 2), quotient):
+        deltas, _ = ordinary_cochain_complex(x, 2)
+        assert_clearing_keeps_every_invariant(deltas)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cleared_cone_coboundaries_keep_their_invariants(n, monkeypatch):
+    cones = []
+    real_cone = zz2._mapping_cone
+    monkeypatch.setattr(zz2, "_mapping_cone",
+                        lambda *args: cones.append(real_cone(*args)) or cones[-1])
+    quotient_pstar_check(n, 8, 1)
+    assert len(cones) == 1
+    assert_clearing_keeps_every_invariant(cones[0])
 
 
 def test_bredon_independent_of_l_at_n2():
