@@ -24,7 +24,8 @@ class TorusComplex:
     the band of all non-degenerate triangles whose second coordinates lie in
     [0, L'/2], whose boundary is x1 plus its antipodal translate.  Both are
     lists of cells as tuples of vertex positions of ``sset``, where vertex
-    (a, b) sits at a*L' + b, the form ``count_deg1`` reads.
+    (a, b) sits at a*L' + b.  ``squares`` is the band paired as
+    ``band_squares`` pairs it; ``count_deg1`` reads x1 and the squares.
     """
 
     def __init__(self, L, Lp):
@@ -40,19 +41,48 @@ class TorusComplex:
         expected = ModTwoChain(1, self.x1) + ModTwoChain(1, antipodal)
         if boundary(ModTwoChain(2, self.b1)) != expected:
             raise InvariantViolationError("band boundary != cycle + antipodal cycle")
+        self.squares = band_squares(self.b1)
 
     def deg1(self, colouring):
         """Edge crossings on the coordinate cycle plus alternating band triangles."""
         values = colour_values(self.sset, colouring)
         check_colours(self.sset, values)
-        return count_deg1([c == BLUE for c in values], self.x1, self.b1)
+        return count_deg1([c == BLUE for c in values], self.x1, self.squares)
 
 
-def count_deg1(bits, x1, b1):
+def band_squares(b1):
+    """The band triangles paired into squares (p, q1, q2, r), in the order
+    of their first triangle in ``b1``.
+
+    A triangle [p, q, r] of a 2-torus runs from p at (even, even) through q
+    at a mixed corner to r at (odd, odd), and q is one of the two corners
+    (r_1, p_2) and (p_1, r_2); whether it lies in the band depends on p and
+    r alone.  So the band holds both middles of every (p, r) it meets, and a
+    pair with any other number of middles is refused
+    (InvariantViolationError).
+    """
+    middles = {}
+    for p, q, r in b1:
+        middles.setdefault((p, r), []).append(q)
+    for (p, r), qs in middles.items():
+        if len(qs) != 2:
+            raise InvariantViolationError(
+                f"band triangles from {p} to {r} have {len(qs)} middles, not 2")
+    return [(p, q1, q2, r) for (p, r), (q1, q2) in middles.items()]
+
+
+def count_deg1(bits, x1, squares):
     """deg1 of a blue-bit list: (blue, yellow) edges plus (blue, yellow, blue)
-    band triangles, mod 2, with the cells given as position tuples into bits."""
+    band triangles, mod 2, with the cells given as index tuples into bits.
+
+    A square (p, q1, q2, r) stands for its triangles [p, q1, r] and
+    [p, q2, r]: with p and r blue, the yellow middles among q1 and q2 number
+    1 exactly when their bits differ, and 0 or 2 otherwise, so the square
+    adds bits[p] & bits[r] & (bits[q1] ^ bits[q2]) to the count mod 2.
+    """
     return (sum([bits[u] > bits[v] for u, v in x1])
-            + sum([bits[p] > bits[q] < bits[r] for p, q, r in b1])) % 2
+            + sum([bits[p] & bits[r] & (bits[q1] ^ bits[q2])
+                   for p, q1, q2, r in squares])) % 2
 
 
 @lru_cache(maxsize=16)
@@ -61,35 +91,39 @@ def torus_complex(L, Lp):
 
 
 class TorusTables:
-    """The degree slices of gamma(L)^n, as row-major positions of its vertices.
+    """The degree slices of gamma(L)^n, read on the bits of a few vertices.
 
-    ``slices[i - 1]`` holds the ``x1`` edges and ``b1`` band triangles of
-    ``torus_complex(L, L)`` pulled back through ``sigma_minor(n, i)``:
+    ``positions`` lists, in increasing order, the row-major positions of the
+    vertices of gamma(L)^n that a slice reads.  ``slices[i - 1]`` holds the
+    ``x1`` edges and band ``squares`` of ``torus_complex(L, L)`` pulled back
+    through ``sigma_minor(n, i)``, as indices into ``positions``:
     ``count_deg1`` over them is deg1 of the i-th minor.  The vertex (a, b)
     of the plane lifts to a * w_1 + b * w_2, with w_k summing L^(n-j) over
-    the slots j that the minor sends to k.  ``positions`` lists, in
-    increasing order, every position a slice reads.  gamma(L)^n itself is
-    not built.
+    the slots j that the minor sends to k.  gamma(L)^n itself is not built.
     """
 
     def __init__(self, L, n):
         plane = torus_complex(L, L)
-        self.slices = []
+        lifts = []
         for i in range(1, n + 1):
             pi, w = sigma_minor(n, i), [0, 0]
             for j in range(1, n + 1):
                 w[pi(j) - 1] += L ** (n - j)
-            lift = [a * w[0] + b * w[1] for a in range(L) for b in range(L)]
-            self.slices.append(([tuple(lift[p] for p in e) for e in plane.x1],
-                                [tuple(lift[p] for p in c) for c in plane.b1]))
-        self.positions = tuple(sorted({p for x1, b1 in self.slices
-                                       for cell in x1 + b1 for p in cell}))
+            lifts.append([a * w[0] + b * w[1] for a in range(L) for b in range(L)])
+        self.positions = tuple(sorted({lift[p] for lift in lifts
+                                       for cell in plane.x1 + plane.squares
+                                       for p in cell}))
+        index = dict(zip(self.positions, range(len(self.positions))))
+        self.slices = []
+        for lift in lifts:
+            at = [index.get(p) for p in lift]
+            self.slices.append(([tuple(map(at.__getitem__, e)) for e in plane.x1],
+                                [tuple(map(at.__getitem__, s)) for s in plane.squares]))
 
     def degrees(self, bits):
         """deg1 of each 2-variable minor, in coordinate order, of the blue
-        bits ``bits[p]`` at the ``positions`` p: a list in vertex order, or
-        a dict on ``positions``."""
-        return [count_deg1(bits, x1, b1) for x1, b1 in self.slices]
+        bits ``bits[k]`` of the vertices at ``positions[k]``."""
+        return [count_deg1(bits, x1, squares) for x1, squares in self.slices]
 
 
 @lru_cache(maxsize=16)
@@ -147,7 +181,8 @@ def deg_vector(g, L, n):
     values = colour_values(x, g)
     check_antipodes(x, values)
     check_colours(x, values)
-    return OddVector(torus_tables(L, n).degrees([c == BLUE for c in values]))
+    tables = torus_tables(L, n)
+    return OddVector(tables.degrees([values[p] == BLUE for p in tables.positions]))
 
 
 def phi(f, pipeline):
@@ -169,8 +204,7 @@ def phi(f, pipeline):
     alpha = memo.get(f.values)
     if alpha is None:
         tables = torus_tables(pipeline.period, n)
-        bits = pipeline.mu_bits(f, tables.positions)
-        alpha = OddVector(tables.degrees(dict(zip(tables.positions, bits))))
+        alpha = OddVector(tables.degrees(pipeline.mu_bits(f, tables.positions)))
         alpha = memo[f.values] = vectors.setdefault(alpha.bits, alpha)
     return alpha
 

@@ -115,8 +115,14 @@ def _decode(index, radix, length):
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
 def make_template(kind, size):
-    """The cycle C_size or the complete loopless graph K_size."""
+    """The cycle C_size or the complete loopless graph K_size.
+
+    Cached, so every caller shares one graph per (kind, size), and the
+    checks that a map's domain and codomain are the expected templates
+    take the identity path of ``Graph.__eq__``.
+    """
     if kind == "cycle":
         if size < 3:
             raise InvalidParameterError("cycles need size >= 3")

@@ -475,6 +475,7 @@ def _product_chains(sides):
 
 # the one torus cache, reachable under the public name
 gamma_product.cache_info = _gamma_product.cache_info
+gamma_product.cache_clear = _gamma_product.cache_clear
 
 
 def gamma_power(L, n):

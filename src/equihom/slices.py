@@ -296,7 +296,7 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
         alphas = []
         for f in inspected:
             bits = pipeline.mu_bits(f)
-            alpha = OddVector(tables.degrees(bits))
+            alpha = OddVector(tables.degrees(list(map(bits.__getitem__, tables.positions))))
             weights[alpha.weight] = weights.get(alpha.weight, 0) + 1
             bit_cache.append(bits)
             alphas.append(alpha.bits)

@@ -16,8 +16,8 @@ from .homcomplexes import (CyclePipeline, canonical_cycle_iso, default_cache_dir
                            hom_complex, multihoms, mu_prime, search_t_colouring)
 from .degrees import (TorusComplex, deg_vector, find_colour_swapping_edge,
                       monomial_colouring, phi, torus_complex, winding_colouring)
-from .simplicial import (equivariant_colourings, gamma_power, map_from_colouring,
-                         mod2_homology_ranks)
+from .simplicial import (equivariant_colourings, gamma_power, gamma_product,
+                         map_from_colouring, mod2_homology_ranks)
 from .slices import arity_experiment, swap_fraction, zeta0
 from .zz2 import bredon_torus, expected_bredon, quotient_pstar_check
 
@@ -147,14 +147,22 @@ def _check_generalized_diagonals(seed):
 
 def _bredon_table_mismatch(arities, lengths=(4, 8)):
     """The first (n, L, d) with L in ``lengths`` where the Bredon group is not
-    Z2^C(n-1,d-1), as a failing detail, or None."""
-    for n in arities:
-        for L in lengths:
-            for d in range(1, n + 1):
-                got = bredon_torus(n, L, d)
-                if got != expected_bredon(n, d):
-                    return f"mismatch at n={n}, L={L}, d={d}: {got}"
-    return None
+    Z2^C(n-1,d-1), as a failing detail, or None.
+
+    The torus and coboundary caches are emptied when the table ends, so the
+    cells and Smith forms of one table do not stay alive through the next.
+    """
+    try:
+        for n in arities:
+            for L in lengths:
+                for d in range(1, n + 1):
+                    got = bredon_torus(n, L, d)
+                    if got != expected_bredon(n, d):
+                        return f"mismatch at n={n}, L={L}, d={d}: {got}"
+        return None
+    finally:
+        bredon_torus.cache_clear()
+        gamma_product.cache_clear()
 
 
 def _check_bredon_table(seed):
@@ -227,7 +235,7 @@ CHECKS = (
 )
 
 # suites too slow for "all": the n = 4 and (n, L) = (5, 4) tables take about
-# 25 s together
+# 20 s together
 NOT_IN_ALL = frozenset({"bredon-large"})
 
 # the --suite choices: each suite in order of first appearance, then all

@@ -325,6 +325,10 @@ def bredon_torus(n, L, d, coefficients="Zminus"):
     return _torus_coboundaries(n, L, coefficients).cohomology(d)
 
 
+# the coboundary cache behind bredon_torus, reachable under the public name
+bredon_torus.cache_clear = _torus_coboundaries.cache_clear
+
+
 def expected_bredon(n, d):
     return elementary_two_group(comb(n - 1, d - 1)) if d >= 1 else CohomologyGroup(0, ())
 
@@ -373,20 +377,15 @@ def _mapping_cone(deltas_q, pullbacks, deltas_x):
     return out
 
 
-def quotient_pstar_check(n, L, d):
-    """Verify the pullback along the torus double cover in degree d.
-
-    Rebuilds the action as a shift of the first coordinate only, forms the
-    quotient complex and the cochain map P induced by the projection, and
-    checks that H^d of both is free of rank C(n, d).  The cohomology of the
-    mapping cone of P then gives p* on H^d: finite cone groups in degrees
-    d - 1 and d mean that p* is injective with cokernel H^d(Cone), which must
-    be elementary abelian of rank C(n-1, d-1), the invariant factors of p*
-    being C(n-1, d-1) twos and C(n-1, d) ones.  Cross-checks the cokernel
-    against the directly computed equivariant cohomology.
+@lru_cache(maxsize=2)
+def _quotient_complexes(n, L):
+    """The coboundaries of gamma(L)^n, of its quotient by the first-coordinate
+    half shift, and of the mapping cone of the pullback P between them, as
+    ``_Coboundaries`` (X, Q, Cone), after the checks that do not depend on a
+    degree: the shift is free, the projection keeps every cell and hits
+    exactly the quotient cells, and P is a cochain map.  Cached per (n, L),
+    so the degrees of one quotient check share their Smith forms.
     """
-    if not 1 <= d <= n:
-        raise InvalidParameterError("need 1 <= d <= n")
     x = gamma_power(L, n)
     x_first = replace_involution(x, {v: ((v[0] + L // 2) % L,) + v[1:]
                                      for v in x.vertices})
@@ -420,10 +419,28 @@ def quotient_pstar_check(n, L, d):
         diff = all(lhs.rows[i] == rhs.rows[i] for i in range(lhs.nrows))
         if not diff:
             raise InvariantViolationError("pullback is not a cochain map")
+    return (_Coboundaries(deltas_x), _Coboundaries(deltas_q),
+            _Coboundaries(_mapping_cone(deltas_q, pullbacks, deltas_x)))
+
+
+def quotient_pstar_check(n, L, d):
+    """Verify the pullback along the torus double cover in degree d.
+
+    Rebuilds the action as a shift of the first coordinate only, forms the
+    quotient complex and the cochain map P induced by the projection
+    (``_quotient_complexes``, once per (n, L)), and checks that H^d of both
+    is free of rank C(n, d).  The cohomology of the mapping cone of P then
+    gives p* on H^d: finite cone groups in degrees d - 1 and d mean that p*
+    is injective with cokernel H^d(Cone), which must be elementary abelian
+    of rank C(n-1, d-1), the invariant factors of p* being C(n-1, d-1) twos
+    and C(n-1, d) ones.  Cross-checks the cokernel against the directly
+    computed equivariant cohomology.
+    """
+    if not 1 <= d <= n:
+        raise InvalidParameterError("need 1 <= d <= n")
+    h_x, h_q, cone = _quotient_complexes(n, L)
 
     expected_rank = comb(n, d)
-    h_x = _Coboundaries(deltas_x)
-    h_q = _Coboundaries(deltas_q)
     for h in (h_x, h_q):
         group = h.cohomology(d)
         # the torsion of H^(d+1) is that of the Smith form of delta_d, which
@@ -437,7 +454,6 @@ def quotient_pstar_check(n, L, d):
     # ker p*_(d+1) by coker p*_d; both kernels sit in free groups, so when the
     # two cone groups are finite p*_d is injective and H^d(Cone) = coker p*_d.
     # Cone degree e is degree e + 1 of its coboundary list.
-    cone = _Coboundaries(_mapping_cone(deltas_q, pullbacks, deltas_x))
     below, cokernel = cone.cohomology(d), cone.cohomology(d + 1)
     injective = below.free_rank == 0
     factors = [1] * (expected_rank - len(cokernel.torsion)) + list(cokernel.torsion)

@@ -20,7 +20,9 @@ survey on colour dicts, enumerating every arity up to the cutoff, is the
 reference for the survey on blue bits.  Minors by decoding and re-encoding
 every target vertex are the reference for the cached gather tables, and
 the minor maps of a torus colouring, precomposed vertex by vertex, are the
-reference for the degree slices of ``TorusTables``.  The boundary rows built
+reference for the degree slices of ``TorusTables``.  The band counted one
+triangle at a time is the reference for the kernel that pairs its
+triangles into squares.  The boundary rows built
 one cell and one face at a time, and the orbit complex that picks each
 representative by comparing the cell with its mate and adds its faces to A
 and B entry by entry, are the references for the columnar builder.  The
@@ -304,6 +306,29 @@ def brute_deg1(colour, L, Lp):
                     if colour(v) == 1 and colour(p1) == 0 and colour(p2) == 1:
                         d_count += 1
     return (e_count + d_count) % 2
+
+
+def count_deg1_reference(bits, x1, b1):
+    """deg1 of a blue-bit list, one band triangle at a time: (blue, yellow)
+    edges of x1 plus (blue, yellow, blue) triangles of b1, mod 2, with the
+    cells given as index tuples into bits."""
+    return (sum(bits[u] > bits[v] for u, v in x1)
+            + sum(bits[p] > bits[q] < bits[r] for p, q, r in b1)) % 2
+
+
+def slice_deg1_reference(bits, L, n, i):
+    """deg1 of the i-th 2-variable minor of the row-major blue bits of
+    gamma(L)^n: the plane vertex (a, b) reads the torus vertex with a in
+    coordinate i and b in every other, and the band of ``torus_complex(L, L)``
+    is counted one triangle at a time."""
+    plane = torus_complex(L, L)
+
+    def lift(p):
+        a, b = divmod(p, L)
+        return sum((a if j == i else b) * L ** (n - j) for j in range(1, n + 1))
+
+    return count_deg1_reference(bits, [tuple(map(lift, e)) for e in plane.x1],
+                                [tuple(map(lift, c)) for c in plane.b1])
 
 
 def _covers2(p, L, Lp):

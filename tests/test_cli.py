@@ -65,6 +65,20 @@ def test_phi_on_unary_file(tmp_path, monkeypatch):
     assert all(obj["t_fingerprint"] == fp for obj in records)
 
 
+# SHA-256 of `phi --in polys.jsonl` on the file that `enumerate --ell 3
+# --arity 2` writes, both run in one directory
+BINARY_PHI_SHA256 = "1920c3dd4d2b4ef83a652a1f1abec28b93724306815bca96b7ffd8309cad956a"
+
+
+def test_binary_phi_report_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    assert run(["enumerate", "--ell", "3", "--arity", "2", "--out", "polys.jsonl"]) == 0
+    assert run(["phi", "--in", "polys.jsonl", "--out", "phi.jsonl"]) == 0
+    digest = hashlib.sha256((tmp_path / "phi.jsonl").read_bytes()).hexdigest()
+    assert digest == BINARY_PHI_SHA256
+
+
 PHI_RECORD = {"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, 2]}
 
 

@@ -42,5 +42,6 @@ def test_kernel_slices_match_brute_force(case):
     (L, _), bits = case
     first = lambda v: bits[v[0] * L + v[1]]
     second = lambda v: bits[v[1] * L + v[0]]
-    assert torus_tables(L, 2).degrees(bits) == [brute_deg1(first, L, L),
-                                                brute_deg1(second, L, L)]
+    tables = torus_tables(L, 2)
+    assert tables.degrees([bits[p] for p in tables.positions]) == [
+        brute_deg1(first, L, L), brute_deg1(second, L, L)]

@@ -4,22 +4,23 @@ from itertools import product
 import pytest
 
 from equihom import simplicial
-from equihom.degrees import (OddVector, TorusComplex, deg_vector,
-                             find_colour_swapping_edge, monomial_colouring,
-                             phi, torus_complex, torus_tables,
-                             winding_colouring)
+from equihom.degrees import (OddVector, TorusComplex, band_squares, count_deg1,
+                             deg_vector, find_colour_swapping_edge,
+                             monomial_colouring, phi, torus_complex,
+                             torus_tables, winding_colouring)
 from equihom.errors import (AlternatingSimplexError, InvalidParameterError,
                             InvariantViolationError, NotEquivariantError)
-from equihom.graphs import (GraphHom, MinorSpec, complete_graph, cycle_graph,
-                            enumerate_homs, minor, power, sample_homs)
+from equihom.graphs import (Graph, GraphHom, MinorSpec, PowerGraph, complete_graph,
+                            cycle_graph, enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring, _t_index,
                                   hom_complex)
 from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
                                 gamma_power, gamma_product, map_from_colouring)
 
 import oracles
-from oracles import (brute_deg1, composite_mapping, minor_degree_vector,
-                     minor_map, mu_colours_reference, phi_reference)
+from oracles import (brute_deg1, composite_mapping, count_deg1_reference,
+                     minor_degree_vector, minor_map, mu_colours_reference,
+                     phi_reference, slice_deg1_reference)
 
 
 def as_bits(col):
@@ -42,6 +43,48 @@ def test_band_identity_all_sizes():
     for L in (4, 8, 12):
         for Lp in (4, 8, 12):
             TorusComplex(L, Lp)  # construction verifies the boundary identity
+
+
+@pytest.mark.parametrize("L", [4, 8, 12])
+@pytest.mark.parametrize("Lp", [4, 8, 12])
+def test_paired_kernel_counts_the_band_one_triangle_at_a_time(L, Lp):
+    torus = torus_complex(L, Lp)
+    assert 2 * len(torus.squares) == len(torus.b1)
+    rng = random.Random(100 * L + Lp)
+    seen = set()
+    for _ in range(40):
+        density = rng.random()
+        bits = [rng.random() < density for _ in range(L * Lp)]
+        degree = count_deg1(bits, torus.x1, torus.squares)
+        assert degree == count_deg1_reference(bits, torus.x1, torus.b1)
+        seen.add(degree)
+    assert seen == {0, 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_paired_kernel_counts_every_slice_one_triangle_at_a_time(n):
+    L = 12
+    tables = torus_tables(L, n)
+    rng = random.Random(n)
+    seen = set()
+    for _ in range(10):
+        density = rng.random()
+        bits = [int(rng.random() < density) for _ in range(L ** n)]
+        degrees = tables.degrees(list(map(bits.__getitem__, tables.positions)))
+        assert degrees == [slice_deg1_reference(bits, L, n, i) for i in range(1, n + 1)]
+        seen.update(degrees)
+    assert seen == {0, 1}
+
+
+def test_a_band_pair_without_both_middles_is_refused():
+    b1 = torus_complex(4, 4).b1
+    p, _, r = b1[5]
+    with pytest.raises(InvariantViolationError,
+                       match=f"from {p} to {r} have 1 middles, not 2"):
+        band_squares(b1[:5] + b1[6:])
+    with pytest.raises(InvariantViolationError,
+                       match=f"from {p} to {r} have 3 middles, not 2"):
+        band_squares(b1 + [b1[5]])
 
 
 @pytest.mark.parametrize("L, Lp", [(4, 4), (8, 12)])
@@ -285,6 +328,25 @@ def binary_maps():
 def ternary_maps():
     return sample_homs(power(cycle_graph(3), 3), complete_graph(4), 40,
                        random.Random(11))
+
+
+def test_check_polymorphism_compares_hand_built_graphs_by_value(pipe, binary_maps):
+    # the shared templates take the identity path of Graph.__eq__; a graph
+    # built by hand is still compared by its vertices and edges
+    c3 = Graph(3, {(0, 1), (1, 2), (2, 0)})
+    k4 = Graph(4, {(i, j) for i in range(4) for j in range(4) if i != j})
+    assert c3 is not cycle_graph(3) and k4 is not complete_graph(4)
+    f = binary_maps[7]
+    hand_built = GraphHom(PowerGraph(c3, 2), k4, f.values)
+    assert hand_built.domain.base is c3
+    assert pipe.check_polymorphism(hand_built) == 2
+    assert phi(hand_built, pipe) == phi(f, pipe)
+    c5_base = GraphHom(power(cycle_graph(5), 1), complete_graph(4), (0, 1, 0, 1, 2))
+    with pytest.raises(InvalidParameterError, match="not a polymorphism over this cycle"):
+        pipe.check_polymorphism(c5_base)
+    k5_codomain = GraphHom(power(c3, 1), complete_graph(5), (0, 1, 2))
+    with pytest.raises(InvalidParameterError, match="codomain must be the 4-clique"):
+        pipe.check_polymorphism(k5_codomain)
 
 
 def test_deg_vector_matches_minor_formula_gamma4_squared():

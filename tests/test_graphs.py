@@ -27,6 +27,12 @@ def test_templates():
     assert all(len(c5.neighbours(v)) == 2 for v in c5.vertices())
 
 
+def test_templates_are_shared():
+    assert cycle_graph(3) is cycle_graph(3) is make_template("cycle", 3)
+    assert complete_graph(4) is complete_graph(4) is make_template("complete", 4)
+    assert cycle_graph(5) is not cycle_graph(3)
+
+
 @pytest.mark.parametrize("kind,size", [("cycle", 2), ("complete", 0), ("nonsense", 3)])
 def test_template_rejects(kind, size):
     with pytest.raises(InvalidParameterError):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from equihom import verify
+from equihom import simplicial, verify, zz2
 from equihom.cli import main
 from equihom.errors import InvariantViolationError
 
@@ -95,3 +95,16 @@ def test_raising_check_becomes_a_failed_row(tmp_path, monkeypatch, capsys):
     row = json.loads(out.read_text())["results"][0]
     assert row == {"check": "equivariant-torus-table", "pass": False,
                    "detail": "InvariantViolationError: boom"}
+
+
+@pytest.mark.parametrize("expected, detail", [
+    (verify.expected_bredon, None),
+    (lambda n, d: None, "mismatch at n=1, L=4, d=1: Z/2"),
+], ids=["passing", "mismatch"])
+def test_a_bredon_table_empties_the_torus_caches(monkeypatch, expected, detail):
+    # the tori and Smith forms of one table must not stay alive through the
+    # next one; bredon-large runs n = 4 and then (n, L) = (5, 4)
+    monkeypatch.setattr(verify, "expected_bredon", expected)
+    assert verify._bredon_table_mismatch((1, 2)) == detail
+    assert simplicial.gamma_product.cache_info().currsize == 0
+    assert zz2._torus_coboundaries.cache_info().currsize == 0

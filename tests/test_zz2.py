@@ -174,6 +174,7 @@ def test_cleared_ordinary_coboundaries_keep_their_invariants():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cleared_cone_coboundaries_keep_their_invariants(n, monkeypatch):
+    zz2._quotient_complexes.cache_clear()
     cones = []
     real_cone = zz2._mapping_cone
     monkeypatch.setattr(zz2, "_mapping_cone",
@@ -221,6 +222,26 @@ def test_quotient_pstar_check_n2():
     assert sorted(rec["pstar_invariant_factors"]) == [1, 2]
 
 
+def test_quotient_check_builds_and_checks_each_torus_once(monkeypatch):
+    # both cochain complexes, the pullbacks, the cochain-map products and
+    # every dd = 0 check run at the first degree; the second degree only
+    # reads cohomology, and its record is the one a fresh build gives
+    zz2._quotient_complexes.cache_clear()
+    zz2._torus_coboundaries.cache_clear()
+    built, products = [], []
+    real_complex, real_matmul = zz2.ordinary_cochain_complex, SparseMat.matmul
+    monkeypatch.setattr(zz2, "ordinary_cochain_complex",
+                        lambda x, top: built.append(x) or real_complex(x, top))
+    monkeypatch.setattr(SparseMat, "matmul",
+                        lambda a, b: products.append(a) or real_matmul(a, b))
+    first = quotient_pstar_check(2, 8, 1)
+    assert len(built) == 2 and len(products) == 9
+    second = quotient_pstar_check(2, 8, 2)
+    assert len(built) == 2 and len(products) == 9
+    assert (first, second) == (quotient_pstar_reference(2, 8, 1),
+                               quotient_pstar_reference(2, 8, 2))
+
+
 @pytest.mark.parametrize("n, L, d", [(1, 8, 1), (1, 16, 1), (2, 8, 1), (2, 8, 2)])
 def test_quotient_pstar_cone_matches_dense_reference(n, L, d):
     assert quotient_pstar_check(n, L, d) == quotient_pstar_reference(n, L, d)
@@ -252,6 +273,7 @@ def test_quotient_pstar_failure_reports_cone_groups(monkeypatch):
     (lambda v: (v[0] % 4 ^ v[0] // 4, v[1]), "quotient cells mismatch in dimension 1"),
 ], ids=["degenerate", "mismatch"])
 def test_quotient_pstar_rejects_a_bad_projection(project, message, monkeypatch):
+    zz2._quotient_complexes.cache_clear()
     monkeypatch.setattr(zz2, "quotient_by_first_shift",
                         lambda L, n: (gamma_product((4, 8)), project))
     with pytest.raises(InvariantViolationError) as info:
