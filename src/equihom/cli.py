@@ -57,8 +57,10 @@ def _load_colouring(path):
         raise EquihomError(f"L must be a multiple of 4, got {L}")
     if not isinstance(bits, list) or any(b not in (0, 1) for b in bits):
         raise EquihomError("colours must be a list of 0/1 bits")
-    if len(bits) != L ** n:
-        raise EquihomError(f"expected {L ** n} colour bits, got {len(bits)}")
+    # L^n >= 2^n passes the bit count once n passes its bit length, so a
+    # large n is refused before the power is taken
+    if n > len(bits).bit_length() or len(bits) != L ** n:
+        raise EquihomError(f"expected {L}^{n} colour bits, got {len(bits)}")
     colours = {v: (BLUE if b else YELLOW)
                for v, b in zip(iter_product(range(L), repeat=n), bits)}
     return L, n, colours

@@ -48,7 +48,7 @@ class NotFreeActionError(EquihomError):
 
 
 class InvalidInputError(EquihomError):
-    """Input data is internally inconsistent (e.g. coboundaries with dd != 0)."""
+    """Input data is internally inconsistent (e.g. matrix shapes that do not compose)."""
 
 
 class InternalError(EquihomError):

@@ -79,10 +79,14 @@ class PowerGraph(Graph):
     def __init__(self, base, exponent):
         if exponent < 1:
             raise InvalidParameterError("exponent must be >= 1")
-        count = base.vertex_count ** exponent
-        if count > MAX_POWER_VERTICES:
-            raise CapacityExceededError(f"{base.vertex_count}^{exponent} = {count} "
-                                        f"vertices exceeds the limit {MAX_POWER_VERTICES}")
+        radix = base.vertex_count
+        # 2^exponent passes the limit once the exponent passes its bit length,
+        # so a large exponent is refused before the power is taken
+        if radix > 1 and (exponent > MAX_POWER_VERTICES.bit_length()
+                          or radix ** exponent > MAX_POWER_VERTICES):
+            raise CapacityExceededError(f"{radix}^{exponent} vertices exceeds the "
+                                        f"limit {MAX_POWER_VERTICES}")
+        count = radix ** exponent
         self.base = base
         self.exponent = exponent
         edges = set()

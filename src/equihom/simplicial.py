@@ -420,8 +420,24 @@ def product_cell_count(sides, d):
         for j in range(d, k + 1))
 
 
+def _check_vertex_count(sides, name):
+    """Refuse a torus with more vertices than CELL_LIMIT, reading its sides
+    only until their running product passes the limit."""
+    vertices = 1
+    for L in sides:
+        vertices *= L
+        if vertices > CELL_LIMIT:
+            raise CapacityExceededError(
+                f"torus {name} has more vertices than the cell limit {CELL_LIMIT}")
+
+
 def check_cell_limit(sides):
-    """Refuse a product of circles with more than CELL_LIMIT cells in all."""
+    """Refuse a product of circles with more than CELL_LIMIT cells in all.
+
+    The vertices are counted first, so a product of many circles is refused
+    before its cells are summed over every degree and every move count.
+    """
+    _check_vertex_count(sides, f"of {len(sides)} circles")
     total = sum(product_cell_count(sides, d) for d in range(len(sides) + 1))
     if total > CELL_LIMIT:
         raise CapacityExceededError(
@@ -479,7 +495,13 @@ gamma_product.cache_clear = _gamma_product.cache_clear
 
 
 def gamma_power(L, n):
-    """The torus gamma(L)^n with the diagonal involution."""
+    """The torus gamma(L)^n with the diagonal involution.
+
+    Its vertex count L^n is checked before the n sides are listed, so a large
+    n is refused at once.
+    """
+    _check_side(L)  # a side of at least 4 passes the limit within a dozen factors
+    _check_vertex_count(repeat(L, n), f"gamma({L})^{n}")
     return gamma_product((L,) * n)
 
 

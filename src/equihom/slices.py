@@ -15,7 +15,8 @@ from math import comb
 from . import __version__
 from .errors import (InvalidParameterError, InvariantViolationError)
 from .graphs import complete_graph, power, sample_homs, enumerate_homs
-from .degrees import OddVector, torus_complex, torus_tables
+from .degrees import (OddVector, find_colour_swapping_edge, torus_complex,
+                      torus_tables)
 from .homcomplexes import CyclePipeline
 from .simplicial import check_cell_limit, gamma_power
 
@@ -166,7 +167,9 @@ def slice_check(colours, L, n, zeta):
 
     The slice pairs the free first coordinate with the diagonal; the map must
     restrict to degree 1 on it (checked, a precondition), and then a swapping
-    edge must exist by the degree argument.
+    edge must exist by the degree argument.  The edge is the one
+    ``find_colour_swapping_edge`` finds on the restriction, lifted through
+    the slice.
     """
     if zeta.ambient != n - 1 or zeta.L != L:
         raise InvalidParameterError("diagonal does not match the ambient torus")
@@ -176,15 +179,8 @@ def slice_check(colours, L, n, zeta):
 
     restricted = {(x, y): colours[full(x, y)]
                   for x in range(L) for y in range(zeta.period)}
-    torus = torus_complex(L, zeta.period)
-    if torus.deg1(restricted) != 1:
-        raise InvalidParameterError("slice restriction must have degree 1")
-    for y in range(zeta.period):
-        for x in range(L):
-            u, v = full(x, y), full((x + 1) % L, y)
-            if colours[u] != colours[v]:
-                return u, v
-    raise InvariantViolationError("no swapping edge on a degree-1 slice")
+    u, v = find_colour_swapping_edge(restricted, torus_complex(L, zeta.period))
+    return full(*u), full(*v)
 
 
 def permute_coordinates(v, perm):

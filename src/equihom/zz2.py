@@ -25,7 +25,8 @@ delta_(k+1) are dropped before its Smith form is taken.  This is the clearing
 (EuroCG 2011), and by the Gaussian-elimination lemma for chain complexes
 (Skoldberg, "Morse theory from an algebraic viewpoint", Trans. AMS 2006) it
 keeps every cohomology group and every invariant factor, provided
-delta_(k+1) delta_k = 0; ``_Coboundaries`` checks that before it drops a row.
+delta_(k+1) delta_k = 0, which is checked once, where a coboundary list
+becomes a ``_Coboundaries``.
 """
 
 from dataclasses import dataclass
@@ -97,37 +98,10 @@ class EquivariantChainComplex:
                 mates = zip(*(map(antipode.__getitem__, map(itemgetter(k), others))
                               for k in range(d + 1)))
                 index.update(zip(others, map(invert, map(index.__getitem__, mates))))
-        complex_ = cls(reps, coboundaries)
-        complex_.verify_dd_zero()
-        return complex_
+        return cls(reps, coboundaries)
 
     def rank(self, d):
         return len(self.reps[d]) if d < len(self.reps) else 0
-
-    def top(self):
-        return len(self.reps) - 1
-
-    def verify_dd_zero(self):
-        """Consecutive coboundaries compose to zero over Z[Z2].
-
-        As nu^2 = 1, (A + B*nu)(A' + B'*nu) = (AA' + BB') + (AB' + BA')*nu.
-        Each row of the two parts is summed in one pass over the row of A
-        and of B, so no product matrix is built.
-        """
-        for d in range(2, self.top() + 1):
-            a, b = self.coboundaries[d - 1]
-            a2, b2 = (m.rows for m in self.coboundaries[d - 2])
-            for ra, rb in zip(a.rows, b.rows):
-                one, nu = {}, {}
-                for row, by_a2, by_b2 in ((ra, one, nu), (rb, nu, one)):
-                    for k, v in row.items():
-                        for j, w in a2[k].items():
-                            by_a2[j] = by_a2.get(j, 0) + v * w
-                        for j, w in b2[k].items():
-                            by_b2[j] = by_b2.get(j, 0) + v * w
-                if any(one.values()) or any(nu.values()):
-                    raise InvariantViolationError(
-                        f"boundary composition nonzero in dimension {d}")
 
 
 def _take_mates(row):
@@ -197,7 +171,14 @@ def elementary_two_group(rank):
 
 
 class _Coboundaries:
-    """A coboundary list whose Smith forms and dd = 0 checks run once each.
+    """A coboundary list that composes to zero, with its Smith forms taken
+    once each.
+
+    The constructor refuses a list with delta_(k+1) delta_k != 0 for some k,
+    naming k, so every ``_Coboundaries`` is a complex.  Specialised to ZZ2
+    this is the check over Z[Z2], the regular representation being faithful;
+    under Zminus or Zplus it checks the image under that character, which is
+    the complex whose Smith forms are read.
 
     ``smith(k)`` is the Smith form of delta_k with its rows at the unit pivot
     columns of ``smith(k + 1)`` removed, so every Smith form below the top
@@ -218,23 +199,30 @@ class _Coboundaries:
       free rank of H^(k+1), is unchanged, and with H^(k+1) so is rank
       delta_k.
 
-    The lemma holds for complexes only: on a list with delta_(k+1) delta_k
-    != 0, dropping rows can change the rank.  So ``smith(k)`` runs
-    ``check_composes(k + 1)`` before ``smith(k + 1)`` and before any row is
-    dropped, and a list that does not compose is refused with nothing stored.
-    The top coboundary, with none above it, is taken whole.
+    The lemma holds for complexes only, as checked.  The top coboundary,
+    with none above it, is taken whole.
     """
 
     def __init__(self, deltas):
+        # delta_(k+1) delta_k = 0 for every k, one row of the product at a time
+        for k, (lower, upper) in enumerate(zip(deltas, deltas[1:])):
+            if upper.ncols != lower.nrows:
+                raise InvalidInputError(f"delta_{k + 1} and delta_{k} do not compose")
+            for row in upper.rows:
+                acc = {}
+                for i, v in row.items():
+                    for j, w in lower.rows[i].items():
+                        acc[j] = acc.get(j, 0) + v * w
+                if any(acc.values()):
+                    raise InvariantViolationError(
+                        f"coboundaries do not compose to zero: delta_{k + 1} delta_{k} != 0")
         self.deltas = deltas
         self._smith = {}
-        self._composes = set()
 
     def smith(self, k):
         if k not in self._smith:
             delta = self.deltas[k]
             if k + 1 < len(self.deltas):
-                self.check_composes(k + 1)
                 cleared = set(self.smith(k + 1).pivot_columns)
                 delta = SparseMat(delta.nrows - len(cleared), delta.ncols,
                                   [r for i, r in enumerate(delta.rows)
@@ -242,32 +230,19 @@ class _Coboundaries:
             self._smith[k] = smith_normal_form(delta)
         return self._smith[k]
 
-    def check_composes(self, k):
-        if k not in self._composes:
-            if not self.deltas[k].matmul(self.deltas[k - 1]).is_zero():
-                raise InvalidInputError("coboundaries do not compose to zero")
-            self._composes.add(k)
-
     def cohomology(self, d):
         if d < 0:
             raise InvalidParameterError("negative degree")
-        deltas = self.deltas
-        delta_d = deltas[d] if d < len(deltas) else None
-        delta_prev = deltas[d - 1] if 1 <= d <= len(deltas) else None
-        if delta_d is not None and delta_prev is not None:
-            self.check_composes(d)
-        if delta_d is not None:
-            dim_d = delta_d.ncols
-        elif delta_prev is not None:
-            dim_d = delta_prev.nrows
-        else:
+        if not self.deltas or d > len(self.deltas):
             raise InvalidParameterError("no matrix describes this degree")
-        rank_d = self.smith(d).rank if delta_d is not None else 0
-        if delta_prev is not None:
+        if d < len(self.deltas):
+            dim_d, rank_d = self.deltas[d].ncols, self.smith(d).rank
+        else:
+            dim_d, rank_d = self.deltas[d - 1].nrows, 0
+        rank_prev, torsion = 0, ()
+        if d:
             prev = self.smith(d - 1)
             rank_prev, torsion = prev.rank, prev.torsion
-        else:
-            rank_prev, torsion = 0, ()
         return CohomologyGroup(dim_d - rank_d - rank_prev, torsion)
 
 
@@ -275,7 +250,8 @@ def cohomology(deltas, d):
     """H^d = ker(delta_d) / im(delta_(d-1)) from the coboundary list.
 
     ``deltas[k]`` maps k-cochains to (k+1)-cochains; indices beyond the list
-    are zero maps.  Verifies that consecutive coboundaries compose to zero.
+    are zero maps.  A list whose consecutive coboundaries do not compose to
+    zero is refused (``_Coboundaries``).
     """
     return _Coboundaries(deltas).cohomology(d)
 
@@ -383,8 +359,11 @@ def _quotient_complexes(n, L):
     half shift, and of the mapping cone of the pullback P between them, as
     ``_Coboundaries`` (X, Q, Cone), after the checks that do not depend on a
     degree: the shift is free, the projection keeps every cell and hits
-    exactly the quotient cells, and P is a cochain map.  Cached per (n, L),
-    so the degrees of one quotient check share their Smith forms.
+    exactly the quotient cells, and P is a cochain map.  The cone's list
+    composes to zero exactly when delta_Q and delta_X do and delta_X P =
+    P delta_Q, so making its ``_Coboundaries`` is the cochain-map check.
+    Cached per (n, L), so the degrees of one quotient check share their
+    Smith forms.
     """
     x = gamma_power(L, n)
     x_first = replace_involution(x, {v: ((v[0] + L // 2) % L,) + v[1:]
@@ -413,12 +392,6 @@ def _quotient_complexes(n, L):
             raise InvariantViolationError(f"quotient cells mismatch in dimension {k}")
         pullbacks.append(SparseMat(len(images), len(qindex),
                                    [{qindex[img]: 1} for img in images]))
-    for k in range(n):
-        lhs = deltas_x[k].matmul(pullbacks[k])
-        rhs = pullbacks[k + 1].matmul(deltas_q[k])
-        diff = all(lhs.rows[i] == rhs.rows[i] for i in range(lhs.nrows))
-        if not diff:
-            raise InvariantViolationError("pullback is not a cochain map")
     return (_Coboundaries(deltas_x), _Coboundaries(deltas_q),
             _Coboundaries(_mapping_cone(deltas_q, pullbacks, deltas_x)))
 

@@ -2,11 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from itertools import product as iproduct
 
 import pytest
 
-from equihom import cli
+from equihom import cli, zz2
 from equihom.cli import main
 from equihom.simplicial import SimplicialSet
 
@@ -92,9 +93,10 @@ PHI_RECORD = {"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, 2]}
     dict(PHI_RECORD, values=[True, 1, 2]),
     dict(PHI_RECORD, values=[7, 1, 2]),
     dict(PHI_RECORD, values=["a", 1, 2]),
+    dict(PHI_RECORD, arity=10000),
 ], ids=["missing-domain-base", "list-line", "string-arity", "null-codomain",
         "non-list-values", "float-value", "bool-value", "out-of-range-value",
-        "string-value"])
+        "string-value", "huge-arity"])
 def test_phi_malformed_record_is_a_usage_error(tmp_path, monkeypatch, capsys, record):
     monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
     polys = tmp_path / "polys.jsonl"
@@ -191,11 +193,17 @@ def test_degree_verb_rejects_non_equivariant(tmp_path):
     (["degree"], {"L": 4, "n": 2}),
     (["swap-stats", "--i", "1"], {"L": 4, "n": 2, "colours": 7}),
     (["swap-stats", "--i", "1"], {"L": 6, "n": 2, "colours": [1, 0] * 18}),
-], ids=["string-L", "missing-colours", "non-list-colours", "L-not-multiple-of-4"])
+    (["degree"], {"L": 4, "n": 8000, "colours": [0, 1]}),
+    (["swap-stats", "--i", "1"], {"L": 4, "n": 8000, "colours": [0, 1]}),
+    (["degree"], {"L": 12, "n": 10 ** 7, "colours": [0, 1]}),  # 12^(10^7) takes seconds
+], ids=["string-L", "missing-colours", "non-list-colours", "L-not-multiple-of-4",
+        "degree-huge-n", "swap-stats-huge-n", "degree-n-1e7"])
 def test_malformed_colouring_file_is_a_usage_error(tmp_path, capsys, verb, content):
     col = tmp_path / "col.json"
     col.write_text(json.dumps(content))
+    start = time.perf_counter()
     assert run(verb + ["--colouring", str(col)]) == 2
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -257,6 +265,45 @@ def test_bredon_verb(tmp_path):
     report = json.loads(out.read_text())
     assert report["coefficients"] == "Zminus"
     assert report["free_rank"] == 0 and report["torsion"] == [2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bredon", "--n", "1000", "--L", "4", "--d", "1"],
+    ["enumerate", "--ell", "3", "--arity", "10000"],
+], ids=["bredon-n1000", "enumerate-arity10000"])
+def test_oversized_torus_or_power_is_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200, captured.err
+
+
+def test_bredon_on_a_corrupted_orbit_complex_is_a_verification_failure(
+        tmp_path, capsys, monkeypatch):
+    real_complex = zz2.equivariant_complex
+
+    def corrupted(x, max_dim):
+        cx = real_complex(x, max_dim)
+        a = cx.coboundaries[1][0]
+        j = next(j for j, row in enumerate(a.rows) if row)
+        a.add_at(j, next(iter(a.rows[j])), 1)
+        return cx
+
+    monkeypatch.setattr(zz2, "equivariant_complex", corrupted)
+    zz2.bredon_torus.cache_clear()
+    try:
+        out = tmp_path / "bredon.json"
+        assert run(["bredon", "--n", "3", "--L", "4", "--d", "3",
+                    "--out", str(out)]) == 1
+    finally:
+        zz2.bredon_torus.cache_clear()
+    err = capsys.readouterr().err
+    assert err == ("verification failure: coboundaries do not compose to zero: "
+                   "delta_1 delta_0 != 0\n")
+    assert not out.exists()
 
 
 def test_one_parser_serves_every_call(capsys):

@@ -67,6 +67,13 @@ def test_power_k2_squared_exhaustive():
 def test_power_capacity():
     with pytest.raises(CapacityExceededError):
         power(complete_graph(4), 13)  # 4^13 vertices, over MAX_POWER_VERTICES
+    # refused on the exponent, without the seconds 3^(10^7) takes, and named
+    # by base and exponent
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceededError,
+                       match="^3\\^10000000 vertices exceeds the limit 16777216$"):
+        power(cycle_graph(3), 10 ** 7)
+    assert time.perf_counter() - start < 1
 
 
 def test_power_is_reused_by_minor():

@@ -137,6 +137,21 @@ def test_product_capacity(monkeypatch):
         gamma_product((64,) * 4)
 
 
+def test_long_torus_is_refused_on_its_vertices(monkeypatch):
+    """Past CELL_LIMIT vertices a torus is refused before its cells are
+    counted, and gamma_power refuses before it lists the sides."""
+    def no_listing(*args):
+        raise AssertionError("listed the sides of a torus over the cell limit")
+
+    monkeypatch.setattr(simplicial, "product_cell_count", no_listing)
+    with pytest.raises(CapacityExceededError, match="^torus of 1000 circles has more "
+                                                    "vertices than the cell limit 4194304$"):
+        gamma_product((4,) * 1000)
+    monkeypatch.setattr(simplicial, "gamma_product", no_listing)
+    with pytest.raises(CapacityExceededError, match=r"^torus gamma\(4\)\^10000000 has "):
+        gamma_power(4, 10 ** 7)
+
+
 @pytest.mark.parametrize("sides", [(4, 4), (4, 8), (8, 4), (4, 4, 4), (4, 8, 8),
                                    (8, 8, 8)])
 def test_gamma_product_matches_generic_product(sides):

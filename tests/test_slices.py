@@ -140,6 +140,26 @@ def test_slice_check_shifted_diagonals():
         assert col[u] != col[v]
 
 
+def _first_swap_in_slice(colours, L, zeta):
+    """The first colour-swapping coordinate-1 edge of the slice, scanning the
+    diagonal position outer and the first coordinate inner."""
+    for point in zeta.path:
+        for x in range(L):
+            u, v = (x,) + point, ((x + 1) % L,) + point
+            if colours[u] != colours[v]:
+                return u, v
+
+
+@pytest.mark.parametrize("support", [(1,), (1, 2, 3)])
+def test_slice_check_witness_is_the_first_in_scan_order(support):
+    col = degrees.monomial_colouring(8, 3, support)
+    base = zeta0(3, 0, 8)
+    for zeta in [base, standard_diagonal(3, 8)] + [
+            GeneralizedDiagonal(8, 2, [shift_coordinate(v, i, 8) for v in base.path])
+            for i in (1, 2)]:
+        assert slice_check(col, 8, 3, zeta) == _first_swap_in_slice(col, 8, zeta)
+
+
 def test_slice_check_precondition():
     col = winding_colouring(8, 3, 2)
     with pytest.raises(InvalidParameterError):

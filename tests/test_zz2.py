@@ -57,21 +57,31 @@ def test_specialization_rules():
 
 def test_cohomology_rejects_non_complex():
     bad = [SparseMat.from_dense([[1]]), SparseMat.from_dense([[1]])]
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvariantViolationError,
+                       match=r"^coboundaries do not compose to zero: delta_1 delta_0 != 0$"):
         cohomology(bad, 1)
 
 
-def test_clearing_refuses_a_list_that_does_not_compose():
-    """delta_0 is cleared by the pivots of delta_1 only once
-    delta_1 delta_0 = 0 is checked, so H^0 of a non-complex is refused."""
+def test_clearing_refuses_a_list_that_does_not_compose(monkeypatch):
+    """delta_0 is cleared by the pivots of delta_1 only on a complex, so a
+    list that does not compose is refused before any Smith form is taken,
+    and no _Coboundaries is made from it."""
+    smith_calls = []
+    real_smith = zz2.smith_normal_form
+    monkeypatch.setattr(zz2, "smith_normal_form",
+                        lambda m: smith_calls.append(m) or real_smith(m))
     bad = [SparseMat.from_dense([[1]]), SparseMat.from_dense([[1]])]
-    with pytest.raises(InvalidInputError, match="do not compose"):
+    with pytest.raises(InvariantViolationError, match="delta_1 delta_0 != 0"):
         cohomology(bad, 0)
-    coboundaries = zz2._Coboundaries(bad)
-    with pytest.raises(InvalidInputError, match="do not compose"):
-        coboundaries.smith(0)
-    assert coboundaries._smith == {}
-    assert coboundaries._composes == set()
+    made = []
+    with pytest.raises(InvariantViolationError, match="delta_1 delta_0 != 0"):
+        made.append(zz2._Coboundaries(bad))
+    assert made == [] and smith_calls == []
+
+
+def test_coboundaries_of_mismatched_shapes_are_refused():
+    with pytest.raises(InvalidInputError, match="^delta_1 and delta_0 do not compose$"):
+        zz2._Coboundaries([SparseMat(2, 1), SparseMat(1, 3)])
 
 
 def test_point_cohomology():
@@ -134,10 +144,10 @@ def test_bredon_torus_factors_each_coboundary_once(monkeypatch):
     for _ in range(2):
         for d in range(1, 4):
             assert bredon_torus(3, 4, d) == expected_bredon(3, d)
-    # delta_0, delta_1, delta_2 once each; pairs (1, 0) and (2, 1) once each,
-    # and the orbit complex's dd = 0 check multiplies no matrices
+    # delta_0, delta_1, delta_2 once each, and the dd = 0 check, made when
+    # the list is, multiplies no matrices
     assert len(smith_calls) == 3
-    assert len(products) == 2
+    assert products == []
     # top coboundary first and whole; each lower one loses the rows at the
     # unit pivot columns of the one above it
     coboundaries = zz2._torus_coboundaries(3, 4, "Zminus")
@@ -184,6 +194,23 @@ def test_cleared_cone_coboundaries_keep_their_invariants(n, monkeypatch):
     assert_clearing_keeps_every_invariant(cones[0])
 
 
+@pytest.mark.parametrize("scales, cochain_map", [
+    ((1, 1), True), ((2, 2), True), ((1, 2), False), ((3, -3), False),
+], ids=["identity", "twice", "mixed", "sign"])
+def test_cone_list_composes_exactly_for_a_cochain_map(scales, cochain_map):
+    """P = (s_0 I, s_1 I) on the cochains of gamma(4) is a cochain map exactly
+    when s_0 = s_1, and only then is the cone's list a complex."""
+    (delta,), _ = ordinary_cochain_complex(gamma(4), 1)
+    pullbacks = [SparseMat(size, size, [{i: s} for i in range(size)])
+                 for size, s in zip((delta.ncols, delta.nrows), scales)]
+    cone = zz2._mapping_cone([delta], pullbacks, [delta])
+    if cochain_map:
+        zz2._Coboundaries(cone)
+    else:
+        with pytest.raises(InvariantViolationError, match="delta_1 delta_0 != 0"):
+            zz2._Coboundaries(cone)
+
+
 def test_bredon_independent_of_l_at_n2():
     for d in (1, 2):
         assert bredon_torus(2, 4, d) == bredon_torus(2, 8, d)
@@ -223,9 +250,10 @@ def test_quotient_pstar_check_n2():
 
 
 def test_quotient_check_builds_and_checks_each_torus_once(monkeypatch):
-    # both cochain complexes, the pullbacks, the cochain-map products and
-    # every dd = 0 check run at the first degree; the second degree only
-    # reads cohomology, and its record is the one a fresh build gives
+    # both cochain complexes, the pullbacks and every dd = 0 check, that of
+    # the cone being the cochain-map check, run at the first degree, and no
+    # check multiplies matrices; the second degree only reads cohomology, and
+    # its record is the one a fresh build gives
     zz2._quotient_complexes.cache_clear()
     zz2._torus_coboundaries.cache_clear()
     built, products = [], []
@@ -235,9 +263,9 @@ def test_quotient_check_builds_and_checks_each_torus_once(monkeypatch):
     monkeypatch.setattr(SparseMat, "matmul",
                         lambda a, b: products.append(a) or real_matmul(a, b))
     first = quotient_pstar_check(2, 8, 1)
-    assert len(built) == 2 and len(products) == 9
+    assert len(built) == 2 and products == []
     second = quotient_pstar_check(2, 8, 2)
-    assert len(built) == 2 and len(products) == 9
+    assert len(built) == 2 and products == []
     assert (first, second) == (quotient_pstar_reference(2, 8, 1),
                                quotient_pstar_reference(2, 8, 2))
 
@@ -283,7 +311,8 @@ def test_quotient_pstar_rejects_a_bad_projection(project, message, monkeypatch):
 
 def test_dd_zero_is_verified():
     cx = equivariant_complex(gamma_power(4, 2), 2)
-    cx.verify_dd_zero()  # must not raise
+    for coefficients in zz2.COEFFICIENTS:
+        zz2._Coboundaries(specialize(cx, coefficients))  # must not raise
 
 
 def test_dd_zero_catches_one_corrupted_mate_entry():
@@ -292,8 +321,8 @@ def test_dd_zero_catches_one_corrupted_mate_entry():
     j = next(j for j, row in enumerate(b.rows) if row)
     i = next(iter(b.rows[j]))
     b.add_at(j, i, 1)
-    with pytest.raises(InvariantViolationError, match="dimension 2"):
-        cx.verify_dd_zero()
+    with pytest.raises(InvariantViolationError, match="delta_1 delta_0 != 0"):
+        zz2._Coboundaries(specialize(cx, "ZZ2"))
 
 
 @pytest.mark.parametrize("a, b, a2, b2, nonzero", [
@@ -306,17 +335,46 @@ def test_dd_zero_catches_one_corrupted_mate_entry():
 ], ids=["AA", "BB", "AB", "BA", "cancels", "both"])
 def test_dd_zero_reads_both_parts_of_the_composition(a, b, a2, b2, nonzero):
     """Hand-built 1 x 1 coboundaries, with (A + B*nu)(A' + B'*nu) =
-    (AA' + BB') + (AB' + BA')*nu."""
+    (AA' + BB') + (AB' + BA')*nu.  ZZ2 coefficients refuse exactly the
+    nonzero products over Z[Z2]; Zplus and Zminus refuse exactly those whose
+    image under nu -> 1 or nu -> -1 is nonzero, so (2 - nu)(1 + nu) passes
+    under Zminus only."""
     def pair(x, y):
         return SparseMat(1, 1, [{0: x} if x else {}]), SparseMat(1, 1, [{0: y} if y else {}])
 
     cx = EquivariantChainComplex([[(0,)], [(0, 1)], [(0, 1, 2)]], [pair(a2, b2), pair(a, b)])
-    if nonzero:
-        with pytest.raises(InvariantViolationError,
-                           match="^boundary composition nonzero in dimension 2$"):
-            cx.verify_dd_zero()
-    else:
-        cx.verify_dd_zero()
+    image = {"ZZ2": nonzero,
+             "Zplus": (a + b) * (a2 + b2) != 0,
+             "Zminus": (a - b) * (a2 - b2) != 0}
+    for coefficients, refused in image.items():
+        deltas = specialize(cx, coefficients)
+        if refused:
+            with pytest.raises(InvariantViolationError,
+                               match="^coboundaries do not compose to zero: "
+                                     r"delta_1 delta_0 != 0$"):
+                zz2._Coboundaries(deltas)
+        else:
+            zz2._Coboundaries(deltas)
+
+
+@pytest.mark.parametrize("coefficients", zz2.COEFFICIENTS)
+def test_every_corrupted_orbit_entry_is_refused(coefficients):
+    """Adding 1 to the first entry of any row of A or of B in any degree of
+    the orbit complex of gamma(4)^3 is refused under each coefficient
+    module, naming a degree the corrupted coboundary takes part in."""
+    cx = equivariant_complex(gamma_power(4, 3), 3)
+    cases = [(k, m, j) for k, pair in enumerate(cx.coboundaries) for m in pair
+             for j, row in enumerate(m.rows) if row]
+    assert len(cases) == 976
+    for k, m, j in cases:
+        i = next(iter(m.rows[j]))
+        m.add_at(j, i, 1)
+        with pytest.raises(InvariantViolationError) as info:
+            zz2._Coboundaries(specialize(cx, coefficients))
+        assert str(info.value).endswith(
+            (f"delta_{k} delta_{k - 1} != 0", f"delta_{k + 1} delta_{k} != 0"))
+        m.add_at(j, i, -1)
+    zz2._Coboundaries(specialize(cx, coefficients))
 
 
 ORBIT_CASES = {

@@ -1,10 +1,11 @@
-"""Property test of the cleared Smith forms of ``zz2._Coboundaries`` on random
-cochain complexes, against the whole coboundaries and the determinantal-divisor
-oracle."""
+"""Property tests of ``zz2._Coboundaries`` on random cochain complexes: the
+cleared Smith forms against the whole coboundaries and the
+determinantal-divisor oracle, and the dd = 0 check against dense products."""
 
 import pytest
 
 from equihom import zz2
+from equihom.errors import InvariantViolationError
 from equihom.snf import SparseMat, smith_normal_form
 
 from oracles import determinantal_invariants
@@ -80,3 +81,34 @@ def test_cleared_smith_forms_keep_every_invariant(deltas):
             assert list(cleared) == determinantal_invariants(delta.to_dense())
         else:
             assert cleared == ()
+
+
+@st.composite
+def coboundary_lists(draw):
+    """A cochain complex as above with up to two entries changed, so that the
+    list may or may not compose to zero."""
+    deltas = draw(cochain_complexes())
+    for _ in range(draw(st.integers(0, 2))):
+        delta = deltas[draw(st.integers(0, len(deltas) - 1))]
+        if delta.nrows and delta.ncols:
+            delta.add_at(draw(st.integers(0, delta.nrows - 1)),
+                         draw(st.integers(0, delta.ncols - 1)),
+                         draw(st.sampled_from((-2, -1, 1, 2))))
+    return deltas
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(coboundary_lists())
+def test_coboundaries_are_refused_exactly_when_a_product_is_nonzero(deltas):
+    dense = [delta.to_dense() for delta in deltas]
+    nonzero = [k for k in range(len(dense) - 1)
+               if any(map(any, _matmul(dense[k + 1], dense[k])))]
+    hypothesis.event(f"refused: {bool(nonzero)}")
+    if nonzero:
+        k = nonzero[0]
+        with pytest.raises(InvariantViolationError,
+                           match=rf"delta_{k + 1} delta_{k} != 0$"):
+            zz2._Coboundaries(deltas)
+    else:
+        zz2._Coboundaries(deltas)
