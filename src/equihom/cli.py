@@ -45,8 +45,17 @@ def _meta(args, **extra):
     return meta
 
 
+def _loads(text):
+    """``json.loads``, with a number it cannot convert (a ValueError such as
+    an integer over the interpreter's digit limit) raised as a usage error."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise EquihomError(str(exc)) from exc
+
+
 def _load_colouring(path):
-    obj = json.loads(Path(path).read_text())
+    obj = _loads(Path(path).read_text())
     if not isinstance(obj, dict) or not {"L", "n", "colours"} <= obj.keys():
         raise EquihomError("a colouring file needs the keys L, n and colours")
     L, n, bits = obj["L"], obj["n"], obj["colours"]
@@ -105,7 +114,7 @@ def _check_hom_record(obj):
 
 
 def cmd_phi(args):
-    lines = [json.loads(line) for line in Path(args.infile).read_text().splitlines()
+    lines = [_loads(line) for line in Path(args.infile).read_text().splitlines()
              if line.strip()]
     records = [obj for obj in lines
                if not (isinstance(obj, dict) and obj.get("trailer"))]

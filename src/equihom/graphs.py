@@ -8,8 +8,9 @@ most significant, so serialized polymorphisms are portable.
 
 import random
 import warnings
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import or_
 
 from .errors import (CapacityExceededError, InvalidParameterError,
                      InvariantViolationError)
@@ -36,6 +37,7 @@ class Graph:
         for u, v in self.edges:
             adj[u].add(v)
         self._adj = tuple(frozenset(s) for s in adj)
+        self._hash = hash((vertex_count, self.edges))
 
     def vertices(self):
         return range(self.vertex_count)
@@ -55,7 +57,7 @@ class Graph:
                                  and self.edges == other.edges)
 
     def __hash__(self):
-        return hash((self.vertex_count, self.edges))
+        return self._hash
 
     def __repr__(self):
         return f"Graph({self.vertex_count}, {len(self.edges)} ordered edges)"
@@ -261,11 +263,27 @@ def _gather(dom, target, mapping):
     return tuple(table)
 
 
+class _Supported(dict):
+    """``supported[dy]``: the mask of values a with an edge (a, b) for some b
+    in the value mask dy, the union of the neighbour masks ``near[b]`` of
+    dy's members; each entry is computed on first use."""
+
+    def __init__(self, near):
+        super().__init__()
+        self.near = near
+
+    def __missing__(self, dy):
+        mask = self[dy] = reduce(or_, [near for b, near in enumerate(self.near)
+                                       if dy >> b & 1], 0)
+        return mask
+
+
 class HomStream:
     """Iterator over homomorphisms with a truncation flag.
 
     Each map is marked ``checked``: a vertex takes a value only once AC-3
-    has kept it for an edge to every assigned neighbour.  ``truncated``
+    has kept it for an edge to every assigned neighbour.  Domains are
+    bitmasks of values, pruned through the ``_Supported`` table.  ``truncated``
     becomes True when a limit cut the enumeration short; it is reliable
     once iteration has finished.  With a ``budget``, the search ends once
     it would push more than that many frames past the first.
@@ -281,37 +299,36 @@ class HomStream:
     def _run(self, dom, cod, limit, rng, budget):
         n = dom.vertex_count
         emitted = 0
-        all_values = sorted(cod.vertices())
+        all_values = range(cod.vertex_count)
         neighbours = [sorted(dom.neighbours(v)) for v in range(n)]
-        support = [cod.neighbours(a) for a in all_values]  # values b with (a, b) an edge
+        supported = _Supported([sum(1 << a for a in cod.neighbours(b)) for b in all_values])
 
         def ac3(domains, queue):
             # arcs are directed pairs (x, y) with y adjacent to x
             while queue:
                 x, y = queue.pop()
-                dy = domains[y]
-                keep = [a for a in domains[x] if not support[a].isdisjoint(dy)]
-                if len(keep) != len(domains[x]):
-                    domains[x] = keep
+                dx = domains[x]
+                keep = dx & supported[domains[y]]
+                if keep != dx:
                     if not keep:
                         return False
-                    for z in neighbours[x]:
-                        if z != y:
-                            queue.add((z, x))
+                    domains[x] = keep
+                    queue.extend([(z, x) for z in neighbours[x] if z != y])
             return True
 
-        domains = [list(all_values) for _ in range(n)]
-        for v in range(n):
-            if dom.has_edge(v, v):
-                domains[v] = [a for a in domains[v] if (a, a) in cod.edges]
-        if not ac3(domains, {(x, y) for x in range(n) for y in neighbours[x]}):
+        full = (1 << cod.vertex_count) - 1
+        looped = sum(1 << a for a in all_values if cod.has_edge(a, a))
+        domains = [looped if dom.has_edge(v, v) else full for v in range(n)]
+        if not ac3(domains, [(x, y) for x in range(n) for y in neighbours[x]]):
             return
 
         # Depth-first search on an explicit stack of (vertex, domains, values
-        # left) frames; AC-3 replaces domain lists and never edits one, so a
-        # frame shares the lists it did not prune with the frame below.
+        # left) frames; each domain is a bitmask of values, and a frame's
+        # values are its vertex's domain in increasing order, shuffled by the
+        # rng if there is one.
         def frame(v, domains):
-            order = list(domains[v])
+            d = domains[v]
+            order = [a for a in all_values if d >> a & 1]
             if rng is not None:
                 rng.shuffle(order)
             return v, domains, iter(order)
@@ -321,10 +338,11 @@ class HomStream:
         pushed = 0
         while stack:
             v, domains, values = stack[-1]
+            later = [(w, v) for w in neighbours[v] if w > v]
             for a in values:
                 nxt = list(domains)
-                nxt[v] = [a]
-                if ac3(nxt, {(w, v) for w in neighbours[v] if w > v}):
+                nxt[v] = 1 << a
+                if ac3(nxt, list(later)):
                     assignment[v] = a
                     break
             else:

@@ -28,6 +28,11 @@ from .simplicial import (BLUE, YELLOW, SimplicialMap, gamma, gamma_power,
 CACHE_ENV_VAR = "EQUIHOM_CACHE"
 T_FILE_NAME = "t_colouring_hom_k2_k4.json"
 
+# byte v -> 1 << v for the four colours of K_4, and the byte that a t-index
+# with no multihomomorphism behind it reads in ``CyclePipeline.mu_lanes``
+ONE_HOT = bytes(1 << v if v < 4 else 0 for v in range(256))
+UNLABELLED = 0xFF
+
 
 class Multihom(NamedTuple):
     """An ordered pair of vertex subsets, stored as sorted tuples."""
@@ -270,7 +275,9 @@ class CyclePipeline:
     of row-major vertex positions of gamma(4*ell)^n, the pipeline caches the
     distinct sides of iota(iso(y_1), ..., iso(y_n)) at those vertices y as
     index columns of encoded domain indices, one group per side size;
-    ``mu_bits`` ORs 1 << f(i) over each side and reads t with one lookup.
+    ``mu_bits`` ORs 1 << f(i) over each side and reads t with one lookup,
+    and ``mu_lanes`` does the same for many maps at once, one byte lane per
+    map, through the one key builder ``_keys``.
 
     mu(f) = t o f_* o iota o iso^n.  iso is equivariant and sends each odd
     vertex above its even neighbours (``canonical_cycle_iso`` checks both),
@@ -368,27 +375,64 @@ class CyclePipeline:
                                                  list(map(moved.__getitem__, rights)))
         return table
 
+    def _keys(self, onehot, n, positions):
+        """The t-index ``(left mask << 4) | right mask`` of iota's image at the
+        vertices of gamma(4*ell)^n at ``positions`` (all of them for None),
+        with ``onehot[i]`` the bit 1 << f(i).
+
+        A side's mask ORs the one-hot bits over its indices, a whole index
+        column at a time.  Each ``onehot[i]`` may pack one byte lane per map:
+        a mask fills the low half of its lane, so ``<< 4`` keeps it there.
+        """
+        columns, lefts, rights = self._side_table(n, positions)
+        masks = []
+        for group in columns:
+            acc = map(onehot.__getitem__, group[0])
+            for column in group[1:]:
+                acc = map(or_, acc, map(onehot.__getitem__, column))
+            masks.extend(acc)
+        high = [m << 4 for m in masks]
+        return map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))
+
+    def _bits(self, f, n, positions):
+        """``mu_bits`` of a map already through ``check_polymorphism``."""
+        self.certify()
+        return list(map(self.t_table.__getitem__,
+                        self._keys([1 << v for v in f.values], n, positions)))
+
     def mu_bits(self, f, positions=None):
         """Blue bit of mu(f) at the vertices of gamma(4*ell)^n at the tuple
         ``positions`` of row-major positions, or at every vertex in vertex
-        order by default, once the pipeline is certified.
+        order by default, once the pipeline is certified."""
+        return self._bits(f, self.check_polymorphism(f), positions)
 
-        A side's mask ORs 1 << f(i) over its indices, a whole index column
-        at a time.
+    def mu_lanes(self, fs, positions=None):
+        """The blue bits of mu(f) of every map in ``fs`` at once: one bytes
+        object per vertex at ``positions`` (every vertex by default), holding
+        byte k = the bit of ``fs[k]`` there.
+
+        Each f must pass ``check_polymorphism``, all at one arity.  The
+        one-hot colours of a domain vertex are packed one byte per map, the
+        keys built lane by lane as in ``mu_bits``, and t is read through a
+        256-byte table; a key with no multihomomorphism of K_4 behind it
+        reads ``UNLABELLED`` and is refused (InternalError).
         """
-        n = self.check_polymorphism(f)
+        if not fs:
+            raise InvalidParameterError("mu_lanes needs at least one map")
+        arities = set(map(self.check_polymorphism, fs))
+        if len(arities) != 1:
+            raise InvalidParameterError(f"maps of arities {sorted(arities)} in one call")
         self.certify()
-        columns, lefts, rights = self._side_table(n, positions)
-        pv = [1 << v for v in f.values]
-        masks = []
-        for group in columns:
-            acc = map(pv.__getitem__, group[0])
-            for column in group[1:]:
-                acc = map(or_, acc, map(pv.__getitem__, column))
-            masks.extend(acc)
-        high = [m << 4 for m in masks]
-        return list(map(self.t_table.__getitem__,
-                        map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))))
+        count = len(fs)
+        onehot = [int.from_bytes(bytes(column).translate(ONE_HOT), "little")
+                  for column in zip(*(f.values for f in fs))]
+        table = bytes(UNLABELLED if b is None else b for b in self.t_table)
+        lanes = [key.to_bytes(count, "little").translate(table)
+                 for key in self._keys(onehot, arities.pop(), positions)]
+        if any(UNLABELLED in lane for lane in lanes):
+            raise InternalError("a map sends a vertex to a pair of sides that is "
+                                "not a multihomomorphism of K_4")
+        return lanes
 
     def mu_colours(self, f):
         """Vertex colouring of gamma(4*ell)^n induced by the polymorphism f."""

@@ -11,14 +11,16 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from operator import mul
 
 from . import __version__
-from .errors import (InvalidParameterError, InvariantViolationError)
+from .errors import (CapacityExceededError, InvalidParameterError,
+                     InvariantViolationError)
 from .graphs import complete_graph, power, sample_homs, enumerate_homs
 from .degrees import (OddVector, find_colour_swapping_edge, torus_complex,
                       torus_tables)
 from .homcomplexes import CyclePipeline
-from .simplicial import check_cell_limit, gamma_power
+from .simplicial import CELL_LIMIT, check_cell_limit
 
 # maps drawn per arity once the survey samples, and maps per arity whose
 # swap fractions it tabulates
@@ -96,13 +98,17 @@ def zeta0(n, h, L):
     Built from the three-step block: raise the third and fourth coordinate
     blocks, then raise the first and lower the fourth, then raise the second
     and fourth; every three steps the whole vertex advances by one along the
-    diagonal.  Valid whenever 3h <= n-1 and 2h < n-1.
+    diagonal.  Valid whenever 3h <= n-1 and 2h < n-1; a path of more than
+    CELL_LIMIT entries in all is refused before any vertex is built.
     """
     if L < 4 or L % 4:
         raise InvalidParameterError("L must be a multiple of 4")
     m = n - 1
     if n < 2 or h < 0 or 3 * h > m or 2 * h >= m:
         raise InvalidParameterError("need 3h <= n-1 and 2h < n-1")
+    if 3 * L * m > CELL_LIMIT:
+        raise CapacityExceededError(f"a diagonal of {3 * L} vertices in gamma({L})^{m} "
+                                    f"has {3 * L * m} entries (limit {CELL_LIMIT})")
     tail = m - 3 * h
 
     def block(a, b, c, d):
@@ -194,15 +200,23 @@ def shift_coordinate(v, i, L):
 
 
 def sample_maximal_chain(L, n, rng):
-    """A uniformly random maximal chain (top simplex) of gamma(L)^n."""
-    base = tuple(rng.randrange(0, L, 2) for _ in range(n))
+    """A uniformly random maximal chain (top simplex) of gamma(L)^n, as the
+    row-major positions of its vertices.
+
+    Draws an even base vertex one coordinate at a time, an order in which
+    to raise the coordinates, and then a direction for each raise.
+    """
+    strides = [L ** k for k in range(n - 1, -1, -1)]
+    base = [rng.randrange(0, L, 2) for _ in range(n)]
     order = list(range(n))
     rng.shuffle(order)
-    chain = [base]
-    cur = list(base)
+    position = sum(map(mul, base, strides))
+    chain = [position]
     for j in order:
-        cur[j] = (cur[j] + rng.choice((1, -1))) % L
-        chain.append(tuple(cur))
+        step = rng.choice((1, -1))
+        # an even coordinate steps to L - 1 or 1, never past L
+        position += (step if base[j] + step >= 0 else L - 1) * strides[j]
+        chain.append(position)
     return chain
 
 
@@ -223,13 +237,15 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
     sampled maximal chains of the torus (the sphere target caps these at two),
     and tabulates swap fractions per coordinate and height for a few maps.
 
-    Each map is read once, as the blue bits ``pipeline.mu_bits(f)`` of
-    gamma(4*ell)^n in row-major vertex order.  The checks are those of
-    ``degrees.phi``: f is a polymorphism, the pipeline's certificate stands
-    for the validity and equivariance of mu(f) (see ``CyclePipeline``), and
-    the degree vector has odd weight.  Chains read the bits at the
-    positions of their vertices; only the first ``SWAP_STAT_MAPS`` maps
-    become colour dicts, for ``swap_fraction``.
+    The maps of an arity are read once, all together, as the byte lanes
+    ``pipeline.mu_lanes`` gives at every vertex of gamma(4*ell)^n in
+    row-major order, and one ``TorusTables.lane_degrees`` pass gives every
+    degree vector.  The checks are those of ``degrees.phi``: each f is a
+    polymorphism, the pipeline's certificate stands for the validity and
+    equivariance of mu(f) (see ``CyclePipeline``), and the degree vector
+    has odd weight.  Chains read the lane bytes at the positions of their
+    vertices; only the first ``SWAP_STAT_MAPS`` maps become colour dicts,
+    for ``swap_fraction``.  No torus is built.
 
     With H(k) the exact number of polymorphisms at arity k and H(0) = 0,
     arity n is sampled without enumerating when arity n-1 was truncated,
@@ -287,30 +303,29 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
             below, two_below = len(polys), below
             inspected = polys
         tables = torus_tables(L, n)
+        lanes, alphas = [], []
+        if inspected:
+            lanes = pipeline.mu_lanes(inspected)
+            alphas = tables.lane_degrees([lanes[p] for p in tables.positions])
         weights = {}
-        bit_cache = []
-        alphas = []
-        for f in inspected:
-            bits = pipeline.mu_bits(f)
-            alpha = OddVector(tables.degrees(list(map(bits.__getitem__, tables.positions))))
-            weights[alpha.weight] = weights.get(alpha.weight, 0) + 1
-            bit_cache.append(bits)
-            alphas.append(alpha.bits)
-        position = gamma_power(L, n).position
+        for bits in alphas:
+            weight = OddVector(bits).weight
+            weights[weight] = weights.get(weight, 0) + 1
         max_alts = 0
         violations = 0
         chains_done = 0
-        while chains_done < chain_samples and bit_cache:
-            bits = bit_cache[chains_done % len(bit_cache)]
+        while chains_done < chain_samples and alphas:
+            k = chains_done % len(alphas)
             chain = sample_maximal_chain(L, n, rng)
-            alts = _alternations([bits[position[v]] for v in chain])
+            alts = _alternations([lanes[p][k] for p in chain])
             max_alts = max(max_alts, alts)
             if alts > 2:
                 violations += 1
             chains_done += 1
         swap_stats = {}
-        for f, alpha in zip(inspected[:SWAP_STAT_MAPS], alphas):
-            colours = pipeline.mu_colours(f)
+        vertices = list(product(range(L), repeat=n))
+        for k, alpha in enumerate(alphas[:SWAP_STAT_MAPS]):
+            colours = dict(zip(vertices, [lane[k] for lane in lanes]))
             for i in range(1, n + 1):
                 if alpha[i - 1] != 1:
                     continue

@@ -15,10 +15,11 @@ its entries a + b*nu kept as pairs in one dict, before it became two sparse
 matrices.  The tuple-based validation of a simplicial set, one cell at a
 time, is the reference for the column check the library runs on positions.
 The homomorphism search with its arc consistency testing value pairs against
-the edge set is the reference for the support-table pruning, and the arity
-survey on colour dicts, enumerating every arity up to the cutoff, is the
-reference for the survey on blue bits.  Minors by decoding and re-encoding
-every target vertex are the reference for the cached gather tables, and
+the edge set, over value lists, is the reference for the pruning on value
+bitmasks, and the arity survey on colour dicts, enumerating every arity up
+to the cutoff and sampling chains as vertex tuples, is the reference for the
+survey on byte lanes and row-major positions.  Minors by decoding and
+re-encoding every target vertex are the reference for the cached gather tables, and
 the minor maps of a torus colouring, precomposed vertex by vertex, are the
 reference for the degree slices of ``TorusTables``.  The band counted one
 triangle at a time is the reference for the kernel that pairs its
@@ -49,8 +50,7 @@ from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
 from equihom.homcomplexes import CyclePipeline, hom_complex, iota, mu_prime
 from equihom.simplicial import (BLUE, YELLOW, colour_values, faces,
                                 gamma_power, is_degenerate, map_from_colouring)
-from equihom.slices import (chain_alternations, sample_maximal_chain,
-                            swap_fraction)
+from equihom.slices import chain_alternations, swap_fraction
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import (CohomologyGroup, bredon_torus, expected_bredon,
                          ordinary_cochain_complex, quotient_by_first_shift)
@@ -907,23 +907,24 @@ def quotient_pstar_reference(n, L, d):
 
 
 class HomStreamReference:
-    """``graphs.HomStream`` with AC-3 testing each value against every
-    neighbour value pair in ``cod.edges``.
+    """``graphs.HomStream`` with AC-3 over value lists, testing each value
+    against every neighbour value pair in ``cod.edges``.
 
     Iterator over homomorphisms with a truncation flag.
 
     ``truncated`` becomes True when a limit cut the enumeration short; it is
-    reliable once iteration has finished.
+    reliable once iteration has finished.  With a ``budget``, the search ends
+    once it would push more than that many frames past the first.
     """
 
-    def __init__(self, dom, cod, limit=None, rng=None):
+    def __init__(self, dom, cod, limit=None, rng=None, budget=None):
         self.truncated = False
-        self._gen = self._run(dom, cod, limit, rng)
+        self._gen = self._run(dom, cod, limit, rng, budget)
 
     def __iter__(self):
         return self._gen
 
-    def _run(self, dom, cod, limit, rng):
+    def _run(self, dom, cod, limit, rng, budget):
         n = dom.vertex_count
         emitted = 0
         all_values = sorted(cod.vertices())
@@ -963,6 +964,7 @@ class HomStreamReference:
 
         assignment = [None] * n
         stack = [frame(0, domains)]
+        pushed = 0
         while stack:
             v, domains, values = stack[-1]
             for a in values:
@@ -975,6 +977,9 @@ class HomStreamReference:
                 stack.pop()
                 continue
             if v + 1 < n:
+                if pushed == budget:
+                    return
+                pushed += 1
                 stack.append(frame(v + 1, nxt))
                 continue
             if limit is not None and emitted >= limit:
@@ -988,17 +993,33 @@ def sample_homs_reference(dom, cod, count, rng):
     """Distinct homomorphisms found by randomized backtracking restarts.
 
     Used when the full enumeration is too large; the rng drives the value
-    order of each restart, so results are reproducible from the seed.
+    order of each restart, so results are reproducible from the seed.  Each
+    restart may push ``20 * dom.vertex_count`` search frames.
     """
     found = {}
     attempts = 0
+    budget = 20 * dom.vertex_count
     while len(found) < count and attempts < 50 * count:
         attempts += 1
         sub = random.Random(rng.getrandbits(64))
-        for hom in HomStreamReference(dom, cod, limit=1, rng=sub):
+        for hom in HomStreamReference(dom, cod, limit=1, rng=sub, budget=budget):
             found[hom.values] = hom
             break
     return list(found.values())
+
+
+def sample_maximal_chain_reference(L, n, rng):
+    """A uniformly random maximal chain (top simplex) of gamma(L)^n, as a
+    list of vertex tuples."""
+    base = tuple(rng.randrange(0, L, 2) for _ in range(n))
+    order = list(range(n))
+    rng.shuffle(order)
+    chain = [base]
+    cur = list(base)
+    for j in order:
+        cur[j] = (cur[j] + rng.choice((1, -1))) % L
+        chain.append(tuple(cur))
+    return chain
 
 
 def arity_experiment_reference(ell, n_max, seed=0, sample_size=40, chain_samples=4000,
@@ -1053,7 +1074,7 @@ def arity_experiment_reference(ell, n_max, seed=0, sample_size=40, chain_samples
         chains_done = 0
         while chains_done < chain_samples and colour_cache:
             f, colours = colour_cache[chains_done % len(colour_cache)]
-            chain = sample_maximal_chain(L, n, rng)
+            chain = sample_maximal_chain_reference(L, n, rng)
             alts = chain_alternations(colours, chain)
             max_alts = max(max_alts, alts)
             if alts > 2:

@@ -208,6 +208,30 @@ def test_malformed_colouring_file_is_a_usage_error(tmp_path, capsys, verb, conte
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+# an integer past the interpreter's 4300-digit conversion limit
+LONG_INTEGER = "4" + "0" * 5000
+
+
+@pytest.mark.parametrize("verb, flag, text", [
+    (["degree"], "--colouring", f'{{"L": {LONG_INTEGER}, "n": 1, "colours": [0, 1]}}'),
+    (["swap-stats", "--i", "1"], "--colouring",
+     f'{{"L": 4, "n": 1, "colours": [0, 1, {LONG_INTEGER}, 1]}}'),
+    (["phi"], "--in", json.dumps(PHI_RECORD) + "\n"
+     + f'{{"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, {LONG_INTEGER}]}}\n'),
+], ids=["degree", "swap-stats", "phi"])
+def test_long_integer_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                             verb, flag, text):
+    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert run(verb + [flag, str(path)]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_hom_complex_verb(tmp_path):
     out = tmp_path / "complex.json"
     assert run(["hom-complex", "--graph", "complete:4", "--out", str(out)]) == 0
@@ -270,7 +294,8 @@ def test_bredon_verb(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["bredon", "--n", "1000", "--L", "4", "--d", "1"],
     ["enumerate", "--ell", "3", "--arity", "10000"],
-], ids=["bredon-n1000", "enumerate-arity10000"])
+    ["zeta0", "--n", "100000000", "--h", "1", "--L", "4"],
+], ids=["bredon-n1000", "enumerate-arity10000", "zeta0-n1e8"])
 def test_oversized_torus_or_power_is_refused_at_once(argv, capsys):
     start = time.perf_counter()
     assert run(argv) == 2
@@ -353,6 +378,19 @@ def test_experiment_report_is_pinned(tmp_path, monkeypatch):
     assert run(["experiment", "--ell", "3", "--n-max", "3", "--chain-samples", "4000",
                 "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SURVEY_REPORT_SHA256
+
+
+# SHA-256 of the report of `experiment --ell 3 --n-max 4 --chain-samples 500
+# --seed 3`: arities 1 and 2 enumerated, 3 and 4 sampled
+ARITY4_SURVEY_REPORT_SHA256 = "b45a2da569fabe9f0da12597893643ca97bd50c0afe7193bb7623d5651bbb158"
+
+
+def test_arity4_experiment_report_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("EQUIHOM_CACHE", raising=False)
+    out = tmp_path / "survey4.json"
+    assert run(["experiment", "--ell", "3", "--n-max", "4", "--chain-samples", "500",
+                "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ARITY4_SURVEY_REPORT_SHA256
 
 
 @pytest.mark.parametrize("flags, message", [

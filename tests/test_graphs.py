@@ -5,6 +5,7 @@ from itertools import chain, product
 
 import pytest
 
+from equihom import graphs
 from equihom.errors import (CapacityExceededError, InvalidParameterError,
                             InvariantViolationError)
 from equihom.graphs import (Graph, GraphHom, HomStream, MinorSpec, _gather,
@@ -269,6 +270,10 @@ AC3_CASES = {  # domain, codomain, limit, maps emitted
     "C3^3->K4": (power(cycle_graph(3), 3), complete_graph(4), 5000, 5000),
     "C5^2->K4": (power(cycle_graph(5), 2), complete_graph(4), 3000, 3000),
     "C5->K3": (cycle_graph(5), complete_graph(3), None, 30),
+    "C5->K5": (cycle_graph(5), complete_graph(5), None, 1020),
+    "C5^2->C5": (power(cycle_graph(5), 2), cycle_graph(5), None, 20),
+    # seeds 0 and 1 each lose a restart to the budget here
+    "C5^3->K4": (power(cycle_graph(5), 3), complete_graph(4), 2000, 2000),
     "K4->K3": (complete_graph(4), complete_graph(3), None, 0),
     "looped": (Graph(4, {(0, 0), (0, 1), (1, 2), (2, 3)}),
                Graph(3, {(0, 0), (0, 1), (1, 2), (2, 2)}), None, 16),
@@ -277,8 +282,9 @@ AC3_CASES = {  # domain, codomain, limit, maps emitted
 
 @pytest.mark.parametrize("case", sorted(AC3_CASES))
 def test_support_table_search_matches_reference(case):
-    # the support-table pruning keeps exactly the values the pairwise edge
-    # test keeps, so the streams and the rng-driven samples agree in order
+    # the pruning on value masks keeps exactly the values the pairwise edge
+    # test keeps, so the streams and the rng-driven samples agree in order,
+    # also where a restart runs over its budget
     dom, cod, limit, count = AC3_CASES[case]
     stream = enumerate_homs(dom, cod, limit=limit)
     reference = HomStreamReference(dom, cod, limit=limit)
@@ -290,6 +296,31 @@ def test_support_table_search_matches_reference(case):
         got = sample_homs(dom, cod, 6, random.Random(seed))
         want = sample_homs_reference(dom, cod, 6, random.Random(seed))
         assert [f.values for f in got] == [f.values for f in want]
+
+
+def test_budget_fires_on_the_c5_cubed_seeds(monkeypatch):
+    """The seeded C_5^3 samples that AC3_CASES compares lose restarts to
+    the budget, so the reference is held to it there."""
+    starts = []
+
+    def counted(*args, **kwargs):
+        starts.append(1)
+        return HomStream(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "HomStream", counted)
+    dom, cod, _, _ = AC3_CASES["C5^3->K4"]
+    for seed in (0, 1):
+        starts.clear()
+        assert len(sample_homs(dom, cod, 6, random.Random(seed))) == 6
+        assert len(starts) > 6
+
+
+def test_graph_hash_is_kept_and_agrees_with_equality():
+    g = Graph(3, {(0, 1), (1, 2)})
+    twin = Graph(3, {(2, 1), (1, 0)})
+    assert g == twin and hash(g) == hash(twin) == g._hash
+    assert hash(g) == hash((g.vertex_count, g.edges))
+    assert hash(power(cycle_graph(3), 2)) == hash(Graph(9, power(cycle_graph(3), 2).edges))
 
 
 def test_hom_stream_budget_counts_pushed_frames():

@@ -4,7 +4,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from equihom.errors import InvalidParameterError, UnsupportedInputError
+from equihom.errors import (InternalError, InvalidParameterError,
+                            UnsupportedInputError)
 from equihom.graphs import (GraphHom, MinorSpec, complete_graph, cycle_graph,
                             enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring,
@@ -277,6 +278,38 @@ def test_mu_bits_matches_the_per_side_loop(ell, n, count, seed):
     assert len(maps) == (count or {1: 24, 2: 1056}[n])
     for f in maps:
         assert pipe.mu_bits(f) == mu_bits_reference(pipe, f)
+
+
+def test_mu_lanes_refuses_what_check_polymorphism_refuses():
+    pipe = CyclePipeline(3)
+    k4 = complete_graph(4)
+    binary = next(iter(enumerate_homs(power(cycle_graph(3), 2), k4)))
+    ternary = next(iter(enumerate_homs(power(cycle_graph(3), 3), k4)))
+    # vertices 0 = (0, 0) and 4 = (1, 1) of C_3^2 are adjacent
+    bad_edge = GraphHom(binary.domain, k4, binary.values[4:5] + binary.values[1:],
+                        check=False)
+    other_cycle = next(iter(enumerate_homs(power(cycle_graph(5), 2), k4)))
+    with pytest.raises(InvalidParameterError, match="arities"):
+        pipe.mu_lanes([binary, ternary])
+    with pytest.raises(InvalidParameterError, match="not preserved"):
+        pipe.mu_lanes([binary, bad_edge])
+    with pytest.raises(InvalidParameterError, match="not a polymorphism"):
+        pipe.mu_lanes([other_cycle])
+    with pytest.raises(InvalidParameterError, match="at least one map"):
+        pipe.mu_lanes([])
+
+
+def test_mu_lanes_refuses_an_unlabelled_t_index():
+    # a constant map marked checked sends every vertex to the side pair
+    # ({0}, {0}), whose t-index 0x11 is no multihomomorphism of K_4
+    pipe = CyclePipeline(3)
+    binary = next(iter(enumerate_homs(power(cycle_graph(3), 2), complete_graph(4))))
+    constant = GraphHom(binary.domain, complete_graph(4), (0,) * 9, check=False)
+    constant.checked = True
+    assert pipe.t_table[0x11] is None
+    with pytest.raises(InternalError, match="not a multihomomorphism"):
+        pipe.mu_lanes([binary, constant])
+    assert pipe.mu_lanes([binary]) == [bytes([b]) for b in pipe.mu_bits(binary)]
 
 
 def test_mu_bits_names_the_first_bad_vertex_as_the_per_side_loop():

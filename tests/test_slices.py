@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from equihom import degrees, slices
+from equihom import degrees, homcomplexes, simplicial, slices
 from equihom.degrees import TorusTables, winding_colouring
 from equihom.errors import (CapacityExceededError, InvalidParameterError,
                             InvariantViolationError, NotEquivariantError)
@@ -18,7 +18,7 @@ from equihom.slices import (GeneralizedDiagonal, arity_experiment,
                             zeta0)
 
 import oracles
-from oracles import arity_experiment_reference
+from oracles import arity_experiment_reference, sample_maximal_chain_reference
 
 
 def test_height_basics():
@@ -200,11 +200,16 @@ def test_automorphism_orbits_are_height_classes():
 
 
 def test_sample_maximal_chain_is_simplex():
-    rng = random.Random(4)
-    t = gamma_power(4, 3)
-    for _ in range(50):
-        chain = sample_maximal_chain(4, 3, rng)
-        assert tuple(chain) in t.cells(3)
+    # row-major positions, drawn exactly as the tuple sampler draws them
+    for L, n in ((4, 3), (12, 1), (12, 2)):
+        rng, tuples = random.Random(4), random.Random(4)
+        t = gamma_power(L, n)
+        for _ in range(50):
+            chain = sample_maximal_chain(L, n, rng)
+            expected = sample_maximal_chain_reference(L, n, tuples)
+            assert rng.getstate() == tuples.getstate()
+            assert [t.vertices[p] for p in chain] == expected
+            assert tuple(expected) in t.cells(n)
 
 
 def test_chain_alternations_counts():
@@ -258,24 +263,34 @@ def test_arity_experiment_skips_enumeration_bound_to_truncate(cutoff, arities,
 
 
 def test_arity_experiment_reads_bits_not_colour_dicts(monkeypatch):
-    deg_calls, colour_calls = [], []
-    deg_vector, mu_colours = degrees.deg_vector, CyclePipeline.mu_colours
+    calls = []
 
-    def counted_deg_vector(*args, **kwargs):
-        deg_calls.append(1)
-        return deg_vector(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_mu_colours(pipeline, f):
-        colour_calls.append(f.domain.exponent)
-        return mu_colours(pipeline, f)
+    # patched where each lives and where a module-level import would bind it
+    for module, name in [(degrees, "deg_vector"), (slices, "deg_vector"),
+                         (simplicial, "gamma_power"), (slices, "gamma_power"),
+                         (degrees, "gamma_power"), (homcomplexes, "gamma_power"),
+                         (CyclePipeline, "mu_colours"), (CyclePipeline, "mu_bits")]:
+        fn = getattr(module, name, None)
+        if fn is not None:
+            monkeypatch.setattr(module, name, counted(name, fn))
+    lane_calls = []
+    mu_lanes = CyclePipeline.mu_lanes
 
-    # patched where it lives and where a module-level import would bind it
-    monkeypatch.setattr(degrees, "deg_vector", counted_deg_vector)
-    monkeypatch.setattr(slices, "deg_vector", counted_deg_vector, raising=False)
-    monkeypatch.setattr(CyclePipeline, "mu_colours", counted_mu_colours)
-    arity_experiment(3, 3, seed=2, chain_samples=10)
-    assert not deg_calls
-    assert colour_calls and all(colour_calls.count(n) <= 3 for n in (1, 2, 3))
+    def counted_mu_lanes(pipeline, fs, positions=None):
+        lane_calls.append(len(fs))
+        return mu_lanes(pipeline, fs, positions)
+
+    monkeypatch.setattr(CyclePipeline, "mu_lanes", counted_mu_lanes)
+    report = arity_experiment(3, 3, seed=2, chain_samples=10)
+    assert not calls
+    # one call per arity, reading every map of it at once
+    assert lane_calls == [row["maps_inspected"] for row in report["per_n"]]
 
 
 class AllBluePipeline(CyclePipeline):
@@ -294,7 +309,8 @@ def test_arity_experiment_checks_equivariance(survey, monkeypatch):
 
 @pytest.mark.parametrize("survey", [arity_experiment, arity_experiment_reference])
 def test_arity_experiment_checks_odd_weight(survey, monkeypatch):
-    monkeypatch.setattr(TorusTables, "degrees", lambda self, bits: [0] * len(self.slices))
+    monkeypatch.setattr(TorusTables, "degrees",
+                        lambda self, bits, lanes=1: [0] * len(self.slices))
     with pytest.raises(InvariantViolationError, match="even weight"):
         survey(3, 2, chain_samples=10)
 
