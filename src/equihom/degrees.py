@@ -8,7 +8,8 @@ composing with the polymorphism pipeline realizes the minion homomorphism into
 odd Z_2-vectors.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import MinorSpec
@@ -71,7 +72,7 @@ def band_squares(b1):
     return [(p, q1, q2, r) for (p, r), (q1, q2) in middles.items()]
 
 
-def count_deg1(bits, x1, squares, lanes=1):
+def count_deg1(bits, x1, squares):
     """deg1 of a blue-bit list: (blue, yellow) edges plus (blue, yellow, blue)
     band triangles, mod 2, with the cells given as index tuples into bits.
 
@@ -80,14 +81,14 @@ def count_deg1(bits, x1, squares, lanes=1):
     1 exactly when their bits differ, and 0 or 2 otherwise, so the square
     adds bits[p] & bits[r] & (bits[q1] ^ bits[q2]) to the count mod 2.
 
-    Each bit may pack many maps, one per lane, with ``lanes`` setting the
-    lowest bit of each: the lanes are counted side by side, and the result
-    holds each lane's deg1 there, as long as no lane's count carries into
-    the next (``TorusTables.width``).
+    The terms are folded by XOR, so a bit may pack many maps, one per bit
+    position (as ``TorusTables.lane_degrees`` packs them): each term only
+    sets bits that are set in its operands, and no position carries into
+    the next.
     """
-    return (sum([bits[u] & ~bits[v] for u, v in x1])
-            + sum([bits[p] & bits[r] & (bits[q1] ^ bits[q2])
-                   for p, q1, q2, r in squares])) & lanes
+    return reduce(xor, [bits[p] & bits[r] & (bits[q1] ^ bits[q2])
+                        for p, q1, q2, r in squares],
+                  reduce(xor, [bits[u] & ~bits[v] for u, v in x1], 0))
 
 
 @lru_cache(maxsize=16)
@@ -105,9 +106,6 @@ class TorusTables:
     ``count_deg1`` over them is deg1 of the i-th minor.  The vertex (a, b)
     of the plane lifts to a * w_1 + b * w_2, with w_k summing L^(n-j) over
     the slots j that the minor sends to k.  gamma(L)^n itself is not built.
-    ``width`` is the lane width in bytes for counting many maps at once:
-    the fewest bytes that hold a count over all the cells of one slice, so
-    one byte up to 255 cells (L <= 20) and two bytes from L = 28 on.
     """
 
     def __init__(self, L, n):
@@ -127,34 +125,23 @@ class TorusTables:
             at = [index.get(p) for p in lift]
             self.slices.append(([tuple(map(at.__getitem__, e)) for e in plane.x1],
                                 [tuple(map(at.__getitem__, s)) for s in plane.squares]))
-        # bytes per lane, enough to hold the count over a slice's cells
-        cells = len(plane.x1) + len(plane.squares)
-        self.width = (cells.bit_length() + 7) // 8
 
-    def degrees(self, bits, lanes=1):
+    def degrees(self, bits):
         """deg1 of each 2-variable minor, in coordinate order, of the blue
-        bits ``bits[k]`` of the vertices at ``positions[k]``, each bit
-        packing the lanes that ``lanes`` marks as ``count_deg1`` does."""
-        return [count_deg1(bits, x1, squares, lanes) for x1, squares in self.slices]
+        bits ``bits[k]`` of the vertices at ``positions[k]``."""
+        return [count_deg1(bits, x1, squares) for x1, squares in self.slices]
 
     def lane_degrees(self, columns):
         """The degree vector of every map at once, from ``columns[k]``, the
         blue bits of the maps at ``positions[k]`` one byte per map (as
         ``CyclePipeline.mu_lanes`` gives them); one tuple per map.
 
-        The bytes are widened to lanes of ``width`` bytes by a strided
-        assignment, so one ``degrees`` pass counts every map.
+        Each column is read as one integer, so one ``degrees`` pass counts
+        every map, each in the low bit of its byte.
         """
-        count, width = len(columns[0]), self.width
-        size = count * width
-        wide = bytearray(size)
-        bits = []
-        for column in columns:
-            wide[::width] = column
-            bits.append(int.from_bytes(wide, "little"))
-        lanes = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
-        return list(zip(*(degree.to_bytes(size, "little")[::width]
-                          for degree in self.degrees(bits, lanes))))
+        count = len(columns[0])
+        return list(zip(*(degree.to_bytes(count, "little") for degree in
+                          self.degrees([int.from_bytes(c, "little") for c in columns]))))
 
 
 @lru_cache(maxsize=16)
@@ -235,7 +222,7 @@ def phi(f, pipeline):
     alpha = memo.get(f.values)
     if alpha is None:
         tables = torus_tables(pipeline.period, n)
-        alpha = OddVector(tables.degrees(pipeline._bits(f, n, tables.positions)))
+        alpha = OddVector(tables.degrees(pipeline.mu_bits(f, tables.positions)))
         alpha = memo[f.values] = vectors.setdefault(alpha.bits, alpha)
     return alpha
 

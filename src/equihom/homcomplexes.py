@@ -394,22 +394,19 @@ class CyclePipeline:
         high = [m << 4 for m in masks]
         return map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))
 
-    def _bits(self, f, n, positions):
-        """``mu_bits`` of a map already through ``check_polymorphism``."""
-        self.certify()
-        return list(map(self.t_table.__getitem__,
-                        self._keys([1 << v for v in f.values], n, positions)))
-
     def mu_bits(self, f, positions=None):
         """Blue bit of mu(f) at the vertices of gamma(4*ell)^n at the tuple
         ``positions`` of row-major positions, or at every vertex in vertex
         order by default, once the pipeline is certified."""
-        return self._bits(f, self.check_polymorphism(f), positions)
+        n = self.check_polymorphism(f)
+        self.certify()
+        return list(map(self.t_table.__getitem__,
+                        self._keys([1 << v for v in f.values], n, positions)))
 
-    def mu_lanes(self, fs, positions=None):
+    def mu_lanes(self, fs):
         """The blue bits of mu(f) of every map in ``fs`` at once: one bytes
-        object per vertex at ``positions`` (every vertex by default), holding
-        byte k = the bit of ``fs[k]`` there.
+        object per vertex of gamma(4*ell)^n in vertex order, holding byte
+        k = the bit of ``fs[k]`` there.
 
         Each f must pass ``check_polymorphism``, all at one arity.  The
         one-hot colours of a domain vertex are packed one byte per map, the
@@ -428,7 +425,7 @@ class CyclePipeline:
                   for column in zip(*(f.values for f in fs))]
         table = bytes(UNLABELLED if b is None else b for b in self.t_table)
         lanes = [key.to_bytes(count, "little").translate(table)
-                 for key in self._keys(onehot, arities.pop(), positions)]
+                 for key in self._keys(onehot, arities.pop(), None)]
         if any(UNLABELLED in lane for lane in lanes):
             raise InternalError("a map sends a vertex to a pair of sides that is "
                                 "not a multihomomorphism of K_4")

@@ -282,9 +282,9 @@ def test_arity_experiment_reads_bits_not_colour_dicts(monkeypatch):
     lane_calls = []
     mu_lanes = CyclePipeline.mu_lanes
 
-    def counted_mu_lanes(pipeline, fs, positions=None):
+    def counted_mu_lanes(pipeline, fs):
         lane_calls.append(len(fs))
-        return mu_lanes(pipeline, fs, positions)
+        return mu_lanes(pipeline, fs)
 
     monkeypatch.setattr(CyclePipeline, "mu_lanes", counted_mu_lanes)
     report = arity_experiment(3, 3, seed=2, chain_samples=10)
@@ -309,8 +309,7 @@ def test_arity_experiment_checks_equivariance(survey, monkeypatch):
 
 @pytest.mark.parametrize("survey", [arity_experiment, arity_experiment_reference])
 def test_arity_experiment_checks_odd_weight(survey, monkeypatch):
-    monkeypatch.setattr(TorusTables, "degrees",
-                        lambda self, bits, lanes=1: [0] * len(self.slices))
+    monkeypatch.setattr(TorusTables, "degrees", lambda self, bits: [0] * len(self.slices))
     with pytest.raises(InvariantViolationError, match="even weight"):
         survey(3, 2, chain_samples=10)
 
