@@ -222,7 +222,9 @@ def phi(f, pipeline):
     alpha = memo.get(f.values)
     if alpha is None:
         tables = torus_tables(pipeline.period, n)
-        alpha = OddVector(tables.degrees(pipeline.mu_bits(f, tables.positions)))
+        # the kernel indexes a list faster than bytes
+        bits = list(pipeline.mu_lanes([f], tables.positions))
+        alpha = OddVector(tables.degrees(bits))
         alpha = memo[f.values] = vectors.setdefault(alpha.bits, alpha)
     return alpha
 

@@ -15,8 +15,10 @@ from operator import or_
 from .errors import (CapacityExceededError, InvalidParameterError,
                      InvariantViolationError)
 
-# most vertices a power graph may have
+# most vertices a power graph may have, and most ordered edges: the edge
+# set is built one pair of vertex tuples at a time
 MAX_POWER_VERTICES = 1 << 24
+MAX_POWER_EDGES = 1 << 22
 
 
 class Graph:
@@ -88,6 +90,12 @@ class PowerGraph(Graph):
                           or radix ** exponent > MAX_POWER_VERTICES):
             raise CapacityExceededError(f"{radix}^{exponent} vertices exceeds the "
                                         f"limit {MAX_POWER_VERTICES}")
+        # past the vertex check, a base of two or more vertices has a small
+        # exponent, and a one-vertex base at most one edge
+        pairs = len(base.edges)
+        if pairs ** exponent > MAX_POWER_EDGES:
+            raise CapacityExceededError(f"{pairs}^{exponent} ordered edges exceeds the "
+                                        f"limit {MAX_POWER_EDGES}")
         count = radix ** exponent
         self.base = base
         self.exponent = exponent

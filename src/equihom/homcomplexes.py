@@ -29,7 +29,7 @@ CACHE_ENV_VAR = "EQUIHOM_CACHE"
 T_FILE_NAME = "t_colouring_hom_k2_k4.json"
 
 # byte v -> 1 << v for the four colours of K_4, and the byte that a t-index
-# with no multihomomorphism behind it reads in ``CyclePipeline.mu_lanes``
+# with no multihomomorphism behind it reads in ``CyclePipeline.certify``'s table
 ONE_HOT = bytes(1 << v if v < 4 else 0 for v in range(256))
 UNLABELLED = 0xFF
 
@@ -63,23 +63,26 @@ class Multihom(NamedTuple):
 
 
 def multihoms(g):
-    """All multihomomorphisms K_2 -> g, in the canonical order."""
+    """All multihomomorphisms K_2 -> g, in the canonical order.
+
+    A left side is grown one greater vertex at a time while its common
+    neighbourhood stays non-empty; in a loopless graph that neighbourhood
+    misses the side itself, and it only shrinks as the side grows, so no
+    left side with a right side is missed, and the work follows the output.
+    """
     if not g.is_loopless():
         raise UnsupportedInputError("multihomomorphism enumeration needs a loopless graph")
-    verts = list(g.vertices())
     out = []
-    for r in range(1, len(verts) + 1):
-        for left in combinations(verts, r):
-            common = set(verts)
-            for a in left:
-                common &= g.neighbours(a)
-            common -= set(left)
-            if not common:
-                continue
-            members = sorted(common)
-            for k in range(1, len(members) + 1):
-                for right in combinations(members, k):
-                    out.append(Multihom(tuple(left), tuple(right)))
+    stack = [((v,), g.neighbours(v)) for v in g.vertices()]
+    while stack:
+        left, common = stack.pop()
+        members = sorted(common)
+        for k in range(1, len(members) + 1):
+            out.extend(Multihom(left, right) for right in combinations(members, k))
+        for v in range(left[-1] + 1, g.vertex_count):
+            shared = common & g.neighbours(v)
+            if shared:
+                stack.append((left + (v,), shared))
     out.sort(key=Multihom.sort_key)
     return out
 
@@ -275,9 +278,9 @@ class CyclePipeline:
     of row-major vertex positions of gamma(4*ell)^n, the pipeline caches the
     distinct sides of iota(iso(y_1), ..., iso(y_n)) at those vertices y as
     index columns of encoded domain indices, one group per side size;
-    ``mu_bits`` ORs 1 << f(i) over each side and reads t with one lookup,
-    and ``mu_lanes`` does the same for many maps at once, one byte lane per
-    map, through the one key builder ``_keys``.
+    ``mu_lanes``, the one reader, ORs 1 << f(i) over each side for many maps
+    at once, one byte lane per map, and reads t through the table that
+    ``certify`` builds.
 
     mu(f) = t o f_* o iota o iso^n.  iso is equivariant and sends each odd
     vertex above its even neighbours (``canonical_cycle_iso`` checks both),
@@ -287,7 +290,7 @@ class CyclePipeline:
     3-alternating image would be a 3-simplex of Hom(K_2, K_4) on which t
     alternates (it has none), and an antipode clash a failure of t's
     equivariance.  ``certify`` checks t once for every f, with a witness in
-    Hom(K_2, K_4); ``mu`` still checks the whole torus.
+    Hom(K_2, K_4).
 
     ``phi_memo`` maps the value tuple of each polymorphism ``degrees.phi``
     has accepted to its odd vector, one shared ``OddVector`` per result in
@@ -324,14 +327,20 @@ class CyclePipeline:
         return 4 * self.ell
 
     def certify(self):
-        """The equivariant map Hom(K_2, K_4) -> sigma(2) that ``t_table``
-        gives, checked by ``map_from_colouring`` on first use and kept."""
+        """The t table that ``mu_lanes`` reads: 256 bytes, the blue bit of t
+        at ``_t_index(m)`` for each multihomomorphism m of K_4 and
+        ``UNLABELLED`` elsewhere.  Built once ``t_table`` passes
+        ``map_from_colouring`` as an equivariant map Hom(K_2, K_4) ->
+        sigma(2), and kept."""
         if self.certificate is None:
             x = hom_complex(self.codomain)
             colours = {m: {0: YELLOW, 1: BLUE}.get(self.t_table[_t_index(m)])
                        for m in x.vertices}
-            self.__dict__["certificate"] = map_from_colouring(
-                x, colours, check_equivariance=True)
+            map_from_colouring(x, colours, check_equivariance=True)
+            table = bytearray([UNLABELLED]) * 256
+            for m, colour in colours.items():
+                table[_t_index(m)] = colour == BLUE
+            self.__dict__["certificate"] = bytes(table)
         return self.certificate
 
     def check_polymorphism(self, f):
@@ -375,16 +384,33 @@ class CyclePipeline:
                                                  list(map(moved.__getitem__, rights)))
         return table
 
-    def _keys(self, onehot, n, positions):
-        """The t-index ``(left mask << 4) | right mask`` of iota's image at the
-        vertices of gamma(4*ell)^n at ``positions`` (all of them for None),
-        with ``onehot[i]`` the bit 1 << f(i).
+    def mu_lanes(self, fs, positions=None):
+        """The blue bits of mu(f) of every map in ``fs`` at once, at the
+        vertices of gamma(4*ell)^n at the tuple ``positions`` of row-major
+        positions, or at every vertex in vertex order by default: one bytes
+        object with ``len(fs)`` bytes per vertex, byte k the bit of ``fs[k]``.
 
-        A side's mask ORs the one-hot bits over its indices, a whole index
-        column at a time.  Each ``onehot[i]`` may pack one byte lane per map:
-        a mask fills the low half of its lane, so ``<< 4`` keeps it there.
+        Each f must pass ``check_polymorphism``, all at one arity.  The
+        one-hot colours 1 << f(i) of a domain vertex are packed one byte per
+        map, and a side's mask ORs them over its indices, a whole index
+        column at a time.  A mask fills the low half of its byte, so the
+        t-index ``(left mask << 4) | right mask`` stays in it, and t is read
+        through the table of ``certify``; a key with no multihomomorphism of
+        K_4 behind it reads ``UNLABELLED`` and is refused (InternalError).
         """
-        columns, lefts, rights = self._side_table(n, positions)
+        if not fs:
+            raise InvalidParameterError("mu_lanes needs at least one map")
+        arities = set(map(self.check_polymorphism, fs))
+        if len(arities) != 1:
+            raise InvalidParameterError(f"maps of arities {sorted(arities)} in one call")
+        table = self.certify()
+        columns, lefts, rights = self._side_table(arities.pop(), positions)
+        count = len(fs)
+        # one map, as ``phi`` reads it, skips the packing: its colours and
+        # keys are small integers; many maps get one byte lane each
+        onehot = ([1 << v for v in fs[0].values] if count == 1 else
+                  [int.from_bytes(bytes(column).translate(ONE_HOT), "little")
+                   for column in zip(*(f.values for f in fs))])
         masks = []
         for group in columns:
             acc = map(onehot.__getitem__, group[0])
@@ -392,57 +418,16 @@ class CyclePipeline:
                 acc = map(or_, acc, map(onehot.__getitem__, column))
             masks.extend(acc)
         high = [m << 4 for m in masks]
-        return map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))
-
-    def mu_bits(self, f, positions=None):
-        """Blue bit of mu(f) at the vertices of gamma(4*ell)^n at the tuple
-        ``positions`` of row-major positions, or at every vertex in vertex
-        order by default, once the pipeline is certified."""
-        n = self.check_polymorphism(f)
-        self.certify()
-        return list(map(self.t_table.__getitem__,
-                        self._keys([1 << v for v in f.values], n, positions)))
-
-    def mu_lanes(self, fs):
-        """The blue bits of mu(f) of every map in ``fs`` at once: one bytes
-        object per vertex of gamma(4*ell)^n in vertex order, holding byte
-        k = the bit of ``fs[k]`` there.
-
-        Each f must pass ``check_polymorphism``, all at one arity.  The
-        one-hot colours of a domain vertex are packed one byte per map, the
-        keys built lane by lane as in ``mu_bits``, and t is read through a
-        256-byte table; a key with no multihomomorphism of K_4 behind it
-        reads ``UNLABELLED`` and is refused (InternalError).
-        """
-        if not fs:
-            raise InvalidParameterError("mu_lanes needs at least one map")
-        arities = set(map(self.check_polymorphism, fs))
-        if len(arities) != 1:
-            raise InvalidParameterError(f"maps of arities {sorted(arities)} in one call")
-        self.certify()
-        count = len(fs)
-        onehot = [int.from_bytes(bytes(column).translate(ONE_HOT), "little")
-                  for column in zip(*(f.values for f in fs))]
-        table = bytes(UNLABELLED if b is None else b for b in self.t_table)
-        lanes = [key.to_bytes(count, "little").translate(table)
-                 for key in self._keys(onehot, arities.pop(), None)]
-        if any(UNLABELLED in lane for lane in lanes):
+        keys = map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))
+        blob = (bytes(keys) if count == 1 else
+                b"".join(key.to_bytes(count, "little") for key in keys)).translate(table)
+        if UNLABELLED in blob:
             raise InternalError("a map sends a vertex to a pair of sides that is "
                                 "not a multihomomorphism of K_4")
-        return lanes
+        return blob
 
     def mu_colours(self, f):
         """Vertex colouring of gamma(4*ell)^n induced by the polymorphism f."""
         n = self.check_polymorphism(f)
         return {v: (BLUE if b else YELLOW)
-                for v, b in zip(gamma_power(self.period, n).vertices, self.mu_bits(f))}
-
-    def mu(self, f):
-        """The verified equivariant simplicial map gamma(4*ell)^n -> sigma(2)."""
-        n = self.check_polymorphism(f)
-        colours = self.mu_colours(f)
-        try:
-            return map_from_colouring(gamma_power(self.period, n), colours,
-                                      check_equivariance=True)
-        except Exception as exc:  # the composite is simplicial by construction
-            raise InternalError(f"mu(f) failed validity: {exc}") from exc
+                for v, b in zip(gamma_power(self.period, n).vertices, self.mu_lanes([f]))}

@@ -237,15 +237,16 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
     sampled maximal chains of the torus (the sphere target caps these at two),
     and tabulates swap fractions per coordinate and height for a few maps.
 
-    The maps of an arity are read once, all together, as the byte lanes
-    ``pipeline.mu_lanes`` gives at every vertex of gamma(4*ell)^n in
-    row-major order, and one ``TorusTables.lane_degrees`` pass gives every
-    degree vector.  The checks are those of ``degrees.phi``: each f is a
-    polymorphism, the pipeline's certificate stands for the validity and
-    equivariance of mu(f) (see ``CyclePipeline``), and the degree vector
-    has odd weight.  Chains read the lane bytes at the positions of their
-    vertices; only the first ``SWAP_STAT_MAPS`` maps become colour dicts,
-    for ``swap_fraction``.  No torus is built.
+    The maps of an arity are read once, all together: ``pipeline.mu_lanes``
+    gives one byte per map at every vertex of gamma(4*ell)^n in row-major
+    order, and one ``TorusTables.lane_degrees`` pass over the bytes at the
+    slice positions gives every degree vector.  The checks are those of
+    ``degrees.phi``: each f is a polymorphism, the pipeline's certificate
+    stands for the validity and equivariance of mu(f) (see
+    ``CyclePipeline``), and the degree vector has odd weight.  A chain of
+    map k reads byte k at each of its vertices; only the first
+    ``SWAP_STAT_MAPS`` maps become colour dicts, every count-th byte from
+    their own, for ``swap_fraction``.  No torus is built.
 
     With H(k) the exact number of polymorphisms at arity k and H(0) = 0,
     arity n is sampled without enumerating when arity n-1 was truncated,
@@ -303,10 +304,11 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
             below, two_below = len(polys), below
             inspected = polys
         tables = torus_tables(L, n)
-        lanes, alphas = [], []
+        count, blob, alphas = len(inspected), b"", []
         if inspected:
-            lanes = pipeline.mu_lanes(inspected)
-            alphas = tables.lane_degrees([lanes[p] for p in tables.positions])
+            blob = pipeline.mu_lanes(inspected)
+            alphas = tables.lane_degrees([blob[p * count:(p + 1) * count]
+                                          for p in tables.positions])
         weights = {}
         for bits in alphas:
             weight = OddVector(bits).weight
@@ -317,7 +319,7 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
         while chains_done < chain_samples and alphas:
             k = chains_done % len(alphas)
             chain = sample_maximal_chain(L, n, rng)
-            alts = _alternations([lanes[p][k] for p in chain])
+            alts = _alternations([blob[p * count + k] for p in chain])
             max_alts = max(max_alts, alts)
             if alts > 2:
                 violations += 1
@@ -325,7 +327,7 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
         swap_stats = {}
         vertices = list(product(range(L), repeat=n))
         for k, alpha in enumerate(alphas[:SWAP_STAT_MAPS]):
-            colours = dict(zip(vertices, [lane[k] for lane in lanes]))
+            colours = dict(zip(vertices, blob[k::count]))
             for i in range(1, n + 1):
                 if alpha[i - 1] != 1:
                     continue

@@ -51,9 +51,6 @@ class SparseMat:
     def nnz(self):
         return sum(len(r) for r in self.rows)
 
-    def is_zero(self):
-        return all(not r for r in self.rows)
-
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise InvalidInputError("matrix shapes do not compose")

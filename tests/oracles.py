@@ -5,7 +5,7 @@ library code paths under test: raw loops over tuples, the generic product of
 simplicial sets, the signed boundary of a cell complex, determinantal divisors
 for Smith forms, closed-form counts for cycle colourings.  The reference
 formulas that table-driven paths replaced (``mu_prime`` per torus vertex, the
-side masks of ``mu_bits`` one side at a time, the degree of each 2-variable
+side masks of ``mu_lanes`` one side at a time, the degree of each 2-variable
 minor map, GF(2) elimination against every basis row) are kept here too,
 built from the slower public pieces.  So is the dense Smith form with
 transforms, with the kernels, solvers and lattice quotients built on it,
@@ -33,7 +33,10 @@ references for the cells a simplicial set stores.  ``phi`` with its scans of
 the whole torus, the bits of every vertex, every 3-cell and every antipode,
 is the reference for ``phi`` on the slice vertices under the pipeline's
 certificate, and the backtracking search for t is the reference for the
-colouring ``search_t_colouring`` writes down.
+colouring ``search_t_colouring`` writes down.  The multihomomorphisms found
+by trying every vertex subset as a left side are the reference for the
+enumeration that grows left sides, and ``mu_map``, the simplicial map of
+mu(f) checked on the whole torus, is what the certificate stands for.
 """
 
 import functools
@@ -43,11 +46,13 @@ from itertools import combinations, product
 
 from equihom import __version__
 from equihom.degrees import deg_vector, sigma_minor, torus_complex
-from equihom.errors import (AlternatingSimplexError, InvalidInputError,
-                            InvalidParameterError, NotFreeActionError)
+from equihom.errors import (AlternatingSimplexError, InternalError,
+                            InvalidInputError, InvalidParameterError,
+                            NotFreeActionError)
 from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
-from equihom.homcomplexes import CyclePipeline, hom_complex, iota, mu_prime
+from equihom.homcomplexes import (CyclePipeline, Multihom, hom_complex, iota,
+                                  mu_prime)
 from equihom.simplicial import (BLUE, YELLOW, colour_values, faces,
                                 gamma_power, is_degenerate, map_from_colouring)
 from equihom.slices import chain_alternations, swap_fraction
@@ -78,6 +83,25 @@ def brute_multihoms(edges, nverts):
 def brute_multihom_count(edges, nverts):
     """Count ordered pairs of non-empty subsets spanning complete bipartite."""
     return len(brute_multihoms(edges, nverts))
+
+
+def multihoms_reference(g):
+    """``multihoms`` trying every vertex subset as a left side, in the
+    canonical order."""
+    verts = list(g.vertices())
+    out = []
+    for r in range(1, len(verts) + 1):
+        for left in combinations(verts, r):
+            common = set(verts)
+            for a in left:
+                common &= g.neighbours(a)
+            common -= set(left)
+            members = sorted(common)
+            for k in range(1, len(members) + 1):
+                for right in combinations(members, k):
+                    out.append(Multihom(tuple(left), tuple(right)))
+    out.sort(key=Multihom.sort_key)
+    return out
 
 
 def is_graph_hom(values, dom_edges, cod_edges):
@@ -397,19 +421,24 @@ def mu_colours_reference(pipeline, f):
 
 
 @functools.lru_cache(maxsize=8)
-def _iota_sides(pipeline, n):
-    """The two sides of iota(iso(y_1), ..., iso(y_n)) of each torus vertex y."""
-    return [tuple(iota([pipeline.iso_map[c] for c in v], pipeline.base))
-            for v in gamma_power(pipeline.period, n).vertices]
+def _iota_sides(pipeline, n, positions=None):
+    """The two sides of iota(iso(y_1), ..., iso(y_n)) of each torus vertex y,
+    or of the vertices at the row-major ``positions``."""
+    L = pipeline.period
+    vertices = (gamma_power(L, n).vertices if positions is None else
+                [tuple(p // L ** (n - 1 - j) % L for j in range(n)) for p in positions])
+    return [(v, tuple(iota([pipeline.iso_map[c] for c in v], pipeline.base)))
+            for v in vertices]
 
 
-def mu_bits_reference(pipeline, f):
-    """The blue bit of mu(f) at each torus vertex, one side at a time: a side's
-    mask ORs 1 << f(i) over its indices, and t is read at (left << 4) | right."""
+def mu_bits_reference(pipeline, f, positions=None):
+    """The blue bit of mu(f) at each torus vertex, or at the vertices at the
+    row-major ``positions``, one side at a time: a side's mask ORs
+    1 << f(i) over its indices, and t is read at (left << 4) | right."""
     n = pipeline.check_polymorphism(f)
     values, table = f.values, pipeline.t_table
     bits = []
-    for v, sides in zip(gamma_power(pipeline.period, n).vertices, _iota_sides(pipeline, n)):
+    for v, sides in _iota_sides(pipeline, n, positions):
         left, right = (sum({1 << values[i] for i in side}) for side in sides)
         bit = table[left << 4 | right]
         if bit is None:
@@ -418,6 +447,18 @@ def mu_bits_reference(pipeline, f):
                 "sides that is not a multihomomorphism of K_4")
         bits.append(bit)
     return bits
+
+
+def mu_map(pipeline, f):
+    """The verified equivariant simplicial map gamma(4*ell)^n -> sigma(2)
+    of the polymorphism f, checked on the whole torus."""
+    n = pipeline.check_polymorphism(f)
+    colours = pipeline.mu_colours(f)
+    try:
+        return map_from_colouring(gamma_power(pipeline.period, n), colours,
+                                  check_equivariance=True)
+    except Exception as exc:  # the composite is simplicial by construction
+        raise InternalError(f"mu(f) failed validity: {exc}") from exc
 
 
 def search_t_reference():

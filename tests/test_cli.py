@@ -80,6 +80,21 @@ def test_binary_phi_report_is_pinned(tmp_path, monkeypatch):
     assert digest == BINARY_PHI_SHA256
 
 
+# SHA-256 of `phi --in polys.jsonl` on the file that `enumerate --ell 5
+# --arity 2 --limit 500` writes, both run in one directory
+ELL5_PHI_SHA256 = "ef7a155be50e496566b4346ce4a31359c5322904d3fea08f4d5e12bd17f78b08"
+
+
+def test_ell5_phi_report_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    assert run(["enumerate", "--ell", "5", "--arity", "2", "--limit", "500",
+                "--out", "polys.jsonl"]) == 0
+    assert run(["phi", "--in", "polys.jsonl", "--out", "phi.jsonl"]) == 0
+    digest = hashlib.sha256((tmp_path / "phi.jsonl").read_bytes()).hexdigest()
+    assert digest == ELL5_PHI_SHA256
+
+
 PHI_RECORD = {"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, 2]}
 
 
@@ -295,7 +310,8 @@ def test_bredon_verb(tmp_path):
     ["bredon", "--n", "1000", "--L", "4", "--d", "1"],
     ["enumerate", "--ell", "3", "--arity", "10000"],
     ["zeta0", "--n", "100000000", "--h", "1", "--L", "4"],
-], ids=["bredon-n1000", "enumerate-arity10000", "zeta0-n1e8"])
+    ["enumerate", "--ell", "3", "--arity", "9", "--limit", "1"],
+], ids=["bredon-n1000", "enumerate-arity10000", "zeta0-n1e8", "enumerate-arity9-edges"])
 def test_oversized_torus_or_power_is_refused_at_once(argv, capsys):
     start = time.perf_counter()
     assert run(argv) == 2
@@ -365,6 +381,18 @@ def test_experiment_verb(tmp_path):
     assert report["seed"] == 3
     assert report["t_fingerprint"]
     assert report["per_n"][0]["max_weight"] == 1
+
+
+def test_experiment_on_a_long_cycle_is_quick(tmp_path):
+    # hom_complex(C_41) has 164 vertices; the multihomomorphisms behind it
+    # are found without trying each of the 2^41 vertex subsets
+    out = tmp_path / "exp.json"
+    start = time.perf_counter()
+    assert run(["experiment", "--ell", "41", "--n-max", "1", "--chain-samples",
+                "10", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 5
+    row = json.loads(out.read_text())["per_n"][0]
+    assert row["mode"] == "sampled" and row["max_weight"] == 1
 
 
 # SHA-256 of the report of `experiment --ell 3 --n-max 3 --chain-samples 4000

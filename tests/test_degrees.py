@@ -78,19 +78,22 @@ def test_paired_kernel_counts_every_slice_one_triangle_at_a_time(n):
 
 @pytest.mark.parametrize("ell, n, count", [(3, 2, None), (3, 3, 40), (7, 2, 40)])
 def test_lane_kernels_match_the_one_map_paths(ell, n, count):
-    """mu_lanes against mu_bits at every vertex, and the lane degrees
-    against phi: every binary map at ell = 3, and seeded ternary maps and
-    binary maps at ell = 7, whose slices have more than 255 cells."""
+    """mu_lanes on many maps against mu_lanes on each map, lane by lane at
+    every vertex, and the lane degrees against phi: every binary map at
+    ell = 3, and seeded ternary maps and binary maps at ell = 7, whose
+    slices have more than 255 cells."""
     pipe = CyclePipeline(ell)
     dom, k4 = power(cycle_graph(ell), n), complete_graph(4)
     maps = (list(enumerate_homs(dom, k4)) if count is None
             else sample_homs(dom, k4, count, random.Random(ell + n)))
     assert len(maps) == (count or 1056)
-    lanes = pipe.mu_lanes(maps)
+    size = len(maps)
+    blob = pipe.mu_lanes(maps)
+    assert len(blob) == size * pipe.period ** n
     for k, f in enumerate(maps):
-        assert [lane[k] for lane in lanes] == pipe.mu_bits(f)
+        assert blob[k::size] == pipe.mu_lanes([f])
     tables = torus_tables(pipe.period, n)
-    columns = [lanes[p] for p in tables.positions]
+    columns = [blob[p * size:(p + 1) * size] for p in tables.positions]
     assert tables.lane_degrees(columns) == [phi(f, pipe).bits for f in maps]
 
 
@@ -452,7 +455,8 @@ def test_colourings_off_the_torus_are_refused(call, message):
 def test_phi_equals_degree_vector_of_mu(pipe, binary_maps, ternary_maps):
     assert len(binary_maps) == 1056 and len(ternary_maps) == 40
     for f in binary_maps + ternary_maps:
-        assert phi(f, pipe) == deg_vector(pipe.mu(f), pipe.period, f.domain.exponent)
+        assert phi(f, pipe) == deg_vector(oracles.mu_map(pipe, f), pipe.period,
+                                          f.domain.exponent)
 
 
 def test_phi_and_deg_vector_leave_the_vertex_view_unbuilt(ternary_maps):
@@ -492,7 +496,7 @@ def alternating_cell_bits(pipe, f, cells=None):
     least one by default) and kept equivariant."""
     x = gamma_power(12, 3)
     position = {v: k for k, v in enumerate(x.vertices)}
-    bits = pipe.mu_bits(f)
+    bits = list(pipe.mu_lanes([f]))
     for cell in cells or [min(x.cells(3))]:
         for k, v in enumerate(cell):
             bits[position[v]] = k % 2
@@ -696,5 +700,5 @@ def test_a_pipeline_with_a_bad_t_is_refused(patch, error, witness, binary_maps):
             assert exc.value.witness == witness
     assert not pipe.phi_memo
     with pytest.raises(error):
-        pipe.mu_bits(binary_maps[0])
+        pipe.mu_lanes([binary_maps[0]])
     assert not hom_complex(complete_graph(4)).cells(3)

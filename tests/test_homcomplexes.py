@@ -1,12 +1,14 @@
 import io
 import random
+import time
 from itertools import product as iproduct
 
 import pytest
 
 from equihom.errors import (InternalError, InvalidParameterError,
                             UnsupportedInputError)
-from equihom.graphs import (GraphHom, MinorSpec, complete_graph, cycle_graph,
+from equihom.degrees import torus_tables
+from equihom.graphs import (Graph, GraphHom, MinorSpec, complete_graph, cycle_graph,
                             enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring,
                                   canonical_cycle_iso, hom_complex, iota,
@@ -15,7 +17,7 @@ from equihom.simplicial import (BLUE, YELLOW, gamma_power, map_from_colouring,
                                 mod2_homology_ranks)
 
 from oracles import (brute_multihom_count, mu_bits_reference, mu_colours_reference,
-                     search_t_reference)
+                     mu_map, multihoms_reference, search_t_reference)
 
 
 def test_multihom_counts_against_brute_force():
@@ -26,6 +28,27 @@ def test_multihom_counts_against_brute_force():
     assert len(multihoms(complete_graph(4))) == 50
     assert len(multihoms(cycle_graph(3))) == 12
     assert len(multihoms(cycle_graph(5))) == 20
+
+
+def test_multihoms_match_the_subset_enumeration():
+    rng = random.Random(11)
+    graphs = ([cycle_graph(ell) for ell in range(3, 14)]
+              + [complete_graph(k) for k in range(1, 7)])
+    for _ in range(30):
+        n = rng.randrange(1, 9)
+        graphs.append(Graph(n, {(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < 0.5}))
+    for g in graphs:
+        assert multihoms(g) == multihoms_reference(g)
+
+
+def test_multihoms_of_a_long_cycle_take_no_subset_search():
+    # trying every vertex subset as a left side takes about 1 s at ell = 19
+    # and four times as long for each step of 2 in ell
+    start = time.perf_counter()
+    mh = multihoms(cycle_graph(41))
+    assert time.perf_counter() - start < 1
+    assert len(mh) == 4 * 41
 
 
 def test_multihom_validity_invariant():
@@ -229,7 +252,7 @@ def test_mu_arity_one_valid():
     pipe = CyclePipeline(3)
     c3, k4 = cycle_graph(3), complete_graph(4)
     for f in enumerate_homs(power(c3, 1), k4):
-        gmap = pipe.mu(f)
+        gmap = mu_map(pipe, f)
         assert gmap.is_equivariant()
         colours = set(gmap.vertex_map.values())
         assert colours == {YELLOW, BLUE}  # equivariance forbids constants
@@ -239,7 +262,7 @@ def test_mu_checks_polymorphism():
     pipe = CyclePipeline(3)
     k4 = complete_graph(4)
     with pytest.raises(InvalidParameterError):
-        pipe.mu(GraphHom(power(cycle_graph(5), 1), k4, (0, 1, 0, 1, 2)))
+        mu_map(pipe, GraphHom(power(cycle_graph(5), 1), k4, (0, 1, 0, 1, 2)))
 
 
 def test_mu_colours_matches_reference_loop():
@@ -262,22 +285,38 @@ def test_mu_bits_rejects_a_side_pair_that_is_no_multihom():
     # each side pair would be ({0}, {0}); the edge check of an unchecked map
     # refuses the map before any of them is read
     with pytest.raises(InvalidParameterError, match="not preserved"):
-        pipe.mu_bits(constant)
+        pipe.mu_lanes([constant])
 
 
 @pytest.mark.parametrize("ell, n, count, seed", [
     (3, 1, None, None), (3, 2, None, None), (3, 3, 40, 5), (5, 2, 20, 3), (5, 3, 6, 3)])
 def test_mu_bits_matches_the_per_side_loop(ell, n, count, seed):
-    """The column-wise masks of mu_bits against one set of indices per side:
-    every arity-1 and binary map at ell = 3, seeded ternary maps, and seeded
-    maps at ell = 5."""
+    """The column-wise masks of mu_lanes on one map against one set of
+    indices per side: every arity-1 and binary map at ell = 3, seeded
+    ternary maps, and seeded maps at ell = 5."""
     pipe = CyclePipeline(ell)
     dom, k4 = power(cycle_graph(ell), n), complete_graph(4)
     maps = (list(enumerate_homs(dom, k4)) if count is None
             else sample_homs(dom, k4, count, random.Random(seed)))
     assert len(maps) == (count or {1: 24, 2: 1056}[n])
     for f in maps:
-        assert pipe.mu_bits(f) == mu_bits_reference(pipe, f)
+        assert list(pipe.mu_lanes([f])) == mu_bits_reference(pipe, f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mu_lanes_at_the_slice_positions_matches_the_per_side_loop(n):
+    """mu_lanes at the positions ``phi`` reads, on one map and on many,
+    against the per-side loop at those positions; gamma(12)^5 is over the
+    cell limit, and neither builds it."""
+    pipe = CyclePipeline(3)
+    positions = torus_tables(12, n).positions
+    maps = sample_homs(power(cycle_graph(3), n), complete_graph(4), 6, random.Random(n))
+    assert len(maps) == 6
+    blob = pipe.mu_lanes(maps, positions)
+    for k, f in enumerate(maps):
+        bits = mu_bits_reference(pipe, f, positions)
+        assert list(pipe.mu_lanes([f], positions)) == bits
+        assert list(blob[k::len(maps)]) == bits
 
 
 def test_mu_lanes_refuses_what_check_polymorphism_refuses():
@@ -309,11 +348,11 @@ def test_mu_lanes_refuses_an_unlabelled_t_index():
     assert pipe.t_table[0x11] is None
     with pytest.raises(InternalError, match="not a multihomomorphism"):
         pipe.mu_lanes([binary, constant])
-    assert pipe.mu_lanes([binary]) == [bytes([b]) for b in pipe.mu_bits(binary)]
+    assert pipe.mu_lanes([binary]) == bytes(mu_bits_reference(pipe, binary))
 
 
 def test_mu_bits_names_the_first_bad_vertex_as_the_per_side_loop():
-    """Maps off the polymorphisms, each with one value changed: mu_bits and
+    """Maps off the polymorphisms, each with one value changed: mu_lanes and
     the per-side loop both refuse a map with the same ``not preserved``
     message of the edge check, or both pass it with the same bits."""
     pipe = CyclePipeline(3)
@@ -325,7 +364,8 @@ def test_mu_bits_names_the_first_bad_vertex_as_the_per_side_loop():
         values[rng.randrange(len(values))] = rng.randrange(4)
         g = GraphHom(dom, k4, tuple(values), check=False)
         outcomes = []
-        for read in (pipe.mu_bits, lambda g: mu_bits_reference(pipe, g)):
+        for read in (lambda g: list(pipe.mu_lanes([g])),
+                     lambda g: mu_bits_reference(pipe, g)):
             try:
                 outcomes.append(read(g))
             except InvalidParameterError as exc:

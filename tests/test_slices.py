@@ -275,16 +275,16 @@ def test_arity_experiment_reads_bits_not_colour_dicts(monkeypatch):
     for module, name in [(degrees, "deg_vector"), (slices, "deg_vector"),
                          (simplicial, "gamma_power"), (slices, "gamma_power"),
                          (degrees, "gamma_power"), (homcomplexes, "gamma_power"),
-                         (CyclePipeline, "mu_colours"), (CyclePipeline, "mu_bits")]:
+                         (CyclePipeline, "mu_colours")]:
         fn = getattr(module, name, None)
         if fn is not None:
             monkeypatch.setattr(module, name, counted(name, fn))
     lane_calls = []
     mu_lanes = CyclePipeline.mu_lanes
 
-    def counted_mu_lanes(pipeline, fs):
+    def counted_mu_lanes(pipeline, fs, positions=None):
         lane_calls.append(len(fs))
-        return mu_lanes(pipeline, fs)
+        return mu_lanes(pipeline, fs, positions)
 
     monkeypatch.setattr(CyclePipeline, "mu_lanes", counted_mu_lanes)
     report = arity_experiment(3, 3, seed=2, chain_samples=10)
