@@ -8,68 +8,69 @@ composing with the polymorphism pipeline realizes the minion homomorphism into
 odd Z_2-vectors.
 """
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import xor
 
 from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import MinorSpec
 from .homcomplexes import CyclePipeline
-from .simplicial import (BLUE, YELLOW, ModTwoChain, boundary, check_antipodes,
-                         check_colours, colour_values, gamma_power, gamma_product)
+from .simplicial import (BLUE, YELLOW, check_antipodes, check_colours, check_torus,
+                         colour_values, gamma_power, gamma_product)
 
 
 class TorusComplex:
-    """The triangulated 2-torus gamma(L) x gamma(L') with its cycle and band.
+    """The triangulated 2-torus gamma(L) x gamma(L') with its cycle and band,
+    written down as tuples of row-major positions, vertex (a, b) at a*L' + b.
 
-    ``x1`` is the chain of horizontal edges at second coordinate 0; ``b1`` is
-    the band of all non-degenerate triangles whose second coordinates lie in
-    [0, L'/2], whose boundary is x1 plus its antipodal translate.  Both are
-    lists of cells as tuples of vertex positions of ``sset``, where vertex
-    (a, b) sits at a*L' + b.  ``squares`` is the band paired as
-    ``band_squares`` pairs it; ``count_deg1`` reads x1 and the squares.
+    ``x1`` is the chain of horizontal edges at second coordinate 0,
+    (a*L', (a + s)*L') for each even a and s = +-1.  The band is the
+    triangles whose second coordinates lie in [0, L'/2]: each runs from
+    p = (a, b), both even, through a corner (a + s, b) or (a, b + t) to
+    r = (a + s, b + t), and the band holds both corners of every (p, r) it
+    meets.  ``squares`` lists it as (p, q1, q2, r), the triangles
+    [p, q1, r] and [p, q2, r], for each x1 edge shifted by an even b in
+    [0, L'/2] and each t = +-1 with 0 < b + t < L'/2.  The band identity is
+    checked on the squares as written.  ``sset``, the torus itself, is
+    built on the first read of a colouring.
     """
 
     def __init__(self, L, Lp):
+        check_torus((L, Lp))
         self.L = L
         self.Lp = Lp
-        self.sset = gamma_product((L, Lp))
-        self.x1 = [(a * Lp, b * Lp) for a, b in gamma_product((L,)).position_cells(1)]
+        self.x1 = [(a * Lp, (a + s) % L * Lp) for a in range(0, L, 2) for s in (1, -1)]
         half = Lp // 2
-        self.b1 = [cell for cell in self.sset.position_cells(2)
-                   if all(p % Lp <= half for p in cell)]
-        mate = self.sset.antipode.__getitem__
-        antipodal = [tuple(map(mate, e)) for e in self.x1]
-        expected = ModTwoChain(1, self.x1) + ModTwoChain(1, antipodal)
-        if boundary(ModTwoChain(2, self.b1)) != expected:
+        steps = [(b, b + t) for b in range(0, half + 1, 2) for t in (1, -1)
+                 if 0 < b + t < half]
+        self.squares = [(p + b, q + b, p + c, q + c) for p, q in self.x1 for b, c in steps]
+        self._check_band()
+
+    def _check_band(self):
+        """The band's boundary mod 2 must be x1 plus its image under the
+        antipode (a, b) -> (a + L/2, b + L'/2).  The two triangles of a
+        square share the diagonal [p, r], so the boundary is the sum of the
+        squares' outer edges (InvariantViolationError)."""
+        L, Lp = self.L, self.Lp
+
+        def mate(p):
+            a, b = divmod(p, Lp)
+            return (a + L // 2) % L * Lp + (b + Lp // 2) % Lp
+
+        edges = set()
+        for p, q1, q2, r in self.squares:
+            edges ^= {(p, q1), (q1, r), (p, q2), (q2, r)}
+        if edges != set(self.x1) ^ {(mate(u), mate(v)) for u, v in self.x1}:
             raise InvariantViolationError("band boundary != cycle + antipodal cycle")
-        self.squares = band_squares(self.b1)
+
+    @cached_property
+    def sset(self):
+        return gamma_product((self.L, self.Lp))
 
     def deg1(self, colouring):
         """Edge crossings on the coordinate cycle plus alternating band triangles."""
         values = colour_values(self.sset, colouring)
         check_colours(self.sset, values)
         return count_deg1([c == BLUE for c in values], self.x1, self.squares)
-
-
-def band_squares(b1):
-    """The band triangles paired into squares (p, q1, q2, r), in the order
-    of their first triangle in ``b1``.
-
-    A triangle [p, q, r] of a 2-torus runs from p at (even, even) through q
-    at a mixed corner to r at (odd, odd), and q is one of the two corners
-    (r_1, p_2) and (p_1, r_2); whether it lies in the band depends on p and
-    r alone.  So the band holds both middles of every (p, r) it meets, and a
-    pair with any other number of middles is refused
-    (InvariantViolationError).
-    """
-    middles = {}
-    for p, q, r in b1:
-        middles.setdefault((p, r), []).append(q)
-    for (p, r), qs in middles.items():
-        if len(qs) != 2:
-            raise InvariantViolationError(
-                f"band triangles from {p} to {r} have {len(qs)} middles, not 2")
-    return [(p, q1, q2, r) for (p, r), (q1, q2) in middles.items()]
 
 
 def count_deg1(bits, x1, squares):
@@ -105,7 +106,8 @@ class TorusTables:
     through ``sigma_minor(n, i)``, as indices into ``positions``:
     ``count_deg1`` over them is deg1 of the i-th minor.  The vertex (a, b)
     of the plane lifts to a * w_1 + b * w_2, with w_k summing L^(n-j) over
-    the slots j that the minor sends to k.  gamma(L)^n itself is not built.
+    the slots j that the minor sends to k.  No torus is built: neither
+    gamma(L)^n nor the plane, which is written down.
     """
 
     def __init__(self, L, n):

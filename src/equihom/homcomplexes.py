@@ -19,9 +19,9 @@ from operator import or_
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (InternalError, InvalidParameterError,
+from .errors import (CapacityExceededError, InternalError, InvalidParameterError,
                      UnsupportedInputError)
-from .graphs import GraphHom, PowerGraph, complete_graph, cycle_graph, power
+from .graphs import GraphHom, PowerGraph, complete_graph, cycle_graph
 from .simplicial import (BLUE, YELLOW, SimplicialMap, gamma, gamma_power,
                          map_from_colouring, order_complex)
 
@@ -32,6 +32,10 @@ T_FILE_NAME = "t_colouring_hom_k2_k4.json"
 # with no multihomomorphism behind it reads in ``CyclePipeline.certify``'s table
 ONE_HOT = bytes(1 << v if v < 4 else 0 for v in range(256))
 UNLABELLED = 0xFF
+
+# the most multihomomorphisms ``multihoms`` lists: complete:7 has 1 932 and
+# cycle:211 has 844, and ``hom_complex`` compares every pair of them
+MAX_MULTIHOMS = 4096
 
 
 class Multihom(NamedTuple):
@@ -69,6 +73,9 @@ def multihoms(g):
     neighbourhood stays non-empty; in a loopless graph that neighbourhood
     misses the side itself, and it only shrinks as the side grows, so no
     left side with a right side is missed, and the work follows the output.
+    The right sides of each left side are counted before they are listed,
+    and a graph with more than MAX_MULTIHOMS in all is refused
+    (CapacityExceededError).
     """
     if not g.is_loopless():
         raise UnsupportedInputError("multihomomorphism enumeration needs a loopless graph")
@@ -77,6 +84,10 @@ def multihoms(g):
     while stack:
         left, common = stack.pop()
         members = sorted(common)
+        if len(out) + 2 ** len(members) - 1 > MAX_MULTIHOMS:
+            raise CapacityExceededError(
+                f"a graph on {g.vertex_count} vertices has more than "
+                f"{MAX_MULTIHOMS} multihomomorphisms from K_2")
         for k in range(1, len(members) + 1):
             out.extend(Multihom(left, right) for right in combinations(members, k))
         for v in range(left[-1] + 1, g.vertex_count):
@@ -143,21 +154,6 @@ def canonical_cycle_iso(ell):
     if edge_images != target.cells(1):
         raise InternalError("walk is not bijective on edges")
     return iso
-
-
-def iota(ms, base):
-    """Bundle an n-tuple of multihomomorphisms over G into one over G^n.
-
-    Each side becomes the product set, encoded in the power graph's mixed
-    radix.  Monotone, injective, and equivariant as a map of posets.
-    """
-    ms = tuple(ms)
-    if not ms:
-        raise InvalidParameterError("iota needs at least one multihomomorphism")
-    pw = power(base, len(ms))
-    left = tuple(sorted(pw.encode(c) for c in product(*[m.left for m in ms])))
-    right = tuple(sorted(pw.encode(c) for c in product(*[m.right for m in ms])))
-    return Multihom(left, right)
 
 
 def mu_prime(f, ms):
@@ -359,7 +355,11 @@ class CyclePipeline:
         """Distinct sides of iota at the vertices of gamma(4*ell)^n at
         ``positions`` (all of them for None), and where each vertex's are.
 
-        A side is a tuple of encoded domain indices.  The distinct sides are
+        iota(m_1, ..., m_n) bundles multihomomorphisms over C_ell into one
+        over C_ell^n: each side is the product of the m_i's sides, a tuple
+        of domain indices in the power's mixed radix.  It is summed here
+        from the terms v * ell^(n-1-i) of each coordinate's side, and sums
+        over sorted sides in mixed radix come out sorted.  The distinct sides are
         grouped by size, and a group of size s is stored as s index columns,
         column j holding the j-th index of each side; ``lefts[k]`` and
         ``rights[k]`` are the positions of the k-th vertex's sides in the
@@ -367,14 +367,22 @@ class CyclePipeline:
         """
         table = self._sides.get((n, positions))
         if table is None:
-            L, iso = self.period, self.iso_map
+            L = self.period
+            # parts[i][x]: the sides of iso(x) as terms in coordinate i
+            parts = [[tuple(tuple(v * self.ell ** k for v in side) for side in self.iso_map[x])
+                      for x in range(L)] for k in range(n - 1, -1, -1)]
             strides = [L ** k for k in range(n - 1, -1, -1)]
+            rest = list(zip(parts[1:], strides[1:]))
             position = {}
             lefts, rights = [], []
             for p in range(L ** n) if positions is None else positions:
-                m = iota([iso[p // s % L] for s in strides], self.base)
-                lefts.append(position.setdefault(m.left, len(position)))
-                rights.append(position.setdefault(m.right, len(position)))
+                left, right = parts[0][p // strides[0] % L]
+                for part, stride in rest:
+                    more_left, more_right = part[p // stride % L]
+                    left = tuple([u + v for u in left for v in more_left])
+                    right = tuple([u + v for u in right for v in more_right])
+                lefts.append(position.setdefault(left, len(position)))
+                rights.append(position.setdefault(right, len(position)))
             grouped = sorted(position, key=len)
             moved = [0] * len(grouped)
             for k, side in enumerate(grouped):

@@ -457,13 +457,20 @@ def gamma_product(sides):
     return _gamma_product(tuple(sides))
 
 
-@lru_cache(maxsize=16)
-def _gamma_product(sides):
+def check_torus(sides):
+    """Refuse what ``gamma_product`` refuses, before any cell is built: no
+    sides, a side that is not a multiple of 4 from 4 up, or more than
+    CELL_LIMIT cells."""
     if not sides:
         raise InvalidParameterError("a torus needs at least one side")
     for L in sides:
         _check_side(L)
     check_cell_limit(sides)
+
+
+@lru_cache(maxsize=16)
+def _gamma_product(sides):
+    check_torus(sides)
     vertices, points, antipode, ups = _product_chains(sides)
     return SimplicialSet._from_ups(vertices, points, max(3, len(sides)), antipode, ups)
 
@@ -629,47 +636,6 @@ def equivariant_colourings(x):
             col[rep] = BLUE if b else YELLOW
             col[nu[rep]] = YELLOW if b else BLUE
         yield col
-
-
-class ModTwoChain:
-    """A mod-2 cellular chain: a set of non-degenerate cells of one dimension."""
-
-    def __init__(self, dimension, cells):
-        self.dimension = dimension
-        self.cells = frozenset(cells)
-        if any(len(c) != dimension + 1 for c in self.cells):
-            raise InvalidParameterError("cell of wrong dimension in chain")
-        if any(is_degenerate(c) for c in self.cells):
-            raise InvalidParameterError("degenerate cell in chain")
-
-    def __add__(self, other):
-        if other.dimension != self.dimension:
-            raise InvalidParameterError("chain dimensions differ")
-        return ModTwoChain(self.dimension, self.cells ^ other.cells)
-
-    def __eq__(self, other):
-        return (isinstance(other, ModTwoChain)
-                and self.dimension == other.dimension
-                and self.cells == other.cells)
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __bool__(self):
-        return bool(self.cells)
-
-    def __repr__(self):
-        return f"ModTwoChain(dim={self.dimension}, {len(self.cells)} cells)"
-
-
-def boundary(chain):
-    """Mod-2 sum of codimension-1 faces; degenerate faces are discarded."""
-    if chain.dimension < 1:
-        raise InvalidParameterError("boundary needs dimension >= 1")
-    acc = set()
-    for cell in chain.cells:  # a non-degenerate cell has distinct faces
-        acc ^= {face for _, face in faces(cell) if not is_degenerate(face)}
-    return ModTwoChain(chain.dimension - 1, acc)
 
 
 def mod2_homology_ranks(x, top=None):

@@ -23,7 +23,11 @@ re-encoding every target vertex are the reference for the cached gather tables, 
 the minor maps of a torus colouring, precomposed vertex by vertex, are the
 reference for the degree slices of ``TorusTables``.  The band counted one
 triangle at a time is the reference for the kernel that pairs its
-triangles into squares.  The boundary rows built
+triangles into squares, and the cycle and band read off the built 2-torus,
+checked on mod-2 chains and paired by middles (``band_reference``), are
+the reference for the plane ``TorusComplex`` writes down by arithmetic.
+``iota``, sorting the encoded product of the sides, is the reference for
+the side table summed from per-coordinate terms.  The boundary rows built
 one cell and one face at a time, and the orbit complex that picks each
 representative by comparing the cell with its mate and adds its faces to A
 and B entry by entry, are the references for the columnar builder.  The
@@ -42,7 +46,7 @@ mu(f) checked on the whole torus, is what the certificate stands for.
 import functools
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from equihom import __version__
 from equihom.degrees import deg_vector, sigma_minor, torus_complex
@@ -51,10 +55,9 @@ from equihom.errors import (AlternatingSimplexError, InternalError,
                             NotFreeActionError)
 from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
-from equihom.homcomplexes import (CyclePipeline, Multihom, hom_complex, iota,
-                                  mu_prime)
-from equihom.simplicial import (BLUE, YELLOW, colour_values, faces,
-                                gamma_power, is_degenerate, map_from_colouring)
+from equihom.homcomplexes import CyclePipeline, Multihom, hom_complex, mu_prime
+from equihom.simplicial import (BLUE, YELLOW, colour_values, faces, gamma_power,
+                                gamma_product, is_degenerate, map_from_colouring)
 from equihom.slices import chain_alternations, swap_fraction
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import (CohomologyGroup, bredon_torus, expected_bredon,
@@ -340,19 +343,85 @@ def count_deg1_reference(bits, x1, b1):
             + sum(bits[p] > bits[q] < bits[r] for p, q, r in b1)) % 2
 
 
+class ModTwoChain:
+    """A mod-2 cellular chain: a set of non-degenerate cells of one dimension."""
+
+    def __init__(self, dimension, cells):
+        self.dimension = dimension
+        self.cells = frozenset(cells)
+        if any(len(c) != dimension + 1 for c in self.cells):
+            raise InvalidParameterError("cell of wrong dimension in chain")
+        if any(is_degenerate(c) for c in self.cells):
+            raise InvalidParameterError("degenerate cell in chain")
+
+    def __add__(self, other):
+        if other.dimension != self.dimension:
+            raise InvalidParameterError("chain dimensions differ")
+        return ModTwoChain(self.dimension, self.cells ^ other.cells)
+
+    def __eq__(self, other):
+        return (isinstance(other, ModTwoChain)
+                and self.dimension == other.dimension
+                and self.cells == other.cells)
+
+    def __len__(self):
+        return len(self.cells)
+
+    def __bool__(self):
+        return bool(self.cells)
+
+    def __repr__(self):
+        return f"ModTwoChain(dim={self.dimension}, {len(self.cells)} cells)"
+
+
+def boundary(chain):
+    """Mod-2 sum of codimension-1 faces; degenerate faces are discarded."""
+    if chain.dimension < 1:
+        raise InvalidParameterError("boundary needs dimension >= 1")
+    acc = set()
+    for cell in chain.cells:  # a non-degenerate cell has distinct faces
+        acc ^= {face for _, face in faces(cell) if not is_degenerate(face)}
+    return ModTwoChain(chain.dimension - 1, acc)
+
+
+@functools.lru_cache(maxsize=16)
+def band_reference(L, Lp):
+    """The cycle x1, the band b1 and its squares of the 2-torus
+    gamma(L) x gamma(L'), read off the built torus as position tuples.
+
+    x1 is the 1-cells of gamma(L) lifted to second coordinate 0, and b1 the
+    2-cells of gamma(L) x gamma(L') whose second coordinates lie in
+    [0, L'/2].  The band identity is checked on mod-2 chains, and the band
+    is paired into squares (p, q1, q2, r) by the middles of each (p, r);
+    a pair with other than two middles is refused.
+    """
+    sset = gamma_product((L, Lp))
+    x1 = [(a * Lp, b * Lp) for a, b in gamma_product((L,)).position_cells(1)]
+    b1 = [cell for cell in sset.position_cells(2) if all(p % Lp <= Lp // 2 for p in cell)]
+    antipodal = [tuple(map(sset.antipode.__getitem__, e)) for e in x1]
+    if boundary(ModTwoChain(2, b1)) != ModTwoChain(1, x1) + ModTwoChain(1, antipodal):
+        raise InternalError("band boundary != cycle + antipodal cycle")
+    middles = {}
+    for p, q, r in b1:
+        middles.setdefault((p, r), []).append(q)
+    if any(len(qs) != 2 for qs in middles.values()):
+        raise InternalError("a band pair without both middles")
+    return x1, b1, [(p, q1, q2, r) for (p, r), (q1, q2) in middles.items()]
+
+
 def slice_deg1_reference(bits, L, n, i):
     """deg1 of the i-th 2-variable minor of the row-major blue bits of
     gamma(L)^n: the plane vertex (a, b) reads the torus vertex with a in
-    coordinate i and b in every other, and the band of ``torus_complex(L, L)``
-    is counted one triangle at a time."""
-    plane = torus_complex(L, L)
+    coordinate i and b in every other, and the band of ``band_reference(L,
+    L)`` is counted one triangle at a time."""
+    x1, b1, _ = band_reference(L, L)
 
     def lift(p):
         a, b = divmod(p, L)
         return sum((a if j == i else b) * L ** (n - j) for j in range(1, n + 1))
 
-    return count_deg1_reference(bits, [tuple(map(lift, e)) for e in plane.x1],
-                                [tuple(map(lift, c)) for c in plane.b1])
+    return count_deg1_reference(bits, [tuple(map(lift, e)) for e in x1],
+                                [tuple(map(lift, c)) for c in b1])
 
 
 def _covers2(p, L, Lp):
@@ -420,15 +489,45 @@ def mu_colours_reference(pipeline, f):
     return colours
 
 
+def iota(ms, base):
+    """Bundle an n-tuple of multihomomorphisms over G into one over G^n.
+
+    Each side becomes the product set, encoded in the power graph's mixed
+    radix.  Monotone, injective, and equivariant as a map of posets.
+    """
+    ms = tuple(ms)
+    if not ms:
+        raise InvalidParameterError("iota needs at least one multihomomorphism")
+    pw = power(base, len(ms))
+    left = tuple(sorted(pw.encode(c) for c in product(*[m.left for m in ms])))
+    right = tuple(sorted(pw.encode(c) for c in product(*[m.right for m in ms])))
+    return Multihom(left, right)
+
+
 @functools.lru_cache(maxsize=8)
 def _iota_sides(pipeline, n, positions=None):
     """The two sides of iota(iso(y_1), ..., iso(y_n)) of each torus vertex y,
     or of the vertices at the row-major ``positions``."""
     L = pipeline.period
-    vertices = (gamma_power(L, n).vertices if positions is None else
+    vertices = (product(range(L), repeat=n) if positions is None else
                 [tuple(p // L ** (n - 1 - j) % L for j in range(n)) for p in positions])
     return [(v, tuple(iota([pipeline.iso_map[c] for c in v], pipeline.base)))
             for v in vertices]
+
+
+def side_table_reference(pipeline, n, positions=None):
+    """``CyclePipeline._side_table`` from the sides of iota at each vertex:
+    the distinct sides grouped by size as index columns, and the grouped
+    position of each vertex's left and right side."""
+    position = {}
+    lefts, rights = [], []
+    for _, (left, right) in _iota_sides(pipeline, n, positions):
+        lefts.append(position.setdefault(left, len(position)))
+        rights.append(position.setdefault(right, len(position)))
+    grouped = sorted(position, key=len)
+    moved = {position[side]: k for k, side in enumerate(grouped)}
+    return ([tuple(zip(*group)) for _, group in groupby(grouped, len)],
+            [moved[k] for k in lefts], [moved[k] for k in rights])
 
 
 def mu_bits_reference(pipeline, f, positions=None):

@@ -1,14 +1,15 @@
 import random
+import re
 from itertools import product
 
 import pytest
 
 from equihom import simplicial
-from equihom.degrees import (OddVector, TorusComplex, band_squares, count_deg1,
+from equihom.degrees import (OddVector, TorusComplex, count_deg1,
                              deg_vector, find_colour_swapping_edge,
                              monomial_colouring, phi, torus_complex,
                              torus_tables, winding_colouring)
-from equihom.errors import (AlternatingSimplexError, InvalidParameterError,
+from equihom.errors import (AlternatingSimplexError, EquihomError, InvalidParameterError,
                             InvariantViolationError, NotEquivariantError)
 from equihom.graphs import (Graph, GraphHom, MinorSpec, PowerGraph, complete_graph,
                             cycle_graph, enumerate_homs, minor, power, sample_homs)
@@ -18,7 +19,7 @@ from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
                                 gamma_power, gamma_product, map_from_colouring)
 
 import oracles
-from oracles import (brute_deg1, composite_mapping, count_deg1_reference,
+from oracles import (band_reference, brute_deg1, composite_mapping, count_deg1_reference,
                      minor_degree_vector, minor_map, mu_colours_reference,
                      phi_reference, slice_deg1_reference)
 
@@ -45,18 +46,38 @@ def test_band_identity_all_sizes():
             TorusComplex(L, Lp)  # construction verifies the boundary identity
 
 
+PLANE_SIDES = [(L, Lp) for L in (4, 8, 12) for Lp in (4, 8, 12)] + [(12, 36), (8, 24), (20, 20)]
+
+
+@pytest.mark.parametrize("L, Lp", PLANE_SIDES)
+def test_the_written_plane_is_the_band_of_the_built_torus(L, Lp):
+    """x1 and the squares written by arithmetic against the cycle and band
+    read off gamma(L) x gamma(L') and paired by middles, each square as
+    (p, {q1, q2}, r)."""
+    x1, _, squares = band_reference(L, Lp)
+    torus = TorusComplex(L, Lp)
+
+    def shapes(squares):
+        return sorted((p, sorted((q1, q2)), r) for p, q1, q2, r in squares)
+
+    assert sorted(torus.x1) == sorted(x1)
+    assert shapes(torus.squares) == shapes(squares)
+    assert len(torus.squares) == L * Lp // 2
+
+
 @pytest.mark.parametrize("L", [4, 8, 12])
 @pytest.mark.parametrize("Lp", [4, 8, 12])
 def test_paired_kernel_counts_the_band_one_triangle_at_a_time(L, Lp):
     torus = torus_complex(L, Lp)
-    assert 2 * len(torus.squares) == len(torus.b1)
+    x1, b1, _ = band_reference(L, Lp)
+    assert 2 * len(torus.squares) == len(b1)
     rng = random.Random(100 * L + Lp)
     seen = set()
     for _ in range(40):
         density = rng.random()
         bits = [rng.random() < density for _ in range(L * Lp)]
         degree = count_deg1(bits, torus.x1, torus.squares)
-        assert degree == count_deg1_reference(bits, torus.x1, torus.b1)
+        assert degree == count_deg1_reference(bits, x1, b1)
         seen.add(degree)
     assert seen == {0, 1}
 
@@ -114,15 +135,67 @@ def test_packed_kernel_counts_each_lane_past_one_byte():
     assert list(packed.to_bytes(len(maps), "little")) == scalar
 
 
-def test_a_band_pair_without_both_middles_is_refused():
-    b1 = torus_complex(4, 4).b1
-    p, _, r = b1[5]
-    with pytest.raises(InvariantViolationError,
-                       match=f"from {p} to {r} have 1 middles, not 2"):
-        band_squares(b1[:5] + b1[6:])
-    with pytest.raises(InvariantViolationError,
-                       match=f"from {p} to {r} have 3 middles, not 2"):
-        band_squares(b1 + [b1[5]])
+def _dropping_a_square(k):
+    def damage(squares):
+        del squares[k]
+    return damage
+
+
+def _moving_a_middle(k):
+    def damage(squares):
+        p, q1, q2, r = squares[k]
+        squares[k] = (p, q2, q2, r)
+    return damage
+
+
+@pytest.mark.parametrize("damage", [_dropping_a_square(0), _dropping_a_square(-1),
+                                    _moving_a_middle(0), _moving_a_middle(-1)],
+                         ids=["drop-first", "drop-last", "move-first", "move-last"])
+def test_a_damaged_band_is_refused_by_the_band_identity(damage, monkeypatch):
+    """A writer that drops one square, or moves one middle onto the other,
+    fails the band identity on every plane it writes."""
+    check = TorusComplex._check_band
+
+    def damaged(torus):
+        damage(torus.squares)
+        check(torus)
+
+    monkeypatch.setattr(TorusComplex, "_check_band", damaged)
+    for L, Lp in PLANE_SIDES:
+        with pytest.raises(InvariantViolationError,
+                           match=r"^band boundary != cycle \+ antipodal cycle$"):
+            TorusComplex(L, Lp)
+
+
+@pytest.mark.parametrize("sides, message", [
+    ((6, 4), "gamma(L) needs L >= 4 divisible by 4"),
+    ((4, 0), "gamma(L) needs L >= 4 divisible by 4"),
+    ((844, 844), "torus (844, 844) has 4274016 cells (limit 4194304)"),
+])
+def test_the_plane_refuses_what_the_torus_refuses(sides, message):
+    with pytest.raises(EquihomError) as exc:
+        TorusComplex(*sides)
+    assert str(exc.value) == message
+    with pytest.raises(type(exc.value), match=re.escape(message)):
+        gamma_product(sides)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_degree_tables_build_no_torus(n, monkeypatch):
+    """The plane of every slice is written down: with every torus refused,
+    ``torus_tables`` still builds at each arity."""
+    def refuse(sides):
+        raise AssertionError(f"built the torus {sides}")
+
+    monkeypatch.setattr(simplicial, "_gamma_product", refuse)
+    torus_tables.cache_clear()
+    torus_complex.cache_clear()
+    try:
+        tables = torus_tables(12, n)
+    finally:
+        torus_tables.cache_clear()
+        torus_complex.cache_clear()
+    assert len(tables.slices) == n
 
 
 @pytest.mark.parametrize("L, Lp", [(4, 4), (8, 12)])

@@ -5,19 +5,21 @@ from itertools import product as iproduct
 
 import pytest
 
-from equihom.errors import (InternalError, InvalidParameterError,
+from equihom.errors import (CapacityExceededError, InternalError, InvalidParameterError,
                             UnsupportedInputError)
 from equihom.degrees import torus_tables
 from equihom.graphs import (Graph, GraphHom, MinorSpec, complete_graph, cycle_graph,
                             enumerate_homs, minor, power, sample_homs)
-from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring,
-                                  canonical_cycle_iso, hom_complex, iota,
-                                  mu_prime, multihoms, search_t_colouring)
+from equihom.homcomplexes import (MAX_MULTIHOMS, CyclePipeline, Multihom, TColouring,
+                                  canonical_cycle_iso, hom_complex, mu_prime,
+                                  multihoms, search_t_colouring)
 from equihom.simplicial import (BLUE, YELLOW, gamma_power, map_from_colouring,
                                 mod2_homology_ranks)
 
-from oracles import (brute_multihom_count, mu_bits_reference, mu_colours_reference,
-                     mu_map, multihoms_reference, search_t_reference)
+import oracles
+from oracles import (brute_multihom_count, iota, mu_bits_reference,
+                     mu_colours_reference, mu_map, multihoms_reference,
+                     search_t_reference, side_table_reference)
 
 
 def test_multihom_counts_against_brute_force():
@@ -49,6 +51,20 @@ def test_multihoms_of_a_long_cycle_take_no_subset_search():
     mh = multihoms(cycle_graph(41))
     assert time.perf_counter() - start < 1
     assert len(mh) == 4 * 41
+
+
+def test_multihoms_past_the_limit_are_refused_before_they_are_listed():
+    # K_k has 3^k - 2^(k+1) + 1 multihomomorphisms: 1 932 for k = 7, 6 050
+    # for k = 8, and about 3^40 for k = 40, refused at its first left side
+    assert len(multihoms(complete_graph(7))) == 1932 <= MAX_MULTIHOMS
+    assert len(multihoms(cycle_graph(211))) == 4 * 211
+    for k in (8, 40):
+        start = time.perf_counter()
+        with pytest.raises(CapacityExceededError,
+                           match=f"^a graph on {k} vertices has more than "
+                                 f"{MAX_MULTIHOMS} multihomomorphisms from K_2$"):
+            multihoms(complete_graph(k))
+        assert time.perf_counter() - start < 1
 
 
 def test_multihom_validity_invariant():
@@ -317,6 +333,20 @@ def test_mu_lanes_at_the_slice_positions_matches_the_per_side_loop(n):
         bits = mu_bits_reference(pipe, f, positions)
         assert list(pipe.mu_lanes([f], positions)) == bits
         assert list(blob[k::len(maps)]) == bits
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_side_table_matches_iota_at_each_vertex(ell, n):
+    """The sides summed from per-coordinate terms against iota's sorted
+    product sets, at every vertex of gamma(4*ell)^n and at the positions
+    the degree slices read: the same columns, lefts and rights."""
+    pipe = CyclePipeline(ell)
+    try:
+        for at in (None, torus_tables(pipe.period, n).positions):
+            assert pipe._side_table(n, at) == side_table_reference(pipe, n, at)
+    finally:
+        oracles._iota_sides.cache_clear()
 
 
 def test_mu_lanes_refuses_what_check_polymorphism_refuses():

@@ -6,8 +6,8 @@ import pytest
 from equihom import simplicial
 from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
                             InvalidParameterError, NotEquivariantError)
-from equihom.simplicial import (BLUE, YELLOW, ModTwoChain, SimplicialMap,
-                                SimplicialSet, boundary, faces, gamma,
+from equihom.simplicial import (BLUE, YELLOW, SimplicialMap,
+                                SimplicialSet, faces, gamma,
                                 gamma_power, gamma_product, incidence,
                                 is_degenerate, map_from_colouring,
                                 mod2_homology_ranks,
@@ -19,7 +19,7 @@ from equihom.graphs import complete_graph, cycle_graph
 from equihom.homcomplexes import hom_complex
 from equihom.slices import arity_experiment
 
-from oracles import (check_reference, circle_cells_reference,
+from oracles import (ModTwoChain, boundary, check_reference, circle_cells_reference,
                      hom_complex_cells_reference, incidence_reference,
                      sphere_model_cells_reference, sproduct, strict_chains,
                      torus_cells_reference)

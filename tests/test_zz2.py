@@ -5,9 +5,8 @@ from equihom.errors import (InvalidInputError, InvalidParameterError,
                             InvariantViolationError, NotFreeActionError)
 from equihom.graphs import complete_graph
 from equihom.homcomplexes import hom_complex
-from equihom.simplicial import (ModTwoChain, SimplicialSet, boundary, gamma,
-                                gamma_power, gamma_product, mod2_homology_ranks,
-                                sigma)
+from equihom.simplicial import (SimplicialSet, gamma, gamma_power, gamma_product,
+                                mod2_homology_ranks, sigma)
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import (CohomologyGroup, EquivariantChainComplex, bredon_torus,
                          cohomology, equivariant_complex, expected_bredon,
@@ -15,7 +14,7 @@ from equihom.zz2 import (CohomologyGroup, EquivariantChainComplex, bredon_torus,
                          quotient_by_first_shift, quotient_pstar_check,
                          specialize)
 
-from oracles import (orbit_complex_reference, orbit_pairs_reference,
+from oracles import (ModTwoChain, boundary, orbit_complex_reference, orbit_pairs_reference,
                      quotient_pstar_reference, signed_boundary_rows,
                      specialize_reference)
 
