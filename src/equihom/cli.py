@@ -64,7 +64,7 @@ def _load_colouring(path):
             raise EquihomError(f"{name} must be a positive integer, got {value!r}")
     if L % 4:
         raise EquihomError(f"L must be a multiple of 4, got {L}")
-    if not isinstance(bits, list) or any(b not in (0, 1) for b in bits):
+    if not isinstance(bits, list) or any(type(b) is not int or b not in (0, 1) for b in bits):
         raise EquihomError("colours must be a list of 0/1 bits")
     # L^n >= 2^n passes the bit count once n passes its bit length, so a
     # large n is refused before the power is taken

@@ -209,10 +209,11 @@ def phi(f, pipeline):
     """The odd vector attached to a polymorphism: the degree vector of mu(f).
 
     Reads the blue bits of mu(f) only at the vertices the degree slices of
-    gamma(4*ell)^n touch, and builds no such torus.  The pipeline's
-    certificate stands for the checks of the whole torus (see
-    ``CyclePipeline``), so per map f must pass ``check_polymorphism`` and
-    the vector must have odd weight (InvariantViolationError).  An accepted
+    gamma(4*ell)^n touch, and builds no such torus.  The check of t, made
+    when its ``TColouring`` was made, stands for the checks of the whole
+    torus (see ``CyclePipeline``), so per map f must pass
+    ``check_polymorphism`` and the vector must have odd weight
+    (InvariantViolationError).  An accepted
     result is memoised on the pipeline under ``f.values``, and a later call
     with the same values returns it after ``check_polymorphism``; a failing
     input is not stored and raises again on every call.

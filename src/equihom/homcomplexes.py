@@ -29,12 +29,12 @@ CACHE_ENV_VAR = "EQUIHOM_CACHE"
 T_FILE_NAME = "t_colouring_hom_k2_k4.json"
 
 # byte v -> 1 << v for the four colours of K_4, and the byte that a t-index
-# with no multihomomorphism behind it reads in ``CyclePipeline.certify``'s table
+# with no multihomomorphism behind it reads in ``CyclePipeline.table``
 ONE_HOT = bytes(1 << v if v < 4 else 0 for v in range(256))
 UNLABELLED = 0xFF
 
 # the most multihomomorphisms ``multihoms`` lists: complete:7 has 1 932 and
-# cycle:211 has 844, and ``hom_complex`` compares every pair of them
+# cycle:211 has 844, and ``hom_complex`` compares the masks of every pair
 MAX_MULTIHOMS = 4096
 
 
@@ -49,9 +49,6 @@ class Multihom(NamedTuple):
 
     def le(self, other):
         return set(self.left) <= set(other.left) and set(self.right) <= set(other.right)
-
-    def lt(self, other):
-        return self.le(other) and self != other
 
     def is_valid_for(self, g):
         if not self.left or not self.right:
@@ -105,7 +102,12 @@ def hom_complex(g):
         raise UnsupportedInputError("hom_complex needs a loopless graph")
     elements = multihoms(g)
     involution = {m: m.swap() for m in elements}
-    x = order_complex(elements, Multihom.lt, 3, involution=involution)
+    # m <= m' componentwise iff the left mask, then the right mask shifted
+    # past it, is a submask of the other's
+    shift = g.vertex_count
+    masks = [sum(1 << v for v in m.left) | sum(1 << v + shift for v in m.right)
+             for m in elements]
+    x = order_complex(elements, masks, 3, involution=involution)
     if not x.has_free_involution():
         raise InternalError("swap involution is not free on a loopless graph")
     return x
@@ -176,6 +178,9 @@ class TColouring:
 
     ``colours`` holds one bit per vertex in the canonical order
     (0 = yellow, 1 = blue); the fingerprint identifies the choice in reports.
+    A colouring is checked once, when it is made, searched, loaded or passed
+    in alike: it must be an equivariant simplicial map Hom(K_2, K_4) ->
+    sigma(2) (``map_from_colouring``), with a witness in Hom(K_2, K_4).
     """
 
     COMPLEX_ID = "HomK2K4"
@@ -186,9 +191,12 @@ class TColouring:
         self.labels = tuple(multihoms(complete_graph(4)))
         if len(self.colours) != len(self.labels):
             raise InvalidParameterError("colour vector length mismatch")
+        map_from_colouring(hom_complex(complete_graph(4)), self.as_vertex_map(),
+                           check_equivariance=True)
 
     def as_vertex_map(self):
-        return {m: (BLUE if b else YELLOW) for m, b in zip(self.labels, self.colours)}
+        """Each label's colour; a bit other than 0 or 1 maps to None."""
+        return {m: {0: YELLOW, 1: BLUE}.get(b) for m, b in zip(self.labels, self.colours)}
 
     def to_json(self):
         return {"complex": self.COMPLEX_ID, "order": self.ORDER_ID,
@@ -232,26 +240,24 @@ def search_t_colouring(persist=None):
     Hom(K_2, K_4) has no 3-simplex, so every equivariant colouring is a
     simplicial map; the one chosen colours the first vertex of each of the
     25 antipodal orbits yellow, in canonical vertex order, which is the
-    first solution of a backtracking search over the orbits.  It is checked,
-    persisted to ``persist`` (a file path) and reloaded verbatim later.
+    first solution of a backtracking search over the orbits.  It is
+    persisted to ``persist`` (a file path) and reloaded verbatim later; the
+    ``TColouring`` checks itself when it is made or loaded.
     """
-    x = hom_complex(complete_graph(4))
     if persist is not None:
         persist = Path(persist)
         if persist.suffix != ".json":  # directories hold the default file name
             persist = persist / T_FILE_NAME
         if persist.exists():
-            t = TColouring.load(persist)
-            map_from_colouring(x, t.as_vertex_map(), check_equivariance=True)
-            return t
+            return TColouring.load(persist)
 
     # the vertices are multihoms(K_4) in the canonical order of TColouring
+    x = hom_complex(complete_graph(4))
     colours = [None] * len(x.vertices)
     for i, j in enumerate(x.antipode):
         if colours[i] is None:
             colours[i], colours[j] = 0, 1
     t = TColouring(colours)
-    map_from_colouring(x, t.as_vertex_map(), check_equivariance=True)
     if persist is not None:
         persist.parent.mkdir(parents=True, exist_ok=True)
         t.save(persist)
@@ -269,14 +275,14 @@ class CyclePipeline:
 
     Holds the cycle's homomorphism complex, the canonical circle isomorphism
     and the chosen structure colouring t, and runs on integer tables.
-    ``t_table`` is a tuple with the blue bit of t at ``_t_index(m)`` for each
-    multihomomorphism m of K_4, None elsewhere.  For each arity n and tuple
-    of row-major vertex positions of gamma(4*ell)^n, the pipeline caches the
-    distinct sides of iota(iso(y_1), ..., iso(y_n)) at those vertices y as
-    index columns of encoded domain indices, one group per side size;
-    ``mu_lanes``, the one reader, ORs 1 << f(i) over each side for many maps
-    at once, one byte lane per map, and reads t through the table that
-    ``certify`` builds.
+    ``table`` is 256 bytes: the blue bit of t at ``_t_index(m)`` for each
+    multihomomorphism m of K_4, ``UNLABELLED`` elsewhere.  For each arity n
+    and tuple of row-major vertex positions of gamma(4*ell)^n, the pipeline
+    caches the distinct sides of iota(iso(y_1), ..., iso(y_n)) at those
+    vertices y as index columns of encoded domain indices, one group per
+    side size; ``mu_lanes``, the one reader, ORs 1 << f(i) over each side
+    for many maps at once, one byte lane per map, and reads t through
+    ``table``.
 
     mu(f) = t o f_* o iota o iso^n.  iso is equivariant and sends each odd
     vertex above its even neighbours (``canonical_cycle_iso`` checks both),
@@ -285,15 +291,12 @@ class CyclePipeline:
     multihomomorphisms of K_4, and antipodes to swapped pairs: a
     3-alternating image would be a 3-simplex of Hom(K_2, K_4) on which t
     alternates (it has none), and an antipode clash a failure of t's
-    equivariance.  ``certify`` checks t once for every f, with a witness in
-    Hom(K_2, K_4).
+    equivariance.  A ``TColouring`` is checked when it is made, so t is
+    checked once for every f.
 
     ``phi_memo`` maps the value tuple of each polymorphism ``degrees.phi``
     has accepted to its odd vector, one shared ``OddVector`` per result in
-    ``phi_vectors``.  Invariant: rebinding or deleting an attribute drops
-    the certificate and the memos, so a pipeline whose tables change (a
-    subclass, a test patch, a t passed in) is certified again before it
-    answers.
+    ``phi_vectors``.
     """
 
     def __init__(self, ell, t=None):
@@ -303,41 +306,17 @@ class CyclePipeline:
         self.iso = canonical_cycle_iso(ell)
         self.iso_map = dict(self.iso.vertex_map)
         self.t = t if t is not None else search_t_colouring(default_cache_dir())
-        bits = dict(zip(map(_t_index, self.t.labels), self.t.colours))
-        self.t_table = tuple(map(bits.get, range(256)))
+        table = bytearray([UNLABELLED]) * 256
+        for m, b in zip(self.t.labels, self.t.colours):
+            table[_t_index(m)] = b
+        self.table = bytes(table)
+        self.phi_memo = {}
+        self.phi_vectors = {}
         self._sides = {}
-
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        self._forget()
-
-    def __delattr__(self, name):
-        super().__delattr__(name)
-        self._forget()
-
-    def _forget(self):
-        self.__dict__.update(phi_memo={}, phi_vectors={}, certificate=None)
 
     @property
     def period(self):
         return 4 * self.ell
-
-    def certify(self):
-        """The t table that ``mu_lanes`` reads: 256 bytes, the blue bit of t
-        at ``_t_index(m)`` for each multihomomorphism m of K_4 and
-        ``UNLABELLED`` elsewhere.  Built once ``t_table`` passes
-        ``map_from_colouring`` as an equivariant map Hom(K_2, K_4) ->
-        sigma(2), and kept."""
-        if self.certificate is None:
-            x = hom_complex(self.codomain)
-            colours = {m: {0: YELLOW, 1: BLUE}.get(self.t_table[_t_index(m)])
-                       for m in x.vertices}
-            map_from_colouring(x, colours, check_equivariance=True)
-            table = bytearray([UNLABELLED]) * 256
-            for m, colour in colours.items():
-                table[_t_index(m)] = colour == BLUE
-            self.__dict__["certificate"] = bytes(table)
-        return self.certificate
 
     def check_polymorphism(self, f):
         """The arity of f, a homomorphism C_ell^n -> K_4; the edges of a map
@@ -403,15 +382,14 @@ class CyclePipeline:
         map, and a side's mask ORs them over its indices, a whole index
         column at a time.  A mask fills the low half of its byte, so the
         t-index ``(left mask << 4) | right mask`` stays in it, and t is read
-        through the table of ``certify``; a key with no multihomomorphism of
-        K_4 behind it reads ``UNLABELLED`` and is refused (InternalError).
+        through ``table``; a key with no multihomomorphism of K_4 behind it
+        reads ``UNLABELLED`` and is refused (InternalError).
         """
         if not fs:
             raise InvalidParameterError("mu_lanes needs at least one map")
         arities = set(map(self.check_polymorphism, fs))
         if len(arities) != 1:
             raise InvalidParameterError(f"maps of arities {sorted(arities)} in one call")
-        table = self.certify()
         columns, lefts, rights = self._side_table(arities.pop(), positions)
         count = len(fs)
         # one map, as ``phi`` reads it, skips the packing: its colours and
@@ -428,7 +406,7 @@ class CyclePipeline:
         high = [m << 4 for m in masks]
         keys = map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))
         blob = (bytes(keys) if count == 1 else
-                b"".join(key.to_bytes(count, "little") for key in keys)).translate(table)
+                b"".join(key.to_bytes(count, "little") for key in keys)).translate(self.table)
         if UNLABELLED in blob:
             raise InternalError("a map sends a vertex to a pair of sides that is "
                                 "not a multihomomorphism of K_4")

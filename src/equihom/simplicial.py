@@ -386,22 +386,27 @@ def gamma(L):
     L/2.  A triangulated circle with L vertices and L edges.
     """
     _check_side(L)
-    return order_complex(range(L), lambda a, b: a % 2 == 0 and (b - a) % L in (1, L - 1),
-                         3, {v: (v + L // 2) % L for v in range(L)})
+    # an odd vertex's mask holds its two even neighbours, an even one's itself
+    masks = [1 << v | (v % 2 and 1 << v - 1 | 1 << (v + 1) % L) for v in range(L)]
+    return order_complex(range(L), masks, 3, {v: (v + L // 2) % L for v in range(L)})
 
 
-def order_complex(elements, less_than, cap, involution=None):
+def order_complex(elements, masks, cap, involution=None):
     """Order complex of a finite strict order: simplices are strict chains.
 
-    Positions follow the order of ``elements``; the 0-cells and each vertex's
-    up-list follow the order of the labels, so chains extended through the
-    up-lists come out sorted.  Each dimension is built and checked on its
-    first read, as for a torus.
+    ``masks[i]`` is an integer bitmask for ``elements[i]``, and one element
+    lies below another when its mask is a proper submask of the other's
+    (any finite order is the inclusion of its down-sets).  Positions follow
+    the order of ``elements``; the 0-cells and each vertex's up-list follow
+    the order of the labels, so chains extended through the up-lists come
+    out sorted.  Each dimension is built and checked on its first read, as
+    for a torus.
     """
     vertices = tuple(elements)
     position = _vertex_positions(vertices, cap)
     by_label = sorted(range(len(vertices)), key=vertices.__getitem__)
-    ups = [[q for q in by_label if less_than(a, vertices[q])] for a in vertices]
+    labelled = [(q, masks[q]) for q in by_label]
+    ups = [[q for q, up in labelled if a & up == a != up] for a in masks]
     return SimplicialSet._from_ups(vertices, tuple((p,) for p in by_label), cap,
                                    _antipode(involution, position), ups)
 

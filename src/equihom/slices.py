@@ -241,9 +241,9 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
     gives one byte per map at every vertex of gamma(4*ell)^n in row-major
     order, and one ``TorusTables.lane_degrees`` pass over the bytes at the
     slice positions gives every degree vector.  The checks are those of
-    ``degrees.phi``: each f is a polymorphism, the pipeline's certificate
-    stands for the validity and equivariance of mu(f) (see
-    ``CyclePipeline``), and the degree vector has odd weight.  A chain of
+    ``degrees.phi``: each f is a polymorphism, the check of t stands for
+    the validity and equivariance of mu(f) (see ``CyclePipeline``), and
+    the degree vector has odd weight.  A chain of
     map k reads byte k at each of its vertices; only the first
     ``SWAP_STAT_MAPS`` maps become colour dicts, every count-th byte from
     their own, for ``swap_fraction``.  No torus is built.

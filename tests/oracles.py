@@ -35,12 +35,12 @@ strict chains of each poset, extended one element above at a time, and the
 two-vertex sphere's tuples that change colour at every step are the
 references for the cells a simplicial set stores.  ``phi`` with its scans of
 the whole torus, the bits of every vertex, every 3-cell and every antipode,
-is the reference for ``phi`` on the slice vertices under the pipeline's
-certificate, and the backtracking search for t is the reference for the
-colouring ``search_t_colouring`` writes down.  The multihomomorphisms found
+is the reference for ``phi`` on the slice vertices under the check of t,
+and the backtracking search for t is the reference for the colouring
+``search_t_colouring`` writes down.  The multihomomorphisms found
 by trying every vertex subset as a left side are the reference for the
 enumeration that grows left sides, and ``mu_map``, the simplicial map of
-mu(f) checked on the whole torus, is what the certificate stands for.
+mu(f) checked on the whole torus, is what the check of t stands for.
 """
 
 import functools
@@ -533,13 +533,16 @@ def side_table_reference(pipeline, n, positions=None):
 def mu_bits_reference(pipeline, f, positions=None):
     """The blue bit of mu(f) at each torus vertex, or at the vertices at the
     row-major ``positions``, one side at a time: a side's mask ORs
-    1 << f(i) over its indices, and t is read at (left << 4) | right."""
+    1 << f(i) over its indices, and t is read at (left << 4) | right from
+    the labels and colours of ``pipeline.t``."""
     n = pipeline.check_polymorphism(f)
-    values, table = f.values, pipeline.t_table
+    values, t = f.values, pipeline.t
+    table = {sum(1 << c for c in m.left) << 4 | sum(1 << c for c in m.right): b
+             for m, b in zip(t.labels, t.colours)}
     bits = []
     for v, sides in _iota_sides(pipeline, n, positions):
         left, right = (sum({1 << values[i] for i in side}) for side in sides)
-        bit = table[left << 4 | right]
+        bit = table.get(left << 4 | right)
         if bit is None:
             raise InvalidParameterError(
                 f"f sends the multihomomorphism at vertex {v} to a pair of "
@@ -621,8 +624,8 @@ def alternating_cells_reference(vertices, values, sides):
 
 def phi_reference(f, pipeline):
     """phi with the checks on the whole torus gamma(4*ell)^n that the
-    pipeline's certificate stands for: the blue bits of every vertex, read
-    by ``mu_bits_reference`` (a side pair that is not a multihomomorphism
+    check of t stands for: the blue bits of every vertex, read by
+    ``mu_bits_reference`` (a side pair that is not a multihomomorphism
     raises), no 3-cell with a 3-alternating image (AlternatingSimplexError
     on the least one, as ``check_alternation`` names it, found by
     ``alternating_cells_reference`` without building the 3-cells), then

@@ -211,8 +211,11 @@ def test_degree_verb_rejects_non_equivariant(tmp_path):
     (["degree"], {"L": 4, "n": 8000, "colours": [0, 1]}),
     (["swap-stats", "--i", "1"], {"L": 4, "n": 8000, "colours": [0, 1]}),
     (["degree"], {"L": 12, "n": 10 ** 7, "colours": [0, 1]}),  # 12^(10^7) takes seconds
+    (["degree"], {"L": 4, "n": 1, "colours": [True, True, False, False]}),
+    (["swap-stats", "--i", "1"], {"L": 4, "n": 1, "colours": [1.0, 1.0, 0.0, 0.0]}),
 ], ids=["string-L", "missing-colours", "non-list-colours", "L-not-multiple-of-4",
-        "degree-huge-n", "swap-stats-huge-n", "degree-n-1e7"])
+        "degree-huge-n", "swap-stats-huge-n", "degree-n-1e7", "bool-colours",
+        "float-colours"])
 def test_malformed_colouring_file_is_a_usage_error(tmp_path, capsys, verb, content):
     col = tmp_path / "col.json"
     col.write_text(json.dumps(content))
@@ -257,6 +260,7 @@ def test_hom_complex_verb(tmp_path):
 
 HOM_COMPLEX_SHA256 = {
     "complete:4": "f4a6ac55ca1e7863ff7197f87629a2e73e76f7b0cce7a094233b61e5660153ba",
+    "complete:5": "9677e78b9630faa2e0392b20e062c902380df1f6f053245a9f113a647ef375f3",
     "cycle:5": "2501988b5fb1d6969f5c64a172be5417017c5ac7d3d43546ce55d04550f25723",
 }
 
@@ -277,6 +281,26 @@ def test_search_t_verb(tmp_path):
     assert len(report["colours"]) == 50
     assert report["t_fingerprint"]
     assert (cache / "t_colouring_hom_k2_k4.json").exists()
+
+
+@pytest.mark.parametrize("verb", [
+    ["search-t"], ["experiment", "--ell", "3", "--n-max", "1"], ["phi", "--in"]],
+    ids=["search-t", "experiment", "phi"])
+def test_a_corrupted_cached_colouring_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                       verb):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "t_colouring_hom_k2_k4.json").write_text(json.dumps(
+        {"complex": "HomK2K4", "order": "canonical-v1", "colours": [1] * 50}))
+    monkeypatch.setenv("EQUIHOM_CACHE", str(cache))
+    polys = tmp_path / "polys.jsonl"
+    polys.write_text(json.dumps(PHI_RECORD) + "\n")
+    out = tmp_path / "out.json"
+    args = verb + [str(polys)] if verb[-1] == "--in" else verb
+    assert run(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: vertex Multihom(left=(0,), right=(1,)) "
+                                       "and its antipode share a colour\n")
+    assert not out.exists()
 
 
 def test_zeta0_verb(tmp_path):

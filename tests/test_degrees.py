@@ -1,5 +1,7 @@
+import json
 import random
 import re
+from types import SimpleNamespace
 from itertools import product
 
 import pytest
@@ -13,8 +15,8 @@ from equihom.errors import (AlternatingSimplexError, EquihomError, InvalidParame
                             InvariantViolationError, NotEquivariantError)
 from equihom.graphs import (Graph, GraphHom, MinorSpec, PowerGraph, complete_graph,
                             cycle_graph, enumerate_homs, minor, power, sample_homs)
-from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring, _t_index,
-                                  hom_complex)
+from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring, hom_complex,
+                                  search_t_colouring)
 from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
                                 gamma_power, gamma_product, map_from_colouring)
 
@@ -552,13 +554,13 @@ def test_phi_matches_reference_formulas_on_ternary_sample(pipe, ternary_maps):
 
 
 def test_phi_checks_equivariance(pipe, binary_maps, monkeypatch):
-    all_blue = [None if b is None else 1 for b in pipe.t_table]
-    monkeypatch.setattr(pipe, "t_table", all_blue)
-    # the certificate names the least multihomomorphism of K_4, the scan of
-    # the whole torus its least vertex
+    # an all-blue t is refused when it is made, at the least
+    # multihomomorphism of K_4; the reference, handed the same colours
+    # unchecked, refuses phi on its scan of the whole torus at its least vertex
     with pytest.raises(NotEquivariantError) as exc:
-        phi(binary_maps[0], pipe)
+        TColouring([1] * 50)
     assert exc.value.witness == Multihom((0,), (1,))
+    monkeypatch.setattr(pipe, "t", SimpleNamespace(labels=pipe.t.labels, colours=(1,) * 50))
     with pytest.raises(NotEquivariantError) as exc:
         phi_reference(binary_maps[0], pipe)
     assert exc.value.witness == (0, 0)
@@ -634,10 +636,6 @@ def test_map_from_colouring_and_deg_vector_name_the_same_antipode():
     assert str(from_map.value) == str(from_degrees.value)
 
 
-def all_blue(pipe):
-    return [None if b is None else 1 for b in pipe.t_table]
-
-
 def test_memoised_phi_matches_unmemoised_phi_on_all_binary_minors(binary_maps):
     memoised, fresh = CyclePipeline(3), CyclePipeline(3)
 
@@ -655,28 +653,15 @@ def test_memoised_phi_matches_unmemoised_phi_on_all_binary_minors(binary_maps):
     assert len({id(v) for v in memoised.phi_memo.values()}) == 3
 
 
-def test_phi_raises_the_same_error_on_every_call(binary_maps):
-    pipe = CyclePipeline(3)
-    pipe.t_table = all_blue(pipe)
+def test_phi_raises_the_same_error_on_every_call():
+    # a bad t never reaches phi: it is refused each time it is made
     errors = []
     for _ in range(2):
         with pytest.raises(NotEquivariantError) as exc:
-            phi(binary_maps[0], pipe)
+            CyclePipeline(3, TColouring([1] * 50))
         errors.append(exc.value)
     assert [e.witness for e in errors] == [Multihom((0,), (1,))] * 2
     assert str(errors[0]) == str(errors[1])
-    assert not pipe.phi_memo
-
-
-def test_rebinding_an_attribute_drops_the_memo(binary_maps):
-    pipe = CyclePipeline(3)
-    f = binary_maps[0]
-    phi(f, pipe)
-    assert f.values in pipe.phi_memo
-    pipe.t_table = all_blue(pipe)
-    assert not pipe.phi_memo
-    with pytest.raises(NotEquivariantError):
-        phi(f, pipe)
 
 
 def test_pipelines_never_share_memo_entries(binary_maps):
@@ -686,14 +671,12 @@ def test_pipelines_never_share_memo_entries(binary_maps):
     assert first.phi_memo is not second.phi_memo
     assert first.phi_vectors is not second.phi_vectors
     assert not second.phi_memo and not second.phi_vectors
-    second.t_table = all_blue(second)
-    with pytest.raises(NotEquivariantError):
-        phi(f, second)
+    assert phi(f, second) == alpha and phi(f, second) is not alpha
     assert phi(f, first) is alpha
 
 
 def test_phi_equals_the_whole_torus_reference(pipe, binary_maps, ternary_maps):
-    """phi on the slice vertices under the certificate against phi with its
+    """phi on the slice vertices under the check of t against phi with its
     scans of the whole torus: all 1 056 binary maps, 40 seeded ternary maps
     and 4 seeded arity-4 maps.  The reference streams the 3-cells of
     gamma(12)^4 without storing them; the torus cache is emptied after."""
@@ -734,44 +717,34 @@ def test_phi_builds_no_torus_of_its_arity(monkeypatch):
 K4_VERTEX_0 = Multihom((0,), (1,))
 K4_VERTEX_7 = hom_complex(complete_graph(4)).vertices[7]
 K4_MATE_7 = K4_VERTEX_7.swap()
+BROKEN_PAIR_WITNESS = min(K4_VERTEX_7, K4_MATE_7, key=Multihom.sort_key)
 
 
-def _patched_table(pipe, value):
-    """``pipe.t_table`` with ``value`` at K4_VERTEX_7."""
-    table = list(pipe.t_table)
-    table[_t_index(K4_VERTEX_7)] = value
-    return table
+def _broken_pair():
+    """The colours of the searched t with the bit of K4_VERTEX_7 flipped."""
+    return [1 - b if k == 7 else b for k, b in enumerate(search_t_colouring().colours)]
 
 
-@pytest.mark.parametrize("patch, error, witness", [
-    (lambda pipe: setattr(pipe, "t_table", all_blue(pipe)),
-     NotEquivariantError, K4_VERTEX_0),
-    (lambda pipe: setattr(pipe, "t_table", _patched_table(pipe, None)),
-     InvalidParameterError, None),
-    (lambda pipe: setattr(pipe, "t_table", _patched_table(
-        pipe, 1 - pipe.t_table[_t_index(K4_VERTEX_7)])),
-     NotEquivariantError, min(K4_VERTEX_7, K4_MATE_7, key=Multihom.sort_key)),
-    (lambda pipe: CyclePipeline(3, TColouring([1] * 50)),
-     NotEquivariantError, K4_VERTEX_0),
-    (lambda pipe: CyclePipeline(3, TColouring(
-        [1 - b if k == 7 else b for k, b in enumerate(pipe.t.colours)])),
-     NotEquivariantError, min(K4_VERTEX_7, K4_MATE_7, key=Multihom.sort_key)),
-], ids=["all-blue-table", "none-at-a-multihom", "broken-antipode-pair",
-        "all-blue-t", "broken-antipode-pair-t"])
-def test_a_pipeline_with_a_bad_t_is_refused(patch, error, witness, binary_maps):
-    """The certificate refuses a patched t_table, and a bad t passed in, on
-    the first use and every later one, with a witness in Hom(K_2, K_4).
-    No t can alternate on a 3-simplex there: Hom(K_2, K_4) has none."""
-    pipe = CyclePipeline(3)
-    pipe = patch(pipe) or pipe
+def _loaded(colours, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"complex": "HomK2K4", "order": "canonical-v1",
+                                "colours": colours}))
+    return TColouring.load(path)
+
+
+@pytest.mark.parametrize("make, witness", [
+    (lambda tmp_path: TColouring([1] * 50), K4_VERTEX_0),
+    (lambda tmp_path: _loaded([1] * 50, tmp_path), K4_VERTEX_0),
+    (lambda tmp_path: TColouring(_broken_pair()), BROKEN_PAIR_WITNESS),
+    (lambda tmp_path: _loaded(_broken_pair(), tmp_path), BROKEN_PAIR_WITNESS),
+], ids=["all-blue-t", "all-blue-file", "broken-antipode-pair-t",
+        "broken-antipode-pair-file"])
+def test_a_pipeline_with_a_bad_t_is_refused(make, witness, tmp_path):
+    """A bad t is refused where the TColouring is made, passed in or loaded,
+    each time, with a witness in Hom(K_2, K_4).  No t can alternate on a
+    3-simplex there: Hom(K_2, K_4) has none."""
     for _ in range(2):
-        with pytest.raises(error) as exc:
-            phi(binary_maps[0], pipe)
-        if witness is None:
-            assert str(exc.value) == f"vertex {K4_VERTEX_7} lacks a yellow/blue colour"
-        else:
-            assert exc.value.witness == witness
-    assert not pipe.phi_memo
-    with pytest.raises(error):
-        pipe.mu_lanes([binary_maps[0]])
+        with pytest.raises(NotEquivariantError) as exc:
+            make(tmp_path)
+        assert exc.value.witness == witness
     assert not hom_complex(complete_graph(4)).cells(3)

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 import time
 from itertools import product as iproduct
 
@@ -10,9 +11,9 @@ from equihom.errors import (CapacityExceededError, InternalError, InvalidParamet
 from equihom.degrees import torus_tables
 from equihom.graphs import (Graph, GraphHom, MinorSpec, complete_graph, cycle_graph,
                             enumerate_homs, minor, power, sample_homs)
-from equihom.homcomplexes import (MAX_MULTIHOMS, CyclePipeline, Multihom, TColouring,
-                                  canonical_cycle_iso, hom_complex, mu_prime,
-                                  multihoms, search_t_colouring)
+from equihom.homcomplexes import (MAX_MULTIHOMS, UNLABELLED, CyclePipeline, Multihom,
+                                  TColouring, canonical_cycle_iso, hom_complex,
+                                  mu_prime, multihoms, search_t_colouring)
 from equihom.simplicial import (BLUE, YELLOW, gamma_power, map_from_colouring,
                                 mod2_homology_ranks)
 
@@ -117,8 +118,8 @@ def test_cycle_iso_full_verification(ell):
     elements = multihoms(cycle_graph(ell))
     assert vm[0] == Multihom((0,), (1,))
     for k in range(1, 4 * ell):
-        options = [m for m in elements if (m.lt(vm[k - 1]) or vm[k - 1].lt(m))
-                   and m not in [vm[j] for j in range(k)]]
+        options = [m for m in elements if (m.le(vm[k - 1]) or vm[k - 1].le(m))
+                   and m != vm[k - 1] and m not in [vm[j] for j in range(k)]]
         assert vm[k] == min(options, key=Multihom.sort_key)
 
 
@@ -375,7 +376,7 @@ def test_mu_lanes_refuses_an_unlabelled_t_index():
     binary = next(iter(enumerate_homs(power(cycle_graph(3), 2), complete_graph(4))))
     constant = GraphHom(binary.domain, complete_graph(4), (0,) * 9, check=False)
     constant.checked = True
-    assert pipe.t_table[0x11] is None
+    assert pipe.table[0x11] == UNLABELLED
     with pytest.raises(InternalError, match="not a multihomomorphism"):
         pipe.mu_lanes([binary, constant])
     assert pipe.mu_lanes([binary]) == bytes(mu_bits_reference(pipe, binary))
@@ -404,3 +405,13 @@ def test_mu_bits_names_the_first_bad_vertex_as_the_per_side_loop():
         assert outcomes[0] == outcomes[1]
         failed += isinstance(outcomes[0], str)
     assert failed >= 10
+
+
+def test_a_colour_that_is_not_a_bit_is_refused_when_made():
+    # a 2 would read as blue in a truth test, and as neither colour here
+    t = search_t_colouring()
+    colours = [2 * b for b in t.colours]
+    first = t.labels[t.colours.index(1)]
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"vertex {first} lacks a yellow/blue colour")):
+        TColouring(colours)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -293,16 +294,12 @@ def test_arity_experiment_reads_bits_not_colour_dicts(monkeypatch):
     assert lane_calls == [row["maps_inspected"] for row in report["per_n"]]
 
 
-class AllBluePipeline(CyclePipeline):
-    def __init__(self, ell):
-        super().__init__(ell)
-        self.t_table = [None if b is None else 1 for b in self.t_table]
-
-
 @pytest.mark.parametrize("survey", [arity_experiment, arity_experiment_reference])
-def test_arity_experiment_checks_equivariance(survey, monkeypatch):
-    monkeypatch.setattr(slices, "CyclePipeline", AllBluePipeline)
-    monkeypatch.setattr(oracles, "CyclePipeline", AllBluePipeline)
+def test_arity_experiment_checks_equivariance(survey, tmp_path, monkeypatch):
+    # an all-blue structure colouring in the cache is refused when it is loaded
+    (tmp_path / homcomplexes.T_FILE_NAME).write_text(json.dumps(
+        {"complex": "HomK2K4", "order": "canonical-v1", "colours": [1] * 50}))
+    monkeypatch.setenv(homcomplexes.CACHE_ENV_VAR, str(tmp_path))
     with pytest.raises(NotEquivariantError):
         survey(3, 2, chain_samples=10)
 
