@@ -177,7 +177,8 @@ class TColouring:
     """A persisted equivariant 2-colouring of Hom(K_2, K_4).
 
     ``colours`` holds one bit per vertex in the canonical order
-    (0 = yellow, 1 = blue); the fingerprint identifies the choice in reports.
+    (0 = yellow, 1 = blue), given as ints, never coerced from a string,
+    bool or float; the fingerprint identifies the choice in reports.
     A colouring is checked once, when it is made, searched, loaded or passed
     in alike: it must be an equivariant simplicial map Hom(K_2, K_4) ->
     sigma(2) (``map_from_colouring``), with a witness in Hom(K_2, K_4).
@@ -187,7 +188,10 @@ class TColouring:
     ORDER_ID = "canonical-v1"
 
     def __init__(self, colours):
-        self.colours = tuple(int(b) for b in colours)
+        if (not isinstance(colours, (list, tuple))
+                or any(type(b) is not int for b in colours)):
+            raise InvalidParameterError("colours must be a list of ints")
+        self.colours = tuple(colours)
         self.labels = tuple(multihoms(complete_graph(4)))
         if len(self.colours) != len(self.labels):
             raise InvalidParameterError("colour vector length mismatch")
@@ -220,13 +224,19 @@ class TColouring:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise InvalidParameterError("a colouring file holds a JSON object")
         if obj.get("complex") != cls.COMPLEX_ID or obj.get("order") != cls.ORDER_ID:
             raise InvalidParameterError("unrecognized colouring file header")
-        return cls(obj["colours"])
+        return cls(obj.get("colours"))
 
     @classmethod
     def load(cls, path):
-        return cls.from_json(json.loads(Path(path).read_text()))
+        try:
+            obj = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not JSON, or an integer past the digit limit
+            raise InvalidParameterError(str(exc)) from exc
+        return cls.from_json(obj)
 
 
 def default_cache_dir():

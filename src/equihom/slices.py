@@ -11,7 +11,6 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from operator import mul
 
 from . import __version__
 from .errors import (CapacityExceededError, InvalidParameterError,
@@ -199,33 +198,70 @@ def shift_coordinate(v, i, L):
     return tuple((x + 2) % L if j == i - 1 else x for j, x in enumerate(v))
 
 
-def sample_maximal_chain(L, n, rng):
-    """A uniformly random maximal chain (top simplex) of gamma(L)^n, as the
-    row-major positions of its vertices.
+def chain_alternation_counts(L, n, rng, samples, lanes, maps):
+    """Colour alternations along ``samples`` random maximal chains of gamma(L)^n.
 
-    Draws an even base vertex one coordinate at a time, an order in which
-    to raise the coordinates, and then a direction for each raise.
+    Chain c reads map k = c % maps, whose colour at row-major position p
+    is ``lanes[p*maps + k]``; the walk adds the map index to the base position
+    once and compares each byte with the one before, building no chain.
+    Returns the most alternations on one chain and the number of chains
+    with more than two.
+
+    The chains are uniform top simplices: an even base vertex drawn one
+    coordinate at a time (``rng.randrange(0, L, 2)``), an order in which to
+    raise the coordinates (``rng.shuffle``) and a direction for each raise
+    (``rng.choice((1, -1))``).  The same draws are taken in the same order
+    straight from ``rng.getrandbits``, as ``random.Random._randbelow``
+    takes them: below(m) draws ``m.bit_length()`` bits until the value is
+    below m, a base coordinate is 2*below(L//2), the shuffle is below(i+1)
+    for i from n-1 down to 1, and a direction is below(2) (0 is +1).  So
+    the chains, and the state ``rng`` is left in, are those of the calls.
     """
-    strides = [L ** k for k in range(n - 1, -1, -1)]
-    base = [rng.randrange(0, L, 2) for _ in range(n)]
-    order = list(range(n))
-    rng.shuffle(order)
-    position = sum(map(mul, base, strides))
-    chain = [position]
-    for j in order:
-        step = rng.choice((1, -1))
-        # an even coordinate steps to L - 1 or 1, never past L
-        position += (step if base[j] + step >= 0 else L - 1) * strides[j]
-        chain.append(position)
-    return chain
-
-
-def _alternations(labels):
-    return sum(1 for a, b in zip(labels, labels[1:]) if a != b)
-
-
-def chain_alternations(colours, chain):
-    return _alternations([colours[v] for v in chain])
+    getrandbits = rng.getrandbits
+    half = L // 2
+    width = half.bit_length()
+    strides = [L ** j * maps for j in range(n - 1, -1, -1)]
+    steps = [(stride, (L - 1) * stride) for stride in strides]
+    swaps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+    coordinates = range(n)
+    worst = violations = k = 0
+    for _ in range(samples):
+        # an even coordinate steps to x + 1, or to x - 1, which is L - 1 at 0
+        position, downs = k, []
+        for stride, wrap in steps:
+            r = getrandbits(width)
+            while r >= half:
+                r = getrandbits(width)
+            if r:
+                position += 2 * r * stride
+                downs.append(-stride)
+            else:
+                downs.append(wrap)
+        order = list(coordinates)
+        for i, bits in swaps:
+            r = getrandbits(bits)
+            while r > i:
+                r = getrandbits(bits)
+            order[i], order[r] = order[r], order[i]
+        colour = lanes[position]
+        alternations = 0
+        for j in order:
+            r = getrandbits(2)
+            while r > 1:
+                r = getrandbits(2)
+            position += downs[j] if r else strides[j]
+            byte = lanes[position]
+            if byte != colour:
+                colour = byte
+                alternations += 1
+        if alternations > worst:
+            worst = alternations
+        if alternations > 2:
+            violations += 1
+        k += 1
+        if k == maps:
+            k = 0
+    return worst, violations
 
 
 def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=3000):
@@ -243,8 +279,11 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
     slice positions gives every degree vector.  The checks are those of
     ``degrees.phi``: each f is a polymorphism, the check of t stands for
     the validity and equivariance of mu(f) (see ``CyclePipeline``), and
-    the degree vector has odd weight.  A chain of
-    map k reads byte k at each of its vertices; only the first
+    the degree vector has odd weight.  The chains of an arity are walked
+    by one call of ``chain_alternation_counts`` over the same bytes, chain
+    c reading map c % count; it takes the draws of ``randrange``,
+    ``shuffle`` and ``choice`` straight from ``rng.getrandbits``, so the
+    report is that of the per-chain sampler.  Only the first
     ``SWAP_STAT_MAPS`` maps become colour dicts, every count-th byte from
     their own, for ``swap_fraction``.  No torus is built.
 
@@ -313,17 +352,9 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
         for bits in alphas:
             weight = OddVector(bits).weight
             weights[weight] = weights.get(weight, 0) + 1
-        max_alts = 0
-        violations = 0
-        chains_done = 0
-        while chains_done < chain_samples and alphas:
-            k = chains_done % len(alphas)
-            chain = sample_maximal_chain(L, n, rng)
-            alts = _alternations([blob[p * count + k] for p in chain])
-            max_alts = max(max_alts, alts)
-            if alts > 2:
-                violations += 1
-            chains_done += 1
+        chains_done = chain_samples if count else 0
+        max_alts, violations = chain_alternation_counts(L, n, rng, chains_done,
+                                                        blob, count)
         swap_stats = {}
         vertices = list(product(range(L), repeat=n))
         for k, alpha in enumerate(alphas[:SWAP_STAT_MAPS]):

@@ -18,7 +18,10 @@ The homomorphism search with its arc consistency testing value pairs against
 the edge set, over value lists, is the reference for the pruning on value
 bitmasks, and the arity survey on colour dicts, enumerating every arity up
 to the cutoff and sampling chains as vertex tuples, is the reference for the
-survey on byte lanes and row-major positions.  Minors by decoding and
+survey on byte lanes and row-major positions; its chain sampler, which
+draws through ``randrange``, ``shuffle`` and ``choice``, and
+``chain_alternations`` are the reference for the kernel that walks the
+chains on ``getrandbits``.  Minors by decoding and
 re-encoding every target vertex are the reference for the cached gather tables, and
 the minor maps of a torus colouring, precomposed vertex by vertex, are the
 reference for the degree slices of ``TorusTables``.  The band counted one
@@ -58,7 +61,7 @@ from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
 from equihom.homcomplexes import CyclePipeline, Multihom, hom_complex, mu_prime
 from equihom.simplicial import (BLUE, YELLOW, colour_values, faces, gamma_power,
                                 gamma_product, is_degenerate, map_from_colouring)
-from equihom.slices import chain_alternations, swap_fraction
+from equihom.slices import swap_fraction
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import (CohomologyGroup, bredon_torus, expected_bredon,
                          ordinary_cochain_complex, quotient_by_first_shift)
@@ -1163,6 +1166,12 @@ def sample_maximal_chain_reference(L, n, rng):
         cur[j] = (cur[j] + rng.choice((1, -1))) % L
         chain.append(tuple(cur))
     return chain
+
+
+def chain_alternations(colours, chain):
+    """Colour changes between consecutive vertices of a chain."""
+    labels = [colours[v] for v in chain]
+    return sum(1 for a, b in zip(labels, labels[1:]) if a != b)
 
 
 def arity_experiment_reference(ell, n_max, seed=0, sample_size=40, chain_samples=4000,

@@ -9,6 +9,7 @@ import pytest
 
 from equihom import cli, zz2
 from equihom.cli import main
+from equihom.homcomplexes import search_t_colouring
 from equihom.simplicial import SimplicialSet
 
 
@@ -236,7 +237,9 @@ LONG_INTEGER = "4" + "0" * 5000
      f'{{"L": 4, "n": 1, "colours": [0, 1, {LONG_INTEGER}, 1]}}'),
     (["phi"], "--in", json.dumps(PHI_RECORD) + "\n"
      + f'{{"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, {LONG_INTEGER}]}}\n'),
-], ids=["degree", "swap-stats", "phi"])
+    (["search-t"], "--cache",
+     f'{{"complex": "HomK2K4", "order": "canonical-v1", "colours": [{LONG_INTEGER}]}}'),
+], ids=["degree", "swap-stats", "phi", "search-t-cache"])
 def test_long_integer_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                              verb, flag, text):
     monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
@@ -300,6 +303,30 @@ def test_a_corrupted_cached_colouring_is_a_usage_error(tmp_path, monkeypatch, ca
     assert run(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == ("error: vertex Multihom(left=(0,), right=(1,)) "
                                        "and its antipode share a colour\n")
+    assert not out.exists()
+
+
+T_HEADER = {"complex": "HomK2K4", "order": "canonical-v1"}
+
+
+@pytest.mark.parametrize("content", [
+    lambda colours: {**T_HEADER, "colours": [str(b) for b in colours]},
+    lambda colours: {**T_HEADER, "colours": ["x"] * len(colours)},
+    lambda colours: T_HEADER,
+    lambda colours: {**T_HEADER, "colours": 5},
+    lambda colours: [T_HEADER],
+    lambda colours: {**T_HEADER, "colours": [bool(b) for b in colours]},
+    lambda colours: {**T_HEADER, "colours": [float(b) for b in colours]},
+    lambda colours: {**T_HEADER, "colours": [2 * b for b in colours]},
+], ids=["string-bits", "string-x", "missing-colours", "non-list-colours",
+        "top-level-list", "bool-colours", "float-colours", "int-not-a-bit"])
+def test_a_malformed_cached_colouring_is_a_usage_error(tmp_path, capsys, content):
+    cache = tmp_path / "t.json"
+    cache.write_text(json.dumps(content(search_t_colouring().colours)))
+    out = tmp_path / "out.json"
+    assert run(["search-t", "--cache", str(cache), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -447,6 +474,19 @@ def test_arity4_experiment_report_is_pinned(tmp_path, monkeypatch):
     assert run(["experiment", "--ell", "3", "--n-max", "4", "--chain-samples", "500",
                 "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ARITY4_SURVEY_REPORT_SHA256
+
+
+def test_experiment_without_chain_samples_walks_no_chain(tmp_path, monkeypatch):
+    monkeypatch.delenv("EQUIHOM_CACHE", raising=False)
+    out = tmp_path / "survey.json"
+    assert run(["experiment", "--ell", "3", "--n-max", "3", "--chain-samples", "0",
+                "--seed", "3", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["per_n"]
+    assert [row["n"] for row in rows] == [1, 2, 3]
+    for row in rows:
+        assert row["chains_sampled"] == 0
+        assert row["max_chain_alternations"] == 0
+        assert row["alternation_violations"] == 0
 
 
 @pytest.mark.parametrize("flags, message", [

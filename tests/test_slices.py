@@ -12,14 +12,14 @@ from equihom.graphs import enumerate_homs
 from equihom.homcomplexes import CyclePipeline
 from equihom.simplicial import BLUE, YELLOW, equivariant_colourings, gamma_power
 from equihom.slices import (GeneralizedDiagonal, arity_experiment,
-                            chain_alternations, height,
+                            chain_alternation_counts, height,
                             iter_coordinate_edges, permute_coordinates,
-                            sample_maximal_chain, shift_coordinate,
-                            slice_check, standard_diagonal, swap_fraction,
-                            zeta0)
+                            shift_coordinate, slice_check, standard_diagonal,
+                            swap_fraction, zeta0)
 
 import oracles
-from oracles import arity_experiment_reference, sample_maximal_chain_reference
+from oracles import (arity_experiment_reference, chain_alternations,
+                     sample_maximal_chain_reference)
 
 
 def test_height_basics():
@@ -200,17 +200,35 @@ def test_automorphism_orbits_are_height_classes():
     assert orbit == same_height
 
 
+class RecordingLanes:
+    """A lane blob that records every index it is asked for."""
+
+    def __init__(self, blob):
+        self.blob = blob
+        self.reads = []
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return self.blob[index]
+
+
 def test_sample_maximal_chain_is_simplex():
-    # row-major positions, drawn exactly as the tuple sampler draws them
-    for L, n in ((4, 3), (12, 1), (12, 2)):
+    # the kernel reads each vertex of a chain once, at p*maps + k, and draws
+    # exactly as the tuple sampler draws
+    for L, n, maps in ((4, 3, 3), (12, 1, 2), (12, 2, 5), (8, 3, 1)):
         rng, tuples = random.Random(4), random.Random(4)
         t = gamma_power(L, n)
-        for _ in range(50):
-            chain = sample_maximal_chain(L, n, rng)
-            expected = sample_maximal_chain_reference(L, n, tuples)
-            assert rng.getstate() == tuples.getstate()
-            assert [t.vertices[p] for p in chain] == expected
-            assert tuple(expected) in t.cells(n)
+        top = set(t.cells(n))
+        lanes = RecordingLanes(random.Random(L + n).randbytes(L ** n * maps))
+        chain_alternation_counts(L, n, rng, 50, lanes, maps)
+        assert len(lanes.reads) == 50 * (n + 1)
+        for c in range(50):
+            indices = lanes.reads[c * (n + 1):(c + 1) * (n + 1)]
+            assert {index % maps for index in indices} == {c % maps}
+            chain = [t.vertices[index // maps] for index in indices]
+            assert chain == sample_maximal_chain_reference(L, n, tuples)
+            assert tuple(chain) in top
+        assert rng.getstate() == tuples.getstate()
 
 
 def test_chain_alternations_counts():
