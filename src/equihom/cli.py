@@ -104,11 +104,18 @@ def _check_hom_record(obj):
         value = obj.get(key)
         if type(value) is not int or value < 1:
             raise EquihomError(f"{key} must be a positive integer, got {value!r}")
+    base, arity, codomain = obj["domain_base"], obj["arity"], obj["codomain"]
+    if codomain != 4:
+        raise EquihomError(f"codomain must be 4 (K_4), got {codomain}")
     values = obj.get("values")
     if not isinstance(values, list):
         raise EquihomError("values must be a list")
+    # base^arity >= 2^arity passes the value count once the arity passes its
+    # bit length, so a large arity is refused before the power is taken
+    if base > 1 and arity > len(values).bit_length() or len(values) != base ** arity:
+        raise EquihomError(f"expected {base}^{arity} values, got {len(values)}")
     for v in values:
-        if type(v) is not int or not 0 <= v < obj["codomain"]:
+        if type(v) is not int or not 0 <= v < codomain:
             raise EquihomError("values must be integers in [0, codomain), "
                                f"got {v!r}")
 

@@ -16,7 +16,10 @@ n-torus with the diagonal action and sign coefficients the answer in degree
 d is an elementary abelian 2-group of rank C(n-1, d-1).  The
 quotient-projection check reproduces it as the cokernel of the pullback
 along the double cover, read off the cohomology of the mapping cone of the
-pullback with the same sparse Smith form.
+pullback with the same sparse Smith form.  It builds no quotient: under the
+first-coordinate half shift the trivial coefficients give the cochains of
+the quotient and the group ring those of the torus, both from one orbit
+complex, and the pullback sends each orbit to its two cells.
 
 The coboundaries of a complex are reduced from the top down, and each one is
 cleared first: the rows of delta_k that are unit pivot columns of
@@ -37,8 +40,7 @@ from operator import invert, itemgetter, not_
 
 from .errors import (InvalidInputError, InvalidParameterError,
                      InvariantViolationError, NotFreeActionError)
-from .simplicial import (gamma_power, gamma_product, incidence, is_degenerate,
-                         replace_involution)
+from .simplicial import gamma_power, incidence, replace_involution
 from .snf import SparseMat, smith_normal_form
 
 COEFFICIENTS = ("Zminus", "Zplus", "ZZ2")
@@ -256,27 +258,6 @@ def cohomology(deltas, d):
     return _Coboundaries(deltas).cohomology(d)
 
 
-def ordinary_cochain_complex(x, max_dim):
-    """Integer coboundaries on all non-degenerate cells (no group action).
-
-    Returns the coboundaries and, per degree, the cells that index them: the
-    position tuples of x in their stored order, that of their vertex tuples.
-    """
-    cells = [x.position_cells(d) for d in range(max_dim + 1)]
-    index = [{c: i for i, c in enumerate(cs)} for cs in cells]
-    deltas = [SparseMat(len(cells[d]), len(cells[d - 1]), incidence(cells[d], index[d - 1]))
-              for d in range(1, max_dim + 1)]
-    return deltas, cells
-
-
-def ordinary_cohomology(x, d, max_dim=None):
-    """Integer cohomology of the cell complex underlying a simplicial set."""
-    if max_dim is None:
-        max_dim = x.dimension()
-    deltas, _ = ordinary_cochain_complex(x, max_dim)
-    return cohomology(deltas, d)
-
-
 def equivariant_complex(x, max_dim):
     return EquivariantChainComplex.from_simplicial_set(x, max_dim)
 
@@ -309,24 +290,6 @@ def expected_bredon(n, d):
     return elementary_two_group(comb(n - 1, d - 1)) if d >= 1 else CohomologyGroup(0, ())
 
 
-def quotient_by_first_shift(L, n):
-    """The quotient of gamma(L)^n by the first-coordinate half shift.
-
-    Identifying v with v + L/2 in the first factor halves that circle, so the
-    quotient is gamma(L/2) x gamma(L)^(n-1); the projection reduces the first
-    coordinate mod L/2.
-    """
-    if L % 8:
-        raise InvalidParameterError("the quotient circle needs L/2 divisible by 4")
-    half = L // 2
-    quotient = gamma_product((half,) + (L,) * (n - 1))
-
-    def project(v):
-        return (v[0] % half,) + v[1:]
-
-    return quotient, project
-
-
 def _mapping_cone(deltas_q, pullbacks, deltas_x):
     """Coboundaries of the mapping cone of a cochain map P: C(Q) -> C(X).
 
@@ -357,41 +320,26 @@ def _mapping_cone(deltas_q, pullbacks, deltas_x):
 def _quotient_complexes(n, L):
     """The coboundaries of gamma(L)^n, of its quotient by the first-coordinate
     half shift, and of the mapping cone of the pullback P between them, as
-    ``_Coboundaries`` (X, Q, Cone), after the checks that do not depend on a
-    degree: the shift is free, the projection keeps every cell and hits
-    exactly the quotient cells, and P is a cochain map.  The cone's list
-    composes to zero exactly when delta_Q and delta_X do and delta_X P =
-    P delta_Q, so making its ``_Coboundaries`` is the cochain-map check.
-    Cached per (n, L), so the degrees of one quotient check share their
-    Smith forms.
+    ``_Coboundaries`` (X, Q, Cone), all read off one orbit complex.
+
+    The shift is free, so the cochains of the quotient are the orbit complex
+    with trivial coefficients and those of the torus are the same complex
+    with group-ring coefficients (Brown, Cohomology of Groups, III.2): Zplus
+    gives C(Q) with one cochain per orbit, ZZ2 gives C(X) in the basis
+    (representative, mate), and P_k sends orbit i to rows 2i and 2i + 1.
+    The cone's list composes to zero exactly when delta_Q and delta_X do and
+    delta_X P = P delta_Q, so making its ``_Coboundaries`` is the cochain-map
+    check.  Cached per (n, L), so the degrees of one quotient check share
+    their Smith forms.
     """
     x = gamma_power(L, n)
     x_first = replace_involution(x, {v: ((v[0] + L // 2) % L,) + v[1:]
                                      for v in x.vertices})
-    if not x_first.has_free_involution():
-        raise InvariantViolationError("first-coordinate shift is not free")
-
-    quotient, project = quotient_by_first_shift(L, n)
-    # the projection on positions; a vertex off the quotient maps to None
-    qposition = quotient.position
-    pmap = [qposition.get(project(v)) for v in x.vertices].__getitem__
-
-    deltas_x, cells_x = ordinary_cochain_complex(x, n)
-    deltas_q, cells_q = ordinary_cochain_complex(quotient, n)
-
-    # pullback cochain matrices P_k: rows X-cells, columns quotient cells.
-    # Each X-cell is projected once, and the images must be exactly the
-    # quotient cells before any of them is looked up.
-    pullbacks = []
-    for k in range(n + 1):
-        images = [tuple(map(pmap, cell)) for cell in cells_x[k]]
-        if any(map(is_degenerate, images)):
-            raise InvariantViolationError("projection degenerates a cell")
-        qindex = dict(zip(cells_q[k], count()))
-        if qindex.keys() != set(images):
-            raise InvariantViolationError(f"quotient cells mismatch in dimension {k}")
-        pullbacks.append(SparseMat(len(images), len(qindex),
-                                   [{qindex[img]: 1} for img in images]))
+    cx = equivariant_complex(x_first, n)
+    pullbacks = [SparseMat(2 * m, m, [{i: 1} for i in range(m) for _ in (0, 1)])
+                 for m in map(cx.rank, range(n + 1))]
+    deltas_x, deltas_q = specialize(cx, "ZZ2"), specialize(cx, "Zplus")
+    del cx  # as large as C(Q); dropped before the cone copies C(X) and C(Q)
     return (_Coboundaries(deltas_x), _Coboundaries(deltas_q),
             _Coboundaries(_mapping_cone(deltas_q, pullbacks, deltas_x)))
 
@@ -399,15 +347,17 @@ def _quotient_complexes(n, L):
 def quotient_pstar_check(n, L, d):
     """Verify the pullback along the torus double cover in degree d.
 
-    Rebuilds the action as a shift of the first coordinate only, forms the
-    quotient complex and the cochain map P induced by the projection
-    (``_quotient_complexes``, once per (n, L)), and checks that H^d of both
-    is free of rank C(n, d).  The cohomology of the mapping cone of P then
-    gives p* on H^d: finite cone groups in degrees d - 1 and d mean that p*
-    is injective with cokernel H^d(Cone), which must be elementary abelian
-    of rank C(n-1, d-1), the invariant factors of p* being C(n-1, d-1) twos
-    and C(n-1, d) ones.  Cross-checks the cokernel against the directly
-    computed equivariant cohomology.
+    Rebuilds the action as a shift of the first coordinate only, takes its
+    orbit complex with trivial and with group-ring coefficients for the
+    quotient and the torus, and the cochain map P induced by the projection
+    (``_quotient_complexes``, once per (n, L)); any L that ``gamma`` accepts
+    will do, since the quotient is never built as a simplicial set.  Checks
+    that H^d of both is free of rank C(n, d).  The cohomology of the mapping
+    cone of P then gives p* on H^d: finite cone groups in degrees d - 1 and
+    d mean that p* is injective with cokernel H^d(Cone), which must be
+    elementary abelian of rank C(n-1, d-1), the invariant factors of p*
+    being C(n-1, d-1) twos and C(n-1, d) ones.  Cross-checks the cokernel
+    against the directly computed equivariant cohomology.
     """
     if not 1 <= d <= n:
         raise InvalidParameterError("need 1 <= d <= n")

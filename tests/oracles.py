@@ -10,10 +10,14 @@ minor map, GF(2) elimination against every basis row) are kept here too,
 built from the slower public pieces.  So is the dense Smith form with
 transforms, with the kernels, solvers and lattice quotients built on it,
 which computed the map induced on cohomology by the quotient projection
-before the mapping cone did, and the orbit complex with
-its entries a + b*nu kept as pairs in one dict, before it became two sparse
-matrices.  The tuple-based validation of a simplicial set, one cell at a
-time, is the reference for the column check the library runs on positions.
+before the mapping cone did.  The ordinary cochain complex of a simplicial
+set and the quotient torus ``gamma(L/2) x gamma(L)^(n-1)`` with its
+projection, which that map was induced by, are the reference for the
+quotient check that reads both complexes off one orbit complex.  The orbit
+complex with its entries a + b*nu kept as pairs in one dict, before it
+became two sparse matrices, is kept too.  The tuple-based validation of a
+simplicial set, one cell at a time, is the reference for the column check
+the library runs on positions.
 The homomorphism search with its arc consistency testing value pairs against
 the edge set, over value lists, is the reference for the pruning on value
 bitmasks, and the arity survey on colour dicts, enumerating every arity up
@@ -51,7 +55,7 @@ import math
 import random
 from itertools import combinations, groupby, product
 
-from equihom import __version__
+from equihom import __version__, zz2
 from equihom.degrees import deg_vector, sigma_minor, torus_complex
 from equihom.errors import (AlternatingSimplexError, InternalError,
                             InvalidInputError, InvalidParameterError,
@@ -60,11 +64,11 @@ from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, Multihom, hom_complex, mu_prime
 from equihom.simplicial import (BLUE, YELLOW, colour_values, faces, gamma_power,
-                                gamma_product, is_degenerate, map_from_colouring)
+                                gamma_product, incidence, is_degenerate,
+                                map_from_colouring)
 from equihom.slices import swap_fraction
 from equihom.snf import SparseMat, smith_normal_form
-from equihom.zz2 import (CohomologyGroup, bredon_torus, expected_bredon,
-                         ordinary_cochain_complex, quotient_by_first_shift)
+from equihom.zz2 import CohomologyGroup, bredon_torus, cohomology, expected_bredon
 
 
 def cycle_hom_count(ell, k):
@@ -993,6 +997,64 @@ class QuotientPresentation:
         pos = self.free_positions[j]
         x = self._s_solver.solve([int(i == pos) for i in range(k)])
         return [sum(self.kernel[i][c] * x[i] for i in range(k)) for c in range(self.dim)]
+
+
+def ordinary_cochain_complex(x, max_dim):
+    """Integer coboundaries on all non-degenerate cells (no group action).
+
+    Returns the coboundaries and, per degree, the cells that index them: the
+    position tuples of x in their stored order, that of their vertex tuples.
+    """
+    cells = [x.position_cells(d) for d in range(max_dim + 1)]
+    index = [{c: i for i, c in enumerate(cs)} for cs in cells]
+    deltas = [SparseMat(len(cells[d]), len(cells[d - 1]), incidence(cells[d], index[d - 1]))
+              for d in range(1, max_dim + 1)]
+    return deltas, cells
+
+
+def ordinary_cohomology(x, d, max_dim=None):
+    """Integer cohomology of the cell complex underlying a simplicial set."""
+    if max_dim is None:
+        max_dim = x.dimension()
+    deltas, _ = ordinary_cochain_complex(x, max_dim)
+    return cohomology(deltas, d)
+
+
+def quotient_by_first_shift(L, n):
+    """The quotient of gamma(L)^n by the first-coordinate half shift, as a
+    simplicial set, with its projection.
+
+    Identifying v with v + L/2 in the first factor halves that circle, so the
+    quotient is gamma(L/2) x gamma(L)^(n-1), which needs L/2 divisible by 4;
+    the projection reduces the first coordinate mod L/2.
+    """
+    half = L // 2
+    quotient = gamma_product((half,) + (L,) * (n - 1))
+
+    def project(v):
+        return (v[0] % half,) + v[1:]
+
+    return quotient, project
+
+
+def quotient_complexes_reference(n, L):
+    """``zz2._quotient_complexes`` on the simplicial quotient: the ordinary
+    complexes of gamma(L)^n and of ``quotient_by_first_shift``, and the cone
+    of the pullback along its projection, each X-cell looked up by its
+    projected positions, as ``_Coboundaries`` (X, Q, Cone)."""
+    x = gamma_power(L, n)
+    quotient, project = quotient_by_first_shift(L, n)
+    deltas_x, cells_x = ordinary_cochain_complex(x, n)
+    deltas_q, cells_q = ordinary_cochain_complex(quotient, n)
+    pmap = [quotient.position[project(v)] for v in x.vertices]
+    pullbacks = []
+    for k in range(n + 1):
+        qindex = {c: i for i, c in enumerate(cells_q[k])}
+        images = [qindex[tuple(pmap[p] for p in cell)] for cell in cells_x[k]]
+        assert sorted(images) == sorted(2 * list(range(len(qindex))))
+        pullbacks.append(SparseMat(len(images), len(qindex), [{i: 1} for i in images]))
+    cone = zz2._mapping_cone(deltas_q, pullbacks, deltas_x)
+    return tuple(map(zz2._Coboundaries, (deltas_x, deltas_q, cone)))
 
 
 def quotient_pstar_reference(n, L, d):

@@ -110,10 +110,18 @@ PHI_RECORD = {"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, 2]}
     dict(PHI_RECORD, values=[7, 1, 2]),
     dict(PHI_RECORD, values=["a", 1, 2]),
     dict(PHI_RECORD, arity=10000),
+    dict(PHI_RECORD, codomain=2000),
+    dict(PHI_RECORD, domain_base=2000001),
 ], ids=["missing-domain-base", "list-line", "string-arity", "null-codomain",
         "non-list-values", "float-value", "bool-value", "out-of-range-value",
-        "string-value", "huge-arity"])
+        "string-value", "huge-arity", "huge-codomain", "huge-domain-base"])
 def test_phi_malformed_record_is_a_usage_error(tmp_path, monkeypatch, capsys, record):
+    # every record is checked before the first one's graphs are built, so an
+    # oversized record costs neither time nor memory
+    def no_graphs(obj):
+        raise AssertionError(f"graphs built for {obj}")
+
+    monkeypatch.setattr(cli, "hom_from_json", no_graphs)
     monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
     polys = tmp_path / "polys.jsonl"
     polys.write_text(json.dumps(PHI_RECORD) + "\n" + json.dumps(record) + "\n")

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from equihom import simplicial, zz2
@@ -10,11 +12,11 @@ from equihom.simplicial import (SimplicialSet, gamma, gamma_power, gamma_product
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import (CohomologyGroup, EquivariantChainComplex, bredon_torus,
                          cohomology, equivariant_complex, expected_bredon,
-                         ordinary_cochain_complex, ordinary_cohomology,
-                         quotient_by_first_shift, quotient_pstar_check,
-                         specialize)
+                         quotient_pstar_check, specialize)
 
 from oracles import (ModTwoChain, boundary, orbit_complex_reference, orbit_pairs_reference,
+                     ordinary_cochain_complex, ordinary_cohomology,
+                     quotient_by_first_shift, quotient_complexes_reference,
                      quotient_pstar_reference, signed_boundary_rows,
                      specialize_reference)
 
@@ -234,6 +236,8 @@ def test_quotient_construction_oracle():
         assert q.position_cells(d) == g4.position_cells(d)
     assert [proj(v) for v in gamma_power(8, 1).vertices] == [
         (v % 4,) for v in g8.vertices]
+    # a simplicial circle needs a length divisible by 4, so this model of the
+    # quotient stops at L = 8; the orbit complex has no such bound
     with pytest.raises(InvalidParameterError):
         quotient_by_first_shift(4, 1)
 
@@ -249,22 +253,22 @@ def test_quotient_pstar_check_n2():
 
 
 def test_quotient_check_builds_and_checks_each_torus_once(monkeypatch):
-    # both cochain complexes, the pullbacks and every dd = 0 check, that of
-    # the cone being the cochain-map check, run at the first degree, and no
-    # check multiplies matrices; the second degree only reads cohomology, and
-    # its record is the one a fresh build gives
+    # one orbit complex per (n, L), its specialisations, the pullbacks and
+    # every dd = 0 check, that of the cone being the cochain-map check, run at
+    # the first degree, and no check multiplies matrices; the second degree
+    # only reads cohomology, and both records are those of the dense reference
     zz2._quotient_complexes.cache_clear()
-    zz2._torus_coboundaries.cache_clear()
+    bredon_torus(2, 8, 1)  # the diagonal torus of the cross-check, built apart
     built, products = [], []
-    real_complex, real_matmul = zz2.ordinary_cochain_complex, SparseMat.matmul
-    monkeypatch.setattr(zz2, "ordinary_cochain_complex",
+    real_complex, real_matmul = zz2.equivariant_complex, SparseMat.matmul
+    monkeypatch.setattr(zz2, "equivariant_complex",
                         lambda x, top: built.append(x) or real_complex(x, top))
     monkeypatch.setattr(SparseMat, "matmul",
                         lambda a, b: products.append(a) or real_matmul(a, b))
     first = quotient_pstar_check(2, 8, 1)
-    assert len(built) == 2 and products == []
+    assert len(built) == 1 and products == []
     second = quotient_pstar_check(2, 8, 2)
-    assert len(built) == 2 and products == []
+    assert len(built) == 1 and products == []
     assert (first, second) == (quotient_pstar_reference(2, 8, 1),
                                quotient_pstar_reference(2, 8, 2))
 
@@ -272,6 +276,32 @@ def test_quotient_check_builds_and_checks_each_torus_once(monkeypatch):
 @pytest.mark.parametrize("n, L, d", [(1, 8, 1), (1, 16, 1), (2, 8, 1), (2, 8, 2)])
 def test_quotient_pstar_cone_matches_dense_reference(n, L, d):
     assert quotient_pstar_check(n, L, d) == quotient_pstar_reference(n, L, d)
+
+
+def test_quotient_complexes_match_the_simplicial_quotient_at_n3(monkeypatch):
+    """At (3, 8), where the dense reference is out of reach, the torus, the
+    quotient and the cone read off the orbit complex have the cohomology of
+    those built on gamma(4) x gamma(8)^2 and its projection in every degree,
+    and every record is the one the simplicial complexes give."""
+    zz2._quotient_complexes.cache_clear()
+    records = [quotient_pstar_check(3, 8, d) for d in (1, 2, 3)]
+    ours, theirs = zz2._quotient_complexes(3, 8), quotient_complexes_reference(3, 8)
+    for mine, reference in zip(ours, theirs):
+        assert [mine.cohomology(e) for e in range(len(mine.deltas) + 1)] == \
+            [reference.cohomology(e) for e in range(len(reference.deltas) + 1)]
+    zz2._quotient_complexes.cache_clear()
+    monkeypatch.setattr(zz2, "_quotient_complexes", lambda n, L: theirs)
+    assert records == [quotient_pstar_check(3, 8, d) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3, 4) for d in range(1, n + 1)])
+def test_quotient_pstar_check_at_l4(n, d):
+    """L = 4 halves to a quotient circle of two vertices, which no simplicial
+    gamma models; the orbit complex is its cellular complex all the same."""
+    rec = quotient_pstar_check(n, 4, d)
+    assert rec["matches_expected"] and rec["pstar_injective"]
+    assert rec["pstar_invariant_factors"] == rec["expected_invariant_factors"]
+    assert rec["cokernel"] == {"free_rank": 0, "torsion": [2] * comb(n - 1, d - 1)}
 
 
 def test_quotient_pstar_cone_at_l16():
@@ -292,20 +322,27 @@ def test_quotient_pstar_failure_reports_cone_groups(monkeypatch):
     assert "induced_matrix" not in message
 
 
-# projections onto the vertices of gamma(4) x gamma(8): one merges the ends of
-# the edge from (4, 0) to (5, 0), the other sends it to the reversed edge from
-# (1, 0) to (0, 0); either is named before a pullback lookup
-@pytest.mark.parametrize("project, message", [
-    (lambda v: ((v[0] - (v[0] == 5)) % 4, v[1]), "projection degenerates a cell"),
-    (lambda v: (v[0] % 4 ^ v[0] // 4, v[1]), "quotient cells mismatch in dimension 1"),
-], ids=["degenerate", "mismatch"])
-def test_quotient_pstar_rejects_a_bad_projection(project, message, monkeypatch):
+@pytest.mark.parametrize("corrupt", [
+    lambda row: {i: -v for i, v in row.items()},
+    lambda row: {i + 1: v for i, v in row.items()},
+], ids=["sign-flip", "mate-to-another-orbit"])
+def test_quotient_pstar_rejects_a_bad_pullback(corrupt, monkeypatch):
+    """A pullback with one corrupted entry in any degree k, the mate of orbit
+    0 sent with the wrong sign or to orbit 1, is no cochain map, and the
+    cone's dd = 0 check refuses it, naming a coboundary P_k enters."""
+    real_cone = zz2._mapping_cone
+    for k in range(3):
+        def bad_cone(deltas_q, pullbacks, deltas_x, k=k):
+            pullbacks[k].rows[1] = corrupt(pullbacks[k].rows[1])
+            return real_cone(deltas_q, pullbacks, deltas_x)
+
+        zz2._quotient_complexes.cache_clear()
+        monkeypatch.setattr(zz2, "_mapping_cone", bad_cone)
+        with pytest.raises(InvariantViolationError) as info:
+            quotient_pstar_check(2, 8, 1)
+        assert str(info.value).endswith(
+            (f"delta_{k} delta_{k - 1} != 0", f"delta_{k + 1} delta_{k} != 0")), k
     zz2._quotient_complexes.cache_clear()
-    monkeypatch.setattr(zz2, "quotient_by_first_shift",
-                        lambda L, n: (gamma_product((4, 8)), project))
-    with pytest.raises(InvariantViolationError) as info:
-        quotient_pstar_check(2, 8, 1)
-    assert str(info.value) == message
 
 
 def test_dd_zero_is_verified():
