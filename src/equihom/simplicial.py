@@ -57,13 +57,12 @@ def incidence(cells, index):
 
     ``cells`` lists stored d-cells (d >= 1) as position tuples, and ``index``
     maps each non-degenerate face, one to one, to its label in the chosen
-    basis: a position, or an orbit k, written ~k for the mate.  The cells
-    become d + 1 columns of positions, and face i, with sign (-1)^i, zips
-    every column but the i-th and is looked up in one pass.  A stored cell
-    is non-degenerate, so face i is degenerate exactly where columns i - 1
-    and i + 1 agree; those faces are dropped.  A face missing from ``index``
-    raises KeyError naming the first one a cell-by-cell scan meets.  The one
-    boundary builder behind GF(2), Z and Z[Z_2] chains.
+    basis.  The cells become d + 1 columns of positions, and face i, with
+    sign (-1)^i, zips every column but the i-th and is looked up in one
+    pass.  A stored cell is non-degenerate, so face i is degenerate exactly
+    where columns i - 1 and i + 1 agree; those faces are dropped.  A face
+    missing from ``index`` raises KeyError naming the first one a
+    cell-by-cell scan meets.  The boundary builder of the mod-2 homology.
     """
     if not cells:
         return []
@@ -515,14 +514,6 @@ def gamma_power(L, n):
     _check_side(L)  # a side of at least 4 passes the limit within a dozen factors
     _check_vertex_count(repeat(L, n), f"gamma({L})^{n}")
     return gamma_product((L,) * n)
-
-
-def replace_involution(x, mapping):
-    """Copy of x with a different involution (validated)."""
-    y = SimplicialSet.__new__(SimplicialSet)
-    y._store(x.vertices, {d: x.position_cells(d) for d in range(x.cap + 1)}, x.cap,
-             _antipode(mapping, x.position))
-    return y
 
 
 class SimplicialMap:

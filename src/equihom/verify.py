@@ -16,8 +16,8 @@ from .homcomplexes import (CyclePipeline, canonical_cycle_iso, default_cache_dir
                            hom_complex, multihoms, mu_prime, search_t_colouring)
 from .degrees import (TorusComplex, deg_vector, find_colour_swapping_edge,
                       monomial_colouring, phi, torus_complex, winding_colouring)
-from .simplicial import (equivariant_colourings, gamma_power, gamma_product,
-                         map_from_colouring, mod2_homology_ranks)
+from .simplicial import (equivariant_colourings, gamma_power, map_from_colouring,
+                         mod2_homology_ranks)
 from .slices import arity_experiment, swap_fraction, zeta0
 from .zz2 import bredon_torus, expected_bredon, quotient_pstar_check
 
@@ -144,53 +144,39 @@ def _check_generalized_diagonals(seed):
     return True, f"{count} diagonals pass edge, antipodality and height checks"
 
 
-def _bredon_table_mismatch(arities, lengths=(4, 8)):
-    """The first (n, L, d) with L in ``lengths`` where the Bredon group is not
-    Z2^C(n-1,d-1), as a failing detail, or None.
-
-    The torus and coboundary caches are emptied when the table ends, so the
-    cells and Smith forms of one table do not stay alive through the next.
-    """
-    try:
-        for n in arities:
-            for L in lengths:
-                for d in range(1, n + 1):
-                    got = bredon_torus(n, L, d)
-                    if got != expected_bredon(n, d):
-                        return f"mismatch at n={n}, L={L}, d={d}: {got}"
-        return None
-    finally:
-        bredon_torus.cache_clear()
-        gamma_product.cache_clear()
-
-
-def _check_bredon_table(seed):
-    mismatch = _bredon_table_mismatch((1, 2, 3))
-    if mismatch:
-        return False, mismatch
-    return True, "Z2^C(n-1,d-1) for all 1 <= d <= n <= 3, L in {4,8}"
+def _bredon_table(arities, lengths, detail):
+    """A check that the Bredon group is Z2^C(n-1,d-1) for n in ``arities``,
+    L in ``lengths`` and 1 <= d <= n, failing on the first (n, L, d) where
+    it is not.  The coboundary cache is emptied when the table ends, so the
+    Smith forms of one table do not stay alive through the next."""
+    def check(seed):
+        try:
+            for n in arities:
+                for L in lengths:
+                    for d in range(1, n + 1):
+                        got = bredon_torus(n, L, d)
+                        if got != expected_bredon(n, d):
+                            return False, f"mismatch at n={n}, L={L}, d={d}: {got}"
+            return True, detail
+        finally:
+            bredon_torus.cache_clear()
+    return check
 
 
-def _check_bredon_table_n4(seed):
-    mismatch = _bredon_table_mismatch((4,))
-    if mismatch:
-        return False, mismatch
-    return True, "Z2^C(3,d-1) for all 1 <= d <= 4 at n = 4, L in {4,8}"
-
-
-def _check_bredon_table_n5(seed):
-    mismatch = _bredon_table_mismatch((5,), (4,))
-    if mismatch:
-        return False, mismatch
-    return True, "Z2^C(4,d-1) for all 1 <= d <= 5 at n = 5, L = 4"
-
-
-def _check_quotient_projection(seed):
-    for d in (1, 2):
-        rec = quotient_pstar_check(2, 8, d)
-        if not rec["matches_expected"]:
-            return False, f"projection check failed at d={d}"
-    return True, "pullback injective with Z2^C(n-1,d-1) cokernel at n=2"
+def _quotient_projection(n, L, degrees, detail):
+    """A check of the pullback along the double cover at (n, L) in each of
+    ``degrees``, failing on the first that does not match; the quotient and
+    coboundary caches are emptied when the degrees end."""
+    def check(seed):
+        try:
+            for d in degrees:
+                if not quotient_pstar_check(n, L, d)["matches_expected"]:
+                    return False, f"projection check failed at d={d}"
+            return True, detail
+        finally:
+            quotient_pstar_check.cache_clear()
+            bredon_torus.cache_clear()
+    return check
 
 
 def _check_odd_vector_count(seed):
@@ -225,16 +211,28 @@ CHECKS = (
     ("degrees", "minion-minor-compatibility", _check_minion_compatibility),
     ("degrees", "lax-minor-inequality", _check_lax_inequality),
     ("slices", "generalized-diagonal-invariants", _check_generalized_diagonals),
-    ("bredon", "equivariant-torus-table", _check_bredon_table),
-    ("bredon", "quotient-projection-check", _check_quotient_projection),
+    ("bredon", "equivariant-torus-table", _bredon_table(
+        (1, 2, 3), (4, 8), "Z2^C(n-1,d-1) for all 1 <= d <= n <= 3, L in {4,8}")),
+    ("bredon", "quotient-projection-check", _quotient_projection(
+        2, 8, (1, 2), "pullback injective with Z2^C(n-1,d-1) cokernel at n=2")),
     ("bredon", "odd-vector-count", _check_odd_vector_count),
     ("slices", "chain-alternation-ceiling", _check_alternation_ceiling),
-    ("bredon-large", "equivariant-torus-table-n4", _check_bredon_table_n4),
-    ("bredon-large", "equivariant-torus-table-n5", _check_bredon_table_n5),
+    ("bredon-large", "equivariant-torus-table-n4", _bredon_table(
+        (4,), (4, 8), "Z2^C(3,d-1) for all 1 <= d <= 4 at n = 4, L in {4,8}")),
+    ("bredon-large", "equivariant-torus-table-n5", _bredon_table(
+        (5,), (4,), "Z2^C(4,d-1) for all 1 <= d <= 5 at n = 5, L = 4")),
+    ("bredon-large", "equivariant-torus-table-n6", _bredon_table(
+        (6,), (4,), "Z2^C(5,d-1) for all 1 <= d <= 6 at n = 6, L = 4")),
+    ("bredon-large", "quotient-projection-check-n4", _quotient_projection(
+        4, 8, range(1, 5), "pullback injective with Z2^C(3,d-1) cokernel, 1 <= d <= 4, "
+                           "n = 4, L = 8")),
+    ("bredon-large", "quotient-projection-check-n5", _quotient_projection(
+        5, 4, range(1, 6), "pullback injective with Z2^C(4,d-1) cokernel, 1 <= d <= 5, "
+                           "n = 5, L = 4")),
 )
 
-# suites too slow for "all": the n = 4 and (n, L) = (5, 4) tables take about
-# 20 s together
+# suites too slow for "all": bredon-large takes about 4 s, most of it the
+# (n, L) = (6, 4) table and the quotient checks at (4, 8) and (5, 4)
 NOT_IN_ALL = frozenset({"bredon-large"})
 
 # the --suite choices: each suite in order of first appearance, then all

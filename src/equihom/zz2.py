@@ -1,25 +1,24 @@
 """Chain complexes of free Z[Z2]-modules, specialization, and torus cohomology.
 
-A free simplicial involution makes the cellular chain complex a complex of
-free modules over the group ring Z[Z2] = Z[nu]/(nu^2 - 1), with one generator
-per cell orbit.  The representative of an orbit is the cell whose first
-vertex precedes that vertex's mate.  The orbit boundary comes from the
-shared columnar incidence builder of ``simplicial``: each face of a
-representative is labelled k when it is the representative of orbit k and
-~k when it is the mate, so the sign of the face lands in A or in B of the
-coboundary A + B*nu, a pair of integer SparseMats.  Mapping equivariantly
-into a coefficient module turns the pair into one integer coboundary matrix:
-the sign representation gives A - B, the trivial one A + B, and the group
-ring itself the 2x2 blocks [[a, b], [b, a]] of each entry a + b*nu.  Smith
-normal forms of those matrices give the Bredon cohomology groups; for the
-n-torus with the diagonal action and sign coefficients the answer in degree
-d is an elementary abelian 2-group of rank C(n-1, d-1).  The
-quotient-projection check reproduces it as the cokernel of the pullback
-along the double cover, read off the cohomology of the mapping cone of the
-pullback with the same sparse Smith form.  It builds no quotient: under the
-first-coordinate half shift the trivial coefficients give the cochains of
-the quotient and the group ring those of the torus, both from one orbit
-complex, and the pullback sends each orbit to its two cells.
+A free cellular involution makes the cellular chain complex a complex of free
+modules over the group ring Z[Z2] = Z[nu]/(nu^2 - 1), with one generator per
+cell orbit.  Bredon cohomology of a free Z2-CW complex does not depend on the
+cell structure (Eilenberg and Zilber, Amer. J. Math. 1953), so the torus
+gamma(L)^n is read off the cubical torus C(L)^n.  The sign of each face of an
+orbit representative lands in A or in B of the coboundary A + B*nu, a pair
+of integer SparseMats, as the face is a representative or a mate.  Mapping
+equivariantly into a coefficient module turns the pair into one integer
+coboundary matrix: the sign representation gives A - B, the trivial one
+A + B, and the group ring itself the 2x2 blocks [[a, b], [b, a]] of each
+entry a + b*nu.  Smith normal forms of those matrices give the Bredon
+cohomology groups; for the n-torus with the diagonal action and sign
+coefficients the answer in degree d is an elementary abelian 2-group of rank
+C(n-1, d-1).  The quotient-projection check reproduces it as the cokernel of
+the pullback along the double cover, read off the cohomology of the mapping
+cone of the pullback with the same sparse Smith form.  It builds no quotient:
+under the first-coordinate half shift the trivial coefficients give the
+cochains of the quotient and the group ring those of the torus, both from
+one orbit complex, and the pullback sends each orbit to its two cells.
 
 The coboundaries of a complex are reduced from the top down, and each one is
 cleared first: the rows of delta_k that are unit pivot columns of
@@ -34,13 +33,13 @@ becomes a ``_Coboundaries``.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count
+from itertools import count, product
 from math import comb
-from operator import invert, itemgetter, not_
+from operator import getitem, invert
 
-from .errors import (InvalidInputError, InvalidParameterError,
+from .errors import (CapacityExceededError, InvalidInputError, InvalidParameterError,
                      InvariantViolationError, NotFreeActionError)
-from .simplicial import gamma_power, incidence, replace_involution
+from .simplicial import CELL_LIMIT, _check_side
 from .snf import SparseMat, smith_normal_form
 
 COEFFICIENTS = ("Zminus", "Zplus", "ZZ2")
@@ -49,11 +48,10 @@ COEFFICIENTS = ("Zminus", "Zplus", "ZZ2")
 class EquivariantChainComplex:
     """The orbit complex: representatives per degree and coboundaries A + B*nu.
 
-    ``reps[d]`` lists one d-cell per orbit, the smaller of the cell and its
-    mate in the order of vertex tuples, as a tuple of vertex positions of the
-    simplicial set.  ``coboundaries[d - 1]`` is the pair (A, B) of SparseMats
-    whose row j lists the faces of ``reps[d][j]`` by their orbit in
-    ``reps[d - 1]``: the sign of a face goes to A when the face is the
+    ``reps[d]`` lists one d-cell per orbit, the lesser of the cell and its
+    mate, as a tuple.  ``coboundaries[d - 1]`` is the pair (A, B) of
+    SparseMats whose row j lists the faces of ``reps[d][j]`` by their orbit
+    in ``reps[d - 1]``: the sign of a face goes to A when the face is the
     representative and to B when it is the mate.
     """
 
@@ -61,57 +59,8 @@ class EquivariantChainComplex:
         self.reps = reps
         self.coboundaries = coboundaries
 
-    @classmethod
-    def from_simplicial_set(cls, x, max_dim):
-        """The orbit complex of x up to ``max_dim``, one degree at a time.
-
-        No vertex may be fixed, which makes the involution free on every
-        cell; the first fixed vertex in sorted order is reported as a fixed
-        0-cell.  A cell then precedes its mate, in the order of vertex
-        tuples, exactly when its first vertex precedes that vertex's mate,
-        so the representatives are read off the first position column.
-        The orbit index of the d-cells labels representative k as k and its
-        mate as ~k, and lives only while the (d + 1)-cells are built; the
-        mate entries of each boundary row go to B.
-        """
-        if x.antipode is None:
-            raise InvalidParameterError("an involution is required")
-        if max_dim > x.cap:
-            raise InvalidParameterError("max_dim exceeds the stored dimension cap")
-        antipode, vertices = x.antipode, x.vertices
-        fixed = [c for c in x.position_cells(0) if antipode[c[0]] == c[0]]
-        if fixed:
-            raise NotFreeActionError(f"cell {x.labels(fixed[0])} is fixed by the involution")
-        leads = [vertices[k] < vertices[j] for k, j in enumerate(antipode)]
-        reps, coboundaries = [], []
-        for d in range(max_dim + 1):
-            cells = x.position_cells(d)
-            first = list(map(leads.__getitem__, map(itemgetter(0), cells)))
-            chosen = list(compress(cells, first))
-            if d:
-                a_rows = incidence(chosen, index)
-                b_rows = list(map(_take_mates, a_rows))
-                coboundaries.append((SparseMat(len(chosen), len(reps[-1]), a_rows),
-                                     SparseMat(len(chosen), len(reps[-1]), b_rows)))
-            reps.append(chosen)
-            if d < max_dim:
-                index = dict(zip(chosen, count()))
-                others = list(compress(cells, map(not_, first)))
-                mates = zip(*(map(antipode.__getitem__, map(itemgetter(k), others))
-                              for k in range(d + 1)))
-                index.update(zip(others, map(invert, map(index.__getitem__, mates))))
-        return cls(reps, coboundaries)
-
     def rank(self, d):
         return len(self.reps[d]) if d < len(self.reps) else 0
-
-
-def _take_mates(row):
-    """Remove the mate entries ~k of an orbit-labelled row, and return them
-    keyed by k."""
-    if min(row, default=0) >= 0:
-        return {}
-    return {~k: row.pop(k) for k in [k for k in row if k < 0]}
 
 
 def _row_sum(r, s, sign=1):
@@ -258,19 +207,76 @@ def cohomology(deltas, d):
     return _Coboundaries(deltas).cohomology(d)
 
 
-def equivariant_complex(x, max_dim):
-    return EquivariantChainComplex.from_simplicial_set(x, max_dim)
+def equivariant_complex(L, n, moved=None):
+    """The orbit complex of the cubical torus C(L)^n under the half shift of
+    the coordinates in ``moved``, all of them by default.
+
+    A circle cell is a code c < 2L: vertex c/2, or the edge leaving
+    (c - 1)/2.  A cell is the n-tuple of its codes, and ``product`` lists
+    each dimension in tuple order.  The mate adds L mod 2L to each moved
+    code, keeping edge directions, and the representative is the lesser
+    tuple of the pair.  A shift that fixes a cell is refused, by count: each
+    dimension must hold twice as many cells as representatives.  The cell
+    limit is read on (2L)^n one factor at a time, so a large n fails at once.
+    """
+    _check_side(L)
+    span, size = 2 * L, 1
+    for _ in range(n):
+        size *= span
+        if size > CELL_LIMIT:
+            raise CapacityExceededError(
+                f"torus C({L})^{n} has more cells than the cell limit {CELL_LIMIT}")
+    shifted = [(c + L) % span for c in range(span)]
+    tables = [shifted if moved is None or i in moved else range(span) for i in range(n)]
+
+    def mate(cell):
+        return tuple(map(getitem, tables, cell))
+
+    by_dim = [[] for _ in range(n + 1)]
+    for cell, d in zip(product(range(span), repeat=n),
+                       map(sum, product((0, 1) * L, repeat=n))):
+        by_dim[d].append(cell)
+    reps, coboundaries = [], []
+    for d, cells in enumerate(by_dim):
+        chosen = [c for c in cells if c < mate(c)]
+        if 2 * len(chosen) != len(cells):
+            raise NotFreeActionError(f"the half shift of C({L})^{n} fixes "
+                                     f"{len(cells) - 2 * len(chosen)} of its {d}-cells")
+        if d:
+            a_rows, b_rows = zip(*(_cube_boundary(c, index, span) for c in chosen))
+            coboundaries.append((SparseMat(len(chosen), len(reps[-1]), list(a_rows)),
+                                 SparseMat(len(chosen), len(reps[-1]), list(b_rows))))
+        reps.append(chosen)
+        index = dict(zip(chosen, count()))
+        index.update(zip(map(mate, chosen), map(invert, count())))
+    return EquivariantChainComplex(reps, coboundaries)
+
+
+def _cube_boundary(cell, index, span):
+    """Rows of A and B for one cell: the Koszul-signed sum of next vertex
+    minus vertex over its edge factors, each face by its orbit in ``index``
+    (k for a representative, ~k for a mate)."""
+    a, b, sign = {}, {}, 1
+    for i, e in enumerate(cell):
+        if e & 1:
+            for code, s in (((e + 1) % span, sign), (e - 1, -sign)):
+                k = index[cell[:i] + (code,) + cell[i + 1:]]
+                if k < 0:
+                    b[~k] = s
+                else:
+                    a[k] = s
+            sign = -sign
+    return a, b
 
 
 @lru_cache(maxsize=32)
 def _torus_coboundaries(n, L, coefficients):
-    x = gamma_power(L, n)
-    cx = equivariant_complex(x, n)
-    return _Coboundaries(tuple(specialize(cx, coefficients)))
+    return _Coboundaries(tuple(specialize(equivariant_complex(L, n), coefficients)))
 
 
 def bredon_torus(n, L, d, coefficients="Zminus"):
-    """Equivariant cohomology of gamma(L)^n with the diagonal involution.
+    """Equivariant cohomology of gamma(L)^n with the diagonal involution,
+    read off the orbit complex of the cubical torus C(L)^n.
 
     With sign coefficients the expected value in degree d >= 1 is an
     elementary abelian 2-group of rank C(n-1, d-1).
@@ -318,9 +324,10 @@ def _mapping_cone(deltas_q, pullbacks, deltas_x):
 
 @lru_cache(maxsize=2)
 def _quotient_complexes(n, L):
-    """The coboundaries of gamma(L)^n, of its quotient by the first-coordinate
-    half shift, and of the mapping cone of the pullback P between them, as
-    ``_Coboundaries`` (X, Q, Cone), all read off one orbit complex.
+    """The coboundaries of the torus C(L)^n, of its quotient by the
+    first-coordinate half shift, and of the mapping cone of the pullback P
+    between them, as ``_Coboundaries`` (X, Q, Cone), all read off one orbit
+    complex.
 
     The shift is free, so the cochains of the quotient are the orbit complex
     with trivial coefficients and those of the torus are the same complex
@@ -332,10 +339,7 @@ def _quotient_complexes(n, L):
     check.  Cached per (n, L), so the degrees of one quotient check share
     their Smith forms.
     """
-    x = gamma_power(L, n)
-    x_first = replace_involution(x, {v: ((v[0] + L // 2) % L,) + v[1:]
-                                     for v in x.vertices})
-    cx = equivariant_complex(x_first, n)
+    cx = equivariant_complex(L, n, moved=(0,))
     pullbacks = [SparseMat(2 * m, m, [{i: 1} for i in range(m) for _ in (0, 1)])
                  for m in map(cx.rank, range(n + 1))]
     deltas_x, deltas_q = specialize(cx, "ZZ2"), specialize(cx, "Zplus")
@@ -347,11 +351,12 @@ def _quotient_complexes(n, L):
 def quotient_pstar_check(n, L, d):
     """Verify the pullback along the torus double cover in degree d.
 
-    Rebuilds the action as a shift of the first coordinate only, takes its
-    orbit complex with trivial and with group-ring coefficients for the
-    quotient and the torus, and the cochain map P induced by the projection
-    (``_quotient_complexes``, once per (n, L)); any L that ``gamma`` accepts
-    will do, since the quotient is never built as a simplicial set.  Checks
+    Takes the orbit complex of the cubical torus C(L)^n under the shift of
+    the first coordinate only, with trivial and with group-ring coefficients
+    for the quotient and the torus, and the cochain map P induced by the
+    projection (``_quotient_complexes``, once per (n, L)); any L that
+    ``gamma`` accepts will do, L = 4 included, whose quotient circle has two
+    vertices and two edges, since the quotient is never built.  Checks
     that H^d of both is free of rank C(n, d).  The cohomology of the mapping
     cone of P then gives p* on H^d: finite cone groups in degrees d - 1 and
     d mean that p* is injective with cokernel H^d(Cone), which must be
@@ -399,3 +404,7 @@ def quotient_pstar_check(n, L, d):
                           for e, g in ((d - 1, below), (d, cokernel))}
         raise InvariantViolationError(f"quotient projection check failed: {record}")
     return record
+
+
+# the orbit complex cache behind quotient_pstar_check
+quotient_pstar_check.cache_clear = _quotient_complexes.cache_clear

@@ -35,9 +35,12 @@ checked on mod-2 chains and paired by middles (``band_reference``), are
 the reference for the plane ``TorusComplex`` writes down by arithmetic.
 ``iota``, sorting the encoded product of the sides, is the reference for
 the side table summed from per-coordinate terms.  The boundary rows built
-one cell and one face at a time, and the orbit complex that picks each
-representative by comparing the cell with its mate and adds its faces to A
-and B entry by entry, are the references for the columnar builder.  The
+one cell and one face at a time are the reference for the columnar builder,
+and the orbit complex that picks each representative by comparing the cell
+with its mate and adds its faces to A and B entry by entry is the simplicial
+model of the torus behind the Bredon groups; the same walk over the code
+tuples of the cubical torus, with faces from the product rule, is the
+reference for the builder of the cubical orbit complex.  The
 strict chains of each poset, extended one element above at a time, and the
 two-vertex sphere's tuples that change colour at every step are the
 references for the cells a simplicial set stores.  ``phi`` with its scans of
@@ -756,6 +759,58 @@ def orbit_complex_reference(x, max_dim):
                     mat.pop((row, j), None)
         boundaries.append(mat)
     return reps, boundaries
+
+
+def cube_orbit_reference(L, n, moved=None):
+    """Orbit representatives and coboundaries (A, B) of the cubical torus
+    C(L)^n under the half shift of the coordinates in ``moved`` (all by
+    default), a cell at a time.
+
+    Sorts every code tuple by dimension and then as a tuple, chooses a cell
+    unless its mate came first, raising NotFreeActionError on a fixed cell,
+    and adds each face of each representative to A or B entry by entry.  The
+    faces come from the product rule d(a x b) = da x b + (-1)^|a| a x db,
+    applied one factor at a time, over the circle's d(edge from i) =
+    (i + 1) - i.
+    """
+    span = 2 * L
+    moved = range(n) if moved is None else moved
+
+    def mate(cell):
+        return tuple((c + L) % span if i in moved else c for i, c in enumerate(cell))
+
+    def boundary(cell):
+        if not cell:
+            return []
+        head, tail = cell[0], cell[1:]
+        out = [((f,) + tail, s) for f, s in
+               ([((head + 1) % span, 1), (head - 1, -1)] if head % 2 else [])]
+        sign = -1 if head % 2 else 1
+        return out + [((head,) + f, sign * s) for f, s in boundary(tail)]
+
+    def dimension(cell):
+        return sum(c % 2 for c in cell)
+
+    reps, index = [[] for _ in range(n + 1)], [{} for _ in range(n + 1)]
+    for c in sorted(product(range(span), repeat=n), key=lambda c: (dimension(c), c)):
+        chosen, lookup = reps[dimension(c)], index[dimension(c)]
+        if c in lookup:
+            continue
+        if mate(c) == c:
+            raise NotFreeActionError(f"cell {c} is fixed by the half shift")
+        lookup[c] = (len(chosen), 0)
+        lookup[mate(c)] = (len(chosen), 1)
+        chosen.append(c)
+    coboundaries = []
+    for d in range(1, n + 1):
+        a = SparseMat(len(reps[d]), len(reps[d - 1]))
+        b = SparseMat(a.nrows, a.ncols)
+        for j, cell in enumerate(reps[d]):
+            for face, sign in boundary(cell):
+                i, is_mate = index[d - 1][face]
+                (b if is_mate else a).add_at(j, i, sign)
+        coboundaries.append((a, b))
+    return reps, coboundaries
 
 
 def specialize_reference(reps, boundaries, coefficients):

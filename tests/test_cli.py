@@ -387,8 +387,8 @@ def test_bredon_on_a_corrupted_orbit_complex_is_a_verification_failure(
         tmp_path, capsys, monkeypatch):
     real_complex = zz2.equivariant_complex
 
-    def corrupted(x, max_dim):
-        cx = real_complex(x, max_dim)
+    def corrupted(L, n, moved=None):
+        cx = real_complex(L, n, moved)
         a = cx.coboundaries[1][0]
         j = next(j for j, row in enumerate(a.rows) if row)
         a.add_at(j, next(iter(a.rows[j])), 1)

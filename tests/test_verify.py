@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from equihom import simplicial, verify, zz2
+from equihom import verify, zz2
 from equihom.cli import main
 from equihom.errors import InvariantViolationError
 
@@ -61,7 +61,9 @@ def test_all_runs_every_check_in_report_order(monkeypatch, capsys):
     ("slices", ["generalized-diagonal-invariants", "chain-alternation-ceiling"]),
     ("bredon", ["equivariant-torus-table", "quotient-projection-check",
                 "odd-vector-count"]),
-    ("bredon-large", ["equivariant-torus-table-n4", "equivariant-torus-table-n5"])])
+    ("bredon-large", ["equivariant-torus-table-n4", "equivariant-torus-table-n5",
+                      "equivariant-torus-table-n6", "quotient-projection-check-n4",
+                      "quotient-projection-check-n5"])])
 def test_each_suite_runs_its_own_checks_in_order(monkeypatch, capsys, suite, names):
     calls = stub_checks(monkeypatch)
     assert main(["verify", "--suite", suite]) == 0
@@ -97,14 +99,30 @@ def test_raising_check_becomes_a_failed_row(tmp_path, monkeypatch, capsys):
                    "detail": "InvariantViolationError: boom"}
 
 
-@pytest.mark.parametrize("expected, detail", [
-    (verify.expected_bredon, None),
-    (lambda n, d: None, "mismatch at n=1, L=4, d=1: Z/2"),
+@pytest.mark.parametrize("expected, outcome", [
+    (verify.expected_bredon, (True, "ok")),
+    (lambda n, d: None, (False, "mismatch at n=1, L=4, d=1: Z/2")),
 ], ids=["passing", "mismatch"])
-def test_a_bredon_table_empties_the_torus_caches(monkeypatch, expected, detail):
-    # the tori and Smith forms of one table must not stay alive through the
-    # next one; bredon-large runs n = 4 and then (n, L) = (5, 4)
+def test_a_bredon_table_empties_the_torus_caches(monkeypatch, expected, outcome):
+    # the Smith forms of one table must not stay alive through the next one;
+    # bredon-large runs n = 4, then (n, L) = (5, 4) and (6, 4)
     monkeypatch.setattr(verify, "expected_bredon", expected)
-    assert verify._bredon_table_mismatch((1, 2)) == detail
-    assert simplicial.gamma_product.cache_info().currsize == 0
+    assert verify._bredon_table((1, 2), (4, 8), "ok")(0) == outcome
+    assert zz2._torus_coboundaries.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("matches, outcome", [
+    (True, (True, "ok")), (False, (False, "projection check failed at d=1")),
+], ids=["passing", "mismatch"])
+def test_a_quotient_check_row_empties_its_caches(monkeypatch, matches, outcome):
+    # the quotient checks at (4, 8) and (5, 4) run one after the other
+    real_check = verify.quotient_pstar_check
+
+    def check(n, L, d):
+        return dict(real_check(n, L, d), matches_expected=matches)
+
+    check.cache_clear = real_check.cache_clear
+    monkeypatch.setattr(verify, "quotient_pstar_check", check)
+    assert verify._quotient_projection(2, 8, (1, 2), "ok")(0) == outcome
+    assert zz2._quotient_complexes.cache_info().currsize == 0
     assert zz2._torus_coboundaries.cache_info().currsize == 0

@@ -14,27 +14,73 @@ from equihom.zz2 import (CohomologyGroup, EquivariantChainComplex, bredon_torus,
                          cohomology, equivariant_complex, expected_bredon,
                          quotient_pstar_check, specialize)
 
-from oracles import (ModTwoChain, boundary, orbit_complex_reference, orbit_pairs_reference,
-                     ordinary_cochain_complex, ordinary_cohomology,
+from oracles import (ModTwoChain, boundary, cube_orbit_reference, orbit_complex_reference,
+                     orbit_pairs_reference, ordinary_cochain_complex, ordinary_cohomology,
                      quotient_by_first_shift, quotient_complexes_reference,
                      quotient_pstar_reference, signed_boundary_rows,
                      specialize_reference)
 
 
+def simplicial_orbit_complex(x, max_dim):
+    return EquivariantChainComplex(*orbit_pairs_reference(x, max_dim))
+
+
 def test_orbit_ranks():
-    assert [equivariant_complex(gamma(4), 1).rank(d) for d in (0, 1)] == [2, 2]
-    cx = equivariant_complex(sigma(2), 2)
+    assert [simplicial_orbit_complex(gamma(4), 1).rank(d) for d in (0, 1)] == [2, 2]
+    cx = simplicial_orbit_complex(sigma(2), 2)
     assert [cx.rank(d) for d in (0, 1, 2)] == [1, 1, 1]
-    cx2 = equivariant_complex(gamma_power(4, 2), 2)
+    cx2 = simplicial_orbit_complex(gamma_power(4, 2), 2)
     # cell counts 16/48/32 halved (the 2-torus has 48 one-cells)
     assert [cx2.rank(d) for d in (0, 1, 2)] == [8, 24, 16]
+    # the cubical 2-torus C(4)^2 has 16 vertices, 32 edges and 16 squares
+    assert [equivariant_complex(4, 2).rank(d) for d in (0, 1, 2)] == [8, 16, 8]
 
 
 def test_not_free_action_detected():
     fixed = SimplicialSet([0, 1], {1: [(0, 1), (1, 0)]}, cap=1,
                           involution={0: 0, 1: 1})
     with pytest.raises(NotFreeActionError):
-        equivariant_complex(fixed, 1)
+        orbit_pairs_reference(fixed, 1)
+
+
+def test_a_shift_of_no_coordinate_is_refused():
+    """With no coordinate moved the shift fixes every cell, and the count of
+    representatives, none of the 16 vertices, says so."""
+    with pytest.raises(NotFreeActionError,
+                       match=r"^the half shift of C\(4\)\^2 fixes 16 of its 0-cells$"):
+        equivariant_complex(4, 2, moved=())
+
+
+@pytest.mark.parametrize("moved", [None, (0,)], ids=["diagonal", "first"])
+@pytest.mark.parametrize("n, L", [(n, L) for n in (1, 2, 3) for L in (4, 8)])
+def test_cube_complex_matches_cell_at_a_time_reference(n, L, moved):
+    cx = equivariant_complex(L, n, moved)
+    reps, coboundaries = cube_orbit_reference(L, n, moved)
+    assert cx.reps == reps
+    assert [(a.nrows, a.ncols, a.rows, b.rows) for a, b in cx.coboundaries] == \
+        [(a.nrows, a.ncols, a.rows, b.rows) for a, b in coboundaries]
+
+
+@pytest.mark.parametrize("coefficients", zz2.COEFFICIENTS)
+@pytest.mark.parametrize("n, L", [(n, L) for n in (1, 2, 3) for L in (4, 8)])
+def test_every_group_equals_the_simplicial_reference(n, L, coefficients):
+    """The cubical torus gives the groups of the simplicial gamma(L)^n in
+    every degree, under every coefficient module."""
+    deltas = specialize(simplicial_orbit_complex(gamma_power(L, n), n), coefficients)
+    assert [bredon_torus(n, L, d, coefficients) for d in range(n + 1)] == \
+        [cohomology(deltas, d) for d in range(n + 1)]
+
+
+def test_bredon_and_quotient_check_build_no_simplicial_torus(monkeypatch):
+    zz2.bredon_torus.cache_clear()
+    zz2._quotient_complexes.cache_clear()
+    built, real_product = [], simplicial._gamma_product
+    monkeypatch.setattr(simplicial, "_gamma_product",
+                        lambda sides: built.append(sides) or real_product(sides))
+    for d in range(4):
+        bredon_torus(3, 4, d)
+    quotient_pstar_check(3, 8, 2)
+    assert built == []
 
 
 def single_orbit_pair(a, b):
@@ -100,16 +146,19 @@ def test_ordinary_cohomology_torus_and_sphere():
 
 
 def test_group_ring_coefficients_give_total_space():
-    cx = equivariant_complex(gamma_power(4, 2), 2)
+    cx = simplicial_orbit_complex(gamma_power(4, 2), 2)
     for d in (0, 1, 2):
         assert (cohomology(specialize(cx, "ZZ2"), d)
                 == ordinary_cohomology(gamma_power(4, 2), d))
+    assert [cohomology(specialize(equivariant_complex(4, 2), "ZZ2"), d)
+            for d in (0, 1, 2)] == [ordinary_cohomology(gamma_power(4, 2), d)
+                                    for d in (0, 1, 2)]
 
 
 def test_trivial_coefficients_give_quotient_space():
     # the quotient of the first-shift action on gamma(8) is gamma(4), a circle
     x = gamma(8)
-    cx = equivariant_complex(x, 1)
+    cx = simplicial_orbit_complex(x, 1)
     for d in (0, 1):
         assert (cohomology(specialize(cx, "Zplus"), d)
                 == ordinary_cohomology(gamma(4), d))
@@ -154,7 +203,7 @@ def test_bredon_torus_factors_each_coboundary_once(monkeypatch):
     coboundaries = zz2._torus_coboundaries(3, 4, "Zminus")
     deltas = coboundaries.deltas
     assert smith_calls[0] is deltas[2]
-    assert (deltas[2].nrows, deltas[2].ncols) == (192, 384)
+    assert (deltas[2].nrows, deltas[2].ncols) == (32, 96)
     for call, k in zip(smith_calls[1:], (1, 0)):
         assert call.ncols == deltas[k].ncols
         assert call.nrows == deltas[k].nrows - coboundaries.smith(k + 1).unit_pivots
@@ -172,7 +221,7 @@ def assert_clearing_keeps_every_invariant(deltas):
 @pytest.mark.parametrize("n, L", [(1, 4), (2, 4), (3, 4), (4, 4),
                                   (1, 8), (2, 8), (3, 8)])
 def test_cleared_torus_coboundaries_keep_their_invariants(n, L, coefficients):
-    cx = equivariant_complex(gamma_power(L, n), n)
+    cx = equivariant_complex(L, n)
     assert_clearing_keeps_every_invariant(specialize(cx, coefficients))
 
 
@@ -262,7 +311,7 @@ def test_quotient_check_builds_and_checks_each_torus_once(monkeypatch):
     built, products = [], []
     real_complex, real_matmul = zz2.equivariant_complex, SparseMat.matmul
     monkeypatch.setattr(zz2, "equivariant_complex",
-                        lambda x, top: built.append(x) or real_complex(x, top))
+                        lambda *args, **kw: built.append(args) or real_complex(*args, **kw))
     monkeypatch.setattr(SparseMat, "matmul",
                         lambda a, b: products.append(a) or real_matmul(a, b))
     first = quotient_pstar_check(2, 8, 1)
@@ -346,13 +395,13 @@ def test_quotient_pstar_rejects_a_bad_pullback(corrupt, monkeypatch):
 
 
 def test_dd_zero_is_verified():
-    cx = equivariant_complex(gamma_power(4, 2), 2)
+    cx = equivariant_complex(4, 2)
     for coefficients in zz2.COEFFICIENTS:
         zz2._Coboundaries(specialize(cx, coefficients))  # must not raise
 
 
 def test_dd_zero_catches_one_corrupted_mate_entry():
-    cx = equivariant_complex(gamma_power(4, 3), 3)
+    cx = equivariant_complex(4, 3)
     b = cx.coboundaries[1][1]
     j = next(j for j, row in enumerate(b.rows) if row)
     i = next(iter(b.rows[j]))
@@ -396,12 +445,12 @@ def test_dd_zero_reads_both_parts_of_the_composition(a, b, a2, b2, nonzero):
 @pytest.mark.parametrize("coefficients", zz2.COEFFICIENTS)
 def test_every_corrupted_orbit_entry_is_refused(coefficients):
     """Adding 1 to the first entry of any row of A or of B in any degree of
-    the orbit complex of gamma(4)^3 is refused under each coefficient
-    module, naming a degree the corrupted coboundary takes part in."""
-    cx = equivariant_complex(gamma_power(4, 3), 3)
+    the orbit complex of C(4)^3 is refused under each coefficient module,
+    naming a degree the corrupted coboundary takes part in."""
+    cx = equivariant_complex(4, 3)
     cases = [(k, m, j) for k, pair in enumerate(cx.coboundaries) for m in pair
              for j, row in enumerate(m.rows) if row]
-    assert len(cases) == 976
+    assert len(cases) == 288
     for k, m, j in cases:
         i = next(iter(m.rows[j]))
         m.add_at(j, i, 1)
@@ -430,7 +479,7 @@ ORBIT_CASES = {
 def test_orbit_pair_matches_dict_reference(case):
     x = ORBIT_CASES[case]()
     top = x.dimension()
-    cx = equivariant_complex(x, top)
+    cx = simplicial_orbit_complex(x, top)
     reps, boundaries = orbit_complex_reference(x, top)
     assert [[x.labels(c) for c in r] for r in cx.reps] == reps
     for coefficients in zz2.COEFFICIENTS:
@@ -442,25 +491,44 @@ def test_orbit_pair_matches_dict_reference(case):
 
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 def test_orbit_complex_matches_cell_by_cell_reference(case):
+    """The orbit entries a + b*nu of the simplicial orbit complex are the raw
+    boundary rows, one face at a time, each face's sign landing in a or b
+    as the face is the representative of its orbit or the mate; and the
+    group-ring coefficients give back the cohomology of the space itself."""
     x = ORBIT_CASES[case]()
     top = x.dimension()
-    cx = equivariant_complex(x, top)
-    reps, coboundaries = orbit_pairs_reference(x, top)
-    assert cx.reps == reps
-    assert [(a.nrows, a.ncols, a.rows, b.rows) for a, b in cx.coboundaries] == \
-        [(a.nrows, a.ncols, a.rows, b.rows) for a, b in coboundaries]
+    cells = [sorted(x.cells(d)) for d in range(top + 1)]
+    cx = simplicial_orbit_complex(x, top)
+    for d in range(1, top + 1):
+        orbit = {}
+        for i, rep in enumerate(map(x.labels, cx.reps[d - 1])):
+            orbit[rep] = (i, 0)
+            orbit[x.involution_simplex(rep)] = (i, 1)
+        expected = {}
+        rows = dict(zip(cells[d], signed_boundary_rows(x, d)))
+        for j, rep in enumerate(map(x.labels, cx.reps[d])):
+            for k, v in rows[rep].items():
+                i, parity = orbit[cells[d - 1][k]]
+                ab = list(expected.get((i, j), (0, 0)))
+                ab[parity] += v
+                expected[(i, j)] = tuple(ab)
+        a, b = cx.coboundaries[d - 1]
+        got = {(i, j): (a.rows[j].get(i, 0), b.rows[j].get(i, 0))
+               for j in range(a.nrows) for i in a.rows[j].keys() | b.rows[j].keys()}
+        assert got == {key: ab for key, ab in expected.items() if ab != (0, 0)}
+    ring = specialize(cx, "ZZ2")
+    deltas, _ = ordinary_cochain_complex(x, top)
+    for d in range(top + 1):
+        assert cohomology(ring, d) == cohomology(deltas, d)
 
 
 def test_fixed_cell_is_named_as_by_the_reference():
     # vertices 1 and 3 are fixed; listed out of label order, 1 sorts first
     x = SimplicialSet([3, 1, 0, 2], {1: [(0, 1), (2, 1), (0, 3), (2, 3)]}, cap=1,
                       involution={3: 3, 1: 1, 0: 2, 2: 0})
-    errors = []
-    for builder in (equivariant_complex, orbit_pairs_reference):
-        with pytest.raises(NotFreeActionError) as exc:
-            builder(x, 1)
-        errors.append(str(exc.value))
-    assert errors == ["cell (1,) is fixed by the involution"] * 2
+    with pytest.raises(NotFreeActionError,
+                       match=r"^cell \(1,\) is fixed by the involution$"):
+        orbit_pairs_reference(x, 1)
 
 
 BUILDER_CASES = {
@@ -496,26 +564,3 @@ def test_shared_builder_matches_raw_boundary_loop(case, monkeypatch):
         for row in reference[d]:
             odd ^= {cells[d - 1][k] for k, v in row.items() if v % 2}
         assert boundary(ModTwoChain(d, x.cells(d))).cells == odd
-
-    # Z[Z_2]: the orbit entries a + b*nu, and the group-ring coefficients
-    # giving back the cohomology of the space itself
-    cx = equivariant_complex(x, top)
-    for d in range(1, top + 1):
-        orbit = {}
-        for i, rep in enumerate(map(x.labels, cx.reps[d - 1])):
-            orbit[rep] = (i, 0)
-            orbit[x.involution_simplex(rep)] = (i, 1)
-        expected = {}
-        for j, rep in enumerate(map(x.labels, cx.reps[d])):
-            for k, v in reference[d][cells[d].index(rep)].items():
-                i, parity = orbit[cells[d - 1][k]]
-                ab = list(expected.get((i, j), (0, 0)))
-                ab[parity] += v
-                expected[(i, j)] = tuple(ab)
-        a, b = cx.coboundaries[d - 1]
-        got = {(i, j): (a.rows[j].get(i, 0), b.rows[j].get(i, 0))
-               for j in range(a.nrows) for i in a.rows[j].keys() | b.rows[j].keys()}
-        assert got == {key: ab for key, ab in expected.items() if ab != (0, 0)}
-    ring = specialize(cx, "ZZ2")
-    for d in range(top + 1):
-        assert cohomology(ring, d) == cohomology(deltas, d)
