@@ -7,7 +7,6 @@ most significant, so serialized polymorphisms are portable.
 """
 
 import random
-import warnings
 from functools import lru_cache, reduce
 from itertools import product
 from operator import or_
@@ -64,21 +63,9 @@ class Graph:
     def __repr__(self):
         return f"Graph({self.vertex_count}, {len(self.edges)} ordered edges)"
 
-    def to_json(self):
-        return {"vertices": self.vertex_count,
-                "edges": sorted([u, v] for (u, v) in self.edges)}
-
-    @classmethod
-    def from_json(cls, obj):
-        n = obj["vertices"]
-        pairs = {(u, v) for u, v in obj["edges"]}
-        if any((v, u) not in pairs for (u, v) in pairs):
-            warnings.warn("edge list was not symmetric; applying symmetric closure")
-        return cls(n, pairs)
-
 
 class PowerGraph(Graph):
-    """The n-fold categorical power of a base graph, with tuple codecs."""
+    """The n-fold categorical power of a base graph, with a tuple encoder."""
 
     def __init__(self, base, exponent):
         if exponent < 1:
@@ -110,9 +97,6 @@ class PowerGraph(Graph):
     def encode(self, tup):
         return _encode(tup, self.base.vertex_count)
 
-    def decode(self, index):
-        return _decode(index, self.base.vertex_count, self.exponent)
-
 
 def _encode(tup, radix):
     """Row-major mixed radix; coordinate 1 is most significant."""
@@ -120,13 +104,6 @@ def _encode(tup, radix):
     for x in tup:
         out = out * radix + x
     return out
-
-
-def _decode(index, radix, length):
-    out = [0] * length
-    for i in range(length - 1, -1, -1):
-        index, out[i] = divmod(index, radix)
-    return tuple(out)
 
 
 @lru_cache(maxsize=32)
@@ -160,7 +137,7 @@ def complete_graph(size):
 def power(g, n):
     """The categorical power g^n; for n = 1 a PowerGraph equal to g.
 
-    Cached: minors, bundling and decoding ask for the same few powers again.
+    Cached: minors and bundling ask for the same few powers again.
     """
     if n < 1:
         raise InvalidParameterError("power exponent must be >= 1")

@@ -50,13 +50,6 @@ class Multihom(NamedTuple):
     def le(self, other):
         return set(self.left) <= set(other.left) and set(self.right) <= set(other.right)
 
-    def is_valid_for(self, g):
-        if not self.left or not self.right:
-            return False
-        if g.is_loopless() and set(self.left) & set(self.right):
-            return False
-        return all(g.has_edge(a, b) for a in self.left for b in self.right)
-
     def sort_key(self):
         lmask = sum(1 << v for v in self.left)
         rmask = sum(1 << v for v in self.right)
@@ -195,8 +188,7 @@ class TColouring:
         self.labels = tuple(multihoms(complete_graph(4)))
         if len(self.colours) != len(self.labels):
             raise InvalidParameterError("colour vector length mismatch")
-        map_from_colouring(hom_complex(complete_graph(4)), self.as_vertex_map(),
-                           check_equivariance=True)
+        map_from_colouring(hom_complex(complete_graph(4)), self.as_vertex_map())
 
     def as_vertex_map(self):
         """Each label's colour; a bit other than 0 or 1 maps to None."""

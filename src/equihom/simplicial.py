@@ -9,8 +9,8 @@ consecutive repeats leaves a stored tuple, and it is degenerate exactly when
 it has a consecutive repeat.  Every order complex, the circles, the tori and
 the homomorphism complexes, is built by one chain builder: its chains come
 out already in that order, and each dimension is built and checked on its
-first read.  Explicit sets, the spheres and those read from JSON, are
-checked and stored at once.
+first read.  Explicit sets, such as the spheres, are checked and stored
+at once.
 """
 
 from functools import cached_property, lru_cache
@@ -50,44 +50,6 @@ def faces(cell):
     """
     for i in range(len(cell)):
         yield -1 if i % 2 else 1, cell[:i] + cell[i + 1:]
-
-
-def incidence(cells, index):
-    """Signed boundary rows {index[face]: +-1}, one per cell, built by columns.
-
-    ``cells`` lists stored d-cells (d >= 1) as position tuples, and ``index``
-    maps each non-degenerate face, one to one, to its label in the chosen
-    basis.  The cells become d + 1 columns of positions, and face i, with
-    sign (-1)^i, zips every column but the i-th and is looked up in one
-    pass.  A stored cell is non-degenerate, so face i is degenerate exactly
-    where columns i - 1 and i + 1 agree; those faces are dropped.  A face
-    missing from ``index`` raises KeyError naming the first one a
-    cell-by-cell scan meets.  The boundary builder of the mod-2 homology.
-    """
-    if not cells:
-        return []
-    width = len(cells[0])
-    columns = [tuple(map(itemgetter(k), cells)) for k in range(width)]
-    keys = []
-    degenerate = False
-    try:
-        for i in range(width):
-            face = zip(*columns[:i], *columns[i + 1:])
-            if 0 < i < width - 1 and any(map(eq, columns[i - 1], columns[i + 1])):
-                degenerate = True
-                keys.append([None if a == b else index[f]
-                             for f, a, b in zip(face, columns[i - 1], columns[i + 1])])
-            else:
-                keys.append(list(map(index.__getitem__, face)))
-    except KeyError:
-        raise KeyError(next(face for cell in cells for _, face in faces(cell)
-                            if face not in index and not is_degenerate(face))) from None
-    signs = tuple(-1 if i % 2 else 1 for i in range(width))
-    rows = list(map(dict, map(zip, zip(*keys), repeat(signs))))
-    if degenerate:
-        for row in rows:
-            row.pop(None, None)
-    return rows
 
 
 class SimplicialSet:
@@ -278,10 +240,6 @@ class SimplicialSet:
         core = normalize_simplex(tuple(tup))
         return core in self.cells(len(core) - 1)
 
-    def involution_simplex(self, tup):
-        nu = self.involution
-        return tuple(nu[v] for v in tup)
-
     def has_free_involution(self):
         # freeness on vertices implies freeness on all cells
         return self.antipode is not None and not any(
@@ -295,16 +253,6 @@ class SimplicialSet:
         if self.antipode is not None:
             obj["involution"] = list(self.antipode)
         return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        vertices = [_label_from_json(v) for v in obj["vertices"]]
-        simplices = {int(d): [tuple(vertices[i] for i in s) for s in ss]
-                     for d, ss in obj["simplices"].items()}
-        involution = None
-        if "involution" in obj:
-            involution = {vertices[i]: vertices[j] for i, j in enumerate(obj["involution"])}
-        return cls(vertices, simplices, obj["cap"], involution)
 
 
 def _vertex_positions(vertices, cap):
@@ -342,12 +290,6 @@ def _antipode(involution, position):
 def _label_to_json(v):
     if isinstance(v, tuple):
         return [_label_to_json(x) for x in v]
-    return v
-
-
-def _label_from_json(v):
-    if isinstance(v, list):
-        return tuple(_label_from_json(x) for x in v)
     return v
 
 
@@ -541,14 +483,6 @@ class SimplicialMap:
         vm = self.vertex_map
         return tuple(vm[v] for v in tup)
 
-    def is_equivariant(self):
-        nu_x = self.domain.involution
-        nu_y = self.codomain.involution
-        if nu_x is None or nu_y is None:
-            return False
-        vm = self.vertex_map
-        return all(vm[nu_x[v]] == nu_y[vm[v]] for v in self.domain.vertices)
-
 
 def check_colours(x, values):
     """Every vertex of x must carry yellow or blue (values in vertex order)."""
@@ -591,23 +525,22 @@ def colour_values(x, colouring):
     return list(map(colouring.get, x.vertices))
 
 
-def map_from_colouring(x, colouring, check_equivariance=False):
-    """The simplicial map into sigma(2) described by a yellow/blue colouring.
+def map_from_colouring(x, colouring):
+    """The equivariant simplicial map into sigma(2) of a yellow/blue colouring.
 
     Valid iff no non-degenerate 3-simplex of x maps to a 3-alternating tuple;
     degenerate ones never do, and faces of stored simplices are stored, so
-    scanning the stored 3-simplices suffices.  With ``check_equivariance``,
-    antipodal vertices must receive opposite colours.
+    scanning the stored 3-simplices suffices.  Antipodal vertices must
+    receive opposite colours, so x needs an involution.
     """
     if x.cap < 3:
         raise InvalidParameterError("need the 3-simplices: construct x with cap >= 3")
     values = colour_values(x, colouring)
     check_colours(x, values)
     check_alternation(x, values)
-    if check_equivariance:
-        if x.involution is None:
-            raise InvalidParameterError("domain has no involution")
-        check_antipodes(x, values)
+    if x.antipode is None:
+        raise InvalidParameterError("domain has no involution")
+    check_antipodes(x, values)
     return SimplicialMap(x, sigma2(), zip(x.vertices, values), check=False)
 
 
@@ -635,7 +568,11 @@ def equivariant_colourings(x):
 
 
 def mod2_homology_ranks(x, top=None):
-    """Ranks of the mod-2 cellular homology computed from non-degenerate cells."""
+    """Ranks of the mod-2 cellular homology computed from non-degenerate cells.
+
+    Row j of the d-th boundary is the bitmask of the distinct non-degenerate
+    faces of d-cell j, by their index among the (d-1)-cells.
+    """
     if top is None:
         top = x.dimension()
     cells = [x.position_cells(d) for d in range(top + 2)]
@@ -643,7 +580,11 @@ def mod2_homology_ranks(x, top=None):
     ranks = []
     bnd_rank = [0] * (top + 3)
     for d in range(1, top + 2):
-        rows = [sum(1 << k for k in row) for row in incidence(cells[d], index[d - 1])]
+        below = index[d - 1]
+        rows = []
+        for cell in cells[d]:
+            found = {below[face] for _, face in faces(cell) if not is_degenerate(face)}
+            rows.append(sum(1 << k for k in found))
         bnd_rank[d] = gf2_rank(rows)
     for d in range(top + 1):
         ranks.append(len(cells[d]) - bnd_rank[d] - bnd_rank[d + 1])

@@ -16,8 +16,7 @@ from . import __version__
 from .errors import (CapacityExceededError, InvalidParameterError,
                      InvariantViolationError)
 from .graphs import complete_graph, power, sample_homs, enumerate_homs
-from .degrees import (OddVector, find_colour_swapping_edge, torus_complex,
-                      torus_tables)
+from .degrees import OddVector, torus_tables
 from .homcomplexes import CyclePipeline
 from .simplicial import CELL_LIMIT, check_cell_limit
 
@@ -121,14 +120,6 @@ def zeta0(n, h, L):
     return GeneralizedDiagonal(L, m, path)
 
 
-def standard_diagonal(n, L):
-    """The diagonal embedding y -> (y, ..., y) as a period-L diagonal."""
-    if n < 2:
-        raise InvalidParameterError("need at least one ambient coordinate")
-    path = [tuple(y for _ in range(n - 1)) for y in range(L)]
-    return GeneralizedDiagonal(L, n - 1, path)
-
-
 def iter_coordinate_edges(L, n, i, h):
     """Stream the edges of E_i(h): lower endpoint u with u_i even, height h."""
     if not 1 <= i <= n:
@@ -165,37 +156,6 @@ def swap_fraction(colours, L, n, i, h):
             if colours[u] != colours[v]:
                 swaps += 1
     return Fraction(swaps, total)
-
-
-def slice_check(colours, L, n, zeta):
-    """A colour-swapping coordinate-1 edge inside the image of the slice.
-
-    The slice pairs the free first coordinate with the diagonal; the map must
-    restrict to degree 1 on it (checked, a precondition), and then a swapping
-    edge must exist by the degree argument.  The edge is the one
-    ``find_colour_swapping_edge`` finds on the restriction, lifted through
-    the slice.
-    """
-    if zeta.ambient != n - 1 or zeta.L != L:
-        raise InvalidParameterError("diagonal does not match the ambient torus")
-
-    def full(x, y):
-        return (x,) + zeta.path[y]
-
-    restricted = {(x, y): colours[full(x, y)]
-                  for x in range(L) for y in range(zeta.period)}
-    u, v = find_colour_swapping_edge(restricted, torus_complex(L, zeta.period))
-    return full(*u), full(*v)
-
-
-def permute_coordinates(v, perm):
-    """The automorphism a_perm of a torus power (perm is 1-based)."""
-    return tuple(v[perm[j] - 1] for j in range(len(v)))
-
-
-def shift_coordinate(v, i, L):
-    """The automorphism b_i shifting coordinate i by 2 (1-based)."""
-    return tuple((x + 2) % L if j == i - 1 else x for j, x in enumerate(v))
 
 
 def chain_alternation_counts(L, n, rng, samples, lanes, maps):

@@ -19,8 +19,6 @@ cochain complex uses them to clear the coboundary below (``zz2``).
 import heapq
 import math
 
-from .errors import InvalidInputError
-
 
 class SparseMat:
     """Integer matrix stored as one dict per row (column index -> entry)."""
@@ -30,41 +28,8 @@ class SparseMat:
         self.ncols = ncols
         self.rows = [dict() for _ in range(nrows)] if rows is None else rows
 
-    @classmethod
-    def from_dense(cls, dense):
-        ncols = len(dense[0]) if dense else 0
-        rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
-        return cls(len(dense), ncols, rows)
-
-    def to_dense(self):
-        return [[r.get(j, 0) for j in range(self.ncols)] for r in self.rows]
-
-    def set(self, i, j, v):
-        if v:
-            self.rows[i][j] = v
-        else:
-            self.rows[i].pop(j, None)
-
-    def add_at(self, i, j, v):
-        self.set(i, j, self.rows[i].get(j, 0) + v)
-
     def nnz(self):
         return sum(len(r) for r in self.rows)
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise InvalidInputError("matrix shapes do not compose")
-        out = SparseMat(self.nrows, other.ncols)
-        for i, r in enumerate(self.rows):
-            acc = out.rows[i]
-            for k, v in r.items():
-                for j, w in other.rows[k].items():
-                    c = acc.get(j, 0) + v * w
-                    if c:
-                        acc[j] = c
-                    else:
-                        del acc[j]
-        return out
 
 
 class SmithResult:
@@ -73,19 +38,15 @@ class SmithResult:
     ``pivot_columns`` lists, in elimination order, the column of the input
     matrix that each unit pivot of the sparse phase eliminated.  The index is
     always one of the input's columns, also when the matrix was transposed
-    and the pivot was a working row.  ``unit_pivots`` is their number, the
-    count of invariant factors found by the sparse phase; the remaining
-    ``rank - unit_pivots`` come from the dense residual block.
+    and the pivot was a working row.  Their number is the count of invariant
+    factors found by the sparse phase; the others come from the dense
+    residual block.
     """
 
     def __init__(self, invariants, pivot_columns=()):
         self.invariants = tuple(invariants)
         self.rank = len(self.invariants)
         self.pivot_columns = pivot_columns
-
-    @property
-    def unit_pivots(self):
-        return len(self.pivot_columns)
 
     @property
     def torsion(self):
@@ -95,28 +56,21 @@ class SmithResult:
         return f"SmithResult(invariants={self.invariants})"
 
 
-def _as_sparse(matrix):
-    if isinstance(matrix, SparseMat):
-        return matrix
-    return SparseMat.from_dense([list(r) for r in matrix])
-
-
 def smith_normal_form(matrix):
     """Invariant factors of an integer matrix; deterministic pivot choice.
 
-    ``matrix`` may be a SparseMat or a list of rows (lists); a tall one is
-    transposed first.  Only the invariant factors, the rank and the pivot
-    columns of the sparse phase are computed, not the transforms.
+    ``matrix`` is a SparseMat; a tall one is transposed first.  Only the
+    invariant factors, the rank and the pivot columns of the sparse phase
+    are computed, not the transforms.
     """
-    m = _as_sparse(matrix)
-    transposed = m.nrows > m.ncols
+    transposed = matrix.nrows > matrix.ncols
     if transposed:
         rows = {}
-        for i, r in enumerate(m.rows):
+        for i, r in enumerate(matrix.rows):
             for j, v in r.items():
                 rows.setdefault(j, {})[i] = v
     else:
-        rows = {i: dict(r) for i, r in enumerate(m.rows) if r}
+        rows = {i: dict(r) for i, r in enumerate(matrix.rows) if r}
     cols = {}
     for i, r in rows.items():
         for j in r:

@@ -55,7 +55,7 @@ def _check_two_torus_battery(seed):
     bound = Fraction(1, 3 * 16)
     count = 0
     for col in equivariant_colourings(gamma_power(4, 2)):
-        gmap = map_from_colouring(gamma_power(4, 2), col, check_equivariance=True)
+        gmap = map_from_colouring(gamma_power(4, 2), col)
         alpha = deg_vector(gmap, L=4, n=2)  # odd weight enforced internally
         for i in (1, 2):
             if alpha.bits[i - 1] == 1:
@@ -72,13 +72,13 @@ def _check_degree_patterns(seed):
     for n in (1, 2, 3):
         for j in range(1, n + 1):
             col = winding_colouring(8, n, j)
-            gmap = map_from_colouring(gamma_power(8, n), col, check_equivariance=True)
+            gmap = map_from_colouring(gamma_power(8, n), col)
             alpha = deg_vector(gmap, L=8, n=n)
             realized[(n, ("unit", j))] = alpha.bits
             if alpha.bits != tuple(1 if i == j else 0 for i in range(1, n + 1)):
                 return False, f"unit pattern failed at n={n}, j={j}"
     col = monomial_colouring(8, 3, (1, 2, 3))
-    gmap = map_from_colouring(gamma_power(8, 3), col, check_equivariance=True)
+    gmap = map_from_colouring(gamma_power(8, 3), col)
     alpha = deg_vector(gmap, L=8, n=3)
     realized[(3, "full")] = alpha.bits
     if alpha.bits != (1, 1, 1):

@@ -35,8 +35,8 @@ checked on mod-2 chains and paired by middles (``band_reference``), are
 the reference for the plane ``TorusComplex`` writes down by arithmetic.
 ``iota``, sorting the encoded product of the sides, is the reference for
 the side table summed from per-coordinate terms.  The boundary rows built
-one cell and one face at a time are the reference for the columnar builder,
-and the orbit complex that picks each representative by comparing the cell
+one cell and one face at a time are the reference for the columnar builder
+``incidence`` behind the ordinary cochain complex, and the orbit complex that picks each representative by comparing the cell
 with its mate and adds its faces to A and B entry by entry is the simplicial
 model of the torus behind the Bredon groups; the same walk over the code
 tuples of the cubical torus, with faces from the product rule, is the
@@ -51,25 +51,34 @@ and the backtracking search for t is the reference for the colouring
 by trying every vertex subset as a left side are the reference for the
 enumeration that grows left sides, and ``mu_map``, the simplicial map of
 mu(f) checked on the whole torus, is what the check of t stands for.
+What only the tests use of the library's objects is here too, as plain
+functions: the power-graph decoder, the graph and simplicial-set JSON
+readers, the validity of a multihomomorphism, the image of a simplex under
+the involution, the equivariance of a simplicial map, the standard diagonal,
+the slice check and the torus automorphisms, and the dense-matrix helpers
+``from_dense``, ``to_dense``, ``add_at`` and ``matmul``.
 """
 
 import functools
 import math
 import random
+import warnings
 from itertools import combinations, groupby, product
+from operator import eq, itemgetter
 
 from equihom import __version__, zz2
-from equihom.degrees import deg_vector, sigma_minor, torus_complex
+from equihom.degrees import (deg_vector, find_colour_swapping_edge, sigma_minor,
+                             torus_complex)
 from equihom.errors import (AlternatingSimplexError, InternalError,
                             InvalidInputError, InvalidParameterError,
                             NotFreeActionError)
-from equihom.graphs import (GraphHom, PowerGraph, complete_graph,
+from equihom.graphs import (Graph, GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, Multihom, hom_complex, mu_prime
-from equihom.simplicial import (BLUE, YELLOW, colour_values, faces, gamma_power,
-                                gamma_product, incidence, is_degenerate,
+from equihom.simplicial import (BLUE, YELLOW, SimplicialSet, colour_values, faces,
+                                gamma_power, gamma_product, is_degenerate,
                                 map_from_colouring)
-from equihom.slices import swap_fraction
+from equihom.slices import GeneralizedDiagonal, swap_fraction
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import CohomologyGroup, bredon_torus, cohomology, expected_bredon
 
@@ -117,6 +126,40 @@ def multihoms_reference(g):
     return out
 
 
+def is_valid_multihom(m, g):
+    """Both sides of the multihomomorphism m are non-empty, disjoint when g
+    is loopless, and span a complete bipartite subgraph of g."""
+    if not m.left or not m.right:
+        return False
+    if g.is_loopless() and set(m.left) & set(m.right):
+        return False
+    return all(g.has_edge(a, b) for a in m.left for b in m.right)
+
+
+def graph_to_json(g):
+    return {"vertices": g.vertex_count,
+            "edges": sorted([u, v] for (u, v) in g.edges)}
+
+
+def graph_from_json(obj):
+    """The graph of ``graph_to_json``; an edge list that is not symmetric
+    is closed under swapping, with a warning."""
+    pairs = {(u, v) for u, v in obj["edges"]}
+    if any((v, u) not in pairs for (u, v) in pairs):
+        warnings.warn("edge list was not symmetric; applying symmetric closure")
+    return Graph(obj["vertices"], pairs)
+
+
+def decode(p, index):
+    """The vertex tuple at ``index`` of the power graph p, the inverse of
+    ``p.encode``: row-major mixed radix, coordinate 1 most significant."""
+    radix = p.base.vertex_count
+    out = [0] * p.exponent
+    for i in range(p.exponent - 1, -1, -1):
+        index, out[i] = divmod(index, radix)
+    return tuple(out)
+
+
 def is_graph_hom(values, dom_edges, cod_edges):
     """Every domain edge (u, v) goes to a codomain edge (values[u], values[v])."""
     return all((values[u], values[v]) in cod_edges for u, v in dom_edges)
@@ -131,7 +174,7 @@ def minor_reference(f, pi):
     target = power(base, pi.m)
     values = []
     for idx in range(target.vertex_count):
-        ys = target.decode(idx)
+        ys = decode(target, idx)
         xs = tuple(ys[pi(i) - 1] for i in range(1, pi.n + 1))
         values.append(f.values[dom.encode(xs)])
     return GraphHom(target, f.codomain, values)
@@ -218,6 +261,41 @@ def check_reference(vertices, simplices, cap, involution=None, closure=True):
                 if tuple(nu[v] for v in s) not in cells[d]:
                     raise InvalidParameterError(
                         f"involution does not preserve simplices: {s}")
+
+
+def involution_simplex(x, tup):
+    """The image of a vertex tuple of x under its involution."""
+    nu = x.involution
+    return tuple(nu[v] for v in tup)
+
+
+def is_equivariant(gmap):
+    """Does the simplicial map commute with the involutions of its domain
+    and codomain (False when either has none)?"""
+    nu_x = gmap.domain.involution
+    nu_y = gmap.codomain.involution
+    if nu_x is None or nu_y is None:
+        return False
+    vm = gmap.vertex_map
+    return all(vm[nu_x[v]] == nu_y[vm[v]] for v in gmap.domain.vertices)
+
+
+def _label_from_json(v):
+    if isinstance(v, list):
+        return tuple(_label_from_json(x) for x in v)
+    return v
+
+
+def simplicial_set_from_json(obj):
+    """The simplicial set of ``SimplicialSet.to_json`` (the ``hom-complex``
+    report), labels read back as tuples."""
+    vertices = [_label_from_json(v) for v in obj["vertices"]]
+    simplices = {int(d): [tuple(vertices[i] for i in s) for s in ss]
+                 for d, ss in obj["simplices"].items()}
+    involution = None
+    if "involution" in obj:
+        involution = {vertices[i]: vertices[j] for i, j in enumerate(obj["involution"])}
+    return SimplicialSet(vertices, simplices, obj["cap"], involution)
 
 
 def poset_covers(u, sides):
@@ -419,6 +497,45 @@ def band_reference(L, Lp):
     return x1, b1, [(p, q1, q2, r) for (p, r), (q1, q2) in middles.items()]
 
 
+def standard_diagonal(n, L):
+    """The diagonal embedding y -> (y, ..., y) as a period-L diagonal."""
+    if n < 2:
+        raise InvalidParameterError("need at least one ambient coordinate")
+    path = [tuple(y for _ in range(n - 1)) for y in range(L)]
+    return GeneralizedDiagonal(L, n - 1, path)
+
+
+def slice_check(colours, L, n, zeta):
+    """A colour-swapping coordinate-1 edge inside the image of the slice.
+
+    The slice pairs the free first coordinate with the diagonal; the map must
+    restrict to degree 1 on it (checked, a precondition), and then a swapping
+    edge must exist by the degree argument.  The edge is the one
+    ``find_colour_swapping_edge`` finds on the restriction, lifted through
+    the slice.
+    """
+    if zeta.ambient != n - 1 or zeta.L != L:
+        raise InvalidParameterError("diagonal does not match the ambient torus")
+
+    def full(x, y):
+        return (x,) + zeta.path[y]
+
+    restricted = {(x, y): colours[full(x, y)]
+                  for x in range(L) for y in range(zeta.period)}
+    u, v = find_colour_swapping_edge(restricted, torus_complex(L, zeta.period))
+    return full(*u), full(*v)
+
+
+def permute_coordinates(v, perm):
+    """The automorphism a_perm of a torus power (perm is 1-based)."""
+    return tuple(v[perm[j] - 1] for j in range(len(v)))
+
+
+def shift_coordinate(v, i, L):
+    """The automorphism b_i shifting coordinate i by 2 (1-based)."""
+    return tuple((x + 2) % L if j == i - 1 else x for j, x in enumerate(v))
+
+
 def slice_deg1_reference(bits, L, n, i):
     """deg1 of the i-th 2-variable minor of the row-major blue bits of
     gamma(L)^n: the plane vertex (a, b) reads the torus vertex with a in
@@ -445,6 +562,43 @@ def _covers2(p, L, Lp):
                 for i, sgn in zip(subset, signs):
                     q[i] = (q[i] + sgn) % sizes[i]
                 out.append(tuple(q))
+    return out
+
+
+def from_dense(dense):
+    """The SparseMat of a list of rows."""
+    ncols = len(dense[0]) if dense else 0
+    return SparseMat(len(dense), ncols, [{j: v for j, v in enumerate(r) if v}
+                                         for r in dense])
+
+
+def to_dense(m):
+    return [[r.get(j, 0) for j in range(m.ncols)] for r in m.rows]
+
+
+def add_at(m, i, j, v):
+    """Add v to entry (i, j) of the SparseMat m, dropping a zero sum."""
+    c = m.rows[i].get(j, 0) + v
+    if c:
+        m.rows[i][j] = c
+    else:
+        m.rows[i].pop(j, None)
+
+
+def matmul(a, b):
+    """The product of two SparseMats."""
+    if a.ncols != b.nrows:
+        raise InvalidInputError("matrix shapes do not compose")
+    out = SparseMat(a.nrows, b.ncols)
+    for i, r in enumerate(a.rows):
+        acc = out.rows[i]
+        for k, v in r.items():
+            for j, w in b.rows[k].items():
+                c = acc.get(j, 0) + v * w
+                if c:
+                    acc[j] = c
+                else:
+                    del acc[j]
     return out
 
 
@@ -567,8 +721,7 @@ def mu_map(pipeline, f):
     n = pipeline.check_polymorphism(f)
     colours = pipeline.mu_colours(f)
     try:
-        return map_from_colouring(gamma_power(pipeline.period, n), colours,
-                                  check_equivariance=True)
+        return map_from_colouring(gamma_power(pipeline.period, n), colours)
     except Exception as exc:  # the composite is simplicial by construction
         raise InternalError(f"mu(f) failed validity: {exc}") from exc
 
@@ -675,6 +828,44 @@ def minor_degree_vector(g, L, n):
             for i in range(1, n + 1)]
 
 
+def incidence(cells, index):
+    """Signed boundary rows {index[face]: +-1}, one per cell, built by columns.
+
+    ``cells`` lists stored d-cells (d >= 1) as position tuples, and ``index``
+    maps each non-degenerate face, one to one, to its label in the chosen
+    basis.  The cells become d + 1 columns of positions, and face i, with
+    sign (-1)^i, zips every column but the i-th and is looked up in one
+    pass.  A stored cell is non-degenerate, so face i is degenerate exactly
+    where columns i - 1 and i + 1 agree; those faces are dropped.  A face
+    missing from ``index`` raises KeyError naming the first one a
+    cell-by-cell scan meets.
+    """
+    if not cells:
+        return []
+    width = len(cells[0])
+    columns = [tuple(map(itemgetter(k), cells)) for k in range(width)]
+    keys = []
+    degenerate = False
+    try:
+        for i in range(width):
+            face = zip(*columns[:i], *columns[i + 1:])
+            if 0 < i < width - 1 and any(map(eq, columns[i - 1], columns[i + 1])):
+                degenerate = True
+                keys.append([None if a == b else index[f]
+                             for f, a, b in zip(face, columns[i - 1], columns[i + 1])])
+            else:
+                keys.append(list(map(index.__getitem__, face)))
+    except KeyError:
+        raise KeyError(next(face for cell in cells for _, face in faces(cell)
+                            if face not in index and not is_degenerate(face))) from None
+    signs = tuple(-1 if i % 2 else 1 for i in range(width))
+    rows = [dict(zip(row, signs)) for row in zip(*keys)]
+    if degenerate:
+        for row in rows:
+            row.pop(None, None)
+    return rows
+
+
 def incidence_reference(cells, index):
     """Signed boundary rows [(index[face], +-1), ...], one cell at a time.
 
@@ -719,7 +910,7 @@ def orbit_pairs_reference(x, max_dim):
         b = SparseMat(a.nrows, a.ncols)
         for j, row in enumerate(incidence_reference(reps[d], index[d - 1])):
             for (i, is_mate), sign in row:
-                (b if is_mate else a).add_at(j, i, sign)
+                add_at(b if is_mate else a, j, i, sign)
         coboundaries.append((a, b))
     return reps, coboundaries
 
@@ -736,7 +927,7 @@ def orbit_complex_reference(x, max_dim):
         chosen = []
         lookup = {}
         for c in sorted(x.cells(d)):
-            mate = x.involution_simplex(c)
+            mate = involution_simplex(x, c)
             if c <= mate:
                 lookup[c] = (len(chosen), 0)
                 lookup[mate] = (len(chosen), 1)
@@ -808,7 +999,7 @@ def cube_orbit_reference(L, n, moved=None):
         for j, cell in enumerate(reps[d]):
             for face, sign in boundary(cell):
                 i, is_mate = index[d - 1][face]
-                (b if is_mate else a).add_at(j, i, sign)
+                add_at(b if is_mate else a, j, i, sign)
         coboundaries.append((a, b))
     return reps, coboundaries
 
@@ -821,16 +1012,16 @@ def specialize_reference(reps, boundaries, coefficients):
         if coefficients == "ZZ2":
             delta = SparseMat(2 * n_rows, 2 * n_cols)
             for (i, j), (a, b) in boundaries[d - 1].items():
-                delta.add_at(2 * j, 2 * i, a)
-                delta.add_at(2 * j, 2 * i + 1, b)
-                delta.add_at(2 * j + 1, 2 * i, b)
-                delta.add_at(2 * j + 1, 2 * i + 1, a)
+                add_at(delta, 2 * j, 2 * i, a)
+                add_at(delta, 2 * j, 2 * i + 1, b)
+                add_at(delta, 2 * j + 1, 2 * i, b)
+                add_at(delta, 2 * j + 1, 2 * i + 1, a)
         else:
             delta = SparseMat(n_rows, n_cols)
             for (i, j), (a, b) in boundaries[d - 1].items():
                 value = a - b if coefficients == "Zminus" else a + b
                 if value:
-                    delta.add_at(j, i, value)
+                    add_at(delta, j, i, value)
         deltas.append(delta)
     return deltas
 
@@ -1131,11 +1322,11 @@ def quotient_pstar_reference(n, L, d):
 
     # delta_(d-1) maps (d-1)-cochains to d-cochains, so its columns (indexed
     # by d-cells) generate the image lattice inside C^d
-    a_x = deltas_x[d].to_dense() if d < len(deltas_x) else []
-    b_x = deltas_x[d - 1].to_dense()
+    a_x = to_dense(deltas_x[d]) if d < len(deltas_x) else []
+    b_x = to_dense(deltas_x[d - 1])
     h_x = QuotientPresentation(a_x, b_x, len(cells_x))
-    a_q = deltas_q[d].to_dense() if d < len(deltas_q) else []
-    b_q = deltas_q[d - 1].to_dense()
+    a_q = to_dense(deltas_q[d]) if d < len(deltas_q) else []
+    b_q = to_dense(deltas_q[d - 1])
     h_q = QuotientPresentation(a_q, b_q, len(cells_q))
     assert not h_x.torsion and not h_q.torsion
     assert h_x.free_rank == h_q.free_rank == math.comb(n, d)
@@ -1148,7 +1339,7 @@ def quotient_pstar_reference(n, L, d):
         induced.append(free)
     matrix = [[induced[j][i] for j in range(h_q.free_rank)]
               for i in range(h_x.free_rank)]
-    snf = smith_normal_form(matrix)
+    snf = smith_normal_form(from_dense(matrix))
     injective = snf.rank == h_q.free_rank
     factors = sorted(snf.invariants)
     expected_factors = sorted([1] * math.comb(n - 1, d)

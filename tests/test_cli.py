@@ -10,7 +10,8 @@ import pytest
 from equihom import cli, zz2
 from equihom.cli import main
 from equihom.homcomplexes import search_t_colouring
-from equihom.simplicial import SimplicialSet
+
+from oracles import add_at, simplicial_set_from_json
 
 
 def run(args):
@@ -264,7 +265,7 @@ def test_long_integer_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
 def test_hom_complex_verb(tmp_path):
     out = tmp_path / "complex.json"
     assert run(["hom-complex", "--graph", "complete:4", "--out", str(out)]) == 0
-    x = SimplicialSet.from_json(json.loads(out.read_text()))
+    x = simplicial_set_from_json(json.loads(out.read_text()))
     assert len(x.vertices) == 50
     assert run(["hom-complex", "--graph", "wedge:9"]) == 2
 
@@ -391,7 +392,7 @@ def test_bredon_on_a_corrupted_orbit_complex_is_a_verification_failure(
         cx = real_complex(L, n, moved)
         a = cx.coboundaries[1][0]
         j = next(j for j, row in enumerate(a.rows) if row)
-        a.add_at(j, next(iter(a.rows[j])), 1)
+        add_at(a, j, next(iter(a.rows[j])), 1)
         return cx
 
     monkeypatch.setattr(zz2, "equivariant_complex", corrupted)
@@ -482,6 +483,37 @@ def test_arity4_experiment_report_is_pinned(tmp_path, monkeypatch):
     assert run(["experiment", "--ell", "3", "--n-max", "4", "--chain-samples", "500",
                 "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ARITY4_SURVEY_REPORT_SHA256
+
+
+# SHA-256 of the report of `verify --suite all --out`
+VERIFY_REPORT_SHA256 = "8631bdecb15d3c9a1c37cb38917dcfc176bf4f36a082924f08e6948dfd3b4e0f"
+
+
+def test_verify_report_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--suite", "all", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_REPORT_SHA256
+
+
+# SHA-256 of the report of `degree --colouring colouring-<n>.json`, run in the
+# directory that holds the file (the report names the path as given), on the
+# colouring of gamma(8)^n with colour 1 where the first coordinate is below 4
+DEGREE_REPORT_SHA256 = {
+    1: "e68877a2e9f4fd769852571e67baa5b4b9adaa1fb48bc64ee057b980286d853f",
+    3: "4df771dd11d1027315ca1d57f1262129d3473ca0e70a0d3b196ef3564fe3dadd",
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_degree_report_is_pinned(tmp_path, monkeypatch, n):
+    monkeypatch.chdir(tmp_path)
+    bits = [int(v[0] < 4) for v in iproduct(range(8), repeat=n)]
+    name = f"colouring-{n}.json"
+    (tmp_path / name).write_text(json.dumps({"L": 8, "n": n, "colours": bits}))
+    assert run(["degree", "--colouring", name, "--out", "degree.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "degree.json").read_bytes()).hexdigest()
+    assert digest == DEGREE_REPORT_SHA256[n]
 
 
 def test_experiment_without_chain_samples_walks_no_chain(tmp_path, monkeypatch):

@@ -22,8 +22,8 @@ from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
 
 import oracles
 from oracles import (band_reference, brute_deg1, composite_mapping, count_deg1_reference,
-                     minor_degree_vector, minor_map, mu_colours_reference,
-                     phi_reference, slice_deg1_reference)
+                     decode, minor_degree_vector, minor_map, mu_colours_reference,
+                     phi_reference, shift_coordinate, slice_deg1_reference)
 
 
 def as_bits(col):
@@ -234,7 +234,7 @@ def test_deg1_matches_brute_force_exhaustively():
 def test_exhaustive_battery_odd_weight():
     distribution = {}
     for col in equivariant_colourings(gamma_power(4, 2)):
-        gmap = map_from_colouring(gamma_power(4, 2), col, check_equivariance=True)
+        gmap = map_from_colouring(gamma_power(4, 2), col)
         alpha = deg_vector(gmap, L=4, n=2)
         assert alpha.weight % 2 == 1
         distribution[alpha.bits] = distribution.get(alpha.bits, 0) + 1
@@ -294,7 +294,6 @@ def test_deg_vector_odd_weight_sampled_gamma8():
 
 def test_deg1_invariant_under_double_shifts():
     # precomposing with the shift-a-coordinate-by-2 automorphisms fixes deg1
-    from equihom.slices import shift_coordinate
     torus = torus_complex(4, 4)
     for col in equivariant_colourings(gamma_power(4, 2)):
         base = torus.deg1(col)
@@ -334,7 +333,7 @@ def test_monomial_colourings_realize_patterns():
     for n in (1, 2, 3):
         for support in _odd_supports(n):
             col = monomial_colouring(8, n, support)
-            gmap = map_from_colouring(gamma_power(8, n), col, check_equivariance=True)
+            gmap = map_from_colouring(gamma_power(8, n), col)
             alpha = deg_vector(gmap, L=8, n=n)
             expected = tuple(1 if j in support else 0 for j in range(1, n + 1))
             assert alpha.bits == expected, (n, support)
@@ -365,7 +364,7 @@ def test_phi_dictators_and_unary():
     p2 = power(c3, 2)
     e = next(iter(enumerate_homs(c3, k4)))
     for j in (1, 2):
-        dictator = GraphHom(p2, k4, [e.values[p2.decode(i)[j - 1]] for i in range(9)])
+        dictator = GraphHom(p2, k4, [e.values[decode(p2, i)[j - 1]] for i in range(9)])
         assert phi(dictator, pipe).bits == tuple(1 if i == j else 0 for i in (1, 2))
 
 
@@ -600,7 +599,7 @@ def test_map_from_colouring_and_phi_name_the_same_alternating_cell(
         phi_reference(f, pipe)
     col = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
     with pytest.raises(AlternatingSimplexError) as from_map:
-        map_from_colouring(x, col, check_equivariance=True)
+        map_from_colouring(x, col)
     assert from_map.value.witness == from_phi.value.witness
     assert str(from_map.value) == str(from_phi.value)
 
@@ -620,7 +619,7 @@ def test_the_least_alternating_cell_is_the_witness(pipe, ternary_maps, monkeypat
         phi_reference(f, pipe)
     col = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
     with pytest.raises(AlternatingSimplexError) as from_map:
-        map_from_colouring(x, col, check_equivariance=True)
+        map_from_colouring(x, col)
     assert from_phi.value.witness == from_map.value.witness == alternating[0]
 
 
@@ -631,7 +630,7 @@ def test_map_from_colouring_and_deg_vector_name_the_same_antipode():
     with pytest.raises(NotEquivariantError) as from_degrees:
         deg_vector(col, L=8, n=3)
     with pytest.raises(NotEquivariantError) as from_map:
-        map_from_colouring(gamma_power(8, 3), col, check_equivariance=True)
+        map_from_colouring(gamma_power(8, 3), col)
     assert from_map.value.witness == from_degrees.value.witness == (1, 2, 3)
     assert str(from_map.value) == str(from_degrees.value)
 

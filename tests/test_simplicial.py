@@ -8,7 +8,7 @@ from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
                             InvalidParameterError, NotEquivariantError)
 from equihom.simplicial import (BLUE, YELLOW, SimplicialMap,
                                 SimplicialSet, faces, gamma,
-                                gamma_power, gamma_product, incidence,
+                                gamma_power, gamma_product,
                                 is_degenerate, map_from_colouring,
                                 mod2_homology_ranks,
                                 normalize_simplex, order_complex,
@@ -20,7 +20,8 @@ from equihom.homcomplexes import hom_complex
 from equihom.slices import arity_experiment
 
 from oracles import (ModTwoChain, boundary, check_reference, circle_cells_reference,
-                     hom_complex_cells_reference, incidence_reference,
+                     hom_complex_cells_reference, incidence, incidence_reference,
+                     is_equivariant, simplicial_set_from_json,
                      sphere_model_cells_reference, sproduct, strict_chains,
                      torus_cells_reference)
 from test_zz2 import ORBIT_CASES
@@ -494,10 +495,9 @@ def test_mod2_homology_of_gamma8_cubed():
 def test_map_from_colouring_constant_valid():
     t = gamma_power(4, 2)
     col = {v: BLUE for v in t.vertices}
-    gmap = map_from_colouring(t, col)
-    assert not gmap.is_equivariant()  # valid as a map, but never equivariant
+    # valid as a map, but never equivariant, so it is refused
     with pytest.raises(NotEquivariantError):
-        map_from_colouring(t, col, check_equivariance=True)
+        map_from_colouring(t, col)
 
 
 def test_map_from_colouring_any_equivariant_on_2d_torus():
@@ -514,8 +514,8 @@ def test_map_from_colouring_any_equivariant_on_2d_torus():
             bit = rng.random() < 0.5
             col[v] = BLUE if bit else YELLOW
             col[nu[v]] = YELLOW if bit else BLUE
-        gmap = map_from_colouring(t, col, check_equivariance=True)
-        assert gmap.is_equivariant()
+        gmap = map_from_colouring(t, col)
+        assert is_equivariant(gmap)
 
 
 def test_map_from_colouring_alternation_witness():
@@ -554,7 +554,7 @@ def test_simplicial_map_validity():
     g4 = gamma(4)
     sq = gamma_product((4, 4))
     proj = SimplicialMap(sq, g4, {v: v[0] for v in sq.vertices})
-    assert proj.is_equivariant()
+    assert is_equivariant(proj)
     with pytest.raises(InvalidParameterError):
         SimplicialMap(g4, g4, {v: (v + 1) % 4 for v in g4.vertices})
 
@@ -591,7 +591,7 @@ def test_a_fresh_order_complex_holds_only_its_vertices(make):
 def test_json_roundtrip():
     for x in (sigma(2), gamma(8), gamma_power(4, 2)):
         data = json.loads(json.dumps(x.to_json()))
-        back = SimplicialSet.from_json(data)
+        back = simplicial_set_from_json(data)
         assert back.vertices == x.vertices
         for d in range(x.cap + 1):
             assert back.cells(d) == x.cells(d)

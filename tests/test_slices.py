@@ -13,13 +13,12 @@ from equihom.homcomplexes import CyclePipeline
 from equihom.simplicial import BLUE, YELLOW, equivariant_colourings, gamma_power
 from equihom.slices import (GeneralizedDiagonal, arity_experiment,
                             chain_alternation_counts, height,
-                            iter_coordinate_edges, permute_coordinates,
-                            shift_coordinate, slice_check, standard_diagonal,
-                            swap_fraction, zeta0)
+                            iter_coordinate_edges, swap_fraction, zeta0)
 
 import oracles
 from oracles import (arity_experiment_reference, chain_alternations,
-                     sample_maximal_chain_reference)
+                     permute_coordinates, sample_maximal_chain_reference,
+                     shift_coordinate, slice_check, standard_diagonal)
 
 
 def test_height_basics():

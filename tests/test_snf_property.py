@@ -5,7 +5,7 @@ import pytest
 
 from equihom.snf import SparseMat, _dense_smith_invariants, smith_normal_form
 
-from oracles import determinantal_invariants
+from oracles import determinantal_invariants, from_dense
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -33,7 +33,8 @@ def shaped_matrices(draw):
                      database=None)
 @hypothesis.given(small_matrices)
 def test_smith_form_matches_determinantal_divisors(mat):
-    assert list(smith_normal_form(mat).invariants) == determinantal_invariants(mat)
+    invariants = smith_normal_form(from_dense(mat)).invariants
+    assert list(invariants) == determinantal_invariants(mat)
 
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
@@ -41,8 +42,8 @@ def test_smith_form_matches_determinantal_divisors(mat):
 @hypothesis.given(shaped_matrices())
 def test_transpose_has_the_same_invariants(mat):
     transposed = [list(column) for column in zip(*mat)]
-    invariants = smith_normal_form(mat).invariants
-    assert smith_normal_form(transposed).invariants == invariants
+    invariants = smith_normal_form(from_dense(mat)).invariants
+    assert smith_normal_form(from_dense(transposed)).invariants == invariants
     assert list(invariants) == _dense_smith_invariants([list(r) for r in mat])
     assert list(invariants) == _dense_smith_invariants(transposed)
 
