@@ -85,7 +85,9 @@ def count_deg1(bits, x1, squares):
     The terms are folded by XOR, so a bit may pack many maps, one per bit
     position (as ``TorusTables.lane_degrees`` packs them): each term only
     sets bits that are set in its operands, and no position carries into
-    the next.
+    the next.  ``TorusTables.slot_degrees`` counts the same terms for one
+    map with the lanes turned the other way, one byte per cell vertex, as
+    ``CellLanes`` lays them out for ``phi``.
     """
     return reduce(xor, [bits[p] & bits[r] & (bits[q1] ^ bits[q2])
                         for p, q1, q2, r in squares],
@@ -106,8 +108,15 @@ class TorusTables:
     through ``sigma_minor(n, i)``, as indices into ``positions``:
     ``count_deg1`` over them is deg1 of the i-th minor.  The vertex (a, b)
     of the plane lifts to a * w_1 + b * w_2, with w_k summing L^(n-j) over
-    the slots j that the minor sends to k.  No torus is built: neither
+    the coordinates j that the minor sends to k.  No torus is built: neither
     gamma(L)^n nor the plane, which is written down.
+
+    ``slots`` lays out every cell vertex of every slice as an index into
+    ``positions``, one region per role: every x1 u, every x1 v, then the
+    squares' p, q1, q2 and r, slice by slice within a region.
+    ``offsets`` holds the bit offsets of the regions after the first when
+    slot j is byte j of an integer, and ``slot_masks[i - 1]`` the bit 0 of
+    each byte of the i-th slice's edges and squares.
     """
 
     def __init__(self, L, n):
@@ -127,11 +136,35 @@ class TorusTables:
             at = [index.get(p) for p in lift]
             self.slices.append(([tuple(map(at.__getitem__, e)) for e in plane.x1],
                                 [tuple(map(at.__getitem__, s)) for s in plane.squares]))
+        self.slots = [cell[k] for part, width in ((0, 2), (1, 4)) for k in range(width)
+                      for cells in self.slices for cell in cells[part]]
+        edges, squares = len(plane.x1), len(plane.squares)
+        e, s = 8 * n * edges, 8 * n * squares  # region widths in bits
+        self.offsets = (e, 2 * e, 2 * e + s, 2 * e + 2 * s, 2 * e + 3 * s)
+        ones = [int.from_bytes(b"\1" * k, "little") for k in (edges, squares)]
+        self.slot_masks = [(ones[0] << 8 * edges * i, ones[1] << 8 * squares * i)
+                           for i in range(n)]
 
     def degrees(self, bits):
         """deg1 of each 2-variable minor, in coordinate order, of the blue
         bits ``bits[k]`` of the vertices at ``positions[k]``."""
         return [count_deg1(bits, x1, squares) for x1, squares in self.slices]
+
+    def slot_degrees(self, w):
+        """``degrees`` of one map from ``w``, whose byte j is the blue bit
+        at ``positions[slots[j]]``: ``count_deg1`` on every slice at once,
+        one byte lane per cell vertex.
+
+        Each region shifted to the bottom lines its slots up with the
+        first region's, so one AND, shift and XOR per term covers every
+        cell, and each slice's count is the population count under its
+        masks, mod 2.
+        """
+        v, p, q1, q2, r = self.offsets
+        edges = w & ~(w >> v)
+        squares = (w >> p) & (w >> r) & ((w >> q1) ^ (w >> q2))
+        return [((edges & e).bit_count() + (squares & s).bit_count()) & 1
+                for e, s in self.slot_masks]
 
     def lane_degrees(self, columns):
         """The degree vector of every map at once, from ``columns[k]``, the
@@ -149,6 +182,47 @@ class TorusTables:
 @lru_cache(maxsize=16)
 def torus_tables(L, n):
     return TorusTables(L, n)
+
+
+class CellLanes:
+    """``phi``'s reader of one map: the t-index of mu(f) at every slot of
+    ``torus_tables(4*ell, n)``, one byte lane per slot, for the polymorphisms
+    of one arity n of one ``CyclePipeline``.
+
+    ``CyclePipeline.mu_lanes`` packs maps, one byte lane per map; here the
+    lanes are turned the other way, as in bit-sliced DES (Biham, FSE 1997).
+    Byte j of ``masks[i]`` has bit 4 set when domain vertex i of C_ell^n
+    lies in the left side of iota(iso^n(y)) at slot j's vertex y, and bit
+    0 when it lies in the right side, read off ``CyclePipeline.side_table``.
+    ORed over the vertices of each colour c and shifted by c, they give
+    every slot's t-index ``(left mask << 4) | right mask``;
+    ``TorusTables.slot_degrees`` then counts, as ``count_deg1`` does, on
+    the bits that t gives.
+    """
+
+    def __init__(self, pipeline, n):
+        tables = torus_tables(pipeline.period, n)
+        columns, lefts, rights = pipeline.side_table(n, tables.positions)
+        sides = [side for group in columns for side in zip(*group)]
+        self.size = len(tables.slots)
+        masks = [bytearray(self.size) for _ in range(pipeline.ell ** n)]
+        for j, k in enumerate(tables.slots):
+            for i in sides[lefts[k]]:
+                masks[i][j] |= 0x10
+            for i in sides[rights[k]]:
+                masks[i][j] |= 1
+        for i, m in enumerate(masks):  # each bytearray is dropped as it is read
+            masks[i] = int.from_bytes(m, "little")
+        self.masks = masks
+
+    def keys(self, values):
+        """The t-index of mu'(f) at every slot, one byte each, for the map
+        f with ``values``."""
+        planes = [0] * 4
+        for c, mask in zip(values, self.masks):
+            planes[c] |= mask
+        key = planes[0] | planes[1] << 1 | planes[2] << 2 | planes[3] << 3
+        return key.to_bytes(self.size, "little")
 
 
 class OddVector:
@@ -209,7 +283,11 @@ def phi(f, pipeline):
     """The odd vector attached to a polymorphism: the degree vector of mu(f).
 
     Reads the blue bits of mu(f) only at the vertices the degree slices of
-    gamma(4*ell)^n touch, and builds no such torus.  The check of t, made
+    gamma(4*ell)^n touch, and builds no such torus: ``CellLanes``, built
+    once per arity and kept in ``pipeline.cell_lanes``, gives the t-index
+    of every cell vertex of every slice in one integer, one byte lane per
+    cell vertex, ``CyclePipeline.read_t`` reads t on it, and
+    ``TorusTables.slot_degrees`` counts the degrees.  The check of t, made
     when its ``TColouring`` was made, stands for the checks of the whole
     torus (see ``CyclePipeline``), so per map f must pass
     ``check_polymorphism`` and the vector must have odd weight
@@ -224,10 +302,12 @@ def phi(f, pipeline):
     memo, vectors = pipeline.phi_memo, pipeline.phi_vectors
     alpha = memo.get(f.values)
     if alpha is None:
+        lanes = pipeline.cell_lanes.get(n)
+        if lanes is None:
+            lanes = pipeline.cell_lanes[n] = CellLanes(pipeline, n)
+        blue = pipeline.read_t(lanes.keys(f.values))
         tables = torus_tables(pipeline.period, n)
-        # the kernel indexes a list faster than bytes
-        bits = list(pipeline.mu_lanes([f], tables.positions))
-        alpha = OddVector(tables.degrees(bits))
+        alpha = OddVector(tables.slot_degrees(int.from_bytes(blue, "little")))
         alpha = memo[f.values] = vectors.setdefault(alpha.bits, alpha)
     return alpha
 

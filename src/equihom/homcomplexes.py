@@ -278,13 +278,16 @@ class CyclePipeline:
     Holds the cycle's homomorphism complex, the canonical circle isomorphism
     and the chosen structure colouring t, and runs on integer tables.
     ``table`` is 256 bytes: the blue bit of t at ``_t_index(m)`` for each
-    multihomomorphism m of K_4, ``UNLABELLED`` elsewhere.  For each arity n
-    and tuple of row-major vertex positions of gamma(4*ell)^n, the pipeline
-    caches the distinct sides of iota(iso(y_1), ..., iso(y_n)) at those
-    vertices y as index columns of encoded domain indices, one group per
-    side size; ``mu_lanes``, the one reader, ORs 1 << f(i) over each side
-    for many maps at once, one byte lane per map, and reads t through
-    ``table``.
+    multihomomorphism m of K_4, ``UNLABELLED`` elsewhere, read by
+    ``read_t``.  For each arity n and tuple of row-major vertex positions
+    of gamma(4*ell)^n, the pipeline caches the distinct sides of
+    iota(iso(y_1), ..., iso(y_n)) at those vertices y as index columns of
+    encoded domain indices, one group per side size (``side_table``).  Two
+    readers share that table and ``table``: ``mu_lanes`` packs maps, one
+    byte lane per map, for the survey and ``mu_colours``, and
+    ``degrees.CellLanes`` packs cells, one byte lane per cell vertex of the
+    degree slices, for one map at a time in ``degrees.phi``; it is built
+    once per arity and kept in ``cell_lanes`` under n.
 
     mu(f) = t o f_* o iota o iso^n.  iso is equivariant and sends each odd
     vertex above its even neighbours (``canonical_cycle_iso`` checks both),
@@ -314,6 +317,7 @@ class CyclePipeline:
         self.table = bytes(table)
         self.phi_memo = {}
         self.phi_vectors = {}
+        self.cell_lanes = {}
         self._sides = {}
 
     @property
@@ -332,7 +336,7 @@ class CyclePipeline:
             GraphHom(dom, f.codomain, f.values)
         return dom.exponent
 
-    def _side_table(self, n, positions):
+    def side_table(self, n, positions):
         """Distinct sides of iota at the vertices of gamma(4*ell)^n at
         ``positions`` (all of them for None), and where each vertex's are.
 
@@ -373,32 +377,28 @@ class CyclePipeline:
                                                  list(map(moved.__getitem__, rights)))
         return table
 
-    def mu_lanes(self, fs, positions=None):
-        """The blue bits of mu(f) of every map in ``fs`` at once, at the
-        vertices of gamma(4*ell)^n at the tuple ``positions`` of row-major
-        positions, or at every vertex in vertex order by default: one bytes
-        object with ``len(fs)`` bytes per vertex, byte k the bit of ``fs[k]``.
+    def mu_lanes(self, fs):
+        """The blue bits of mu(f) of every map in ``fs`` at once, at every
+        vertex of gamma(4*ell)^n in vertex order: one bytes object with
+        ``len(fs)`` bytes per vertex, byte k the bit of ``fs[k]``.
 
         Each f must pass ``check_polymorphism``, all at one arity.  The
         one-hot colours 1 << f(i) of a domain vertex are packed one byte per
-        map, and a side's mask ORs them over its indices, a whole index
-        column at a time.  A mask fills the low half of its byte, so the
-        t-index ``(left mask << 4) | right mask`` stays in it, and t is read
-        through ``table``; a key with no multihomomorphism of K_4 behind it
-        reads ``UNLABELLED`` and is refused (InternalError).
+        map, one map as many maps are, and a side's mask ORs them over its
+        indices, a whole index column at a time.  A mask fills the low half of its
+        byte, so the t-index ``(left mask << 4) | right mask`` stays in it,
+        and ``read_t`` reads t.  This is the reader that packs maps;
+        ``phi`` reads one map with ``degrees.CellLanes``, which packs cells.
         """
         if not fs:
             raise InvalidParameterError("mu_lanes needs at least one map")
         arities = set(map(self.check_polymorphism, fs))
         if len(arities) != 1:
             raise InvalidParameterError(f"maps of arities {sorted(arities)} in one call")
-        columns, lefts, rights = self._side_table(arities.pop(), positions)
+        columns, lefts, rights = self.side_table(arities.pop(), None)
         count = len(fs)
-        # one map, as ``phi`` reads it, skips the packing: its colours and
-        # keys are small integers; many maps get one byte lane each
-        onehot = ([1 << v for v in fs[0].values] if count == 1 else
-                  [int.from_bytes(bytes(column).translate(ONE_HOT), "little")
-                   for column in zip(*(f.values for f in fs))])
+        onehot = [int.from_bytes(bytes(column).translate(ONE_HOT), "little")
+                  for column in zip(*(f.values for f in fs))]
         masks = []
         for group in columns:
             acc = map(onehot.__getitem__, group[0])
@@ -407,8 +407,14 @@ class CyclePipeline:
             masks.extend(acc)
         high = [m << 4 for m in masks]
         keys = map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))
-        blob = (bytes(keys) if count == 1 else
-                b"".join(key.to_bytes(count, "little") for key in keys)).translate(self.table)
+        return self.read_t(b"".join(key.to_bytes(count, "little") for key in keys))
+
+    def read_t(self, keys):
+        """The blue bit of t at each byte of ``keys``, a t-index
+        ``(left mask << 4) | right mask``, through ``table``; a key with no
+        multihomomorphism of K_4 behind it reads ``UNLABELLED`` and is
+        refused (InternalError)."""
+        blob = keys.translate(self.table)
         if UNLABELLED in blob:
             raise InternalError("a map sends a vertex to a pair of sides that is "
                                 "not a multihomomorphism of K_4")

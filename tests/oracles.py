@@ -680,7 +680,7 @@ def _iota_sides(pipeline, n, positions=None):
 
 
 def side_table_reference(pipeline, n, positions=None):
-    """``CyclePipeline._side_table`` from the sides of iota at each vertex:
+    """``CyclePipeline.side_table`` from the sides of iota at each vertex:
     the distinct sides grouped by size as index columns, and the grouped
     position of each vertex's left and right side."""
     position = {}

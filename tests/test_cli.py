@@ -97,6 +97,21 @@ def test_ell5_phi_report_is_pinned(tmp_path, monkeypatch):
     assert digest == ELL5_PHI_SHA256
 
 
+# SHA-256 of `phi --in polys.jsonl` on the file that `enumerate --ell 3
+# --arity 4 --limit 20` writes, both run in one directory
+ARITY4_PHI_SHA256 = "c7bbc1acbac4d18c561363a40f9f40ae015ea944cb0d61966c8691d10d101635"
+
+
+def test_arity4_phi_report_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    assert run(["enumerate", "--ell", "3", "--arity", "4", "--limit", "20",
+                "--out", "polys.jsonl"]) == 0
+    assert run(["phi", "--in", "polys.jsonl", "--out", "phi.jsonl"]) == 0
+    digest = hashlib.sha256((tmp_path / "phi.jsonl").read_bytes()).hexdigest()
+    assert digest == ARITY4_PHI_SHA256
+
+
 PHI_RECORD = {"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, 2]}
 
 

@@ -45,3 +45,15 @@ def test_kernel_slices_match_brute_force(case):
     tables = torus_tables(L, 2)
     assert tables.degrees([bits[p] for p in tables.positions]) == [
         brute_deg1(first, L, L), brute_deg1(second, L, L)]
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from((12, 20)), st.integers(1, 4), st.data())
+def test_slot_degrees_match_the_slice_kernel(L, n, data):
+    # blue bits at the slice positions, laid out one byte per slot
+    tables = torus_tables(L, n)
+    size = len(tables.positions)
+    word = data.draw(st.integers(0, (1 << size) - 1))
+    bits = [word >> k & 1 for k in range(size)]
+    w = int.from_bytes(bytes(bits[k] for k in tables.slots), "little")
+    assert tables.slot_degrees(w) == tables.degrees(bits)

@@ -7,16 +7,17 @@ from itertools import product
 import pytest
 
 from equihom import simplicial
-from equihom.degrees import (OddVector, TorusComplex, count_deg1,
+from equihom.degrees import (CellLanes, OddVector, TorusComplex, count_deg1,
                              deg_vector, find_colour_swapping_edge,
                              monomial_colouring, phi, torus_complex,
                              torus_tables, winding_colouring)
-from equihom.errors import (AlternatingSimplexError, EquihomError, InvalidParameterError,
-                            InvariantViolationError, NotEquivariantError)
+from equihom.errors import (AlternatingSimplexError, EquihomError, InternalError,
+                            InvalidParameterError, InvariantViolationError,
+                            NotEquivariantError)
 from equihom.graphs import (Graph, GraphHom, MinorSpec, PowerGraph, complete_graph,
                             cycle_graph, enumerate_homs, minor, power, sample_homs)
-from equihom.homcomplexes import (CyclePipeline, Multihom, TColouring, hom_complex,
-                                  search_t_colouring)
+from equihom.homcomplexes import (UNLABELLED, CyclePipeline, Multihom, TColouring,
+                                  _t_index, hom_complex, mu_prime, search_t_colouring)
 from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
                                 gamma_power, gamma_product, map_from_colouring)
 
@@ -118,6 +119,59 @@ def test_lane_kernels_match_the_one_map_paths(ell, n, count):
     tables = torus_tables(pipe.period, n)
     columns = [blob[p * size:(p + 1) * size] for p in tables.positions]
     assert tables.lane_degrees(columns) == [phi(f, pipe).bits for f in maps]
+
+
+@pytest.mark.parametrize("ell, n, count", [(3, 2, None), (3, 3, 40), (3, 4, 40),
+                                            (5, 2, 40), (5, 3, 20)])
+def test_cell_lanes_match_the_lanes_of_many_maps(ell, n, count):
+    """The one-map kernel, which packs cells, against ``mu_lanes``, which
+    packs maps: every binary map at ell = 3, and seeded maps at arity 3
+    and 4 at ell = 3 and at arity 2 and 3 at ell = 5.  Its t bits at each
+    slot are the map's byte at the slot's position, and its degrees are
+    ``TorusTables.degrees`` of the map's lane, as is ``phi``."""
+    pipe = CyclePipeline(ell)
+    dom, k4 = power(cycle_graph(ell), n), complete_graph(4)
+    maps = (list(enumerate_homs(dom, k4)) if count is None
+            else sample_homs(dom, k4, count, random.Random(10 * ell + n)))
+    assert len(maps) == (count or 1056)
+    size = len(maps)
+    blob = pipe.mu_lanes(maps)
+    tables = torus_tables(pipe.period, n)
+    lanes = CellLanes(pipe, n)
+    seen = set()
+    for k, f in enumerate(maps):
+        bits = [blob[p * size + k] for p in tables.positions]
+        blue = pipe.read_t(lanes.keys(f.values))
+        assert list(blue) == [bits[j] for j in tables.slots]
+        degrees = tables.degrees(bits)
+        assert tables.slot_degrees(int.from_bytes(blue, "little")) == degrees
+        assert list(phi(f, pipe).bits) == degrees
+        seen.add(tuple(degrees))
+    assert len(seen) > 1
+
+
+def test_phi_refuses_an_unlabelled_byte_it_reads_on_every_call(binary_maps):
+    """Negative control: one labelled byte of the t table, the one mu(f)
+    reads at the torus vertex (0, 0), set to UNLABELLED.  phi refuses f
+    with the InternalError of ``mu_lanes``, stores nothing, and refuses it
+    again on the next call."""
+    pipe = CyclePipeline(3)
+    f, g = binary_maps[0], binary_maps[1]
+    phi(g, pipe)
+    memo = dict(pipe.phi_memo)
+    key = _t_index(mu_prime(f, [pipe.iso_map[0]] * 2))
+    assert pipe.table[key] != UNLABELLED
+    table = bytearray(pipe.table)
+    table[key] = UNLABELLED
+    pipe.table = bytes(table)
+    with pytest.raises(InternalError) as from_lanes:
+        pipe.mu_lanes([f])
+    for _ in range(2):
+        with pytest.raises(InternalError) as from_phi:
+            phi(f, pipe)
+        assert str(from_phi.value) == str(from_lanes.value)
+        assert pipe.phi_memo == memo and f.values not in pipe.phi_memo
+    assert phi(g, pipe) is memo[g.values]
 
 
 def test_packed_kernel_counts_each_lane_past_one_byte():

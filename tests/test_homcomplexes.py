@@ -8,7 +8,7 @@ import pytest
 
 from equihom.errors import (CapacityExceededError, InternalError, InvalidParameterError,
                             UnsupportedInputError)
-from equihom.degrees import torus_tables
+from equihom.degrees import CellLanes, torus_tables
 from equihom.graphs import (Graph, GraphHom, MinorSpec, complete_graph, cycle_graph,
                             enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import (MAX_MULTIHOMS, UNLABELLED, CyclePipeline, Multihom,
@@ -323,18 +323,19 @@ def test_mu_bits_matches_the_per_side_loop(ell, n, count, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_mu_lanes_at_the_slice_positions_matches_the_per_side_loop(n):
-    """mu_lanes at the positions ``phi`` reads, on one map and on many,
-    against the per-side loop at those positions; gamma(12)^5 is over the
-    cell limit, and neither builds it."""
+    """mu_lanes on many maps and ``phi``'s reader ``CellLanes`` on each,
+    at the slice positions, against the per-side loop at those positions;
+    gamma(12)^5 is over the cell limit, and none of them builds it."""
     pipe = CyclePipeline(3)
-    positions = torus_tables(12, n).positions
+    tables = torus_tables(12, n)
+    lanes = CellLanes(pipe, n)
     maps = sample_homs(power(cycle_graph(3), n), complete_graph(4), 6, random.Random(n))
     assert len(maps) == 6
-    blob = pipe.mu_lanes(maps, positions)
+    blob = pipe.mu_lanes(maps)
     for k, f in enumerate(maps):
-        bits = mu_bits_reference(pipe, f, positions)
-        assert list(pipe.mu_lanes([f], positions)) == bits
-        assert list(blob[k::len(maps)]) == bits
+        bits = mu_bits_reference(pipe, f, tables.positions)
+        assert [blob[p * len(maps) + k] for p in tables.positions] == bits
+        assert list(pipe.read_t(lanes.keys(f.values))) == [bits[j] for j in tables.slots]
 
 
 @pytest.mark.parametrize("ell", [3, 5])
@@ -346,7 +347,7 @@ def test_side_table_matches_iota_at_each_vertex(ell, n):
     pipe = CyclePipeline(ell)
     try:
         for at in (None, torus_tables(pipe.period, n).positions):
-            assert pipe._side_table(n, at) == side_table_reference(pipe, n, at)
+            assert pipe.side_table(n, at) == side_table_reference(pipe, n, at)
     finally:
         oracles._iota_sides.cache_clear()
 

@@ -300,9 +300,9 @@ def test_arity_experiment_reads_bits_not_colour_dicts(monkeypatch):
     lane_calls = []
     mu_lanes = CyclePipeline.mu_lanes
 
-    def counted_mu_lanes(pipeline, fs, positions=None):
+    def counted_mu_lanes(pipeline, fs):
         lane_calls.append(len(fs))
-        return mu_lanes(pipeline, fs, positions)
+        return mu_lanes(pipeline, fs)
 
     monkeypatch.setattr(CyclePipeline, "mu_lanes", counted_mu_lanes)
     report = arity_experiment(3, 3, seed=2, chain_samples=10)
