@@ -9,11 +9,11 @@ odd Z_2-vectors.
 """
 
 from functools import cached_property, lru_cache, reduce
-from operator import xor
+from operator import itemgetter, xor
 
 from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import MinorSpec
-from .homcomplexes import CyclePipeline
+from .homcomplexes import CyclePipeline, side_keys
 from .simplicial import (BLUE, YELLOW, check_antipodes, check_colours, check_torus,
                          colour_values, gamma_power, gamma_product)
 
@@ -184,10 +184,16 @@ def torus_tables(L, n):
     return TorusTables(L, n)
 
 
+# the most bytes ``CellLanes`` may hold in its masks, ell^n of them as wide
+# as the slots; past it ``phi`` reads side by side (``SideMasks``)
+CELL_LANES_BUDGET = 1 << 23
+
+
 class CellLanes:
-    """``phi``'s reader of one map: the t-index of mu(f) at every slot of
-    ``torus_tables(4*ell, n)``, one byte lane per slot, for the polymorphisms
-    of one arity n of one ``CyclePipeline``.
+    """``phi``'s reader of one map while it fits ``CELL_LANES_BUDGET``: the
+    t-index of mu(f) at every slot of ``torus_tables(4*ell, n)``, one byte
+    lane per slot, for the polymorphisms of one arity n of one
+    ``CyclePipeline``.
 
     ``CyclePipeline.mu_lanes`` packs maps, one byte lane per map; here the
     lanes are turned the other way, as in bit-sliced DES (Biham, FSE 1997).
@@ -200,8 +206,7 @@ class CellLanes:
     the bits that t gives.
     """
 
-    def __init__(self, pipeline, n):
-        tables = torus_tables(pipeline.period, n)
+    def __init__(self, pipeline, n, tables):
         columns, lefts, rights = pipeline.side_table(n, tables.positions)
         sides = [side for group in columns for side in zip(*group)]
         self.size = len(tables.slots)
@@ -223,6 +228,40 @@ class CellLanes:
             planes[c] |= mask
         key = planes[0] | planes[1] << 1 | planes[2] << 2 | planes[3] << 3
         return key.to_bytes(self.size, "little")
+
+
+class SideMasks:
+    """``phi``'s reader of one map where ``CellLanes`` would pass
+    ``CELL_LANES_BUDGET``: the same t-index at every slot, read side by
+    side.
+
+    It keeps ``CyclePipeline.side_table`` at the slice positions.  Per map,
+    ``side_keys`` ORs the colours 1 << f(i) over each distinct side, as
+    ``CyclePipeline.mu_lanes`` does for packed maps, and the keys at the
+    positions are laid out by slot: work and memory grow with the sides,
+    not with ell^n masks as wide as the slots.
+    """
+
+    def __init__(self, pipeline, n, tables):
+        self.sides = pipeline.side_table(n, tables.positions)
+        self.by_slot = itemgetter(*tables.slots)
+
+    def keys(self, values):
+        """The t-index of mu'(f) at every slot, one byte each, for the map
+        f with ``values``."""
+        # the kernel indexes a list faster than bytes
+        keys = bytes(side_keys(self.sides, [1 << v for v in values]))
+        return bytes(self.by_slot(keys))
+
+
+def one_map_reader(pipeline, n):
+    """``phi``'s reader of the maps of arity n: ``CellLanes`` while its
+    ell^n masks of one byte per slot fit in ``CELL_LANES_BUDGET`` bytes,
+    ``SideMasks`` past it."""
+    tables = torus_tables(pipeline.period, n)
+    if pipeline.ell ** n * len(tables.slots) <= CELL_LANES_BUDGET:
+        return CellLanes(pipeline, n, tables)
+    return SideMasks(pipeline, n, tables)
 
 
 class OddVector:
@@ -283,11 +322,11 @@ def phi(f, pipeline):
     """The odd vector attached to a polymorphism: the degree vector of mu(f).
 
     Reads the blue bits of mu(f) only at the vertices the degree slices of
-    gamma(4*ell)^n touch, and builds no such torus: ``CellLanes``, built
-    once per arity and kept in ``pipeline.cell_lanes``, gives the t-index
-    of every cell vertex of every slice in one integer, one byte lane per
-    cell vertex, ``CyclePipeline.read_t`` reads t on it, and
-    ``TorusTables.slot_degrees`` counts the degrees.  The check of t, made
+    gamma(4*ell)^n touch, and builds no such torus: the reader that
+    ``one_map_reader`` picks, built once per arity and kept in
+    ``pipeline.phi_readers``, gives the t-index of every cell vertex of
+    every slice, one byte per cell vertex, ``CyclePipeline.read_t`` reads t
+    on it, and ``TorusTables.slot_degrees`` counts the degrees.  The check of t, made
     when its ``TColouring`` was made, stands for the checks of the whole
     torus (see ``CyclePipeline``), so per map f must pass
     ``check_polymorphism`` and the vector must have odd weight
@@ -302,10 +341,10 @@ def phi(f, pipeline):
     memo, vectors = pipeline.phi_memo, pipeline.phi_vectors
     alpha = memo.get(f.values)
     if alpha is None:
-        lanes = pipeline.cell_lanes.get(n)
-        if lanes is None:
-            lanes = pipeline.cell_lanes[n] = CellLanes(pipeline, n)
-        blue = pipeline.read_t(lanes.keys(f.values))
+        reader = pipeline.phi_readers.get(n)
+        if reader is None:
+            reader = pipeline.phi_readers[n] = one_map_reader(pipeline, n)
+        blue = pipeline.read_t(reader.keys(f.values))
         tables = torus_tables(pipeline.period, n)
         alpha = OddVector(tables.slot_degrees(int.from_bytes(blue, "little")))
         alpha = memo[f.values] = vectors.setdefault(alpha.bits, alpha)

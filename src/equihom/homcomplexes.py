@@ -272,6 +272,26 @@ def _t_index(m):
     return left << 4 | right
 
 
+def side_keys(sides, onehot):
+    """The t-index ``(left mask << 4) | right mask`` at each vertex of the
+    ``CyclePipeline.side_table`` ``sides``, as an iterator, from the one-hot
+    colours ``onehot[i]`` of the domain vertices.
+
+    A side's mask ORs the colours over its indices, a whole index column at
+    a time.  ``onehot[i]`` may pack many maps, one byte lane each: a mask
+    fills the low half of each byte, so each key stays in its byte.
+    """
+    columns, lefts, rights = sides
+    masks = []
+    for group in columns:
+        acc = map(onehot.__getitem__, group[0])
+        for column in group[1:]:
+            acc = map(or_, acc, map(onehot.__getitem__, column))
+        masks.extend(acc)
+    high = [m << 4 for m in masks]
+    return map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))
+
+
 class CyclePipeline:
     """Everything needed to turn polymorphisms of (C_ell, K_4) into torus maps.
 
@@ -279,15 +299,15 @@ class CyclePipeline:
     and the chosen structure colouring t, and runs on integer tables.
     ``table`` is 256 bytes: the blue bit of t at ``_t_index(m)`` for each
     multihomomorphism m of K_4, ``UNLABELLED`` elsewhere, read by
-    ``read_t``.  For each arity n and tuple of row-major vertex positions
-    of gamma(4*ell)^n, the pipeline caches the distinct sides of
-    iota(iso(y_1), ..., iso(y_n)) at those vertices y as index columns of
-    encoded domain indices, one group per side size (``side_table``).  Two
-    readers share that table and ``table``: ``mu_lanes`` packs maps, one
-    byte lane per map, for the survey and ``mu_colours``, and
-    ``degrees.CellLanes`` packs cells, one byte lane per cell vertex of the
-    degree slices, for one map at a time in ``degrees.phi``; it is built
-    once per arity and kept in ``cell_lanes`` under n.
+    ``read_t``.  For each arity n, the pipeline caches the distinct sides
+    of iota(iso(y_1), ..., iso(y_n)) at every vertex y of gamma(4*ell)^n as
+    index columns of encoded domain indices, one group per side size
+    (``side_table``, which builds them at given positions for phi's
+    reader, uncached).  Its readers share ``table``: ``mu_lanes`` packs
+    maps, one byte lane per map, for the survey and ``mu_colours``, and
+    ``degrees.phi`` reads one map at a time, one byte per cell vertex of
+    the degree slices, with the reader ``degrees.one_map_reader`` picks
+    for the arity n, kept in ``phi_readers`` under n.
 
     mu(f) = t o f_* o iota o iso^n.  iso is equivariant and sends each odd
     vertex above its even neighbours (``canonical_cycle_iso`` checks both),
@@ -317,7 +337,7 @@ class CyclePipeline:
         self.table = bytes(table)
         self.phi_memo = {}
         self.phi_vectors = {}
-        self.cell_lanes = {}
+        self.phi_readers = {}
         self._sides = {}
 
     @property
@@ -348,9 +368,10 @@ class CyclePipeline:
         grouped by size, and a group of size s is stored as s index columns,
         column j holding the j-th index of each side; ``lefts[k]`` and
         ``rights[k]`` are the positions of the k-th vertex's sides in the
-        grouped order.
+        grouped order.  The table of every vertex is cached under n; one at
+        ``positions`` is built afresh for the reader that keeps it.
         """
-        table = self._sides.get((n, positions))
+        table = self._sides.get(n) if positions is None else None
         if table is None:
             L = self.period
             # parts[i][x]: the sides of iso(x) as terms in coordinate i
@@ -373,8 +394,10 @@ class CyclePipeline:
             for k, side in enumerate(grouped):
                 moved[position[side]] = k
             columns = [tuple(zip(*group)) for _, group in groupby(grouped, len)]
-            table = self._sides[n, positions] = (columns, list(map(moved.__getitem__, lefts)),
-                                                 list(map(moved.__getitem__, rights)))
+            table = (columns, list(map(moved.__getitem__, lefts)),
+                     list(map(moved.__getitem__, rights)))
+            if positions is None:
+                self._sides[n] = table
         return table
 
     def mu_lanes(self, fs):
@@ -388,25 +411,18 @@ class CyclePipeline:
         indices, a whole index column at a time.  A mask fills the low half of its
         byte, so the t-index ``(left mask << 4) | right mask`` stays in it,
         and ``read_t`` reads t.  This is the reader that packs maps;
-        ``phi`` reads one map with ``degrees.CellLanes``, which packs cells.
+        ``phi`` reads one map with ``degrees.CellLanes``, which packs cells,
+        or ``degrees.SideMasks`` past their budget.
         """
         if not fs:
             raise InvalidParameterError("mu_lanes needs at least one map")
         arities = set(map(self.check_polymorphism, fs))
         if len(arities) != 1:
             raise InvalidParameterError(f"maps of arities {sorted(arities)} in one call")
-        columns, lefts, rights = self.side_table(arities.pop(), None)
         count = len(fs)
         onehot = [int.from_bytes(bytes(column).translate(ONE_HOT), "little")
                   for column in zip(*(f.values for f in fs))]
-        masks = []
-        for group in columns:
-            acc = map(onehot.__getitem__, group[0])
-            for column in group[1:]:
-                acc = map(or_, acc, map(onehot.__getitem__, column))
-            masks.extend(acc)
-        high = [m << 4 for m in masks]
-        keys = map(or_, map(high.__getitem__, lefts), map(masks.__getitem__, rights))
+        keys = side_keys(self.side_table(arities.pop(), None), onehot)
         return self.read_t(b"".join(key.to_bytes(count, "little") for key in keys))
 
     def read_t(self, keys):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
@@ -110,6 +111,31 @@ def test_arity4_phi_report_is_pinned(tmp_path, monkeypatch):
     assert run(["phi", "--in", "polys.jsonl", "--out", "phi.jsonl"]) == 0
     digest = hashlib.sha256((tmp_path / "phi.jsonl").read_bytes()).hexdigest()
     assert digest == ARITY4_PHI_SHA256
+
+
+def test_phi_on_a_long_cycle_stays_small(tmp_path, monkeypatch):
+    """The two projections of C_41^2: one byte per slice cell for each of
+    the 1 681 domain vertices would be about 180 MB, so phi reads them side
+    by side, in a few MB and well under a second untraced."""
+    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+    ell = 41
+    colours = [k % 2 for k in range(ell - 1)] + [2]
+    polys = tmp_path / "polys.jsonl"
+    polys.write_text("".join(
+        json.dumps({"domain_base": ell, "arity": 2, "codomain": 4,
+                    "values": [colours[x // ell ** (1 - i) % ell] for x in range(ell ** 2)]})
+        + "\n" for i in range(2)))
+    out = tmp_path / "phi.jsonl"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert run(["phi", "--in", str(polys), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 10
+    assert peak < 48 << 20
+    assert [obj["alpha"] for obj in read_lines(out)[:-1]] == [[1, 0], [0, 1]]
 
 
 PHI_RECORD = {"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, 2]}

@@ -7,10 +7,11 @@ from itertools import product
 import pytest
 
 from equihom import simplicial
-from equihom.degrees import (CellLanes, OddVector, TorusComplex, count_deg1,
-                             deg_vector, find_colour_swapping_edge,
-                             monomial_colouring, phi, torus_complex,
-                             torus_tables, winding_colouring)
+from equihom.degrees import (CELL_LANES_BUDGET, CellLanes, OddVector, SideMasks,
+                             TorusComplex, count_deg1, deg_vector,
+                             find_colour_swapping_edge, monomial_colouring,
+                             one_map_reader, phi, torus_complex, torus_tables,
+                             winding_colouring)
 from equihom.errors import (AlternatingSimplexError, EquihomError, InternalError,
                             InvalidParameterError, InvariantViolationError,
                             NotEquivariantError)
@@ -100,11 +101,16 @@ def test_paired_kernel_counts_every_slice_one_triangle_at_a_time(n):
     assert seen == {0, 1}
 
 
-@pytest.mark.parametrize("ell, n, count", [(3, 2, None), (3, 3, 40), (7, 2, 40)])
+@pytest.mark.parametrize("ell, n, count", [(3, 2, None), (3, 3, 40), (3, 4, 40),
+                                            (5, 2, 40), (5, 3, 20), (7, 2, 40)])
 def test_lane_kernels_match_the_one_map_paths(ell, n, count):
     """mu_lanes on many maps against mu_lanes on each map, lane by lane at
-    every vertex, and the lane degrees against phi: every binary map at
-    ell = 3, and seeded ternary maps and binary maps at ell = 7, whose
+    every vertex, and against phi's two one-map readers, which pack cells:
+    the t bits of ``CellLanes`` and of ``SideMasks`` at each slot are the
+    map's byte at the slot's position, and ``slot_degrees`` of them, the
+    lane degrees and phi are ``TorusTables.degrees`` of the lane.  Every
+    binary map at ell = 3, seeded maps at arity 3 and 4 at ell = 3 and at
+    arity 2 and 3 at ell = 5, and seeded binary maps at ell = 7, whose
     slices have more than 255 cells."""
     pipe = CyclePipeline(ell)
     dom, k4 = power(cycle_graph(ell), n), complete_graph(4)
@@ -114,47 +120,43 @@ def test_lane_kernels_match_the_one_map_paths(ell, n, count):
     size = len(maps)
     blob = pipe.mu_lanes(maps)
     assert len(blob) == size * pipe.period ** n
+    tables = torus_tables(pipe.period, n)
+    readers = [CellLanes(pipe, n, tables), SideMasks(pipe, n, tables)]
+    lanes = []
     for k, f in enumerate(maps):
         assert blob[k::size] == pipe.mu_lanes([f])
-    tables = torus_tables(pipe.period, n)
-    columns = [blob[p * size:(p + 1) * size] for p in tables.positions]
-    assert tables.lane_degrees(columns) == [phi(f, pipe).bits for f in maps]
-
-
-@pytest.mark.parametrize("ell, n, count", [(3, 2, None), (3, 3, 40), (3, 4, 40),
-                                            (5, 2, 40), (5, 3, 20)])
-def test_cell_lanes_match_the_lanes_of_many_maps(ell, n, count):
-    """The one-map kernel, which packs cells, against ``mu_lanes``, which
-    packs maps: every binary map at ell = 3, and seeded maps at arity 3
-    and 4 at ell = 3 and at arity 2 and 3 at ell = 5.  Its t bits at each
-    slot are the map's byte at the slot's position, and its degrees are
-    ``TorusTables.degrees`` of the map's lane, as is ``phi``."""
-    pipe = CyclePipeline(ell)
-    dom, k4 = power(cycle_graph(ell), n), complete_graph(4)
-    maps = (list(enumerate_homs(dom, k4)) if count is None
-            else sample_homs(dom, k4, count, random.Random(10 * ell + n)))
-    assert len(maps) == (count or 1056)
-    size = len(maps)
-    blob = pipe.mu_lanes(maps)
-    tables = torus_tables(pipe.period, n)
-    lanes = CellLanes(pipe, n)
-    seen = set()
-    for k, f in enumerate(maps):
         bits = [blob[p * size + k] for p in tables.positions]
-        blue = pipe.read_t(lanes.keys(f.values))
-        assert list(blue) == [bits[j] for j in tables.slots]
         degrees = tables.degrees(bits)
-        assert tables.slot_degrees(int.from_bytes(blue, "little")) == degrees
+        for reader in readers:
+            blue = pipe.read_t(reader.keys(f.values))
+            assert list(blue) == [bits[j] for j in tables.slots]
+            assert tables.slot_degrees(int.from_bytes(blue, "little")) == degrees
         assert list(phi(f, pipe).bits) == degrees
-        seen.add(tuple(degrees))
-    assert len(seen) > 1
+        lanes.append(tuple(degrees))
+    assert len(set(lanes)) > 1
+    columns = [blob[p * size:(p + 1) * size] for p in tables.positions]
+    assert tables.lane_degrees(columns) == lanes
 
 
-def test_phi_refuses_an_unlabelled_byte_it_reads_on_every_call(binary_maps):
+@pytest.mark.parametrize("ell, n, reader", [(3, 5, CellLanes), (9, 3, CellLanes),
+                                             (7, 4, SideMasks), (41, 2, SideMasks)])
+def test_phi_reads_with_cell_lanes_while_their_masks_fit_the_budget(ell, n, reader):
+    # ell^n masks of one byte per slot: 0.4 MB at (3, 5), 5.8 MB at (9, 3),
+    # 15.6 MB at (7, 4) and 182 MB at (41, 2)
+    pipe = CyclePipeline(ell)
+    size = ell ** n * len(torus_tables(pipe.period, n).slots)
+    assert (size <= CELL_LANES_BUDGET) == (reader is CellLanes)
+    assert type(one_map_reader(pipe, n)) is reader
+
+
+@pytest.mark.parametrize("budget, reader", [(CELL_LANES_BUDGET, CellLanes), (0, SideMasks)])
+def test_phi_refuses_an_unlabelled_byte_it_reads_on_every_call(binary_maps, monkeypatch,
+                                                               budget, reader):
     """Negative control: one labelled byte of the t table, the one mu(f)
     reads at the torus vertex (0, 0), set to UNLABELLED.  phi refuses f
     with the InternalError of ``mu_lanes``, stores nothing, and refuses it
-    again on the next call."""
+    again on the next call, with either one-map reader."""
+    monkeypatch.setattr("equihom.degrees.CELL_LANES_BUDGET", budget)
     pipe = CyclePipeline(3)
     f, g = binary_maps[0], binary_maps[1]
     phi(g, pipe)
@@ -172,6 +174,7 @@ def test_phi_refuses_an_unlabelled_byte_it_reads_on_every_call(binary_maps):
         assert str(from_phi.value) == str(from_lanes.value)
         assert pipe.phi_memo == memo and f.values not in pipe.phi_memo
     assert phi(g, pipe) is memo[g.values]
+    assert type(pipe.phi_readers[2]) is reader
 
 
 def test_packed_kernel_counts_each_lane_past_one_byte():

@@ -8,7 +8,7 @@ import pytest
 
 from equihom.errors import (CapacityExceededError, InternalError, InvalidParameterError,
                             UnsupportedInputError)
-from equihom.degrees import CellLanes, torus_tables
+from equihom.degrees import CellLanes, SideMasks, torus_tables
 from equihom.graphs import (Graph, GraphHom, MinorSpec, complete_graph, cycle_graph,
                             enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import (MAX_MULTIHOMS, UNLABELLED, CyclePipeline, Multihom,
@@ -323,19 +323,21 @@ def test_mu_bits_matches_the_per_side_loop(ell, n, count, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_mu_lanes_at_the_slice_positions_matches_the_per_side_loop(n):
-    """mu_lanes on many maps and ``phi``'s reader ``CellLanes`` on each,
-    at the slice positions, against the per-side loop at those positions;
-    gamma(12)^5 is over the cell limit, and none of them builds it."""
+    """mu_lanes on many maps and ``phi``'s readers ``CellLanes`` and
+    ``SideMasks`` on each, at the slice positions, against the per-side
+    loop at those positions; gamma(12)^5 is over the cell limit, and none
+    of them builds it."""
     pipe = CyclePipeline(3)
     tables = torus_tables(12, n)
-    lanes = CellLanes(pipe, n)
+    readers = [CellLanes(pipe, n, tables), SideMasks(pipe, n, tables)]
     maps = sample_homs(power(cycle_graph(3), n), complete_graph(4), 6, random.Random(n))
     assert len(maps) == 6
     blob = pipe.mu_lanes(maps)
     for k, f in enumerate(maps):
         bits = mu_bits_reference(pipe, f, tables.positions)
         assert [blob[p * len(maps) + k] for p in tables.positions] == bits
-        assert list(pipe.read_t(lanes.keys(f.values))) == [bits[j] for j in tables.slots]
+        for reader in readers:
+            assert list(pipe.read_t(reader.keys(f.values))) == [bits[j] for j in tables.slots]
 
 
 @pytest.mark.parametrize("ell", [3, 5])
@@ -343,11 +345,16 @@ def test_mu_lanes_at_the_slice_positions_matches_the_per_side_loop(n):
 def test_side_table_matches_iota_at_each_vertex(ell, n):
     """The sides summed from per-coordinate terms against iota's sorted
     product sets, at every vertex of gamma(4*ell)^n and at the positions
-    the degree slices read: the same columns, lefts and rights."""
+    the degree slices read: the same columns, lefts and rights.  Only the
+    table of every vertex is cached; one at the positions is built for the
+    reader that keeps it."""
     pipe = CyclePipeline(ell)
     try:
-        for at in (None, torus_tables(pipe.period, n).positions):
-            assert pipe.side_table(n, at) == side_table_reference(pipe, n, at)
+        at = torus_tables(pipe.period, n).positions
+        assert pipe.side_table(n, None) == side_table_reference(pipe, n, None)
+        assert pipe.side_table(n, at) == side_table_reference(pipe, n, at)
+        assert pipe.side_table(n, None) is pipe.side_table(n, None)
+        assert pipe.side_table(n, at) is not pipe.side_table(n, at)
     finally:
         oracles._iota_sides.cache_clear()
 
