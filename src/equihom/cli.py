@@ -146,8 +146,8 @@ def cmd_phi(args):
 
 def cmd_degree(args):
     L, n, colours = _load_colouring(args.colouring)
-    gmap = map_from_colouring(gamma_power(L, n), colours)
-    alpha = deg_vector(gmap, L, n)
+    map_from_colouring(gamma_power(L, n), colours)
+    alpha = deg_vector(colours, L, n)
     report = _meta(args, params={"colouring": str(args.colouring), "L": L, "n": n},
                    alpha=list(alpha.bits), weight=alpha.weight)
     _write_lines([report], args.out)

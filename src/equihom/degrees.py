@@ -304,11 +304,12 @@ def sigma_minor(n, i):
 def deg_vector(g, L, n):
     """The vector (deg_1, ..., deg_n) of an equivariant map on gamma(L)^n; odd weight.
 
-    ``g`` is a colour dict or a SimplicialMap on the torus.  Raises if the
-    input is not equivariant, if a vertex lacks a yellow/blue colour, or if
-    the computed weight comes out even, which would indicate a bug or an
-    invalid input.  Coordinate i is deg1 of the 2-variable minor along
-    ``sigma_minor(n, i)``, counted on the index tables.
+    ``g`` is a vertex -> colour dict on the torus.  Raises if a key is not a
+    vertex of the torus, if the input is not equivariant, if a vertex lacks
+    a yellow/blue colour, or if the computed weight comes out even, which
+    would indicate a bug or an invalid input.  Coordinate i is deg1 of the
+    2-variable minor along ``sigma_minor(n, i)``, counted on the index
+    tables.
     """
     x = gamma_power(L, n)
     values = colour_values(x, g)

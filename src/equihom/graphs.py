@@ -15,9 +15,10 @@ from .errors import (CapacityExceededError, InvalidParameterError,
                      InvariantViolationError)
 
 # most vertices a power graph may have, and most ordered edges: the edge
-# set is built one pair of vertex tuples at a time
+# set is built one pair of vertex tuples at a time, and C_5^6's 10^6 pairs
+# take about 2 GB
 MAX_POWER_VERTICES = 1 << 24
-MAX_POWER_EDGES = 1 << 22
+MAX_POWER_EDGES = 1 << 20
 
 
 class Graph:

@@ -22,8 +22,7 @@ from typing import NamedTuple
 from .errors import (CapacityExceededError, InternalError, InvalidParameterError,
                      UnsupportedInputError)
 from .graphs import GraphHom, PowerGraph, complete_graph, cycle_graph
-from .simplicial import (BLUE, YELLOW, SimplicialMap, gamma, gamma_power,
-                         map_from_colouring, order_complex)
+from .simplicial import BLUE, YELLOW, gamma, gamma_power, map_from_colouring, order_complex
 
 CACHE_ENV_VAR = "EQUIHOM_CACHE"
 T_FILE_NAME = "t_colouring_hom_k2_k4.json"
@@ -107,7 +106,8 @@ def hom_complex(g):
 
 
 def canonical_cycle_iso(ell):
-    """The equivariant isomorphism gamma(4*ell) -> hom_complex(C_ell).
+    """The vertex map {k: multihomomorphism} of the equivariant isomorphism
+    gamma(4*ell) -> hom_complex(C_ell).
 
     Seeds at the multihomomorphism ({0},{1}) and walks the 4*ell-cycle of the
     poset's comparability graph, taking the canonically smaller neighbour
@@ -141,14 +141,11 @@ def canonical_cycle_iso(ell):
         if k % 2 and not ((walk[k - 1], walk[k]) in edges
                           and (walk[(k + 1) % period], walk[k]) in edges):
             raise InternalError(f"walk does not send {k} above its even neighbours")
-    vertex_map = {k: target.vertices[p] for k, p in enumerate(walk)}
-    iso = SimplicialMap(gamma(period), target, vertex_map)
     if len(set(walk)) != period:
         raise InternalError("walk is not injective on vertices")
-    edge_images = {iso.image_simplex(e) for e in iso.domain.cells(1)}
-    if edge_images != target.cells(1):
+    if {(walk[a], walk[b]) for a, b in gamma(period).position_cells(1)} != edges:
         raise InternalError("walk is not bijective on edges")
-    return iso
+    return {k: target.vertices[p] for k, p in enumerate(walk)}
 
 
 def mu_prime(f, ms):
@@ -173,8 +170,9 @@ class TColouring:
     (0 = yellow, 1 = blue), given as ints, never coerced from a string,
     bool or float; the fingerprint identifies the choice in reports.
     A colouring is checked once, when it is made, searched, loaded or passed
-    in alike: it must be an equivariant simplicial map Hom(K_2, K_4) ->
-    sigma(2) (``map_from_colouring``), with a witness in Hom(K_2, K_4).
+    in alike: its colour dict must be an equivariant simplicial map
+    Hom(K_2, K_4) -> sigma(2) (``map_from_colouring``), with a witness in
+    Hom(K_2, K_4).
     """
 
     COMPLEX_ID = "HomK2K4"
@@ -237,7 +235,7 @@ def default_cache_dir():
 
 
 def search_t_colouring(persist=None):
-    """Find (or reload) an equivariant colouring of Hom(K_2, K_4) into sigma(2).
+    """Find (or reload) an equivariant colouring of Hom(K_2, K_4), a map into sigma(2).
 
     Hom(K_2, K_4) has no 3-simplex, so every equivariant colouring is a
     simplicial map; the one chosen colours the first vertex of each of the
@@ -295,7 +293,7 @@ def side_keys(sides, onehot):
 class CyclePipeline:
     """Everything needed to turn polymorphisms of (C_ell, K_4) into torus maps.
 
-    Holds the cycle's homomorphism complex, the canonical circle isomorphism
+    Holds the vertex map ``iso_map`` of the canonical circle isomorphism
     and the chosen structure colouring t, and runs on integer tables.
     ``table`` is 256 bytes: the blue bit of t at ``_t_index(m)`` for each
     multihomomorphism m of K_4, ``UNLABELLED`` elsewhere, read by
@@ -328,8 +326,7 @@ class CyclePipeline:
         self.ell = ell
         self.base = cycle_graph(ell)
         self.codomain = complete_graph(4)
-        self.iso = canonical_cycle_iso(ell)
-        self.iso_map = dict(self.iso.vertex_map)
+        self.iso_map = canonical_cycle_iso(ell)
         self.t = t if t is not None else search_t_colouring(default_cache_dir())
         table = bytearray([UNLABELLED]) * 256
         for m, b in zip(self.t.labels, self.t.colours):

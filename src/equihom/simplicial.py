@@ -1,16 +1,18 @@
-"""Relational simplicial sets: spheres, triangulated circles and their tori.
+"""Relational simplicial sets: triangulated circles, their tori, and the
+homomorphism complexes.
 
-A relational simplicial set stores, per dimension up to a cap, its
-non-degenerate simplices as tuples of vertex positions, the indices into its
-vertex list, in the sorted order of their vertex tuples; the same simplices
-as ordered vertex tuples are a set built on first use.  Degenerate simplices
-are reconstructed on demand: a tuple is a simplex exactly when collapsing its
-consecutive repeats leaves a stored tuple, and it is degenerate exactly when
-it has a consecutive repeat.  Every order complex, the circles, the tori and
-the homomorphism complexes, is built by one chain builder: its chains come
-out already in that order, and each dimension is built and checked on its
-first read.  Explicit sets, such as the spheres, are checked and stored
-at once.
+Every simplicial set here is the order complex of a finite strict order:
+its non-degenerate d-simplices are the strict chains of d + 1 elements.
+Each dimension up to a cap is stored once, as tuples of vertex positions,
+the indices into its vertex list, in the sorted order of their vertex
+tuples.  One chain builder makes every dimension: its chains come out
+already in that order, and each dimension is built and checked on its
+first read.  A degenerate simplex is a chain with a consecutive repeat;
+collapsing the repeats leaves a stored chain.
+
+A map into the two-vertex sphere sigma(2), whose simplices change colour
+at most twice, is a yellow/blue colour per vertex: ``map_from_colouring``
+checks that such a colouring is an equivariant simplicial map.
 """
 
 from functools import cached_property, lru_cache
@@ -29,15 +31,6 @@ BLUE = "blue"
 CELL_LIMIT = 1 << 22
 
 
-def normalize_simplex(tup):
-    """Collapse consecutive repeats, leaving the non-degenerate core."""
-    out = [tup[0]]
-    for x in tup[1:]:
-        if x != out[-1]:
-            out.append(x)
-    return tuple(out)
-
-
 def is_degenerate(tup):
     """True when the tuple repeats a vertex consecutively."""
     return any(a == b for a, b in zip(tup, tup[1:]))
@@ -53,62 +46,30 @@ def faces(cell):
 
 
 class SimplicialSet:
-    """A relational simplicial set with an optional vertex involution.
+    """The order complex of a strict order, with an optional vertex involution.
 
     Each dimension is stored once, as a tuple of tuples of vertex positions,
     the indices into ``vertices``, sorted in the order of their vertex tuples
     and without repeats; every consumer reads the cells in that one order.
-    ``cells(d)`` is the set of the same cells as vertex tuples, built on
-    first use.  The involution is stored as ``antipode``, the position of
-    each vertex's mate.  The labels of one set must be mutually comparable.
-    An order complex holds only its 0-cells at first: dimension d is built,
-    checked and stored on its first read, after the dimensions below.
+    ``labels`` turns a cell into its vertex tuple.  The involution is stored
+    as ``antipode``, the position of each vertex's mate.  The labels of one
+    set must be mutually comparable.
     """
 
-    def __init__(self, vertices, simplices, cap, involution=None):
-        vertices = tuple(vertices)
-        position = _vertex_positions(vertices, cap)
-        cells = {0: [(k,) for k in range(len(vertices))]}
-        for d in range(1, cap + 1):
-            cells[d] = {_position_cell(s, position) for s in simplices.get(d, ())}
-
-        def label(cell):
-            return tuple(map(vertices.__getitem__, cell))
-
-        cells = {d: tuple(sorted(here, key=label)) for d, here in cells.items()}
-        self._store(vertices, cells, cap, _antipode(involution, position))
-
-    @classmethod
-    def _from_ups(cls, vertices, points, cap, antipode, ups):
+    def __init__(self, vertices, points, cap, antipode, ups):
         """The order complex of a strict order on the tuple ``vertices``:
         ``points`` are the 0-cells and ``ups[p]`` the positions above vertex
         p, both in the order of the labels, so the d-cells, the (d-1)-cells
-        extended through the up-list of their last vertex, come out sorted
-        when first read.  ``antipode`` (or None) is checked on the vertices
-        at once, and each dimension in full as it is built."""
-        x = cls.__new__(cls)
-        x._store(vertices, {0: points}, cap, antipode, ups)
-        return x
-
-    def _store(self, vertices, cells, cap, antipode, ups=None):
-        """Store the given position cells, ``cells[d]`` in the sorted order of
-        their vertex tuples and without repeats for every d = 0..cap, or for
-        d = 0 alone with ``ups``, and reject malformed ones: every given
-        dimension's cells, closure included, are checked first, then the
-        involution and only then the mates."""
+        extended through the up-list of their last vertex, come out sorted.
+        ``antipode`` (or None) is checked on the vertices at once; dimension
+        d is built, checked and stored on its first read, after the
+        dimensions below."""
         self.vertices = vertices
-        self.vertex_set = frozenset(vertices)
         self.cap = cap
-        self._positions = cells
-        self._views = {}
+        self._positions = {0: points}
         self.antipode = antipode
         self._ups = ups
-        given = range(1, len(cells))
-        for d in given:
-            self._check_cells(d, cells[d])
         self._check_antipode()
-        for d in given:
-            self._check_mates(d, cells[d])
 
     def _check_antipode(self):
         antipode, count = self.antipode, len(self.vertices)
@@ -129,11 +90,6 @@ class SimplicialSet:
         culprit.
         """
         label = self.labels
-        if not here:
-            return
-        if set(map(len, here)) != {d + 1}:
-            bad = next(s for s in here if len(s) != d + 1)
-            raise InvalidParameterError(f"stored {d}-simplex of wrong length: {label(bad)}")
         columns = [tuple(map(itemgetter(k), here)) for k in range(d + 1)]
         for a, b in zip(columns, columns[1:]):
             if any(map(eq, a, b)):
@@ -143,12 +99,10 @@ class SimplicialSet:
         if all(all(map(below.__contains__, zip(*columns[:i], *columns[i + 1:])))
                for i in range(d + 1)):
             return
-        # only a missing face, or a degenerate one, is left to normalize
-        for s in here:
-            for _, face in faces(s):
-                if face not in below and not self.has_simplex(label(face)):
-                    raise InvalidParameterError(
-                        f"closure violated: face {label(face)} of {label(s)} missing")
+        # a face of a strict chain is never degenerate, so it is stored or missing
+        s, face = next((s, face) for s in here for _, face in faces(s) if face not in below)
+        raise InvalidParameterError(
+            f"closure violated: face {label(face)} of {label(s)} missing")
 
     def _check_mates(self, d, here):
         """Check that the mate of each d-cell of ``here`` is in ``here``."""
@@ -213,17 +167,10 @@ class SimplicialSet:
         their vertex tuples (empty beyond the stored range)."""
         cells = self._positions.get(d)
         if cells is None:
-            if self._ups is None or not 0 < d <= self.cap:
+            if not 0 < d <= self.cap:
                 return ()
             cells = self._grow(d)
         return cells
-
-    def cells(self, d):
-        """Non-degenerate d-simplices as vertex tuples (empty beyond the stored range)."""
-        view = self._views.get(d)
-        if view is None:
-            view = self._views[d] = frozenset(map(self.labels, self.position_cells(d)))
-        return view
 
     def n_cells(self, d):
         return len(self.position_cells(d))
@@ -233,12 +180,6 @@ class SimplicialSet:
 
     def euler_characteristic(self):
         return sum((-1) ** d * self.n_cells(d) for d in range(self.cap + 1))
-
-    def has_simplex(self, tup):
-        if not tup or not self.vertex_set.issuperset(tup):
-            return False
-        core = normalize_simplex(tuple(tup))
-        return core in self.cells(len(core) - 1)
 
     def has_free_involution(self):
         # freeness on vertices implies freeness on all cells
@@ -266,14 +207,6 @@ def _vertex_positions(vertices, cap):
     return position
 
 
-def _position_cell(simplex, position):
-    try:
-        return tuple(map(position.__getitem__, simplex))
-    except KeyError:
-        raise InvalidParameterError(
-            f"simplex uses unknown vertex: {tuple(simplex)}") from None
-
-
 def _antipode(involution, position):
     """The mate positions of a vertex -> vertex involution (None passes through).
 
@@ -291,28 +224,6 @@ def _label_to_json(v):
     if isinstance(v, tuple):
         return [_label_to_json(x) for x in v]
     return v
-
-
-def sigma(k):
-    """The two-vertex sphere model: simplices are tuples with <= k alternations.
-
-    Carries the free involution swapping the two vertices.  Non-degenerate
-    d-simplices exist for d <= k only, two per dimension; the cap is 3.
-    """
-    if not 0 <= k <= 3:
-        raise InvalidParameterError("sigma(k) supports 0 <= k <= 3")
-    simplices = {}
-    for d in range(1, k + 1):
-        a = tuple(YELLOW if i % 2 == 0 else BLUE for i in range(d + 1))
-        b = tuple(BLUE if i % 2 == 0 else YELLOW for i in range(d + 1))
-        simplices[d] = [a, b]
-    return SimplicialSet([YELLOW, BLUE], simplices, 3,
-                         involution={YELLOW: BLUE, BLUE: YELLOW})
-
-
-@lru_cache(maxsize=None)
-def sigma2():
-    return sigma(2)
 
 
 def _check_side(L):
@@ -348,8 +259,8 @@ def order_complex(elements, masks, cap, involution=None):
     by_label = sorted(range(len(vertices)), key=vertices.__getitem__)
     labelled = [(q, masks[q]) for q in by_label]
     ups = [[q for q, up in labelled if a & up == a != up] for a in masks]
-    return SimplicialSet._from_ups(vertices, tuple((p,) for p in by_label), cap,
-                                   _antipode(involution, position), ups)
+    return SimplicialSet(vertices, tuple((p,) for p in by_label), cap,
+                         _antipode(involution, position), ups)
 
 
 def product_cell_count(sides, d):
@@ -418,7 +329,7 @@ def check_torus(sides):
 def _gamma_product(sides):
     check_torus(sides)
     vertices, points, antipode, ups = _product_chains(sides)
-    return SimplicialSet._from_ups(vertices, points, max(3, len(sides)), antipode, ups)
+    return SimplicialSet(vertices, points, max(3, len(sides)), antipode, ups)
 
 
 def _product_chains(sides):
@@ -458,32 +369,6 @@ def gamma_power(L, n):
     return gamma_product((L,) * n)
 
 
-class SimplicialMap:
-    """A simplicial map given by its vertex map; image simplices are checked."""
-
-    def __init__(self, domain, codomain, vertex_map, check=True):
-        self.domain = domain
-        self.codomain = codomain
-        self.vertex_map = dict(vertex_map)
-        if check:
-            missing = [v for v in domain.vertices if v not in self.vertex_map]
-            if missing:
-                raise InvalidParameterError(f"vertex map misses {missing[:3]}...")
-            for d in range(domain.cap + 1):
-                for s in domain.cells(d):
-                    img = self.image_simplex(s)
-                    if not codomain.has_simplex(img):
-                        raise InvalidParameterError(
-                            f"image of {s} is not a simplex: {img}")
-
-    def __call__(self, v):
-        return self.vertex_map[v]
-
-    def image_simplex(self, tup):
-        vm = self.vertex_map
-        return tuple(vm[v] for v in tup)
-
-
 def check_colours(x, values):
     """Every vertex of x must carry yellow or blue (values in vertex order)."""
     for v, c in zip(x.vertices, values):
@@ -515,18 +400,18 @@ def check_antipodes(x, values):
 def colour_values(x, colouring):
     """The colours of x's vertices in vertex order, the form the checks read.
 
-    ``colouring`` is a vertex -> colour dict or a SimplicialMap on x; a vertex
-    the colouring misses reads None, which ``check_colours`` rejects.
+    ``colouring`` is a vertex -> colour dict; one with a key that is not a
+    vertex of x is refused, and a vertex it misses reads None, which
+    ``check_colours`` rejects.
     """
-    if isinstance(colouring, SimplicialMap):
-        if colouring.domain.vertex_set != x.vertex_set:
-            raise InvalidParameterError("map domain is not this torus")
-        colouring = colouring.vertex_map
+    if not colouring.keys() <= x.position.keys():
+        raise InvalidParameterError("map domain is not this torus")
     return list(map(colouring.get, x.vertices))
 
 
 def map_from_colouring(x, colouring):
-    """The equivariant simplicial map into sigma(2) of a yellow/blue colouring.
+    """Check that a yellow/blue vertex colouring of x is an equivariant
+    simplicial map into sigma(2); raise on the first check that fails.
 
     Valid iff no non-degenerate 3-simplex of x maps to a 3-alternating tuple;
     degenerate ones never do, and faces of stored simplices are stored, so
@@ -541,7 +426,6 @@ def map_from_colouring(x, colouring):
     if x.antipode is None:
         raise InvalidParameterError("domain has no involution")
     check_antipodes(x, values)
-    return SimplicialMap(x, sigma2(), zip(x.vertices, values), check=False)
 
 
 def equivariant_colourings(x):

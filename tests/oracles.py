@@ -49,14 +49,18 @@ is the reference for ``phi`` on the slice vertices under the check of t,
 and the backtracking search for t is the reference for the colouring
 ``search_t_colouring`` writes down.  The multihomomorphisms found
 by trying every vertex subset as a left side are the reference for the
-enumeration that grows left sides, and ``mu_map``, the simplicial map of
-mu(f) checked on the whole torus, is what the check of t stands for.
+enumeration that grows left sides, and ``mu_map``, the colouring of
+mu(f) checked on the whole torus as a map into sigma(2), is what the check
+of t stands for.
 What only the tests use of the library's objects is here too, as plain
 functions: the power-graph decoder, the graph and simplicial-set JSON
 readers, the validity of a multihomomorphism, the image of a simplex under
-the involution, the equivariance of a simplicial map, the standard diagonal,
+the involution, the equivariance of a vertex map, the standard diagonal,
 the slice check and the torus automorphisms, and the dense-matrix helpers
-``from_dense``, ``to_dense``, ``add_at`` and ``matmul``.
+``from_dense``, ``to_dense``, ``add_at`` and ``matmul``.  The library
+builds order complexes only; the small sets given by their cells, the
+spheres ``sigma(k)`` among them, are checked by ``check_reference`` and
+stored by ``explicit_set``.
 """
 
 import functools
@@ -191,9 +195,9 @@ def signed_boundary_rows(x, d):
     Raw loop: drop vertex i, skip a face with a consecutive repeat, add
     (-1)^i at the face's position.  Row j maps positions to coefficients.
     """
-    position = {c: k for k, c in enumerate(sorted(x.cells(d - 1)))}
+    position = {c: k for k, c in enumerate(sorted(labelled_cells(x, d - 1)))}
     rows = []
-    for cell in sorted(x.cells(d)):
+    for cell in sorted(labelled_cells(x, d)):
         row = {}
         for i in range(len(cell)):
             face = cell[:i] + cell[i + 1:]
@@ -207,14 +211,16 @@ def signed_boundary_rows(x, d):
     return rows
 
 
-def check_reference(vertices, simplices, cap, involution=None, closure=True):
+def check_reference(vertices, simplices, cap, involution=None):
     """Validate simplicial-set data one labelled cell at a time.
 
-    Raises what the ``SimplicialSet`` constructor raises, with the same
-    messages: duplicate labels, a bad cap, a stored cell of the wrong length,
-    a degenerate or unknown-vertex cell, a missing face (only with
-    ``closure``), and an involution that is no self-inverse vertex
-    permutation or does not preserve the cells.
+    Raises what the library raises, with the same messages: duplicate
+    labels, a bad cap and an involution that is no self-inverse vertex
+    permutation (``order_complex``), a degenerate cell, a missing face and
+    an involution that does not preserve the cells (each dimension the
+    chain builder grows).  A cell of the wrong length or with an unknown
+    vertex, which no chain can be, is refused too.  A degenerate face is
+    normalized: it passes when its core is stored.
     """
     vertices = tuple(vertices)
     vertex_set = frozenset(vertices)
@@ -243,12 +249,11 @@ def check_reference(vertices, simplices, cap, involution=None, closure=True):
                 raise InvalidParameterError(f"stored simplex is degenerate: {s}")
             if any(v not in vertex_set for v in s):
                 raise InvalidParameterError(f"simplex uses unknown vertex: {s}")
-            if closure:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    if face not in cells[d - 1] and not has_simplex(face):
-                        raise InvalidParameterError(
-                            f"closure violated: face {face} of {s} missing")
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1:]
+                if face not in cells[d - 1] and not has_simplex(face):
+                    raise InvalidParameterError(
+                        f"closure violated: face {face} of {s} missing")
     nu = involution
     if nu is not None:
         if set(nu) != vertex_set or set(nu.values()) != vertex_set:
@@ -263,21 +268,63 @@ def check_reference(vertices, simplices, cap, involution=None, closure=True):
                         f"involution does not preserve simplices: {s}")
 
 
+@functools.lru_cache(maxsize=64)
+def labelled_cells(x, d):
+    """The non-degenerate d-simplices of x as a set of vertex tuples (empty
+    beyond the cap)."""
+    return frozenset(map(x.labels, x.position_cells(d)))
+
+
+def explicit_set(vertices, simplices, cap, involution=None):
+    """The simplicial set with exactly the labelled cells ``simplices[d]``
+    (d = 1..cap), checked by ``check_reference`` first.
+
+    Built by the chain builder with empty up-lists, so that it grows no
+    cell itself, and given each dimension in the sorted order of its vertex
+    tuples: the sets that are no order complex, such as ``sigma(k)`` whose
+    cells have degenerate faces, are stored this way.
+    """
+    check_reference(vertices, simplices, cap, involution)
+    vertices = tuple(vertices)
+    position = {v: k for k, v in enumerate(vertices)}
+    antipode = None if involution is None else [position[involution[v]] for v in vertices]
+    x = SimplicialSet(vertices, tuple((position[v],) for v in sorted(vertices)), cap,
+                      antipode, [()] * len(vertices))
+    for d in range(1, cap + 1):
+        x._positions[d] = tuple(tuple(map(position.__getitem__, s))
+                                for s in sorted(set(map(tuple, simplices.get(d, ())))))
+    return x
+
+
+# the involution of sigma(k), swapping the two colours
+COLOUR_SWAP = {YELLOW: BLUE, BLUE: YELLOW}
+
+
+def sigma(k):
+    """The two-vertex sphere model, cap 3: its d-simplices for d <= k are the
+    two colour tuples that change colour at every step, and the free
+    involution swaps the colours.  sigma(2) is the codomain of the maps a
+    torus colouring stands for.  No sigma(k) with k >= 1 is an order
+    complex: its two edges join the colours both ways, and from k = 2 on the
+    middle faces of its cells repeat a colour."""
+    cells = sphere_model_cells_reference(k)
+    return explicit_set([YELLOW, BLUE], {d: cells[d] for d in range(1, 4)}, 3, COLOUR_SWAP)
+
+
 def involution_simplex(x, tup):
     """The image of a vertex tuple of x under its involution."""
     nu = x.involution
     return tuple(nu[v] for v in tup)
 
 
-def is_equivariant(gmap):
-    """Does the simplicial map commute with the involutions of its domain
-    and codomain (False when either has none)?"""
-    nu_x = gmap.domain.involution
-    nu_y = gmap.codomain.involution
-    if nu_x is None or nu_y is None:
+def is_equivariant(domain, vertex_map, mate=COLOUR_SWAP):
+    """Does the vertex map on ``domain`` commute with the domain's involution
+    and the codomain's, given as the dict ``mate`` and by default that of
+    sigma(2) (False when the domain has none)?"""
+    nu = domain.involution
+    if nu is None:
         return False
-    vm = gmap.vertex_map
-    return all(vm[nu_x[v]] == nu_y[vm[v]] for v in gmap.domain.vertices)
+    return all(vertex_map[nu[v]] == mate[vertex_map[v]] for v in domain.vertices)
 
 
 def _label_from_json(v):
@@ -295,7 +342,7 @@ def simplicial_set_from_json(obj):
     involution = None
     if "involution" in obj:
         involution = {vertices[i]: vertices[j] for i, j in enumerate(obj["involution"])}
-    return SimplicialSet(vertices, simplices, obj["cap"], involution)
+    return explicit_set(vertices, simplices, obj["cap"], involution)
 
 
 def poset_covers(u, sides):
@@ -375,7 +422,7 @@ def _compositions(total, parts):
 def weak_simplices(x, d):
     """All d-simplices of a relational simplicial set, degenerate ones included."""
     for k in range(min(d, x.cap) + 1):
-        for core in x.cells(k):
+        for core in labelled_cells(x, k):
             for mult in _compositions(d + 1, k + 1):
                 yield tuple(v for v, m in zip(core, mult) for _ in range(m))
 
@@ -716,14 +763,15 @@ def mu_bits_reference(pipeline, f, positions=None):
 
 
 def mu_map(pipeline, f):
-    """The verified equivariant simplicial map gamma(4*ell)^n -> sigma(2)
-    of the polymorphism f, checked on the whole torus."""
+    """The colouring of gamma(4*ell)^n of the polymorphism f, checked on the
+    whole torus as an equivariant simplicial map into sigma(2)."""
     n = pipeline.check_polymorphism(f)
     colours = pipeline.mu_colours(f)
     try:
-        return map_from_colouring(gamma_power(pipeline.period, n), colours)
+        map_from_colouring(gamma_power(pipeline.period, n), colours)
     except Exception as exc:  # the composite is simplicial by construction
         raise InternalError(f"mu(f) failed validity: {exc}") from exc
+    return colours
 
 
 def search_t_reference():
@@ -808,8 +856,8 @@ def phi_reference(f, pipeline):
 def minor_map(g, pi, L, n):
     """Precompose a map on gamma(L)^n with the coordinate-duplication along pi.
 
-    The result colours vertex (y_1..y_m) by g(y_{pi(1)}, ..., y_{pi(n)}); it
-    is a valid simplicial map on gamma(L)^m.
+    The result colours vertex (y_1..y_m) by g(y_{pi(1)}, ..., y_{pi(n)}), and
+    is checked as a map from gamma(L)^m into sigma(2).
     """
     if pi.n != n:
         raise InvalidParameterError("minor arity does not match the map")
@@ -818,7 +866,8 @@ def minor_map(g, pi, L, n):
     target = gamma_power(L, pi.m)
     out = {y: colours[tuple(y[pi(i) - 1] for i in range(1, n + 1))]
            for y in target.vertices}
-    return map_from_colouring(target, out)
+    map_from_colouring(target, out)
+    return out
 
 
 def minor_degree_vector(g, L, n):
@@ -926,7 +975,7 @@ def orbit_complex_reference(x, max_dim):
     for d in range(max_dim + 1):
         chosen = []
         lookup = {}
-        for c in sorted(x.cells(d)):
+        for c in sorted(labelled_cells(x, d)):
             mate = involution_simplex(x, c)
             if c <= mate:
                 lookup[c] = (len(chosen), 0)
@@ -1316,7 +1365,7 @@ def quotient_pstar_reference(n, L, d):
     deltas_x, _ = ordinary_cochain_complex(x, n)
     deltas_q, _ = ordinary_cochain_complex(quotient, n)
     # both complexes index their cochains by the sorted vertex tuples
-    cells_x, cells_q = sorted(x.cells(d)), sorted(quotient.cells(d))
+    cells_x, cells_q = sorted(labelled_cells(x, d)), sorted(labelled_cells(quotient, d))
     qindex = {c: i for i, c in enumerate(cells_q)}
     pullback = [qindex[tuple(project(v) for v in cell)] for cell in cells_x]
 

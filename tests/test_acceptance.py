@@ -18,12 +18,12 @@ from equihom.graphs import (MinorSpec, complete_graph, cycle_graph,
 from equihom.homcomplexes import (CyclePipeline, canonical_cycle_iso,
                                   hom_complex, mu_prime, multihoms,
                                   search_t_colouring)
-from equihom.simplicial import (equivariant_colourings, gamma_power,
+from equihom.simplicial import (equivariant_colourings, gamma, gamma_power,
                                 map_from_colouring, mod2_homology_ranks)
 from equihom.slices import arity_experiment, swap_fraction, zeta0
 from equihom.zz2 import bredon_torus, expected_bredon, quotient_pstar_check
 
-from oracles import brute_multihom_count, is_equivariant
+from oracles import brute_multihom_count, is_equivariant, labelled_cells
 
 BUDGETS = {}
 
@@ -57,11 +57,12 @@ def test_criterion_01_hom_complex_structure():
 def test_criterion_02_cycle_isomorphism():
     started = time.monotonic()
     for ell in (3, 5, 7):
-        iso = canonical_cycle_iso(ell)
-        vm = iso.vertex_map
+        vm = canonical_cycle_iso(ell)
+        circle, target = gamma(4 * ell), hom_complex(cycle_graph(ell))
         assert len(set(vm.values())) == 4 * ell
-        assert is_equivariant(iso)
-        assert {iso.image_simplex(e) for e in iso.domain.cells(1)} == iso.codomain.cells(1)
+        assert is_equivariant(circle, vm, target.involution)
+        edges = labelled_cells(circle, 1)
+        assert {(vm[a], vm[b]) for a, b in edges} == labelled_cells(target, 1)
     report(2, "circle isomorphism verified for cycle lengths 3, 5, 7", started, 1)
 
 
@@ -69,8 +70,9 @@ def test_criterion_03_structure_colouring_exists(tmp_path):
     started = time.monotonic()
     path = tmp_path / "t.json"
     t = search_t_colouring(path)
-    gmap = map_from_colouring(hom_complex(complete_graph(4)), t.as_vertex_map())
-    assert is_equivariant(gmap)
+    x = hom_complex(complete_graph(4))
+    map_from_colouring(x, t.as_vertex_map())
+    assert is_equivariant(x, t.as_vertex_map())
     assert path.exists()
     again = search_t_colouring(path)
     assert again.colours == t.colours
@@ -91,14 +93,14 @@ def test_criterion_05_two_torus_battery():
     bound = Fraction(1, 3 * 16)
     count = 0
     for col in equivariant_colourings(gamma_power(4, 2)):
-        gmap = map_from_colouring(gamma_power(4, 2), col)
-        alpha = deg_vector(gmap, L=4, n=2)
+        map_from_colouring(gamma_power(4, 2), col)
+        alpha = deg_vector(col, L=4, n=2)
         assert alpha.weight % 2 == 1
         for i in (1, 2):
             if alpha.bits[i - 1] == 1:
                 assert swap_fraction(col, 4, 2, i, 0) >= bound
         if alpha.bits[0] == 1:
-            u, v = find_colour_swapping_edge(gmap, torus)
+            u, v = find_colour_swapping_edge(col, torus)
             assert col[u] != col[v]
         count += 1
     assert count == 256
@@ -114,8 +116,8 @@ def test_criterion_06_monomial_degrees():
             if len(support) % 2 == 0:
                 continue
             col = monomial_colouring(8, n, support)
-            gmap = map_from_colouring(gamma_power(8, n), col)
-            alpha = deg_vector(gmap, L=8, n=n)
+            map_from_colouring(gamma_power(8, n), col)
+            alpha = deg_vector(col, L=8, n=n)
             expected = tuple(1 if j in support else 0 for j in range(1, n + 1))
             assert alpha.bits == expected
             realized[n][support] = alpha.bits

@@ -412,9 +412,10 @@ def test_bredon_verb(tmp_path):
     ["enumerate", "--ell", "3", "--arity", "10000"],
     ["zeta0", "--n", "100000000", "--h", "1", "--L", "4"],
     ["enumerate", "--ell", "3", "--arity", "9", "--limit", "1"],
+    ["enumerate", "--ell", "9", "--arity", "5", "--limit", "2"],
     ["hom-complex", "--graph", "complete:40"],
 ], ids=["bredon-n1000", "enumerate-arity10000", "zeta0-n1e8", "enumerate-arity9-edges",
-        "hom-complex-complete40"])
+        "enumerate-ell9-arity5-edges", "hom-complex-complete40"])
 def test_oversized_torus_or_power_is_refused_at_once(argv, capsys):
     start = time.perf_counter()
     assert run(argv) == 2

@@ -6,6 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from equihom import homcomplexes
 from equihom.errors import (CapacityExceededError, InternalError, InvalidParameterError,
                             UnsupportedInputError)
 from equihom.degrees import CellLanes, SideMasks, torus_tables
@@ -14,14 +15,14 @@ from equihom.graphs import (Graph, GraphHom, MinorSpec, complete_graph, cycle_gr
 from equihom.homcomplexes import (MAX_MULTIHOMS, UNLABELLED, CyclePipeline, Multihom,
                                   TColouring, canonical_cycle_iso, hom_complex,
                                   mu_prime, multihoms, search_t_colouring)
-from equihom.simplicial import (BLUE, YELLOW, gamma_power, map_from_colouring,
-                                mod2_homology_ranks)
+from equihom.simplicial import (BLUE, YELLOW, gamma, gamma_power, map_from_colouring,
+                                mod2_homology_ranks, order_complex)
 
 import oracles
 from oracles import (brute_multihom_count, decode, iota, is_equivariant,
-                     is_valid_multihom, mu_bits_reference, mu_colours_reference,
-                     mu_map, multihoms_reference, search_t_reference,
-                     side_table_reference)
+                     is_valid_multihom, labelled_cells, mu_bits_reference,
+                     mu_colours_reference, mu_map, multihoms_reference,
+                     search_t_reference, side_table_reference)
 
 
 def test_multihom_counts_against_brute_force():
@@ -91,12 +92,13 @@ def test_hom_complex_rejects_loops():
 
 
 def test_hom_complex_c3_isomorphic_to_gamma12():
-    iso = canonical_cycle_iso(3)
-    assert len(iso.domain.vertices) == 12
-    assert len(iso.codomain.vertices) == 12
-    assert is_equivariant(iso)
-    edge_images = {iso.image_simplex(e) for e in iso.domain.cells(1)}
-    assert edge_images == iso.codomain.cells(1)
+    vm = canonical_cycle_iso(3)
+    circle, target = gamma(12), hom_complex(cycle_graph(3))
+    assert sorted(vm) == list(circle.vertices)
+    assert len(target.vertices) == 12
+    assert is_equivariant(circle, vm, target.involution)
+    edge_images = {(vm[a], vm[b]) for a, b in labelled_cells(circle, 1)}
+    assert edge_images == labelled_cells(target, 1)
 
 
 def test_hom_complex_c5_counts():
@@ -109,8 +111,7 @@ def test_hom_complex_c5_counts():
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_cycle_iso_full_verification(ell):
-    iso = canonical_cycle_iso(ell)
-    vm = iso.vertex_map
+    vm = canonical_cycle_iso(ell)
     assert len(set(vm.values())) == 4 * ell
     # conjugates the shift involution to the swap involution
     for k in range(4 * ell):
@@ -127,6 +128,24 @@ def test_cycle_iso_full_verification(ell):
 def test_cycle_iso_rejects_even():
     with pytest.raises(InvalidParameterError):
         canonical_cycle_iso(4)
+
+
+def test_cycle_iso_refuses_an_edge_sent_to_a_non_edge(monkeypatch):
+    """Trading the circle's odd vertices 1 and 3 corrupts the walk as a map
+    of the circle: the walk still passes the checks on its own steps, but
+    the edge (0, 3) now goes to the multihomomorphisms it visits first and
+    fourth, which are no edge, and the comparison of the edges refuses it."""
+    def twisted(L):
+        below = {v: {v - 1, (v + 1) % L} for v in range(1, L, 2)}
+        below[1], below[3] = below[3], below[1]
+        masks = [1 << v | sum(1 << u for u in below.get(v, ())) for v in range(L)]
+        return order_complex(range(L), masks, 3)
+
+    monkeypatch.setattr(homcomplexes, "gamma", twisted)
+    edges = labelled_cells(twisted(12), 1)
+    assert (0, 3) in edges and (0, 1) not in edges
+    with pytest.raises(InternalError, match="^walk is not bijective on edges$"):
+        canonical_cycle_iso(3)
 
 
 def test_iota_unary_identity_and_singletons():
@@ -213,16 +232,16 @@ def test_mu_prime_validity():
 def test_search_t_properties(tmp_path):
     t = search_t_colouring()
     x = hom_complex(complete_graph(4))
-    gmap = map_from_colouring(x, t.as_vertex_map())
-    assert is_equivariant(gmap)
     vm = t.as_vertex_map()
+    map_from_colouring(x, vm)
+    assert is_equivariant(x, vm)
     for m in multihoms(complete_graph(4)):
         assert vm[m] != vm[m.swap()]  # antipodal vertices get opposite colours
 
 
 def test_search_t_writes_down_the_first_solution_of_the_search():
     assert list(search_t_colouring().colours) == search_t_reference()
-    assert not hom_complex(complete_graph(4)).cells(3)
+    assert not labelled_cells(hom_complex(complete_graph(4)), 3)
 
 
 def test_search_t_persistence(tmp_path):
@@ -270,10 +289,9 @@ def test_mu_arity_one_valid():
     pipe = CyclePipeline(3)
     c3, k4 = cycle_graph(3), complete_graph(4)
     for f in enumerate_homs(power(c3, 1), k4):
-        gmap = mu_map(pipe, f)
-        assert is_equivariant(gmap)
-        colours = set(gmap.vertex_map.values())
-        assert colours == {YELLOW, BLUE}  # equivariance forbids constants
+        colours = mu_map(pipe, f)
+        assert is_equivariant(gamma_power(12, 1), colours)
+        assert set(colours.values()) == {YELLOW, BLUE}  # equivariance forbids constants
 
 
 def test_mu_checks_polymorphism():

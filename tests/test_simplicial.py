@@ -1,18 +1,17 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
 from equihom import simplicial
 from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
                             InvalidParameterError, NotEquivariantError)
-from equihom.simplicial import (BLUE, YELLOW, SimplicialMap,
-                                SimplicialSet, faces, gamma,
-                                gamma_power, gamma_product,
+from equihom.simplicial import (BLUE, YELLOW, SimplicialSet, check_alternation,
+                                faces, gamma, gamma_power, gamma_product,
                                 is_degenerate, map_from_colouring,
-                                mod2_homology_ranks,
-                                normalize_simplex, order_complex,
-                                product_cell_count, sigma)
+                                mod2_homology_ranks, order_complex,
+                                product_cell_count)
 
 from equihom.degrees import torus_complex, torus_tables
 from equihom.graphs import complete_graph, cycle_graph
@@ -20,10 +19,10 @@ from equihom.homcomplexes import hom_complex
 from equihom.slices import arity_experiment
 
 from oracles import (ModTwoChain, boundary, check_reference, circle_cells_reference,
-                     hom_complex_cells_reference, incidence, incidence_reference,
-                     is_equivariant, simplicial_set_from_json,
-                     sphere_model_cells_reference, sproduct, strict_chains,
-                     torus_cells_reference)
+                     explicit_set, hom_complex_cells_reference, incidence,
+                     incidence_reference, is_equivariant, labelled_cells, sigma,
+                     simplicial_set_from_json, sphere_model_cells_reference, sproduct,
+                     strict_chains, torus_cells_reference)
 from test_zz2 import ORBIT_CASES
 
 
@@ -31,20 +30,31 @@ def test_sigma2_structure():
     s2 = sigma(2)
     assert [s2.n_cells(d) for d in (0, 1, 2, 3)] == [2, 2, 2, 0]
     assert s2.euler_characteristic() == 2
-    assert s2.cells(1) == frozenset({(YELLOW, BLUE), (BLUE, YELLOW)})
+    assert labelled_cells(s2, 1) == frozenset({(YELLOW, BLUE), (BLUE, YELLOW)})
     assert s2.has_free_involution()
 
 
 def test_sigma2_rejects_three_alternations():
+    """``check_alternation`` refuses the colours of a 3-cell exactly when
+    they are no simplex of sigma(2): with their repeats collapsed, no cell
+    of it."""
     s2 = sigma(2)
-    assert not s2.has_simplex((BLUE, YELLOW, BLUE, YELLOW))
-    assert s2.has_simplex((BLUE, YELLOW, YELLOW, BLUE))
-    assert s2.has_simplex((BLUE, BLUE, BLUE, BLUE))
+    chain = order_complex("abcd", [1, 3, 7, 15], 3)
+    assert chain.n_cells(3) == 1
+    refused = []
+    for image in product((YELLOW, BLUE), repeat=4):
+        core = tuple(c for k, c in enumerate(image) if k == 0 or c != image[k - 1])
+        try:
+            check_alternation(chain, list(image))
+        except AlternatingSimplexError:
+            refused.append(image)
+        assert (image in refused) != (core in labelled_cells(s2, len(core) - 1))
+    assert refused == [(YELLOW, BLUE, YELLOW, BLUE), (BLUE, YELLOW, BLUE, YELLOW)]
 
 
 def test_sigma_chain():
     assert sigma(0).n_cells(1) == 0
-    assert sigma(1).cells(1) == frozenset({(YELLOW, BLUE), (BLUE, YELLOW)})
+    assert labelled_cells(sigma(1), 1) == frozenset({(YELLOW, BLUE), (BLUE, YELLOW)})
     assert sigma(3).n_cells(3) == 2
 
 
@@ -56,7 +66,7 @@ def test_gamma_structure():
     g12 = gamma(12)
     assert len(g12.vertices) == 12 and g12.n_cells(1) == 12
     g4 = gamma(4)
-    assert g4.cells(1) == frozenset({(0, 1), (2, 1), (2, 3), (0, 3)})
+    assert labelled_cells(g4, 1) == frozenset({(0, 1), (2, 1), (2, 3), (0, 3)})
     for L in (4, 8, 12):
         assert gamma(L).euler_characteristic() == 0
     with pytest.raises(InvalidParameterError):
@@ -84,7 +94,7 @@ def test_product_two_triangles_per_square():
     t = gamma_product((4, 8))
     assert t.n_cells(2) == 2 * 4 * 8
     diagonals = {}
-    for cell in t.cells(2):
+    for cell in labelled_cells(t, 2):
         low, high = cell[0], cell[2]
         assert low[0] % 2 == 0 and low[1] % 2 == 0
         assert high[0] % 2 == 1 and high[1] % 2 == 1
@@ -96,10 +106,10 @@ def test_product_two_triangles_per_square():
 def test_product_closure_explicit():
     t = gamma_product((4, 8))
     for d in (1, 2):
-        for cell in t.cells(d):
+        for cell in labelled_cells(t, d):
             for i in range(d + 1):
-                face = cell[:i] + cell[i + 1:]
-                assert t.has_simplex(face)
+                # a face of a strict chain is a strict chain, never degenerate
+                assert cell[:i] + cell[i + 1:] in labelled_cells(t, d - 1)
 
 
 def test_unary_product_is_identity():
@@ -109,7 +119,8 @@ def test_unary_product_is_identity():
     assert g.cap == circle.cap
     for d in range(g.cap + 1):
         assert g.position_cells(d) == circle.position_cells(d)
-        assert g.cells(d) == {tuple((v,) for v in c) for c in circle.cells(d)}
+        assert labelled_cells(g, d) == {tuple((v,) for v in c)
+                                        for c in labelled_cells(circle, d)}
     assert g.antipode == circle.antipode
 
 
@@ -160,7 +171,7 @@ def test_gamma_product_matches_generic_product(sides):
     vertices, cells, involution = sproduct([gamma(L) for L in sides], t.cap)
     assert t.vertices == vertices
     for d in range(t.cap + 1):
-        assert t.cells(d) == cells[d]
+        assert labelled_cells(t, d) == cells[d]
         assert t.n_cells(d) == product_cell_count(sides, d)
     assert t.involution == involution
 
@@ -192,19 +203,30 @@ def test_the_survey_builds_no_torus_cell_above_the_vertices(fresh_tori):
     assert sorted(torus._positions) == [0, 1, 2, 3]
 
 
-def _dropping(monkeypatch, moves):
+def _chains(points, ups, cap):
+    """The chains that the up-lists ``ups`` give over ``points``, by
+    dimension 0..cap."""
+    chains = {0: list(points)}
+    for d in range(1, cap + 1):
+        chains[d] = [c + (w,) for c in chains[d - 1] for w in ups[c[-1]]]
+    return chains
+
+
+def _breaking(monkeypatch, moves):
     """Make the torus generator leave each (p, q) of ``moves`` out of the
-    up-list of p, and return the chains the broken up-lists give, by dimension."""
+    up-list of p, or put it in, in order, when it is not there; return the
+    chains the broken up-lists give, by dimension."""
     build = simplicial._product_chains
     chains = {}
 
     def broken(sides):
         vertices, points, antipode, ups = build(sides)
         for p, q in moves:
-            ups[p].remove(q)
-        chains[0] = list(points)
-        for d in range(1, len(sides) + 1):
-            chains[d] = [c + (w,) for c in chains[d - 1] for w in ups[c[-1]]]
+            if q in ups[p]:
+                ups[p].remove(q)
+            else:
+                ups[p] = sorted(ups[p] + [q])
+        chains.update(_chains(points, ups, len(sides)))
         return vertices, points, antipode, ups
 
     monkeypatch.setattr(simplicial, "_product_chains", broken)
@@ -218,17 +240,19 @@ def _dropping(monkeypatch, moves):
      "closure violated: face ((0, 0), (1, 1)) of ((0, 0), (0, 1), (1, 1)) missing"),
     # (0, 0) < (1, 0) goes, and no chain has it as a face, but its mate stays
     ([(0, 4)], 1, "involution does not preserve simplices: ((2, 2), (3, 2))"),
-], ids=["face", "mate"])
+    # (0, 0) goes above itself: the edge ((0, 0), (0, 0)) is no strict chain
+    ([(0, 0)], 1, "stored simplex is degenerate: ((0, 0), (0, 0))"),
+], ids=["face", "mate", "loop"])
 def test_a_broken_torus_dimension_is_refused_on_each_read(moves, d, message,
                                                           fresh_tori, monkeypatch):
-    chains = _dropping(monkeypatch, moves)
+    chains = _breaking(monkeypatch, moves)
     torus = gamma_product((4, 4))
     assert sorted(torus._positions) == [0]
-    # the eager check of the same cells raises the same message
+    # the reference check of the same cells raises the same message
     simplices = {e: [torus.labels(c) for c in chains[e]] for e in (1, 2)}
-    with pytest.raises(InvalidParameterError) as eager:
-        SimplicialSet(torus.vertices, simplices, torus.cap, torus.involution)
-    assert str(eager.value) == message
+    with pytest.raises(InvalidParameterError) as reference:
+        check_reference(torus.vertices, simplices, torus.cap, torus.involution)
+    assert str(reference.value) == message
     for read in (d, 3, d):
         with pytest.raises(InvalidParameterError) as lazy:
             torus.position_cells(read)
@@ -261,36 +285,66 @@ def test_the_up_lists_are_gone_while_the_cap_is_checked(fresh_tori, monkeypatch)
     assert torus._ups is None
 
 
+def _points(count):
+    return tuple((p,) for p in range(count))
+
+
+def _up_lists(x, drop=(), add=()):
+    """The up-lists of x read off its 1-cells, without the pairs in ``drop``
+    and with those in ``add``, each list in label order."""
+    ups = [[] for _ in x.vertices]
+    for p, q in sorted(set(x.position_cells(1)) - set(drop) | set(add), key=x.labels):
+        ups[p].append(q)
+    return ups
+
+
 def test_closure_checked():
-    with pytest.raises(InvalidParameterError):
-        SimplicialSet([0, 1, 2], {2: [(0, 1, 2)]}, cap=2)
+    # up-lists with a cycle give chains that are not strict: the face (0, 0)
+    # of (0, 1, 0) is no chain, so it is missing, and the chain is refused
+    x = SimplicialSet((0, 1), _points(2), 2, None, [[1], [0]])
+    assert x.position_cells(1) == ((0, 1), (1, 0))
+    with pytest.raises(InvalidParameterError,
+                       match=r"^closure violated: face \(0, 0\) of \(0, 1, 0\) missing$"):
+        x.position_cells(2)
 
 
 def test_closure_missing_nondegenerate_face():
-    # (0, 1, 0) has the faces (1, 0), (0, 0) and (0, 1); only (1, 0) is missing
-    with pytest.raises(InvalidParameterError, match=r"face \(1, 0\) of \(0, 1, 0\)"):
-        SimplicialSet([0, 1], {1: [(0, 1)], 2: [(0, 1, 0)]}, cap=2)
-    SimplicialSet([0, 1], {1: [(0, 1), (1, 0)], 2: [(0, 1, 0)]}, cap=2)
+    # 0 < 1 < 2 without 0 < 2: the chain (0, 1, 2) misses its face (0, 2)
+    with pytest.raises(InvalidParameterError, match=r"face \(0, 2\) of \(0, 1, 2\)"):
+        SimplicialSet((0, 1, 2), _points(3), 2, None, [[1], [2], []]).position_cells(2)
+    x = SimplicialSet((0, 1, 2), _points(3), 2, None, [[1, 2], [2], []])
+    assert x.position_cells(2) == ((0, 1, 2),)
 
 
 def test_closure_degenerate_faces_normalize():
-    # a middle face of a sigma(k) cell repeats a vertex, so it is never stored
-    # and sigma(k) only constructs if the closure check normalizes it
+    # a middle face of a sigma(k) cell repeats a vertex, so it is never
+    # stored: the reference check accepts sigma(k) by normalizing it, while
+    # the chain builder, whose faces are strict chains, refuses the same
+    # cells when the colours lie above each other
     for k in (2, 3):
         s = sigma(k)
-        degenerate = {face for cell in s.cells(k) for _, face in faces(cell)
+        degenerate = {face for cell in labelled_cells(s, k) for _, face in faces(cell)
                       if is_degenerate(face)}
-        assert degenerate and not degenerate & s.cells(k - 1)
+        assert degenerate and not degenerate & labelled_cells(s, k - 1)
+        chains = SimplicialSet(s.vertices, s.position_cells(0), k, s.antipode, [[1], [0]])
+        assert chains.position_cells(1) == s.position_cells(1)
+        with pytest.raises(InvalidParameterError, match="^closure violated: face "
+                                                        r"\('blue', 'blue'\) of"):
+            chains.position_cells(2)
 
 
 def test_closure_missing_torus_face():
+    # the long edge (p, r) of a triangle (p, q, r) goes, with its mate, so
+    # that the edges pass; the triangles through it are refused
     t = gamma_product((4, 4))
-    cell = sorted(t.cells(2))[5]
-    for _, face in faces(cell):
-        simplices = {d: set(t.cells(d)) for d in (1, 2)}
-        simplices[1].discard(face)
-        with pytest.raises(InvalidParameterError, match="closure violated"):
-            SimplicialSet(t.vertices, simplices, cap=2)
+    p, _, r = t.position_cells(2)[5]
+    drop = [(p, r), (t.antipode[p], t.antipode[r])]
+    x = SimplicialSet(t.vertices, t.position_cells(0), t.cap, t.antipode,
+                      _up_lists(t, drop=drop))
+    assert len(x.position_cells(1)) == t.n_cells(1) - 2
+    with pytest.raises(InvalidParameterError, match="^closure violated: face ") as exc:
+        x.position_cells(2)
+    assert any(f"face {t.labels(edge)} of" in str(exc.value) for edge in drop)
 
 
 # tori of one to four sides, and complexes whose cells have degenerate faces
@@ -366,54 +420,54 @@ def test_incidence_names_the_missing_face_a_cell_scan_meets_first():
 
 
 GAMMA4_EDGES = [(0, 1), (0, 3), (2, 3), (2, 1)]
-SHIFT4 = {0: 2, 1: 3, 2: 0, 3: 1}
+# each odd vertex of gamma(4) lies above its two even neighbours
+GAMMA4_MASKS = [1, 7, 4, 13]
 
-# one defect each: constructor arguments and the exact rejection message
+# one defect each: a build that reads every dimension, the reference
+# check's arguments for the same cells, and the exact rejection message
 REJECTIONS = {
-    "duplicate labels": (([0, 1, 0], {}, 1), {},
-                         "duplicate vertex labels"),
-    "wrong length": ((range(4), {1: GAMMA4_EDGES + [(0, 1, 2)]}, 1), {},
-                     "stored 1-simplex of wrong length: (0, 1, 2)"),
-    "degenerate": ((range(4), {1: GAMMA4_EDGES + [(0, 0)]}, 1), {},
+    "duplicate labels": (lambda: order_complex([0, 1, 0], [1, 2, 4], 1),
+                         ([0, 1, 0], {}, 1), "duplicate vertex labels"),
+    "cap below one": (lambda: order_complex([0], [1], 0),
+                      ([0], {}, 0), "dimension cap must be >= 1"),
+    "degenerate": (lambda: SimplicialSet(tuple(range(4)), _points(4), 1, None,
+                                         [[0, 1, 3], [], [1, 3], []]).dimension(),
+                   (range(4), {1: GAMMA4_EDGES + [(0, 0)]}, 1),
                    "stored simplex is degenerate: (0, 0)"),
-    "unknown vertex": ((range(4), {1: GAMMA4_EDGES + [(1, 9)]}, 1), {},
-                       "simplex uses unknown vertex: (1, 9)"),
-    "missing face": (([0, 1, 2], {1: [(0, 1), (1, 2)], 2: [(0, 1, 2)]}, 2), {},
+    "missing face": (lambda: SimplicialSet((0, 1, 2), _points(3), 2, None,
+                                           [[1], [2], []]).dimension(),
+                     ([0, 1, 2], {1: [(0, 1), (1, 2)], 2: [(0, 1, 2)]}, 2),
                      "closure violated: face (0, 2) of (0, 1, 2) missing"),
-    "not a permutation": ((range(4), {1: GAMMA4_EDGES}, 1),
-                          {"involution": {0: 2, 1: 3, 2: 0, 3: 0}},
+    "not a permutation": (lambda: order_complex(range(4), GAMMA4_MASKS, 1,
+                                                {0: 2, 1: 3, 2: 0, 3: 0}),
+                          (range(4), {1: GAMMA4_EDGES}, 1, {0: 2, 1: 3, 2: 0, 3: 0}),
                           "involution is not a vertex permutation"),
-    "not self-inverse": ((range(4), {}, 1),
-                         {"involution": {0: 1, 1: 2, 2: 3, 3: 0}},
+    "not self-inverse": (lambda: order_complex(range(4), [1, 2, 4, 8], 1,
+                                               {0: 1, 1: 2, 2: 3, 3: 0}),
+                         (range(4), {}, 1, {0: 1, 1: 2, 2: 3, 3: 0}),
                          "involution is not self-inverse"),
-    "not preserving": (([0, 1, 2], {1: [(0, 1), (2, 1), (0, 2)]}, 1),
-                       {"involution": {0: 2, 1: 1, 2: 0}},
+    # 0 < 2 < 1, and the swap of 0 and 2 turns 0 < 2 round
+    "not preserving": (lambda: order_complex([0, 1, 2], [1, 7, 5], 1,
+                                             {0: 2, 1: 1, 2: 0}).dimension(),
+                       ([0, 1, 2], {1: [(0, 1), (2, 1), (0, 2)]}, 1, {0: 2, 1: 1, 2: 0}),
                        "involution does not preserve simplices: (0, 2)"),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(REJECTIONS))
 def test_each_rejection_names_its_defect(defect):
-    args, kwargs, message = REJECTIONS[defect]
+    build, reference, message = REJECTIONS[defect]
     with pytest.raises(InvalidParameterError) as err:
-        SimplicialSet(*args, **kwargs)
+        build()
     assert type(err.value) is InvalidParameterError
     assert str(err.value) == message
     with pytest.raises(InvalidParameterError) as ref:
-        check_reference(*args, **kwargs)
+        check_reference(*reference)
     assert str(ref.value) == message
 
 
-def _raw(x):
-    """Constructor arguments that rebuild x: vertices, cells, cap, involution."""
-    simplices = {d: set(x.cells(d)) for d in range(1, x.cap + 1)}
-    return list(x.vertices), simplices, x.cap, dict(x.involution)
-
-
 PREFIXES = {
-    "wrong length": "stored 1-simplex of wrong length",
     "degenerate": "stored simplex is degenerate",
-    "unknown vertex": "simplex uses unknown vertex",
     "missing face": "closure violated",
     "not preserving": "involution does not preserve simplices",
     "not a permutation": "involution is not a vertex permutation",
@@ -421,58 +475,55 @@ PREFIXES = {
 }
 
 
-def _corruptions(x, rng, ghost):
-    """x's own data, then one copy per defect, each with exactly that defect."""
-    vertices, simplices, cap, nu = _raw(x)
-    top = x.dimension()
-    yield "intact", (vertices, simplices, cap, nu)
-    cell = rng.choice(sorted(simplices[top]))
-
-    def changed(d, add=(), drop=()):
-        out = {k: set(v) for k, v in simplices.items()}
-        out[d] |= set(add)
-        out[d] -= set(drop)
-        return out
-
-    yield "wrong length", (vertices, changed(1, add=[cell]), cap, nu)
+def _corruptions(x, rng):
+    """x's up-lists and antipode, then one copy per defect, each with exactly
+    that defect."""
+    ups, nu = _up_lists(x), list(x.antipode)
+    yield "intact", ups, nu
+    cell = rng.choice(x.position_cells(x.dimension()))
     v = cell[0]
-    yield "degenerate", (vertices, changed(1, add=[(v, v)]), cap, nu)
-    yield "unknown vertex", (vertices, changed(1, add=[(v, ghost)]), cap, nu)
-    face = rng.choice(sorted(f for _, f in faces(cell) if not is_degenerate(f)))
-    yield "missing face", (vertices, changed(top - 1, drop=[face]), cap, nu)
-    # the top cell's mate now maps onto a missing cell
-    yield "not preserving", (vertices, changed(top, drop=[cell]), cap, nu)
-    bad = dict(nu)
+    yield "degenerate", _up_lists(x, add=[(v, v)]), nu
+    # a top cell is a maximal chain: its first step is a cover, and its
+    # first and third vertices span the long edge of a triangle
+    a, c = cell[0], cell[2]
+    yield "missing face", _up_lists(x, drop=[(a, c), (nu[a], nu[c])]), nu
+    yield "not preserving", _up_lists(x, drop=[cell[:2]]), nu
+    bad = list(nu)
     bad[v] = v
-    yield "not a permutation", (vertices, simplices, cap, bad)
-    others = [w for w in vertices if w not in (v, nu[v])]
-    if others:  # a 4-cycle through two orbits; sigma(k) has only one
-        w = rng.choice(others)
-        cycle = dict(nu)
-        cycle.update({v: w, w: nu[v], nu[v]: nu[w], nu[w]: v})
-        yield "not self-inverse", (vertices, simplices, cap, cycle)
+    yield "not a permutation", ups, bad
+    w = rng.choice([w for w in range(len(nu)) if w not in (v, nu[v])])
+    cycle = list(nu)
+    cycle[v], cycle[w], cycle[nu[v]], cycle[nu[w]] = w, nu[v], nu[w], v
+    yield "not self-inverse", ups, cycle
 
 
-def _outcome(build, args):
+def _outcome(build):
     try:
-        build(*args)
+        build()
     except InvalidParameterError as exc:
         message = str(exc)
-        # a missing face may lie on several cells; either names the defect
-        return type(exc), message.split(" of ")[0] if "closure" in message else message
+        # the two missing faces lie on different cells; either names the defect
+        return type(exc), message.split(":")[0] if "closure" in message else message
     return None
 
 
 @pytest.mark.parametrize("make", [lambda: gamma_power(4, 2), lambda: gamma_power(8, 3),
-                                  lambda: sigma(3),
                                   lambda: hom_complex(complete_graph(4))],
-                         ids=["gamma4^2", "gamma8^3", "sigma3", "hom_K4"])
+                         ids=["gamma4^2", "gamma8^3", "hom_K4"])
 def test_position_check_agrees_with_reference(make):
+    """Up-lists and an antipode with one defect each are refused on the
+    read of every dimension, as the reference check refuses the chains they
+    give."""
     x = make()
+    points, labels = x.position_cells(0), x.labels
     names = []
-    for name, args in _corruptions(x, random.Random(11), ghost="ghost"):
-        got = _outcome(lambda *a: SimplicialSet(*a[:3], involution=a[3]), args)
-        want = _outcome(lambda *a: check_reference(*a[:3], involution=a[3]), args)
+    for name, ups, nu in _corruptions(x, random.Random(11)):
+        chains = _chains(points, ups, x.cap)
+        simplices = {d: [labels(c) for c in chains[d]] for d in range(1, x.cap + 1)}
+        involution = {u: x.vertices[j] for u, j in zip(x.vertices, nu)}
+        got = _outcome(lambda: SimplicialSet(x.vertices, points, x.cap, nu,
+                                             ups).dimension())
+        want = _outcome(lambda: check_reference(x.vertices, simplices, x.cap, involution))
         assert got == want, name
         if name == "intact":
             assert got is None
@@ -480,7 +531,7 @@ def test_position_check_agrees_with_reference(make):
             assert got[0] is InvalidParameterError
             assert got[1].startswith(PREFIXES[name]), (name, got)
         names.append(name)
-    assert len(names) == 8 - (x.n_cells(0) == 2)
+    assert len(names) == 6
 
 
 def test_gamma_powers_euler_zero():
@@ -514,8 +565,8 @@ def test_map_from_colouring_any_equivariant_on_2d_torus():
             bit = rng.random() < 0.5
             col[v] = BLUE if bit else YELLOW
             col[nu[v]] = YELLOW if bit else BLUE
-        gmap = map_from_colouring(t, col)
-        assert is_equivariant(gmap)
+        map_from_colouring(t, col)
+        assert is_equivariant(t, col)
 
 
 def test_map_from_colouring_alternation_witness():
@@ -524,7 +575,7 @@ def test_map_from_colouring_alternation_witness():
            for v in t3.vertices}
     with pytest.raises(AlternatingSimplexError) as err:
         map_from_colouring(t3, col)
-    alternating = sorted(c for c in t3.cells(3)
+    alternating = sorted(c for c in labelled_cells(t3, 3)
                          if col[c[0]] != col[c[1]] != col[c[2]] != col[c[3]])
     assert len(alternating) > 1
     assert err.value.witness == alternating[0]
@@ -532,17 +583,17 @@ def test_map_from_colouring_alternation_witness():
 
 def test_boundary_of_triangle():
     t = gamma_power(4, 2)
-    cell = sorted(t.cells(2))[0]
+    cell = sorted(labelled_cells(t, 2))[0]
     chain = ModTwoChain(2, {cell})
     faces = boundary(chain)
     assert faces.dimension == 1 and len(faces) == 3
-    assert all(f in t.cells(1) for f in faces.cells)
+    assert all(f in labelled_cells(t, 1) for f in faces.cells)
 
 
 def test_boundary_squared_zero():
     t = gamma_power(4, 2)
     rng = random.Random(7)
-    cells = sorted(t.cells(2))
+    cells = sorted(labelled_cells(t, 2))
     for _ in range(10):
         pick = {c for c in cells if rng.random() < 0.4}
         if not pick:
@@ -550,21 +601,12 @@ def test_boundary_squared_zero():
         assert not boundary(boundary(ModTwoChain(2, pick)))
 
 
-def test_simplicial_map_validity():
-    g4 = gamma(4)
-    sq = gamma_product((4, 4))
-    proj = SimplicialMap(sq, g4, {v: v[0] for v in sq.vertices})
-    assert is_equivariant(proj)
-    with pytest.raises(InvalidParameterError):
-        SimplicialMap(g4, g4, {v: (v + 1) % 4 for v in g4.vertices})
-
-
 def test_order_complex_matches_gamma():
     # the down-set of each element: an odd vertex lies above its neighbours
     masks = [1 << a | (a % 2 and 1 << (a - 1) % 8 | 1 << (a + 1) % 8) for a in range(8)]
     oc = order_complex(range(8), masks, cap=3)
     g8 = gamma(8)
-    assert oc.cells(1) == g8.cells(1)
+    assert labelled_cells(oc, 1) == labelled_cells(g8, 1)
 
 
 @pytest.mark.parametrize("make", [
@@ -576,13 +618,13 @@ def test_order_complex_matches_gamma():
 def test_a_fresh_order_complex_holds_only_its_vertices(make):
     """Circles and homomorphism complexes are built by the chain builder of
     the tori: each dimension on its first read, after those below, equal to
-    the same cells given to the eager constructor."""
+    the same cells checked by the reference and stored as given."""
     x = make()
     assert sorted(x._positions) == [0]
     x.position_cells(2)
     assert sorted(x._positions) == [0, 1, 2]
-    simplices = {d: x.cells(d) for d in range(1, x.cap + 1)}
-    eager = SimplicialSet(x.vertices, simplices, x.cap, x.involution)
+    simplices = {d: labelled_cells(x, d) for d in range(1, x.cap + 1)}
+    eager = explicit_set(x.vertices, simplices, x.cap, x.involution)
     for d in range(x.cap + 1):
         assert x.position_cells(d) == eager.position_cells(d)
     assert x.antipode == eager.antipode
@@ -594,12 +636,6 @@ def test_json_roundtrip():
         back = simplicial_set_from_json(data)
         assert back.vertices == x.vertices
         for d in range(x.cap + 1):
-            assert back.cells(d) == x.cells(d)
+            assert labelled_cells(back, d) == labelled_cells(x, d)
         if x.involution:
             assert back.involution == x.involution
-
-
-def test_normalize_simplex():
-    assert normalize_simplex((1, 1, 2, 2, 3)) == (1, 2, 3)
-    assert normalize_simplex((1, 2, 1)) == (1, 2, 1)
-

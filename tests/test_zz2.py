@@ -7,18 +7,19 @@ from equihom.errors import (InvalidInputError, InvalidParameterError,
                             InvariantViolationError, NotFreeActionError)
 from equihom.graphs import complete_graph
 from equihom.homcomplexes import hom_complex
-from equihom.simplicial import (SimplicialSet, gamma, gamma_power, gamma_product,
-                                mod2_homology_ranks, sigma)
+from equihom.simplicial import (gamma, gamma_power, gamma_product, mod2_homology_ranks,
+                                order_complex)
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import (CohomologyGroup, EquivariantChainComplex, bredon_torus,
                          cohomology, equivariant_complex, expected_bredon,
                          quotient_pstar_check, specialize)
 
-from oracles import (ModTwoChain, add_at, boundary, cube_orbit_reference, from_dense,
-                     involution_simplex, orbit_complex_reference, orbit_pairs_reference,
+from oracles import (ModTwoChain, add_at, boundary, cube_orbit_reference, explicit_set,
+                     from_dense, involution_simplex, labelled_cells,
+                     orbit_complex_reference, orbit_pairs_reference,
                      ordinary_cochain_complex, ordinary_cohomology,
                      quotient_by_first_shift, quotient_complexes_reference,
-                     quotient_pstar_reference, signed_boundary_rows,
+                     quotient_pstar_reference, sigma, signed_boundary_rows,
                      specialize_reference, to_dense)
 
 
@@ -38,8 +39,7 @@ def test_orbit_ranks():
 
 
 def test_not_free_action_detected():
-    fixed = SimplicialSet([0, 1], {1: [(0, 1), (1, 0)]}, cap=1,
-                          involution={0: 0, 1: 1})
+    fixed = explicit_set([0, 1], {1: [(0, 1), (1, 0)]}, 1, involution={0: 0, 1: 1})
     with pytest.raises(NotFreeActionError):
         orbit_pairs_reference(fixed, 1)
 
@@ -133,7 +133,7 @@ def test_coboundaries_of_mismatched_shapes_are_refused():
 
 
 def test_point_cohomology():
-    point = SimplicialSet([0], {}, cap=1)
+    point = order_complex([0], [1], 1)
     assert ordinary_cohomology(point, 0, max_dim=1) == CohomologyGroup(1, ())
 
 
@@ -272,10 +272,10 @@ def test_quotient_construction_oracle():
     # independent orbit-complex construction: reduce labels mod 4 by hand
     g8 = gamma(8)
     image_vertices = {v % 4 for v in g8.vertices}
-    image_edges = {tuple(v % 4 for v in c) for c in g8.cells(1)}
+    image_edges = {tuple(v % 4 for v in c) for c in labelled_cells(g8, 1)}
     g4 = gamma(4)
     assert image_vertices == set(g4.vertices)
-    assert image_edges == g4.cells(1)
+    assert image_edges == labelled_cells(g4, 1)
     q, proj = quotient_by_first_shift(8, 1)
     # the quotient is gamma(4) with 1-tuple labels, projected mod 4
     assert q.vertices == tuple((v,) for v in g4.vertices)
@@ -493,7 +493,7 @@ def test_orbit_complex_matches_cell_by_cell_reference(case):
     group-ring coefficients give back the cohomology of the space itself."""
     x = ORBIT_CASES[case]()
     top = x.dimension()
-    cells = [sorted(x.cells(d)) for d in range(top + 1)]
+    cells = [sorted(labelled_cells(x, d)) for d in range(top + 1)]
     cx = simplicial_orbit_complex(x, top)
     for d in range(1, top + 1):
         orbit = {}
@@ -519,9 +519,10 @@ def test_orbit_complex_matches_cell_by_cell_reference(case):
 
 
 def test_fixed_cell_is_named_as_by_the_reference():
-    # vertices 1 and 3 are fixed; listed out of label order, 1 sorts first
-    x = SimplicialSet([3, 1, 0, 2], {1: [(0, 1), (2, 1), (0, 3), (2, 3)]}, cap=1,
-                      involution={3: 3, 1: 1, 0: 2, 2: 0})
+    # the 4-cycle 0, 2 < 1, 3 with vertices 1 and 3 fixed; listed out of
+    # label order, 1 sorts first
+    x = order_complex([3, 1, 0, 2], [13, 7, 1, 4], 1, involution={3: 3, 1: 1, 0: 2, 2: 0})
+    assert labelled_cells(x, 1) == {(0, 1), (2, 1), (0, 3), (2, 3)}
     with pytest.raises(NotFreeActionError,
                        match=r"^cell \(1,\) is fixed by the involution$"):
         orbit_pairs_reference(x, 1)
@@ -539,7 +540,7 @@ BUILDER_CASES = {
 def test_shared_builder_matches_raw_boundary_loop(case, monkeypatch):
     x = BUILDER_CASES[case]()
     top = x.dimension()
-    cells = [sorted(x.cells(d)) for d in range(top + 1)]
+    cells = [sorted(labelled_cells(x, d)) for d in range(top + 1)]
     reference = [None] + [signed_boundary_rows(x, d) for d in range(1, top + 1)]
 
     # Z: the ordinary complex, entry for entry
@@ -559,4 +560,4 @@ def test_shared_builder_matches_raw_boundary_loop(case, monkeypatch):
         odd = set()
         for row in reference[d]:
             odd ^= {cells[d - 1][k] for k, v in row.items() if v % 2}
-        assert boundary(ModTwoChain(d, x.cells(d))).cells == odd
+        assert boundary(ModTwoChain(d, labelled_cells(x, d))).cells == odd
