@@ -37,6 +37,7 @@ phi at ell = 5 | 0 | equihom enumerate --ell 5 --arity 2 --limit 500 --out ell5.
 phi at ell = 5, arity 3 | 0 | equihom enumerate --ell 5 --arity 3 --limit 200 --out ell5-arity3.jsonl && equihom phi --in ell5-arity3.jsonl --out phi-ell5-arity3.jsonl
 degree and swap-stats n = 1 | 0 | python -c "import json, sys; from itertools import product; L, n = 8, int(sys.argv[1]); bits = [int(v[0] < L // 2) for v in product(range(L), repeat=n)]; json.dump({'L': L, 'n': n, 'colours': bits}, open(sys.argv[2], 'w'))" 1 colouring.json && equihom degree --colouring colouring.json --out degree.json && equihom swap-stats --colouring colouring.json --i 1 --out swap.json
 degree and swap-stats n = 3 | 0 | python -c "import json, sys; from itertools import product; L, n = 8, int(sys.argv[1]); bits = [int(v[0] < L // 2) for v in product(range(L), repeat=n)]; json.dump({'L': L, 'n': n, 'colours': bits}, open(sys.argv[2], 'w'))" 3 colouring.json && equihom degree --colouring colouring.json --out degree.json && equihom swap-stats --colouring colouring.json --i 1 --out swap.json
+degree n = 6, L = 8 | 10 | python -c "import json, sys; from itertools import product; L, n = 8, int(sys.argv[1]); bits = [int(v[0] < L // 2) for v in product(range(L), repeat=n)]; json.dump({'L': L, 'n': n, 'colours': bits}, open(sys.argv[2], 'w'))" 6 colouring.json && equihom degree --colouring colouring.json --out degree.json
 zeta0 | 0 | equihom zeta0 --n 7 --h 2 --L 8 --out zeta0.json
 enumerate | 0 | equihom enumerate --ell 3 --arity 2 --out enumerate.jsonl
 search-t and its cached t | 0 | equihom search-t --cache t-cache --out search-t.json

@@ -22,7 +22,7 @@ from .graphs import (complete_graph, cycle_graph, enumerate_homs, hom_from_json,
 from .homcomplexes import (CyclePipeline, default_cache_dir, hom_complex,
                            search_t_colouring)
 from .degrees import deg_vector, phi
-from .simplicial import BLUE, YELLOW, gamma_power, map_from_colouring
+from .simplicial import BLUE, YELLOW, map_from_colouring, torus
 from .slices import arity_experiment, swap_fraction, zeta0
 from .zz2 import bredon_torus, quotient_pstar_check
 
@@ -146,7 +146,7 @@ def cmd_phi(args):
 
 def cmd_degree(args):
     L, n, colours = _load_colouring(args.colouring)
-    map_from_colouring(gamma_power(L, n), colours)
+    map_from_colouring(torus(L, n), colours)
     alpha = deg_vector(colours, L, n)
     report = _meta(args, params={"colouring": str(args.colouring), "L": L, "n": n},
                    alpha=list(alpha.bits), weight=alpha.weight)

@@ -8,14 +8,14 @@ composing with the polymorphism pipeline realizes the minion homomorphism into
 odd Z_2-vectors.
 """
 
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import itemgetter, xor
 
 from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import MinorSpec
 from .homcomplexes import CyclePipeline, side_keys
-from .simplicial import (BLUE, YELLOW, check_antipodes, check_colours, check_torus,
-                         colour_values, gamma_power, gamma_product)
+from .simplicial import (BLUE, YELLOW, Torus, check_antipodes, check_colours,
+                         colour_values, torus)
 
 
 class TorusComplex:
@@ -30,12 +30,12 @@ class TorusComplex:
     meets.  ``squares`` lists it as (p, q1, q2, r), the triangles
     [p, q1, r] and [p, q2, r], for each x1 edge shifted by an even b in
     [0, L'/2] and each t = +-1 with 0 < b + t < L'/2.  The band identity is
-    checked on the squares as written.  ``sset``, the torus itself, is
-    built on the first read of a colouring.
+    checked on the squares as written.  ``grid``, the ``Torus`` of the two
+    sides, checks them and reads the colourings.
     """
 
     def __init__(self, L, Lp):
-        check_torus((L, Lp))
+        self.grid = Torus((L, Lp))
         self.L = L
         self.Lp = Lp
         self.x1 = [(a * Lp, (a + s) % L * Lp) for a in range(0, L, 2) for s in (1, -1)]
@@ -62,14 +62,16 @@ class TorusComplex:
         if edges != set(self.x1) ^ {(mate(u), mate(v)) for u, v in self.x1}:
             raise InvariantViolationError("band boundary != cycle + antipodal cycle")
 
-    @cached_property
-    def sset(self):
-        return gamma_product((self.L, self.Lp))
+    def colours(self, colouring):
+        """The colours of a colour dict at the row-major positions, each
+        checked to be yellow or blue."""
+        values = colour_values(self.grid, colouring)
+        check_colours(self.grid, values)
+        return values
 
-    def deg1(self, colouring):
-        """Edge crossings on the coordinate cycle plus alternating band triangles."""
-        values = colour_values(self.sset, colouring)
-        check_colours(self.sset, values)
+    def deg1(self, values):
+        """Edge crossings on the coordinate cycle plus alternating band
+        triangles, for the ``colours`` of a colouring."""
         return count_deg1([c == BLUE for c in values], self.x1, self.squares)
 
 
@@ -311,7 +313,7 @@ def deg_vector(g, L, n):
     2-variable minor along ``sigma_minor(n, i)``, counted on the index
     tables.
     """
-    x = gamma_power(L, n)
+    x = torus(L, n)
     values = colour_values(x, g)
     check_antipodes(x, values)
     check_colours(x, values)
@@ -352,17 +354,16 @@ def phi(f, pipeline):
     return alpha
 
 
-def find_colour_swapping_edge(g, torus):
+def find_colour_swapping_edge(g, plane):
     """A horizontal edge with differently coloured endpoints; needs deg1 = 1."""
-    if torus.deg1(g) != 1:
+    values = plane.colours(g)
+    if plane.deg1(values) != 1:
         raise InvalidParameterError("colour-swapping edges are guaranteed only for deg1 = 1")
-    values, vertices = colour_values(torus.sset, g), torus.sset.vertices
-    L, Lp = torus.L, torus.Lp
+    L, Lp = plane.L, plane.Lp
     for b in range(Lp):
         for a in range(L):
-            u, v = a * Lp + b, (a + 1) % L * Lp + b
-            if values[u] != values[v]:
-                return vertices[u], vertices[v]
+            if values[a * Lp + b] != values[(a + 1) % L * Lp + b]:
+                return (a, b), ((a + 1) % L, b)
     raise InvariantViolationError("no colour-swapping edge on a deg1 = 1 map")
 
 
@@ -371,8 +372,7 @@ def winding_colouring(L, n, j):
     if not 1 <= j <= n:
         raise InvalidParameterError("coordinate out of range")
     half = L // 2
-    return {v: (BLUE if v[j - 1] < half else YELLOW)
-            for v in gamma_power(L, n).vertices}
+    return {v: (BLUE if v[j - 1] < half else YELLOW) for v in torus(L, n).vertices}
 
 
 def monomial_colouring(L, n, support):
@@ -398,4 +398,4 @@ def monomial_colouring(L, n, support):
     def level(v):
         return sum((v[j - 1] + v[j - 1] % 2) for j in support) % L
 
-    return {v: (BLUE if level(v) < half else YELLOW) for v in gamma_power(L, n).vertices}
+    return {v: (BLUE if level(v) < half else YELLOW) for v in torus(L, n).vertices}

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import (CapacityExceededError, InternalError, InvalidParameterError,
                      UnsupportedInputError)
 from .graphs import GraphHom, PowerGraph, complete_graph, cycle_graph
-from .simplicial import BLUE, YELLOW, gamma, gamma_power, map_from_colouring, order_complex
+from .simplicial import BLUE, YELLOW, gamma, map_from_colouring, order_complex, torus
 
 CACHE_ENV_VAR = "EQUIHOM_CACHE"
 T_FILE_NAME = "t_colouring_hom_k2_k4.json"
@@ -125,7 +125,7 @@ def canonical_cycle_iso(ell):
     for p, q in target.position_cells(1):
         neighbours[p].append(q)
         neighbours[q].append(p)
-    walk = [target.position[Multihom((0,), (1,))]]
+    walk = [target.vertices.index(Multihom((0,), (1,)))]
     visited = set(walk)
     while len(walk) < period:
         options = [q for q in neighbours[walk[-1]] if q not in visited]
@@ -437,4 +437,4 @@ class CyclePipeline:
         """Vertex colouring of gamma(4*ell)^n induced by the polymorphism f."""
         n = self.check_polymorphism(f)
         return {v: (BLUE if b else YELLOW)
-                for v, b in zip(gamma_power(self.period, n).vertices, self.mu_lanes([f]))}
+                for v, b in zip(torus(self.period, n).vertices, self.mu_lanes([f]))}

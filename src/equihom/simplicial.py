@@ -1,24 +1,17 @@
-"""Relational simplicial sets: triangulated circles, their tori, and the
-homomorphism complexes.
+"""Relational simplicial sets, tori of circles on row-major positions, and
+maps into the two-vertex sphere sigma(2).
 
-Every simplicial set here is the order complex of a finite strict order:
-its non-degenerate d-simplices are the strict chains of d + 1 elements.
-Each dimension up to a cap is stored once, as tuples of vertex positions,
-the indices into its vertex list, in the sorted order of their vertex
-tuples.  One chain builder makes every dimension: its chains come out
-already in that order, and each dimension is built and checked on its
-first read.  A degenerate simplex is a chain with a consecutive repeat;
-collapsing the repeats leaves a stored chain.
-
-A map into the two-vertex sphere sigma(2), whose simplices change colour
-at most twice, is a yellow/blue colour per vertex: ``map_from_colouring``
-checks that such a colouring is an equivariant simplicial map.
+Every simplicial set here is the order complex of a finite strict order,
+its d-simplices the strict chains of d + 1 elements.  ``Torus`` reads the
+order of gamma(L_1) x ... x gamma(L_k) by shifting sets of vertices, ints
+with bit p for position p.  A map into sigma(2), whose simplices change
+colour at most twice, is a yellow/blue colour per vertex.
 """
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import product, repeat
-from math import comb, prod
-from operator import eq, itemgetter
+from math import prod
+from operator import eq, itemgetter, or_
 
 from .errors import (AlternatingSimplexError, CapacityExceededError,
                      InvalidParameterError, NotEquivariantError)
@@ -27,8 +20,11 @@ from .snf import gf2_rank
 YELLOW = "yellow"
 BLUE = "blue"
 
-# most cells a torus may have; checked against the closed-form count
+# most vertices a torus may have
 CELL_LIMIT = 1 << 22
+
+# byte 0 or 1 -> the digit "0" or "1"
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def is_degenerate(tup):
@@ -45,6 +41,37 @@ def faces(cell):
         yield -1 if i % 2 else 1, cell[:i] + cell[i + 1:]
 
 
+def least_alternating_chain(flags, up, down):
+    """The least chain v_0 < v_1 < v_2 < v_3 whose colours alternate, as bit
+    indices, or None; ``flags[k]`` is true where vertex k is blue, and ``up``
+    and ``down`` are the strict up- and down-closures of a set of bits.
+
+    S_0 is every vertex and S_k the vertices of one colour below S_(k-1) of
+    the other, which start a chain of k changes.  Each vertex of the chain
+    is the lowest of the other colour above the last in the S still due.
+    """
+    blue = int(bytes(flags).translate(_DIGITS)[::-1], 2)
+    yellow = (1 << len(flags)) - 1 ^ blue
+    starts = [blue | yellow]
+    for _ in range(3):
+        last = starts[-1]
+        starts.append(down(last & blue) & yellow | down(last & yellow) & blue)
+    chain, options = [], starts[3]
+    for k in (2, 1, 0, None):
+        if not options:
+            return None
+        v = (options & -options).bit_length() - 1
+        chain.append(v)
+        if k is not None:
+            options = up(1 << v) & starts[k] & (yellow if blue >> v & 1 else blue)
+    return chain
+
+
+def _closure(masks, bits):
+    """The union of ``masks[r]`` over the set bits r of ``bits``."""
+    return reduce(or_, [masks[r] for r in range(bits.bit_length()) if bits >> r & 1], 0)
+
+
 class SimplicialSet:
     """The order complex of a strict order, with an optional vertex involution.
 
@@ -59,17 +86,20 @@ class SimplicialSet:
     def __init__(self, vertices, points, cap, antipode, ups):
         """The order complex of a strict order on the tuple ``vertices``:
         ``points`` are the 0-cells and ``ups[p]`` the positions above vertex
-        p, both in the order of the labels, so the d-cells, the (d-1)-cells
-        extended through the up-list of their last vertex, come out sorted.
-        ``antipode`` (or None) is checked on the vertices at once; dimension
-        d is built, checked and stored on its first read, after the
-        dimensions below."""
+        p, both in label order, so the (d-1)-cells extended through the
+        up-list of their last vertex, the d-cells, come out sorted.
+        ``antipode`` (or None) is checked first, then each dimension."""
         self.vertices = vertices
         self.cap = cap
-        self._positions = {0: points}
         self.antipode = antipode
-        self._ups = ups
+        self.ups = ups
         self._check_antipode()
+        self._positions = cells = {0: points}
+        for d in range(1, cap + 1):
+            here = tuple([chain + (w,) for chain in cells[d - 1] for w in ups[chain[-1]]])
+            self._check_cells(d, here)
+            self._check_mates(d, here)
+            cells[d] = here
 
     def _check_antipode(self):
         antipode, count = self.antipode, len(self.vertices)
@@ -116,47 +146,24 @@ class SimplicialSet:
             raise InvalidParameterError(
                 f"involution does not preserve simplices: {self.labels(bad)}")
 
-    def _grow(self, d):
-        """Build dimensions up to d from the up-lists, each checked before it
-        is stored.  The up-lists are dropped once the cap's cells are made,
-        before their check; if it fails, they are read back off the 1-cells,
-        so the next read fails again."""
-        cells = self._positions
-        for e in range(len(cells), d + 1):
-            ups = self._ups
-            here = tuple([chain + (w,) for chain in cells[e - 1] for w in ups[chain[-1]]])
-            if e == self.cap:
-                self._ups = ups = None
-            try:
-                self._check_cells(e, here)
-                self._check_mates(e, here)
-            except InvalidParameterError:
-                if self._ups is None:
-                    self._ups = [[] for _ in self.vertices]
-                    for p, q in cells.get(1, here):
-                        self._ups[p].append(q)
-                raise
-            cells[e] = here
-        return cells[d]
-
-    @cached_property
-    def position(self):
-        """Vertex -> its index in ``vertices``."""
-        return {v: k for k, v in enumerate(self.vertices)}
-
-    @cached_property
-    def involution(self):
-        """Vertex -> its mate, or None without an involution."""
-        if self.antipode is None:
+    def alternating_chain(self, values):
+        """The least 3-cell, in the order of vertex tuples, on which the yellow
+        or blue ``values`` (in vertex order) alternate, as positions, or None.
+        Bit r stands for the vertex of rank r in label order, and a closure
+        ORs the kept up-lists, or the down-lists read off them, over its bits.
+        """
+        if not self.position_cells(3):  # as for Hom(K_2, K_4)
             return None
-        vertices = self.vertices
-        return {v: vertices[j] for v, j in zip(vertices, self.antipode)}
-
-    @cached_property
-    def cell3_columns(self):
-        """The 3-cells as four columns of vertex positions, in ``position_cells(3)`` order."""
-        cells = self.position_cells(3)
-        return tuple(tuple(map(itemgetter(k), cells)) for k in range(4))
+        order = [p for (p,) in self._positions[0]]
+        rank = {p: r for r, p in enumerate(order)}
+        ups, downs = [0] * len(order), [0] * len(order)
+        for r, p in enumerate(order):
+            for q in self.ups[p]:
+                ups[r] |= 1 << rank[q]
+                downs[rank[q]] |= 1 << r
+        chain = least_alternating_chain([values[p] == BLUE for p in order],
+                                        partial(_closure, ups), partial(_closure, downs))
+        return chain and [order[r] for r in chain]
 
     def labels(self, cell):
         """The vertex tuple of a position tuple."""
@@ -165,12 +172,7 @@ class SimplicialSet:
     def position_cells(self, d):
         """Non-degenerate d-simplices as position tuples, in the sorted order of
         their vertex tuples (empty beyond the stored range)."""
-        cells = self._positions.get(d)
-        if cells is None:
-            if not 0 < d <= self.cap:
-                return ()
-            cells = self._grow(d)
-        return cells
+        return self._positions.get(d, ())
 
     def n_cells(self, d):
         return len(self.position_cells(d))
@@ -251,8 +253,7 @@ def order_complex(elements, masks, cap, involution=None):
     (any finite order is the inclusion of its down-sets).  Positions follow
     the order of ``elements``; the 0-cells and each vertex's up-list follow
     the order of the labels, so chains extended through the up-lists come
-    out sorted.  Each dimension is built and checked on its first read, as
-    for a torus.
+    out sorted.
     """
     vertices = tuple(elements)
     position = _vertex_positions(vertices, cap)
@@ -261,20 +262,6 @@ def order_complex(elements, masks, cap, involution=None):
     ups = [[q for q, up in labelled if a & up == a != up] for a in masks]
     return SimplicialSet(vertices, tuple((p,) for p in by_label), cap,
                          _antipode(involution, position), ups)
-
-
-def product_cell_count(sides, d):
-    """Number of non-degenerate d-cells of gamma(L_1) x ... x gamma(L_k).
-
-    A d-chain of the product poset moves j of the k coordinates, each once,
-    from an even value to one of its two odd neighbours, and the moves fill
-    the d steps: d! S(j, d) surjections, counted by inclusion-exclusion.
-    Every coordinate has L_i starting choices whether it moves or not.
-    """
-    k = len(sides)
-    return prod(sides) * sum(
-        comb(k, j) * sum((-1) ** i * comb(d, i) * (d - i) ** j for i in range(d + 1))
-        for j in range(d, k + 1))
 
 
 def _check_vertex_count(sides, name):
@@ -288,85 +275,82 @@ def _check_vertex_count(sides, name):
                 f"torus {name} has more vertices than the cell limit {CELL_LIMIT}")
 
 
-def check_cell_limit(sides):
-    """Refuse a product of circles with more than CELL_LIMIT cells in all.
-
-    The vertices are counted first, so a product of many circles is refused
-    before its cells are summed over every degree and every move count.
+class Torus:
+    """gamma(L_1) x ... x gamma(L_k) with the diagonal involution, on the
+    row-major positions of its vertices, which run in the order of their
+    tuples.  A vertex lies below those that move a nonempty set of its even
+    coordinates x to x +- 1 mod L; the mate of a vertex, at ``antipode``,
+    adds L/2 to every coordinate.  The sides are checked when it is made.
     """
-    _check_vertex_count(sides, f"of {len(sides)} circles")
-    total = sum(product_cell_count(sides, d) for d in range(len(sides) + 1))
-    if total > CELL_LIMIT:
-        raise CapacityExceededError(
-            f"torus {sides} has {total} cells (limit {CELL_LIMIT})")
 
+    def __init__(self, sides):
+        sides = tuple(sides)
+        if not sides:
+            raise InvalidParameterError("a torus needs at least one side")
+        for L in sides:
+            _check_side(L)
+        _check_vertex_count(sides, f"of {len(sides)} circles")
+        self.sides, self.size = sides, prod(sides)
+        self.strides = tuple(prod(sides[i + 1:]) for i in range(len(sides)))
 
-def gamma_product(sides):
-    """Cached torus gamma(L_1) x ... x gamma(L_k) with the diagonal involution.
+    @property
+    def vertices(self):
+        """The vertex tuples in position order, a fresh iterator each read."""
+        return product(*map(range, self.sides))
 
-    Built as the order complex of the product of the alternating cyclic
-    posets: the cells are the strict chains, and a vertex lies below exactly
-    the tuples obtained by moving a nonempty subset of its even coordinates to
-    a neighbour.  The cap is max(3, k), and every spelling of one torus
-    shares one cache entry.  The cell limit and the involution on vertices
-    are checked at once; each dimension is built and checked on first read.
-    """
-    return _gamma_product(tuple(sides))
+    def labels(self, cell):
+        return tuple(tuple(p // s % L for L, s in zip(self.sides, self.strides))
+                     for p in cell)
 
+    @cached_property
+    def antipode(self):
+        mates = [0]
+        for L in reversed(self.sides):
+            mates = [(x + L // 2) % L * len(mates) + m for x in range(L) for m in mates]
+        return mates
 
-def check_torus(sides):
-    """Refuse what ``gamma_product`` refuses, before any cell is built: no
-    sides, a side that is not a multiple of 4 from 4 up, or more than
-    CELL_LIMIT cells."""
-    if not sides:
-        raise InvalidParameterError("a torus needs at least one side")
-    for L in sides:
-        _check_side(L)
-    check_cell_limit(sides)
+    @cached_property
+    def _moves(self):
+        """Per coordinate: the stride s, the shift (L - 1) * s from 0 to L - 1,
+        and the masks of the positions where the coordinate is even, 0, odd
+        and L - 1, each one block of s ones repeated."""
+        moves = []
+        for L, s in zip(self.sides, self.strides):
+            evens = int(("0" * s + "1" * s) * (self.size // (2 * s)), 2)
+            zeros = int(("0" * (L - 1) * s + "1" * s) * (self.size // (L * s)), 2)
+            moves.append((s, (L - 1) * s, evens, zeros, evens << s, zeros << (L - 1) * s))
+        return moves
+
+    def up(self, bits):
+        """The vertices strictly above those of ``bits``: each coordinate in
+        turn moves from an even x to x + 1, or to x - 1, which wraps at 0."""
+        moved = 0
+        for s, wrap, evens, zeros, _, _ in self._moves:
+            even, zero = (bits | moved) & evens, (bits | moved) & zeros
+            moved |= even << s | (even ^ zero) >> s | zero << wrap
+        return moved
+
+    def down(self, bits):
+        """As ``up``, below: from an odd x to x - 1, or to x + 1, which wraps at L - 1."""
+        moved = 0
+        for s, wrap, _, _, odds, tops in self._moves:
+            odd, top = (bits | moved) & odds, (bits | moved) & tops
+            moved |= odd >> s | (odd ^ top) << s | top >> wrap
+        return moved
+
+    def alternating_chain(self, values):
+        """As ``SimplicialSet.alternating_chain``, on the positions."""
+        flags = list(map(eq, values, repeat(BLUE)))
+        return least_alternating_chain(flags, self.up, self.down)
 
 
 @lru_cache(maxsize=16)
-def _gamma_product(sides):
-    check_torus(sides)
-    vertices, points, antipode, ups = _product_chains(sides)
-    return SimplicialSet(vertices, points, max(3, len(sides)), antipode, ups)
-
-
-def _product_chains(sides):
-    """Vertices, 0-cells, antipode and up-lists of the product poset.
-
-    Positions are row-major: vertices[p] is the p-th tuple of the product,
-    and every chain shares the one int object of each position.  ``ups[p]``
-    lists the positions above vertex p in sorted order, so chains extended
-    through them come out in the sorted order of their vertex tuples.
-    """
-    vertices = tuple(product(*(range(L) for L in sides)))
-    strides = [prod(sides[i + 1:]) for i in range(len(sides))]
-    positions = list(range(len(vertices)))
-    ups = []
-    for p, v in enumerate(vertices):
-        options = [(x * s,) if x % 2 else (x * s, (x + 1) % L * s, (x - 1) % L * s)
-                   for x, L, s in zip(v, sides, strides)]
-        ups.append(sorted([positions[q] for q in map(sum, product(*options)) if q != p]))
-    antipode = [sum((x + L // 2) % L * s for x, L, s in zip(v, sides, strides))
-                for v in vertices]
-    return vertices, tuple((p,) for p in positions), antipode, ups
-
-
-# the one torus cache, reachable under the public name
-gamma_product.cache_info = _gamma_product.cache_info
-gamma_product.cache_clear = _gamma_product.cache_clear
-
-
-def gamma_power(L, n):
-    """The torus gamma(L)^n with the diagonal involution.
-
-    Its vertex count L^n is checked before the n sides are listed, so a large
-    n is refused at once.
-    """
+def torus(L, n):
+    """The torus gamma(L)^n, cached.  Its vertex count L^n is checked before
+    the n sides are listed, so a large n is refused at once."""
     _check_side(L)  # a side of at least 4 passes the limit within a dozen factors
     _check_vertex_count(repeat(L, n), f"gamma({L})^{n}")
-    return gamma_product((L,) * n)
+    return Torus((L,) * n)
 
 
 def check_colours(x, values):
@@ -377,24 +361,22 @@ def check_colours(x, values):
 
 
 def check_alternation(x, values):
-    """No 3-cell of x may have a 3-alternating image (values in vertex order).
-
-    The witness is the least 3-alternating 3-cell in the order of vertex tuples.
-    """
-    for a, b, c, d in zip(*x.cell3_columns):
-        if values[a] != values[b] != values[c] != values[d]:
-            simplex = tuple(x.vertices[k] for k in (a, b, c, d))
-            raise AlternatingSimplexError(
-                f"3-simplex {simplex} has a 3-alternating image", witness=simplex)
+    """No 3-cell of x may have a 3-alternating image (yellow or blue values
+    in vertex order); the witness is the least such cell in vertex-tuple order."""
+    chain = x.alternating_chain(values)
+    if chain:
+        simplex = x.labels(chain)
+        raise AlternatingSimplexError(
+            f"3-simplex {simplex} has a 3-alternating image", witness=simplex)
 
 
 def check_antipodes(x, values):
     """Antipodal vertices of x must carry different values (in vertex order)."""
-    for k, j in enumerate(x.antipode):
-        if values[k] == values[j]:
-            v = x.vertices[k]
-            raise NotEquivariantError(
-                f"vertex {v} and its antipode share a colour", witness=v)
+    if any(map(eq, values, map(values.__getitem__, x.antipode))):
+        k = next(k for k, j in enumerate(x.antipode) if values[k] == values[j])
+        v = x.labels((k,))[0]
+        raise NotEquivariantError(
+            f"vertex {v} and its antipode share a colour", witness=v)
 
 
 def colour_values(x, colouring):
@@ -404,21 +386,20 @@ def colour_values(x, colouring):
     vertex of x is refused, and a vertex it misses reads None, which
     ``check_colours`` rejects.
     """
-    if not colouring.keys() <= x.position.keys():
+    if sum(map(colouring.__contains__, x.vertices)) != len(colouring):
         raise InvalidParameterError("map domain is not this torus")
     return list(map(colouring.get, x.vertices))
 
 
 def map_from_colouring(x, colouring):
-    """Check that a yellow/blue vertex colouring of x is an equivariant
-    simplicial map into sigma(2); raise on the first check that fails.
+    """Check that a yellow/blue vertex colouring of x, a ``Torus`` or an order
+    complex, is an equivariant simplicial map into sigma(2); raise on the
+    first check that fails.
 
-    Valid iff no non-degenerate 3-simplex of x maps to a 3-alternating tuple;
-    degenerate ones never do, and faces of stored simplices are stored, so
-    scanning the stored 3-simplices suffices.  Antipodal vertices must
-    receive opposite colours, so x needs an involution.
+    Valid iff no non-degenerate 3-simplex of x maps to a 3-alternating tuple
+    and antipodal vertices receive opposite colours.
     """
-    if x.cap < 3:
+    if isinstance(x, SimplicialSet) and x.cap < 3:
         raise InvalidParameterError("need the 3-simplices: construct x with cap >= 3")
     values = colour_values(x, colouring)
     check_colours(x, values)
@@ -431,45 +412,35 @@ def map_from_colouring(x, colouring):
 def equivariant_colourings(x):
     """Every yellow/blue vertex colouring of x giving antipodes opposite colours.
 
-    One vertex per involution orbit, in vertex order, is the free choice; the
-    colourings run through the choices in binary order, blue for a one bit.
+    One vertex per involution orbit, the first in vertex order, is the free
+    choice; the colourings run through the choices in binary order, blue
+    for a one bit.
     """
-    nu = x.involution
-    if nu is None:
+    mates = x.antipode
+    if mates is None:
         raise InvalidParameterError("an involution is required")
-    reps, seen = [], set()
-    for v in x.vertices:
-        if v not in seen:
-            seen.add(v)
-            seen.add(nu[v])
-            reps.append(v)
-    for bits in product((0, 1), repeat=len(reps)):
+    labels = list(x.vertices)
+    pairs = [(labels[k], labels[j]) for k, j in enumerate(mates) if k <= j]
+    for bits in product((0, 1), repeat=len(pairs)):
         col = {}
-        for rep, b in zip(reps, bits):
-            col[rep] = BLUE if b else YELLOW
-            col[nu[rep]] = YELLOW if b else BLUE
+        for (rep, mate), b in zip(pairs, bits):
+            col[rep], col[mate] = (BLUE, YELLOW) if b else (YELLOW, BLUE)
         yield col
 
 
 def mod2_homology_ranks(x, top=None):
-    """Ranks of the mod-2 cellular homology computed from non-degenerate cells.
+    """Ranks of the mod-2 cellular homology of an order complex.
 
-    Row j of the d-th boundary is the bitmask of the distinct non-degenerate
-    faces of d-cell j, by their index among the (d-1)-cells.
+    Row j of the d-th boundary is the bitmask of the faces of d-cell j, by
+    their index among the (d-1)-cells: a face of a strict chain is a strict
+    chain, so each is stored, and the faces of one cell are distinct.
     """
     if top is None:
         top = x.dimension()
     cells = [x.position_cells(d) for d in range(top + 2)]
-    index = [{c: i for i, c in enumerate(cs)} for cs in cells]
-    ranks = []
-    bnd_rank = [0] * (top + 3)
-    for d in range(1, top + 2):
-        below = index[d - 1]
-        rows = []
-        for cell in cells[d]:
-            found = {below[face] for _, face in faces(cell) if not is_degenerate(face)}
-            rows.append(sum(1 << k for k in found))
-        bnd_rank[d] = gf2_rank(rows)
-    for d in range(top + 1):
-        ranks.append(len(cells[d]) - bnd_rank[d] - bnd_rank[d + 1])
-    return tuple(ranks)
+    ranks = [0]
+    for below, here in zip(cells, cells[1:]):
+        index = {c: i for i, c in enumerate(below)}
+        ranks.append(gf2_rank([sum(1 << index[face] for _, face in faces(cell))
+                               for cell in here]))
+    return tuple(len(cells[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1))

@@ -10,7 +10,7 @@ two complementary heights; pairing it with a free coordinate embeds a 2-torus
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 from . import __version__
 from .errors import (CapacityExceededError, InvalidParameterError,
@@ -18,12 +18,39 @@ from .errors import (CapacityExceededError, InvalidParameterError,
 from .graphs import complete_graph, power, sample_homs, enumerate_homs
 from .degrees import OddVector, torus_tables
 from .homcomplexes import CyclePipeline
-from .simplicial import CELL_LIMIT, check_cell_limit
+from .simplicial import CELL_LIMIT, _check_vertex_count
 
 # maps drawn per arity once the survey samples, and maps per arity whose
 # swap fractions it tabulates
 SAMPLE_SIZE = 40
 SWAP_STAT_MAPS = 3
+
+
+def product_cell_count(sides, d):
+    """Number of non-degenerate d-cells of gamma(L_1) x ... x gamma(L_k).
+
+    A d-chain of the product poset moves j of the k coordinates, each once,
+    from an even value to one of its two odd neighbours, and the moves fill
+    the d steps: d! S(j, d) surjections, counted by inclusion-exclusion.
+    Every coordinate has L_i starting choices whether it moves or not.
+    """
+    k = len(sides)
+    return prod(sides) * sum(
+        comb(k, j) * sum((-1) ** i * comb(d, i) * (d - i) ** j for i in range(d + 1))
+        for j in range(d, k + 1))
+
+
+def check_cell_limit(sides):
+    """Refuse a product of circles with more than CELL_LIMIT cells in all.
+
+    The vertices are counted first, so a product of many circles is refused
+    before its cells are summed over every degree and every move count.
+    """
+    _check_vertex_count(sides, f"of {len(sides)} circles")
+    total = sum(product_cell_count(sides, d) for d in range(len(sides) + 1))
+    if total > CELL_LIMIT:
+        raise CapacityExceededError(
+            f"torus {sides} has {total} cells (limit {CELL_LIMIT})")
 
 
 def height(v):
@@ -261,7 +288,7 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
     if chain_samples < 0:
         raise InvalidParameterError(f"chain_samples must be >= 0, got {chain_samples}")
     L = 4 * ell
-    for n in range(2, n_max + 1):  # the first torus gamma_product would refuse
+    for n in range(2, n_max + 1):  # the first torus over the cell limit
         check_cell_limit((L,) * n)
     rng = random.Random(seed)
     pipeline = CyclePipeline(ell)

@@ -16,8 +16,8 @@ from .homcomplexes import (CyclePipeline, canonical_cycle_iso, default_cache_dir
                            hom_complex, multihoms, mu_prime, search_t_colouring)
 from .degrees import (TorusComplex, deg_vector, find_colour_swapping_edge,
                       monomial_colouring, phi, torus_complex, winding_colouring)
-from .simplicial import (equivariant_colourings, gamma_power, map_from_colouring,
-                         mod2_homology_ranks)
+from .simplicial import (equivariant_colourings, map_from_colouring, mod2_homology_ranks,
+                         torus)
 from .slices import arity_experiment, swap_fraction, zeta0
 from .zz2 import bredon_torus, expected_bredon, quotient_pstar_check
 
@@ -51,18 +51,18 @@ def _check_band_identity(seed):
 
 
 def _check_two_torus_battery(seed):
-    torus = torus_complex(4, 4)
+    plane = torus_complex(4, 4)
     bound = Fraction(1, 3 * 16)
     count = 0
-    for col in equivariant_colourings(gamma_power(4, 2)):
-        map_from_colouring(gamma_power(4, 2), col)
+    for col in equivariant_colourings(torus(4, 2)):
+        map_from_colouring(torus(4, 2), col)
         alpha = deg_vector(col, L=4, n=2)  # odd weight enforced internally
         for i in (1, 2):
             if alpha.bits[i - 1] == 1:
                 if swap_fraction(col, 4, 2, i, 0) < bound:
                     return False, f"swap fraction below 1/48 for {col}"
         if alpha.bits[0] == 1:
-            find_colour_swapping_edge(col, torus)
+            find_colour_swapping_edge(col, plane)
         count += 1
     return count == 256, f"{count} equivariant colourings, all valid with odd weight"
 
@@ -72,13 +72,13 @@ def _check_degree_patterns(seed):
     for n in (1, 2, 3):
         for j in range(1, n + 1):
             col = winding_colouring(8, n, j)
-            map_from_colouring(gamma_power(8, n), col)
+            map_from_colouring(torus(8, n), col)
             alpha = deg_vector(col, L=8, n=n)
             realized[(n, ("unit", j))] = alpha.bits
             if alpha.bits != tuple(1 if i == j else 0 for i in range(1, n + 1)):
                 return False, f"unit pattern failed at n={n}, j={j}"
     col = monomial_colouring(8, 3, (1, 2, 3))
-    map_from_colouring(gamma_power(8, 3), col)
+    map_from_colouring(torus(8, 3), col)
     alpha = deg_vector(col, L=8, n=3)
     realized[(3, "full")] = alpha.bits
     if alpha.bits != (1, 1, 1):

@@ -60,17 +60,21 @@ the slice check and the torus automorphisms, and the dense-matrix helpers
 ``from_dense``, ``to_dense``, ``add_at`` and ``matmul``.  The library
 builds order complexes only; the small sets given by their cells, the
 spheres ``sigma(k)`` among them, are checked by ``check_reference`` and
-stored by ``explicit_set``.
+stored by ``explicit_set``, and their mod-2 homology drops the degenerate
+faces that no order complex has.  The simplicial torus ``gamma_product``,
+the order complex of the product poset with every cell stored, and the
+scan of its 3-cells, ``check_alternation_reference``, are the reference for
+the row-major ``Torus`` and the 3-alternation check on bit sets.
 """
 
 import functools
 import math
 import random
 import warnings
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby, product, repeat
 from operator import eq, itemgetter
 
-from equihom import __version__, zz2
+from equihom import __version__, simplicial, zz2
 from equihom.degrees import (deg_vector, find_colour_swapping_edge, sigma_minor,
                              torus_complex)
 from equihom.errors import (AlternatingSimplexError, InternalError,
@@ -79,10 +83,10 @@ from equihom.errors import (AlternatingSimplexError, InternalError,
 from equihom.graphs import (Graph, GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, Multihom, hom_complex, mu_prime
-from equihom.simplicial import (BLUE, YELLOW, SimplicialSet, colour_values, faces,
-                                gamma_power, gamma_product, is_degenerate,
-                                map_from_colouring)
-from equihom.slices import GeneralizedDiagonal, swap_fraction
+from equihom.simplicial import (BLUE, YELLOW, SimplicialSet, _check_side,
+                                _check_vertex_count, colour_values, faces, is_degenerate,
+                                map_from_colouring, torus)
+from equihom.slices import GeneralizedDiagonal, check_cell_limit, swap_fraction
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import CohomologyGroup, bredon_torus, cohomology, expected_bredon
 
@@ -296,6 +300,118 @@ def explicit_set(vertices, simplices, cap, involution=None):
     return x
 
 
+def involution(x):
+    """Vertex -> its mate for a simplicial set or a torus, or None without an
+    involution."""
+    if x.antipode is None:
+        return None
+    vertices = list(x.vertices)
+    return {v: vertices[j] for v, j in zip(vertices, x.antipode)}
+
+
+def gamma_product(sides):
+    """Cached simplicial torus gamma(L_1) x ... x gamma(L_k) with the
+    diagonal involution.
+
+    Built as the order complex of the product of the alternating cyclic
+    posets: the cells are the strict chains, and a vertex lies below exactly
+    the tuples obtained by moving a nonempty subset of its even coordinates to
+    a neighbour.  The cap is max(3, k), and every spelling of one torus
+    shares one cache entry.  The cell limit is checked before anything is
+    built.  The reference for ``simplicial.Torus``, whose order is read by
+    shifts of bit sets.
+    """
+    return _gamma_product(tuple(sides))
+
+
+def check_torus(sides):
+    """Refuse what ``gamma_product`` refuses, before any cell is built: no
+    sides, a side that is not a multiple of 4 from 4 up, or more than
+    CELL_LIMIT cells."""
+    if not sides:
+        raise InvalidParameterError("a torus needs at least one side")
+    for L in sides:
+        _check_side(L)
+    check_cell_limit(sides)
+
+
+@functools.lru_cache(maxsize=16)
+def _gamma_product(sides):
+    check_torus(sides)
+    vertices, points, antipode, ups = _product_chains(sides)
+    return SimplicialSet(vertices, points, max(3, len(sides)), antipode, ups)
+
+
+def _product_chains(sides):
+    """Vertices, 0-cells, antipode and up-lists of the product poset.
+
+    Positions are row-major: vertices[p] is the p-th tuple of the product,
+    and every chain shares the one int object of each position.  ``ups[p]``
+    lists the positions above vertex p in sorted order, so chains extended
+    through them come out in the sorted order of their vertex tuples.
+    """
+    vertices = tuple(product(*(range(L) for L in sides)))
+    strides = [math.prod(sides[i + 1:]) for i in range(len(sides))]
+    positions = list(range(len(vertices)))
+    ups = []
+    for p, v in enumerate(vertices):
+        options = [(x * s,) if x % 2 else (x * s, (x + 1) % L * s, (x - 1) % L * s)
+                   for x, L, s in zip(v, sides, strides)]
+        ups.append(sorted([positions[q] for q in map(sum, product(*options)) if q != p]))
+    antipode = [sum((x + L // 2) % L * s for x, L, s in zip(v, sides, strides))
+                for v in vertices]
+    return vertices, tuple((p,) for p in positions), antipode, ups
+
+
+def gamma_power(L, n):
+    """The simplicial torus gamma(L)^n with the diagonal involution.
+
+    Its vertex count L^n is checked before the n sides are listed, so a large
+    n is refused at once.
+    """
+    _check_side(L)
+    _check_vertex_count(repeat(L, n), f"gamma({L})^{n}")
+    return gamma_product((L,) * n)
+
+
+def cell3_columns(x):
+    """The 3-cells of x as four columns of vertex positions, in
+    ``position_cells(3)`` order."""
+    cells = x.position_cells(3)
+    return tuple(tuple(map(itemgetter(k), cells)) for k in range(4))
+
+
+def check_alternation_reference(x, values):
+    """``check_alternation`` by a scan of the stored 3-cells of x, a
+    simplicial set: the first 3-alternating one, in the order of vertex
+    tuples, is the witness."""
+    for a, b, c, d in zip(*cell3_columns(x)):
+        if values[a] != values[b] != values[c] != values[d]:
+            simplex = tuple(x.vertices[k] for k in (a, b, c, d))
+            raise AlternatingSimplexError(
+                f"3-simplex {simplex} has a 3-alternating image", witness=simplex)
+
+
+def mod2_homology_ranks_dropping_degenerate_faces(x, top=None):
+    """``mod2_homology_ranks`` for the sets whose cells have degenerate
+    faces, such as ``sigma(k)``: each boundary row is the bitmask of the
+    distinct non-degenerate faces, and the ranks are taken by
+    ``simplicial.gf2_rank``."""
+    if top is None:
+        top = x.dimension()
+    cells = [x.position_cells(d) for d in range(top + 2)]
+    index = [{c: i for i, c in enumerate(cs)} for cs in cells]
+    bnd_rank = [0] * (top + 3)
+    for d in range(1, top + 2):
+        below = index[d - 1]
+        rows = []
+        for cell in cells[d]:
+            found = {below[face] for _, face in faces(cell) if not is_degenerate(face)}
+            rows.append(sum(1 << k for k in found))
+        bnd_rank[d] = simplicial.gf2_rank(rows)
+    return tuple(len(cells[d]) - bnd_rank[d] - bnd_rank[d + 1] for d in range(top + 1))
+
+
 # the involution of sigma(k), swapping the two colours
 COLOUR_SWAP = {YELLOW: BLUE, BLUE: YELLOW}
 
@@ -313,7 +429,7 @@ def sigma(k):
 
 def involution_simplex(x, tup):
     """The image of a vertex tuple of x under its involution."""
-    nu = x.involution
+    nu = involution(x)
     return tuple(nu[v] for v in tup)
 
 
@@ -321,7 +437,7 @@ def is_equivariant(domain, vertex_map, mate=COLOUR_SWAP):
     """Does the vertex map on ``domain`` commute with the domain's involution
     and the codomain's, given as the dict ``mate`` and by default that of
     sigma(2) (False when the domain has none)?"""
-    nu = domain.involution
+    nu = involution(domain)
     if nu is None:
         return False
     return all(vertex_map[nu[v]] == mate[vertex_map[v]] for v in domain.vertices)
@@ -443,9 +559,8 @@ def sproduct(factors, cap):
             if all(a != b for a, b in zip(cell, cell[1:])):
                 found.add(cell)
         cells[d] = frozenset(found)
-    involution = {v: tuple(f.involution[x] for f, x in zip(factors, v))
-                  for v in vertices}
-    return vertices, cells, involution
+    mates = [involution(f) for f in factors]
+    return vertices, cells, {v: tuple(nu[x] for nu, x in zip(mates, v)) for v in vertices}
 
 
 def brute_deg1(colour, L, Lp):
@@ -695,7 +810,7 @@ def mu_colours_reference(pipeline, f):
     n = pipeline.check_polymorphism(f)
     t_map = pipeline.t.as_vertex_map()
     colours = {}
-    for v in gamma_power(pipeline.period, n).vertices:
+    for v in product(range(pipeline.period), repeat=n):
         colours[v] = t_map[mu_prime(f, tuple(pipeline.iso_map[c] for c in v))]
     return colours
 
@@ -768,7 +883,7 @@ def mu_map(pipeline, f):
     n = pipeline.check_polymorphism(f)
     colours = pipeline.mu_colours(f)
     try:
-        map_from_colouring(gamma_power(pipeline.period, n), colours)
+        map_from_colouring(torus(pipeline.period, n), colours)
     except Exception as exc:  # the composite is simplicial by construction
         raise InternalError(f"mu(f) failed validity: {exc}") from exc
     return colours
@@ -782,7 +897,7 @@ def search_t_reference():
     writes down."""
     x = hom_complex(complete_graph(4))
     count, partner = len(x.vertices), x.antipode
-    cells = list(zip(*x.cell3_columns))
+    cells = list(zip(*cell3_columns(x)))
     colours = [None] * count
 
     def consistent():
@@ -844,7 +959,7 @@ def phi_reference(f, pipeline):
     (NotEquivariantError) and the odd weight."""
     n = pipeline.check_polymorphism(f)
     L = pipeline.period
-    vertices = gamma_power(L, n).vertices
+    vertices = list(torus(L, n).vertices)
     bits = mu_bits_reference(pipeline, f)
     for cell in alternating_cells_reference(vertices, bits, (L,) * n):
         raise AlternatingSimplexError(
@@ -861,19 +976,24 @@ def minor_map(g, pi, L, n):
     """
     if pi.n != n:
         raise InvalidParameterError("minor arity does not match the map")
-    source = gamma_power(L, n)
+    source = torus(L, n)
     colours = dict(zip(source.vertices, colour_values(source, g)))
-    target = gamma_power(L, pi.m)
+    target = torus(L, pi.m)
     out = {y: colours[tuple(y[pi(i) - 1] for i in range(1, n + 1))]
            for y in target.vertices}
     map_from_colouring(target, out)
     return out
 
 
+def deg1(torus, colouring):
+    """``TorusComplex.deg1`` of a colour dict on the plane ``torus``."""
+    return torus.deg1(torus.colours(colouring))
+
+
 def minor_degree_vector(g, L, n):
     """deg1 of each 2-variable minor map of a torus colouring, as a raw list."""
     torus = torus_complex(L, L)
-    return [torus.deg1(minor_map(g, sigma_minor(n, i), L=L, n=n))
+    return [deg1(torus, minor_map(g, sigma_minor(n, i), L=L, n=n))
             for i in range(1, n + 1)]
 
 
@@ -1341,7 +1461,8 @@ def quotient_complexes_reference(n, L):
     quotient, project = quotient_by_first_shift(L, n)
     deltas_x, cells_x = ordinary_cochain_complex(x, n)
     deltas_q, cells_q = ordinary_cochain_complex(quotient, n)
-    pmap = [quotient.position[project(v)] for v in x.vertices]
+    position = {v: k for k, v in enumerate(quotient.vertices)}
+    pmap = [position[project(v)] for v in x.vertices]
     pullbacks = []
     for k in range(n + 1):
         qindex = {c: i for i, c in enumerate(cells_q[k])}

@@ -18,12 +18,12 @@ from equihom.graphs import (MinorSpec, complete_graph, cycle_graph,
 from equihom.homcomplexes import (CyclePipeline, canonical_cycle_iso,
                                   hom_complex, mu_prime, multihoms,
                                   search_t_colouring)
-from equihom.simplicial import (equivariant_colourings, gamma, gamma_power,
-                                map_from_colouring, mod2_homology_ranks)
+from equihom.simplicial import (equivariant_colourings, gamma, map_from_colouring,
+                                mod2_homology_ranks, torus)
 from equihom.slices import arity_experiment, swap_fraction, zeta0
 from equihom.zz2 import bredon_torus, expected_bredon, quotient_pstar_check
 
-from oracles import brute_multihom_count, is_equivariant, labelled_cells
+from oracles import brute_multihom_count, involution, is_equivariant, labelled_cells
 
 BUDGETS = {}
 
@@ -60,7 +60,7 @@ def test_criterion_02_cycle_isomorphism():
         vm = canonical_cycle_iso(ell)
         circle, target = gamma(4 * ell), hom_complex(cycle_graph(ell))
         assert len(set(vm.values())) == 4 * ell
-        assert is_equivariant(circle, vm, target.involution)
+        assert is_equivariant(circle, vm, involution(target))
         edges = labelled_cells(circle, 1)
         assert {(vm[a], vm[b]) for a, b in edges} == labelled_cells(target, 1)
     report(2, "circle isomorphism verified for cycle lengths 3, 5, 7", started, 1)
@@ -89,18 +89,18 @@ def test_criterion_04_band_identity():
 
 def test_criterion_05_two_torus_battery():
     started = time.monotonic()
-    torus = torus_complex(4, 4)
+    plane = torus_complex(4, 4)
     bound = Fraction(1, 3 * 16)
     count = 0
-    for col in equivariant_colourings(gamma_power(4, 2)):
-        map_from_colouring(gamma_power(4, 2), col)
+    for col in equivariant_colourings(torus(4, 2)):
+        map_from_colouring(torus(4, 2), col)
         alpha = deg_vector(col, L=4, n=2)
         assert alpha.weight % 2 == 1
         for i in (1, 2):
             if alpha.bits[i - 1] == 1:
                 assert swap_fraction(col, 4, 2, i, 0) >= bound
         if alpha.bits[0] == 1:
-            u, v = find_colour_swapping_edge(col, torus)
+            u, v = find_colour_swapping_edge(col, plane)
             assert col[u] != col[v]
         count += 1
     assert count == 256
@@ -116,7 +116,7 @@ def test_criterion_06_monomial_degrees():
             if len(support) % 2 == 0:
                 continue
             col = monomial_colouring(8, n, support)
-            map_from_colouring(gamma_power(8, n), col)
+            map_from_colouring(torus(8, n), col)
             alpha = deg_vector(col, L=8, n=n)
             expected = tuple(1 if j in support else 0 for j in range(1, n + 1))
             assert alpha.bits == expected

@@ -5,7 +5,7 @@ import pytest
 from equihom.degrees import torus_complex, torus_tables
 from equihom.simplicial import BLUE, YELLOW
 
-from oracles import brute_deg1
+from oracles import brute_deg1, deg1
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -32,7 +32,7 @@ def test_deg1_matches_brute_force(case):
     colour = lambda v: bits[v[0] * Lp + v[1]]
     col = {(a, b): (BLUE if colour((a, b)) else YELLOW)
            for a in range(L) for b in range(Lp)}
-    assert torus_complex(L, Lp).deg1(col) == brute_deg1(colour, L, Lp)
+    assert deg1(torus_complex(L, Lp), col) == brute_deg1(colour, L, Lp)
 
 
 @SETTINGS

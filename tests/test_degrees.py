@@ -6,25 +6,27 @@ from itertools import product
 
 import pytest
 
-from equihom import simplicial
+from equihom import degrees, simplicial
 from equihom.degrees import (CELL_LANES_BUDGET, CellLanes, OddVector, SideMasks,
                              TorusComplex, count_deg1, deg_vector,
                              find_colour_swapping_edge, monomial_colouring,
                              one_map_reader, phi, torus_complex, torus_tables,
                              winding_colouring)
-from equihom.errors import (AlternatingSimplexError, EquihomError, InternalError,
+from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
+                            EquihomError, InternalError,
                             InvalidParameterError, InvariantViolationError,
                             NotEquivariantError)
 from equihom.graphs import (Graph, GraphHom, MinorSpec, PowerGraph, complete_graph,
                             cycle_graph, enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import (UNLABELLED, CyclePipeline, Multihom, TColouring,
                                   _t_index, hom_complex, mu_prime, search_t_colouring)
-from equihom.simplicial import (BLUE, YELLOW, equivariant_colourings,
-                                gamma_power, gamma_product, map_from_colouring)
+from equihom.simplicial import (BLUE, YELLOW, SimplicialSet, Torus,
+                                equivariant_colourings, map_from_colouring, torus)
 
 import oracles
 from oracles import (band_reference, brute_deg1, composite_mapping,
-                     count_deg1_reference, decode, labelled_cells, minor_degree_vector,
+                     count_deg1_reference, decode, deg1, gamma_power, gamma_product,
+                     involution, labelled_cells, minor_degree_vector,
                      minor_map, mu_colours_reference, phi_reference, shift_coordinate,
                      slice_deg1_reference)
 
@@ -35,7 +37,7 @@ def as_bits(col):
 
 def random_equivariant_colouring(x, rng):
     """Antipodes opposite; one coin per orbit, first orbit vertex in vertex order."""
-    nu = x.involution
+    nu = involution(x)
     col = {}
     for v in x.vertices:
         if v not in col:
@@ -230,7 +232,7 @@ def test_a_damaged_band_is_refused_by_the_band_identity(damage, monkeypatch):
 @pytest.mark.parametrize("sides, message", [
     ((6, 4), "gamma(L) needs L >= 4 divisible by 4"),
     ((4, 0), "gamma(L) needs L >= 4 divisible by 4"),
-    ((844, 844), "torus (844, 844) has 4274016 cells (limit 4194304)"),
+    ((2048, 4096), "torus of 2 circles has more vertices than the cell limit 4194304"),
 ])
 def test_the_plane_refuses_what_the_torus_refuses(sides, message):
     with pytest.raises(EquihomError) as exc:
@@ -247,7 +249,9 @@ def test_degree_tables_build_no_torus(n, monkeypatch):
     def refuse(sides):
         raise AssertionError(f"built the torus {sides}")
 
-    monkeypatch.setattr(simplicial, "_gamma_product", refuse)
+    # no vertex of a torus is listed, and no gamma(12)^n made
+    monkeypatch.setattr(simplicial, "product", refuse)
+    monkeypatch.setattr(degrees, "torus", refuse)
     torus_tables.cache_clear()
     torus_complex.cache_clear()
     try:
@@ -259,41 +263,62 @@ def test_degree_tables_build_no_torus(n, monkeypatch):
 
 
 @pytest.mark.parametrize("L, Lp", [(4, 4), (8, 12)])
-def test_torus_complex_leaves_the_vertex_view_unbuilt(L, Lp):
-    # the cycle, the band and the band identity all live on positions, and
-    # no cell of the torus above its vertices is built for them
-    simplicial._gamma_product.cache_clear()
+def test_torus_complex_leaves_the_vertex_view_unbuilt(L, Lp, monkeypatch):
+    # the cycle, the band and the band identity all live on positions: no
+    # vertex of the torus is listed and no simplicial set is built for them
+    def refuse(*args):
+        raise AssertionError("listed the vertices of the plane")
+
+    monkeypatch.setattr(simplicial, "product", refuse)
+    monkeypatch.setattr(SimplicialSet, "__init__", refuse)
     torus_complex.cache_clear()
-    torus = torus_complex(L, Lp)
-    assert torus.sset is gamma_product((L, Lp))
-    assert sorted(torus.sset._positions) == [0]
+    try:
+        plane = torus_complex(L, Lp)
+    finally:
+        torus_complex.cache_clear()
+    assert type(plane.grid) is Torus and plane.grid.sides == (L, Lp)
+    assert "antipode" not in vars(plane.grid)
+
+
+def test_a_winding_past_the_vertex_limit_is_refused_before_any_vertex(monkeypatch):
+    # 4^12 vertices: the count is read one factor at a time, with no torus
+    # made and no vertex listed
+    def no_listing(*args):
+        raise AssertionError("listed a vertex of a torus over the cell limit")
+
+    monkeypatch.setattr(simplicial, "Torus", no_listing)
+    monkeypatch.setattr(simplicial, "product", no_listing)
+    torus.cache_clear()
+    with pytest.raises(CapacityExceededError, match=r"^torus gamma\(4\)\^12 has more "
+                                                    "vertices than the cell limit 4194304$"):
+        winding_colouring(4, 12, 1)
 
 
 def test_deg1_winding_is_one():
     for L in (4, 8):
-        torus = torus_complex(L, L)
+        plane = torus_complex(L, L)
         col = winding_colouring(L, 2, 1)
-        assert torus.deg1(col) == 1
+        assert deg1(plane, col) == 1
         assert brute_deg1(as_bits(col), L, L) == 1
 
 
 def test_deg1_second_coordinate_only_is_zero():
-    torus = torus_complex(4, 4)
+    plane = torus_complex(4, 4)
     col = winding_colouring(4, 2, 2)
-    assert torus.deg1(col) == 0
+    assert deg1(plane, col) == 0
     assert brute_deg1(as_bits(col), 4, 4) == 0
 
 
 def test_deg1_matches_brute_force_exhaustively():
-    torus = torus_complex(4, 4)
-    for col in equivariant_colourings(gamma_power(4, 2)):
-        assert torus.deg1(col) == brute_deg1(as_bits(col), 4, 4)
+    plane = torus_complex(4, 4)
+    for col in equivariant_colourings(torus(4, 2)):
+        assert deg1(plane, col) == brute_deg1(as_bits(col), 4, 4)
 
 
 def test_exhaustive_battery_odd_weight():
     distribution = {}
-    for col in equivariant_colourings(gamma_power(4, 2)):
-        map_from_colouring(gamma_power(4, 2), col)
+    for col in equivariant_colourings(torus(4, 2)):
+        map_from_colouring(torus(4, 2), col)
         alpha = deg_vector(col, L=4, n=2)
         assert alpha.weight % 2 == 1
         distribution[alpha.bits] = distribution.get(alpha.bits, 0) + 1
@@ -311,7 +336,7 @@ def test_minor_map_identity_and_swap():
 
 
 def test_minor_map_composition():
-    it = equivariant_colourings(gamma_power(4, 2))
+    it = equivariant_colourings(torus(4, 2))
     cols = [next(it) for _ in range(5)]
     pi = MinorSpec(2, 3, (2, 3))
     sigma = MinorSpec(3, 2, (1, 1, 2))
@@ -331,12 +356,12 @@ def test_deg_vector_projection_units():
 
 
 def test_deg_vector_arity_one_always_unit():
-    for col in equivariant_colourings(gamma_power(8, 1)):
+    for col in equivariant_colourings(torus(8, 1)):
         assert deg_vector(col, L=8, n=1).bits == (1,)
 
 
 def test_deg_vector_requires_equivariance():
-    col = {v: BLUE for v in gamma_power(4, 2).vertices}
+    col = {v: BLUE for v in torus(4, 2).vertices}
     with pytest.raises(NotEquivariantError):
         deg_vector(col, L=4, n=2)
 
@@ -344,7 +369,7 @@ def test_deg_vector_requires_equivariance():
 def test_deg_vector_odd_weight_sampled_gamma8():
     # exhaustive at L = 4 above; at L = 8 sample seeded equivariant colourings
     rng = random.Random(2026)
-    x = gamma_power(8, 2)
+    x = torus(8, 2)
     for _ in range(40):
         col = random_equivariant_colouring(x, rng)
         alpha = deg_vector(col, L=8, n=2)  # odd weight asserted internally
@@ -353,12 +378,12 @@ def test_deg_vector_odd_weight_sampled_gamma8():
 
 def test_deg1_invariant_under_double_shifts():
     # precomposing with the shift-a-coordinate-by-2 automorphisms fixes deg1
-    torus = torus_complex(4, 4)
-    for col in equivariant_colourings(gamma_power(4, 2)):
-        base = torus.deg1(col)
+    plane = torus_complex(4, 4)
+    for col in equivariant_colourings(torus(4, 2)):
+        base = deg1(plane, col)
         for i in (1, 2):
             shifted = {v: col[shift_coordinate(v, i, 4)] for v in col}
-            assert torus.deg1(shifted) == base
+            assert deg1(plane, shifted) == base
 
 
 def test_odd_vector_invariants():
@@ -392,7 +417,7 @@ def test_monomial_colourings_realize_patterns():
     for n in (1, 2, 3):
         for support in _odd_supports(n):
             col = monomial_colouring(8, n, support)
-            map_from_colouring(gamma_power(8, n), col)
+            map_from_colouring(torus(8, n), col)
             alpha = deg_vector(col, L=8, n=n)
             expected = tuple(1 if j in support else 0 for j in range(1, n + 1))
             assert alpha.bits == expected, (n, support)
@@ -463,23 +488,23 @@ def test_phi_minor_compatibility_beyond_ell_3(ell, n, count, seed):
 
 
 def test_find_colour_swapping_edge():
-    torus = torus_complex(4, 4)
+    plane = torus_complex(4, 4)
     col = winding_colouring(4, 2, 1)
-    u, v = find_colour_swapping_edge(col, torus)
+    u, v = find_colour_swapping_edge(col, plane)
     assert col[u] != col[v]
     assert u[1] == v[1] and (v[0] - u[0]) % 4 == 1
     assert u[0] in (1, 3)  # crossing at L/2 - 1 or L - 1 for the winding map
     flat = winding_colouring(4, 2, 2)
     with pytest.raises(InvalidParameterError):
-        find_colour_swapping_edge(flat, torus)
+        find_colour_swapping_edge(flat, plane)
 
 
 def test_swap_edge_found_for_all_degree_one_maps():
-    torus = torus_complex(4, 4)
+    plane = torus_complex(4, 4)
     found = 0
-    for col in equivariant_colourings(gamma_power(4, 2)):
-        if torus.deg1(col) == 1:
-            u, v = find_colour_swapping_edge(col, torus)
+    for col in equivariant_colourings(torus(4, 2)):
+        if deg1(plane, col) == 1:
+            u, v = find_colour_swapping_edge(col, plane)
             assert col[u] != col[v]
             found += 1
     assert found == 128
@@ -522,7 +547,7 @@ def test_check_polymorphism_compares_hand_built_graphs_by_value(pipe, binary_map
 
 def test_deg_vector_matches_minor_formula_gamma4_squared():
     count = 0
-    for col in equivariant_colourings(gamma_power(4, 2)):
+    for col in equivariant_colourings(torus(4, 2)):
         assert list(deg_vector(col, L=4, n=2).bits) == minor_degree_vector(col, 4, 2)
         count += 1
     assert count == 256
@@ -532,7 +557,7 @@ def test_deg_vector_matches_minor_formula_gamma8_cubed():
     # random equivariant colourings need not be simplicial maps, so the raw
     # degree vector may have even weight; deg_vector must then refuse it
     rng = random.Random(8)
-    x = gamma_power(8, 3)
+    x = torus(8, 3)
     parities = set()
     for _ in range(60):
         col = random_equivariant_colouring(x, rng)
@@ -556,7 +581,7 @@ def test_deg_vector_rejects_unknown_colour():
 def _map_on(sides):
     """The colouring of a valid map on gamma(L_1) x ... into sigma(2): blue
     on the lower half of the first circle."""
-    x = gamma_product(sides)
+    x = Torus(sides)
     half = sides[0] // 2
     col = {v: BLUE if v[0] < half else YELLOW for v in x.vertices}
     map_from_colouring(x, col)
@@ -580,15 +605,15 @@ def _foreign_key(L, n):
     (lambda: deg_vector(_map_on((8, 12)), 12, 2),
      "vertex (8, 0) lacks a yellow/blue colour"),
     (lambda: deg_vector(_map_on((8, 12)), 8, 2), "map domain is not this torus"),
-    (lambda: torus_complex(8, 8).deg1(_map_on((4, 4))),
+    (lambda: deg1(torus_complex(8, 8), _map_on((4, 4))),
      "vertex (0, 4) lacks a yellow/blue colour"),
     (lambda: deg_vector(_missing_origin(4, 2), 4, 2),
      "vertex (0, 0) lacks a yellow/blue colour"),
-    (lambda: torus_complex(4, 4).deg1(_missing_origin(4, 2)),
+    (lambda: deg1(torus_complex(4, 4), _missing_origin(4, 2)),
      "vertex (0, 0) lacks a yellow/blue colour"),
     (lambda: deg_vector(_foreign_key(4, 2), 4, 2), "map domain is not this torus"),
-    (lambda: torus_complex(4, 4).deg1(_foreign_key(4, 2)), "map domain is not this torus"),
-    (lambda: map_from_colouring(gamma_power(4, 2), _foreign_key(4, 2)),
+    (lambda: deg1(torus_complex(4, 4), _foreign_key(4, 2)), "map domain is not this torus"),
+    (lambda: map_from_colouring(torus(4, 2), _foreign_key(4, 2)),
      "map domain is not this torus"),
 ], ids=["map-on-8x12-read-at-12", "map-on-8x12-read-at-8", "map-on-4x4-read-at-8",
         "deg-vector-missing-vertex", "deg1-missing-vertex", "deg-vector-foreign-key",
@@ -607,15 +632,23 @@ def test_phi_equals_degree_vector_of_mu(pipe, binary_maps, ternary_maps):
                                           f.domain.exponent)
 
 
-def test_phi_and_deg_vector_leave_the_vertex_view_unbuilt(ternary_maps):
-    # phi builds no gamma(12)^3, and deg_vector reads its vertices by
-    # position only and builds none of its cells
-    simplicial._gamma_product.cache_clear()
+def test_phi_and_deg_vector_leave_the_vertex_view_unbuilt(ternary_maps, monkeypatch):
+    # phi makes no gamma(12)^3, and deg_vector reads its vertices by
+    # position only: neither builds a simplicial set
+    pipe = CyclePipeline(3)
+    made = []
+    for owner, name in [(simplicial, "Torus"), (SimplicialSet, "__init__")]:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real:
+                            made.append(args[-1] if real is Torus else "cells")
+                            or real(*args))
+    torus.cache_clear()
     torus_tables.cache_clear()
-    phi(ternary_maps[0], CyclePipeline(3))
-    deg_vector(winding_colouring(12, 3, 1), L=12, n=3)
-    x = gamma_power(12, 3)
-    assert sorted(x._positions) == [0]
+    torus_complex.cache_clear()
+    colouring = winding_colouring(12, 3, 1)
+    phi(ternary_maps[0], pipe)
+    deg_vector(colouring, L=12, n=3)
+    assert made == [(12, 12, 12)]
 
 
 def test_phi_matches_reference_formulas_on_ternary_sample(pipe, ternary_maps):
@@ -646,7 +679,7 @@ def alternating_cell_bits(pipe, f, cells=None):
     for cell in cells or [min(labelled_cells(x, 3))]:
         for k, v in enumerate(cell):
             bits[position[v]] = k % 2
-            bits[position[x.involution[v]]] = 1 - k % 2
+            bits[position[involution(x)[v]]] = 1 - k % 2
     return x, position, bits
 
 
@@ -671,7 +704,7 @@ def test_map_from_colouring_and_phi_name_the_same_alternating_cell(
         phi_reference(f, pipe)
     col = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
     with pytest.raises(AlternatingSimplexError) as from_map:
-        map_from_colouring(x, col)
+        map_from_colouring(torus(12, 3), col)
     assert from_map.value.witness == from_phi.value.witness
     assert str(from_map.value) == str(from_phi.value)
 
@@ -691,7 +724,7 @@ def test_the_least_alternating_cell_is_the_witness(pipe, ternary_maps, monkeypat
         phi_reference(f, pipe)
     col = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
     with pytest.raises(AlternatingSimplexError) as from_map:
-        map_from_colouring(x, col)
+        map_from_colouring(torus(12, 3), col)
     assert from_phi.value.witness == from_map.value.witness == alternating[0]
 
 
@@ -702,7 +735,7 @@ def test_map_from_colouring_and_deg_vector_name_the_same_antipode():
     with pytest.raises(NotEquivariantError) as from_degrees:
         deg_vector(col, L=8, n=3)
     with pytest.raises(NotEquivariantError) as from_map:
-        map_from_colouring(gamma_power(8, 3), col)
+        map_from_colouring(torus(8, 3), col)
     assert from_map.value.witness == from_degrees.value.witness == (1, 2, 3)
     assert str(from_map.value) == str(from_degrees.value)
 
@@ -757,21 +790,21 @@ def test_phi_equals_the_whole_torus_reference(pipe, binary_maps, ternary_maps):
         for f in binary_maps + ternary_maps + arity4:
             assert phi(f, pipe) == phi_reference(f, pipe)
     finally:
-        simplicial._gamma_product.cache_clear()
+        torus.cache_clear()
 
 
 def test_phi_builds_no_torus_of_its_arity(monkeypatch):
     """With every torus of three or more sides refused, phi still runs at
-    arity 3, 4 and 5 (gamma(12)^5 has 269 M cells, over the cell limit),
-    and agrees with the minors onto two coordinates."""
-    build = simplicial._gamma_product
+    arity 3, 4 and 5, and agrees with the minors onto two coordinates."""
+    build = simplicial.Torus
 
     def refuse(sides):
         if len(sides) >= 3:
-            raise AssertionError(f"built the torus {sides}")
+            raise AssertionError(f"made the torus {sides}")
         return build(sides)
 
-    monkeypatch.setattr(simplicial, "_gamma_product", refuse)
+    monkeypatch.setattr(simplicial, "Torus", refuse)
+    torus.cache_clear()
     torus_tables.cache_clear()
     pipe = CyclePipeline(3)
     rng = random.Random(5)

@@ -4,23 +4,24 @@ from itertools import product
 
 import pytest
 
-from equihom import simplicial
+import oracles
+from equihom import simplicial, slices
 from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
                             InvalidParameterError, NotEquivariantError)
-from equihom.simplicial import (BLUE, YELLOW, SimplicialSet, check_alternation,
-                                faces, gamma, gamma_power, gamma_product,
-                                is_degenerate, map_from_colouring,
-                                mod2_homology_ranks, order_complex,
-                                product_cell_count)
+from equihom.simplicial import (BLUE, YELLOW, SimplicialSet, Torus, check_alternation,
+                                faces, gamma, is_degenerate, map_from_colouring,
+                                mod2_homology_ranks, order_complex, torus)
 
 from equihom.degrees import torus_complex, torus_tables
 from equihom.graphs import complete_graph, cycle_graph
 from equihom.homcomplexes import hom_complex
-from equihom.slices import arity_experiment
+from equihom.slices import arity_experiment, product_cell_count
 
-from oracles import (ModTwoChain, boundary, check_reference, circle_cells_reference,
-                     explicit_set, hom_complex_cells_reference, incidence,
-                     incidence_reference, is_equivariant, labelled_cells, sigma,
+from oracles import (ModTwoChain, boundary, check_alternation_reference, check_reference,
+                     circle_cells_reference, explicit_set, gamma_power, gamma_product,
+                     hom_complex_cells_reference, incidence, incidence_reference,
+                     involution, is_equivariant, labelled_cells,
+                     mod2_homology_ranks_dropping_degenerate_faces, sigma,
                      simplicial_set_from_json, sphere_model_cells_reference, sproduct,
                      strict_chains, torus_cells_reference)
 from test_zz2 import ORBIT_CASES
@@ -59,7 +60,8 @@ def test_sigma_chain():
 
 
 def test_sigma2_mod2_homology():
-    assert mod2_homology_ranks(sigma(2), top=2) == (1, 0, 1)
+    # sigma(2) is no order complex: its rows drop the degenerate faces
+    assert mod2_homology_ranks_dropping_degenerate_faces(sigma(2), top=2) == (1, 0, 1)
 
 
 def test_gamma_structure():
@@ -144,24 +146,32 @@ def test_product_capacity(monkeypatch):
     def no_building(*args):
         raise AssertionError("started building a torus over the cell limit")
 
+    monkeypatch.setattr(oracles, "product", no_building)
     monkeypatch.setattr(simplicial, "product", no_building)
     with pytest.raises(CapacityExceededError):
         gamma_product((64,) * 4)
+    with pytest.raises(CapacityExceededError):
+        Torus((64,) * 4)
 
 
 def test_long_torus_is_refused_on_its_vertices(monkeypatch):
     """Past CELL_LIMIT vertices a torus is refused before its cells are
-    counted, and gamma_power refuses before it lists the sides."""
+    counted, and gamma_power and torus refuse before they list the sides."""
     def no_listing(*args):
         raise AssertionError("listed the sides of a torus over the cell limit")
 
-    monkeypatch.setattr(simplicial, "product_cell_count", no_listing)
-    with pytest.raises(CapacityExceededError, match="^torus of 1000 circles has more "
-                                                    "vertices than the cell limit 4194304$"):
-        gamma_product((4,) * 1000)
-    monkeypatch.setattr(simplicial, "gamma_product", no_listing)
-    with pytest.raises(CapacityExceededError, match=r"^torus gamma\(4\)\^10000000 has "):
-        gamma_power(4, 10 ** 7)
+    monkeypatch.setattr(slices, "product_cell_count", no_listing)
+    for build in (gamma_product, Torus):
+        with pytest.raises(CapacityExceededError, match="^torus of 1000 circles has more "
+                                                        "vertices than the cell limit "
+                                                        "4194304$"):
+            build((4,) * 1000)
+    monkeypatch.setattr(oracles, "gamma_product", no_listing)
+    monkeypatch.setattr(simplicial, "Torus", no_listing)
+    for build in (gamma_power, torus):
+        with pytest.raises(CapacityExceededError,
+                           match=r"^torus gamma\(4\)\^10000000 has "):
+            build(4, 10 ** 7)
 
 
 @pytest.mark.parametrize("sides", [(4, 4), (4, 8), (8, 4), (4, 4, 4), (4, 8, 8),
@@ -173,21 +183,23 @@ def test_gamma_product_matches_generic_product(sides):
     for d in range(t.cap + 1):
         assert labelled_cells(t, d) == cells[d]
         assert t.n_cells(d) == product_cell_count(sides, d)
-    assert t.involution == involution
+    assert oracles.involution(t) == involution
 
 
 def test_torus_spellings_share_one_cache_entry():
-    torus = gamma_product((12, 12))
-    assert gamma_power(12, 2) is torus
-    assert gamma_product([12, 12]) is torus
+    square = gamma_product((12, 12))
+    assert gamma_power(12, 2) is square
+    assert gamma_product([12, 12]) is square
     assert gamma_power(4, 1) is gamma_product((4,))
+    assert torus(12, 2) is torus(12, 2)
+    assert torus(12, 2).sides == (12, 12)
 
 
 @pytest.fixture
 def fresh_tori():
     """Empty torus caches before and after the test, so that it reads only the
     tori it builds itself and leaves none of them behind."""
-    caches = (simplicial._gamma_product, torus_tables, torus_complex)
+    caches = (oracles._gamma_product, torus, torus_tables, torus_complex)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -195,12 +207,28 @@ def fresh_tori():
         cache.cache_clear()
 
 
-def test_the_survey_builds_no_torus_cell_above_the_vertices(fresh_tori):
-    arity_experiment(3, 3, seed=3, chain_samples=100)
-    torus = gamma_power(12, 3)
-    assert sorted(torus._positions) == [0]
-    assert torus.n_cells(3) == product_cell_count((12,) * 3, 3)
-    assert sorted(torus._positions) == [0, 1, 2, 3]
+def test_the_survey_builds_no_torus_cell_above_the_vertices(fresh_tori, monkeypatch):
+    """The survey reads bytes at row-major positions: it makes no ``Torus``,
+    and the simplicial sets it builds are the circle and the homomorphism
+    complexes of its pipeline, none over the 50 vertices of Hom(K_2, K_4)."""
+    def refuse(*args):
+        raise AssertionError("the survey made a torus")
+
+    sizes = []
+    build = SimplicialSet.__init__
+
+    def counted(self, vertices, *args):
+        sizes.append(len(vertices))
+        build(self, vertices, *args)
+
+    monkeypatch.setattr(simplicial, "Torus", refuse)
+    monkeypatch.setattr(SimplicialSet, "__init__", counted)
+    hom_complex.cache_clear()
+    try:
+        arity_experiment(3, 3, seed=3, chain_samples=100)
+    finally:
+        hom_complex.cache_clear()
+    assert sorted(sizes) == [12, 12, 50]
 
 
 def _chains(points, ups, cap):
@@ -216,7 +244,7 @@ def _breaking(monkeypatch, moves):
     """Make the torus generator leave each (p, q) of ``moves`` out of the
     up-list of p, or put it in, in order, when it is not there; return the
     chains the broken up-lists give, by dimension."""
-    build = simplicial._product_chains
+    build = oracles._product_chains
     chains = {}
 
     def broken(sides):
@@ -229,7 +257,7 @@ def _breaking(monkeypatch, moves):
         chains.update(_chains(points, ups, len(sides)))
         return vertices, points, antipode, ups
 
-    monkeypatch.setattr(simplicial, "_product_chains", broken)
+    monkeypatch.setattr(oracles, "_product_chains", broken)
     return chains
 
 
@@ -245,44 +273,22 @@ def _breaking(monkeypatch, moves):
 ], ids=["face", "mate", "loop"])
 def test_a_broken_torus_dimension_is_refused_on_each_read(moves, d, message,
                                                           fresh_tori, monkeypatch):
+    """The broken dimension is refused when the torus is made, and again on
+    each later read of it, since no refused build is cached."""
     chains = _breaking(monkeypatch, moves)
-    torus = gamma_product((4, 4))
-    assert sorted(torus._positions) == [0]
-    # the reference check of the same cells raises the same message
-    simplices = {e: [torus.labels(c) for c in chains[e]] for e in (1, 2)}
-    with pytest.raises(InvalidParameterError) as reference:
-        check_reference(torus.vertices, simplices, torus.cap, torus.involution)
-    assert str(reference.value) == message
-    for read in (d, 3, d):
-        with pytest.raises(InvalidParameterError) as lazy:
-            torus.position_cells(read)
-        assert str(lazy.value) == message
-        assert sorted(torus._positions) == list(range(d))
-
-
-def test_the_up_lists_are_gone_while_the_cap_is_checked(fresh_tori, monkeypatch):
-    """The cap's check runs without the up-lists; if it fails, the next read
-    builds and checks the cap again, and fails again, and once the check
-    passes the cap is stored like any other dimension."""
-    torus = gamma_product((4, 4, 4))
-    check = SimplicialSet._check_mates
-    seen = []
-
-    def failing(self, d, here):
-        if d == self.cap:
-            seen.append(self._ups)
-            raise InvalidParameterError("refused at the cap")
-        check(self, d, here)
-
-    monkeypatch.setattr(SimplicialSet, "_check_mates", failing)
     for _ in range(2):
-        with pytest.raises(InvalidParameterError, match="refused at the cap"):
-            torus.position_cells(3)
-        assert sorted(torus._positions) == [0, 1, 2]
-    assert seen == [None, None]
-    monkeypatch.setattr(SimplicialSet, "_check_mates", check)
-    assert torus.n_cells(3) == product_cell_count((4, 4, 4), 3)
-    assert torus._ups is None
+        chains.clear()
+        with pytest.raises(InvalidParameterError) as built:
+            gamma_product((4, 4))
+        assert str(built.value) == message
+        assert max(chains) == 2
+    # the reference check of the same cells raises the same message
+    grid = torus(4, 2)
+    vertices = tuple(grid.vertices)
+    simplices = {e: [grid.labels(c) for c in chains[e]] for e in (1, 2)}
+    with pytest.raises(InvalidParameterError) as reference:
+        check_reference(vertices, simplices, 3, involution(grid))
+    assert str(reference.value) == message
 
 
 def _points(count):
@@ -301,11 +307,11 @@ def _up_lists(x, drop=(), add=()):
 def test_closure_checked():
     # up-lists with a cycle give chains that are not strict: the face (0, 0)
     # of (0, 1, 0) is no chain, so it is missing, and the chain is refused
-    x = SimplicialSet((0, 1), _points(2), 2, None, [[1], [0]])
+    x = SimplicialSet((0, 1), _points(2), 1, None, [[1], [0]])
     assert x.position_cells(1) == ((0, 1), (1, 0))
     with pytest.raises(InvalidParameterError,
                        match=r"^closure violated: face \(0, 0\) of \(0, 1, 0\) missing$"):
-        x.position_cells(2)
+        SimplicialSet((0, 1), _points(2), 2, None, [[1], [0]])
 
 
 def test_closure_missing_nondegenerate_face():
@@ -326,11 +332,11 @@ def test_closure_degenerate_faces_normalize():
         degenerate = {face for cell in labelled_cells(s, k) for _, face in faces(cell)
                       if is_degenerate(face)}
         assert degenerate and not degenerate & labelled_cells(s, k - 1)
-        chains = SimplicialSet(s.vertices, s.position_cells(0), k, s.antipode, [[1], [0]])
-        assert chains.position_cells(1) == s.position_cells(1)
+        edges = SimplicialSet(s.vertices, s.position_cells(0), 1, s.antipode, [[1], [0]])
+        assert edges.position_cells(1) == s.position_cells(1)
         with pytest.raises(InvalidParameterError, match="^closure violated: face "
                                                         r"\('blue', 'blue'\) of"):
-            chains.position_cells(2)
+            SimplicialSet(s.vertices, s.position_cells(0), k, s.antipode, [[1], [0]])
 
 
 def test_closure_missing_torus_face():
@@ -339,11 +345,11 @@ def test_closure_missing_torus_face():
     t = gamma_product((4, 4))
     p, _, r = t.position_cells(2)[5]
     drop = [(p, r), (t.antipode[p], t.antipode[r])]
-    x = SimplicialSet(t.vertices, t.position_cells(0), t.cap, t.antipode,
-                      _up_lists(t, drop=drop))
-    assert len(x.position_cells(1)) == t.n_cells(1) - 2
+    ups = _up_lists(t, drop=drop)
+    edges = SimplicialSet(t.vertices, t.position_cells(0), 1, t.antipode, ups)
+    assert len(edges.position_cells(1)) == t.n_cells(1) - 2
     with pytest.raises(InvalidParameterError, match="^closure violated: face ") as exc:
-        x.position_cells(2)
+        SimplicialSet(t.vertices, t.position_cells(0), t.cap, t.antipode, ups)
     assert any(f"face {t.labels(edge)} of" in str(exc.value) for edge in drop)
 
 
@@ -544,7 +550,7 @@ def test_mod2_homology_of_gamma8_cubed():
 
 
 def test_map_from_colouring_constant_valid():
-    t = gamma_power(4, 2)
+    t = torus(4, 2)
     col = {v: BLUE for v in t.vertices}
     # valid as a map, but never equivariant, so it is refused
     with pytest.raises(NotEquivariantError):
@@ -556,7 +562,7 @@ def test_map_from_colouring_any_equivariant_on_2d_torus():
     t = gamma_power(4, 2)
     assert t.n_cells(3) == 0
     rng = random.Random(1)
-    nu = t.involution
+    nu = involution(t)
     for _ in range(20):
         col = {}
         for v in t.vertices:
@@ -565,6 +571,7 @@ def test_map_from_colouring_any_equivariant_on_2d_torus():
             bit = rng.random() < 0.5
             col[v] = BLUE if bit else YELLOW
             col[nu[v]] = YELLOW if bit else BLUE
+        map_from_colouring(torus(4, 2), col)
         map_from_colouring(t, col)
         assert is_equivariant(t, col)
 
@@ -574,11 +581,72 @@ def test_map_from_colouring_alternation_witness():
     col = {v: (BLUE if (v[0] + v[1] + v[2]) % 4 < 2 else YELLOW)
            for v in t3.vertices}
     with pytest.raises(AlternatingSimplexError) as err:
-        map_from_colouring(t3, col)
+        map_from_colouring(torus(4, 3), col)
     alternating = sorted(c for c in labelled_cells(t3, 3)
                          if col[c[0]] != col[c[1]] != col[c[2]] != col[c[3]])
     assert len(alternating) > 1
     assert err.value.witness == alternating[0]
+
+
+def _alternation(check, x, values):
+    """The message and witness of the 3-alternating cell ``check`` refuses
+    on x, or None when it refuses none."""
+    try:
+        check(x, values)
+    except AlternatingSimplexError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+# the tori on which the row-major check meets the scan of the stored 3-cells
+ALTERNATION_TORI = [(4, 1), (8, 1), (4, 2), (8, 2), (12, 2), (4, 3), (8, 3), (4, 4),
+                    (12, 3)]
+
+
+@pytest.mark.parametrize("L, n", ALTERNATION_TORI)
+def test_the_row_major_check_names_the_cell_the_scan_names(L, n):
+    """On 60 seeded windings, each with up to seven antipodal pairs swapped
+    so that it stays equivariant, ``check_alternation`` on the row-major
+    torus and on the simplicial one (closed through its up-lists) refuses
+    exactly the colourings the scan of the stored 3-cells refuses, with the
+    same witness and message."""
+    x, grid = gamma_power(L, n), torus(L, n)
+    assert grid.antipode == x.antipode
+    rng = random.Random(100 * L + n)
+    refused = 0
+    for _ in range(60):
+        j = rng.randrange(n)
+        values = [BLUE if v[j] < L // 2 else YELLOW for v in x.vertices]
+        for _ in range(rng.randrange(8)):
+            p = rng.randrange(len(values))
+            q = x.antipode[p]
+            values[p], values[q] = values[q], values[p]
+        want = _alternation(check_alternation_reference, x, values)
+        assert _alternation(check_alternation, grid, values) == want
+        assert _alternation(check_alternation, x, values) == want
+        refused += want is not None
+    assert (refused > 0) == (n >= 3)
+
+
+@pytest.mark.parametrize("make", [lambda: hom_complex(complete_graph(4)),
+                                  lambda: hom_complex(complete_graph(5)),
+                                  lambda: order_complex("dcba", [15, 7, 3, 1], 3)],
+                         ids=["hom_K4", "hom_K5", "chain"])
+def test_the_order_complex_check_agrees_with_a_scan_of_its_cells(make):
+    """The check closes an order complex through its kept up-lists, bit r
+    the vertex of rank r in label order: on seeded colourings it refuses
+    what the scan of the stored 3-cells refuses, at the same least cell.
+    Hom(K_2, K_4), the domain of every ``TColouring``, has no 3-cell to
+    refuse."""
+    x = make()
+    rng = random.Random(len(x.vertices))
+    refused = 0
+    for _ in range(200):
+        values = [rng.choice((YELLOW, BLUE)) for _ in x.vertices]
+        want = _alternation(check_alternation_reference, x, values)
+        assert _alternation(check_alternation, x, values) == want
+        refused += want is not None
+    assert (refused > 0) == (x.n_cells(3) > 0)
 
 
 def test_boundary_of_triangle():
@@ -615,16 +683,14 @@ def test_order_complex_matches_gamma():
     lambda: hom_complex.__wrapped__(cycle_graph(5)),
     lambda: hom_complex.__wrapped__(complete_graph(4))],
     ids=["chains", "gamma8", "hom_C5", "hom_K4"])
-def test_a_fresh_order_complex_holds_only_its_vertices(make):
-    """Circles and homomorphism complexes are built by the chain builder of
-    the tori: each dimension on its first read, after those below, equal to
+def test_a_fresh_order_complex_holds_every_dimension_checked(make):
+    """Circles and homomorphism complexes are built by the one chain
+    builder: every dimension up to the cap when the set is made, equal to
     the same cells checked by the reference and stored as given."""
     x = make()
-    assert sorted(x._positions) == [0]
-    x.position_cells(2)
-    assert sorted(x._positions) == [0, 1, 2]
+    assert sorted(x._positions) == list(range(x.cap + 1))
     simplices = {d: labelled_cells(x, d) for d in range(1, x.cap + 1)}
-    eager = explicit_set(x.vertices, simplices, x.cap, x.involution)
+    eager = explicit_set(x.vertices, simplices, x.cap, involution(x))
     for d in range(x.cap + 1):
         assert x.position_cells(d) == eager.position_cells(d)
     assert x.antipode == eager.antipode
@@ -637,5 +703,5 @@ def test_json_roundtrip():
         assert back.vertices == x.vertices
         for d in range(x.cap + 1):
             assert labelled_cells(back, d) == labelled_cells(x, d)
-        if x.involution:
-            assert back.involution == x.involution
+        if involution(x):
+            assert involution(back) == involution(x)

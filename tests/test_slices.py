@@ -10,13 +10,14 @@ from equihom.errors import (CapacityExceededError, InvalidParameterError,
                             InvariantViolationError, NotEquivariantError)
 from equihom.graphs import enumerate_homs
 from equihom.homcomplexes import CyclePipeline
-from equihom.simplicial import BLUE, YELLOW, equivariant_colourings, gamma_power
+from equihom.simplicial import BLUE, YELLOW, equivariant_colourings, torus
 from equihom.slices import (GeneralizedDiagonal, arity_experiment,
                             chain_alternation_counts, height,
                             iter_coordinate_edges, swap_fraction, zeta0)
 
 import oracles
-from oracles import (arity_experiment_reference, chain_alternations, labelled_cells,
+from oracles import (arity_experiment_reference, chain_alternations, gamma_power,
+                     labelled_cells,
                      permute_coordinates, sample_maximal_chain_reference,
                      shift_coordinate, slice_check, standard_diagonal)
 
@@ -115,7 +116,7 @@ def test_swap_fraction_bound_over_battery():
     # every degree-one direction keeps at least one swap in 16 edges: 1/16 >= 1/48
     from equihom.degrees import deg_vector
     bound = Fraction(1, 48)
-    for col in equivariant_colourings(gamma_power(4, 2)):
+    for col in equivariant_colourings(torus(4, 2)):
         alpha = deg_vector(col, L=4, n=2)
         for i in (1, 2):
             if alpha.bits[i - 1]:
@@ -291,8 +292,8 @@ def test_arity_experiment_reads_bits_not_colour_dicts(monkeypatch):
 
     # patched where each lives and where a module-level import would bind it
     for module, name in [(degrees, "deg_vector"), (slices, "deg_vector"),
-                         (simplicial, "gamma_power"), (slices, "gamma_power"),
-                         (degrees, "gamma_power"), (homcomplexes, "gamma_power"),
+                         (simplicial, "torus"), (slices, "torus"),
+                         (degrees, "torus"), (homcomplexes, "torus"),
                          (CyclePipeline, "mu_colours")]:
         fn = getattr(module, name, None)
         if fn is not None:
@@ -337,6 +338,6 @@ def test_arity_experiment_refuses_large_tori_before_any_work(n_max, monkeypatch)
     monkeypatch.setattr(slices, "CyclePipeline", fail)
     with pytest.raises(CapacityExceededError) as exc:
         arity_experiment(3, n_max)
-    # the first torus gamma_product refuses, whatever n_max is
+    # the first torus over the cell limit refuses, whatever n_max is
     assert str(exc.value) == "torus (12, 12, 12, 12, 12) has 269236224 cells (limit 4194304)"
 
