@@ -38,6 +38,7 @@ phi at ell = 5, arity 3 | 0 | equihom enumerate --ell 5 --arity 3 --limit 200 --
 degree and swap-stats n = 1 | 0 | python -c "import json, sys; from itertools import product; L, n = 8, int(sys.argv[1]); bits = [int(v[0] < L // 2) for v in product(range(L), repeat=n)]; json.dump({'L': L, 'n': n, 'colours': bits}, open(sys.argv[2], 'w'))" 1 colouring.json && equihom degree --colouring colouring.json --out degree.json && equihom swap-stats --colouring colouring.json --i 1 --out swap.json
 degree and swap-stats n = 3 | 0 | python -c "import json, sys; from itertools import product; L, n = 8, int(sys.argv[1]); bits = [int(v[0] < L // 2) for v in product(range(L), repeat=n)]; json.dump({'L': L, 'n': n, 'colours': bits}, open(sys.argv[2], 'w'))" 3 colouring.json && equihom degree --colouring colouring.json --out degree.json && equihom swap-stats --colouring colouring.json --i 1 --out swap.json
 degree n = 6, L = 8 | 10 | python -c "import json, sys; from itertools import product; L, n = 8, int(sys.argv[1]); bits = [int(v[0] < L // 2) for v in product(range(L), repeat=n)]; json.dump({'L': L, 'n': n, 'colours': bits}, open(sys.argv[2], 'w'))" 6 colouring.json && equihom degree --colouring colouring.json --out degree.json
+degree n = 7, L = 8 | 10 | python -c "import json, sys; L, n = 8, int(sys.argv[1]); half = L // 2 * L ** (n - 1); json.dump({'L': L, 'n': n, 'colours': [1] * half + [0] * half}, open(sys.argv[2], 'w'))" 7 colouring.json && equihom degree --colouring colouring.json --out degree.json
 zeta0 | 0 | equihom zeta0 --n 7 --h 2 --L 8 --out zeta0.json
 enumerate | 0 | equihom enumerate --ell 3 --arity 2 --out enumerate.jsonl
 search-t and its cached t | 0 | equihom search-t --cache t-cache --out search-t.json

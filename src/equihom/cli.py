@@ -12,7 +12,6 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
 from pathlib import Path
 
 from . import __version__, verify
@@ -22,7 +21,7 @@ from .graphs import (complete_graph, cycle_graph, enumerate_homs, hom_from_json,
 from .homcomplexes import (CyclePipeline, default_cache_dir, hom_complex,
                            search_t_colouring)
 from .degrees import deg_vector, phi
-from .simplicial import BLUE, YELLOW, map_from_colouring, torus
+from .simplicial import map_from_colouring, torus
 from .slices import arity_experiment, swap_fraction, zeta0
 from .zz2 import bredon_torus, quotient_pstar_check
 
@@ -55,6 +54,7 @@ def _loads(text):
 
 
 def _load_colouring(path):
+    """L, n and the blue bits, in row-major order, of a colouring file."""
     obj = _loads(Path(path).read_text())
     if not isinstance(obj, dict) or not {"L", "n", "colours"} <= obj.keys():
         raise EquihomError("a colouring file needs the keys L, n and colours")
@@ -70,9 +70,7 @@ def _load_colouring(path):
     # large n is refused before the power is taken
     if n > len(bits).bit_length() or len(bits) != L ** n:
         raise EquihomError(f"expected {L}^{n} colour bits, got {len(bits)}")
-    colours = {v: (BLUE if b else YELLOW)
-               for v, b in zip(iter_product(range(L), repeat=n), bits)}
-    return L, n, colours
+    return L, n, bytes(bits)
 
 
 def _resolve_cache(args):
@@ -145,9 +143,9 @@ def cmd_phi(args):
 
 
 def cmd_degree(args):
-    L, n, colours = _load_colouring(args.colouring)
-    map_from_colouring(torus(L, n), colours)
-    alpha = deg_vector(colours, L, n)
+    L, n, bits = _load_colouring(args.colouring)
+    map_from_colouring(torus(L, n), bits)
+    alpha = deg_vector(bits, L, n)
     report = _meta(args, params={"colouring": str(args.colouring), "L": L, "n": n},
                    alpha=list(alpha.bits), weight=alpha.weight)
     _write_lines([report], args.out)
@@ -187,11 +185,11 @@ def cmd_zeta0(args):
 
 
 def cmd_swap_stats(args):
-    L, n, colours = _load_colouring(args.colouring)
+    L, n, bits = _load_colouring(args.colouring)
     heights = [args.h] if args.h is not None else list(range(n))
     stats = {}
     for h in heights:
-        frac = swap_fraction(colours, L, n, args.i, h)
+        frac = swap_fraction(bits, L, n, args.i, h)
         stats[str(h)] = {"fraction": str(frac),
                          "at_least_one_in_3LL": frac >= Fraction(1, 3 * L * L)}
     report = _meta(args, params={"colouring": str(args.colouring), "i": args.i,

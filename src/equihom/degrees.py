@@ -14,8 +14,7 @@ from operator import itemgetter, xor
 from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import MinorSpec
 from .homcomplexes import CyclePipeline, side_keys
-from .simplicial import (BLUE, YELLOW, Torus, check_antipodes, check_colours,
-                         colour_values, torus)
+from .simplicial import Torus, check_antipodes, check_colours, check_length, torus
 
 
 class TorusComplex:
@@ -31,7 +30,7 @@ class TorusComplex:
     [p, q1, r] and [p, q2, r], for each x1 edge shifted by an even b in
     [0, L'/2] and each t = +-1 with 0 < b + t < L'/2.  The band identity is
     checked on the squares as written.  ``grid``, the ``Torus`` of the two
-    sides, checks them and reads the colourings.
+    sides, checks them and the colourings.
     """
 
     def __init__(self, L, Lp):
@@ -62,17 +61,13 @@ class TorusComplex:
         if edges != set(self.x1) ^ {(mate(u), mate(v)) for u, v in self.x1}:
             raise InvariantViolationError("band boundary != cycle + antipodal cycle")
 
-    def colours(self, colouring):
-        """The colours of a colour dict at the row-major positions, each
-        checked to be yellow or blue."""
-        values = colour_values(self.grid, colouring)
-        check_colours(self.grid, values)
-        return values
-
-    def deg1(self, values):
+    def deg1(self, bits):
         """Edge crossings on the coordinate cycle plus alternating band
-        triangles, for the ``colours`` of a colouring."""
-        return count_deg1([c == BLUE for c in values], self.x1, self.squares)
+        triangles, for the blue bits of the vertices at the row-major
+        positions, each checked to be 0 or 1."""
+        check_length(self.grid, bits)
+        check_colours(self.grid, bits)
+        return count_deg1(bits, self.x1, self.squares)
 
 
 def count_deg1(bits, x1, squares):
@@ -303,22 +298,22 @@ def sigma_minor(n, i):
     return MinorSpec(n, 2, tuple(1 if j == i else 2 for j in range(1, n + 1)))
 
 
-def deg_vector(g, L, n):
+def deg_vector(bits, L, n):
     """The vector (deg_1, ..., deg_n) of an equivariant map on gamma(L)^n; odd weight.
 
-    ``g`` is a vertex -> colour dict on the torus.  Raises if a key is not a
-    vertex of the torus, if the input is not equivariant, if a vertex lacks
-    a yellow/blue colour, or if the computed weight comes out even, which
-    would indicate a bug or an invalid input.  Coordinate i is deg1 of the
-    2-variable minor along ``sigma_minor(n, i)``, counted on the index
-    tables.
+    ``bits`` are the blue bits of the torus vertices in row-major order.
+    Raises if there is not one per vertex, if the input is not equivariant,
+    if a bit is neither 0 nor 1, or if the computed weight comes out even,
+    which would indicate a bug or an invalid input.  Coordinate i is deg1
+    of the 2-variable minor along ``sigma_minor(n, i)``, read off
+    ``bits[p]`` at the ``positions`` of the index tables.
     """
     x = torus(L, n)
-    values = colour_values(x, g)
-    check_antipodes(x, values)
-    check_colours(x, values)
+    check_length(x, bits)
+    check_antipodes(x, bits)
+    check_colours(x, bits)
     tables = torus_tables(L, n)
-    return OddVector(tables.degrees([values[p] == BLUE for p in tables.positions]))
+    return OddVector(tables.degrees([bits[p] for p in tables.positions]))
 
 
 def phi(f, pipeline):
@@ -354,32 +349,37 @@ def phi(f, pipeline):
     return alpha
 
 
-def find_colour_swapping_edge(g, plane):
-    """A horizontal edge with differently coloured endpoints; needs deg1 = 1."""
-    values = plane.colours(g)
-    if plane.deg1(values) != 1:
+def find_colour_swapping_edge(bits, plane):
+    """A horizontal edge with differently coloured endpoints, for the blue
+    bits of the plane's vertices in row-major order; needs deg1 = 1."""
+    if plane.deg1(bits) != 1:
         raise InvalidParameterError("colour-swapping edges are guaranteed only for deg1 = 1")
     L, Lp = plane.L, plane.Lp
     for b in range(Lp):
         for a in range(L):
-            if values[a * Lp + b] != values[(a + 1) % L * Lp + b]:
+            if bits[a * Lp + b] != bits[(a + 1) % L * Lp + b]:
                 return (a, b), ((a + 1) % L, b)
     raise InvariantViolationError("no colour-swapping edge on a deg1 = 1 map")
 
 
 def winding_colouring(L, n, j):
-    """Colour blue exactly when coordinate j lies in the lower half [0, L/2)."""
+    """The blue bits of gamma(L)^n in row-major order, blue exactly where
+    coordinate j lies in the lower half [0, L/2): a block of L/2 strides of
+    ones and one of zeros, repeated."""
     if not 1 <= j <= n:
         raise InvalidParameterError("coordinate out of range")
-    half = L // 2
-    return {v: (BLUE if v[j - 1] < half else YELLOW) for v in torus(L, n).vertices}
+    x = torus(L, n)
+    half = L // 2 * x.strides[j - 1]
+    return (b"\1" * half + b"\0" * half) * (x.size // (2 * half))
 
 
 def monomial_colouring(L, n, support):
-    """An equivariant simplicial map whose degree vector is the support pattern.
+    """An equivariant simplicial map whose degree vector is the support
+    pattern, as blue bits in row-major order.
 
     Sums the round-up-to-even reparametrization u(x) = x + (x mod 2) over the
-    support coordinates and colours by the half the sum lands in.  Along any
+    support coordinates, one coordinate at a time over the positions, and
+    colours blue where the sum mod L lands in the lower half.  Along any
     chain each step moves the sum forward by 0 or 2 per raised coordinate, so
     with |support| <= 3 and L >= 8 no 3-simplex image can alternate three
     times.  The support must have odd size (degree vectors have odd weight).
@@ -393,9 +393,9 @@ def monomial_colouring(L, n, support):
         raise InvalidParameterError("supports larger than 3 are not constructed here")
     if len(support) == 3 and L < 8:
         raise InvalidParameterError("weight-3 patterns need L >= 8")
-    half = L // 2
-
-    def level(v):
-        return sum((v[j - 1] + v[j - 1] % 2) for j in support) % L
-
-    return {v: (BLUE if level(v) < half else YELLOW) for v in torus(L, n).vertices}
+    torus(L, n)  # checks the side and the vertex count
+    levels = [0]
+    for j in range(1, n + 1):
+        steps = [x + x % 2 if j in support else 0 for x in range(L)]
+        levels = [a + b for a in levels for b in steps]
+    return bytes(a % L < L // 2 for a in levels)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import (CapacityExceededError, InternalError, InvalidParameterError,
                      UnsupportedInputError)
 from .graphs import GraphHom, PowerGraph, complete_graph, cycle_graph
-from .simplicial import BLUE, YELLOW, gamma, map_from_colouring, order_complex, torus
+from .simplicial import gamma, map_from_colouring, order_complex
 
 CACHE_ENV_VAR = "EQUIHOM_CACHE"
 T_FILE_NAME = "t_colouring_hom_k2_k4.json"
@@ -170,7 +170,8 @@ class TColouring:
     (0 = yellow, 1 = blue), given as ints, never coerced from a string,
     bool or float; the fingerprint identifies the choice in reports.
     A colouring is checked once, when it is made, searched, loaded or passed
-    in alike: its colour dict must be an equivariant simplicial map
+    in alike: its bits, in the vertex order of ``hom_complex``, which is
+    the order of ``labels``, must be an equivariant simplicial map
     Hom(K_2, K_4) -> sigma(2) (``map_from_colouring``), with a witness in
     Hom(K_2, K_4).
     """
@@ -186,11 +187,7 @@ class TColouring:
         self.labels = tuple(multihoms(complete_graph(4)))
         if len(self.colours) != len(self.labels):
             raise InvalidParameterError("colour vector length mismatch")
-        map_from_colouring(hom_complex(complete_graph(4)), self.as_vertex_map())
-
-    def as_vertex_map(self):
-        """Each label's colour; a bit other than 0 or 1 maps to None."""
-        return {m: {0: YELLOW, 1: BLUE}.get(b) for m, b in zip(self.labels, self.colours)}
+        map_from_colouring(hom_complex(complete_graph(4)), self.colours)
 
     def to_json(self):
         return {"complex": self.COMPLEX_ID, "order": self.ORDER_ID,
@@ -434,7 +431,5 @@ class CyclePipeline:
         return blob
 
     def mu_colours(self, f):
-        """Vertex colouring of gamma(4*ell)^n induced by the polymorphism f."""
-        n = self.check_polymorphism(f)
-        return {v: (BLUE if b else YELLOW)
-                for v, b in zip(torus(self.period, n).vertices, self.mu_lanes([f]))}
+        """The blue bits of mu(f) in row-major order, for the polymorphism f."""
+        return self.mu_lanes([f])

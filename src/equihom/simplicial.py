@@ -5,7 +5,8 @@ Every simplicial set here is the order complex of a finite strict order,
 its d-simplices the strict chains of d + 1 elements.  ``Torus`` reads the
 order of gamma(L_1) x ... x gamma(L_k) by shifting sets of vertices, ints
 with bit p for position p.  A map into sigma(2), whose simplices change
-colour at most twice, is a yellow/blue colour per vertex.
+colour at most twice, is its blue bits in position order: a bytes object
+or a list of ints, 1 for blue and 0 for yellow.
 """
 
 from functools import cached_property, lru_cache, partial, reduce
@@ -16,9 +17,6 @@ from operator import eq, itemgetter, or_
 from .errors import (AlternatingSimplexError, CapacityExceededError,
                      InvalidParameterError, NotEquivariantError)
 from .snf import gf2_rank
-
-YELLOW = "yellow"
-BLUE = "blue"
 
 # most vertices a torus may have
 CELL_LIMIT = 1 << 22
@@ -41,17 +39,17 @@ def faces(cell):
         yield -1 if i % 2 else 1, cell[:i] + cell[i + 1:]
 
 
-def least_alternating_chain(flags, up, down):
+def least_alternating_chain(bits, up, down):
     """The least chain v_0 < v_1 < v_2 < v_3 whose colours alternate, as bit
-    indices, or None; ``flags[k]`` is true where vertex k is blue, and ``up``
+    indices, or None; ``bits[k]`` is 1 where vertex k is blue, and ``up``
     and ``down`` are the strict up- and down-closures of a set of bits.
 
     S_0 is every vertex and S_k the vertices of one colour below S_(k-1) of
     the other, which start a chain of k changes.  Each vertex of the chain
     is the lowest of the other colour above the last in the S still due.
     """
-    blue = int(bytes(flags).translate(_DIGITS)[::-1], 2)
-    yellow = (1 << len(flags)) - 1 ^ blue
+    blue = int(bytes(bits).translate(_DIGITS)[::-1], 2)
+    yellow = (1 << len(bits)) - 1 ^ blue
     starts = [blue | yellow]
     for _ in range(3):
         last = starts[-1]
@@ -79,8 +77,8 @@ class SimplicialSet:
     the indices into ``vertices``, sorted in the order of their vertex tuples
     and without repeats; every consumer reads the cells in that one order.
     ``labels`` turns a cell into its vertex tuple.  The involution is stored
-    as ``antipode``, the position of each vertex's mate.  The labels of one
-    set must be mutually comparable.
+    as ``antipode``, the position of each vertex's mate, and ``size`` is the
+    vertex count.  The labels of one set must be mutually comparable.
     """
 
     def __init__(self, vertices, points, cap, antipode, ups):
@@ -90,6 +88,7 @@ class SimplicialSet:
         up-list of their last vertex, the d-cells, come out sorted.
         ``antipode`` (or None) is checked first, then each dimension."""
         self.vertices = vertices
+        self.size = len(vertices)
         self.cap = cap
         self.antipode = antipode
         self.ups = ups
@@ -146,9 +145,9 @@ class SimplicialSet:
             raise InvalidParameterError(
                 f"involution does not preserve simplices: {self.labels(bad)}")
 
-    def alternating_chain(self, values):
-        """The least 3-cell, in the order of vertex tuples, on which the yellow
-        or blue ``values`` (in vertex order) alternate, as positions, or None.
+    def alternating_chain(self, bits):
+        """The least 3-cell, in the order of vertex tuples, on which the blue
+        ``bits`` (in position order) alternate, as positions, or None.
         Bit r stands for the vertex of rank r in label order, and a closure
         ORs the kept up-lists, or the down-lists read off them, over its bits.
         """
@@ -161,7 +160,7 @@ class SimplicialSet:
             for q in self.ups[p]:
                 ups[r] |= 1 << rank[q]
                 downs[rank[q]] |= 1 << r
-        chain = least_alternating_chain([values[p] == BLUE for p in order],
+        chain = least_alternating_chain([bits[p] for p in order],
                                         partial(_closure, ups), partial(_closure, downs))
         return chain and [order[r] for r in chain]
 
@@ -338,10 +337,9 @@ class Torus:
             moved |= odd >> s | (odd ^ top) << s | top >> wrap
         return moved
 
-    def alternating_chain(self, values):
+    def alternating_chain(self, bits):
         """As ``SimplicialSet.alternating_chain``, on the positions."""
-        flags = list(map(eq, values, repeat(BLUE)))
-        return least_alternating_chain(flags, self.up, self.down)
+        return least_alternating_chain(bits, self.up, self.down)
 
 
 @lru_cache(maxsize=16)
@@ -353,79 +351,75 @@ def torus(L, n):
     return Torus((L,) * n)
 
 
-def check_colours(x, values):
-    """Every vertex of x must carry yellow or blue (values in vertex order)."""
-    for v, c in zip(x.vertices, values):
-        if c not in (YELLOW, BLUE):
-            raise InvalidParameterError(f"vertex {v} lacks a yellow/blue colour")
+def check_length(x, bits):
+    """A colouring of x, a ``Torus`` or an order complex, holds one bit per
+    vertex."""
+    if len(bits) != x.size:
+        raise InvalidParameterError("map domain is not this torus")
 
 
-def check_alternation(x, values):
-    """No 3-cell of x may have a 3-alternating image (yellow or blue values
-    in vertex order); the witness is the least such cell in vertex-tuple order."""
-    chain = x.alternating_chain(values)
+def check_colours(x, bits):
+    """Every vertex of x must carry yellow (0) or blue (1); the first that
+    does not is named by its label."""
+    if not set(bits) <= {0, 1}:
+        k = next(k for k, b in enumerate(bits) if b not in (0, 1))
+        raise InvalidParameterError(f"vertex {x.labels((k,))[0]} lacks a yellow/blue colour")
+
+
+def check_alternation(x, bits):
+    """No 3-cell of x may have a 3-alternating image (blue bits in position
+    order); the witness is the least such cell in vertex-tuple order."""
+    chain = x.alternating_chain(bits)
     if chain:
         simplex = x.labels(chain)
         raise AlternatingSimplexError(
             f"3-simplex {simplex} has a 3-alternating image", witness=simplex)
 
 
-def check_antipodes(x, values):
-    """Antipodal vertices of x must carry different values (in vertex order)."""
-    if any(map(eq, values, map(values.__getitem__, x.antipode))):
-        k = next(k for k, j in enumerate(x.antipode) if values[k] == values[j])
+def check_antipodes(x, bits):
+    """Antipodal vertices of x must carry different bits (in position order)."""
+    if any(map(eq, bits, map(bits.__getitem__, x.antipode))):
+        k = next(k for k, j in enumerate(x.antipode) if bits[k] == bits[j])
         v = x.labels((k,))[0]
         raise NotEquivariantError(
             f"vertex {v} and its antipode share a colour", witness=v)
 
 
-def colour_values(x, colouring):
-    """The colours of x's vertices in vertex order, the form the checks read.
-
-    ``colouring`` is a vertex -> colour dict; one with a key that is not a
-    vertex of x is refused, and a vertex it misses reads None, which
-    ``check_colours`` rejects.
-    """
-    if sum(map(colouring.__contains__, x.vertices)) != len(colouring):
-        raise InvalidParameterError("map domain is not this torus")
-    return list(map(colouring.get, x.vertices))
-
-
-def map_from_colouring(x, colouring):
-    """Check that a yellow/blue vertex colouring of x, a ``Torus`` or an order
-    complex, is an equivariant simplicial map into sigma(2); raise on the
-    first check that fails.
+def map_from_colouring(x, bits):
+    """Check that the blue bits of x's vertices in position order, x a
+    ``Torus`` or an order complex, are an equivariant simplicial map into
+    sigma(2); raise on the first check that fails.
 
     Valid iff no non-degenerate 3-simplex of x maps to a 3-alternating tuple
     and antipodal vertices receive opposite colours.
     """
     if isinstance(x, SimplicialSet) and x.cap < 3:
         raise InvalidParameterError("need the 3-simplices: construct x with cap >= 3")
-    values = colour_values(x, colouring)
-    check_colours(x, values)
-    check_alternation(x, values)
+    check_length(x, bits)
+    check_colours(x, bits)
+    check_alternation(x, bits)
     if x.antipode is None:
         raise InvalidParameterError("domain has no involution")
-    check_antipodes(x, values)
+    check_antipodes(x, bits)
 
 
 def equivariant_colourings(x):
-    """Every yellow/blue vertex colouring of x giving antipodes opposite colours.
+    """Every colouring of x, as blue bits in position order, that gives
+    antipodes opposite colours.
 
-    One vertex per involution orbit, the first in vertex order, is the free
-    choice; the colourings run through the choices in binary order, blue
-    for a one bit.
+    One vertex per involution orbit, the first in position order, is the
+    free choice; the colourings run through the choices in binary order,
+    blue for a one bit.
     """
     mates = x.antipode
     if mates is None:
         raise InvalidParameterError("an involution is required")
-    labels = list(x.vertices)
-    pairs = [(labels[k], labels[j]) for k, j in enumerate(mates) if k <= j]
-    for bits in product((0, 1), repeat=len(pairs)):
-        col = {}
-        for (rep, mate), b in zip(pairs, bits):
-            col[rep], col[mate] = (BLUE, YELLOW) if b else (YELLOW, BLUE)
-        yield col
+    pairs = [(k, j) for k, j in enumerate(mates) if k <= j]
+    for choice in product((0, 1), repeat=len(pairs)):
+        bits = bytearray(len(mates))
+        for (k, j), b in zip(pairs, choice):
+            bits[k], bits[j] = b, 1 - b
+        yield bytes(bits)
 
 
 def mod2_homology_ranks(x, top=None):

@@ -9,7 +9,7 @@ two complementary heights; pairing it with a free coordinate embeds a 2-torus
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, prod
 
 from . import __version__
@@ -148,40 +148,34 @@ def zeta0(n, h, L):
 
 
 def iter_coordinate_edges(L, n, i, h):
-    """Stream the edges of E_i(h): lower endpoint u with u_i even, height h."""
+    """Stream the edges of E_i(h) in gamma(L)^n, as pairs (u, v) of row-major
+    positions: the lower endpoint u has coordinate i even and h of the others
+    odd, and v moves coordinate i to the odd x + 1 and then x - 1 mod L.
+    The lower endpoints of each set of odd coordinates run in position order."""
     if not 1 <= i <= n:
         raise InvalidParameterError("coordinate direction out of range")
     if not 0 <= h <= n - 1:
         raise InvalidParameterError("height out of range")
+    stride = L ** (n - i)
     others = [j for j in range(n) if j != i - 1]
-    evens = range(0, L, 2)
-    odds = range(1, L, 2)
-    for odd_positions in combinations(others, h):
-        odd_set = set(odd_positions)
-        pools = []
+    for odd in combinations(others, h):
+        lows = [0]
         for j in range(n):
-            if j == i - 1:
-                pools.append(evens)
-            elif j in odd_set:
-                pools.append(odds)
-            else:
-                pools.append(evens)
-        for u in product(*pools):
-            for sign in (1, -1):
-                v = list(u)
-                v[i - 1] = (v[i - 1] + sign) % L
-                yield (tuple(u), tuple(v))
+            lows = [u * L + x for u in lows for x in range(1 if j in odd else 0, L, 2)]
+        for u in lows:
+            x = u // stride % L
+            for step in (1, L - 1):
+                yield u, u + ((x + step) % L - x) * stride
 
 
-def swap_fraction(colours, L, n, i, h):
-    """Fraction of colour-swapping edges in E_i(h) together with E_i(n-1-h)."""
-    heights = {h, n - 1 - h}
+def swap_fraction(bits, L, n, i, h):
+    """Fraction of colour-swapping edges in E_i(h) together with E_i(n-1-h),
+    for the blue bits of gamma(L)^n in row-major order."""
     total = swaps = 0
-    for hh in sorted(heights):
-        for (u, v) in iter_coordinate_edges(L, n, i, hh):
+    for hh in sorted({h, n - 1 - h}):
+        for u, v in iter_coordinate_edges(L, n, i, hh):
             total += 1
-            if colours[u] != colours[v]:
-                swaps += 1
+            swaps += bits[u] != bits[v]
     return Fraction(swaps, total)
 
 
@@ -271,8 +265,8 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
     c reading map c % count; it takes the draws of ``randrange``,
     ``shuffle`` and ``choice`` straight from ``rng.getrandbits``, so the
     report is that of the per-chain sampler.  Only the first
-    ``SWAP_STAT_MAPS`` maps become colour dicts, every count-th byte from
-    their own, for ``swap_fraction``.  No torus is built.
+    ``SWAP_STAT_MAPS`` maps are read by ``swap_fraction``, each on every
+    count-th byte of the lanes from its own.  No torus is built.
 
     With H(k) the exact number of polymorphisms at arity k and H(0) = 0,
     arity n is sampled without enumerating when arity n-1 was truncated,
@@ -343,14 +337,13 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
         max_alts, violations = chain_alternation_counts(L, n, rng, chains_done,
                                                         blob, count)
         swap_stats = {}
-        vertices = list(product(range(L), repeat=n))
         for k, alpha in enumerate(alphas[:SWAP_STAT_MAPS]):
-            colours = dict(zip(vertices, blob[k::count]))
+            bits = blob[k::count]
             for i in range(1, n + 1):
                 if alpha[i - 1] != 1:
                     continue
                 for h in range(0, (n - 1) // 2 + 1):
-                    frac = swap_fraction(colours, L, n, i, h)
+                    frac = swap_fraction(bits, L, n, i, h)
                     key = f"i={i},h={h}"
                     entry = swap_stats.setdefault(key, [])
                     entry.append(str(frac))

@@ -60,7 +60,7 @@ def _check_two_torus_battery(seed):
         for i in (1, 2):
             if alpha.bits[i - 1] == 1:
                 if swap_fraction(col, 4, 2, i, 0) < bound:
-                    return False, f"swap fraction below 1/48 for {col}"
+                    return False, f"swap fraction below 1/48 for {list(col)}"
         if alpha.bits[0] == 1:
             find_colour_swapping_edge(col, plane)
         count += 1

@@ -43,7 +43,13 @@ tuples of the cubical torus, with faces from the product rule, is the
 reference for the builder of the cubical orbit complex.  The
 strict chains of each poset, extended one element above at a time, and the
 two-vertex sphere's tuples that change colour at every step are the
-references for the cells a simplicial set stores.  ``phi`` with its scans of
+references for the cells a simplicial set stores.  The library holds a
+map into sigma(2) as its blue bits in position order; the colour dicts keyed
+by vertex tuples, built one vertex at a time (the winding and monomial
+colourings, the equivariant colourings, and the coordinate edges with the
+swap count read on them), are the reference for the bits, and
+``colour_bits`` and ``colour_dict`` turn one form into the other.  ``phi``
+with its scans of
 the whole torus, the bits of every vertex, every 3-cell and every antipode,
 is the reference for ``phi`` on the slice vertices under the check of t,
 and the backtracking search for t is the reference for the colouring
@@ -71,6 +77,7 @@ import functools
 import math
 import random
 import warnings
+from fractions import Fraction
 from itertools import combinations, groupby, product, repeat
 from operator import eq, itemgetter
 
@@ -83,12 +90,78 @@ from equihom.errors import (AlternatingSimplexError, InternalError,
 from equihom.graphs import (Graph, GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, Multihom, hom_complex, mu_prime
-from equihom.simplicial import (BLUE, YELLOW, SimplicialSet, _check_side,
-                                _check_vertex_count, colour_values, faces, is_degenerate,
-                                map_from_colouring, torus)
-from equihom.slices import GeneralizedDiagonal, check_cell_limit, swap_fraction
+from equihom.simplicial import (SimplicialSet, _check_side, _check_vertex_count,
+                                check_length, faces, is_degenerate, map_from_colouring,
+                                torus)
+from equihom.slices import GeneralizedDiagonal, check_cell_limit
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import CohomologyGroup, bredon_torus, cohomology, expected_bredon
+
+# the two colours of sigma(2), the labels of a colour dict
+YELLOW = "yellow"
+BLUE = "blue"
+
+
+def colour_bits(x, colouring):
+    """The blue bits, in position order, of a vertex -> colour dict on x, a
+    ``Torus`` or an order complex: the form the library reads."""
+    return bytes(colouring[v] == BLUE for v in x.vertices)
+
+
+def colour_dict(x, bits):
+    """The vertex -> colour dict on x of blue bits in position order."""
+    return {v: BLUE if b else YELLOW for v, b in zip(x.vertices, bits)}
+
+
+def winding_colouring_reference(L, n, j):
+    """``winding_colouring`` one vertex tuple at a time: blue exactly when
+    coordinate j lies in the lower half [0, L/2)."""
+    return {v: BLUE if v[j - 1] < L // 2 else YELLOW
+            for v in product(range(L), repeat=n)}
+
+
+def monomial_colouring_reference(L, n, support):
+    """``monomial_colouring`` one vertex tuple at a time: the sum of
+    u(x) = x + (x mod 2) over the support coordinates, mod L, coloured by
+    the half it lands in."""
+    def level(v):
+        return sum(v[j - 1] + v[j - 1] % 2 for j in support) % L
+
+    return {v: BLUE if level(v) < L // 2 else YELLOW
+            for v in product(range(L), repeat=n)}
+
+
+def equivariant_colourings_reference(x):
+    """``equivariant_colourings`` as colour dicts: the first vertex of each
+    involution orbit, in vertex order, is the free choice, and the choices
+    run in binary order, blue for a one bit."""
+    labels = list(x.vertices)
+    pairs = [(labels[k], labels[j]) for k, j in enumerate(x.antipode) if k <= j]
+    for choice in product((0, 1), repeat=len(pairs)):
+        col = {}
+        for (rep, mate), b in zip(pairs, choice):
+            col[rep], col[mate] = (BLUE, YELLOW) if b else (YELLOW, BLUE)
+        yield col
+
+
+def coordinate_edges_reference(L, n, i, h):
+    """The edges of E_i(h) as vertex tuples (u, v): u has coordinate i even
+    and h of the others odd, and v moves coordinate i by +1, then by -1."""
+    others = [j for j in range(n) if j != i - 1]
+    for odd in combinations(others, h):
+        pools = [range(1 if j in odd else 0, L, 2) for j in range(n)]
+        for u in product(*pools):
+            for sign in (1, -1):
+                v = list(u)
+                v[i - 1] = (v[i - 1] + sign) % L
+                yield u, tuple(v)
+
+
+def swap_fraction_reference(colours, L, n, i, h):
+    """``swap_fraction`` on a colour dict keyed by vertex tuples."""
+    pairs = [e for hh in sorted({h, n - 1 - h})
+             for e in coordinate_edges_reference(L, n, i, hh)]
+    return Fraction(sum(colours[u] != colours[v] for u, v in pairs), len(pairs))
 
 
 def cycle_hom_count(ell, k):
@@ -667,8 +740,9 @@ def standard_diagonal(n, L):
     return GeneralizedDiagonal(L, n - 1, path)
 
 
-def slice_check(colours, L, n, zeta):
-    """A colour-swapping coordinate-1 edge inside the image of the slice.
+def slice_check(bits, L, n, zeta):
+    """A colour-swapping coordinate-1 edge inside the image of the slice, for
+    the blue bits of gamma(L)^n in row-major order.
 
     The slice pairs the free first coordinate with the diagonal; the map must
     restrict to degree 1 on it (checked, a precondition), and then a swapping
@@ -682,8 +756,8 @@ def slice_check(colours, L, n, zeta):
     def full(x, y):
         return (x,) + zeta.path[y]
 
-    restricted = {(x, y): colours[full(x, y)]
-                  for x in range(L) for y in range(zeta.period)}
+    colours = dict(zip(torus(L, n).vertices, bits))
+    restricted = bytes(colours[full(x, y)] for x in range(L) for y in range(zeta.period))
     u, v = find_colour_swapping_edge(restricted, torus_complex(L, zeta.period))
     return full(*u), full(*v)
 
@@ -806,9 +880,11 @@ def gf2_rank_reference(rows):
 
 
 def mu_colours_reference(pipeline, f):
-    """The colouring t(mu_prime(f, iso(y_1), ..., iso(y_n))) of each torus vertex."""
+    """The colour t(mu_prime(f, iso(y_1), ..., iso(y_n))) of each torus
+    vertex y, a dict keyed by vertex tuples."""
     n = pipeline.check_polymorphism(f)
-    t_map = pipeline.t.as_vertex_map()
+    t = pipeline.t
+    t_map = {m: BLUE if b else YELLOW for m, b in zip(t.labels, t.colours)}
     colours = {}
     for v in product(range(pipeline.period), repeat=n):
         colours[v] = t_map[mu_prime(f, tuple(pipeline.iso_map[c] for c in v))]
@@ -878,15 +954,15 @@ def mu_bits_reference(pipeline, f, positions=None):
 
 
 def mu_map(pipeline, f):
-    """The colouring of gamma(4*ell)^n of the polymorphism f, checked on the
+    """The blue bits of gamma(4*ell)^n of the polymorphism f, checked on the
     whole torus as an equivariant simplicial map into sigma(2)."""
     n = pipeline.check_polymorphism(f)
-    colours = pipeline.mu_colours(f)
+    bits = pipeline.mu_colours(f)
     try:
-        map_from_colouring(torus(pipeline.period, n), colours)
+        map_from_colouring(torus(pipeline.period, n), bits)
     except Exception as exc:  # the composite is simplicial by construction
         raise InternalError(f"mu(f) failed validity: {exc}") from exc
-    return colours
+    return bits
 
 
 def search_t_reference():
@@ -964,36 +1040,33 @@ def phi_reference(f, pipeline):
     for cell in alternating_cells_reference(vertices, bits, (L,) * n):
         raise AlternatingSimplexError(
             f"3-simplex {cell} has a 3-alternating image", witness=cell)
-    colours = {v: (BLUE if b else YELLOW) for v, b in zip(vertices, bits)}
-    return deg_vector(colours, L, n)
+    return deg_vector(bits, L, n)
 
 
 def minor_map(g, pi, L, n):
     """Precompose a map on gamma(L)^n with the coordinate-duplication along pi.
 
-    The result colours vertex (y_1..y_m) by g(y_{pi(1)}, ..., y_{pi(n)}), and
-    is checked as a map from gamma(L)^m into sigma(2).
+    ``g`` holds the blue bits of gamma(L)^n in row-major order.  The result,
+    in the same form, colours vertex (y_1..y_m) by g(y_{pi(1)}, ...,
+    y_{pi(n)}), looked up by vertex tuple, and is checked as a map from
+    gamma(L)^m into sigma(2).
     """
     if pi.n != n:
         raise InvalidParameterError("minor arity does not match the map")
     source = torus(L, n)
-    colours = dict(zip(source.vertices, colour_values(source, g)))
+    check_length(source, g)
+    colours = dict(zip(source.vertices, g))
     target = torus(L, pi.m)
-    out = {y: colours[tuple(y[pi(i) - 1] for i in range(1, n + 1))]
-           for y in target.vertices}
+    out = bytes(colours[tuple(y[pi(i) - 1] for i in range(1, n + 1))]
+                for y in target.vertices)
     map_from_colouring(target, out)
     return out
 
 
-def deg1(torus, colouring):
-    """``TorusComplex.deg1`` of a colour dict on the plane ``torus``."""
-    return torus.deg1(torus.colours(colouring))
-
-
 def minor_degree_vector(g, L, n):
     """deg1 of each 2-variable minor map of a torus colouring, as a raw list."""
-    torus = torus_complex(L, L)
-    return [deg1(torus, minor_map(g, sigma_minor(n, i), L=L, n=n))
+    plane = torus_complex(L, L)
+    return [plane.deg1(minor_map(g, sigma_minor(n, i), L=L, n=n))
             for i in range(1, n + 1)]
 
 
@@ -1694,8 +1767,9 @@ def arity_experiment_reference(ell, n_max, seed=0, sample_size=40, chain_samples
         alpha_by_values = {}
         colour_cache = []
         for f in inspected:
-            colours = pipeline.mu_colours(f)
-            alpha = deg_vector(colours, L=L, n=n)
+            bits = pipeline.mu_colours(f)
+            alpha = deg_vector(bits, L=L, n=n)
+            colours = dict(zip(product(range(L), repeat=n), bits))
             weights[alpha.weight] = weights.get(alpha.weight, 0) + 1
             alpha_by_values[f.values] = alpha.bits
             colour_cache.append((f, colours))
@@ -1717,7 +1791,7 @@ def arity_experiment_reference(ell, n_max, seed=0, sample_size=40, chain_samples
                 if alpha[i - 1] != 1:
                     continue
                 for h in range(0, (n - 1) // 2 + 1):
-                    frac = swap_fraction(colours, L, n, i, h)
+                    frac = swap_fraction_reference(colours, L, n, i, h)
                     key = f"i={i},h={h}"
                     entry = swap_stats.setdefault(key, [])
                     entry.append(str(frac))

@@ -23,7 +23,8 @@ from equihom.simplicial import (equivariant_colourings, gamma, map_from_colourin
 from equihom.slices import arity_experiment, swap_fraction, zeta0
 from equihom.zz2 import bredon_torus, expected_bredon, quotient_pstar_check
 
-from oracles import brute_multihom_count, involution, is_equivariant, labelled_cells
+from oracles import (brute_multihom_count, colour_dict, involution, is_equivariant,
+                     labelled_cells)
 
 BUDGETS = {}
 
@@ -71,8 +72,8 @@ def test_criterion_03_structure_colouring_exists(tmp_path):
     path = tmp_path / "t.json"
     t = search_t_colouring(path)
     x = hom_complex(complete_graph(4))
-    map_from_colouring(x, t.as_vertex_map())
-    assert is_equivariant(x, t.as_vertex_map())
+    map_from_colouring(x, t.colours)
+    assert is_equivariant(x, colour_dict(x, t.colours))
     assert path.exists()
     again = search_t_colouring(path)
     assert again.colours == t.colours
@@ -101,7 +102,7 @@ def test_criterion_05_two_torus_battery():
                 assert swap_fraction(col, 4, 2, i, 0) >= bound
         if alpha.bits[0] == 1:
             u, v = find_colour_swapping_edge(col, plane)
-            assert col[u] != col[v]
+            assert col[4 * u[0] + u[1]] != col[4 * v[0] + v[1]]
         count += 1
     assert count == 256
     report(5, "exhaustive 256-colouring battery with zero exceptions", started, 5)

@@ -1,11 +1,12 @@
 """Property tests of the torus degree against the brute-force pattern count."""
 
+from itertools import product
+
 import pytest
 
 from equihom.degrees import torus_complex, torus_tables
-from equihom.simplicial import BLUE, YELLOW
 
-from oracles import brute_deg1, deg1
+from oracles import brute_deg1
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -29,10 +30,8 @@ SETTINGS = hypothesis.settings(max_examples=150, deadline=None, derandomize=True
 @hypothesis.given(colourings(st.tuples(st.sampled_from(SIDES), st.sampled_from(SIDES))))
 def test_deg1_matches_brute_force(case):
     (L, Lp), bits = case
-    colour = lambda v: bits[v[0] * Lp + v[1]]
-    col = {(a, b): (BLUE if colour((a, b)) else YELLOW)
-           for a in range(L) for b in range(Lp)}
-    assert deg1(torus_complex(L, Lp), col) == brute_deg1(colour, L, Lp)
+    colour = dict(zip(product(range(L), range(Lp)), bits)).__getitem__
+    assert torus_complex(L, Lp).deg1(bits) == brute_deg1(colour, L, Lp)
 
 
 @SETTINGS

@@ -20,23 +20,27 @@ from equihom.graphs import (Graph, GraphHom, MinorSpec, PowerGraph, complete_gra
                             cycle_graph, enumerate_homs, minor, power, sample_homs)
 from equihom.homcomplexes import (UNLABELLED, CyclePipeline, Multihom, TColouring,
                                   _t_index, hom_complex, mu_prime, search_t_colouring)
-from equihom.simplicial import (BLUE, YELLOW, SimplicialSet, Torus,
-                                equivariant_colourings, map_from_colouring, torus)
+from equihom.simplicial import (SimplicialSet, Torus, equivariant_colourings,
+                                map_from_colouring, torus)
 
 import oracles
-from oracles import (band_reference, brute_deg1, composite_mapping,
-                     count_deg1_reference, decode, deg1, gamma_power, gamma_product,
-                     involution, labelled_cells, minor_degree_vector,
-                     minor_map, mu_colours_reference, phi_reference, shift_coordinate,
-                     slice_deg1_reference)
+from oracles import (BLUE, YELLOW, band_reference, brute_deg1, colour_bits,
+                     composite_mapping, count_deg1_reference, decode, gamma_power,
+                     gamma_product, involution, labelled_cells, minor_degree_vector,
+                     minor_map, monomial_colouring_reference, mu_colours_reference,
+                     phi_reference, shift_coordinate, slice_deg1_reference,
+                     winding_colouring_reference)
 
 
-def as_bits(col):
-    return lambda v: 1 if col[v] == BLUE else 0
+def as_bits(col, L):
+    """The blue bit of each vertex tuple of gamma(L)^2, looked up by tuple in
+    the row-major bits ``col``."""
+    return dict(zip(torus(L, 2).vertices, col)).__getitem__
 
 
 def random_equivariant_colouring(x, rng):
-    """Antipodes opposite; one coin per orbit, first orbit vertex in vertex order."""
+    """Antipodes opposite; one coin per orbit, first orbit vertex in vertex
+    order; the blue bits in position order."""
     nu = involution(x)
     col = {}
     for v in x.vertices:
@@ -44,7 +48,7 @@ def random_equivariant_colouring(x, rng):
             bit = rng.random() < 0.5
             col[v] = BLUE if bit else YELLOW
             col[nu[v]] = YELLOW if bit else BLUE
-    return col
+    return colour_bits(x, col)
 
 
 def test_band_identity_all_sizes():
@@ -298,21 +302,21 @@ def test_deg1_winding_is_one():
     for L in (4, 8):
         plane = torus_complex(L, L)
         col = winding_colouring(L, 2, 1)
-        assert deg1(plane, col) == 1
-        assert brute_deg1(as_bits(col), L, L) == 1
+        assert plane.deg1(col) == 1
+        assert brute_deg1(as_bits(col, L), L, L) == 1
 
 
 def test_deg1_second_coordinate_only_is_zero():
     plane = torus_complex(4, 4)
     col = winding_colouring(4, 2, 2)
-    assert deg1(plane, col) == 0
-    assert brute_deg1(as_bits(col), 4, 4) == 0
+    assert plane.deg1(col) == 0
+    assert brute_deg1(as_bits(col, 4), 4, 4) == 0
 
 
 def test_deg1_matches_brute_force_exhaustively():
     plane = torus_complex(4, 4)
     for col in equivariant_colourings(torus(4, 2)):
-        assert deg1(plane, col) == brute_deg1(as_bits(col), 4, 4)
+        assert plane.deg1(col) == brute_deg1(as_bits(col, 4), 4, 4)
 
 
 def test_exhaustive_battery_odd_weight():
@@ -331,8 +335,8 @@ def test_minor_map_identity_and_swap():
     ident = minor_map(col, MinorSpec(2, 2, (1, 2)), L=4, n=2)
     assert ident == col
     swap = minor_map(col, MinorSpec(2, 2, (2, 1)), L=4, n=2)
-    assert swap.keys() == col.keys()
-    assert all(swap[(a, b)] == col[(b, a)] for (a, b) in swap)
+    assert len(swap) == len(col)
+    assert all(swap[4 * a + b] == col[4 * b + a] for a in range(4) for b in range(4))
 
 
 def test_minor_map_composition():
@@ -361,9 +365,8 @@ def test_deg_vector_arity_one_always_unit():
 
 
 def test_deg_vector_requires_equivariance():
-    col = {v: BLUE for v in torus(4, 2).vertices}
     with pytest.raises(NotEquivariantError):
-        deg_vector(col, L=4, n=2)
+        deg_vector(b"\1" * 16, L=4, n=2)
 
 
 def test_deg_vector_odd_weight_sampled_gamma8():
@@ -379,11 +382,13 @@ def test_deg_vector_odd_weight_sampled_gamma8():
 def test_deg1_invariant_under_double_shifts():
     # precomposing with the shift-a-coordinate-by-2 automorphisms fixes deg1
     plane = torus_complex(4, 4)
-    for col in equivariant_colourings(torus(4, 2)):
-        base = deg1(plane, col)
+    x = torus(4, 2)
+    for col in equivariant_colourings(x):
+        base = plane.deg1(col)
+        colours = dict(zip(x.vertices, col))
         for i in (1, 2):
-            shifted = {v: col[shift_coordinate(v, i, 4)] for v in col}
-            assert deg1(plane, shifted) == base
+            shifted = bytes(colours[shift_coordinate(v, i, 4)] for v in x.vertices)
+            assert plane.deg1(shifted) == base
 
 
 def test_odd_vector_invariants():
@@ -433,6 +438,21 @@ def _odd_supports(n):
         if len(support) % 2 == 1:
             out.append(support)
     return out
+
+
+@pytest.mark.parametrize("L, n", [(8, 1), (8, 2), (8, 3), (4, 4)])
+def test_the_written_colourings_are_the_vertex_references(L, n):
+    """``winding_colouring`` by block repetition and ``monomial_colouring``
+    by one pass over the positions give, in row-major order, the colours
+    the references give vertex tuple by vertex tuple."""
+    x = torus(L, n)
+    for j in range(1, n + 1):
+        assert winding_colouring(L, n, j) == colour_bits(x, winding_colouring_reference(L, n, j))
+    supports = [s for s in _odd_supports(n) if len(s) < 3 or L >= 8]
+    assert supports
+    for support in supports:
+        assert (monomial_colouring(L, n, support)
+                == colour_bits(x, monomial_colouring_reference(L, n, support)))
 
 
 def test_monomial_weight_three_needs_room():
@@ -491,7 +511,7 @@ def test_find_colour_swapping_edge():
     plane = torus_complex(4, 4)
     col = winding_colouring(4, 2, 1)
     u, v = find_colour_swapping_edge(col, plane)
-    assert col[u] != col[v]
+    assert as_bits(col, 4)(u) != as_bits(col, 4)(v)
     assert u[1] == v[1] and (v[0] - u[0]) % 4 == 1
     assert u[0] in (1, 3)  # crossing at L/2 - 1 or L - 1 for the winding map
     flat = winding_colouring(4, 2, 2)
@@ -503,9 +523,9 @@ def test_swap_edge_found_for_all_degree_one_maps():
     plane = torus_complex(4, 4)
     found = 0
     for col in equivariant_colourings(torus(4, 2)):
-        if deg1(plane, col) == 1:
+        if plane.deg1(col) == 1:
             u, v = find_colour_swapping_edge(col, plane)
-            assert col[u] != col[v]
+            assert as_bits(col, 4)(u) != as_bits(col, 4)(v)
             found += 1
     assert found == 128
 
@@ -572,55 +592,84 @@ def test_deg_vector_matches_minor_formula_gamma8_cubed():
 
 
 def test_deg_vector_rejects_unknown_colour():
-    col = winding_colouring(4, 2, 1)
-    col[(0, 1)], col[(2, 3)] = "red", "green"
+    col = bytearray(winding_colouring(4, 2, 1))
+    col[1], col[11] = 2, 3  # the vertices (0, 1) and (2, 3)
     with pytest.raises(InvalidParameterError, match="yellow/blue"):
         deg_vector(col, L=4, n=2)
 
 
 def _map_on(sides):
-    """The colouring of a valid map on gamma(L_1) x ... into sigma(2): blue
+    """The blue bits of a valid map on gamma(L_1) x ... into sigma(2): blue
     on the lower half of the first circle."""
     x = Torus(sides)
     half = sides[0] // 2
-    col = {v: BLUE if v[0] < half else YELLOW for v in x.vertices}
+    col = colour_bits(x, {v: BLUE if v[0] < half else YELLOW for v in x.vertices})
     map_from_colouring(x, col)
     return col
 
 
 def _missing_origin(L, n):
-    col = winding_colouring(L, n, 1)
-    del col[(0,) * n]
-    return col
+    """A winding colouring without the bit of the origin, one bit short."""
+    return winding_colouring(L, n, 1)[1:]
 
 
 def _foreign_key(L, n):
-    col = winding_colouring(L, n, 1)
-    col[(L,) * n] = BLUE
-    return col
+    """A winding colouring with one bit past the last position."""
+    return winding_colouring(L, n, 1) + b"\1"
 
 
-# a colouring whose keys all lie on the torus read may still miss vertices
-@pytest.mark.parametrize("call, message", [
-    (lambda: deg_vector(_map_on((8, 12)), 12, 2),
-     "vertex (8, 0) lacks a yellow/blue colour"),
-    (lambda: deg_vector(_map_on((8, 12)), 8, 2), "map domain is not this torus"),
-    (lambda: deg1(torus_complex(8, 8), _map_on((4, 4))),
-     "vertex (0, 4) lacks a yellow/blue colour"),
-    (lambda: deg_vector(_missing_origin(4, 2), 4, 2),
-     "vertex (0, 0) lacks a yellow/blue colour"),
-    (lambda: deg1(torus_complex(4, 4), _missing_origin(4, 2)),
-     "vertex (0, 0) lacks a yellow/blue colour"),
-    (lambda: deg_vector(_foreign_key(4, 2), 4, 2), "map domain is not this torus"),
-    (lambda: deg1(torus_complex(4, 4), _foreign_key(4, 2)), "map domain is not this torus"),
-    (lambda: map_from_colouring(torus(4, 2), _foreign_key(4, 2)),
-     "map domain is not this torus"),
+# a bit string has a value at every position it has, so a colouring of
+# another torus, one missing a vertex and one with a bit past the torus are
+# each refused on their length alone
+@pytest.mark.parametrize("call", [
+    lambda: deg_vector(_map_on((8, 12)), 12, 2),
+    lambda: deg_vector(_map_on((8, 12)), 8, 2),
+    lambda: torus_complex(8, 8).deg1(_map_on((4, 4))),
+    lambda: deg_vector(_missing_origin(4, 2), 4, 2),
+    lambda: torus_complex(4, 4).deg1(_missing_origin(4, 2)),
+    lambda: deg_vector(_foreign_key(4, 2), 4, 2),
+    lambda: torus_complex(4, 4).deg1(_foreign_key(4, 2)),
+    lambda: map_from_colouring(torus(4, 2), _foreign_key(4, 2)),
+    lambda: map_from_colouring(torus(4, 2), list(_missing_origin(4, 2))),
 ], ids=["map-on-8x12-read-at-12", "map-on-8x12-read-at-8", "map-on-4x4-read-at-8",
         "deg-vector-missing-vertex", "deg1-missing-vertex", "deg-vector-foreign-key",
-        "deg1-foreign-key", "map-from-colouring-foreign-key"])
-def test_colourings_off_the_torus_are_refused(call, message):
+        "deg1-foreign-key", "map-from-colouring-foreign-key",
+        "map-from-colouring-missing-vertex-as-a-list"])
+def test_colourings_off_the_torus_are_refused(call):
     with pytest.raises(InvalidParameterError) as exc:
         call()
+    assert type(exc.value) is InvalidParameterError
+    assert str(exc.value) == "map domain is not this torus"
+
+
+def _with_a_2(bits, position):
+    bits = bytearray(bits)
+    bits[position] = 2
+    return bytes(bits)
+
+
+# the three readers of a torus colouring, each on gamma(8)^2
+COLOURING_READERS = {
+    "map_from_colouring": lambda bits: map_from_colouring(torus(8, 2), bits),
+    "deg_vector": lambda bits: deg_vector(bits, 8, 2),
+    "deg1": lambda bits: torus_complex(8, 8).deg1(bits),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(COLOURING_READERS))
+@pytest.mark.parametrize("bits, message", [
+    (_with_a_2(winding_colouring(8, 2, 1), 8 * 5 + 3),
+     "vertex (5, 3) lacks a yellow/blue colour"),
+    (list(_with_a_2(_with_a_2(winding_colouring(8, 2, 1), 63), 17)),
+     "vertex (2, 1) lacks a yellow/blue colour"),
+], ids=["a-2-at-(5,3)", "two-2s-in-a-list"])
+def test_a_2_is_named_by_its_first_position_in_every_reader(reader, bits, message):
+    """A value other than 0 or 1 is named by the label of its first
+    position in ``map_from_colouring``, ``deg_vector`` and ``deg1`` alike;
+    a colouring of the wrong length is refused by each of them in
+    ``test_colourings_off_the_torus_are_refused``."""
+    with pytest.raises(InvalidParameterError) as exc:
+        COLOURING_READERS[reader](bits)
     assert type(exc.value) is InvalidParameterError
     assert str(exc.value) == message
 
@@ -653,7 +702,8 @@ def test_phi_and_deg_vector_leave_the_vertex_view_unbuilt(ternary_maps, monkeypa
 
 def test_phi_matches_reference_formulas_on_ternary_sample(pipe, ternary_maps):
     for f in ternary_maps:
-        expected = minor_degree_vector(mu_colours_reference(pipe, f), 12, 3)
+        reference = colour_bits(torus(12, 3), mu_colours_reference(pipe, f))
+        expected = minor_degree_vector(reference, 12, 3)
         assert list(phi(f, pipe).bits) == expected
 
 
@@ -702,9 +752,8 @@ def test_map_from_colouring_and_phi_name_the_same_alternating_cell(
     monkeypatch.setattr(oracles, "mu_bits_reference", lambda pipeline, g: bits)
     with pytest.raises(AlternatingSimplexError) as from_phi:
         phi_reference(f, pipe)
-    col = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
     with pytest.raises(AlternatingSimplexError) as from_map:
-        map_from_colouring(torus(12, 3), col)
+        map_from_colouring(torus(12, 3), bits)
     assert from_map.value.witness == from_phi.value.witness
     assert str(from_map.value) == str(from_phi.value)
 
@@ -722,16 +771,15 @@ def test_the_least_alternating_cell_is_the_witness(pipe, ternary_maps, monkeypat
     monkeypatch.setattr(oracles, "mu_bits_reference", lambda pipeline, g: bits)
     with pytest.raises(AlternatingSimplexError) as from_phi:
         phi_reference(f, pipe)
-    col = {v: (BLUE if b else YELLOW) for v, b in zip(x.vertices, bits)}
     with pytest.raises(AlternatingSimplexError) as from_map:
-        map_from_colouring(torus(12, 3), col)
+        map_from_colouring(torus(12, 3), bits)
     assert from_phi.value.witness == from_map.value.witness == alternating[0]
 
 
 def test_map_from_colouring_and_deg_vector_name_the_same_antipode():
-    col = winding_colouring(8, 3, 2)
-    for v in [(1, 2, 3), (5, 6, 7)]:  # (5, 6, 7) is the antipode of (1, 2, 3)
-        col[v] = BLUE
+    col = bytearray(winding_colouring(8, 3, 2))
+    for a, b, c in [(1, 2, 3), (5, 6, 7)]:  # (5, 6, 7) is the antipode of (1, 2, 3)
+        col[64 * a + 8 * b + c] = 1
     with pytest.raises(NotEquivariantError) as from_degrees:
         deg_vector(col, L=8, n=3)
     with pytest.raises(NotEquivariantError) as from_map:

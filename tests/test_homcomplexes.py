@@ -1,6 +1,5 @@
 import io
 import random
-import re
 import time
 from itertools import product as iproduct
 
@@ -15,11 +14,12 @@ from equihom.graphs import (Graph, GraphHom, MinorSpec, complete_graph, cycle_gr
 from equihom.homcomplexes import (MAX_MULTIHOMS, UNLABELLED, CyclePipeline, Multihom,
                                   TColouring, canonical_cycle_iso, hom_complex,
                                   mu_prime, multihoms, search_t_colouring)
-from equihom.simplicial import (BLUE, YELLOW, gamma, map_from_colouring,
-                                mod2_homology_ranks, order_complex, torus)
+from equihom.simplicial import (gamma, map_from_colouring, mod2_homology_ranks,
+                                order_complex, torus)
 
 import oracles
-from oracles import (brute_multihom_count, decode, involution, iota, is_equivariant,
+from oracles import (BLUE, YELLOW, brute_multihom_count, colour_bits, colour_dict, decode,
+                     involution, iota, is_equivariant,
                      is_valid_multihom, labelled_cells, mu_bits_reference,
                      mu_colours_reference, mu_map, multihoms_reference,
                      search_t_reference, side_table_reference)
@@ -232,8 +232,10 @@ def test_mu_prime_validity():
 def test_search_t_properties(tmp_path):
     t = search_t_colouring()
     x = hom_complex(complete_graph(4))
-    vm = t.as_vertex_map()
-    map_from_colouring(x, vm)
+    map_from_colouring(x, t.colours)
+    # the bits are in the order of the labels, which is the complex's
+    assert t.labels == x.vertices
+    vm = colour_dict(x, t.colours)
     assert is_equivariant(x, vm)
     for m in multihoms(complete_graph(4)):
         assert vm[m] != vm[m.swap()]  # antipodal vertices get opposite colours
@@ -289,7 +291,7 @@ def test_mu_arity_one_valid():
     pipe = CyclePipeline(3)
     c3, k4 = cycle_graph(3), complete_graph(4)
     for f in enumerate_homs(power(c3, 1), k4):
-        colours = mu_map(pipe, f)
+        colours = colour_dict(torus(12, 1), mu_map(pipe, f))
         assert is_equivariant(torus(12, 1), colours)
         assert set(colours.values()) == {YELLOW, BLUE}  # equivariance forbids constants
 
@@ -309,9 +311,10 @@ def test_mu_colours_matches_reference_loop():
     ternary = sample_homs(power(c3, 3), k4, 40, random.Random(5))
     assert (len(unary), len(binary), len(ternary)) == (24, 1056, 40)
     for f in unary + binary + ternary:
-        colours = pipe.mu_colours(f)
-        assert colours == mu_colours_reference(pipe, f)
-        assert tuple(colours) == tuple(torus(12, f.domain.exponent).vertices)
+        x = torus(12, f.domain.exponent)
+        reference = mu_colours_reference(pipe, f)
+        assert tuple(reference) == tuple(x.vertices)
+        assert pipe.mu_colours(f) == colour_bits(x, reference)
 
 
 def test_mu_bits_rejects_a_side_pair_that_is_no_multihom():
@@ -439,6 +442,11 @@ def test_a_colour_that_is_not_a_bit_is_refused_when_made():
     t = search_t_colouring()
     colours = [2 * b for b in t.colours]
     first = t.labels[t.colours.index(1)]
-    with pytest.raises(InvalidParameterError,
-                       match=re.escape(f"vertex {first} lacks a yellow/blue colour")):
+    assert first == Multihom((1,), (0,))
+    with pytest.raises(InvalidParameterError) as exc:
         TColouring(colours)
+    assert str(exc.value) == "vertex Multihom(left=(1,), right=(0,)) lacks a yellow/blue colour"
+    # one 2 among the bits is named by its own label, the eighth
+    with pytest.raises(InvalidParameterError) as exc:
+        TColouring([2 if k == 7 else b for k, b in enumerate(t.colours)])
+    assert str(exc.value) == "vertex Multihom(left=(2,), right=(1,)) lacks a yellow/blue colour"

@@ -8,8 +8,8 @@ import oracles
 from equihom import simplicial, slices
 from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
                             InvalidParameterError, NotEquivariantError)
-from equihom.simplicial import (BLUE, YELLOW, SimplicialSet, Torus, check_alternation,
-                                faces, gamma, is_degenerate, map_from_colouring,
+from equihom.simplicial import (SimplicialSet, Torus, check_alternation,
+                                equivariant_colourings, faces, gamma, is_degenerate, map_from_colouring,
                                 mod2_homology_ranks, order_complex, torus)
 
 from equihom.degrees import torus_complex, torus_tables
@@ -17,8 +17,9 @@ from equihom.graphs import complete_graph, cycle_graph
 from equihom.homcomplexes import hom_complex
 from equihom.slices import arity_experiment, product_cell_count
 
-from oracles import (ModTwoChain, boundary, check_alternation_reference, check_reference,
-                     circle_cells_reference, explicit_set, gamma_power, gamma_product,
+from oracles import (BLUE, YELLOW, ModTwoChain, boundary, check_alternation_reference,
+                     check_reference, circle_cells_reference, colour_bits,
+                     equivariant_colourings_reference, explicit_set, gamma_power, gamma_product,
                      hom_complex_cells_reference, incidence, incidence_reference,
                      involution, is_equivariant, labelled_cells,
                      mod2_homology_ranks_dropping_degenerate_faces, sigma,
@@ -46,7 +47,7 @@ def test_sigma2_rejects_three_alternations():
     for image in product((YELLOW, BLUE), repeat=4):
         core = tuple(c for k, c in enumerate(image) if k == 0 or c != image[k - 1])
         try:
-            check_alternation(chain, list(image))
+            check_alternation(chain, [int(c == BLUE) for c in image])
         except AlternatingSimplexError:
             refused.append(image)
         assert (image in refused) != (core in labelled_cells(s2, len(core) - 1))
@@ -551,10 +552,9 @@ def test_mod2_homology_of_gamma8_cubed():
 
 def test_map_from_colouring_constant_valid():
     t = torus(4, 2)
-    col = {v: BLUE for v in t.vertices}
     # valid as a map, but never equivariant, so it is refused
     with pytest.raises(NotEquivariantError):
-        map_from_colouring(t, col)
+        map_from_colouring(t, b"\1" * t.size)
 
 
 def test_map_from_colouring_any_equivariant_on_2d_torus():
@@ -571,9 +571,21 @@ def test_map_from_colouring_any_equivariant_on_2d_torus():
             bit = rng.random() < 0.5
             col[v] = BLUE if bit else YELLOW
             col[nu[v]] = YELLOW if bit else BLUE
-        map_from_colouring(torus(4, 2), col)
-        map_from_colouring(t, col)
+        map_from_colouring(torus(4, 2), colour_bits(torus(4, 2), col))
+        map_from_colouring(t, colour_bits(t, col))
         assert is_equivariant(t, col)
+
+
+@pytest.mark.parametrize("make, count", [(lambda: torus(4, 2), 256), (lambda: torus(8, 1), 16),
+                                         (lambda: gamma(8), 16)],
+                         ids=["torus-4-2", "torus-8-1", "gamma-8"])
+def test_equivariant_colourings_are_the_reference_dicts_in_order(make, count):
+    """The bits ``equivariant_colourings`` yields are the reference's colour
+    dicts, read in position order, one for one and in the same order."""
+    x = make()
+    got = list(equivariant_colourings(x))
+    assert len(got) == count
+    assert got == [colour_bits(x, col) for col in equivariant_colourings_reference(x)]
 
 
 def test_map_from_colouring_alternation_witness():
@@ -581,7 +593,7 @@ def test_map_from_colouring_alternation_witness():
     col = {v: (BLUE if (v[0] + v[1] + v[2]) % 4 < 2 else YELLOW)
            for v in t3.vertices}
     with pytest.raises(AlternatingSimplexError) as err:
-        map_from_colouring(torus(4, 3), col)
+        map_from_colouring(torus(4, 3), colour_bits(torus(4, 3), col))
     alternating = sorted(c for c in labelled_cells(t3, 3)
                          if col[c[0]] != col[c[1]] != col[c[2]] != col[c[3]])
     assert len(alternating) > 1
@@ -616,7 +628,7 @@ def test_the_row_major_check_names_the_cell_the_scan_names(L, n):
     refused = 0
     for _ in range(60):
         j = rng.randrange(n)
-        values = [BLUE if v[j] < L // 2 else YELLOW for v in x.vertices]
+        values = [int(v[j] < L // 2) for v in x.vertices]
         for _ in range(rng.randrange(8)):
             p = rng.randrange(len(values))
             q = x.antipode[p]
@@ -642,7 +654,7 @@ def test_the_order_complex_check_agrees_with_a_scan_of_its_cells(make):
     rng = random.Random(len(x.vertices))
     refused = 0
     for _ in range(200):
-        values = [rng.choice((YELLOW, BLUE)) for _ in x.vertices]
+        values = [rng.choice((0, 1)) for _ in x.vertices]
         want = _alternation(check_alternation_reference, x, values)
         assert _alternation(check_alternation, x, values) == want
         refused += want is not None

@@ -10,16 +10,18 @@ from equihom.errors import (CapacityExceededError, InvalidParameterError,
                             InvariantViolationError, NotEquivariantError)
 from equihom.graphs import enumerate_homs
 from equihom.homcomplexes import CyclePipeline
-from equihom.simplicial import BLUE, YELLOW, equivariant_colourings, torus
+from equihom.simplicial import equivariant_colourings, torus
 from equihom.slices import (GeneralizedDiagonal, arity_experiment,
                             chain_alternation_counts, height,
                             iter_coordinate_edges, swap_fraction, zeta0)
 
 import oracles
-from oracles import (arity_experiment_reference, chain_alternations, gamma_power,
-                     labelled_cells,
+from oracles import (BLUE, YELLOW, arity_experiment_reference, chain_alternations,
+                     colour_bits, coordinate_edges_reference,
+                     equivariant_colourings_reference, gamma_power, labelled_cells,
                      permute_coordinates, sample_maximal_chain_reference,
-                     shift_coordinate, slice_check, standard_diagonal)
+                     shift_coordinate, slice_check, standard_diagonal,
+                     swap_fraction_reference)
 
 
 def test_height_basics():
@@ -34,7 +36,8 @@ def test_every_edge_raises_height():
 
 
 def test_coordinate_edges_raise_height_by_one():
-    for (u, v) in iter_coordinate_edges(4, 2, 1, 0):
+    for edge in iter_coordinate_edges(4, 2, 1, 0):
+        u, v = torus(4, 2).labels(edge)
         assert height(v) == height(u) + 1
         assert sum(1 for a, b in zip(u, v) if a != b) == 1
 
@@ -54,9 +57,20 @@ def test_edges_cover_all_horizontal_cells():
     t = gamma_power(4, 2)
     horiz = {frozenset(c) for c in labelled_cells(t, 1)
              if c[0][1] == c[1][1]}
-    classed = {frozenset(e) for h in (0, 1)
+    classed = {frozenset(torus(4, 2).labels(e)) for h in (0, 1)
                for e in iter_coordinate_edges(4, 2, 1, h)}
     assert classed == horiz
+
+
+@pytest.mark.parametrize("L, n", [(4, 1), (4, 2), (8, 2), (4, 3), (8, 3), (4, 4)])
+def test_coordinate_edges_are_the_reference_tuples_in_order(L, n):
+    """The position pairs, read as labels, are the edges of the tuple
+    reference, in its order, for every direction and height."""
+    x = torus(L, n)
+    for i in range(1, n + 1):
+        for h in range(n):
+            assert ([x.labels(e) for e in iter_coordinate_edges(L, n, i, h)]
+                    == list(coordinate_edges_reference(L, n, i, h)))
 
 
 def test_zeta0_acceptance_grid():
@@ -112,6 +126,22 @@ def test_swap_fraction_values():
     assert swap_fraction(flat, 4, 2, 2, 0) > 0
 
 
+def test_swap_fraction_on_bits_is_the_tuple_count_over_the_battery():
+    """On each of the 256 equivariant colourings of gamma(4)^2, as colour
+    dicts from the reference, ``swap_fraction`` on the row-major bits equals
+    the count keyed by vertex tuples, in both directions and at both
+    heights."""
+    x = torus(4, 2)
+    count = 0
+    for col in equivariant_colourings_reference(x):
+        bits = colour_bits(x, col)
+        for i in (1, 2):
+            for h in (0, 1):
+                assert swap_fraction(bits, 4, 2, i, h) == swap_fraction_reference(col, 4, 2, i, h)
+        count += 1
+    assert count == 256
+
+
 def test_swap_fraction_bound_over_battery():
     # every degree-one direction keeps at least one swap in 16 edges: 1/16 >= 1/48
     from equihom.degrees import deg_vector
@@ -125,20 +155,22 @@ def test_swap_fraction_bound_over_battery():
 
 def test_slice_check_witnesses():
     col = winding_colouring(8, 3, 1)
+    colours = dict(zip(torus(8, 3).vertices, col))
     for z in (zeta0(3, 0, 8), standard_diagonal(3, 8)):
         u, v = slice_check(col, 8, 3, z)
-        assert col[u] != col[v]
+        assert colours[u] != colours[v]
         assert u[1:] == v[1:] and (v[0] - u[0]) % 8 == 1
 
 
 def test_slice_check_shifted_diagonals():
     col = winding_colouring(8, 3, 1)
+    colours = dict(zip(torus(8, 3).vertices, col))
     base = zeta0(3, 0, 8)
     for i in (1, 2):
         shifted = GeneralizedDiagonal(
             8, 2, [shift_coordinate(v, i, 8) for v in base.path])
         u, v = slice_check(col, 8, 3, shifted)
-        assert col[u] != col[v]
+        assert colours[u] != colours[v]
 
 
 def _first_swap_in_slice(colours, L, zeta):
@@ -158,7 +190,8 @@ def test_slice_check_witness_is_the_first_in_scan_order(support):
     for zeta in [base, standard_diagonal(3, 8)] + [
             GeneralizedDiagonal(8, 2, [shift_coordinate(v, i, 8) for v in base.path])
             for i in (1, 2)]:
-        assert slice_check(col, 8, 3, zeta) == _first_swap_in_slice(col, 8, zeta)
+        colours = dict(zip(torus(8, 3).vertices, col))
+        assert slice_check(col, 8, 3, zeta) == _first_swap_in_slice(colours, 8, zeta)
 
 
 def test_slice_check_precondition():
