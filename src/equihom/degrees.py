@@ -35,8 +35,7 @@ class TorusComplex:
 
     def __init__(self, L, Lp):
         self.grid = Torus((L, Lp))
-        self.L = L
-        self.Lp = Lp
+        self.L, self.Lp = L, Lp
         self.x1 = [(a * Lp, (a + s) % L * Lp) for a in range(0, L, 2) for s in (1, -1)]
         half = Lp // 2
         steps = [(b, b + t) for b in range(0, half + 1, 2) for t in (1, -1)
@@ -49,16 +48,11 @@ class TorusComplex:
         antipode (a, b) -> (a + L/2, b + L'/2).  The two triangles of a
         square share the diagonal [p, r], so the boundary is the sum of the
         squares' outer edges (InvariantViolationError)."""
-        L, Lp = self.L, self.Lp
-
-        def mate(p):
-            a, b = divmod(p, Lp)
-            return (a + L // 2) % L * Lp + (b + Lp // 2) % Lp
-
+        mates = {p: self.grid.mate(1 << p).bit_length() - 1 for edge in self.x1 for p in edge}
         edges = set()
         for p, q1, q2, r in self.squares:
             edges ^= {(p, q1), (q1, r), (p, q2), (q2, r)}
-        if edges != set(self.x1) ^ {(mate(u), mate(v)) for u, v in self.x1}:
+        if edges != set(self.x1) ^ {(mates[u], mates[v]) for u, v in self.x1}:
             raise InvariantViolationError("band boundary != cycle + antipodal cycle")
 
     def deg1(self, bits):
@@ -302,16 +296,16 @@ def deg_vector(bits, L, n):
     """The vector (deg_1, ..., deg_n) of an equivariant map on gamma(L)^n; odd weight.
 
     ``bits`` are the blue bits of the torus vertices in row-major order.
-    Raises if there is not one per vertex, if the input is not equivariant,
-    if a bit is neither 0 nor 1, or if the computed weight comes out even,
+    Raises if there is not one per vertex, if a bit is neither 0 nor 1, if
+    the input is not equivariant, or if the computed weight comes out even,
     which would indicate a bug or an invalid input.  Coordinate i is deg1
     of the 2-variable minor along ``sigma_minor(n, i)``, read off
     ``bits[p]`` at the ``positions`` of the index tables.
     """
     x = torus(L, n)
     check_length(x, bits)
-    check_antipodes(x, bits)
     check_colours(x, bits)
+    check_antipodes(x, bits)
     tables = torus_tables(L, n)
     return OddVector(tables.degrees([bits[p] for p in tables.positions]))
 

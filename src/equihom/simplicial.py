@@ -4,9 +4,10 @@ maps into the two-vertex sphere sigma(2).
 Every simplicial set here is the order complex of a finite strict order,
 its d-simplices the strict chains of d + 1 elements.  ``Torus`` reads the
 order of gamma(L_1) x ... x gamma(L_k) by shifting sets of vertices, ints
-with bit p for position p.  A map into sigma(2), whose simplices change
-colour at most twice, is its blue bits in position order: a bytes object
-or a list of ints, 1 for blue and 0 for yellow.
+with bit p for position p, and its involution as a half turn of each
+coordinate, one mask and one shift.  A map into sigma(2), whose simplices
+change colour at most twice, is its blue bits in position order: a bytes
+object or a list of ints, 1 for blue and 0 for yellow.
 """
 
 from functools import cached_property, lru_cache, partial, reduce
@@ -164,6 +165,10 @@ class SimplicialSet:
                                         partial(_closure, ups), partial(_closure, downs))
         return chain and [order[r] for r in chain]
 
+    def mate(self, bits):
+        """The mates of the vertices of a set of positions, bit p for position p."""
+        return _closure([1 << j for j in self.antipode], bits)
+
     def labels(self, cell):
         """The vertex tuple of a position tuple."""
         return tuple(map(self.vertices.__getitem__, cell))
@@ -263,23 +268,23 @@ def order_complex(elements, masks, cap, involution=None):
                          _antipode(involution, position), ups)
 
 
-def _check_vertex_count(sides, name):
-    """Refuse a torus with more vertices than CELL_LIMIT, reading its sides
-    only until their running product passes the limit."""
-    vertices = 1
+def _check_vertex_count(sides, name, what="vertices"):
+    """Refuse a torus with more vertices (or other ``what``) than CELL_LIMIT,
+    reading its sides only until their running product passes the limit."""
+    count = 1
     for L in sides:
-        vertices *= L
-        if vertices > CELL_LIMIT:
+        count *= L
+        if count > CELL_LIMIT:
             raise CapacityExceededError(
-                f"torus {name} has more vertices than the cell limit {CELL_LIMIT}")
+                f"torus {name} has more {what} than the cell limit {CELL_LIMIT}")
 
 
 class Torus:
     """gamma(L_1) x ... x gamma(L_k) with the diagonal involution, on the
     row-major positions of its vertices, which run in the order of their
     tuples.  A vertex lies below those that move a nonempty set of its even
-    coordinates x to x +- 1 mod L; the mate of a vertex, at ``antipode``,
-    adds L/2 to every coordinate.  The sides are checked when it is made.
+    coordinates x to x +- 1 mod L; the mate of a vertex (``mate``) adds L/2
+    to every coordinate.  The sides are checked when it is made.
     """
 
     def __init__(self, sides):
@@ -292,39 +297,37 @@ class Torus:
         self.sides, self.size = sides, prod(sides)
         self.strides = tuple(prod(sides[i + 1:]) for i in range(len(sides)))
 
-    @property
-    def vertices(self):
-        """The vertex tuples in position order, a fresh iterator each read."""
-        return product(*map(range, self.sides))
-
     def labels(self, cell):
         return tuple(tuple(p // s % L for L, s in zip(self.sides, self.strides))
                      for p in cell)
 
     @cached_property
-    def antipode(self):
-        mates = [0]
-        for L in reversed(self.sides):
-            mates = [(x + L // 2) % L * len(mates) + m for x in range(L) for m in mates]
-        return mates
-
-    @cached_property
     def _moves(self):
         """Per coordinate: the stride s, the shift (L - 1) * s from 0 to L - 1,
-        and the masks of the positions where the coordinate is even, 0, odd
-        and L - 1, each one block of s ones repeated."""
+        the masks of the positions where the coordinate is even, 0, odd and
+        L - 1, each one block of s ones repeated, and the half turn h = L/2 * s
+        with the mask of the positions where the coordinate is below L/2."""
         moves = []
         for L, s in zip(self.sides, self.strides):
             evens = int(("0" * s + "1" * s) * (self.size // (2 * s)), 2)
             zeros = int(("0" * (L - 1) * s + "1" * s) * (self.size // (L * s)), 2)
-            moves.append((s, (L - 1) * s, evens, zeros, evens << s, zeros << (L - 1) * s))
+            h = L // 2 * s
+            lows = int(("0" * h + "1" * h) * (self.size // (2 * h)), 2)
+            moves.append((s, (L - 1) * s, evens, zeros, evens << s, zeros << (L - 1) * s,
+                          h, lows))
         return moves
+
+    def mate(self, bits):
+        """The mates of ``bits``: each coordinate turns half way round in turn."""
+        for *_, h, lows in self._moves:
+            bits = (bits & lows) << h | bits >> h & lows
+        return bits
 
     def up(self, bits):
         """The vertices strictly above those of ``bits``: each coordinate in
         turn moves from an even x to x + 1, or to x - 1, which wraps at 0."""
         moved = 0
-        for s, wrap, evens, zeros, _, _ in self._moves:
+        for s, wrap, evens, zeros, *_ in self._moves:
             even, zero = (bits | moved) & evens, (bits | moved) & zeros
             moved |= even << s | (even ^ zero) >> s | zero << wrap
         return moved
@@ -332,7 +335,7 @@ class Torus:
     def down(self, bits):
         """As ``up``, below: from an odd x to x - 1, or to x + 1, which wraps at L - 1."""
         moved = 0
-        for s, wrap, _, _, odds, tops in self._moves:
+        for s, wrap, _, _, odds, tops, *_ in self._moves:
             odd, top = (bits | moved) & odds, (bits | moved) & tops
             moved |= odd >> s | (odd ^ top) << s | top >> wrap
         return moved
@@ -377,12 +380,13 @@ def check_alternation(x, bits):
 
 
 def check_antipodes(x, bits):
-    """Antipodal vertices of x must carry different bits (in position order)."""
-    if any(map(eq, bits, map(bits.__getitem__, x.antipode))):
-        k = next(k for k, j in enumerate(x.antipode) if bits[k] == bits[j])
-        v = x.labels((k,))[0]
-        raise NotEquivariantError(
-            f"vertex {v} and its antipode share a colour", witness=v)
+    """Antipodal vertices of x must carry different bits, 0 or 1 in position
+    order; the witness is the lowest position whose bit equals its mate's."""
+    blue = int(bytes(bits).translate(_DIGITS)[::-1], 2)
+    same = ~(blue ^ x.mate(blue)) & (1 << x.size) - 1
+    if same:
+        v = x.labels(((same & -same).bit_length() - 1,))[0]
+        raise NotEquivariantError(f"vertex {v} and its antipode share a colour", witness=v)
 
 
 def map_from_colouring(x, bits):
@@ -398,7 +402,7 @@ def map_from_colouring(x, bits):
     check_length(x, bits)
     check_colours(x, bits)
     check_alternation(x, bits)
-    if x.antipode is None:
+    if isinstance(x, SimplicialSet) and x.antipode is None:
         raise InvalidParameterError("domain has no involution")
     check_antipodes(x, bits)
 
@@ -411,12 +415,11 @@ def equivariant_colourings(x):
     free choice; the colourings run through the choices in binary order,
     blue for a one bit.
     """
-    mates = x.antipode
-    if mates is None:
+    if isinstance(x, SimplicialSet) and x.antipode is None:
         raise InvalidParameterError("an involution is required")
-    pairs = [(k, j) for k, j in enumerate(mates) if k <= j]
+    pairs = [(k, j) for k in range(x.size) for j in [x.mate(1 << k).bit_length() - 1] if k <= j]
     for choice in product((0, 1), repeat=len(pairs)):
-        bits = bytearray(len(mates))
+        bits = bytearray(x.size)
         for (k, j), b in zip(pairs, choice):
             bits[k], bits[j] = b, 1 - b
         yield bytes(bits)

@@ -4,9 +4,10 @@ A free cellular involution makes the cellular chain complex a complex of free
 modules over the group ring Z[Z2] = Z[nu]/(nu^2 - 1), with one generator per
 cell orbit.  Bredon cohomology of a free Z2-CW complex does not depend on the
 cell structure (Eilenberg and Zilber, Amer. J. Math. 1953), so the torus
-gamma(L)^n is read off the cubical torus C(L)^n.  The sign of each face of an
-orbit representative lands in A or in B of the coboundary A + B*nu, a pair
-of integer SparseMats, as the face is a representative or a mate.  Mapping
+gamma(L)^n is read off the cubical torus C(L)^n, a cell the integer whose
+base-2L digits are its circle codes.  The sign of each face of an orbit
+representative lands in A or B of the coboundary A + B*nu, two integer
+SparseMats, as the face is a representative or a mate.  Mapping
 equivariantly into a coefficient module turns the pair into one integer
 coboundary matrix: the sign representation gives A - B, the trivial one
 A + B, and the group ring itself the 2x2 blocks [[a, b], [b, a]] of each
@@ -33,13 +34,12 @@ becomes a ``_Coboundaries``.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, product
+from itertools import compress, repeat
 from math import comb
-from operator import getitem, invert
 
-from .errors import (CapacityExceededError, InvalidInputError, InvalidParameterError,
-                     InvariantViolationError, NotFreeActionError)
-from .simplicial import CELL_LIMIT, _check_side
+from .errors import (InvalidInputError, InvalidParameterError, InvariantViolationError,
+                     NotFreeActionError)
+from .simplicial import _check_side, _check_vertex_count
 from .snf import SparseMat, smith_normal_form
 
 COEFFICIENTS = ("Zminus", "Zplus", "ZZ2")
@@ -49,7 +49,7 @@ class EquivariantChainComplex:
     """The orbit complex: representatives per degree and coboundaries A + B*nu.
 
     ``reps[d]`` lists one d-cell per orbit, the lesser of the cell and its
-    mate, as a tuple.  ``coboundaries[d - 1]`` is the pair (A, B) of
+    mate, as its integer code.  ``coboundaries[d - 1]`` is the pair (A, B) of
     SparseMats whose row j lists the faces of ``reps[d][j]`` by their orbit
     in ``reps[d - 1]``: the sign of a face goes to A when the face is the
     representative and to B when it is the mate.
@@ -212,61 +212,64 @@ def equivariant_complex(L, n, moved=None):
     the coordinates in ``moved``, all of them by default.
 
     A circle cell is a code c < 2L: vertex c/2, or the edge leaving
-    (c - 1)/2.  A cell is the n-tuple of its codes, and ``product`` lists
-    each dimension in tuple order.  The mate adds L mod 2L to each moved
-    code, keeping edge directions, and the representative is the lesser
-    tuple of the pair.  A shift that fixes a cell is refused, by count: each
-    dimension must hold twice as many cells as representatives.  The cell
-    limit is read on (2L)^n one factor at a time, so a large n fails at once.
+    (c - 1)/2.  A cell is the integer of its n codes in base 2L, first
+    coordinate first, so each dimension is listed in integer order, the
+    order of code tuples.  The mate adds L mod 2L to each moved code, keeping
+    edge directions, and the representative, the lesser of the pair, has its
+    first moved code below L; so only a shift of no coordinate fixes a cell,
+    and it is refused.  The cell limit is read on (2L)^n one factor at a
+    time, so a large n fails at once.
     """
     _check_side(L)
-    span, size = 2 * L, 1
-    for _ in range(n):
-        size *= span
-        if size > CELL_LIMIT:
-            raise CapacityExceededError(
-                f"torus C({L})^{n} has more cells than the cell limit {CELL_LIMIT}")
-    shifted = [(c + L) % span for c in range(span)]
-    tables = [shifted if moved is None or i in moved else range(span) for i in range(n)]
-
-    def mate(cell):
-        return tuple(map(getitem, tables, cell))
-
-    by_dim = [[] for _ in range(n + 1)]
-    for cell, d in zip(product(range(span), repeat=n),
-                       map(sum, product((0, 1) * L, repeat=n))):
-        by_dim[d].append(cell)
-    reps, coboundaries = [], []
-    for d, cells in enumerate(by_dim):
-        chosen = [c for c in cells if c < mate(c)]
-        if 2 * len(chosen) != len(cells):
-            raise NotFreeActionError(f"the half shift of C({L})^{n} fixes "
-                                     f"{len(cells) - 2 * len(chosen)} of its {d}-cells")
-        if d:
-            a_rows, b_rows = zip(*(_cube_boundary(c, index, span) for c in chosen))
-            coboundaries.append((SparseMat(len(chosen), len(reps[-1]), list(a_rows)),
-                                 SparseMat(len(chosen), len(reps[-1]), list(b_rows))))
-        reps.append(chosen)
-        index = dict(zip(chosen, count()))
-        index.update(zip(map(mate, chosen), map(invert, count())))
-    return EquivariantChainComplex(reps, coboundaries)
+    _check_vertex_count(repeat(2 * L, n), f"C({L})^{n}", "cells")
+    span, size = 2 * L, (2 * L) ** n
+    strides = [span ** (n - 1 - i) for i in range(n)]
+    turned = [s for i, s in enumerate(strides) if moved is None or i in moved]
+    if not turned:
+        raise NotFreeActionError(f"the half shift of C({L})^{n} fixes {L ** n} of its 0-cells")
+    kinds = b"\0"  # per code, twice its dimension, plus 1 unless it is a representative
+    for s in reversed(strides):
+        kinds = b"".join(kinds.translate(bytes(range(k, 256)) + bytes(k)) for k in
+                         [2 * (c & 1) + (c >= L and s == turned[0]) for c in range(span)])
+    reps = [list(compress(range(size), kinds.translate(bytes(v == 2 * d for v in range(256)))))
+            for d in range(n + 1)]
+    index = [0] * size  # k at the k-th representative of its dimension, ~k at its mate
+    for chosen in reps:
+        for k, c in enumerate(chosen):
+            index[c] = ~k
+    for s in turned:  # the half turn of each moved coordinate carries ~k to the mate
+        for b in range(0, size, 2 * L * s):
+            index[b:b + 2 * L * s] = index[b + L * s:b + 2 * L * s] + index[b:b + L * s]
+    for chosen in reps:
+        for k, c in enumerate(chosen):
+            index[c] = k
+    return EquivariantChainComplex(reps, [_cube_boundary(chosen, len(below), index, span, strides)
+                                          for below, chosen in zip(reps, reps[1:])])
 
 
-def _cube_boundary(cell, index, span):
-    """Rows of A and B for one cell: the Koszul-signed sum of next vertex
-    minus vertex over its edge factors, each face by its orbit in ``index``
-    (k for a representative, ~k for a mate)."""
-    a, b, sign = {}, {}, 1
-    for i, e in enumerate(cell):
-        if e & 1:
-            for code, s in (((e + 1) % span, sign), (e - 1, -sign)):
-                k = index[cell[:i] + (code,) + cell[i + 1:]]
-                if k < 0:
-                    b[~k] = s
-                else:
-                    a[k] = s
-            sign = -sign
-    return a, b
+def _cube_boundary(cells, ncols, index, span, strides):
+    """The pair (A, B) of the d-cell codes ``cells`` over ``ncols`` orbits:
+    row j is the Koszul-signed sum of next vertex minus vertex over the edge
+    factors of cell j, each face by its orbit in ``index`` (k for a
+    representative, ~k for a mate).  An edge code e at stride s has the faces
+    cell - s and cell + s, or cell - e*s where e is the top code span - 1."""
+    a_rows, b_rows = [], []
+    for cell in cells:
+        a, b, sign, rest = {}, {}, 1, cell
+        for s in strides:
+            e, rest = divmod(rest, s)
+            if e & 1:
+                for face, v in ((cell + s if e + 1 < span else cell - e * s, sign),
+                                (cell - s, -sign)):
+                    k = index[face]
+                    if k < 0:
+                        b[~k] = v
+                    else:
+                        a[k] = v
+                sign = -sign
+        a_rows.append(a)
+        b_rows.append(b)
+    return SparseMat(len(cells), ncols, a_rows), SparseMat(len(cells), ncols, b_rows)
 
 
 @lru_cache(maxsize=32)

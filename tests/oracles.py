@@ -70,7 +70,12 @@ stored by ``explicit_set``, and their mod-2 homology drops the degenerate
 faces that no order complex has.  The simplicial torus ``gamma_product``,
 the order complex of the product poset with every cell stored, and the
 scan of its 3-cells, ``check_alternation_reference``, are the reference for
-the row-major ``Torus`` and the 3-alternation check on bit sets.
+the row-major ``Torus`` and the 3-alternation check on bit sets.  A
+``Torus`` holds no vertex tuples and no per-vertex antipode: tests read its
+vertex tuples through ``vertex_labels``, and the mate positions listed one
+vertex at a time, ``torus_antipode_reference``, with the scan over them,
+``check_antipodes_reference``, are the reference for the half turn of bit
+sets in ``Torus.mate`` and ``check_antipodes``.
 """
 
 import functools
@@ -86,11 +91,11 @@ from equihom.degrees import (deg_vector, find_colour_swapping_edge, sigma_minor,
                              torus_complex)
 from equihom.errors import (AlternatingSimplexError, InternalError,
                             InvalidInputError, InvalidParameterError,
-                            NotFreeActionError)
+                            NotEquivariantError, NotFreeActionError)
 from equihom.graphs import (Graph, GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, Multihom, hom_complex, mu_prime
-from equihom.simplicial import (SimplicialSet, _check_side, _check_vertex_count,
+from equihom.simplicial import (SimplicialSet, Torus, _check_side, _check_vertex_count,
                                 check_length, faces, is_degenerate, map_from_colouring,
                                 torus)
 from equihom.slices import GeneralizedDiagonal, check_cell_limit
@@ -102,15 +107,43 @@ YELLOW = "yellow"
 BLUE = "blue"
 
 
+def vertex_labels(x):
+    """The vertex labels of x in position order: the vertex tuples of a
+    ``Torus`` in row-major order, or the vertices of an order complex."""
+    return list(product(*map(range, x.sides))) if isinstance(x, Torus) else list(x.vertices)
+
+
+def torus_antipode_reference(x):
+    """The position of each vertex's mate on x: on a ``Torus`` one vertex
+    at a time, every coordinate shifted by L/2, and on an order complex its
+    ``antipode``."""
+    if not isinstance(x, Torus):
+        return x.antipode
+    mates = [0]
+    for L in reversed(x.sides):
+        mates = [(v + L // 2) % L * len(mates) + m for v in range(L) for m in mates]
+    return mates
+
+
+def check_antipodes_reference(x, bits):
+    """``check_antipodes`` one vertex at a time over the per-vertex antipode
+    ``torus_antipode_reference``: the first position whose bit equals its
+    mate's names the vertex."""
+    for k, j in enumerate(torus_antipode_reference(x)):
+        if bits[k] == bits[j]:
+            v = vertex_labels(x)[k]
+            raise NotEquivariantError(f"vertex {v} and its antipode share a colour", witness=v)
+
+
 def colour_bits(x, colouring):
     """The blue bits, in position order, of a vertex -> colour dict on x, a
     ``Torus`` or an order complex: the form the library reads."""
-    return bytes(colouring[v] == BLUE for v in x.vertices)
+    return bytes(colouring[v] == BLUE for v in vertex_labels(x))
 
 
 def colour_dict(x, bits):
     """The vertex -> colour dict on x of blue bits in position order."""
-    return {v: BLUE if b else YELLOW for v, b in zip(x.vertices, bits)}
+    return {v: BLUE if b else YELLOW for v, b in zip(vertex_labels(x), bits)}
 
 
 def winding_colouring_reference(L, n, j):
@@ -135,8 +168,9 @@ def equivariant_colourings_reference(x):
     """``equivariant_colourings`` as colour dicts: the first vertex of each
     involution orbit, in vertex order, is the free choice, and the choices
     run in binary order, blue for a one bit."""
-    labels = list(x.vertices)
-    pairs = [(labels[k], labels[j]) for k, j in enumerate(x.antipode) if k <= j]
+    labels = vertex_labels(x)
+    pairs = [(labels[k], labels[j]) for k, j in enumerate(torus_antipode_reference(x))
+             if k <= j]
     for choice in product((0, 1), repeat=len(pairs)):
         col = {}
         for (rep, mate), b in zip(pairs, choice):
@@ -376,10 +410,11 @@ def explicit_set(vertices, simplices, cap, involution=None):
 def involution(x):
     """Vertex -> its mate for a simplicial set or a torus, or None without an
     involution."""
-    if x.antipode is None:
+    antipode = torus_antipode_reference(x)
+    if antipode is None:
         return None
-    vertices = list(x.vertices)
-    return {v: vertices[j] for v, j in zip(vertices, x.antipode)}
+    vertices = vertex_labels(x)
+    return {v: vertices[j] for v, j in zip(vertices, antipode)}
 
 
 def gamma_product(sides):
@@ -513,7 +548,7 @@ def is_equivariant(domain, vertex_map, mate=COLOUR_SWAP):
     nu = involution(domain)
     if nu is None:
         return False
-    return all(vertex_map[nu[v]] == mate[vertex_map[v]] for v in domain.vertices)
+    return all(vertex_map[nu[v]] == mate[vertex_map[v]] for v in vertex_labels(domain))
 
 
 def _label_from_json(v):
@@ -756,7 +791,7 @@ def slice_check(bits, L, n, zeta):
     def full(x, y):
         return (x,) + zeta.path[y]
 
-    colours = dict(zip(torus(L, n).vertices, bits))
+    colours = dict(zip(vertex_labels(torus(L, n)), bits))
     restricted = bytes(colours[full(x, y)] for x in range(L) for y in range(zeta.period))
     u, v = find_colour_swapping_edge(restricted, torus_complex(L, zeta.period))
     return full(*u), full(*v)
@@ -1035,7 +1070,7 @@ def phi_reference(f, pipeline):
     (NotEquivariantError) and the odd weight."""
     n = pipeline.check_polymorphism(f)
     L = pipeline.period
-    vertices = list(torus(L, n).vertices)
+    vertices = vertex_labels(torus(L, n))
     bits = mu_bits_reference(pipeline, f)
     for cell in alternating_cells_reference(vertices, bits, (L,) * n):
         raise AlternatingSimplexError(
@@ -1055,10 +1090,10 @@ def minor_map(g, pi, L, n):
         raise InvalidParameterError("minor arity does not match the map")
     source = torus(L, n)
     check_length(source, g)
-    colours = dict(zip(source.vertices, g))
+    colours = dict(zip(vertex_labels(source), g))
     target = torus(L, pi.m)
     out = bytes(colours[tuple(y[pi(i) - 1] for i in range(1, n + 1))]
-                for y in target.vertices)
+                for y in vertex_labels(target))
     map_from_colouring(target, out)
     return out
 

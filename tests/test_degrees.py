@@ -28,14 +28,14 @@ from oracles import (BLUE, YELLOW, band_reference, brute_deg1, colour_bits,
                      composite_mapping, count_deg1_reference, decode, gamma_power,
                      gamma_product, involution, labelled_cells, minor_degree_vector,
                      minor_map, monomial_colouring_reference, mu_colours_reference,
-                     phi_reference, shift_coordinate, slice_deg1_reference,
+                     phi_reference, shift_coordinate, slice_deg1_reference, vertex_labels,
                      winding_colouring_reference)
 
 
 def as_bits(col, L):
     """The blue bit of each vertex tuple of gamma(L)^2, looked up by tuple in
     the row-major bits ``col``."""
-    return dict(zip(torus(L, 2).vertices, col)).__getitem__
+    return dict(zip(vertex_labels(torus(L, 2)), col)).__getitem__
 
 
 def random_equivariant_colouring(x, rng):
@@ -43,7 +43,7 @@ def random_equivariant_colouring(x, rng):
     order; the blue bits in position order."""
     nu = involution(x)
     col = {}
-    for v in x.vertices:
+    for v in vertex_labels(x):
         if v not in col:
             bit = rng.random() < 0.5
             col[v] = BLUE if bit else YELLOW
@@ -281,7 +281,7 @@ def test_torus_complex_leaves_the_vertex_view_unbuilt(L, Lp, monkeypatch):
     finally:
         torus_complex.cache_clear()
     assert type(plane.grid) is Torus and plane.grid.sides == (L, Lp)
-    assert "antipode" not in vars(plane.grid)
+    assert not hasattr(plane.grid, "antipode") and not hasattr(plane.grid, "vertices")
 
 
 def test_a_winding_past_the_vertex_limit_is_refused_before_any_vertex(monkeypatch):
@@ -385,9 +385,9 @@ def test_deg1_invariant_under_double_shifts():
     x = torus(4, 2)
     for col in equivariant_colourings(x):
         base = plane.deg1(col)
-        colours = dict(zip(x.vertices, col))
+        colours = dict(zip(vertex_labels(x), col))
         for i in (1, 2):
-            shifted = bytes(colours[shift_coordinate(v, i, 4)] for v in x.vertices)
+            shifted = bytes(colours[shift_coordinate(v, i, 4)] for v in vertex_labels(x))
             assert plane.deg1(shifted) == base
 
 
@@ -603,7 +603,7 @@ def _map_on(sides):
     on the lower half of the first circle."""
     x = Torus(sides)
     half = sides[0] // 2
-    col = colour_bits(x, {v: BLUE if v[0] < half else YELLOW for v in x.vertices})
+    col = colour_bits(x, {v: BLUE if v[0] < half else YELLOW for v in vertex_labels(x)})
     map_from_colouring(x, col)
     return col
 
@@ -662,12 +662,15 @@ COLOURING_READERS = {
      "vertex (5, 3) lacks a yellow/blue colour"),
     (list(_with_a_2(_with_a_2(winding_colouring(8, 2, 1), 63), 17)),
      "vertex (2, 1) lacks a yellow/blue colour"),
-], ids=["a-2-at-(5,3)", "two-2s-in-a-list"])
+    (_with_a_2(b"\0" + winding_colouring(8, 2, 1)[1:], 8 * 5 + 3),
+     "vertex (5, 3) lacks a yellow/blue colour"),
+], ids=["a-2-at-(5,3)", "two-2s-in-a-list", "a-2-behind-an-antipodal-clash"])
 def test_a_2_is_named_by_its_first_position_in_every_reader(reader, bits, message):
     """A value other than 0 or 1 is named by the label of its first
-    position in ``map_from_colouring``, ``deg_vector`` and ``deg1`` alike;
-    a colouring of the wrong length is refused by each of them in
-    ``test_colourings_off_the_torus_are_refused``."""
+    position in ``map_from_colouring``, ``deg_vector`` and ``deg1`` alike,
+    also where the origin and its antipode share a colour, since each reader
+    checks the colours before the antipodes; a colouring of the wrong length
+    is refused by each of them in ``test_colourings_off_the_torus_are_refused``."""
     with pytest.raises(InvalidParameterError) as exc:
         COLOURING_READERS[reader](bits)
     assert type(exc.value) is InvalidParameterError

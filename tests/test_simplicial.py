@@ -8,7 +8,7 @@ import oracles
 from equihom import simplicial, slices
 from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
                             InvalidParameterError, NotEquivariantError)
-from equihom.simplicial import (SimplicialSet, Torus, check_alternation,
+from equihom.simplicial import (SimplicialSet, Torus, check_alternation, check_antipodes,
                                 equivariant_colourings, faces, gamma, is_degenerate, map_from_colouring,
                                 mod2_homology_ranks, order_complex, torus)
 
@@ -18,13 +18,15 @@ from equihom.homcomplexes import hom_complex
 from equihom.slices import arity_experiment, product_cell_count
 
 from oracles import (BLUE, YELLOW, ModTwoChain, boundary, check_alternation_reference,
+                     check_antipodes_reference,
                      check_reference, circle_cells_reference, colour_bits,
                      equivariant_colourings_reference, explicit_set, gamma_power, gamma_product,
                      hom_complex_cells_reference, incidence, incidence_reference,
                      involution, is_equivariant, labelled_cells,
                      mod2_homology_ranks_dropping_degenerate_faces, sigma,
                      simplicial_set_from_json, sphere_model_cells_reference, sproduct,
-                     strict_chains, torus_cells_reference)
+                     strict_chains, torus_antipode_reference, torus_cells_reference,
+                     vertex_labels)
 from test_zz2 import ORBIT_CASES
 
 
@@ -285,7 +287,7 @@ def test_a_broken_torus_dimension_is_refused_on_each_read(moves, d, message,
         assert max(chains) == 2
     # the reference check of the same cells raises the same message
     grid = torus(4, 2)
-    vertices = tuple(grid.vertices)
+    vertices = tuple(vertex_labels(grid))
     simplices = {e: [grid.labels(c) for c in chains[e]] for e in (1, 2)}
     with pytest.raises(InvalidParameterError) as reference:
         check_reference(vertices, simplices, 3, involution(grid))
@@ -623,7 +625,8 @@ def test_the_row_major_check_names_the_cell_the_scan_names(L, n):
     exactly the colourings the scan of the stored 3-cells refuses, with the
     same witness and message."""
     x, grid = gamma_power(L, n), torus(L, n)
-    assert grid.antipode == x.antipode
+    assert [grid.mate(1 << p).bit_length() - 1 for p in range(grid.size)] == \
+        torus_antipode_reference(grid) == x.antipode
     rng = random.Random(100 * L + n)
     refused = 0
     for _ in range(60):
@@ -659,6 +662,51 @@ def test_the_order_complex_check_agrees_with_a_scan_of_its_cells(make):
         assert _alternation(check_alternation, x, values) == want
         refused += want is not None
     assert (refused > 0) == (x.n_cells(3) > 0)
+
+
+# every torus of the alternation check, and the two order complexes whose
+# antipodes ``map_from_colouring`` reads
+ANTIPODE_DOMAINS = {**{f"torus-{L}-{n}": (lambda L=L, n=n: torus(L, n))
+                       for L, n in ALTERNATION_TORI},
+                    "gamma-8": lambda: gamma(8),
+                    "hom_K4": lambda: hom_complex(complete_graph(4))}
+
+
+def _antipode_refusal(check, x, bits):
+    """The message and witness with which ``check`` refuses the bits on x,
+    or None when it accepts them."""
+    try:
+        check(x, bits)
+    except NotEquivariantError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(ANTIPODE_DOMAINS))
+def test_check_antipodes_names_the_vertex_the_scan_names(case):
+    """``check_antipodes`` on bit sets names the vertex, with the message,
+    that a scan of the per-vertex antipode names first: on the all-blue and
+    all-yellow colourings, and on 30 seeded equivariant colourings, each
+    accepted, then refused with one bit flipped."""
+    x = ANTIPODE_DOMAINS[case]()
+    mates = torus_antipode_reference(x)
+    assert [x.mate(1 << p).bit_length() - 1 for p in range(x.size)] == mates
+    rng = random.Random(x.size)
+    colourings = [b"\1" * x.size, [0] * x.size]
+    for _ in range(30):
+        bits = bytearray(x.size)
+        for k, j in enumerate(mates):
+            if k < j:
+                bits[k] = rng.getrandbits(1)
+                bits[j] = 1 - bits[k]
+        assert check_antipodes(x, bits) is None
+        colourings.append(bytes(bits))
+        bits[rng.randrange(x.size)] ^= 1
+        colourings.append(list(bits))
+    outcomes = [_antipode_refusal(check_antipodes_reference, x, bits) for bits in colourings]
+    assert [_antipode_refusal(check_antipodes, x, bits) for bits in colourings] == outcomes
+    assert outcomes[0][1] == vertex_labels(x)[0]
+    assert outcomes[2::2] == [None] * 30 and None not in outcomes[3::2]
 
 
 def test_boundary_of_triangle():

@@ -21,7 +21,7 @@ from oracles import (BLUE, YELLOW, arity_experiment_reference, chain_alternation
                      equivariant_colourings_reference, gamma_power, labelled_cells,
                      permute_coordinates, sample_maximal_chain_reference,
                      shift_coordinate, slice_check, standard_diagonal,
-                     swap_fraction_reference)
+                     swap_fraction_reference, vertex_labels)
 
 
 def test_height_basics():
@@ -155,7 +155,7 @@ def test_swap_fraction_bound_over_battery():
 
 def test_slice_check_witnesses():
     col = winding_colouring(8, 3, 1)
-    colours = dict(zip(torus(8, 3).vertices, col))
+    colours = dict(zip(vertex_labels(torus(8, 3)), col))
     for z in (zeta0(3, 0, 8), standard_diagonal(3, 8)):
         u, v = slice_check(col, 8, 3, z)
         assert colours[u] != colours[v]
@@ -164,7 +164,7 @@ def test_slice_check_witnesses():
 
 def test_slice_check_shifted_diagonals():
     col = winding_colouring(8, 3, 1)
-    colours = dict(zip(torus(8, 3).vertices, col))
+    colours = dict(zip(vertex_labels(torus(8, 3)), col))
     base = zeta0(3, 0, 8)
     for i in (1, 2):
         shifted = GeneralizedDiagonal(
@@ -190,7 +190,7 @@ def test_slice_check_witness_is_the_first_in_scan_order(support):
     for zeta in [base, standard_diagonal(3, 8)] + [
             GeneralizedDiagonal(8, 2, [shift_coordinate(v, i, 8) for v in base.path])
             for i in (1, 2)]:
-        colours = dict(zip(torus(8, 3).vertices, col))
+        colours = dict(zip(vertex_labels(torus(8, 3)), col))
         assert slice_check(col, 8, 3, zeta) == _first_swap_in_slice(colours, 8, zeta)
 
 

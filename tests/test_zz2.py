@@ -54,11 +54,15 @@ def test_a_shift_of_no_coordinate_is_refused():
 
 
 @pytest.mark.parametrize("moved", [None, (0,)], ids=["diagonal", "first"])
-@pytest.mark.parametrize("n, L", [(n, L) for n in (1, 2, 3) for L in (4, 8)])
+@pytest.mark.parametrize("n, L", [(n, L) for n in (1, 2, 3) for L in (4, 8)] + [(4, 4)])
 def test_cube_complex_matches_cell_at_a_time_reference(n, L, moved):
+    """The integer cell codes, read as their n digits in base 2L, first
+    coordinate first, are the reference's code tuples in the same order,
+    and the coboundaries are the reference's, row for row."""
     cx = equivariant_complex(L, n, moved)
     reps, coboundaries = cube_orbit_reference(L, n, moved)
-    assert cx.reps == reps
+    assert [[tuple(c // (2 * L) ** (n - 1 - i) % (2 * L) for i in range(n)) for c in r]
+            for r in cx.reps] == reps
     assert [(a.nrows, a.ncols, a.rows, b.rows) for a, b in cx.coboundaries] == \
         [(a.nrows, a.ncols, a.rows, b.rows) for a, b in coboundaries]
 
