@@ -22,6 +22,8 @@ bredon n = 3, L = 8 quotient check | 0 | equihom bredon --n 3 --L 8 --d 2 --quot
 bredon n = 4, L = 4 quotient check | 20 | equihom bredon --n 4 --L 4 --d 2 --quotient-check --out quotient44.json
 bredon n = 4, L = 8 quotient check | 15 | equihom bredon --n 4 --L 8 --d 2 --quotient-check --out quotient48.json
 bredon n = 6, L = 4 | 15 | equihom bredon --n 6 --L 4 --d 3 --out bredon64.json
+bredon n = 5, L = 4, group-ring coefficients | 10 | equihom bredon --n 5 --L 4 --d 3 --coefficients ZZ2 --out bredon54-zz2.json
+bredon n = 5, L = 4, trivial coefficients | 10 | equihom bredon --n 5 --L 4 --d 3 --coefficients Zplus --out bredon54-zplus.json
 hom-complex complete:4 | 0 | equihom hom-complex --graph complete:4 --out hom.json
 hom-complex cycle:5 | 0 | equihom hom-complex --graph cycle:5 --out hom.json
 hom-complex complete:7 | 10 | equihom hom-complex --graph complete:7 --out hom-k7.json

@@ -1,25 +1,27 @@
-"""Chain complexes of free Z[Z2]-modules, specialization, and torus cohomology.
+"""Chain complexes of free Z[Z2]-modules and torus cohomology.
 
 A free cellular involution makes the cellular chain complex a complex of free
 modules over the group ring Z[Z2] = Z[nu]/(nu^2 - 1), with one generator per
 cell orbit.  Bredon cohomology of a free Z2-CW complex does not depend on the
 cell structure (Eilenberg and Zilber, Amer. J. Math. 1953), so the torus
 gamma(L)^n is read off the cubical torus C(L)^n, a cell the integer whose
-base-2L digits are its circle codes.  The sign of each face of an orbit
-representative lands in A or B of the coboundary A + B*nu, two integer
-SparseMats, as the face is a representative or a mate.  Mapping
-equivariantly into a coefficient module turns the pair into one integer
-coboundary matrix: the sign representation gives A - B, the trivial one
-A + B, and the group ring itself the 2x2 blocks [[a, b], [b, a]] of each
-entry a + b*nu.  Smith normal forms of those matrices give the Bredon
-cohomology groups; for the n-torus with the diagonal action and sign
+base-2L digits are its circle codes.  Mapping equivariantly into a
+coefficient module turns the orbit complex into integer coboundary matrices,
+and each face of an orbit representative is written straight into them: a
+face at representative k puts its sign at column k, a face at the mate of k
+puts its sign times the image of nu, -1 under the sign representation and
++1 under the trivial one.  Under the group ring itself a representative's
+face goes to column 2k and a mate's to 2k + 1, and the cell's second row is
+its first with each column c moved to c ^ 1, so each entry a + b*nu becomes
+the block [[a, b], [b, a]].  Smith normal forms of those matrices give the
+Bredon cohomology groups; for the n-torus with the diagonal action and sign
 coefficients the answer in degree d is an elementary abelian 2-group of rank
 C(n-1, d-1).  The quotient-projection check reproduces it as the cokernel of
 the pullback along the double cover, read off the cohomology of the mapping
 cone of the pullback with the same sparse Smith form.  It builds no quotient:
 under the first-coordinate half shift the trivial coefficients give the
-cochains of the quotient and the group ring those of the torus, both from
-one orbit complex, and the pullback sends each orbit to its two cells.
+cochains of the quotient and the group ring those of the torus, and the
+pullback sends each orbit to its two cells.
 
 The coboundaries of a complex are reduced from the top down, and each one is
 cleared first: the rows of delta_k that are unit pivot columns of
@@ -46,13 +48,13 @@ COEFFICIENTS = ("Zminus", "Zplus", "ZZ2")
 
 
 class EquivariantChainComplex:
-    """The orbit complex: representatives per degree and coboundaries A + B*nu.
+    """The orbit complex in one coefficient ring: representatives per degree
+    and the ring's coboundaries.
 
     ``reps[d]`` lists one d-cell per orbit, the lesser of the cell and its
-    mate, as its integer code.  ``coboundaries[d - 1]`` is the pair (A, B) of
-    SparseMats whose row j lists the faces of ``reps[d][j]`` by their orbit
-    in ``reps[d - 1]``: the sign of a face goes to A when the face is the
-    representative and to B when it is the mate.
+    mate, as its integer code.  ``coboundaries[d - 1]`` is the SparseMat
+    delta^(d-1) from equivariant (d-1)-cochains to d-cochains: one row per
+    orbit of ``reps[d]``, or two under ZZ2.
     """
 
     def __init__(self, reps, coboundaries):
@@ -61,48 +63,6 @@ class EquivariantChainComplex:
 
     def rank(self, d):
         return len(self.reps[d]) if d < len(self.reps) else 0
-
-
-def _row_sum(r, s, sign=1):
-    """The sparse row r + sign * s, without zero entries."""
-    out = dict(r)
-    for k, v in s.items():
-        c = out.get(k, 0) + sign * v
-        if c:
-            out[k] = c
-        else:
-            del out[k]
-    return out
-
-
-def specialize(complex_, coefficients):
-    """Integer coboundary matrices for the chosen coefficient module.
-
-    Returns the list [delta^0, ..., delta^(top-1)] of SparseMat, where
-    delta^d maps equivariant d-cochains to (d+1)-cochains: A - B for the sign
-    representation, A + B for the trivial one, and for the group ring the
-    blocks [[a, b], [b, a]] of each entry a + b*nu.
-    """
-    if coefficients not in COEFFICIENTS:
-        raise InvalidParameterError(f"coefficients must be one of {COEFFICIENTS}")
-    deltas = []
-    for a, b in complex_.coboundaries:
-        if coefficients == "ZZ2":
-            rows = []
-            for ra, rb in zip(a.rows, b.rows):
-                rows.append(_interleave(ra, rb))
-                rows.append(_interleave(rb, ra))
-            deltas.append(SparseMat(2 * a.nrows, 2 * a.ncols, rows))
-            continue
-        sign = -1 if coefficients == "Zminus" else 1
-        rows = [_row_sum(ra, rb, sign) for ra, rb in zip(a.rows, b.rows)]
-        deltas.append(SparseMat(a.nrows, a.ncols, rows))
-    return deltas
-
-
-def _interleave(even, odd):
-    """One row of group-ring blocks: ``even`` in columns 2i, ``odd`` in 2i + 1."""
-    return {2 * i: v for i, v in even.items()} | {2 * i + 1: v for i, v in odd.items()}
 
 
 @dataclass(frozen=True)
@@ -126,10 +86,10 @@ class _Coboundaries:
     once each.
 
     The constructor refuses a list with delta_(k+1) delta_k != 0 for some k,
-    naming k, so every ``_Coboundaries`` is a complex.  Specialised to ZZ2
-    this is the check over Z[Z2], the regular representation being faithful;
-    under Zminus or Zplus it checks the image under that character, which is
-    the complex whose Smith forms are read.
+    naming k, so every ``_Coboundaries`` is a complex.  Under ZZ2 this is
+    the check over Z[Z2], the regular representation being faithful; under
+    Zminus or Zplus it checks the image under that character, which is the
+    complex whose Smith forms are read.
 
     ``smith(k)`` is the Smith form of delta_k with its rows at the unit pivot
     columns of ``smith(k + 1)`` removed, so every Smith form below the top
@@ -207,9 +167,20 @@ def cohomology(deltas, d):
     return _Coboundaries(deltas).cohomology(d)
 
 
-def equivariant_complex(L, n, moved=None):
+def _check_cube(L, n, coefficients):
+    """Refuse an unknown coefficient ring, a side that ``gamma`` refuses or a
+    C(L)^n over the cell limit, before anything is built.  The cell limit is
+    read on (2L)^n one factor at a time, so a large n fails at once."""
+    if coefficients not in COEFFICIENTS:
+        raise InvalidParameterError(f"coefficients must be one of {COEFFICIENTS}")
+    _check_side(L)
+    _check_vertex_count(repeat(2 * L, n), f"C({L})^{n}", "cells")
+
+
+def equivariant_complex(L, n, coefficients, moved=None):
     """The orbit complex of the cubical torus C(L)^n under the half shift of
-    the coordinates in ``moved``, all of them by default.
+    the coordinates in ``moved``, all of them by default, with coboundaries
+    in the ring ``coefficients``.
 
     A circle cell is a code c < 2L: vertex c/2, or the edge leaving
     (c - 1)/2.  A cell is the integer of its n codes in base 2L, first
@@ -217,11 +188,9 @@ def equivariant_complex(L, n, moved=None):
     order of code tuples.  The mate adds L mod 2L to each moved code, keeping
     edge directions, and the representative, the lesser of the pair, has its
     first moved code below L; so only a shift of no coordinate fixes a cell,
-    and it is refused.  The cell limit is read on (2L)^n one factor at a
-    time, so a large n fails at once.
+    and it is refused.
     """
-    _check_side(L)
-    _check_vertex_count(repeat(2 * L, n), f"C({L})^{n}", "cells")
+    _check_cube(L, n, coefficients)
     span, size = 2 * L, (2 * L) ** n
     strides = [span ** (n - 1 - i) for i in range(n)]
     turned = [s for i, s in enumerate(strides) if moved is None or i in moved]
@@ -233,29 +202,38 @@ def equivariant_complex(L, n, moved=None):
                          [2 * (c & 1) + (c >= L and s == turned[0]) for c in range(span)])
     reps = [list(compress(range(size), kinds.translate(bytes(v == 2 * d for v in range(256)))))
             for d in range(n + 1)]
-    index = [0] * size  # k at the k-th representative of its dimension, ~k at its mate
+    # the column of each cell in its dimension: k, or 2k under ZZ2, at the
+    # k-th representative; at its mate k under Zplus, 2k + 1 under ZZ2, and
+    # ~k under Zminus, where nu turns the sign
+    step = 2 if coefficients == "ZZ2" else 1
+    mate_columns = {"Zminus": lambda m: range(-1, ~m, -1), "Zplus": range,
+                    "ZZ2": lambda m: range(1, 2 * m, 2)}[coefficients]
+    index = [0] * size
     for chosen in reps:
-        for k, c in enumerate(chosen):
-            index[c] = ~k
-    for s in turned:  # the half turn of each moved coordinate carries ~k to the mate
+        for c, k in zip(chosen, mate_columns(len(chosen))):
+            index[c] = k
+    for s in turned:  # the half turn of each moved coordinate carries them to the mates
         for b in range(0, size, 2 * L * s):
             index[b:b + 2 * L * s] = index[b + L * s:b + 2 * L * s] + index[b:b + L * s]
     for chosen in reps:
-        for k, c in enumerate(chosen):
+        for c, k in zip(chosen, range(0, step * len(chosen), step)):
             index[c] = k
-    return EquivariantChainComplex(reps, [_cube_boundary(chosen, len(below), index, span, strides)
+    return EquivariantChainComplex(reps, [_cube_coboundary(chosen, step * len(below), index,
+                                                           span, strides, step)
                                           for below, chosen in zip(reps, reps[1:])])
 
 
-def _cube_boundary(cells, ncols, index, span, strides):
-    """The pair (A, B) of the d-cell codes ``cells`` over ``ncols`` orbits:
-    row j is the Koszul-signed sum of next vertex minus vertex over the edge
-    factors of cell j, each face by its orbit in ``index`` (k for a
-    representative, ~k for a mate).  An edge code e at stride s has the faces
-    cell - s and cell + s, or cell - e*s where e is the top code span - 1."""
-    a_rows, b_rows = [], []
+def _cube_coboundary(cells, ncols, index, span, strides, step):
+    """The coboundary rows of the d-cell codes ``cells`` over ``ncols``
+    columns: row j is the Koszul-signed sum of next vertex minus vertex over
+    the edge factors of cell j, each face at its column in ``index`` (~k for
+    column k with the sign turned), equal columns summed.  An edge code e at
+    stride s has the faces cell - s and cell + s, or cell - e*s where e is
+    the top code span - 1.  Under ZZ2 (``step`` 2) each row is followed by
+    its nu-multiple, the row with each column c moved to c ^ 1."""
+    rows = []
     for cell in cells:
-        a, b, sign, rest = {}, {}, 1, cell
+        row, sign, rest = {}, 1, cell
         for s in strides:
             e, rest = divmod(rest, s)
             if e & 1:
@@ -263,18 +241,22 @@ def _cube_boundary(cells, ncols, index, span, strides):
                                 (cell - s, -sign)):
                     k = index[face]
                     if k < 0:
-                        b[~k] = v
+                        k, v = ~k, -v
+                    v += row.get(k, 0)
+                    if v:
+                        row[k] = v
                     else:
-                        a[k] = v
+                        del row[k]
                 sign = -sign
-        a_rows.append(a)
-        b_rows.append(b)
-    return SparseMat(len(cells), ncols, a_rows), SparseMat(len(cells), ncols, b_rows)
+        rows.append(row)
+        if step == 2:
+            rows.append({c ^ 1: v for c, v in row.items()})
+    return SparseMat(step * len(cells), ncols, rows)
 
 
 @lru_cache(maxsize=32)
 def _torus_coboundaries(n, L, coefficients):
-    return _Coboundaries(tuple(specialize(equivariant_complex(L, n), coefficients)))
+    return _Coboundaries(tuple(equivariant_complex(L, n, coefficients).coboundaries))
 
 
 def bredon_torus(n, L, d, coefficients="Zminus"):
@@ -286,6 +268,7 @@ def bredon_torus(n, L, d, coefficients="Zminus"):
     """
     if n < 1:
         raise InvalidParameterError("need n >= 1")
+    _check_cube(L, n, coefficients)
     if d > n:
         return CohomologyGroup(0, ())  # no cells above the torus dimension
     return _torus_coboundaries(n, L, coefficients).cohomology(d)
@@ -329,8 +312,8 @@ def _mapping_cone(deltas_q, pullbacks, deltas_x):
 def _quotient_complexes(n, L):
     """The coboundaries of the torus C(L)^n, of its quotient by the
     first-coordinate half shift, and of the mapping cone of the pullback P
-    between them, as ``_Coboundaries`` (X, Q, Cone), all read off one orbit
-    complex.
+    between them, as ``_Coboundaries`` (X, Q, Cone), read off the orbit
+    complex under that shift, built once in each ring.
 
     The shift is free, so the cochains of the quotient are the orbit complex
     with trivial coefficients and those of the torus are the same complex
@@ -342,11 +325,12 @@ def _quotient_complexes(n, L):
     check.  Cached per (n, L), so the degrees of one quotient check share
     their Smith forms.
     """
-    cx = equivariant_complex(L, n, moved=(0,))
+    q = equivariant_complex(L, n, "Zplus", moved=(0,))
     pullbacks = [SparseMat(2 * m, m, [{i: 1} for i in range(m) for _ in (0, 1)])
-                 for m in map(cx.rank, range(n + 1))]
-    deltas_x, deltas_q = specialize(cx, "ZZ2"), specialize(cx, "Zplus")
-    del cx  # as large as C(Q); dropped before the cone copies C(X) and C(Q)
+                 for m in map(q.rank, range(n + 1))]
+    deltas_q = q.coboundaries
+    del q  # its representatives are dropped before the torus is built
+    deltas_x = equivariant_complex(L, n, "ZZ2", moved=(0,)).coboundaries
     return (_Coboundaries(deltas_x), _Coboundaries(deltas_q),
             _Coboundaries(_mapping_cone(deltas_q, pullbacks, deltas_x)))
 

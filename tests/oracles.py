@@ -1156,11 +1156,12 @@ def incidence_reference(cells, index):
 
 
 def orbit_pairs_reference(x, max_dim):
-    """Orbit representatives and coboundaries (A, B) of x, a cell at a time.
+    """Orbit representatives and boundaries (i, j) -> (a, b) of x, a cell at
+    a time, on positions.
 
     Walks the sorted cells of each dimension, choosing a cell unless its
     mate came first and raising NotFreeActionError on a fixed cell; then
-    adds the sign of each face of each representative to A or B entry by
+    adds the sign of each face of each representative to a or b entry by
     entry, as the face is the representative of its orbit or the mate.
     """
     mate = x.antipode.__getitem__
@@ -1181,15 +1182,27 @@ def orbit_pairs_reference(x, max_dim):
             chosen.append(c)
         reps.append(chosen)
         index.append(lookup)
-    coboundaries = []
-    for d in range(1, max_dim + 1):
-        a = SparseMat(len(reps[d]), len(reps[d - 1]))
-        b = SparseMat(a.nrows, a.ncols)
-        for j, row in enumerate(incidence_reference(reps[d], index[d - 1])):
-            for (i, is_mate), sign in row:
-                add_at(b if is_mate else a, j, i, sign)
-        coboundaries.append((a, b))
-    return reps, coboundaries
+    boundaries = [_orbit_entries(enumerate(incidence_reference(reps[d], index[d - 1])))
+                  for d in range(1, max_dim + 1)]
+    return reps, boundaries
+
+
+def _orbit_entries(faces_by_cell):
+    """The dict (i, j) -> (a, b) of the signed faces ((i, is_mate), sign) of
+    each cell j, without zero entries."""
+    mat = {}
+    for j, row_faces in faces_by_cell:
+        for (i, is_mate), sign in row_faces:
+            a, b = mat.get((i, j), (0, 0))
+            if is_mate:
+                b += sign
+            else:
+                a += sign
+            if a or b:
+                mat[(i, j)] = (a, b)
+            else:
+                mat.pop((i, j), None)
+    return mat
 
 
 def orbit_complex_reference(x, max_dim):
@@ -1211,32 +1224,19 @@ def orbit_complex_reference(x, max_dim):
                 chosen.append(c)
         reps.append(chosen)
         index.append(lookup)
-    boundaries = []
-    for d in range(1, max_dim + 1):
-        mat = {}
-        for j, row_faces in enumerate(incidence_reference(reps[d], index[d - 1])):
-            for (row, par), sign in row_faces:
-                a, b = mat.get((row, j), (0, 0))
-                if par:
-                    b += sign
-                else:
-                    a += sign
-                if a or b:
-                    mat[(row, j)] = (a, b)
-                else:
-                    mat.pop((row, j), None)
-        boundaries.append(mat)
+    boundaries = [_orbit_entries(enumerate(incidence_reference(reps[d], index[d - 1])))
+                  for d in range(1, max_dim + 1)]
     return reps, boundaries
 
 
 def cube_orbit_reference(L, n, moved=None):
-    """Orbit representatives and coboundaries (A, B) of the cubical torus
-    C(L)^n under the half shift of the coordinates in ``moved`` (all by
+    """Orbit representatives and boundaries (i, j) -> (a, b) of the cubical
+    torus C(L)^n under the half shift of the coordinates in ``moved`` (all by
     default), a cell at a time.
 
     Sorts every code tuple by dimension and then as a tuple, chooses a cell
     unless its mate came first, raising NotFreeActionError on a fixed cell,
-    and adds each face of each representative to A or B entry by entry.  The
+    and adds each face of each representative to a or b entry by entry.  The
     faces come from the product rule d(a x b) = da x b + (-1)^|a| a x db,
     applied one factor at a time, over the circle's d(edge from i) =
     (i + 1) - i.
@@ -1269,16 +1269,10 @@ def cube_orbit_reference(L, n, moved=None):
         lookup[c] = (len(chosen), 0)
         lookup[mate(c)] = (len(chosen), 1)
         chosen.append(c)
-    coboundaries = []
-    for d in range(1, n + 1):
-        a = SparseMat(len(reps[d]), len(reps[d - 1]))
-        b = SparseMat(a.nrows, a.ncols)
-        for j, cell in enumerate(reps[d]):
-            for face, sign in boundary(cell):
-                i, is_mate = index[d - 1][face]
-                add_at(b if is_mate else a, j, i, sign)
-        coboundaries.append((a, b))
-    return reps, coboundaries
+    boundaries = [_orbit_entries((j, [(index[d - 1][face], sign) for face, sign in boundary(cell)])
+                                 for j, cell in enumerate(reps[d]))
+                  for d in range(1, n + 1)]
+    return reps, boundaries
 
 
 def specialize_reference(reps, boundaries, coefficients):

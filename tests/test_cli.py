@@ -426,15 +426,29 @@ def test_oversized_torus_or_power_is_refused_at_once(argv, capsys):
     assert len(captured.err) < 200, captured.err
 
 
+@pytest.mark.parametrize("n, L, d", [(2, 5, 3), (2, 0, 3), (1000, 4, 1001)],
+                         ids=["side-5", "side-0", "n1000"])
+def test_bredon_above_the_dimension_checks_the_torus_first(n, L, d, capsys):
+    """A degree above the torus dimension reads the zero group only of a
+    torus that can be built: a bad side or a torus over the cell limit
+    exits 2 with the message a degree within the dimension gets."""
+    refusals = []
+    for degree in (d, 1):
+        assert run(["bredon", "--n", str(n), "--L", str(L), "--d", str(degree)]) == 2
+        refusals.append(capsys.readouterr())
+    assert refusals[0] == refusals[1]
+    assert refusals[0].out == "" and refusals[0].err.startswith("error: ")
+
+
 def test_bredon_on_a_corrupted_orbit_complex_is_a_verification_failure(
         tmp_path, capsys, monkeypatch):
     real_complex = zz2.equivariant_complex
 
-    def corrupted(L, n, moved=None):
-        cx = real_complex(L, n, moved)
-        a = cx.coboundaries[1][0]
-        j = next(j for j, row in enumerate(a.rows) if row)
-        add_at(a, j, next(iter(a.rows[j])), 1)
+    def corrupted(L, n, coefficients, moved=None):
+        cx = real_complex(L, n, coefficients, moved)
+        delta = cx.coboundaries[1]
+        j = next(j for j, row in enumerate(delta.rows) if row)
+        add_at(delta, j, next(iter(delta.rows[j])), 1)
         return cx
 
     monkeypatch.setattr(zz2, "equivariant_complex", corrupted)
