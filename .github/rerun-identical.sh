@@ -17,11 +17,13 @@ mkdir -p "$work"
 
 checks=$(cat <<'ROWS'
 verify --suite all, report and stdout | 0 | equihom verify --suite all --out verify.json
-verify --suite bredon-large | 60 | equihom verify --suite bredon-large --out large.json
+verify --suite bredon-large | 20 | equihom verify --suite bredon-large --out large.json
 bredon n = 3, L = 8 quotient check | 0 | equihom bredon --n 3 --L 8 --d 2 --quotient-check --out quotient.json
-bredon n = 4, L = 4 quotient check | 20 | equihom bredon --n 4 --L 4 --d 2 --quotient-check --out quotient44.json
-bredon n = 4, L = 8 quotient check | 15 | equihom bredon --n 4 --L 8 --d 2 --quotient-check --out quotient48.json
-bredon n = 6, L = 4 | 15 | equihom bredon --n 6 --L 4 --d 3 --out bredon64.json
+bredon n = 4, L = 4 quotient check | 10 | equihom bredon --n 4 --L 4 --d 2 --quotient-check --out quotient44.json
+bredon n = 4, L = 8 quotient check | 10 | equihom bredon --n 4 --L 8 --d 2 --quotient-check --out quotient48.json
+bredon n = 6, L = 4 | 10 | equihom bredon --n 6 --L 4 --d 3 --out bredon64.json
+bredon n = 6, L = 8 quotient check | 10 | equihom bredon --n 6 --L 8 --d 3 --quotient-check --out quotient68.json
+bredon n = 8, L = 4 | 10 | equihom bredon --n 8 --L 4 --d 4 --out bredon84.json
 bredon n = 5, L = 4, group-ring coefficients | 10 | equihom bredon --n 5 --L 4 --d 3 --coefficients ZZ2 --out bredon54-zz2.json
 bredon n = 5, L = 4, trivial coefficients | 10 | equihom bredon --n 5 --L 4 --d 3 --coefficients Zplus --out bredon54-zplus.json
 hom-complex complete:4 | 0 | equihom hom-complex --graph complete:4 --out hom.json

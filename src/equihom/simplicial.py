@@ -268,15 +268,15 @@ def order_complex(elements, masks, cap, involution=None):
                          _antipode(involution, position), ups)
 
 
-def _check_vertex_count(sides, name, what="vertices"):
-    """Refuse a torus with more vertices (or other ``what``) than CELL_LIMIT,
+def _check_vertex_count(sides, name, what="vertices", limit=CELL_LIMIT):
+    """Refuse a torus with more vertices (or other ``what``) than ``limit``,
     reading its sides only until their running product passes the limit."""
     count = 1
     for L in sides:
         count *= L
-        if count > CELL_LIMIT:
+        if count > limit:
             raise CapacityExceededError(
-                f"torus {name} has more {what} than the cell limit {CELL_LIMIT}")
+                f"torus {name} has more {what} than the cell limit {limit}")
 
 
 class Torus:

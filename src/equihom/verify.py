@@ -229,10 +229,16 @@ CHECKS = (
     ("bredon-large", "quotient-projection-check-n5", _quotient_projection(
         5, 4, range(1, 6), "pullback injective with Z2^C(4,d-1) cokernel, 1 <= d <= 5, "
                            "n = 5, L = 4")),
+    ("bredon-large", "equivariant-torus-table-n8", _bredon_table(
+        (8,), (4,), "Z2^C(7,d-1) for all 1 <= d <= 8 at n = 8, L = 4")),
+    ("bredon-large", "quotient-projection-check-n7", _quotient_projection(
+        7, 8, range(1, 8), "pullback injective with Z2^C(6,d-1) cokernel, 1 <= d <= 7, "
+                           "n = 7, L = 8")),
 )
 
-# suites too slow for "all": bredon-large takes about 4 s, most of it the
-# (n, L) = (6, 4) table and the quotient checks at (4, 8) and (5, 4)
+# suites too slow for "all": bredon-large takes about 2.5 s, most of it the
+# n = 8 table and the quotient check at n = 7; its rows up to n = 6 take
+# about 0.2 s
 NOT_IN_ALL = frozenset({"bredon-large"})
 
 # the --suite choices: each suite in order of first appearance, then all

@@ -4,16 +4,24 @@ A free cellular involution makes the cellular chain complex a complex of free
 modules over the group ring Z[Z2] = Z[nu]/(nu^2 - 1), with one generator per
 cell orbit.  Bredon cohomology of a free Z2-CW complex does not depend on the
 cell structure (Eilenberg and Zilber, Amer. J. Math. 1953), so the torus
-gamma(L)^n is read off the cubical torus C(L)^n, a cell the integer whose
-base-2L digits are its circle codes.  Mapping equivariantly into a
-coefficient module turns the orbit complex into integer coboundary matrices,
-and each face of an orbit representative is written straight into them: a
-face at representative k puts its sign at column k, a face at the mate of k
-puts its sign times the image of nu, -1 under the sign representation and
-+1 under the trivial one.  Under the group ring itself a representative's
-face goes to column 2k and a mate's to 2k + 1, and the cell's second row is
-its first with each column c moved to c ^ 1, so each entry a + b*nu becomes
-the block [[a, b], [b, a]].  Smith normal forms of those matrices give the
+gamma(L)^n is read off the cubical torus C(L)^n, and every group of it off
+the smallest one, C(2)^n, whose circle has two vertices and two edges and
+4^n cells in all.  One equivariant contraction of the circle C(L) onto C(2)
+ties them, checked on the 2L cells of C(L) each time a group is read
+(``_check_contraction``): a tensor product of contractions is again a
+contraction (Eilenberg and Mac Lane, Ann. Math. 1953), so C(L)^n contracts
+onto C(2)^n under the half shift of any set of coordinates, and the orbit
+complexes of the two, in every coefficient ring, have the same cohomology.
+A cell of C(L)^n is the integer whose base-2L digits are its circle codes.
+
+Mapping equivariantly into a coefficient module turns the orbit complex
+into integer coboundary matrices, and each face of an orbit representative
+is written straight into them: a face at representative k puts its sign at
+column k, a face at the mate of k puts its sign times the image of nu, -1
+under the sign representation and +1 under the trivial one.  Under the
+group ring itself a representative's face goes to column 2k and a mate's to
+2k + 1, and the cell's second row is its first with each column c moved to
+c ^ 1, so each entry a + b*nu becomes the block [[a, b], [b, a]].  Smith normal forms of those matrices give the
 Bredon cohomology groups; for the n-torus with the diagonal action and sign
 coefficients the answer in degree d is an elementary abelian 2-group of rank
 C(n-1, d-1).  The quotient-projection check reproduces it as the cokernel of
@@ -41,10 +49,14 @@ from math import comb
 
 from .errors import (InvalidInputError, InvalidParameterError, InvariantViolationError,
                      NotFreeActionError)
-from .simplicial import _check_side, _check_vertex_count
+from .simplicial import CELL_LIMIT, _check_side, _check_vertex_count
 from .snf import SparseMat, smith_normal_form
 
 COEFFICIENTS = ("Zminus", "Zplus", "ZZ2")
+
+# the most cells a cubical torus may have: C(2)^11 has CELL_LIMIT of them,
+# but its coboundaries, one dict per row, would need about 3 GB
+CUBE_CELL_LIMIT = CELL_LIMIT >> 2
 
 
 class EquivariantChainComplex:
@@ -168,13 +180,15 @@ def cohomology(deltas, d):
 
 
 def _check_cube(L, n, coefficients):
-    """Refuse an unknown coefficient ring, a side that ``gamma`` refuses or a
-    C(L)^n over the cell limit, before anything is built.  The cell limit is
-    read on (2L)^n one factor at a time, so a large n fails at once."""
+    """Refuse an unknown coefficient ring, a circle C(L) without a free half
+    turn (L odd or below 2) or a C(L)^n over CUBE_CELL_LIMIT, before
+    anything is built.  The cell limit is read on (2L)^n one factor at a
+    time, so a large n fails at once."""
     if coefficients not in COEFFICIENTS:
         raise InvalidParameterError(f"coefficients must be one of {COEFFICIENTS}")
-    _check_side(L)
-    _check_vertex_count(repeat(2 * L, n), f"C({L})^{n}", "cells")
+    if L < 2 or L % 2:
+        raise InvalidParameterError(f"C(L) needs an even L >= 2, got {L}")
+    _check_vertex_count(repeat(2 * L, n), f"C({L})^{n}", "cells", CUBE_CELL_LIMIT)
 
 
 def equivariant_complex(L, n, coefficients, moved=None):
@@ -254,24 +268,146 @@ def _cube_coboundary(cells, ncols, index, span, strides, step):
     return SparseMat(step * len(cells), ncols, rows)
 
 
+def _chain(terms, out=None):
+    """Add the (code, coefficient) pairs ``terms`` into the chain ``out``, a
+    new one by default, summing equal codes and dropping zeros; a chain of a
+    circle is a dict from code to coefficient."""
+    out = {} if out is None else out
+    for c, v in terms:
+        v += out.get(c, 0)
+        if v:
+            out[c] = v
+        else:
+            out.pop(c, None)
+    return out
+
+
+def _image(images, chain):
+    """The image of a chain under the map taking each code c to ``images(c)``."""
+    return _chain((k, v * w) for c, v in chain.items() for k, w in images(c).items())
+
+
+def _circle_boundary(chain, span):
+    """The boundary of a chain of the circle of ``span`` codes: each edge code
+    e goes to its next vertex (e + 1) mod span minus its vertex e - 1, as in
+    ``_cube_coboundary``."""
+    return _chain(term for c, v in chain.items() if c & 1
+                  for term in (((c + 1) % span, v), (c - 1, -v)))
+
+
+def _turn(chain, span):
+    """The half turn of a chain of the circle of ``span`` codes."""
+    return {(c + span // 2) % span: v for c, v in chain.items()}
+
+
+def _circle_contraction(L):
+    """The equivariant contraction (f, g, step) of the circle C(L) onto C(2),
+    on the representatives: the codes below L of C(L), and 0 and 1 of C(2).
+    Each map extends to the mates by the half turn, so it commutes with it.
+
+    C(L) has the vertex v_i at code 2i and the edge e_i from v_i to v_(i+1)
+    at 2i + 1, and C(2) has w_0, a_0, w_1, a_1 at codes 0 to 3; a chain is a
+    dict from code to coefficient.
+
+    - ``f(c)`` sends every vertex of the first half to w_0, its last edge
+      e_(L/2-1) to a_0 and every other edge to 0;
+    - ``g[c]`` sends w_0 to v_0 and a_0 to the sum of the edges of the first
+      half;
+    - the homotopy h is 0 on edges and sends v_i to the sum of the edges
+      from v_0 to v_i, given by its steps: h(v_i) is the sum of ``step(k)``
+      over k <= i, the empty chain at v_0 and e_(k-1) after it.
+    """
+    def f(c):
+        if c & 1:
+            return {1: 1} if c == L - 1 else {}
+        return {0: 1}
+
+    def step(i):
+        return {2 * i - 1: 1} if i else {}
+
+    return f, ({0: 1}, dict.fromkeys(range(1, L, 2), 1)), step
+
+
+def _check_contraction(L):
+    """Check that ``_circle_contraction(L)`` contracts the circle C(L) onto
+    C(2) equivariantly, in O(L) steps, or raise an
+    ``InvariantViolationError``: f and g are chain maps that keep the
+    dimension, fg = id, h raises the dimension by one, and
+    id - gf = dh + hd.
+
+    Every map commutes with the half turn, and so does the boundary, so each
+    identity is checked on the representatives only.  h is read as the
+    running sum of its steps along the first half.  On the edge e_(i-1), hd
+    is h(v_i) - h(v_(i-1)), which is step i, and dh is 0 since C(L) has no
+    2-cells; on v_i, hd is 0 and dh is the running sum of the steps'
+    boundaries.  By the tensor product of contractions, C(L)^n then
+    contracts onto C(2)^n under the half turn of any set of its coordinates.
+    """
+    f, g, step = _circle_contraction(L)
+    span = 2 * L
+
+    def fail(what, c):
+        raise InvariantViolationError(f"C({L}) does not contract onto C(2): {what} at code {c}")
+
+    def mates(image, size, target):
+        return lambda c: image(c) if 2 * c < size else _turn(image(c - size // 2), target)
+
+    f_all, g_all = mates(f, span, 4), mates(g.__getitem__, 4, span)
+    for name, image, size, target in (("f", f_all, span, 4), ("g", g_all, 4, span)):
+        for c in range(size // 2):
+            chain = image(c)
+            if any((k ^ c) & 1 for k in chain):
+                fail(f"{name} changes the dimension", c)
+            if _circle_boundary(chain, target) != _image(image, _circle_boundary({c: 1}, size)):
+                fail(f"{name} is no chain map", c)
+    for c in (0, 1):
+        if _image(f_all, g[c]) != {c: 1}:
+            fail("fg is not the identity", c)
+
+    def residue(c):  # (id - gf)(c)
+        return _chain(((k, -v) for k, v in _image(g_all, f(c)).items()), {c: 1})
+
+    h, dh = {}, {}
+    for i in range(L // 2):
+        now = step(i)
+        if not all(k & 1 for k in now):
+            fail("h does not raise the dimension", 2 * i)
+        if i and now != residue(2 * i - 1):
+            fail("id - gf != dh + hd", 2 * i - 1)
+        _chain(now.items(), h)
+        _chain(_circle_boundary(now, span).items(), dh)
+        if dh != residue(2 * i):
+            fail("id - gf != dh + hd", 2 * i)
+    # the last edge of the half runs to v_(L/2), the mate of v_0
+    if _chain(((k, -v) for k, v in h.items()), _turn(step(0), span)) != residue(L - 1):
+        fail("id - gf != dh + hd", L - 1)
+
+
 @lru_cache(maxsize=32)
-def _torus_coboundaries(n, L, coefficients):
-    return _Coboundaries(tuple(equivariant_complex(L, n, coefficients).coboundaries))
+def _torus_coboundaries(n, coefficients):
+    return _Coboundaries(tuple(equivariant_complex(2, n, coefficients).coboundaries))
 
 
 def bredon_torus(n, L, d, coefficients="Zminus"):
     """Equivariant cohomology of gamma(L)^n with the diagonal involution,
-    read off the orbit complex of the cubical torus C(L)^n.
+    read off the orbit complex of the cubical torus C(2)^n through the
+    checked contraction of C(L) onto C(2); the coboundaries are built once
+    per (n, coefficients), whatever L.
 
     With sign coefficients the expected value in degree d >= 1 is an
     elementary abelian 2-group of rank C(n-1, d-1).
     """
     if n < 1:
         raise InvalidParameterError("need n >= 1")
-    _check_cube(L, n, coefficients)
+    # before anything is built: the ring and the size of C(2)^n, the side
+    # that gamma takes and the size of C(L), and then the contraction
+    _check_cube(2, n, coefficients)
+    _check_side(L)
+    _check_vertex_count((2 * L,), f"C({L})", "cells")
+    _check_contraction(L)
     if d > n:
         return CohomologyGroup(0, ())  # no cells above the torus dimension
-    return _torus_coboundaries(n, L, coefficients).cohomology(d)
+    return _torus_coboundaries(n, coefficients).cohomology(d)
 
 
 # the coboundary cache behind bredon_torus, reachable under the public name
@@ -309,8 +445,8 @@ def _mapping_cone(deltas_q, pullbacks, deltas_x):
 
 
 @lru_cache(maxsize=2)
-def _quotient_complexes(n, L):
-    """The coboundaries of the torus C(L)^n, of its quotient by the
+def _quotient_complexes(n):
+    """The coboundaries of the torus C(2)^n, of its quotient by the
     first-coordinate half shift, and of the mapping cone of the pullback P
     between them, as ``_Coboundaries`` (X, Q, Cone), read off the orbit
     complex under that shift, built once in each ring.
@@ -322,15 +458,19 @@ def _quotient_complexes(n, L):
     (representative, mate), and P_k sends orbit i to rows 2i and 2i + 1.
     The cone's list composes to zero exactly when delta_Q and delta_X do and
     delta_X P = P delta_Q, so making its ``_Coboundaries`` is the cochain-map
-    check.  Cached per (n, L), so the degrees of one quotient check share
-    their Smith forms.
+    check.  The contraction of C(L) onto C(2) commutes with the half turn,
+    so its tensor powers contract C(L)^n onto C(2)^n under the shift of the
+    first coordinate alone, and since P comes from the coefficients it
+    commutes with them: the three complexes of every L have the cohomology
+    of these.  Cached per n, so the degrees of one quotient check, and the
+    quotient checks of every L, share their Smith forms.
     """
-    q = equivariant_complex(L, n, "Zplus", moved=(0,))
+    q = equivariant_complex(2, n, "Zplus", moved=(0,))
     pullbacks = [SparseMat(2 * m, m, [{i: 1} for i in range(m) for _ in (0, 1)])
                  for m in map(q.rank, range(n + 1))]
     deltas_q = q.coboundaries
     del q  # its representatives are dropped before the torus is built
-    deltas_x = equivariant_complex(L, n, "ZZ2", moved=(0,)).coboundaries
+    deltas_x = equivariant_complex(2, n, "ZZ2", moved=(0,)).coboundaries
     return (_Coboundaries(deltas_x), _Coboundaries(deltas_q),
             _Coboundaries(_mapping_cone(deltas_q, pullbacks, deltas_x)))
 
@@ -338,22 +478,25 @@ def _quotient_complexes(n, L):
 def quotient_pstar_check(n, L, d):
     """Verify the pullback along the torus double cover in degree d.
 
-    Takes the orbit complex of the cubical torus C(L)^n under the shift of
+    Takes the orbit complex of the cubical torus C(2)^n under the shift of
     the first coordinate only, with trivial and with group-ring coefficients
     for the quotient and the torus, and the cochain map P induced by the
-    projection (``_quotient_complexes``, once per (n, L)); any L that
-    ``gamma`` accepts will do, L = 4 included, whose quotient circle has two
-    vertices and two edges, since the quotient is never built.  Checks
-    that H^d of both is free of rank C(n, d).  The cohomology of the mapping
-    cone of P then gives p* on H^d: finite cone groups in degrees d - 1 and
-    d mean that p* is injective with cokernel H^d(Cone), which must be
-    elementary abelian of rank C(n-1, d-1), the invariant factors of p*
-    being C(n-1, d-1) twos and C(n-1, d) ones.  Cross-checks the cokernel
+    projection (``_quotient_complexes``, once per n); they stand for those
+    of C(L)^n through the contraction of C(L) onto C(2), which the
+    cross-check against ``bredon_torus`` checks, with n and L, before any of
+    them is built.  Any L that ``gamma`` accepts will do, L = 4 included,
+    since no quotient is built.  Checks that H^d of both is free of rank
+    C(n, d).  The cohomology of the mapping cone of P then gives p* on H^d:
+    finite cone groups in degrees d - 1 and d mean that p* is injective with
+    cokernel H^d(Cone), which must be elementary abelian of rank
+    C(n-1, d-1), the invariant factors of p* being C(n-1, d-1) twos and
+    C(n-1, d) ones.  Cross-checks the cokernel
     against the directly computed equivariant cohomology.
     """
     if not 1 <= d <= n:
         raise InvalidParameterError("need 1 <= d <= n")
-    h_x, h_q, cone = _quotient_complexes(n, L)
+    bredon = bredon_torus(n, L, d)
+    h_x, h_q, cone = _quotient_complexes(n)
 
     expected_rank = comb(n, d)
     for h in (h_x, h_q):
@@ -373,7 +516,6 @@ def quotient_pstar_check(n, L, d):
     injective = below.free_rank == 0
     factors = [1] * (expected_rank - len(cokernel.torsion)) + list(cokernel.torsion)
     expected_factors = sorted([1] * comb(n - 1, d) + [2] * comb(n - 1, d - 1))
-    bredon = bredon_torus(n, L, d)
     record = {
         "n": n, "L": L, "d": d,
         "pstar_injective": injective,

@@ -409,13 +409,15 @@ def test_bredon_verb(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["bredon", "--n", "1000", "--L", "4", "--d", "1"],
+    ["bredon", "--n", "11", "--L", "4", "--d", "1"],
+    ["bredon", "--n", "1", "--L", "40000000000", "--d", "1"],
     ["enumerate", "--ell", "3", "--arity", "10000"],
     ["zeta0", "--n", "100000000", "--h", "1", "--L", "4"],
     ["enumerate", "--ell", "3", "--arity", "9", "--limit", "1"],
     ["enumerate", "--ell", "9", "--arity", "5", "--limit", "2"],
     ["hom-complex", "--graph", "complete:40"],
-], ids=["bredon-n1000", "enumerate-arity10000", "zeta0-n1e8", "enumerate-arity9-edges",
-        "enumerate-ell9-arity5-edges", "hom-complex-complete40"])
+], ids=["bredon-n1000", "bredon-n11", "bredon-huge-L", "enumerate-arity10000", "zeta0-n1e8",
+        "enumerate-arity9-edges", "enumerate-ell9-arity5-edges", "hom-complex-complete40"])
 def test_oversized_torus_or_power_is_refused_at_once(argv, capsys):
     start = time.perf_counter()
     assert run(argv) == 2
@@ -438,6 +440,44 @@ def test_bredon_above_the_dimension_checks_the_torus_first(n, L, d, capsys):
         refusals.append(capsys.readouterr())
     assert refusals[0] == refusals[1]
     assert refusals[0].out == "" and refusals[0].err.startswith("error: ")
+
+
+def test_bredon_reads_c2_to_the_model_cell_limit(capsys):
+    """C(2)^10 is the largest model: n = 10 is read off it, while n = 11,
+    whose C(2)^11 has CELL_LIMIT cells, and a circle C(L) of more than
+    CELL_LIMIT cells are refused, each named by its own limit."""
+    assert zz2.CUBE_CELL_LIMIT == 4 ** 10
+    for argv, message in [
+            (["--n", "11", "--L", "4"], "torus C(2)^11 has more cells than the cell limit 1048576"),
+            (["--n", "1", "--L", "2097156"],
+             "torus C(2097156) has more cells than the cell limit 4194304")]:
+        assert run(["bredon", *argv, "--d", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bredon_past_the_old_cell_limit(tmp_path):
+    """(2L)^n passed the cell limit at (7, 4); the model C(2)^7 does not."""
+    out = tmp_path / "bredon.json"
+    assert run(["bredon", "--n", "7", "--L", "4", "--d", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["free_rank"], report["torsion"]) == (0, [2] * 15)
+
+
+def test_bredon_on_a_corrupted_contraction_is_a_verification_failure(
+        tmp_path, capsys, monkeypatch):
+    """A homotopy that skips an edge fails the contraction check, exit 1,
+    before any orbit complex is built."""
+    real = zz2._circle_contraction
+    monkeypatch.setattr(zz2, "_circle_contraction", lambda L: (
+        lambda f, g, step: (f, g, lambda i: {} if i == 2 else step(i)))(*real(L)))
+    built = []
+    monkeypatch.setattr(zz2, "equivariant_complex", lambda *args: built.append(args))
+    out = tmp_path / "bredon.json"
+    for extra in ([], ["--quotient-check"]):
+        assert run(["bredon", "--n", "2", "--L", "8", "--d", "1", "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err == ("verification failure: C(8) does not contract onto "
+                                           "C(2): id - gf != dh + hd at code 3\n")
+    assert not out.exists() and built == []
 
 
 def test_bredon_on_a_corrupted_orbit_complex_is_a_verification_failure(

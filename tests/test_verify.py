@@ -63,7 +63,8 @@ def test_all_runs_every_check_in_report_order(monkeypatch, capsys):
                 "odd-vector-count"]),
     ("bredon-large", ["equivariant-torus-table-n4", "equivariant-torus-table-n5",
                       "equivariant-torus-table-n6", "quotient-projection-check-n4",
-                      "quotient-projection-check-n5"])])
+                      "quotient-projection-check-n5", "equivariant-torus-table-n8",
+                      "quotient-projection-check-n7"])])
 def test_each_suite_runs_its_own_checks_in_order(monkeypatch, capsys, suite, names):
     calls = stub_checks(monkeypatch)
     assert main(["verify", "--suite", suite]) == 0

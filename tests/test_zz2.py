@@ -73,12 +73,11 @@ def test_cube_complex_matches_cell_at_a_time_reference(n, L, moved):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_faces_in_one_orbit_are_summed(n, monkeypatch):
+def test_faces_in_one_orbit_are_summed(n):
     """On C(2), the circle of two vertices and two edges, the faces of an
     edge are mates, so its entry is nu - 1: -2 under Zminus, 0 under Zplus.
-    With the side check lifted the builder sums them as the reference does,
-    and the sign coefficients still give Z_2^C(n-1,d-1)."""
-    monkeypatch.setattr(zz2, "_check_side", lambda L: None)
+    The builder sums them as the reference does, and the sign coefficients
+    still give Z_2^C(n-1,d-1)."""
     reps, boundaries = cube_orbit_reference(2, n)
     for ring in zz2.COEFFICIENTS:
         deltas = equivariant_complex(2, n, ring).coboundaries
@@ -90,6 +89,71 @@ def test_faces_in_one_orbit_are_summed(n, monkeypatch):
     deltas = equivariant_complex(2, n, "Zminus").coboundaries
     assert [cohomology(deltas, d) for d in range(1, n + 1)] == \
         [expected_bredon(n, d) for d in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("coefficients", zz2.COEFFICIENTS)
+@pytest.mark.parametrize("n, L", [(n, L) for n in (1, 2, 3, 4) for L in (4, 8)] + [(5, 4)])
+def test_every_group_equals_that_of_the_minimal_model(n, L, coefficients):
+    """Read off C(L)^n or off C(2)^n, through the contraction of C(L) onto
+    C(2), every group is the same, and so is the torsion of every cleared
+    coboundary, which is that of the group above it.  The unit invariant
+    factors differ in number, as the sizes of the two complexes do."""
+    ours = zz2._torus_coboundaries(n, coefficients)
+    theirs = zz2._Coboundaries(equivariant_complex(L, n, coefficients).coboundaries)
+    assert [bredon_torus(n, L, d, coefficients) for d in range(n + 1)] == \
+        [theirs.cohomology(d) for d in range(n + 1)]
+    assert [ours.smith(k).torsion for k in range(n)] == \
+        [theirs.smith(k).torsion for k in range(n)]
+
+
+@pytest.mark.parametrize("n, L", [(1, 4), (1, 8), (2, 4), (2, 8), (3, 4), (3, 8), (4, 4)])
+def test_quotient_records_equal_those_read_off_the_torus_of_side_l(n, L, monkeypatch):
+    """With every orbit complex built on C(L)^n instead of C(2)^n, the
+    quotient check gives the same record in every degree."""
+    records = [quotient_pstar_check(n, L, d) for d in range(1, n + 1)]
+    real_complex, built = zz2.equivariant_complex, []
+    monkeypatch.setattr(zz2, "equivariant_complex", lambda _, n, coefficients, moved=None:
+                        built.append(moved) or real_complex(L, n, coefficients, moved))
+    try:
+        for clear in (quotient_pstar_check.cache_clear, bredon_torus.cache_clear):
+            clear()
+        assert [quotient_pstar_check(n, L, d) for d in range(1, n + 1)] == records
+        assert built == [None, (0,), (0,)]
+    finally:
+        quotient_pstar_check.cache_clear()
+        bredon_torus.cache_clear()
+
+
+@pytest.mark.parametrize("L", [4, 8, 12, 16, 100])
+def test_the_circle_contracts_onto_the_minimal_circle(L):
+    zz2._check_contraction(L)
+
+
+CORRUPTED_CONTRACTIONS = {
+    "h-skips-an-edge": (lambda f, g, step: (f, g, lambda i: {} if i == 2 else step(i)),
+                        "id - gf != dh + hd at code 3"),
+    "h-lowers-the-dimension": (lambda f, g, step: (f, g, lambda i: {4: 1} if i == 2 else step(i)),
+                               "h does not raise the dimension at code 4"),
+    "g-drops-an-edge": (lambda f, g, step: (f, (g[0], {k: 1 for k in g[1] if k != 3}), step),
+                        "g is no chain map at code 1"),
+    "g-doubles": (lambda f, g, step: (f, tuple({k: 2 for k in c} for c in g), step),
+                  "fg is not the identity at code 0"),
+    "f-moves-an-edge": (lambda f, g, step: (lambda c: {1: 1} if c == 1 else f(c), g, step),
+                        "f is no chain map at code 1"),
+    "f-sends-an-edge-to-a-vertex": (lambda f, g, step: (lambda c: {0: 1} if c == 1 else f(c),
+                                                        g, step),
+                                    "f changes the dimension at code 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED_CONTRACTIONS))
+def test_a_corrupted_contraction_is_refused(case, monkeypatch):
+    corrupt, message = CORRUPTED_CONTRACTIONS[case]
+    real = zz2._circle_contraction
+    monkeypatch.setattr(zz2, "_circle_contraction", lambda L: corrupt(*real(L)))
+    with pytest.raises(InvariantViolationError) as info:
+        zz2._check_contraction(8)
+    assert str(info.value) == f"C(8) does not contract onto C(2): {message}"
 
 
 def test_specialization_rules():
@@ -224,10 +288,11 @@ def test_bredon_torus_factors_each_coboundary_once(monkeypatch):
     assert len(smith_calls) == 3
     # top coboundary first and whole; each lower one loses the rows at the
     # unit pivot columns of the one above it
-    coboundaries = zz2._torus_coboundaries(3, 4, "Zminus")
+    coboundaries = zz2._torus_coboundaries(3, "Zminus")
     deltas = coboundaries.deltas
     assert smith_calls[0] is deltas[2]
-    assert (deltas[2].nrows, deltas[2].ncols) == (32, 96)
+    # C(2)^3 has 4 orbits of 3-cells and 12 of 2-cells
+    assert (deltas[2].nrows, deltas[2].ncols) == (4, 12)
     for call, k in zip(smith_calls[1:], (1, 0)):
         assert call.ncols == deltas[k].ncols
         assert call.nrows == (deltas[k].nrows
@@ -236,19 +301,19 @@ def test_bredon_torus_factors_each_coboundary_once(monkeypatch):
 
 def test_building_the_coboundaries_holds_little_beside_them():
     """Each face is written once, into the ring's own rows: building the
-    coboundaries of C(4)^5 peaks under 1.5 times what they hold when done,
+    coboundaries of C(2)^7 peaks under 1.5 times what they hold when done,
     with no intermediate matrices beside them."""
     zz2._torus_coboundaries.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        coboundaries = zz2._torus_coboundaries(5, 4, "Zminus")
+        coboundaries = zz2._torus_coboundaries(7, "Zminus")
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         zz2._torus_coboundaries.cache_clear()
-    assert len(coboundaries.deltas) == 5
+    assert len(coboundaries.deltas) == 7
     assert peak - before < 1.5 * (held - before)
 
 
@@ -344,11 +409,11 @@ def test_quotient_pstar_check_n2():
 
 
 def test_quotient_check_builds_and_checks_each_torus_once(monkeypatch):
-    # one orbit complex per ring under the first-coordinate shift, Zplus for
-    # the quotient and ZZ2 for the torus, the pullbacks and every dd = 0
-    # check, that of the cone being the cochain-map check, run at the first
-    # degree; the second degree only reads cohomology, and both records are
-    # those of the dense reference
+    # one orbit complex of C(2)^2 per ring under the first-coordinate shift,
+    # Zplus for the quotient and ZZ2 for the torus, whatever L, the
+    # pullbacks and every dd = 0 check, that of the cone being the
+    # cochain-map check, run at the first degree; the second degree only
+    # reads cohomology, and both records are those of the dense reference
     zz2._quotient_complexes.cache_clear()
     bredon_torus(2, 8, 1)  # the diagonal torus of the cross-check, built apart
     built = []
@@ -356,7 +421,7 @@ def test_quotient_check_builds_and_checks_each_torus_once(monkeypatch):
     monkeypatch.setattr(zz2, "equivariant_complex",
                         lambda *args, **kw: built.append((args, kw)) or real_complex(*args, **kw))
     first = quotient_pstar_check(2, 8, 1)
-    assert built == [((8, 2, "Zplus"), {"moved": (0,)}), ((8, 2, "ZZ2"), {"moved": (0,)})]
+    assert built == [((2, 2, "Zplus"), {"moved": (0,)}), ((2, 2, "ZZ2"), {"moved": (0,)})]
     second = quotient_pstar_check(2, 8, 2)
     assert len(built) == 2
     assert (first, second) == (quotient_pstar_reference(2, 8, 1),
@@ -370,17 +435,18 @@ def test_quotient_pstar_cone_matches_dense_reference(n, L, d):
 
 def test_quotient_complexes_match_the_simplicial_quotient_at_n3(monkeypatch):
     """At (3, 8), where the dense reference is out of reach, the torus, the
-    quotient and the cone read off the orbit complex have the cohomology of
-    those built on gamma(4) x gamma(8)^2 and its projection in every degree,
-    and every record is the one the simplicial complexes give."""
+    quotient and the cone read off the orbit complex of C(2)^3 have the
+    cohomology of those built on gamma(8)^3, gamma(4) x gamma(8)^2 and the
+    projection in every degree, and every record is the one the simplicial
+    complexes give."""
     zz2._quotient_complexes.cache_clear()
     records = [quotient_pstar_check(3, 8, d) for d in (1, 2, 3)]
-    ours, theirs = zz2._quotient_complexes(3, 8), quotient_complexes_reference(3, 8)
+    ours, theirs = zz2._quotient_complexes(3), quotient_complexes_reference(3, 8)
     for mine, reference in zip(ours, theirs):
         assert [mine.cohomology(e) for e in range(len(mine.deltas) + 1)] == \
             [reference.cohomology(e) for e in range(len(reference.deltas) + 1)]
     zz2._quotient_complexes.cache_clear()
-    monkeypatch.setattr(zz2, "_quotient_complexes", lambda n, L: theirs)
+    monkeypatch.setattr(zz2, "_quotient_complexes", lambda n: theirs)
     assert records == [quotient_pstar_check(3, 8, d) for d in (1, 2, 3)]
 
 
