@@ -33,6 +33,7 @@ survey ell = 3 up to arity 3 | 0 | equihom experiment --ell 3 --n-max 3 --chain-
 survey ell = 3 up to arity 4 | 0 | equihom experiment --ell 3 --n-max 4 --chain-samples 500 --seed 3 --out survey4.json
 sampled survey ell = 5 | 0 | equihom experiment --ell 5 --n-max 2 --chain-samples 500 --seed 3 --out survey5.json
 survey ell = 5 up to arity 3 | 0 | equihom experiment --ell 5 --n-max 3 --seed 3 --out survey5n3.json
+survey ell = 7 up to arity 3 | 10 | equihom experiment --ell 7 --n-max 3 --seed 3 --out survey7n3.json
 survey ell = 101 | 10 | equihom experiment --ell 101 --n-max 1 --chain-samples 10 --out survey101.json
 phi on the binary polymorphisms | 0 | equihom enumerate --ell 3 --arity 2 --out binary.jsonl && equihom phi --in binary.jsonl --out phi.jsonl
 phi at arity 4 | 0 | equihom enumerate --ell 3 --arity 4 --limit 20 --out arity4.jsonl && equihom phi --in arity4.jsonl --out phi4.jsonl

@@ -7,9 +7,8 @@ most significant, so serialized polymorphisms are portable.
 """
 
 import random
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
-from operator import or_
 
 from .errors import (CapacityExceededError, InvalidParameterError,
                      InvariantViolationError)
@@ -249,30 +248,141 @@ def _gather(dom, target, mapping):
     return tuple(table)
 
 
-class _Supported(dict):
-    """``supported[dy]``: the mask of values a with an edge (a, b) for some b
-    in the value mask dy, the union of the neighbour masks ``near[b]`` of
-    dy's members; each entry is computed on first use."""
+@lru_cache(maxsize=8)
+def _search_tables(dom, cod, fail_first):
+    """The fixed inputs of ``_search``: the neighbour mask ``near[b]`` of
+    each value, the starting domain of each vertex (the looped values at a
+    looped vertex, every value elsewhere), and the neighbours each
+    assignment checks forward.  In index order those are the later
+    neighbours; fail-first checks all of them, and an assigned one is left
+    as it is, since its value has an edge to every value it lets its
+    neighbours keep."""
+    values = range(cod.vertex_count)
+    near = tuple(sum(1 << a for a in cod.neighbours(b)) for b in values)
+    looped = sum(1 << a for a in values if cod.has_edge(a, a))
+    domains = tuple(looped if dom.has_edge(v, v) else (1 << cod.vertex_count) - 1
+                    for v in dom.vertices())
+    checked = tuple(tuple(sorted(w for w in dom.neighbours(v)
+                                 if w > v or (fail_first and w != v)))
+                    for v in dom.vertices())
+    return near, domains, checked
 
-    def __init__(self, near):
-        super().__init__()
-        self.near = near
 
-    def __missing__(self, dy):
-        mask = self[dy] = reduce(or_, [near for b, near in enumerate(self.near)
-                                       if dy >> b & 1], 0)
-        return mask
+def _search(dom, cod, rng, budget):
+    """The value arrays of the homomorphisms dom -> cod, by depth-first
+    search with forward checking (Haralick and Elliott 1980).
+
+    A domain is a bitmask of values.  Assigning a to v ANDs ``near[a]`` into
+    the domain of each unassigned neighbour, and a domain left empty fails
+    the value; the masks it narrowed go on a trail, which backtracking
+    unwinds, so no frame copies the domains.  Without an rng, vertices go
+    in index order and values ascend, so the arrays come in lexicographic
+    order.  With one, each step takes an unassigned vertex of smallest
+    domain (Brelaz 1979), from a bucket queue indexed by domain size, with
+    ties broken by the rng, and tries its values in shuffled order.  With a
+    ``budget``, the search ends once it would push more than that many
+    frames past the first.
+    """
+    near, domains, checked = _search_tables(dom, cod, rng is not None)
+    if not all(domains):  # a looped vertex, and no looped value
+        return
+    masks = list(domains)
+    trail = []  # (vertex, its mask before a value narrowed it)
+    stack = []  # (vertex, its domain, values left, trail length) per frame
+    queue = None
+    if rng is not None:
+        # queue[s] lists the unassigned vertices whose domain has s values,
+        # and at[v] is the place of v in its list
+        queue = [[] for _ in range(cod.vertex_count + 1)]
+        at = [0] * len(masks)
+
+        def enqueue(v, d):
+            bucket = queue[d.bit_count()]
+            at[v] = len(bucket)
+            bucket.append(v)
+
+        def dequeue(v, d):
+            bucket = queue[d.bit_count()]
+            last = bucket.pop()
+            if last != v:
+                bucket[at[v]] = last
+                at[last] = at[v]
+
+        for v, d in enumerate(masks):
+            enqueue(v, d)
+
+    def push():
+        if queue is None:
+            v = len(stack)  # the frames below hold vertices 0 to v - 1
+        else:
+            for bucket in queue:  # the first that is not empty
+                if bucket:
+                    break
+            v = bucket[rng.randrange(len(bucket))]
+            dequeue(v, masks[v])
+        d = masks[v]
+        values = [a for a in range(cod.vertex_count) if d >> a & 1]
+        if queue is not None:
+            rng.shuffle(values)
+        stack.append((v, d, iter(values), len(trail)))
+
+    def unwind(mark):
+        while len(trail) > mark:
+            w, m = trail.pop()
+            if queue is not None:
+                dequeue(w, masks[w])
+                enqueue(w, m)
+            masks[w] = m
+
+    assignment = [None] * len(masks)
+    push()
+    pushed = 0
+    while stack:
+        v, d, values, mark = stack[-1]
+        for a in values:
+            unwind(mark)
+            na = near[a]
+            for w in checked[v]:
+                m = masks[w]
+                narrowed = m & na
+                if narrowed != m:
+                    if not narrowed:
+                        break
+                    trail.append((w, m))
+                    if queue is not None:
+                        dequeue(w, m)
+                        enqueue(w, narrowed)
+                    masks[w] = narrowed
+            else:
+                masks[v] = 1 << a  # a singleton, which no later check narrows
+                assignment[v] = a
+                break
+        else:
+            unwind(mark)
+            masks[v] = d
+            if queue is not None:
+                enqueue(v, d)
+            stack.pop()
+            continue
+        if len(stack) == len(masks):
+            yield tuple(assignment)
+        elif pushed == budget:
+            return
+        else:
+            pushed += 1
+            push()
 
 
 class HomStream:
     """Iterator over homomorphisms with a truncation flag.
 
-    Each map is marked ``checked``: a vertex takes a value only once AC-3
-    has kept it for an edge to every assigned neighbour.  Domains are
-    bitmasks of values, pruned through the ``_Supported`` table.  ``truncated``
-    becomes True when a limit cut the enumeration short; it is reliable
-    once iteration has finished.  With a ``budget``, the search ends once
-    it would push more than that many frames past the first.
+    The maps come from ``_search``, in lexicographic order of the value
+    array without an rng and in a seeded fail-first order with one; each is
+    marked ``checked``, since forward checking gives a vertex only values
+    with an edge to the value of every assigned neighbour.  ``truncated``
+    becomes True when a limit cut the enumeration short; it is reliable once
+    iteration has finished.  With a ``budget``, the search ends once it
+    would push more than that many frames past the first.
     """
 
     def __init__(self, dom, cod, limit=None, rng=None, budget=None):
@@ -283,68 +393,11 @@ class HomStream:
         return self._gen
 
     def _run(self, dom, cod, limit, rng, budget):
-        n = dom.vertex_count
-        emitted = 0
-        all_values = range(cod.vertex_count)
-        neighbours = [sorted(dom.neighbours(v)) for v in range(n)]
-        supported = _Supported([sum(1 << a for a in cod.neighbours(b)) for b in all_values])
-
-        def ac3(domains, queue):
-            # arcs are directed pairs (x, y) with y adjacent to x
-            while queue:
-                x, y = queue.pop()
-                dx = domains[x]
-                keep = dx & supported[domains[y]]
-                if keep != dx:
-                    if not keep:
-                        return False
-                    domains[x] = keep
-                    queue.extend([(z, x) for z in neighbours[x] if z != y])
-            return True
-
-        full = (1 << cod.vertex_count) - 1
-        looped = sum(1 << a for a in all_values if cod.has_edge(a, a))
-        domains = [looped if dom.has_edge(v, v) else full for v in range(n)]
-        if not ac3(domains, [(x, y) for x in range(n) for y in neighbours[x]]):
-            return
-
-        # Depth-first search on an explicit stack of (vertex, domains, values
-        # left) frames; each domain is a bitmask of values, and a frame's
-        # values are its vertex's domain in increasing order, shuffled by the
-        # rng if there is one.
-        def frame(v, domains):
-            d = domains[v]
-            order = [a for a in all_values if d >> a & 1]
-            if rng is not None:
-                rng.shuffle(order)
-            return v, domains, iter(order)
-
-        assignment = [None] * n
-        stack = [frame(0, domains)]
-        pushed = 0
-        while stack:
-            v, domains, values = stack[-1]
-            later = [(w, v) for w in neighbours[v] if w > v]
-            for a in values:
-                nxt = list(domains)
-                nxt[v] = 1 << a
-                if ac3(nxt, list(later)):
-                    assignment[v] = a
-                    break
-            else:
-                stack.pop()
-                continue
-            if v + 1 < n:
-                if pushed == budget:
-                    return
-                pushed += 1
-                stack.append(frame(v + 1, nxt))
-                continue
-            if limit is not None and emitted >= limit:
+        for emitted, values in enumerate(_search(dom, cod, rng, budget)):
+            if emitted == limit:
                 self.truncated = True
                 return
-            emitted += 1
-            hom = GraphHom(dom, cod, tuple(assignment), check=False)
+            hom = GraphHom(dom, cod, values, check=False)
             hom.checked = True
             yield hom
 
@@ -357,17 +410,17 @@ def enumerate_homs(dom, cod, limit=None):
 
 
 def sample_homs(dom, cod, count, rng):
-    """Distinct homomorphisms found by randomized backtracking restarts.
+    """Distinct homomorphisms found by randomized fail-first restarts.
 
-    Used when the full enumeration is too large; the rng drives the value
-    order of each restart, so results are reproducible from the seed.  Each
-    restart may push ``20 * dom.vertex_count`` search frames; one that needs
-    more is a failed attempt, which bounds the heavy tail of unlucky value
-    orders.
+    Used when the full enumeration is too large; the rng seeds each restart,
+    which drives its ties and value orders, so results are reproducible
+    from the seed.  Each restart may push ``2 * dom.vertex_count`` search
+    frames; one that needs more is a failed attempt, which cuts off the
+    heavy tail of unlucky orders (Gomes, Selman and Kautz 1998).
     """
     found = {}
     attempts = 0
-    budget = 20 * dom.vertex_count
+    budget = 2 * dom.vertex_count
     while len(found) < count and attempts < 50 * count:
         attempts += 1
         sub = random.Random(rng.getrandbits(64))

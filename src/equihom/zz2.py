@@ -328,6 +328,7 @@ def _circle_contraction(L):
     return f, ({0: 1}, dict.fromkeys(range(1, L, 2), 1)), step
 
 
+@lru_cache(maxsize=None)
 def _check_contraction(L):
     """Check that ``_circle_contraction(L)`` contracts the circle C(L) onto
     C(2) equivariantly, in O(L) steps, or raise an
@@ -342,6 +343,8 @@ def _check_contraction(L):
     2-cells; on v_i, hd is 0 and dh is the running sum of the steps'
     boundaries.  By the tensor product of contractions, C(L)^n then
     contracts onto C(2)^n under the half turn of any set of its coordinates.
+    Each L that passed is remembered, one int for the life of the process,
+    so it is checked once; a failure raises and is not cached.
     """
     f, g, step = _circle_contraction(L)
     span = 2 * L

@@ -19,9 +19,10 @@ became two sparse matrices, is kept too.  The tuple-based validation of a
 simplicial set, one cell at a time, is the reference for the column check
 the library runs on positions.
 The homomorphism search with its arc consistency testing value pairs against
-the edge set, over value lists, is the reference for the pruning on value
-bitmasks, and the arity survey on colour dicts, enumerating every arity up
-to the cutoff and sampling chains as vertex tuples, is the reference for the
+the edge set, over value lists, is the reference for the enumeration by
+forward checking on value bitmasks, and the arity survey on colour dicts,
+enumerating every arity up to the cutoff and sampling chains as vertex
+tuples, is the reference for the
 survey on byte lanes and row-major positions; its chain sampler, which
 draws through ``randrange``, ``shuffle`` and ``choice``, and
 ``chain_alternations`` are the reference for the kernel that walks the
@@ -1633,24 +1634,23 @@ def quotient_pstar_reference(n, L, d):
 
 
 class HomStreamReference:
-    """``graphs.HomStream`` with AC-3 over value lists, testing each value
-    against every neighbour value pair in ``cod.edges``.
+    """``graphs.enumerate_homs`` by AC-3 over value lists, testing each value
+    against every neighbour value pair in ``cod.edges``, with vertices in
+    index order and values ascending.
 
-    Iterator over homomorphisms with a truncation flag.
-
-    ``truncated`` becomes True when a limit cut the enumeration short; it is
-    reliable once iteration has finished.  With a ``budget``, the search ends
-    once it would push more than that many frames past the first.
+    Iterator over homomorphisms with a truncation flag; ``truncated``
+    becomes True when a limit cut the enumeration short, and it is reliable
+    once iteration has finished.
     """
 
-    def __init__(self, dom, cod, limit=None, rng=None, budget=None):
+    def __init__(self, dom, cod, limit=None):
         self.truncated = False
-        self._gen = self._run(dom, cod, limit, rng, budget)
+        self._gen = self._run(dom, cod, limit)
 
     def __iter__(self):
         return self._gen
 
-    def _run(self, dom, cod, limit, rng, budget):
+    def _run(self, dom, cod, limit):
         n = dom.vertex_count
         emitted = 0
         all_values = sorted(cod.vertices())
@@ -1682,15 +1682,8 @@ class HomStreamReference:
         # Depth-first search on an explicit stack of (vertex, domains, values
         # left) frames; AC-3 replaces domain lists and never edits one, so a
         # frame shares the lists it did not prune with the frame below.
-        def frame(v, domains):
-            order = list(domains[v])
-            if rng is not None:
-                rng.shuffle(order)
-            return v, domains, iter(order)
-
         assignment = [None] * n
-        stack = [frame(0, domains)]
-        pushed = 0
+        stack = [(0, domains, iter(domains[0]))]
         while stack:
             v, domains, values = stack[-1]
             for a in values:
@@ -1703,35 +1696,13 @@ class HomStreamReference:
                 stack.pop()
                 continue
             if v + 1 < n:
-                if pushed == budget:
-                    return
-                pushed += 1
-                stack.append(frame(v + 1, nxt))
+                stack.append((v + 1, nxt, iter(nxt[v + 1])))
                 continue
             if limit is not None and emitted >= limit:
                 self.truncated = True
                 return
             emitted += 1
             yield GraphHom(dom, cod, tuple(assignment), check=False)
-
-
-def sample_homs_reference(dom, cod, count, rng):
-    """Distinct homomorphisms found by randomized backtracking restarts.
-
-    Used when the full enumeration is too large; the rng drives the value
-    order of each restart, so results are reproducible from the seed.  Each
-    restart may push ``20 * dom.vertex_count`` search frames.
-    """
-    found = {}
-    attempts = 0
-    budget = 20 * dom.vertex_count
-    while len(found) < count and attempts < 50 * count:
-        attempts += 1
-        sub = random.Random(rng.getrandbits(64))
-        for hom in HomStreamReference(dom, cod, limit=1, rng=sub, budget=budget):
-            found[hom.values] = hom
-            break
-    return list(found.values())
 
 
 def sample_maximal_chain_reference(L, n, rng):

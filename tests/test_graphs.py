@@ -15,7 +15,7 @@ from equihom.graphs import (Graph, GraphHom, HomStream, MinorSpec, _gather,
 
 from oracles import (HomStreamReference, composite_mapping, cycle_hom_count,
                      decode, graph_from_json, graph_to_json, is_graph_hom,
-                     minor_reference, sample_homs_reference)
+                     minor_reference)
 
 
 def test_templates():
@@ -273,7 +273,7 @@ AC3_CASES = {  # domain, codomain, limit, maps emitted
     "C5->K3": (cycle_graph(5), complete_graph(3), None, 30),
     "C5->K5": (cycle_graph(5), complete_graph(5), None, 1020),
     "C5^2->C5": (power(cycle_graph(5), 2), cycle_graph(5), None, 20),
-    # seeds 0 and 1 each lose a restart to the budget here
+    # seeds 0 and 1 each lose restarts to the budget here
     "C5^3->K4": (power(cycle_graph(5), 3), complete_graph(4), 2000, 2000),
     "K4->K3": (complete_graph(4), complete_graph(3), None, 0),
     "looped": (Graph(4, {(0, 0), (0, 1), (1, 2), (2, 3)}),
@@ -283,9 +283,10 @@ AC3_CASES = {  # domain, codomain, limit, maps emitted
 
 @pytest.mark.parametrize("case", sorted(AC3_CASES))
 def test_support_table_search_matches_reference(case):
-    # the pruning on value masks keeps exactly the values the pairwise edge
-    # test keeps, so the streams and the rng-driven samples agree in order,
-    # also where a restart runs over its budget
+    # a complete lexicographic search yields the same maps in the same order
+    # whatever it prunes with, so forward checking on value masks matches
+    # AC-3 on value lists, truncation included; the fail-first samples
+    # have no reference order, so they are held to what a sample must be
     dom, cod, limit, count = AC3_CASES[case]
     stream = enumerate_homs(dom, cod, limit=limit)
     reference = HomStreamReference(dom, cod, limit=limit)
@@ -295,25 +296,29 @@ def test_support_table_search_matches_reference(case):
     assert stream.truncated == reference.truncated
     for seed in (0, 1):
         got = sample_homs(dom, cod, 6, random.Random(seed))
-        want = sample_homs_reference(dom, cod, 6, random.Random(seed))
-        assert [f.values for f in got] == [f.values for f in want]
+        again = sample_homs(dom, cod, 6, random.Random(seed))
+        assert [f.values for f in got] == [f.values for f in again]
+        assert len({f.values for f in got}) == len(got) == min(6, count)
+        assert all(f.checked and is_graph_hom(f.values, dom.edges, cod.edges)
+                   for f in got)
 
 
 def test_budget_fires_on_the_c5_cubed_seeds(monkeypatch):
-    """The seeded C_5^3 samples that AC3_CASES compares lose restarts to
-    the budget, so the reference is held to it there."""
-    starts = []
+    """Each restart of the seeded C_5^3 samples that AC3_CASES draws may
+    push 2 frames per domain vertex, and some restarts run out of them."""
+    restarts = []
 
-    def counted(*args, **kwargs):
-        starts.append(1)
-        return HomStream(*args, **kwargs)
+    def counted(dom, cod, limit=None, rng=None, budget=None):
+        restarts.append(budget)
+        return HomStream(dom, cod, limit=limit, rng=rng, budget=budget)
 
     monkeypatch.setattr(graphs, "HomStream", counted)
     dom, cod, _, _ = AC3_CASES["C5^3->K4"]
     for seed in (0, 1):
-        starts.clear()
+        restarts.clear()
         assert len(sample_homs(dom, cod, 6, random.Random(seed))) == 6
-        assert len(starts) > 6
+        assert set(restarts) == {2 * dom.vertex_count}
+        assert len(restarts) > 6
 
 
 def test_graph_hash_is_kept_and_agrees_with_equality():
@@ -325,21 +330,28 @@ def test_graph_hash_is_kept_and_agrees_with_equality():
 
 
 def test_hom_stream_budget_counts_pushed_frames():
-    # C_3^2 -> K_4 is found without backtracking: the first map pushes one
-    # frame per vertex after the first
+    # C_3^2 -> K_4 is found without backtracking in index order and, on
+    # these seeds, fail-first: the first map pushes one frame per vertex
+    # after the first
     dom, cod = power(cycle_graph(3), 2), complete_graph(4)
     first = next(iter(enumerate_homs(dom, cod))).values
-    stream = HomStream(dom, cod, limit=1, budget=dom.vertex_count - 1)
-    assert [f.values for f in stream] == [first]
-    stream = HomStream(dom, cod, limit=1, budget=dom.vertex_count - 2)
-    assert list(stream) == [] and not stream.truncated
+    for seed in (None, 0, 1, 2):
+        def stream(budget):
+            rng = None if seed is None else random.Random(seed)
+            return HomStream(dom, cod, limit=1, rng=rng, budget=budget)
+
+        found = [f.values for f in stream(None)]
+        assert [f.values for f in stream(dom.vertex_count - 1)] == found
+        cut = stream(dom.vertex_count - 2)
+        assert list(cut) == [] and not cut.truncated
+        if seed is None:
+            assert found == [first]
 
 
 def test_sample_homs_bounded_restarts_on_c5_cubed():
-    """Each restart has a budget of 20 frames per domain vertex; without it,
-    an unlucky restart on some of these seeds searches for minutes (seed 7
-    for over two).  Budget: 30 s for the eight seeds; about 2 s on a 2-vCPU
-    Xeon."""
+    """Each restart has a budget of 2 frames per domain vertex, against the
+    heavy tail of unlucky restarts.  Budget: 30 s for the eight seeds;
+    about 0.05 s on a 2-vCPU Xeon."""
     dom, cod = power(cycle_graph(5), 3), complete_graph(4)
     start = time.perf_counter()
     for seed in range(8):
@@ -347,3 +359,15 @@ def test_sample_homs_bounded_restarts_on_c5_cubed():
         assert len({f.values for f in got}) == 6, seed
         assert all(is_graph_hom(f.values, dom.edges, cod.edges) for f in got)
     assert time.perf_counter() - start < 30
+
+
+def test_sample_homs_reaches_c7_to_the_fourth():
+    """The fail-first sampler draws three maps C_7^4 -> K_4, 2 401 domain
+    vertices, where the fixed-order search ran for over five minutes.
+    Budget: 30 s; about 1.4 s on a 2-vCPU Xeon."""
+    dom, cod = power(cycle_graph(7), 4), complete_graph(4)
+    start = time.perf_counter()
+    got = sample_homs(dom, cod, 3, random.Random(1))
+    assert time.perf_counter() - start < 30
+    assert len({f.values for f in got}) == len(got) == 3
+    assert all(f.checked and is_graph_hom(f.values, dom.edges, cod.edges) for f in got)
