@@ -46,6 +46,7 @@ degree n = 6, L = 8 | 10 | python -c "import json, sys; from itertools import pr
 degree n = 7, L = 8 | 10 | python -c "import json, sys; L, n = 8, int(sys.argv[1]); half = L // 2 * L ** (n - 1); json.dump({'L': L, 'n': n, 'colours': [1] * half + [0] * half}, open(sys.argv[2], 'w'))" 7 colouring.json && equihom degree --colouring colouring.json --out degree.json
 zeta0 | 0 | equihom zeta0 --n 7 --h 2 --L 8 --out zeta0.json
 enumerate | 0 | equihom enumerate --ell 3 --arity 2 --out enumerate.jsonl
+enumerate ell = 3, arity 3 | 20 | equihom enumerate --ell 3 --arity 3 --out ternary.jsonl
 search-t and its cached t | 0 | equihom search-t --cache t-cache --out search-t.json
 ROWS
 )

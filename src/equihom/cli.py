@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -36,6 +38,29 @@ def _write_lines(lines, out):
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _stream_lines(lines, out):
+    """Write each record of ``lines`` as one JSON line as it comes, for a
+    stream too long to hold: to standard output, or to a temporary file
+    beside ``out`` that replaces ``out`` once the last line is written, so
+    a failed run leaves no half-written file."""
+    if not out:
+        for line in lines:
+            sys.stdout.write(_dump(line) + "\n")
+        return
+    path = Path(out)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open gives
+            fh.writelines(_dump(line) + "\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _meta(args, **extra):
@@ -86,10 +111,16 @@ def cmd_enumerate(args):
         raise EquihomError("--arity must be >= 1")
     stream = enumerate_homs(power(cycle_graph(args.ell), args.arity),
                             complete_graph(4), limit=args.limit)
-    records = [hom_to_json(f) for f in stream]
-    trailer = _meta(args, trailer=True, count=len(records), truncated=stream.truncated,
+
+    def lines():  # each record as the search finds it, then the trailer
+        count = 0
+        for f in stream:
+            count += 1
+            yield hom_to_json(f)
+        yield _meta(args, trailer=True, count=count, truncated=stream.truncated,
                     params={"ell": args.ell, "arity": args.arity, "limit": args.limit})
-    _write_lines(records + [trailer], args.out)
+
+    _stream_lines(lines(), args.out)
     return 0
 
 
@@ -126,6 +157,7 @@ def cmd_phi(args):
     for obj in records:
         _check_hom_record(obj)
     t = search_t_colouring(_resolve_cache(args))
+    fingerprint = t.fingerprint()
     pipelines = {}
     out = []
     for obj in records:
@@ -135,9 +167,9 @@ def cmd_phi(args):
             pipelines[ell] = CyclePipeline(ell, t=t)
         alpha = phi(f, pipelines[ell])
         out.append({"ell": ell, "arity": obj["arity"], "f": list(f.values),
-                    "alpha": list(alpha.bits), "t_fingerprint": t.fingerprint()})
+                    "alpha": list(alpha.bits), "t_fingerprint": fingerprint})
     trailer = _meta(args, trailer=True, count=len(out),
-                    t_fingerprint=t.fingerprint(), params={"in": str(args.infile)})
+                    t_fingerprint=fingerprint, params={"in": str(args.infile)})
     _write_lines(out + [trailer], args.out)
     return 0
 

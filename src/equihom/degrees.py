@@ -322,7 +322,8 @@ def phi(f, pipeline):
     when its ``TColouring`` was made, stands for the checks of the whole
     torus (see ``CyclePipeline``), so per map f must pass
     ``check_polymorphism`` and the vector must have odd weight
-    (InvariantViolationError).  An accepted
+    (InvariantViolationError): a vector is built only for bits not yet in
+    ``pipeline.phi_vectors``, where only odd ones are kept.  An accepted
     result is memoised on the pipeline under ``f.values``, and a later call
     with the same values returns it after ``check_polymorphism``; a failing
     input is not stored and raises again on every call.
@@ -330,16 +331,18 @@ def phi(f, pipeline):
     if not isinstance(pipeline, CyclePipeline):
         raise InvalidParameterError("phi needs a CyclePipeline")
     n = pipeline.check_polymorphism(f)
-    memo, vectors = pipeline.phi_memo, pipeline.phi_vectors
-    alpha = memo.get(f.values)
+    alpha = pipeline.phi_memo.get(f.values)
     if alpha is None:
         reader = pipeline.phi_readers.get(n)
         if reader is None:
             reader = pipeline.phi_readers[n] = one_map_reader(pipeline, n)
         blue = pipeline.read_t(reader.keys(f.values))
         tables = torus_tables(pipeline.period, n)
-        alpha = OddVector(tables.slot_degrees(int.from_bytes(blue, "little")))
-        alpha = memo[f.values] = vectors.setdefault(alpha.bits, alpha)
+        bits = tuple(tables.slot_degrees(int.from_bytes(blue, "little")))
+        alpha = pipeline.phi_vectors.get(bits)
+        if alpha is None:
+            alpha = pipeline.phi_vectors[bits] = OddVector(bits)
+        pipeline.phi_memo[f.values] = alpha
     return alpha
 
 

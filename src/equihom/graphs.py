@@ -7,8 +7,9 @@ most significant, so serialized polymorphisms are portable.
 """
 
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .errors import (CapacityExceededError, InvalidParameterError,
                      InvariantViolationError)
@@ -52,6 +53,23 @@ class Graph:
     def is_loopless(self):
         return all((v, v) not in self.edges for v in self.vertices())
 
+    @cached_property
+    def _masks(self):
+        """The bit 1 << v of each vertex v and the mask of its neighbours,
+        for ``GraphHom``'s colour-class check; None when the masks, up to
+        |V|^2 / 8 bytes, would pass 8 bytes an edge, where the edge loop is
+        the cheaper check."""
+        if self.vertex_count ** 2 > 64 * len(self.edges):
+            return None
+        return ([1 << v for v in self.vertices()],
+                [sum(1 << w for w in adj) for adj in self._adj])
+
+    @cached_property
+    def _non_neighbours(self):
+        """Each vertex, mapped to the vertices it has no edge to."""
+        return {v: tuple(w for w in self.vertices() if w not in adj)
+                for v, adj in enumerate(self._adj)}
+
     def __eq__(self, other):
         return self is other or (isinstance(other, Graph)
                                  and self.vertex_count == other.vertex_count
@@ -86,6 +104,9 @@ class PowerGraph(Graph):
         count = radix ** exponent
         self.base = base
         self.exponent = exponent
+        # (m, mapping) -> the power base^m and the ``_gather`` table of the
+        # minor along mapping, filled by ``minor``
+        self._minors = {}
         edges = set()
         base_edges = sorted(base.edges)
         for combo in product(base_edges, repeat=exponent):
@@ -176,14 +197,18 @@ class GraphHom:
 
     ``checked`` records that the edges are known to be preserved: the
     constructor checked them, the search of ``HomStream`` found the map, or
-    the map is a minor of a checked one.
+    the map is a minor of a checked one.  The check accepts by colour
+    classes where it can (``_preserves_edges``); otherwise, and to reject,
+    it runs over the edges, naming the first one not preserved.
     """
+
+    __slots__ = ("domain", "codomain", "values", "checked")
 
     def __init__(self, domain, codomain, values, check=True):
         values = tuple(values)
         if len(values) != domain.vertex_count:
             raise InvalidParameterError("value array length mismatch")
-        if check:
+        if check and not _preserves_edges(domain, codomain, values):
             for (u, v) in domain.edges:
                 if (values[u], values[v]) not in codomain.edges:
                     raise InvalidParameterError(
@@ -192,6 +217,14 @@ class GraphHom:
         self.codomain = codomain
         self.values = values
         self.checked = check
+
+    @classmethod
+    def _known(cls, domain, codomain, values):
+        """A map whose edges are known to be preserved, with its value tuple
+        taken as it is: no copy, no length check, no edge check."""
+        hom = cls.__new__(cls)
+        hom.domain, hom.codomain, hom.values, hom.checked = domain, codomain, values, True
+        return hom
 
     def __call__(self, v):
         return self.values[v]
@@ -209,11 +242,47 @@ class GraphHom:
         return f"GraphHom({self.values})"
 
 
+_INT = frozenset({int})
+
+
+def _preserves_edges(domain, codomain, values):
+    """True when every value is an int in ``range(codomain.vertex_count)``
+    and the map sends each edge of the domain to one of the codomain.
+
+    ``forbidden[c]`` ORs the bits of the vertices seen so far whose value
+    has no edge to c; each vertex v adds its bit to the masks of the values
+    its value has no edge to, then fails if it has a neighbour in
+    ``forbidden[values[v]]``.  Edges are symmetric, so every edge is tested
+    at its later end.  False says only that the edge loop must decide: a
+    value is not such an int, or an edge is not preserved, or the domain's
+    masks or the codomain's k^2 non-neighbours would cost more than the
+    edge loop.
+    """
+    k = codomain.vertex_count
+    masks = domain._masks
+    if (masks is None or k * k > 64 * len(domain.edges)
+            or not _INT.issuperset(map(type, values))):
+        return False
+    others = codomain._non_neighbours
+    forbidden = [0] * k
+    try:
+        for bit, near, c in zip(*masks, values):
+            for d in others[c]:  # a KeyError for a value out of range
+                forbidden[d] |= bit
+            if near & forbidden[c]:
+                return False
+    except KeyError:
+        return False
+    return True
+
+
 def minor(f, pi):
     """The pi-minor of a polymorphism: substitute variables along pi.
 
     Vertex ys of base^m takes the value of f at (ys[pi(1)], ..., ys[pi(n)]),
-    read through the cached ``_gather`` table of encoded source indices.
+    read through the ``_gather`` table of encoded source indices, which the
+    domain keeps, with the power base^m, under (pi.m, pi.mapping): one
+    lookup per call.
     The table carries every edge of base^m onto an edge of base^n, so the
     minor of a checked homomorphism needs no edge check of its own; the
     minor of an unchecked one is checked edge by edge.
@@ -221,15 +290,22 @@ def minor(f, pi):
     dom = f.domain
     if not isinstance(dom, PowerGraph) or dom.exponent != pi.n:
         raise InvalidParameterError("minor arity does not match the domain power")
-    values = f.values
-    target = power(dom.base, pi.m)
-    table = _gather(dom, target, pi.mapping)
-    g = GraphHom(target, f.codomain, [values[k] for k in table], check=not f.checked)
-    g.checked = True
-    return g
+    key = (pi.m, pi.mapping)
+    found = dom._minors.get(key)
+    if found is None:
+        target = power(dom.base, pi.m)
+        table = _gather(dom, target, pi.mapping)
+        # an itemgetter of two or more indices returns a tuple of exactly
+        # their number, as a list would, and of one index the bare item
+        pick = itemgetter(*table) if len(table) > 1 else lambda vs, k=table[0]: (vs[k],)
+        found = dom._minors[key] = (target, pick)
+    target, pick = found
+    values = pick(f.values)
+    if f.checked:
+        return GraphHom._known(target, f.codomain, values)
+    return GraphHom(target, f.codomain, values)
 
 
-@lru_cache(maxsize=64)
 def _gather(dom, target, mapping):
     """For each vertex of the power ``target`` of dom's base, in row-major
     order, the encoded vertex of ``dom`` whose coordinate i is the target's
@@ -397,9 +473,7 @@ class HomStream:
             if emitted == limit:
                 self.truncated = True
                 return
-            hom = GraphHom(dom, cod, values, check=False)
-            hom.checked = True
-            yield hom
+            yield GraphHom._known(dom, cod, values)
 
 
 def enumerate_homs(dom, cod, limit=None):

@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 from functools import lru_cache
-from itertools import combinations, groupby, product
+from itertools import chain, combinations, groupby, product
 from operator import or_
 from pathlib import Path
 from typing import NamedTuple
@@ -342,9 +342,11 @@ class CyclePipeline:
         """The arity of f, a homomorphism C_ell^n -> K_4; the edges of a map
         whose ``checked`` is false are checked here."""
         dom = f.domain
-        if not isinstance(dom, PowerGraph) or dom.base != self.base:
+        # the shared templates pass on ``is``, without a call to Graph.__eq__
+        if not (isinstance(dom, PowerGraph)
+                and (dom.base is self.base or dom.base == self.base)):
             raise InvalidParameterError("not a polymorphism over this cycle")
-        if f.codomain != self.codomain:
+        if f.codomain is not self.codomain and f.codomain != self.codomain:
             raise InvalidParameterError("codomain must be the 4-clique")
         if not f.checked:
             GraphHom(dom, f.codomain, f.values)
@@ -356,38 +358,53 @@ class CyclePipeline:
 
         iota(m_1, ..., m_n) bundles multihomomorphisms over C_ell into one
         over C_ell^n: each side is the product of the m_i's sides, a tuple
-        of domain indices in the power's mixed radix.  It is summed here
-        from the terms v * ell^(n-1-i) of each coordinate's side, and sums
-        over sorted sides in mixed radix come out sorted.  The distinct sides are
-        grouped by size, and a group of size s is stored as s index columns,
-        column j holding the j-th index of each side; ``lefts[k]`` and
-        ``rights[k]`` are the positions of the k-th vertex's sides in the
-        grouped order.  The table of every vertex is cached under n; one at
-        ``positions`` is built afresh for the reader that keeps it.
+        of domain indices in the power's mixed radix.  The distinct sides of
+        the circle's iso(x) are numbered once, and a product side is named
+        by the mixed-radix number, base their count, of its coordinates'
+        side numbers, built one coordinate at a time; each distinct product
+        side is then summed once from the terms v * ell^(n-1-i) of its
+        coordinates' sides, and sums over sorted sides in mixed radix come
+        out sorted.  The distinct sides, in the order each first appears
+        with a vertex's left side before its right, are grouped by size,
+        and a group of size s is stored as s index columns, column j
+        holding the j-th index of each side; ``lefts[k]`` and ``rights[k]``
+        are the positions of the k-th vertex's sides in the grouped order.
+        The table of every vertex is cached under n; one at ``positions``
+        is built afresh for the reader that keeps it.
         """
         table = self._sides.get(n) if positions is None else None
         if table is None:
-            L = self.period
-            # parts[i][x]: the sides of iso(x) as terms in coordinate i
-            parts = [[tuple(tuple(v * self.ell ** k for v in side) for side in self.iso_map[x])
-                      for x in range(L)] for k in range(n - 1, -1, -1)]
-            strides = [L ** k for k in range(n - 1, -1, -1)]
-            rest = list(zip(parts[1:], strides[1:]))
-            position = {}
-            lefts, rights = [], []
-            for p in range(L ** n) if positions is None else positions:
-                left, right = parts[0][p // strides[0] % L]
-                for part, stride in rest:
-                    more_left, more_right = part[p // stride % L]
-                    left = tuple([u + v for u in left for v in more_left])
-                    right = tuple([u + v for u in right for v in more_right])
-                lefts.append(position.setdefault(left, len(position)))
-                rights.append(position.setdefault(right, len(position)))
-            grouped = sorted(position, key=len)
-            moved = [0] * len(grouped)
-            for k, side in enumerate(grouped):
-                moved[position[side]] = k
-            columns = [tuple(zip(*group)) for _, group in groupby(grouped, len)]
+            L, ell = self.period, self.ell
+            number = {}
+            for m in self.iso_map.values():
+                for side in m:
+                    number.setdefault(side, len(number))
+            circle, radix = list(number), len(number)
+
+            def codes(nums):  # nums[x]: the number of a side of iso(x)
+                if positions is None:
+                    out = [0]
+                    for _ in range(n):
+                        out = [a * radix + b for a in out for b in nums]
+                    return out
+                out = [0] * len(positions)
+                for k in range(n - 1, -1, -1):
+                    out = [a * radix + nums[p // L ** k % L] for a, p in zip(out, positions)]
+                return out
+
+            lefts = codes([number[self.iso_map[x].left] for x in range(L)])
+            rights = codes([number[self.iso_map[x].right] for x in range(L)])
+            sides = {}
+            for code in dict.fromkeys(chain.from_iterable(zip(lefts, rights))):
+                side = [0]
+                for k in range(n - 1, -1, -1):
+                    terms = [v * ell ** k for v in circle[code // radix ** k % radix]]
+                    side = [u + v for u in side for v in terms]
+                sides[code] = tuple(side)
+            grouped = sorted(sides, key=lambda code: len(sides[code]))
+            moved = dict(zip(grouped, range(len(grouped))))
+            columns = [tuple(zip(*map(sides.__getitem__, group)))
+                       for _, group in groupby(grouped, key=lambda code: len(sides[code]))]
             table = (columns, list(map(moved.__getitem__, lefts)),
                      list(map(moved.__getitem__, rights)))
             if positions is None:

@@ -42,10 +42,10 @@ delta_(k+1) delta_k = 0, which is checked once, where a coboundary list
 becomes a ``_Coboundaries``.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
 from math import comb
+from typing import NamedTuple
 
 from .errors import (InvalidInputError, InvalidParameterError, InvariantViolationError,
                      NotFreeActionError)
@@ -77,8 +77,7 @@ class EquivariantChainComplex:
         return len(self.reps[d]) if d < len(self.reps) else 0
 
 
-@dataclass(frozen=True)
-class CohomologyGroup:
+class CohomologyGroup(NamedTuple):
     """Free rank plus torsion coefficients (each dividing the next)."""
 
     free_rank: int

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import time
 import tracemalloc
 from itertools import product as iproduct
@@ -10,6 +11,7 @@ import pytest
 
 from equihom import cli, zz2
 from equihom.cli import main
+from equihom.graphs import hom_to_json
 from equihom.homcomplexes import search_t_colouring
 
 from oracles import add_at, simplicial_set_from_json
@@ -41,6 +43,35 @@ def test_enumerate_limit_trailer(tmp_path):
     lines = read_lines(out)
     assert len(lines) == 11
     assert lines[-1]["truncated"] is True
+
+
+def test_enumerate_streams_into_place_and_a_failed_run_keeps_the_old_file(
+        tmp_path, monkeypatch, capsys):
+    """The records go to a temporary file beside --out, moved into place
+    after the trailer with the mode a plain open gives; a run that fails
+    part way leaves the old file as it was, and no temporary file."""
+    out = tmp_path / "polys.jsonl"
+    assert run(["enumerate", "--ell", "3", "--arity", "2", "--limit", "10"]) == 0
+    printed = capsys.readouterr().out
+    assert run(["enumerate", "--ell", "3", "--arity", "2", "--limit", "10",
+                "--out", str(out)]) == 0
+    assert out.read_text() == printed and printed.count("\n") == 11
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    written = []
+
+    def failing(f):
+        if len(written) == 5:
+            raise OSError("no space left on device")
+        written.append(f)
+        return hom_to_json(f)
+
+    monkeypatch.setattr(cli, "hom_to_json", failing)
+    assert run(["enumerate", "--ell", "3", "--arity", "2", "--out", str(out)]) == 2
+    assert "no space left on device" in capsys.readouterr().err
+    assert len(written) == 5 and out.read_text() == printed
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_enumerate_rejects_even_cycle():

@@ -565,6 +565,27 @@ def test_check_polymorphism_compares_hand_built_graphs_by_value(pipe, binary_map
         pipe.check_polymorphism(k5_codomain)
 
 
+def test_a_memoised_phi_still_checks_the_domain_and_codomain(binary_maps):
+    """Once phi(f) is memoised under f's values, the same values over an
+    unequal power, C_3 less an edge squared, or into K_5 are still refused;
+    over a hand-built C_3 and K_4 equal to the templates they are accepted
+    and read the memo."""
+    pipe = CyclePipeline(3)
+    f = binary_maps[5]
+    alpha = phi(f, pipe)
+    assert pipe.phi_memo[f.values] is alpha
+    on_a_path = GraphHom(power(Graph(3, {(0, 1), (1, 2)}), 2), complete_graph(4), f.values)
+    with pytest.raises(InvalidParameterError, match="not a polymorphism over this cycle"):
+        phi(on_a_path, pipe)
+    into_k5 = GraphHom(f.domain, complete_graph(5), f.values)
+    with pytest.raises(InvalidParameterError, match="codomain must be the 4-clique"):
+        phi(into_k5, pipe)
+    c3 = Graph(3, {(0, 1), (1, 2), (2, 0)})
+    k4 = Graph(4, {(i, j) for i in range(4) for j in range(4) if i != j})
+    assert phi(GraphHom(PowerGraph(c3, 2), k4, f.values), pipe) is alpha
+    assert len(pipe.phi_memo) == 1
+
+
 def test_deg_vector_matches_minor_formula_gamma4_squared():
     count = 0
     for col in equivariant_colourings(torus(4, 2)):

@@ -1,6 +1,8 @@
 import json
 import random
+import re
 import time
+from functools import lru_cache
 from itertools import chain, product
 
 import pytest
@@ -8,10 +10,11 @@ import pytest
 from equihom import graphs
 from equihom.errors import (CapacityExceededError, InvalidParameterError,
                             InvariantViolationError)
-from equihom.graphs import (Graph, GraphHom, HomStream, MinorSpec, _gather,
-                            complete_graph, cycle_graph, enumerate_homs,
-                            hom_from_json, hom_to_json, make_template, minor,
-                            power, sample_homs)
+from equihom.graphs import (Graph, GraphHom, HomStream, MinorSpec, PowerGraph,
+                            _gather, _preserves_edges, complete_graph,
+                            cycle_graph, enumerate_homs, hom_from_json,
+                            hom_to_json, make_template, minor, power,
+                            sample_homs)
 
 from oracles import (HomStreamReference, composite_mapping, cycle_hom_count,
                      decode, graph_from_json, graph_to_json, is_graph_hom,
@@ -217,6 +220,127 @@ def test_minor_of_a_checked_map_is_not_checked_again():
     constant = GraphHom(power(c3, 2), k4, [0] * 9, check=False)
     constant.checked = True
     assert minor(constant, MinorSpec(2, 1, (1, 1))).values == (0, 0, 0)
+
+
+def test_minor_cache_holds_one_entry_per_spec_and_skips_no_check():
+    """A domain keeps one power and gather table per (m, mapping): equal
+    specs built afresh hit it and return the same target object, and an
+    unchecked map over the same domain, reading the tables a checked map
+    filled, is still checked."""
+    c3, k4 = cycle_graph(3), complete_graph(4)
+    dom = PowerGraph(c3, 2)  # not the shared power, so its cache starts empty
+    f = GraphHom(dom, k4, next(iter(enumerate_homs(dom, k4))).values)
+    specs = [((2, 1), 2), ((1, 1), 1), ((3, 1), 3), ((1, 1), 2)]
+    first = [minor(f, MinorSpec(2, m, mapping)) for mapping, m in specs]
+    for _ in range(2):
+        again = [minor(f, MinorSpec(2, m, mapping)) for mapping, m in specs]
+        assert [g.domain for g in again] == [g.domain for g in first]
+        assert all(g.domain is h.domain for g, h in zip(again, first))
+        assert [g.values for g in again] == [g.values for g in first]
+    assert sorted(dom._minors) == sorted((m, mapping) for mapping, m in specs)
+    assert all(dom._minors[m, mapping][0] is power(c3, m) for mapping, m in specs)
+    constant = GraphHom(dom, k4, [0] * 9, check=False)  # K_4 has no loop
+    for mapping, m in specs:
+        with pytest.raises(InvalidParameterError, match="not preserved"):
+            minor(constant, MinorSpec(2, m, mapping))
+    assert len(dom._minors) == len(specs)
+
+
+def test_minor_over_a_one_vertex_base_has_a_value_tuple():
+    # every power of a one-vertex base has one vertex, so each gather
+    # table holds one index
+    point = Graph(1, {(0, 0)})
+    f = GraphHom(power(point, 2), point, [0])
+    for m, mapping in ((1, (1, 1)), (3, (3, 1))):
+        pi = MinorSpec(2, m, mapping)
+        for g in (f, GraphHom(power(point, 2), point, [0], check=False)):
+            h = minor(g, pi)
+            assert h.values == (0,) and h.checked and h == minor_reference(g, pi)
+
+
+CHECK_DOMAINS = {"C3^2": power(cycle_graph(3), 2), "C5^2": power(cycle_graph(5), 2),
+                 "C3^3": power(cycle_graph(3), 3), "looped": Graph(3, {(0, 0)})}
+CHECK_CODOMAINS = {"K3": complete_graph(3), "K4": complete_graph(4),
+                   "looped": Graph(3, {(0, 0), (0, 1), (1, 2)})}
+
+
+@lru_cache(maxsize=None)
+def _sampled_maps(dom, cod):
+    return [f.values for f in sample_homs(CHECK_DOMAINS[dom], CHECK_CODOMAINS[cod], 6,
+                                          random.Random(0))]
+
+
+def edge_loop_message(dom, cod, values):
+    """The message of the constructor's edge loop on ``values``, None if
+    every edge is preserved."""
+    for u, v in dom.edges:
+        if (values[u], values[v]) not in cod.edges:
+            return f"edge ({u},{v}) not preserved: ({values[u]},{values[v]}) missing"
+    return None
+
+
+def test_colour_class_check_agrees_with_the_edge_loop():
+    """GraphHom's check against the edge loop, on sampled maps and random
+    arrays, some with one entry replaced by a value in range or by -1, the
+    vertex count of the codomain, 1.0 or True: the same accept or reject
+    and the same message.  The colour classes accept exactly the maps the
+    edge loop accepts whose values are all ints in range."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        names = draw(st.sampled_from(sorted(CHECK_DOMAINS))), draw(
+            st.sampled_from(sorted(CHECK_CODOMAINS)))
+        dom, cod = CHECK_DOMAINS[names[0]], CHECK_CODOMAINS[names[1]]
+        k, size = cod.vertex_count, dom.vertex_count
+        maps = _sampled_maps(*names)
+        if maps and draw(st.booleans()):
+            values = list(draw(st.sampled_from(maps)))
+        else:
+            values = draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+        if draw(st.booleans()):
+            values[draw(st.integers(0, size - 1))] = draw(
+                st.integers(0, k - 1) | st.sampled_from([-1, k, 1.0, True]))
+        return dom, cod, values
+
+    seen = set()
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        dom, cod, values = case
+        want = edge_loop_message(dom, cod, values)
+        try:
+            GraphHom(dom, cod, values)
+            got = None
+        except InvalidParameterError as exc:
+            got = str(exc)
+        assert got == want
+        in_range = all(type(c) is int and 0 <= c < cod.vertex_count for c in values)
+        assert _preserves_edges(dom, cod, tuple(values)) == (want is None and in_range)
+        seen.add((want is None, in_range))
+
+    check()
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_the_edge_loop_checks_where_the_masks_would_cost_more():
+    """A domain whose masks would pass 8 bytes an edge keeps none, and a
+    codomain with k^2 over 64 edges of the domain is not read by colour
+    classes; both maps are still checked, by the edge loop."""
+    sparse = Graph(100, {(0, 1)})
+    assert sparse._masks is None and power(cycle_graph(3), 2)._masks is not None
+    c3, k20 = cycle_graph(3), complete_graph(20)
+    for dom, cod in ((sparse, complete_graph(2)), (c3, k20)):
+        good = [v % 2 for v in range(dom.vertex_count)] if dom is sparse else [0, 1, 19]
+        assert not _preserves_edges(dom, cod, tuple(good))
+        assert GraphHom(dom, cod, good).checked
+        bad = [0] * dom.vertex_count
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{re.escape(edge_loop_message(dom, cod, bad))}$"):
+            GraphHom(dom, cod, bad)
 
 
 def test_gather_table_must_carry_edges_onto_edges():
