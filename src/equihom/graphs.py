@@ -104,8 +104,8 @@ class PowerGraph(Graph):
         count = radix ** exponent
         self.base = base
         self.exponent = exponent
-        # (m, mapping) -> the power base^m and the ``_gather`` table of the
-        # minor along mapping, filled by ``minor``
+        # (m, mapping) -> the power base^m and a reader of the ``_gather``
+        # table of the minor along mapping, filled by ``minor``
         self._minors = {}
         edges = set()
         base_edges = sorted(base.edges)
