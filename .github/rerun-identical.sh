@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Run every check below twice, each run in a fresh directory of its own, and
 # require the two runs to leave byte-identical files: the reports, the inputs
-# a check writes for itself, the cached t of search-t, and standard output,
-# kept as stdout.txt.
+# a check writes for itself, and standard output, kept as stdout.txt.
 #
 # One row per check: a label, a time limit in seconds for the whole command
 # of one run (0 for none), and the command, run by bash in the run's
-# directory.  Paths in a command are relative, so the two runs pass the
-# same ones and the reports that record them agree.
+# directory.  Paths in a command are relative; a report names an input file
+# by the SHA-256 of its bytes, not by its path, and one row checks that by
+# reading the same input from two directories.
 #
 # Usage: .github/rerun-identical.sh [work directory]   (needs `equihom` on PATH)
 set -uo pipefail
@@ -47,7 +47,8 @@ degree n = 7, L = 8 | 10 | python -c "import json, sys; L, n = 8, int(sys.argv[1
 zeta0 | 0 | equihom zeta0 --n 7 --h 2 --L 8 --out zeta0.json
 enumerate | 0 | equihom enumerate --ell 3 --arity 2 --out enumerate.jsonl
 enumerate ell = 3, arity 3 | 20 | equihom enumerate --ell 3 --arity 3 --out ternary.jsonl
-search-t and its cached t | 0 | equihom search-t --cache t-cache --out search-t.json
+search-t --out | 0 | equihom search-t --out search-t.json
+phi and degree on one input from two directories | 0 | mkdir -p in a/b && equihom enumerate --ell 3 --arity 2 --out in/binary.jsonl && python -c "import json, sys; from itertools import product; L, n = 8, 3; bits = [int(v[0] < L // 2) for v in product(range(L), repeat=n)]; json.dump({'L': L, 'n': n, 'colours': bits}, open(sys.argv[1], 'w'))" in/colouring.json && (cd a && equihom phi --in ../in/binary.jsonl --out phi.jsonl && equihom degree --colouring ../in/colouring.json --out degree.json) && (cd a/b && equihom phi --in ../../in/binary.jsonl --out phi.jsonl && equihom degree --colouring ../../in/colouring.json --out degree.json) && cmp a/phi.jsonl a/b/phi.jsonl && cmp a/degree.json a/b/degree.json
 ROWS
 )
 

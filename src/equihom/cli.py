@@ -3,11 +3,13 @@
 Streams are JSON-lines with a trailing metadata record; summary reports are
 single JSON objects.  Every report embeds the tool version, the seed, the
 fingerprint of the structure colouring where one is involved, and an echo of
-the parameters, so identical invocations produce byte-identical files.
+the parameters, each input file named by the SHA-256 of its bytes, so
+identical invocations produce byte-identical files from any directory.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -20,8 +22,7 @@ from . import __version__, verify
 from .errors import EquihomError, InvariantViolationError
 from .graphs import (complete_graph, cycle_graph, enumerate_homs, hom_from_json,
                      hom_to_json, power)
-from .homcomplexes import (CyclePipeline, default_cache_dir, hom_complex,
-                           search_t_colouring)
+from .homcomplexes import CyclePipeline, hom_complex, search_t_colouring
 from .degrees import deg_vector, phi
 from .simplicial import map_from_colouring, torus
 from .slices import arity_experiment, swap_fraction, zeta0
@@ -78,9 +79,18 @@ def _loads(text):
         raise EquihomError(str(exc)) from exc
 
 
+def _read_input(path):
+    """The text of an input file and the SHA-256 of its bytes, read once, so
+    a report names its input by content and not by where it lies."""
+    data = Path(path).read_bytes()
+    return data.decode(), hashlib.sha256(data).hexdigest()
+
+
 def _load_colouring(path):
-    """L, n and the blue bits, in row-major order, of a colouring file."""
-    obj = _loads(Path(path).read_text())
+    """L, n and the blue bits, in row-major order, of a colouring file, and
+    the SHA-256 of its bytes."""
+    text, digest = _read_input(path)
+    obj = _loads(text)
     if not isinstance(obj, dict) or not {"L", "n", "colours"} <= obj.keys():
         raise EquihomError("a colouring file needs the keys L, n and colours")
     L, n, bits = obj["L"], obj["n"], obj["colours"]
@@ -95,13 +105,7 @@ def _load_colouring(path):
     # large n is refused before the power is taken
     if n > len(bits).bit_length() or len(bits) != L ** n:
         raise EquihomError(f"expected {L}^{n} colour bits, got {len(bits)}")
-    return L, n, bytes(bits)
-
-
-def _resolve_cache(args):
-    if args.cache:
-        return Path(args.cache)
-    return default_cache_dir()
+    return L, n, bytes(bits), digest
 
 
 def cmd_enumerate(args):
@@ -150,13 +154,13 @@ def _check_hom_record(obj):
 
 
 def cmd_phi(args):
-    lines = [_loads(line) for line in Path(args.infile).read_text().splitlines()
-             if line.strip()]
+    text, digest = _read_input(args.infile)
+    lines = [_loads(line) for line in text.splitlines() if line.strip()]
     records = [obj for obj in lines
                if not (isinstance(obj, dict) and obj.get("trailer"))]
     for obj in records:
         _check_hom_record(obj)
-    t = search_t_colouring(_resolve_cache(args))
+    t = search_t_colouring()
     fingerprint = t.fingerprint()
     pipelines = {}
     out = []
@@ -169,16 +173,16 @@ def cmd_phi(args):
         out.append({"ell": ell, "arity": obj["arity"], "f": list(f.values),
                     "alpha": list(alpha.bits), "t_fingerprint": fingerprint})
     trailer = _meta(args, trailer=True, count=len(out),
-                    t_fingerprint=fingerprint, params={"in": str(args.infile)})
+                    t_fingerprint=fingerprint, params={"in_sha256": digest})
     _write_lines(out + [trailer], args.out)
     return 0
 
 
 def cmd_degree(args):
-    L, n, bits = _load_colouring(args.colouring)
+    L, n, bits, digest = _load_colouring(args.colouring)
     map_from_colouring(torus(L, n), bits)
     alpha = deg_vector(bits, L, n)
-    report = _meta(args, params={"colouring": str(args.colouring), "L": L, "n": n},
+    report = _meta(args, params={"colouring_sha256": digest, "L": L, "n": n},
                    alpha=list(alpha.bits), weight=alpha.weight)
     _write_lines([report], args.out)
     return 0
@@ -199,10 +203,9 @@ def cmd_hom_complex(args):
 
 
 def cmd_search_t(args):
-    cache = _resolve_cache(args)
-    t = search_t_colouring(cache)
+    t = search_t_colouring()
     report = _meta(args, t_fingerprint=t.fingerprint(), colours=list(t.colours),
-                   params={"cache": str(cache) if cache else None})
+                   params={})
     _write_lines([report], args.out)
     return 0
 
@@ -217,14 +220,14 @@ def cmd_zeta0(args):
 
 
 def cmd_swap_stats(args):
-    L, n, bits = _load_colouring(args.colouring)
+    L, n, bits, digest = _load_colouring(args.colouring)
     heights = [args.h] if args.h is not None else list(range(n))
     stats = {}
     for h in heights:
         frac = swap_fraction(bits, L, n, args.i, h)
         stats[str(h)] = {"fraction": str(frac),
                          "at_least_one_in_3LL": frac >= Fraction(1, 3 * L * L)}
-    report = _meta(args, params={"colouring": str(args.colouring), "i": args.i,
+    report = _meta(args, params={"colouring_sha256": digest, "i": args.i,
                                  "h": args.h, "L": L, "n": n},
                    swap_fractions=stats)
     _write_lines([report], args.out)
@@ -286,7 +289,6 @@ def build_parser():
 
     p = verb("phi", cmd_phi, "degree vectors of polymorphisms from a file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cache", default=None)
 
     p = verb("degree", cmd_degree, "degree vector of a torus colouring file")
     p.add_argument("--colouring", required=True)
@@ -294,8 +296,7 @@ def build_parser():
     p = verb("hom-complex", cmd_hom_complex, "write a homomorphism complex as JSON")
     p.add_argument("--graph", required=True, help="cycle:L or complete:K")
 
-    p = verb("search-t", cmd_search_t, "find and persist the structure colouring")
-    p.add_argument("--cache", default=None)
+    verb("search-t", cmd_search_t, "print the structure colouring")
 
     p = verb("zeta0", cmd_zeta0, "construct a generalized diagonal")
     p.add_argument("--n", type=int, required=True)

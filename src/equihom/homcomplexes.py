@@ -11,21 +11,15 @@ structure map into the two-vertex sphere used by the degree pipeline.
 
 import hashlib
 import json
-import os
-import tempfile
 from functools import lru_cache
 from itertools import chain, combinations, groupby, product
 from operator import or_
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (CapacityExceededError, InternalError, InvalidParameterError,
                      UnsupportedInputError)
 from .graphs import GraphHom, PowerGraph, complete_graph, cycle_graph
 from .simplicial import gamma, map_from_colouring, order_complex
-
-CACHE_ENV_VAR = "EQUIHOM_CACHE"
-T_FILE_NAME = "t_colouring_hom_k2_k4.json"
 
 # byte v -> 1 << v for the four colours of K_4, and the byte that a t-index
 # with no multihomomorphism behind it reads in ``CyclePipeline.table``
@@ -164,20 +158,17 @@ def mu_prime(f, ms):
 
 
 class TColouring:
-    """A persisted equivariant 2-colouring of Hom(K_2, K_4).
+    """An equivariant 2-colouring t of Hom(K_2, K_4), the structure map into sigma(2).
 
     ``colours`` holds one bit per vertex in the canonical order
     (0 = yellow, 1 = blue), given as ints, never coerced from a string,
     bool or float; the fingerprint identifies the choice in reports.
-    A colouring is checked once, when it is made, searched, loaded or passed
-    in alike: its bits, in the vertex order of ``hom_complex``, which is
-    the order of ``labels``, must be an equivariant simplicial map
+    A colouring is checked once, when it is made, searched or passed in
+    alike: its bits, in the vertex order of ``hom_complex``, which is the
+    order of ``labels``, must be an equivariant simplicial map
     Hom(K_2, K_4) -> sigma(2) (``map_from_colouring``), with a witness in
     Hom(K_2, K_4).
     """
-
-    COMPLEX_ID = "HomK2K4"
-    ORDER_ID = "canonical-v1"
 
     def __init__(self, colours):
         if (not isinstance(colours, (list, tuple))
@@ -189,76 +180,32 @@ class TColouring:
             raise InvalidParameterError("colour vector length mismatch")
         map_from_colouring(hom_complex(complete_graph(4)), self.colours)
 
-    def to_json(self):
-        return {"complex": self.COMPLEX_ID, "order": self.ORDER_ID,
-                "colours": list(self.colours)}
-
     def fingerprint(self):
-        payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        """The SHA-256 of the canonical JSON of the colouring and its header."""
+        payload = json.dumps({"complex": "HomK2K4", "order": "canonical-v1",
+                              "colours": list(self.colours)},
+                             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def save(self, path):
-        """Write atomically: readers see the old file or the new one, never half."""
-        path = Path(path)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(self.to_json(), sort_keys=True, indent=1))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
 
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise InvalidParameterError("a colouring file holds a JSON object")
-        if obj.get("complex") != cls.COMPLEX_ID or obj.get("order") != cls.ORDER_ID:
-            raise InvalidParameterError("unrecognized colouring file header")
-        return cls(obj.get("colours"))
-
-    @classmethod
-    def load(cls, path):
-        try:
-            obj = json.loads(Path(path).read_text())
-        except ValueError as exc:  # not JSON, or an integer past the digit limit
-            raise InvalidParameterError(str(exc)) from exc
-        return cls.from_json(obj)
-
-
-def default_cache_dir():
-    root = os.environ.get(CACHE_ENV_VAR)
-    return Path(root) if root else None
-
-
-def search_t_colouring(persist=None):
-    """Find (or reload) an equivariant colouring of Hom(K_2, K_4), a map into sigma(2).
+def search_t_colouring():
+    """The canonical equivariant colouring t of Hom(K_2, K_4), a map into sigma(2).
 
     Hom(K_2, K_4) has no 3-simplex, so every equivariant colouring is a
     simplicial map; the one chosen colours the first vertex of each of the
     25 antipodal orbits yellow, in canonical vertex order, which is the
     first solution of a backtracking search over the orbits.  It is
-    persisted to ``persist`` (a file path) and reloaded verbatim later; the
-    ``TColouring`` checks itself when it is made or loaded.
+    computed afresh on every call, in about a millisecond, and checks
+    itself as a ``TColouring``.  ``phi`` does not depend on the choice:
+    ``tests/test_degrees.py`` checks it against seeded random t.
     """
-    if persist is not None:
-        persist = Path(persist)
-        if persist.suffix != ".json":  # directories hold the default file name
-            persist = persist / T_FILE_NAME
-        if persist.exists():
-            return TColouring.load(persist)
-
     # the vertices are multihoms(K_4) in the canonical order of TColouring
     x = hom_complex(complete_graph(4))
     colours = [None] * len(x.vertices)
     for i, j in enumerate(x.antipode):
         if colours[i] is None:
             colours[i], colours[j] = 0, 1
-    t = TColouring(colours)
-    if persist is not None:
-        persist.parent.mkdir(parents=True, exist_ok=True)
-        t.save(persist)
-    return t
+    return TColouring(colours)
 
 
 def _t_index(m):
@@ -291,7 +238,9 @@ class CyclePipeline:
     """Everything needed to turn polymorphisms of (C_ell, K_4) into torus maps.
 
     Holds the vertex map ``iso_map`` of the canonical circle isomorphism
-    and the chosen structure colouring t, and runs on integer tables.
+    and the structure colouring t, the canonical one of
+    ``search_t_colouring`` unless a ``TColouring`` is passed in, and runs
+    on integer tables.
     ``table`` is 256 bytes: the blue bit of t at ``_t_index(m)`` for each
     multihomomorphism m of K_4, ``UNLABELLED`` elsewhere, read by
     ``read_t``.  For each arity n, the pipeline caches the distinct sides
@@ -324,7 +273,7 @@ class CyclePipeline:
         self.base = cycle_graph(ell)
         self.codomain = complete_graph(4)
         self.iso_map = canonical_cycle_iso(ell)
-        self.t = t if t is not None else search_t_colouring(default_cache_dir())
+        self.t = t if t is not None else search_t_colouring()
         table = bytearray([UNLABELLED]) * 256
         for m, b in zip(self.t.labels, self.t.colours):
             table[_t_index(m)] = b

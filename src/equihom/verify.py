@@ -12,8 +12,8 @@ from itertools import product as iter_product
 
 from .errors import EquihomError
 from .graphs import MinorSpec, complete_graph, cycle_graph, enumerate_homs, minor, power
-from .homcomplexes import (CyclePipeline, canonical_cycle_iso, default_cache_dir,
-                           hom_complex, multihoms, mu_prime, search_t_colouring)
+from .homcomplexes import (CyclePipeline, canonical_cycle_iso, hom_complex, multihoms,
+                           mu_prime, search_t_colouring)
 from .degrees import (TorusComplex, deg_vector, find_colour_swapping_edge,
                       monomial_colouring, phi, torus_complex, winding_colouring)
 from .simplicial import (equivariant_colourings, map_from_colouring, mod2_homology_ranks,
@@ -39,7 +39,7 @@ def _check_cycle_isomorphism(seed):
 
 def _check_t_search(seed):
     # a TColouring is checked as an equivariant map when it is made
-    t = search_t_colouring(default_cache_dir())
+    t = search_t_colouring()
     return True, f"fingerprint {t.fingerprint()[:16]}"
 
 

@@ -67,17 +67,14 @@ def test_criterion_02_cycle_isomorphism():
     report(2, "circle isomorphism verified for cycle lengths 3, 5, 7", started, 1)
 
 
-def test_criterion_03_structure_colouring_exists(tmp_path):
+def test_criterion_03_structure_colouring_exists():
     started = time.monotonic()
-    path = tmp_path / "t.json"
-    t = search_t_colouring(path)
+    t = search_t_colouring()
     x = hom_complex(complete_graph(4))
     map_from_colouring(x, t.colours)
     assert is_equivariant(x, colour_dict(x, t.colours))
-    assert path.exists()
-    again = search_t_colouring(path)
-    assert again.colours == t.colours
-    report(3, "equivariant structure colouring found and persisted", started, 60)
+    assert search_t_colouring().colours == t.colours
+    report(3, "equivariant structure colouring found", started, 60)
 
 
 def test_criterion_04_band_identity():

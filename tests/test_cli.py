@@ -86,8 +86,7 @@ def test_enumerate_rejects_negative_limit(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_phi_on_unary_file(tmp_path, monkeypatch):
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+def test_phi_on_unary_file(tmp_path):
     polys = tmp_path / "polys.jsonl"
     out = tmp_path / "phi.jsonl"
     run(["enumerate", "--ell", "3", "--arity", "1", "--out", str(polys)])
@@ -100,55 +99,55 @@ def test_phi_on_unary_file(tmp_path, monkeypatch):
     assert all(obj["t_fingerprint"] == fp for obj in records)
 
 
-# SHA-256 of `phi --in polys.jsonl` on the file that `enumerate --ell 3
-# --arity 2` writes, both run in one directory
-BINARY_PHI_SHA256 = "1920c3dd4d2b4ef83a652a1f1abec28b93724306815bca96b7ffd8309cad956a"
+def _phi_report_elsewhere(tmp_path, monkeypatch, enumerate_args):
+    """The SHA-256 of the `phi` report on the file that `enumerate` writes
+    with ``enumerate_args`` into one directory, with `phi` run from another."""
+    inputs, elsewhere = tmp_path / "inputs", tmp_path / "elsewhere"
+    inputs.mkdir()
+    elsewhere.mkdir()
+    assert run(["enumerate", *enumerate_args, "--out", str(inputs / "polys.jsonl")]) == 0
+    monkeypatch.chdir(elsewhere)
+    assert run(["phi", "--in", "../inputs/polys.jsonl", "--out", "phi.jsonl"]) == 0
+    return hashlib.sha256((elsewhere / "phi.jsonl").read_bytes()).hexdigest()
+
+
+# SHA-256 of the `phi` report on the file that `enumerate --ell 3 --arity 2`
+# writes; the report names that file by the SHA-256 of its bytes
+BINARY_PHI_SHA256 = "9699e1ebec0a96a6a836ca7eb214672c290e73ed3d0cd0987dbd4902fadb90b6"
 
 
 def test_binary_phi_report_is_pinned(tmp_path, monkeypatch):
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
-    monkeypatch.chdir(tmp_path)
-    assert run(["enumerate", "--ell", "3", "--arity", "2", "--out", "polys.jsonl"]) == 0
-    assert run(["phi", "--in", "polys.jsonl", "--out", "phi.jsonl"]) == 0
-    digest = hashlib.sha256((tmp_path / "phi.jsonl").read_bytes()).hexdigest()
+    digest = _phi_report_elsewhere(tmp_path, monkeypatch,
+                                   ["--ell", "3", "--arity", "2"])
     assert digest == BINARY_PHI_SHA256
 
 
-# SHA-256 of `phi --in polys.jsonl` on the file that `enumerate --ell 5
-# --arity 2 --limit 500` writes, both run in one directory
-ELL5_PHI_SHA256 = "ef7a155be50e496566b4346ce4a31359c5322904d3fea08f4d5e12bd17f78b08"
+# SHA-256 of the `phi` report on the file that `enumerate --ell 5 --arity 2
+# --limit 500` writes
+ELL5_PHI_SHA256 = "86fda20ebe55bdd2d5b993b659b4e81f8420d5dfee618d2c562a5c81efa483b0"
 
 
 def test_ell5_phi_report_is_pinned(tmp_path, monkeypatch):
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
-    monkeypatch.chdir(tmp_path)
-    assert run(["enumerate", "--ell", "5", "--arity", "2", "--limit", "500",
-                "--out", "polys.jsonl"]) == 0
-    assert run(["phi", "--in", "polys.jsonl", "--out", "phi.jsonl"]) == 0
-    digest = hashlib.sha256((tmp_path / "phi.jsonl").read_bytes()).hexdigest()
+    digest = _phi_report_elsewhere(tmp_path, monkeypatch,
+                                   ["--ell", "5", "--arity", "2", "--limit", "500"])
     assert digest == ELL5_PHI_SHA256
 
 
-# SHA-256 of `phi --in polys.jsonl` on the file that `enumerate --ell 3
-# --arity 4 --limit 20` writes, both run in one directory
-ARITY4_PHI_SHA256 = "c7bbc1acbac4d18c561363a40f9f40ae015ea944cb0d61966c8691d10d101635"
+# SHA-256 of the `phi` report on the file that `enumerate --ell 3 --arity 4
+# --limit 20` writes
+ARITY4_PHI_SHA256 = "fe35a824d0e57268ea30e54743e6eb7926b08e9c0c49be066b9c70905c83ca78"
 
 
 def test_arity4_phi_report_is_pinned(tmp_path, monkeypatch):
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
-    monkeypatch.chdir(tmp_path)
-    assert run(["enumerate", "--ell", "3", "--arity", "4", "--limit", "20",
-                "--out", "polys.jsonl"]) == 0
-    assert run(["phi", "--in", "polys.jsonl", "--out", "phi.jsonl"]) == 0
-    digest = hashlib.sha256((tmp_path / "phi.jsonl").read_bytes()).hexdigest()
+    digest = _phi_report_elsewhere(tmp_path, monkeypatch,
+                                   ["--ell", "3", "--arity", "4", "--limit", "20"])
     assert digest == ARITY4_PHI_SHA256
 
 
-def test_phi_on_a_long_cycle_stays_small(tmp_path, monkeypatch):
+def test_phi_on_a_long_cycle_stays_small(tmp_path):
     """The two projections of C_41^2: one byte per slice cell for each of
     the 1 681 domain vertices would be about 180 MB, so phi reads them side
     by side, in a few MB and well under a second untraced."""
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
     ell = 41
     colours = [k % 2 for k in range(ell - 1)] + [2]
     polys = tmp_path / "polys.jsonl"
@@ -195,7 +194,6 @@ def test_phi_malformed_record_is_a_usage_error(tmp_path, monkeypatch, capsys, re
         raise AssertionError(f"graphs built for {obj}")
 
     monkeypatch.setattr(cli, "hom_from_json", no_graphs)
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
     polys = tmp_path / "polys.jsonl"
     polys.write_text(json.dumps(PHI_RECORD) + "\n" + json.dumps(record) + "\n")
     assert run(["phi", "--in", str(polys)]) == 2
@@ -219,10 +217,9 @@ def test_non_utf8_input_file_is_a_usage_error(tmp_path, capsys, verb, flag):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_fuzzed_inputs_never_escape_main(tmp_path, monkeypatch):
+def test_fuzzed_inputs_never_escape_main(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
     polys, col = tmp_path / "polys.jsonl", tmp_path / "col.json"
     # integral floats and bools compare equal to the ints they stand for
     scalars = st.one_of(st.integers(-2, 6), st.integers(-2, 6).map(float),
@@ -256,8 +253,7 @@ def test_fuzzed_inputs_never_escape_main(tmp_path, monkeypatch):
     check()
 
 
-def test_reports_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+def test_reports_byte_identical(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     run(["enumerate", "--ell", "3", "--arity", "1", "--out", str(a)])
     run(["enumerate", "--ell", "3", "--arity", "1", "--out", str(b)])
@@ -318,12 +314,8 @@ LONG_INTEGER = "4" + "0" * 5000
      f'{{"L": 4, "n": 1, "colours": [0, 1, {LONG_INTEGER}, 1]}}'),
     (["phi"], "--in", json.dumps(PHI_RECORD) + "\n"
      + f'{{"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, {LONG_INTEGER}]}}\n'),
-    (["search-t"], "--cache",
-     f'{{"complex": "HomK2K4", "order": "canonical-v1", "colours": [{LONG_INTEGER}]}}'),
-], ids=["degree", "swap-stats", "phi", "search-t-cache"])
-def test_long_integer_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
-                                             verb, flag, text):
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+], ids=["degree", "swap-stats", "phi"])
+def test_long_integer_input_is_a_usage_error(tmp_path, capsys, verb, flag, text):
     path = tmp_path / "input.json"
     path.write_text(text)
     start = time.perf_counter()
@@ -356,59 +348,19 @@ def test_hom_complex_report_is_pinned(tmp_path, graph):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HOM_COMPLEX_SHA256[graph]
 
 
+# SHA-256 of the canonical JSON of the structure colouring t
+T_FINGERPRINT = "8c85a9cddcd545231ac25224cccd26fb6f2c4752da7db81388dddfb5d9562e55"
+
+
 def test_search_t_verb(tmp_path):
+    """search-t prints the canonical t and writes no other file."""
     out = tmp_path / "t.json"
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    assert run(["search-t", "--cache", str(cache), "--out", str(out)]) == 0
+    assert run(["search-t", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert len(report["colours"]) == 50
-    assert report["t_fingerprint"]
-    assert (cache / "t_colouring_hom_k2_k4.json").exists()
-
-
-@pytest.mark.parametrize("verb", [
-    ["search-t"], ["experiment", "--ell", "3", "--n-max", "1"], ["phi", "--in"]],
-    ids=["search-t", "experiment", "phi"])
-def test_a_corrupted_cached_colouring_is_a_usage_error(tmp_path, monkeypatch, capsys,
-                                                       verb):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "t_colouring_hom_k2_k4.json").write_text(json.dumps(
-        {"complex": "HomK2K4", "order": "canonical-v1", "colours": [1] * 50}))
-    monkeypatch.setenv("EQUIHOM_CACHE", str(cache))
-    polys = tmp_path / "polys.jsonl"
-    polys.write_text(json.dumps(PHI_RECORD) + "\n")
-    out = tmp_path / "out.json"
-    args = verb + [str(polys)] if verb[-1] == "--in" else verb
-    assert run(args + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error: vertex Multihom(left=(0,), right=(1,)) "
-                                       "and its antipode share a colour\n")
-    assert not out.exists()
-
-
-T_HEADER = {"complex": "HomK2K4", "order": "canonical-v1"}
-
-
-@pytest.mark.parametrize("content", [
-    lambda colours: {**T_HEADER, "colours": [str(b) for b in colours]},
-    lambda colours: {**T_HEADER, "colours": ["x"] * len(colours)},
-    lambda colours: T_HEADER,
-    lambda colours: {**T_HEADER, "colours": 5},
-    lambda colours: [T_HEADER],
-    lambda colours: {**T_HEADER, "colours": [bool(b) for b in colours]},
-    lambda colours: {**T_HEADER, "colours": [float(b) for b in colours]},
-    lambda colours: {**T_HEADER, "colours": [2 * b for b in colours]},
-], ids=["string-bits", "string-x", "missing-colours", "non-list-colours",
-        "top-level-list", "bool-colours", "float-colours", "int-not-a-bit"])
-def test_a_malformed_cached_colouring_is_a_usage_error(tmp_path, capsys, content):
-    cache = tmp_path / "t.json"
-    cache.write_text(json.dumps(content(search_t_colouring().colours)))
-    out = tmp_path / "out.json"
-    assert run(["search-t", "--cache", str(cache), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert not out.exists()
+    assert report["colours"] == list(search_t_colouring().colours)
+    assert report["t_fingerprint"] == T_FINGERPRINT
+    assert report["params"] == {}
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_zeta0_verb(tmp_path):
@@ -608,8 +560,7 @@ def test_experiment_on_a_long_cycle_is_quick(tmp_path):
 SURVEY_REPORT_SHA256 = "be26f65bd13af7afe6eb1df82042b934f19ca0ed72c91146a614b5fbad00e913"
 
 
-def test_experiment_report_is_pinned(tmp_path, monkeypatch):
-    monkeypatch.delenv("EQUIHOM_CACHE", raising=False)
+def test_experiment_report_is_pinned(tmp_path):
     out = tmp_path / "survey.json"
     assert run(["experiment", "--ell", "3", "--n-max", "3", "--chain-samples", "4000",
                 "--seed", "3", "--out", str(out)]) == 0
@@ -621,8 +572,7 @@ def test_experiment_report_is_pinned(tmp_path, monkeypatch):
 ARITY4_SURVEY_REPORT_SHA256 = "f180de4bde3f400962b61f09ebc79062608bffa9944c3d093147e13cd36fb995"
 
 
-def test_arity4_experiment_report_is_pinned(tmp_path, monkeypatch):
-    monkeypatch.delenv("EQUIHOM_CACHE", raising=False)
+def test_arity4_experiment_report_is_pinned(tmp_path):
     out = tmp_path / "survey4.json"
     assert run(["experiment", "--ell", "3", "--n-max", "4", "--chain-samples", "500",
                 "--seed", "3", "--out", str(out)]) == 0
@@ -633,35 +583,64 @@ def test_arity4_experiment_report_is_pinned(tmp_path, monkeypatch):
 VERIFY_REPORT_SHA256 = "8631bdecb15d3c9a1c37cb38917dcfc176bf4f36a082924f08e6948dfd3b4e0f"
 
 
-def test_verify_report_is_pinned(tmp_path, monkeypatch):
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+def test_verify_report_is_pinned(tmp_path):
     out = tmp_path / "verify.json"
     assert run(["verify", "--suite", "all", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_REPORT_SHA256
 
 
-# SHA-256 of the report of `degree --colouring colouring-<n>.json`, run in the
-# directory that holds the file (the report names the path as given), on the
-# colouring of gamma(8)^n with colour 1 where the first coordinate is below 4
+# SHA-256 of the report of `degree --colouring colouring-<n>.json`, run from
+# a directory other than the one that holds the file (the report names it by
+# the SHA-256 of its bytes), on the colouring of gamma(8)^n with colour 1
+# where the first coordinate is below 4
 DEGREE_REPORT_SHA256 = {
-    1: "e68877a2e9f4fd769852571e67baa5b4b9adaa1fb48bc64ee057b980286d853f",
-    3: "4df771dd11d1027315ca1d57f1262129d3473ca0e70a0d3b196ef3564fe3dadd",
+    1: "7cfd27a7368b96071841711e0697ffde2203a520d4b6ee738a1b46e0fef22b44",
+    3: "244c1edc12a333fb97e7635300120153e4528dd779238ad7ba0ff5feddf61ae1",
 }
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_degree_report_is_pinned(tmp_path, monkeypatch, n):
-    monkeypatch.chdir(tmp_path)
+    inputs, elsewhere = tmp_path / "inputs", tmp_path / "elsewhere"
+    inputs.mkdir()
+    elsewhere.mkdir()
     bits = [int(v[0] < 4) for v in iproduct(range(8), repeat=n)]
     name = f"colouring-{n}.json"
-    (tmp_path / name).write_text(json.dumps({"L": 8, "n": n, "colours": bits}))
-    assert run(["degree", "--colouring", name, "--out", "degree.json"]) == 0
-    digest = hashlib.sha256((tmp_path / "degree.json").read_bytes()).hexdigest()
+    (inputs / name).write_text(json.dumps({"L": 8, "n": n, "colours": bits}))
+    monkeypatch.chdir(elsewhere)
+    assert run(["degree", "--colouring", f"../inputs/{name}", "--out", "degree.json"]) == 0
+    digest = hashlib.sha256((elsewhere / "degree.json").read_bytes()).hexdigest()
     assert digest == DEGREE_REPORT_SHA256[n]
 
 
-def test_experiment_without_chain_samples_walks_no_chain(tmp_path, monkeypatch):
-    monkeypatch.delenv("EQUIHOM_CACHE", raising=False)
+@pytest.mark.parametrize("verb, flag, key", [
+    (["phi"], "--in", "in_sha256"),
+    (["degree"], "--colouring", "colouring_sha256"),
+    (["swap-stats", "--i", "1"], "--colouring", "colouring_sha256"),
+], ids=["phi", "degree", "swap-stats"])
+def test_reports_name_their_input_by_content(tmp_path, monkeypatch, verb, flag, key):
+    """The same bytes under two paths, each read from its own directory,
+    give the same report, and it names the input by the SHA-256 of its
+    bytes."""
+    if verb == ["phi"]:
+        data = (json.dumps(PHI_RECORD) + "\n").encode()
+    else:
+        data = json.dumps({"L": 4, "n": 2, "colours": [int(a < 2) for a in range(4)
+                                                      for _ in range(4)]}).encode()
+    reports = []
+    for where in ("a", "b/c"):
+        (tmp_path / where).mkdir(parents=True)
+        (tmp_path / where / f"input-{len(reports)}.json").write_bytes(data)
+        monkeypatch.chdir(tmp_path / where)
+        assert run(verb + [flag, f"input-{len(reports)}.json", "--out", "report.json"]) == 0
+        reports.append((tmp_path / where / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    params = json.loads(reports[0].splitlines()[-1])["params"]
+    assert params[key] == hashlib.sha256(data).hexdigest()
+    assert str(tmp_path) not in reports[0].decode()
+
+
+def test_experiment_without_chain_samples_walks_no_chain(tmp_path):
     out = tmp_path / "survey.json"
     assert run(["experiment", "--ell", "3", "--n-max", "3", "--chain-samples", "0",
                 "--seed", "3", "--out", str(out)]) == 0
@@ -684,15 +663,13 @@ def test_experiment_rejects_bad_parameters(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
-def test_verify_complexes_suite(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+def test_verify_complexes_suite(tmp_path, capsys):
     assert run(["verify", "--suite", "complexes"]) == 0
     printed = capsys.readouterr().out
     assert printed.count("PASS") == 3 and "FAIL" not in printed
 
 
-def test_verify_slices_suite_with_report(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EQUIHOM_CACHE", str(tmp_path / "cache"))
+def test_verify_slices_suite_with_report(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert run(["verify", "--suite", "slices", "--seed", "5",
                 "--out", str(out)]) == 0

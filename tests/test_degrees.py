@@ -1,4 +1,3 @@
-import json
 import random
 import re
 from types import SimpleNamespace
@@ -865,6 +864,49 @@ def test_phi_equals_the_whole_torus_reference(pipe, binary_maps, ternary_maps):
         torus.cache_clear()
 
 
+def _random_t(rng):
+    """A TColouring of Hom(K_2, K_4) with one random bit per antipodal orbit."""
+    x = hom_complex(complete_graph(4))
+    colours = [None] * len(x.vertices)
+    for i, j in enumerate(x.antipode):
+        if colours[i] is None:
+            colours[i] = rng.getrandbits(1)
+            colours[j] = 1 - colours[i]
+    return TColouring(colours)
+
+
+def test_phi_does_not_depend_on_t(binary_maps):
+    """phi under 8 seeded random equivariant t equals phi under the
+    canonical t, on all 1 056 binary maps and 300 seeded ternary ones at
+    ell = 3, 300 binary and 100 ternary at ell = 5, and 200 binary and 40
+    ternary at ell = 7.  Each t composed with an equivariant map from the
+    antipodal 2-sphere is an equivariant self-map of it, of odd degree
+    (Borsuk), so the degrees mod 2 should not see t; this is why t is
+    computed in code and no other t is offered.  Each t gets pipelines of
+    its own, since the memo is per pipeline, and each differs from the
+    canonical t in its fingerprint and in mu_colours on some map, so t is
+    read.  About a second."""
+    k4 = complete_graph(4)
+    rng = random.Random(38)
+    maps = {3: binary_maps + sample_homs(power(cycle_graph(3), 3), k4, 300, rng)}
+    for ell, binary, ternary in ((5, 300, 100), (7, 200, 40)):
+        maps[ell] = (sample_homs(power(cycle_graph(ell), 2), k4, binary, rng)
+                     + sample_homs(power(cycle_graph(ell), 3), k4, ternary, rng))
+    assert {ell: len(fs) for ell, fs in maps.items()} == {3: 1356, 5: 400, 7: 240}
+    canonical = {ell: CyclePipeline(ell) for ell in maps}
+    expected = {ell: [phi(f, canonical[ell]) for f in fs] for ell, fs in maps.items()}
+    fingerprint = canonical[3].t.fingerprint()
+    t_rng = random.Random(9)
+    for _ in range(8):
+        t = _random_t(t_rng)
+        assert t.fingerprint() != fingerprint
+        pipelines = {ell: CyclePipeline(ell, t) for ell in maps}
+        assert any(pipelines[3].mu_colours(f) != canonical[3].mu_colours(f)
+                   for f in binary_maps)
+        for ell, fs in maps.items():
+            assert [phi(f, pipelines[ell]) for f in fs] == expected[ell]
+
+
 def test_phi_builds_no_torus_of_its_arity(monkeypatch):
     """With every torus of three or more sides refused, phi still runs at
     arity 3, 4 and 5, and agrees with the minors onto two coordinates."""
@@ -901,26 +943,16 @@ def _broken_pair():
     return [1 - b if k == 7 else b for k, b in enumerate(search_t_colouring().colours)]
 
 
-def _loaded(colours, tmp_path):
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps({"complex": "HomK2K4", "order": "canonical-v1",
-                                "colours": colours}))
-    return TColouring.load(path)
-
-
 @pytest.mark.parametrize("make, witness", [
-    (lambda tmp_path: TColouring([1] * 50), K4_VERTEX_0),
-    (lambda tmp_path: _loaded([1] * 50, tmp_path), K4_VERTEX_0),
-    (lambda tmp_path: TColouring(_broken_pair()), BROKEN_PAIR_WITNESS),
-    (lambda tmp_path: _loaded(_broken_pair(), tmp_path), BROKEN_PAIR_WITNESS),
-], ids=["all-blue-t", "all-blue-file", "broken-antipode-pair-t",
-        "broken-antipode-pair-file"])
-def test_a_pipeline_with_a_bad_t_is_refused(make, witness, tmp_path):
-    """A bad t is refused where the TColouring is made, passed in or loaded,
-    each time, with a witness in Hom(K_2, K_4).  No t can alternate on a
+    (lambda: TColouring([1] * 50), K4_VERTEX_0),
+    (lambda: TColouring(_broken_pair()), BROKEN_PAIR_WITNESS),
+], ids=["all-blue-t", "broken-antipode-pair-t"])
+def test_a_pipeline_with_a_bad_t_is_refused(make, witness):
+    """A bad t is refused where the TColouring is made or passed in, each
+    time, with a witness in Hom(K_2, K_4).  No t can alternate on a
     3-simplex there: Hom(K_2, K_4) has none."""
     for _ in range(2):
         with pytest.raises(NotEquivariantError) as exc:
-            make(tmp_path)
+            make()
         assert exc.value.witness == witness
     assert not labelled_cells(hom_complex(complete_graph(4)), 3)

@@ -1,4 +1,3 @@
-import io
 import random
 import time
 from itertools import product as iproduct
@@ -229,7 +228,7 @@ def test_mu_prime_validity():
         assert is_valid_multihom(out, k4)
 
 
-def test_search_t_properties(tmp_path):
+def test_search_t_properties():
     t = search_t_colouring()
     x = hom_complex(complete_graph(4))
     map_from_colouring(x, t.colours)
@@ -244,47 +243,6 @@ def test_search_t_properties(tmp_path):
 def test_search_t_writes_down_the_first_solution_of_the_search():
     assert list(search_t_colouring().colours) == search_t_reference()
     assert not labelled_cells(hom_complex(complete_graph(4)), 3)
-
-
-def test_search_t_persistence(tmp_path):
-    path = tmp_path / "t.json"
-    first = search_t_colouring(path)
-    assert path.exists()
-    again = search_t_colouring(path)
-    assert again.colours == first.colours
-    assert again.fingerprint() == first.fingerprint()
-    loaded = TColouring.load(path)
-    assert loaded.colours == first.colours
-
-
-def test_t_colouring_save_is_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "t.json"
-    first = search_t_colouring(path)
-    second = TColouring([1 - b for b in first.colours])
-    real_open = io.open
-
-    class FailsHalfway:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, text):
-            self.fh.write(text[:len(text) // 2])
-            self.fh.flush()
-            raise OSError("disk full")
-
-    monkeypatch.setattr(io, "open", lambda *a, **k: FailsHalfway(real_open(*a, **k)))
-    with pytest.raises(OSError):
-        second.save(path)
-    monkeypatch.undo()
-    assert TColouring.load(path).colours == first.colours
-    assert search_t_colouring(path).colours == first.colours
-    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_mu_arity_one_valid():
@@ -450,3 +408,23 @@ def test_a_colour_that_is_not_a_bit_is_refused_when_made():
     with pytest.raises(InvalidParameterError) as exc:
         TColouring([2 if k == 7 else b for k, b in enumerate(t.colours)])
     assert str(exc.value) == "vertex Multihom(left=(2,), right=(1,)) lacks a yellow/blue colour"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda colours: [str(b) for b in colours], "colours must be a list of ints"),
+    (lambda colours: ["x"] * len(colours), "colours must be a list of ints"),
+    (lambda colours: None, "colours must be a list of ints"),
+    (lambda colours: 5, "colours must be a list of ints"),
+    (lambda colours: [bool(b) for b in colours], "colours must be a list of ints"),
+    (lambda colours: [float(b) for b in colours], "colours must be a list of ints"),
+    (lambda colours: [2 * b for b in colours],
+     "vertex Multihom(left=(1,), right=(0,)) lacks a yellow/blue colour"),
+    (lambda colours: colours[:-1], "colour vector length mismatch"),
+], ids=["string-bits", "string-x", "missing-colours", "non-list-colours", "bool-colours",
+        "float-colours", "int-not-a-bit", "short"])
+def test_a_malformed_colouring_is_refused_when_made(make, message):
+    """Colours that are not one 0/1 int per vertex are refused, never
+    coerced: a string, bool or float stands for no colour."""
+    with pytest.raises(InvalidParameterError) as exc:
+        TColouring(make(list(search_t_colouring().colours)))
+    assert str(exc.value) == message

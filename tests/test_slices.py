@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -7,7 +6,7 @@ import pytest
 from equihom import degrees, homcomplexes, simplicial, slices
 from equihom.degrees import TorusTables, winding_colouring
 from equihom.errors import (CapacityExceededError, InvalidParameterError,
-                            InvariantViolationError, NotEquivariantError)
+                            InvariantViolationError)
 from equihom.graphs import enumerate_homs
 from equihom.homcomplexes import CyclePipeline
 from equihom.simplicial import equivariant_colourings, torus
@@ -343,16 +342,6 @@ def test_arity_experiment_reads_bits_not_colour_dicts(monkeypatch):
     assert not calls
     # one call per arity, reading every map of it at once
     assert lane_calls == [row["maps_inspected"] for row in report["per_n"]]
-
-
-@pytest.mark.parametrize("survey", [arity_experiment, arity_experiment_reference])
-def test_arity_experiment_checks_equivariance(survey, tmp_path, monkeypatch):
-    # an all-blue structure colouring in the cache is refused when it is loaded
-    (tmp_path / homcomplexes.T_FILE_NAME).write_text(json.dumps(
-        {"complex": "HomK2K4", "order": "canonical-v1", "colours": [1] * 50}))
-    monkeypatch.setenv(homcomplexes.CACHE_ENV_VAR, str(tmp_path))
-    with pytest.raises(NotEquivariantError):
-        survey(3, 2, chain_samples=10)
 
 
 @pytest.mark.parametrize("survey", [arity_experiment, arity_experiment_reference])
