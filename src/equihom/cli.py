@@ -5,18 +5,18 @@ single JSON objects.  Every report embeds the tool version, the seed, the
 fingerprint of the structure colouring where one is involved, and an echo of
 the parameters, each input file named by the SHA-256 of its bytes, so
 identical invocations produce byte-identical files from any directory.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, told in one line.
 """
 
-import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__, verify
 from .errors import EquihomError, InvariantViolationError
@@ -155,26 +155,34 @@ def _check_hom_record(obj):
 
 def cmd_phi(args):
     text, digest = _read_input(args.infile)
-    lines = [_loads(line) for line in text.splitlines() if line.strip()]
-    records = [obj for obj in lines
-               if not (isinstance(obj, dict) and obj.get("trailer"))]
-    for obj in records:
+
+    def records():  # parsed afresh on each pass, so no pass holds them all
+        # the non-blank lines that str.splitlines gives, found one at a time
+        for match in re.finditer("[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+", text):
+            if not match[0].isspace():
+                obj = _loads(match[0])
+                if not (isinstance(obj, dict) and obj.get("trailer")):
+                    yield obj
+
+    count = 0
+    for count, obj in enumerate(records(), 1):  # every record checked before any phi
         _check_hom_record(obj)
     t = search_t_colouring()
     fingerprint = t.fingerprint()
     pipelines = {}
-    out = []
-    for obj in records:
-        f = hom_from_json(obj)
-        ell = obj["domain_base"]
-        if ell not in pipelines:
-            pipelines[ell] = CyclePipeline(ell, t=t)
-        alpha = phi(f, pipelines[ell])
-        out.append({"ell": ell, "arity": obj["arity"], "f": list(f.values),
-                    "alpha": list(alpha.bits), "t_fingerprint": fingerprint})
-    trailer = _meta(args, trailer=True, count=len(out),
+
+    def lines():
+        for obj in records():
+            f = hom_from_json(obj)
+            ell = obj["domain_base"]
+            if ell not in pipelines:
+                pipelines[ell] = CyclePipeline(ell, t=t)
+            yield {"ell": ell, "arity": obj["arity"], "f": list(f.values),
+                   "alpha": list(phi(f, pipelines[ell]).bits), "t_fingerprint": fingerprint}
+        yield _meta(args, trailer=True, count=count,
                     t_fingerprint=fingerprint, params={"in_sha256": digest})
-    _write_lines(out + [trailer], args.out)
+
+    _stream_lines(lines(), args.out)
     return 0
 
 
@@ -265,72 +273,103 @@ def cmd_verify(args):
     return 0 if all(row["pass"] for row in rows) else 1
 
 
-@lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="equihom",
-        description="homomorphism complexes, degree invariants, torus cohomology")
-    # the options every verb takes, declared once
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None)
-    common.add_argument("--seed", type=int, default=0)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each verb: its command function, summary and options, flag ->
+# (kind, default); a kind is int, str, bool (a flag storing True) or a tuple
+# of choices.  Namespace names: `--n-max` is `n_max`, but `--in` is `infile`.
+REQUIRED = object()  # the default of an option that must be given
+COMMON = {"--out": (str, None), "--seed": (int, 0)}  # taken by every verb
+VERBS = {
+    "enumerate": (cmd_enumerate, "list polymorphisms of (C_ell, K_4)", {
+        "--ell": (int, REQUIRED), "--arity": (int, REQUIRED), "--limit": (int, None)}),
+    "phi": (cmd_phi, "degree vectors of polymorphisms from a file",
+            {"--in": (str, REQUIRED)}),
+    "degree": (cmd_degree, "degree vector of a torus colouring file",
+               {"--colouring": (str, REQUIRED)}),
+    "hom-complex": (cmd_hom_complex, "write Hom(K_2, G) as JSON, G cycle:L or complete:K",
+                    {"--graph": (str, REQUIRED)}),
+    "search-t": (cmd_search_t, "print the structure colouring", {}),
+    "zeta0": (cmd_zeta0, "construct a generalized diagonal", {
+        "--n": (int, REQUIRED), "--h": (int, REQUIRED), "--L": (int, REQUIRED)}),
+    "swap-stats": (cmd_swap_stats, "colour-swapping fractions by height", {
+        "--colouring": (str, REQUIRED), "--i": (int, REQUIRED), "--h": (int, None)}),
+    "bredon": (cmd_bredon, "equivariant cohomology of a torus", {
+        "--n": (int, REQUIRED), "--L": (int, REQUIRED), "--d": (int, REQUIRED),
+        "--coefficients": (("Zminus", "Zplus", "ZZ2"), "Zminus"),
+        "--quotient-check": (bool, False)}),
+    "experiment": (cmd_experiment, "arity survey: weights, chains, swaps", {
+        "--ell": (int, 3), "--n-max": (int, 3), "--chain-samples": (int, 4000)}),
+    "verify": (cmd_verify, "run a verification suite",
+               {"--suite": (verify.SUITE_NAMES, "all")}),
+}
 
-    def verb(name, fn, summary):
-        p = sub.add_parser(name, parents=[common], help=summary)
-        p.set_defaults(fn=fn)
-        return p
 
-    p = verb("enumerate", cmd_enumerate, "list polymorphisms of (C_ell, K_4)")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--arity", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
+def _help(verb=None):
+    """The help text of the command, or of one verb, read off ``VERBS``."""
+    if verb is None:
+        text = "usage: equihom VERB [--option value ...]; equihom VERB -h for its options\n"
+        for name, (_, summary, _) in VERBS.items():
+            text += f"  {name:12} {summary}\n"
+        return text
+    words = []
+    for flag, (kind, default) in {**VERBS[verb][2], **COMMON}.items():
+        if isinstance(kind, tuple):
+            flag += " {%s}" % ",".join(kind)
+        elif kind is not bool:
+            flag += " " + flag[2:].upper()
+        words.append(flag if default is REQUIRED else f"[{flag}]")
+    return f"usage: equihom {verb} {' '.join(words)}\n{VERBS[verb][1]}\n"
 
-    p = verb("phi", cmd_phi, "degree vectors of polymorphisms from a file")
-    p.add_argument("--in", dest="infile", required=True)
 
-    p = verb("degree", cmd_degree, "degree vector of a torus colouring file")
-    p.add_argument("--colouring", required=True)
-
-    p = verb("hom-complex", cmd_hom_complex, "write a homomorphism complex as JSON")
-    p.add_argument("--graph", required=True, help="cycle:L or complete:K")
-
-    verb("search-t", cmd_search_t, "print the structure colouring")
-
-    p = verb("zeta0", cmd_zeta0, "construct a generalized diagonal")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-
-    p = verb("swap-stats", cmd_swap_stats, "colour-swapping fractions by height")
-    p.add_argument("--colouring", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--h", type=int, default=None)
-
-    p = verb("bredon", cmd_bredon, "equivariant cohomology of a torus")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--coefficients", default="Zminus",
-                   choices=("Zminus", "Zplus", "ZZ2"))
-    p.add_argument("--quotient-check", action="store_true")
-
-    p = verb("experiment", cmd_experiment, "arity survey: weights, chains, swaps")
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--chain-samples", type=int, default=4000)
-
-    p = verb("verify", cmd_verify, "run a verification suite")
-    p.add_argument("--suite", default="all", choices=verify.SUITE_NAMES)
-    return parser
+def parse_args(argv):
+    """The namespace of ``argv`` (the verb as ``command``, then each option of
+    the verb by name), or the help text if ``-h`` or ``--help`` is given.  An
+    option is ``--opt value``, ``--opt=value`` or a flag, and its last use
+    wins; anything else raises EquihomError."""
+    if not argv:
+        raise EquihomError(f"a verb is required: {', '.join(VERBS)}")
+    verb, *tokens = argv
+    if verb in ("-h", "--help") or verb in VERBS and {"-h", "--help"} & set(tokens):
+        return _help(verb if verb in VERBS else None)
+    if verb not in VERBS:
+        raise EquihomError(f"unknown verb {verb!r}: choose from {', '.join(VERBS)}")
+    options, given, tokens = {**VERBS[verb][2], **COMMON}, {}, iter(tokens)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        kind = options[flag][0] if flag in options else None
+        if kind is None or kind is bool and eq:
+            raise EquihomError(f"{verb}: unrecognized argument {token!r}")
+        if kind is bool:
+            text = True
+        elif not eq:
+            text = next(tokens, None)  # as it is, even one like -1
+            if text is None or text in options:
+                raise EquihomError(f"argument {flag} needs a value")
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:  # not an integer, or past the digit limit
+                raise EquihomError(f"argument {flag}: invalid int value: {text!r}") from None
+        elif isinstance(kind, tuple) and text not in kind:
+            raise EquihomError(f"argument {flag}: invalid choice: {text!r} "
+                               f"(choose from {', '.join(kind)})")
+        given[flag] = text
+    args = SimpleNamespace(command=verb)
+    for flag, (_, default) in options.items():
+        if default is REQUIRED and flag not in given:
+            raise EquihomError(f"{verb} needs {flag}")
+        setattr(args, "infile" if flag == "--in" else flag[2:].replace("-", "_"),
+                given.get(flag, default))
+    return args
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # the help text
+            sys.stdout.write(args)
+            return 0
+        # called by name through the module, so a rebinding of a cmd_* reaches it
+        return globals()[VERBS[args.command][0].__name__](args)
     except InvariantViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ import pytest
 
 from equihom import cli, zz2
 from equihom.cli import main
+from equihom.errors import EquihomError
 from equihom.graphs import hom_to_json
 from equihom.homcomplexes import search_t_colouring
 
@@ -503,30 +504,146 @@ def test_bredon_on_a_corrupted_orbit_complex_is_a_verification_failure(
     assert not out.exists()
 
 
-def test_one_parser_serves_every_call(capsys):
-    calls = [["bredon", "--n", "2", "--L", "4", "--d", "1"],
-             ["bredon", "--n", "two", "--L", "4", "--d", "1"],
-             ["hom-complex", "--graph", "complete:4"]]
+BREDON = ["bredon", "--n", "2", "--L", "4", "--d", "1"]
+VERB_LIST = ", ".join(cli.VERBS)
 
-    def outcomes(fresh):
-        seen = []
-        for argv in calls:
-            if fresh:
-                cli.build_parser.cache_clear()
+
+@pytest.mark.parametrize("argv, message", [
+    ([], f"a verb is required: {VERB_LIST}"),
+    (["frobnicate"], f"unknown verb 'frobnicate': choose from {VERB_LIST}"),
+    (["--seed", "3", *BREDON], f"unknown verb '--seed': choose from {VERB_LIST}"),
+    ([*BREDON, "--k", "1"], "bredon: unrecognized argument '--k'"),
+    (["search-t", "--n", "2"], "search-t: unrecognized argument '--n'"),
+    ([*BREDON, "--coef", "ZZ2"], "bredon: unrecognized argument '--coef'"),
+    ([*BREDON, "stray"], "bredon: unrecognized argument 'stray'"),
+    ([*BREDON, "--"], "bredon: unrecognized argument '--'"),
+    ([*BREDON, "--quotient-check=yes"], "bredon: unrecognized argument '--quotient-check=yes'"),
+    (BREDON[:-1], "argument --d needs a value"),
+    ([*BREDON, "--out"], "argument --out needs a value"),
+    (["bredon", "--out", *BREDON[1:]], "argument --out needs a value"),
+    (["bredon", "--n", "two", "--L", "4", "--d", "1"], "argument --n: invalid int value: 'two'"),
+    (["bredon", "--n=", "--L", "4", "--d", "1"], "argument --n: invalid int value: ''"),
+    (["bredon", "--n", "2.0", "--L", "4", "--d", "1"], "argument --n: invalid int value: '2.0'"),
+    ([*BREDON, "--n", LONG_INTEGER], f"argument --n: invalid int value: '{LONG_INTEGER}'"),
+    ([*BREDON, "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    ([*BREDON, "--coefficients", "Z"],
+     "argument --coefficients: invalid choice: 'Z' (choose from Zminus, Zplus, ZZ2)"),
+    (["verify", "--suite=every"], "argument --suite: invalid choice: 'every' (choose from "
+     "complexes, degrees, slices, bredon, bredon-large, all)"),
+    (["bredon", "--n", "2", "--L", "4"], "bredon needs --d"),
+    (["bredon", "--d", "1"], "bredon needs --n"),
+    (["phi", "--out", "phi.jsonl"], "phi needs --in"),
+], ids=["no-verb", "unknown-verb", "option-before-verb", "unknown-option",
+        "option-of-another-verb", "abbreviation", "stray-positional", "double-dash",
+        "flag-with-value", "missing-value", "missing-last-value", "option-as-value",
+        "bad-int", "empty-int", "float-int", "5000-digit-int", "bad-seed", "bad-choice",
+        "bad-suite", "missing-required", "missing-two-required", "missing-in"])
+def test_malformed_argv_is_a_one_line_usage_error(argv, message, capsys, tmp_path,
+                                                  monkeypatch):
+    """Exit 2 with one line on standard error, no usage banner and nothing
+    on standard output; a SystemExit would fail the test."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["bredon", "--n=2", "--L=4", "--d=1"], {"n": 2, "L": 4, "d": 1}),
+    (["bredon", "--d", "1", "--n", "3", "--L", "4", "--n", "2"], {"n": 2, "L": 4, "d": 1}),
+    ([*BREDON, "--quotient-check", "--coefficients", "ZZ2", "--seed=-7", "--out=a=b"],
+     {"n": 2, "L": 4, "d": 1, "quotient_check": True, "coefficients": "ZZ2", "seed": -7,
+      "out": "a=b"}),
+    (["enumerate", "--ell", "3", "--arity", "2", "--limit", "-1", "--out", "-"],
+     {"ell": 3, "arity": 2, "limit": -1, "out": "-"}),
+    (["phi", "--in", "polys.jsonl"], {"infile": "polys.jsonl"}),
+    (["swap-stats", "--colouring", "c.json", "--i", "1"],
+     {"colouring": "c.json", "i": 1, "h": None}),
+    (["experiment", "--n-max", " 2 ", "--chain-samples", "+50"],
+     {"ell": 3, "n_max": 2, "chain_samples": 50}),
+    (["verify"], {"suite": "all"}),
+    (["search-t"], {}),
+], ids=["equals", "last-wins", "flag-choice-negative-seed", "negative-limit", "infile",
+        "unset-h", "defaults-and-int-spelling", "default-suite", "common-only"])
+def test_parse_args_accepts_the_argparse_syntax(argv, options):
+    """``--opt value`` and ``--opt=value``, a value starting with ``-``, the
+    last of a repeated option, flags, and the defaults and namespace names
+    the commands read."""
+    defaults = {"out": None, "seed": 0}
+    defaults.update({"bredon": {"coefficients": "Zminus", "quotient_check": False},
+                     "enumerate": {"limit": None}}.get(argv[0], {}))
+    assert vars(cli.parse_args(argv)) == {"command": argv[0], **defaults, **options}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["-h", "bredon"]]
+                         + [[verb, "-h"] for verb in cli.VERBS]
+                         + [["bredon", "--n", "2", "--help"], ["bredon", "--n", "two", "-h"]])
+def test_help_names_every_verb_and_option(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    usage, *rest = captured.out.splitlines()
+    if argv[0] not in cli.VERBS:
+        assert usage.startswith("usage: equihom VERB ")
+        assert [row.split()[0] for row in rest] == list(cli.VERBS)
+    else:
+        verb = argv[0]
+        assert usage.startswith(f"usage: equihom {verb} ") and rest == [cli.VERBS[verb][1]]
+        words = [word.strip("[]") for word in usage.split()[3:]]
+        assert [word for word in words if word.startswith("--")] == [*cli.VERBS[verb][2],
+                                                                    *cli.COMMON]
+
+
+def test_parse_args_returns_a_namespace_or_help_or_raises_a_usage_error():
+    """Over token lists drawn from verb names, option names and junk, the
+    parser alone returns a namespace holding every option of its verb with a
+    value of the option's kind, or the help text, or raises EquihomError
+    with a one-line message; the same list gives the same outcome twice."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    flags = sorted({flag for _, _, options in cli.VERBS.values() for flag in options})
+    junk = ["", "-", "--", "=", "-1", "2", "4", " 8", "0x10", "two", "1e3", "Zplus", "all",
+            "--n=", "--n=-3", "--seed=5", "-h", "--help", "--coef", LONG_INTEGER, "a\nb"]
+    token = st.sampled_from([*cli.VERBS, *flags, *cli.COMMON, *junk]) | st.text(max_size=4)
+    value = st.sampled_from(["1", "2", "-1", "4", "two", "ZZ2", "all", "slices", "p.json"])
+
+    def after(verb):  # the verb's own options with values, spaced or joined by =, and junk
+        pair = st.tuples(st.sampled_from([*cli.VERBS[verb][2], *cli.COMMON]), value)
+        piece = st.one_of(pair.map(list), pair.map(list), pair.map(lambda p: ["=".join(p)]),
+                          token.map(lambda t: [t]))
+        return st.lists(piece, max_size=8).map(lambda pieces: [verb, *sum(pieces, [])])
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(token, max_size=9) | st.sampled_from(list(cli.VERBS)).flatmap(after))
+    def check(argv):
+        def outcome():
             try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's usage error
-                code = exc.code
-            out = capsys.readouterr()
-            seen.append((code, out.out, out.err))
-        return seen
+                return cli.parse_args(argv)
+            except EquihomError as exc:
+                return exc
+        result = outcome()
+        if isinstance(result, EquihomError):
+            (message,) = result.args
+            assert "\n" not in message and str(outcome()) == message
+        elif isinstance(result, str):
+            assert result.startswith("usage: equihom ") and outcome() == result
+        else:
+            assert outcome() == result
+            options = {**cli.VERBS[result.command][2], **cli.COMMON}
+            names = {"infile" if f == "--in" else f[2:].replace("-", "_"): kind_default
+                     for f, kind_default in options.items()}
+            values = vars(result)
+            assert values.pop("command") in cli.VERBS and values.keys() == names.keys()
+            for name, got in values.items():
+                kind, default = names[name]
+                if isinstance(kind, tuple):
+                    assert got in kind
+                else:
+                    assert type(got) is kind or got is default is None
 
-    cli.build_parser.cache_clear()
-    reused = outcomes(fresh=False)
-    assert cli.build_parser.cache_info().misses == 1
-    assert [code for code, _, _ in reused] == [0, 2, 0]
-    assert "invalid int value: 'two'" in reused[1][2]
-    assert reused == outcomes(fresh=True)
+    check()
 
 
 def test_experiment_verb(tmp_path):
