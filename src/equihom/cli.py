@@ -14,7 +14,6 @@ import os
 import re
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +24,7 @@ from .graphs import (complete_graph, cycle_graph, enumerate_homs, hom_from_json,
 from .homcomplexes import CyclePipeline, hom_complex, search_t_colouring
 from .degrees import deg_vector, phi
 from .simplicial import map_from_colouring, torus
-from .slices import arity_experiment, swap_fraction, zeta0
+from .slices import arity_experiment, ratio_text, swap_fraction, zeta0
 from .zz2 import bredon_torus, quotient_pstar_check
 
 
@@ -44,13 +43,19 @@ def _write_lines(lines, out):
 def _stream_lines(lines, out):
     """Write each record of ``lines`` as one JSON line as it comes, for a
     stream too long to hold: to standard output, or to a temporary file
-    beside ``out`` that replaces ``out`` once the last line is written, so
-    a failed run leaves no half-written file."""
+    beside the file ``out`` resolves to, which replaces that file once the
+    last line is written, so a failed run leaves no half-written file and
+    a symbolic link is written through.  An ``out`` that exists and is no
+    regular file, such as a device or a pipe, is written in place."""
     if not out:
         for line in lines:
             sys.stdout.write(_dump(line) + "\n")
         return
-    path = Path(out)
+    path = Path(out).resolve()
+    if path.exists() and not path.is_file():
+        with open(path, "w") as fh:
+            fh.writelines(_dump(line) + "\n" for line in lines)
+        return
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -177,8 +182,12 @@ def cmd_phi(args):
             ell = obj["domain_base"]
             if ell not in pipelines:
                 pipelines[ell] = CyclePipeline(ell, t=t)
+            alpha = phi(f, pipelines[ell])
+            # one pass reads each map once, so its memo entry is dropped, and
+            # the memo holds no value tuple of the whole input
+            pipelines[ell].phi_memo.clear()
             yield {"ell": ell, "arity": obj["arity"], "f": list(f.values),
-                   "alpha": list(phi(f, pipelines[ell]).bits), "t_fingerprint": fingerprint}
+                   "alpha": list(alpha.bits), "t_fingerprint": fingerprint}
         yield _meta(args, trailer=True, count=count,
                     t_fingerprint=fingerprint, params={"in_sha256": digest})
 
@@ -232,9 +241,9 @@ def cmd_swap_stats(args):
     heights = [args.h] if args.h is not None else list(range(n))
     stats = {}
     for h in heights:
-        frac = swap_fraction(bits, L, n, args.i, h)
-        stats[str(h)] = {"fraction": str(frac),
-                         "at_least_one_in_3LL": frac >= Fraction(1, 3 * L * L)}
+        swaps, total = swap_fraction(bits, L, n, args.i, h)
+        stats[str(h)] = {"fraction": ratio_text(swaps, total),
+                         "at_least_one_in_3LL": 3 * L * L * swaps >= total}
     report = _meta(args, params={"colouring_sha256": digest, "i": args.i,
                                  "h": args.h, "L": L, "n": n},
                    swap_fractions=stats)

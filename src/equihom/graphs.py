@@ -358,95 +358,171 @@ def _search(dom, cod, rng, budget):
     ties broken by the rng, and tries its values in shuffled order.  With a
     ``budget``, the search ends once it would push more than that many
     frames past the first.
+
+    The rng's draws are those of ``rng.randrange(len(bucket))`` and
+    ``rng.shuffle(values)``, taken straight from ``rng.getrandbits`` as
+    ``random.Random._randbelow`` takes them: below(m) draws
+    ``m.bit_length()`` bits until the value is below m.  The vertex is
+    below(len(bucket)) of its bucket, and the shuffle is below(i + 1) for
+    i from ``len(values) - 1`` down to 1, swapping places i and the draw.
+    So the maps, and the state the rng is left in, are those of the calls.
+
+    The search is one loop, with no call per step: pushing a frame,
+    forward checking and unwinding the trail are written out in it.
     """
-    near, domains, checked = _search_tables(dom, cod, rng is not None)
+    fail_first = rng is not None
+    near, domains, checked = _search_tables(dom, cod, fail_first)
     if not all(domains):  # a looped vertex, and no looped value
         return
+    k = cod.vertex_count
     masks = list(domains)
-    trail = []  # (vertex, its mask before a value narrowed it)
-    stack = []  # (vertex, its domain, values left, trail length) per frame
-    queue = None
-    if rng is not None:
+    deepest = len(masks) - 1
+    lists = {}  # domain mask -> its values, ascending, and their shuffle draws
+    # the trail, (vertex, its mask before a value narrowed it) in places
+    # below top, and the frames below the top one, (vertex, its domain,
+    # values left, trail mark) in places below depth
+    trail_v, trail_m, top = [], [], 0
+    frames, depth = [None] * len(masks), 0
+    assignment = [None] * len(masks)
+    if fail_first:
+        getrandbits = rng.getrandbits
         # queue[s] lists the unassigned vertices whose domain has s values,
         # and at[v] is the place of v in its list
-        queue = [[] for _ in range(cod.vertex_count + 1)]
+        queue = [[] for _ in range(k + 1)]
         at = [0] * len(masks)
-
-        def enqueue(v, d):
+        for v, d in enumerate(masks):
             bucket = queue[d.bit_count()]
             at[v] = len(bucket)
             bucket.append(v)
-
-        def dequeue(v, d):
-            bucket = queue[d.bit_count()]
-            last = bucket.pop()
-            if last != v:
-                bucket[at[v]] = last
-                at[last] = at[v]
-
-        for v, d in enumerate(masks):
-            enqueue(v, d)
-
-    def push():
-        if queue is None:
-            v = len(stack)  # the frames below hold vertices 0 to v - 1
-        else:
-            for bucket in queue:  # the first that is not empty
+    pushed = 0
+    while True:  # push a frame
+        if fail_first:  # below(len(bucket)) of the first bucket not empty
+            for bucket in queue:
                 if bucket:
                     break
-            v = bucket[rng.randrange(len(bucket))]
-            dequeue(v, masks[v])
+            size = len(bucket)
+            width = size.bit_length()
+            r = getrandbits(width)
+            while r >= size:
+                r = getrandbits(width)
+            v = bucket[r]
+            u = bucket.pop()
+            if u != v:
+                bucket[r] = u
+                at[u] = r
+        else:
+            v = depth
         d = masks[v]
-        values = [a for a in range(cod.vertex_count) if d >> a & 1]
-        if queue is not None:
-            rng.shuffle(values)
-        stack.append((v, d, iter(values), len(trail)))
-
-    def unwind(mark):
-        while len(trail) > mark:
-            w, m = trail.pop()
-            if queue is not None:
-                dequeue(w, masks[w])
-                enqueue(w, m)
-            masks[w] = m
-
-    assignment = [None] * len(masks)
-    push()
-    pushed = 0
-    while stack:
-        v, d, values, mark = stack[-1]
-        for a in values:
-            unwind(mark)
-            na = near[a]
-            for w in checked[v]:
-                m = masks[w]
-                narrowed = m & na
-                if narrowed != m:
-                    if not narrowed:
+        found = lists.get(d)
+        if found is None:
+            values = [a for a in range(k) if d >> a & 1]
+            found = lists[d] = (values, [(i, (i + 1).bit_length())
+                                         for i in range(len(values) - 1, 0, -1)])
+        values, draws = found
+        if fail_first:
+            values = values[:]
+            for i, width in draws:
+                r = getrandbits(width)
+                while r > i:
+                    r = getrandbits(width)
+                values[i], values[r] = values[r], values[i]
+        values, mark = iter(values), top
+        while True:  # try the values left at the top frame
+            for a in values:
+                na = near[a]
+                if fail_first:  # as below, moving each changed vertex between buckets
+                    while top > mark:
+                        top -= 1
+                        w, m = trail_v[top], trail_m[top]
+                        bucket = queue[masks[w].bit_count()]
+                        u = bucket.pop()
+                        if u != w:
+                            bucket[at[w]] = u
+                            at[u] = at[w]
+                        bucket = queue[m.bit_count()]
+                        at[w] = len(bucket)
+                        bucket.append(w)
+                        masks[w] = m
+                    for w in checked[v]:
+                        m = masks[w]
+                        narrowed = m & na
+                        if narrowed != m:
+                            if not narrowed:
+                                break
+                            if top == len(trail_v):
+                                trail_v.append(w)
+                                trail_m.append(m)
+                            else:
+                                trail_v[top], trail_m[top] = w, m
+                            top += 1
+                            bucket = queue[m.bit_count()]
+                            u = bucket.pop()
+                            if u != w:
+                                bucket[at[w]] = u
+                                at[u] = at[w]
+                            bucket = queue[narrowed.bit_count()]
+                            at[w] = len(bucket)
+                            bucket.append(w)
+                            masks[w] = narrowed
+                    else:
+                        masks[v] = 1 << a  # a singleton, which no later check narrows
+                        assignment[v] = a
                         break
-                    trail.append((w, m))
-                    if queue is not None:
-                        dequeue(w, m)
-                        enqueue(w, narrowed)
-                    masks[w] = narrowed
-            else:
-                masks[v] = 1 << a  # a singleton, which no later check narrows
-                assignment[v] = a
-                break
-        else:
-            unwind(mark)
-            masks[v] = d
-            if queue is not None:
-                enqueue(v, d)
-            stack.pop()
-            continue
-        if len(stack) == len(masks):
-            yield tuple(assignment)
-        elif pushed == budget:
-            return
-        else:
+                else:
+                    while top > mark:
+                        top -= 1
+                        masks[trail_v[top]] = trail_m[top]
+                    for w in checked[v]:
+                        m = masks[w]
+                        narrowed = m & na
+                        if narrowed != m:
+                            if not narrowed:
+                                break
+                            if top == len(trail_v):
+                                trail_v.append(w)
+                                trail_m.append(m)
+                            else:
+                                trail_v[top], trail_m[top] = w, m
+                            top += 1
+                            masks[w] = narrowed
+                    else:
+                        assignment[v] = a
+                        break
+            else:  # no value left: pop to the frame below
+                # in index order the frame below unwinds the trail past
+                # its own mark before its next value; fail-first unwinds
+                # it now, so the buckets change in the order they did
+                if fail_first:
+                    while top > mark:
+                        top -= 1
+                        w, m = trail_v[top], trail_m[top]
+                        bucket = queue[masks[w].bit_count()]
+                        u = bucket.pop()
+                        if u != w:
+                            bucket[at[w]] = u
+                            at[u] = at[w]
+                        bucket = queue[m.bit_count()]
+                        at[w] = len(bucket)
+                        bucket.append(w)
+                        masks[w] = m
+                    masks[v] = d
+                    bucket = queue[d.bit_count()]
+                    at[v] = len(bucket)
+                    bucket.append(v)
+                if not depth:
+                    return
+                depth -= 1
+                v, d, values, mark = frames[depth]
+                continue
+            if depth == deepest:
+                yield tuple(assignment)
+                continue
+            if pushed == budget:
+                return
             pushed += 1
-            push()
+            frames[depth] = (v, d, values, mark)
+            depth += 1
+            break
 
 
 class HomStream:

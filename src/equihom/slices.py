@@ -8,9 +8,7 @@ two complementary heights; pairing it with a free coordinate embeds a 2-torus
 """
 
 import random
-from fractions import Fraction
-from itertools import combinations
-from math import comb, prod
+from math import comb, gcd, prod
 
 from . import __version__
 from .errors import (CapacityExceededError, InvalidParameterError,
@@ -18,7 +16,7 @@ from .errors import (CapacityExceededError, InvalidParameterError,
 from .graphs import complete_graph, power, sample_homs, enumerate_homs
 from .degrees import OddVector, torus_tables
 from .homcomplexes import CyclePipeline
-from .simplicial import CELL_LIMIT, _check_vertex_count
+from .simplicial import CELL_LIMIT, _check_side, _check_vertex_count
 
 # maps drawn per arity once the survey samples, and maps per arity whose
 # swap fractions it tabulates
@@ -147,36 +145,58 @@ def zeta0(n, h, L):
     return GeneralizedDiagonal(L, m, path)
 
 
-def iter_coordinate_edges(L, n, i, h):
-    """Stream the edges of E_i(h) in gamma(L)^n, as pairs (u, v) of row-major
-    positions: the lower endpoint u has coordinate i even and h of the others
-    odd, and v moves coordinate i to the odd x + 1 and then x - 1 mod L.
-    The lower endpoints of each set of odd coordinates run in position order."""
+def swap_fraction(bits, L, n, i, h):
+    """The colour-swapping edges of E_i(h) together with E_i(n-1-h), and
+    all of their edges, as ``(swaps, total)``, for the blue bits (0 or 1)
+    of gamma(L)^n in row-major order.
+
+    An edge of E_i(h) runs from a lower end u, whose coordinate i is even
+    and h of whose others are odd, to u with coordinate i moved to x + 1
+    or to x - 1 mod L.  The edges are counted on the bits read as one
+    integer, a byte lane per position, by a few big-integer operations:
+    summing repeated lane patterns counts each position's even coordinates
+    other than i, plus n where coordinate i is even; ``bytes.translate``
+    marks the lower ends, the positions whose sum is n plus h or n-1-h;
+    and the bits XORed with those one stride of coordinate i further on,
+    or one stride back (at x = 0, (L-1) strides on), are 1 at a lower end
+    exactly where that edge swaps colour.
+    """
+    _check_side(L)
     if not 1 <= i <= n:
         raise InvalidParameterError("coordinate direction out of range")
     if not 0 <= h <= n - 1:
         raise InvalidParameterError("height out of range")
+    # L^n >= 4^n passes the bit count once n passes its bit length; so a
+    # lane sum, below 2n, fits its byte
+    if n > len(bits).bit_length() or len(bits) != L ** n:
+        raise InvalidParameterError(f"expected {L}^{n} colour bits, got {len(bits)}")
+    size = len(bits)
+
+    def lanes(stride, period):
+        """1 at each position whose coordinate of this stride is 0 mod period."""
+        return int.from_bytes((b"\1" * stride + b"\0" * (period - 1) * stride)
+                              * (size // (period * stride)), "little")
+
     stride = L ** (n - i)
-    others = [j for j in range(n) if j != i - 1]
-    for odd in combinations(others, h):
-        lows = [0]
-        for j in range(n):
-            lows = [u * L + x for u in lows for x in range(1 if j in odd else 0, L, 2)]
-        for u in lows:
-            x = u // stride % L
-            for step in (1, L - 1):
-                yield u, u + ((x + step) % L - x) * stride
+    evens = sum(lanes(L ** (n - 1 - j), 2) for j in range(n) if j != i - 1)
+    evens += n * lanes(stride, 2)
+    low = int.from_bytes(evens.to_bytes(size, "little").translate(
+        bytes(c - n in (h, n - 1 - h) for c in range(256))), "little")
+    colours = int.from_bytes(bits, "little")
+    shift = 8 * stride
+    zero = lanes(stride, L)
+    # the colour at x - 1, which at x = 0 is the colour at L - 1
+    down = colours << shift & ~zero | colours >> (L - 1) * shift & zero
+    swaps = (((colours ^ colours >> shift) & low).bit_count()
+             + ((colours ^ down) & low).bit_count())
+    return swaps, 2 * low.bit_count()
 
 
-def swap_fraction(bits, L, n, i, h):
-    """Fraction of colour-swapping edges in E_i(h) together with E_i(n-1-h),
-    for the blue bits of gamma(L)^n in row-major order."""
-    total = swaps = 0
-    for hh in sorted({h, n - 1 - h}):
-        for u, v in iter_coordinate_edges(L, n, i, hh):
-            total += 1
-            swaps += bits[u] != bits[v]
-    return Fraction(swaps, total)
+def ratio_text(p, q):
+    """p/q in lowest terms as ``str(fractions.Fraction(p, q))`` writes it:
+    "p/q", or "p" when the denominator is 1."""
+    g = gcd(p, q)
+    return f"{p // g}" if g == q else f"{p // g}/{q // g}"
 
 
 def chain_alternation_counts(L, n, rng, samples, lanes, maps):
@@ -346,7 +366,7 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
                     frac = swap_fraction(bits, L, n, i, h)
                     key = f"i={i},h={h}"
                     entry = swap_stats.setdefault(key, [])
-                    entry.append(str(frac))
+                    entry.append(ratio_text(*frac))
         report["per_n"].append({
             "n": n,
             "mode": mode,

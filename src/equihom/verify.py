@@ -7,7 +7,6 @@ drives the rows of one suite, or of all of them but the slow
 failing row.
 """
 
-from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import EquihomError
@@ -52,14 +51,14 @@ def _check_band_identity(seed):
 
 def _check_two_torus_battery(seed):
     plane = torus_complex(4, 4)
-    bound = Fraction(1, 3 * 16)
     count = 0
     for col in equivariant_colourings(torus(4, 2)):
         map_from_colouring(torus(4, 2), col)
         alpha = deg_vector(col, L=4, n=2)  # odd weight enforced internally
         for i in (1, 2):
             if alpha.bits[i - 1] == 1:
-                if swap_fraction(col, 4, 2, i, 0) < bound:
+                swaps, total = swap_fraction(col, 4, 2, i, 0)
+                if 3 * 16 * swaps < total:
                     return False, f"swap fraction below 1/48 for {list(col)}"
         if alpha.bits[0] == 1:
             find_colour_swapping_edge(col, plane)

@@ -192,11 +192,32 @@ def coordinate_edges_reference(L, n, i, h):
                 yield u, tuple(v)
 
 
+def iter_coordinate_edges(L, n, i, h):
+    """Stream the edges of E_i(h) in gamma(L)^n, as pairs (u, v) of row-major
+    positions: the lower endpoint u has coordinate i even and h of the others
+    odd, and v moves coordinate i to the odd x + 1 and then x - 1 mod L.
+    The lower endpoints of each set of odd coordinates run in position order."""
+    if not 1 <= i <= n:
+        raise InvalidParameterError("coordinate direction out of range")
+    if not 0 <= h <= n - 1:
+        raise InvalidParameterError("height out of range")
+    stride = L ** (n - i)
+    others = [j for j in range(n) if j != i - 1]
+    for odd in combinations(others, h):
+        lows = [0]
+        for j in range(n):
+            lows = [u * L + x for u in lows for x in range(1 if j in odd else 0, L, 2)]
+        for u in lows:
+            x = u // stride % L
+            for step in (1, L - 1):
+                yield u, u + ((x + step) % L - x) * stride
+
+
 def swap_fraction_reference(colours, L, n, i, h):
     """``swap_fraction`` on a colour dict keyed by vertex tuples."""
     pairs = [e for hh in sorted({h, n - 1 - h})
              for e in coordinate_edges_reference(L, n, i, hh)]
-    return Fraction(sum(colours[u] != colours[v] for u, v in pairs), len(pairs))
+    return sum(colours[u] != colours[v] for u, v in pairs), len(pairs)
 
 
 def cycle_hom_count(ell, k):
@@ -1705,6 +1726,111 @@ class HomStreamReference:
             yield GraphHom(dom, cod, tuple(assignment), check=False)
 
 
+def fail_first_reference(dom, cod, rng, budget):
+    """``graphs._search`` written with closures: the value arrays of the
+    homomorphisms dom -> cod by forward checking on value masks, with the
+    undone narrowings on a trail.
+
+    Without an rng, vertices go in index order and values ascend.  With
+    one, each step takes a vertex of smallest domain from a bucket queue,
+    ``rng.randrange`` picking within the bucket, and tries its values in
+    the order ``rng.shuffle`` leaves them.  With a ``budget``, the search
+    ends once it would push more than that many frames past the first.
+    """
+    fail_first = rng is not None
+    k = cod.vertex_count
+    near = [sum(1 << a for a in cod.neighbours(b)) for b in range(k)]
+    looped = sum(1 << a for a in range(k) if cod.has_edge(a, a))
+    masks = [looped if dom.has_edge(v, v) else (1 << k) - 1 for v in dom.vertices()]
+    if not all(masks):  # a looped vertex, and no looped value
+        return
+    # in index order the later neighbours; fail-first, all of them
+    checked = [sorted(w for w in dom.neighbours(v) if w > v or (fail_first and w != v))
+               for v in dom.vertices()]
+    trail = []  # (vertex, its mask before a value narrowed it)
+    stack = []  # (vertex, its domain, values left, trail length) per frame
+    queue = None
+    if fail_first:
+        queue = [[] for _ in range(k + 1)]
+        at = [0] * len(masks)
+
+        def enqueue(v, d):
+            bucket = queue[d.bit_count()]
+            at[v] = len(bucket)
+            bucket.append(v)
+
+        def dequeue(v, d):
+            bucket = queue[d.bit_count()]
+            last = bucket.pop()
+            if last != v:
+                bucket[at[v]] = last
+                at[last] = at[v]
+
+        for v, d in enumerate(masks):
+            enqueue(v, d)
+
+    def push():
+        if queue is None:
+            v = len(stack)
+        else:
+            for bucket in queue:
+                if bucket:
+                    break
+            v = bucket[rng.randrange(len(bucket))]
+            dequeue(v, masks[v])
+        d = masks[v]
+        values = [a for a in range(k) if d >> a & 1]
+        if queue is not None:
+            rng.shuffle(values)
+        stack.append((v, d, iter(values), len(trail)))
+
+    def unwind(mark):
+        while len(trail) > mark:
+            w, m = trail.pop()
+            if queue is not None:
+                dequeue(w, masks[w])
+                enqueue(w, m)
+            masks[w] = m
+
+    assignment = [None] * len(masks)
+    push()
+    pushed = 0
+    while stack:
+        v, d, values, mark = stack[-1]
+        for a in values:
+            unwind(mark)
+            na = near[a]
+            for w in checked[v]:
+                m = masks[w]
+                narrowed = m & na
+                if narrowed != m:
+                    if not narrowed:
+                        break
+                    trail.append((w, m))
+                    if queue is not None:
+                        dequeue(w, m)
+                        enqueue(w, narrowed)
+                    masks[w] = narrowed
+            else:
+                masks[v] = 1 << a
+                assignment[v] = a
+                break
+        else:
+            unwind(mark)
+            masks[v] = d
+            if queue is not None:
+                enqueue(v, d)
+            stack.pop()
+            continue
+        if len(stack) == len(masks):
+            yield tuple(assignment)
+        elif pushed == budget:
+            return
+        else:
+            pushed += 1
+            push()
+
+
 def sample_maximal_chain_reference(L, n, rng):
     """A uniformly random maximal chain (top simplex) of gamma(L)^n, as a
     list of vertex tuples."""
@@ -1791,7 +1917,7 @@ def arity_experiment_reference(ell, n_max, seed=0, sample_size=40, chain_samples
                 if alpha[i - 1] != 1:
                     continue
                 for h in range(0, (n - 1) // 2 + 1):
-                    frac = swap_fraction_reference(colours, L, n, i, h)
+                    frac = Fraction(*swap_fraction_reference(colours, L, n, i, h))
                     key = f"i={i},h={h}"
                     entry = swap_stats.setdefault(key, [])
                     entry.append(str(frac))

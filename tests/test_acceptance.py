@@ -96,7 +96,7 @@ def test_criterion_05_two_torus_battery():
         assert alpha.weight % 2 == 1
         for i in (1, 2):
             if alpha.bits[i - 1] == 1:
-                assert swap_fraction(col, 4, 2, i, 0) >= bound
+                assert Fraction(*swap_fraction(col, 4, 2, i, 0)) >= bound
         if alpha.bits[0] == 1:
             u, v = find_colour_swapping_edge(col, plane)
             assert col[4 * u[0] + u[1]] != col[4 * v[0] + v[1]]

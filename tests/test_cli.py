@@ -12,8 +12,8 @@ import pytest
 from equihom import cli, zz2
 from equihom.cli import main
 from equihom.errors import EquihomError
-from equihom.graphs import hom_to_json
-from equihom.homcomplexes import search_t_colouring
+from equihom.graphs import hom_from_json, hom_to_json
+from equihom.homcomplexes import CyclePipeline, search_t_colouring
 
 from oracles import add_at, simplicial_set_from_json
 
@@ -73,6 +73,46 @@ def test_enumerate_streams_into_place_and_a_failed_run_keeps_the_old_file(
     assert "no space left on device" in capsys.readouterr().err
     assert len(written) == 5 and out.read_text() == printed
     assert list(tmp_path.iterdir()) == [out]
+
+
+def test_a_streamed_report_is_written_through_a_symbolic_link(tmp_path, capsys):
+    """--out naming a link replaces the file the link points to, with a
+    temporary file beside that file, and the link stays a link; a link to
+    no file yet makes that file."""
+    assert run(["enumerate", "--ell", "3", "--arity", "1"]) == 0
+    printed = capsys.readouterr().out
+    target, elsewhere = tmp_path / "target.jsonl", tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    link = elsewhere / "link.jsonl"
+    for existing in (False, True):
+        if existing:
+            target.write_text("old\n")
+        link.unlink(missing_ok=True)
+        link.symlink_to(target)
+        assert run(["enumerate", "--ell", "3", "--arity", "1", "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text() == printed
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "elsewhere", "link.jsonl", "target.jsonl"]
+        target.unlink()
+
+
+def test_a_streamed_report_to_a_pipe_is_written_in_place(tmp_path, capsys):
+    """--out naming something that is no regular file, here a named pipe, is
+    written straight to it, with no temporary file and no rename over it."""
+    assert run(["enumerate", "--ell", "3", "--arity", "1"]) == 0
+    printed = capsys.readouterr().out
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    # a reader that does not wait for a writer, so the run opens the pipe at
+    # once; the 24 records fit the pipe's buffer
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(["enumerate", "--ell", "3", "--arity", "1", "--out", str(pipe)]) == 0
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert received.decode() == printed
+    assert pipe.is_fifo() and list(tmp_path.iterdir()) == [pipe]
 
 
 def test_enumerate_rejects_even_cycle():
@@ -167,6 +207,27 @@ def test_phi_on_a_long_cycle_stays_small(tmp_path):
     assert time.perf_counter() - start < 10
     assert peak < 48 << 20
     assert [obj["alpha"] for obj in read_lines(out)[:-1]] == [[1, 0], [0, 1]]
+
+
+def test_phi_over_a_file_keeps_no_memo_of_its_records(tmp_path, monkeypatch):
+    """``phi --in`` reads each record once, so the pipeline's memo of value
+    tuples, which the minion check reads again, holds none of them: it is
+    empty before each record's phi, with every vector the same."""
+    polys, out = tmp_path / "polys.jsonl", tmp_path / "phi.jsonl"
+    assert run(["enumerate", "--ell", "3", "--arity", "2", "--limit", "200",
+                "--out", str(polys)]) == 0
+    held, real = [], cli.phi
+
+    def counted(f, pipeline):
+        held.append(len(pipeline.phi_memo))
+        return real(f, pipeline)
+
+    monkeypatch.setattr(cli, "phi", counted)
+    assert run(["phi", "--in", str(polys), "--out", str(out)]) == 0
+    assert held == [0] * 200
+    pipeline = CyclePipeline(3)
+    assert [obj["alpha"] for obj in read_lines(out)[:-1]] == [
+        list(real(hom_from_json(obj), pipeline).bits) for obj in read_lines(polys)[:-1]]
 
 
 PHI_RECORD = {"domain_base": 3, "arity": 1, "codomain": 4, "values": [0, 1, 2]}

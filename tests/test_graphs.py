@@ -3,7 +3,7 @@ import random
 import re
 import time
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product
 
 import pytest
 
@@ -17,8 +17,8 @@ from equihom.graphs import (Graph, GraphHom, HomStream, MinorSpec, PowerGraph,
                             sample_homs)
 
 from oracles import (HomStreamReference, composite_mapping, cycle_hom_count,
-                     decode, graph_from_json, graph_to_json, is_graph_hom,
-                     minor_reference)
+                     decode, fail_first_reference, graph_from_json, graph_to_json,
+                     is_graph_hom, minor_reference)
 
 
 def test_templates():
@@ -406,11 +406,12 @@ AC3_CASES = {  # domain, codomain, limit, maps emitted
 
 
 @pytest.mark.parametrize("case", sorted(AC3_CASES))
-def test_support_table_search_matches_reference(case):
+def test_support_table_search_matches_reference(case, monkeypatch):
     # a complete lexicographic search yields the same maps in the same order
     # whatever it prunes with, so forward checking on value masks matches
     # AC-3 on value lists, truncation included; the fail-first samples
-    # have no reference order, so they are held to what a sample must be
+    # match those of the search written with randrange, shuffle and queue
+    # calls, map for map, and leave the rng in the same state
     dom, cod, limit, count = AC3_CASES[case]
     stream = enumerate_homs(dom, cod, limit=limit)
     reference = HomStreamReference(dom, cod, limit=limit)
@@ -418,13 +419,47 @@ def test_support_table_search_matches_reference(case):
     assert len(values) == count
     assert values == [f.values for f in reference]
     assert stream.truncated == reference.truncated
-    for seed in (0, 1):
-        got = sample_homs(dom, cod, 6, random.Random(seed))
-        again = sample_homs(dom, cod, 6, random.Random(seed))
-        assert [f.values for f in got] == [f.values for f in again]
+    for seed in range(5):
+        rng = random.Random(seed)
+        got = sample_homs(dom, cod, 6, rng)
+        with monkeypatch.context() as patched:
+            patched.setattr(graphs, "_search", fail_first_reference)
+            reference_rng = random.Random(seed)
+            want = sample_homs(dom, cod, 6, reference_rng)
+        assert [f.values for f in got] == [f.values for f in want]
+        assert rng.getstate() == reference_rng.getstate()
         assert len({f.values for f in got}) == len(got) == min(6, count)
         assert all(f.checked and is_graph_hom(f.values, dom.edges, cod.edges)
                    for f in got)
+
+
+@pytest.mark.parametrize("case", sorted(AC3_CASES))
+def test_search_matches_reference_at_the_budget_boundary(case):
+    """In index order and fail-first on seeds 0-4, the search cut one frame
+    short of its first map, and at that budget, yields the reference's maps
+    and leaves the rng as the reference does.  The least such budget is
+    found by bisection, since a larger budget only lets a search run on."""
+    dom, cod, _, _ = AC3_CASES[case]
+
+    def run(search, seed, budget):
+        rng = None if seed is None else random.Random(seed)
+        maps = list(islice(search(dom, cod, rng, budget), 2))
+        return maps, rng and rng.getstate()
+
+    for seed in (None, *range(5)):
+        low, high = 0, 2 * dom.vertex_count
+        budgets = {low, dom.vertex_count, high, None}
+        if run(fail_first_reference, seed, high)[0]:
+            while low < high:  # the least budget that yields a map
+                mid = (low + high) // 2
+                if run(fail_first_reference, seed, mid)[0]:
+                    high = mid
+                else:
+                    low = mid + 1
+            # a map takes a frame per vertex, so low is positive
+            budgets |= {low - 1, low}
+        for budget in budgets:
+            assert run(graphs._search, seed, budget) == run(fail_first_reference, seed, budget)
 
 
 def test_budget_fires_on_the_c5_cubed_seeds(monkeypatch):

@@ -11,14 +11,15 @@ from equihom.graphs import enumerate_homs
 from equihom.homcomplexes import CyclePipeline
 from equihom.simplicial import equivariant_colourings, torus
 from equihom.slices import (GeneralizedDiagonal, arity_experiment,
-                            chain_alternation_counts, height,
-                            iter_coordinate_edges, swap_fraction, zeta0)
+                            chain_alternation_counts, height, ratio_text,
+                            swap_fraction, zeta0)
 
 import oracles
 from oracles import (BLUE, YELLOW, arity_experiment_reference, chain_alternations,
                      colour_bits, coordinate_edges_reference,
-                     equivariant_colourings_reference, gamma_power, labelled_cells,
-                     permute_coordinates, sample_maximal_chain_reference,
+                     equivariant_colourings_reference, gamma_power,
+                     iter_coordinate_edges, labelled_cells, permute_coordinates,
+                     sample_maximal_chain_reference,
                      shift_coordinate, slice_check, standard_diagonal,
                      swap_fraction_reference, vertex_labels)
 
@@ -119,10 +120,40 @@ def test_standard_diagonal():
 
 def test_swap_fraction_values():
     col = winding_colouring(4, 2, 1)
-    assert swap_fraction(col, 4, 2, 1, 0) == Fraction(8, 16)
+    assert swap_fraction(col, 4, 2, 1, 0) == (8, 16)
     flat = winding_colouring(4, 2, 2)
-    assert swap_fraction(flat, 4, 2, 1, 0) == 0
-    assert swap_fraction(flat, 4, 2, 2, 0) > 0
+    assert swap_fraction(flat, 4, 2, 1, 0) == (0, 16)
+    assert swap_fraction(flat, 4, 2, 2, 0)[0] > 0
+
+
+@pytest.mark.parametrize("L, n", [(4, 1), (8, 1), (4, 2), (12, 2), (4, 3), (8, 3), (12, 3),
+                                  (4, 4)])
+def test_swap_fraction_is_the_edge_count_on_random_colourings(L, n):
+    """On random bits, not only equivariant ones, the lane count equals the
+    count over the position pairs of ``iter_coordinate_edges``, for every
+    direction and height."""
+    rng = random.Random(L * 10 + n)
+    for _ in range(3):
+        bits = bytes(rng.getrandbits(1) for _ in range(L ** n))
+        for i in range(1, n + 1):
+            for h in range(n):
+                pairs = [e for hh in {h, n - 1 - h} for e in iter_coordinate_edges(L, n, i, hh)]
+                assert swap_fraction(bits, L, n, i, h) == (
+                    sum(bits[u] != bits[v] for u, v in pairs), len(pairs))
+
+
+def test_swap_fraction_refuses_bits_that_do_not_fit_the_torus():
+    for bits, L, n, i, h in [(bytes(16), 4, 2, 0, 0), (bytes(16), 4, 2, 3, 0),
+                             (bytes(16), 4, 2, 1, 2), (bytes(15), 4, 2, 1, 0),
+                             (bytes(64), 4, 2, 1, 0), (bytes(36), 6, 2, 1, 0),
+                             (bytes(16), 4, 10 ** 6, 1, 0)]:
+        with pytest.raises(InvalidParameterError):
+            swap_fraction(bits, L, n, i, h)
+
+
+@pytest.mark.parametrize("p, q", [(0, 16), (8, 16), (16, 16), (3, 48), (7, 12), (48, 16)])
+def test_ratio_text_is_the_text_of_the_fraction(p, q):
+    assert ratio_text(p, q) == str(Fraction(p, q))
 
 
 def test_swap_fraction_on_bits_is_the_tuple_count_over_the_battery():
@@ -149,7 +180,7 @@ def test_swap_fraction_bound_over_battery():
         alpha = deg_vector(col, L=4, n=2)
         for i in (1, 2):
             if alpha.bits[i - 1]:
-                assert swap_fraction(col, 4, 2, i, 0) >= bound
+                assert Fraction(*swap_fraction(col, 4, 2, i, 0)) >= bound
 
 
 def test_slice_check_witnesses():

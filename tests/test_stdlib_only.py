@@ -29,6 +29,9 @@ def test_every_module_imports_only_the_standard_library():
     outside = [m for m in loaded
                if m != "equihom" and m not in sys.stdlib_module_names]
     assert outside == []
+    # swap fractions are integer pairs, so no module pays for fractions,
+    # which imports decimal
+    assert not {"fractions", "decimal"} & set(loaded)
 
 
 CLI_PROBE = """
