@@ -47,12 +47,20 @@ class TorusComplex:
         """The band's boundary mod 2 must be x1 plus its image under the
         antipode (a, b) -> (a + L/2, b + L'/2).  The two triangles of a
         square share the diagonal [p, r], so the boundary is the sum of the
-        squares' outer edges (InvariantViolationError)."""
-        mates = {p: self.grid.mate(1 << p).bit_length() - 1 for edge in self.x1 for p in edge}
+        squares' outer edges (InvariantViolationError).
+
+        An x1 edge is keyed by its lower end u and runs to u +- L' mod L*L'.
+        The antipode is a translation, so it takes the edges keyed by a set
+        of ends to those keyed by the set's mates: one ``grid.mate`` call."""
+        ends = sum(1 << u for u in {u for u, _ in self.x1})
+        mated = f"{self.grid.mate(ends):b}"[::-1]  # digit p is bit p
+        size = self.L * self.Lp
+        image = {(u, (u + s * self.Lp) % size) for u, digit in enumerate(mated)
+                 if digit == "1" for s in (1, -1)}
         edges = set()
         for p, q1, q2, r in self.squares:
             edges ^= {(p, q1), (q1, r), (p, q2), (q2, r)}
-        if edges != set(self.x1) ^ {(mates[u], mates[v]) for u, v in self.x1}:
+        if edges != set(self.x1) ^ image:
             raise InvariantViolationError("band boundary != cycle + antipodal cycle")
 
     def deg1(self, bits):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .errors import (CapacityExceededError, InternalError, InvalidParameterError,
                      UnsupportedInputError)
 from .graphs import GraphHom, PowerGraph, complete_graph, cycle_graph
-from .simplicial import gamma, map_from_colouring, order_complex
+from .simplicial import map_from_colouring, order_complex
 
 # byte v -> 1 << v for the four colours of K_4, and the byte that a t-index
 # with no multihomomorphism behind it reads in ``CyclePipeline.table``
@@ -137,7 +137,9 @@ def canonical_cycle_iso(ell):
             raise InternalError(f"walk does not send {k} above its even neighbours")
     if len(set(walk)) != period:
         raise InternalError("walk is not injective on vertices")
-    if {(walk[a], walk[b]) for a, b in gamma(period).position_cells(1)} != edges:
+    # the edges of gamma(period) run from each even k to k + 1 and k - 1
+    if {(walk[k], walk[(k + s) % period])
+            for k in range(0, period, 2) for s in (1, -1)} != edges:
         raise InternalError("walk is not bijective on edges")
     return {k: target.vertices[p] for k, p in enumerate(walk)}
 

@@ -237,18 +237,6 @@ def _check_side(L):
         raise InvalidParameterError("gamma(L) needs L >= 4 divisible by 4")
 
 
-def gamma(L):
-    """Order complex of the alternating cyclic poset on Z_L, with cap 3.
-
-    a < b iff a is even and b = a +- 1 mod L; the involution is the shift by
-    L/2.  A triangulated circle with L vertices and L edges.
-    """
-    _check_side(L)
-    # an odd vertex's mask holds its two even neighbours, an even one's itself
-    masks = [1 << v | (v % 2 and 1 << v - 1 | 1 << (v + 1) % L) for v in range(L)]
-    return order_complex(range(L), masks, 3, {v: (v + L // 2) % L for v in range(L)})
-
-
 def order_complex(elements, masks, cap, involution=None):
     """Order complex of a finite strict order: simplices are strict chains.
 

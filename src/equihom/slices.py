@@ -8,7 +8,8 @@ two complementary heights; pairing it with a free coordinate embeds a 2-torus
 """
 
 import random
-from math import comb, gcd, prod
+from itertools import repeat
+from math import comb, gcd
 
 from . import __version__
 from .errors import (CapacityExceededError, InvalidParameterError,
@@ -22,33 +23,6 @@ from .simplicial import CELL_LIMIT, _check_side, _check_vertex_count
 # swap fractions it tabulates
 SAMPLE_SIZE = 40
 SWAP_STAT_MAPS = 3
-
-
-def product_cell_count(sides, d):
-    """Number of non-degenerate d-cells of gamma(L_1) x ... x gamma(L_k).
-
-    A d-chain of the product poset moves j of the k coordinates, each once,
-    from an even value to one of its two odd neighbours, and the moves fill
-    the d steps: d! S(j, d) surjections, counted by inclusion-exclusion.
-    Every coordinate has L_i starting choices whether it moves or not.
-    """
-    k = len(sides)
-    return prod(sides) * sum(
-        comb(k, j) * sum((-1) ** i * comb(d, i) * (d - i) ** j for i in range(d + 1))
-        for j in range(d, k + 1))
-
-
-def check_cell_limit(sides):
-    """Refuse a product of circles with more than CELL_LIMIT cells in all.
-
-    The vertices are counted first, so a product of many circles is refused
-    before its cells are summed over every degree and every move count.
-    """
-    _check_vertex_count(sides, f"of {len(sides)} circles")
-    total = sum(product_cell_count(sides, d) for d in range(len(sides) + 1))
-    if total > CELL_LIMIT:
-        raise CapacityExceededError(
-            f"torus {sides} has {total} cells (limit {CELL_LIMIT})")
 
 
 def height(v):
@@ -293,7 +267,8 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
     or when n*H(n-1) - C(n,2)*H(n-2) > enumerate_cutoff: either way
     H(n) > enumerate_cutoff, so the enumeration would be cut short.  The
     enumeration draws nothing from the rng, so the report is the same.
-    Torus sizes are checked against the cell limit before any work.
+    The largest torus it reads, gamma(4*ell)^n_max or the degree plane,
+    is checked against the vertex limit before any work.
     """
     if ell < 3 or ell % 2 == 0:
         raise InvalidParameterError("need an odd cycle length >= 3")
@@ -302,8 +277,10 @@ def arity_experiment(ell, n_max, seed=0, chain_samples=4000, enumerate_cutoff=30
     if chain_samples < 0:
         raise InvalidParameterError(f"chain_samples must be >= 0, got {chain_samples}")
     L = 4 * ell
-    for n in range(2, n_max + 1):  # the first torus over the cell limit
-        check_cell_limit((L,) * n)
+    # gamma(L)^n grows with n, and the degree plane is gamma(L)^2, so the
+    # survey refuses what torus(L, k) refuses, before any work
+    k = max(2, n_max)
+    _check_vertex_count(repeat(L, k), f"gamma({L})^{k}")
     rng = random.Random(seed)
     pipeline = CyclePipeline(ell)
     k4 = complete_graph(4)

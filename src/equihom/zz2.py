@@ -402,7 +402,7 @@ def bredon_torus(n, L, d, coefficients="Zminus"):
     if n < 1:
         raise InvalidParameterError("need n >= 1")
     # before anything is built: the ring and the size of C(2)^n, the side
-    # that gamma takes and the size of C(L), and then the contraction
+    # of gamma(L) and the size of C(L), and then the contraction
     _check_cube(2, n, coefficients)
     _check_side(L)
     _check_vertex_count((2 * L,), f"C({L})", "cells")
@@ -486,7 +486,7 @@ def quotient_pstar_check(n, L, d):
     projection (``_quotient_complexes``, once per n); they stand for those
     of C(L)^n through the contraction of C(L) onto C(2), which the
     cross-check against ``bredon_torus`` checks, with n and L, before any of
-    them is built.  Any L that ``gamma`` accepts will do, L = 4 included,
+    them is built.  Any side of gamma(L) will do, L = 4 included,
     since no quotient is built.  Checks that H^d of both is free of rank
     C(n, d).  The cohomology of the mapping cone of P then gives p* on H^d:
     finite cone groups in degrees d - 1 and d mean that p* is injective with

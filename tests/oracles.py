@@ -68,11 +68,13 @@ the slice check and the torus automorphisms, and the dense-matrix helpers
 builds order complexes only; the small sets given by their cells, the
 spheres ``sigma(k)`` among them, are checked by ``check_reference`` and
 stored by ``explicit_set``, and their mod-2 homology drops the degenerate
-faces that no order complex has.  The simplicial torus ``gamma_product``,
-the order complex of the product poset with every cell stored, and the
-scan of its 3-cells, ``check_alternation_reference``, are the reference for
-the row-major ``Torus`` and the 3-alternation check on bit sets.  A
-``Torus`` holds no vertex tuples and no per-vertex antipode: tests read its
+faces that no order complex has.  The simplicial circle ``gamma`` is built
+here only.  The simplicial torus ``gamma_product``, the order complex of
+the product poset with every cell stored, refused past CELL_LIMIT cells in
+all (``check_cell_limit``, on the closed-form count ``product_cell_count``),
+and the scan of its 3-cells, ``check_alternation_reference``, are the
+reference for the row-major ``Torus`` and the 3-alternation check on bit
+sets.  A ``Torus`` holds no vertex tuples and no per-vertex antipode: tests read its
 vertex tuples through ``vertex_labels``, and the mate positions listed one
 vertex at a time, ``torus_antipode_reference``, with the scan over them,
 ``check_antipodes_reference``, are the reference for the half turn of bit
@@ -90,16 +92,16 @@ from operator import eq, itemgetter
 from equihom import __version__, simplicial, zz2
 from equihom.degrees import (deg_vector, find_colour_swapping_edge, sigma_minor,
                              torus_complex)
-from equihom.errors import (AlternatingSimplexError, InternalError,
-                            InvalidInputError, InvalidParameterError,
+from equihom.errors import (AlternatingSimplexError, CapacityExceededError,
+                            InternalError, InvalidInputError, InvalidParameterError,
                             NotEquivariantError, NotFreeActionError)
 from equihom.graphs import (Graph, GraphHom, PowerGraph, complete_graph,
                             enumerate_homs, power, sample_homs)
 from equihom.homcomplexes import CyclePipeline, Multihom, hom_complex, mu_prime
-from equihom.simplicial import (SimplicialSet, Torus, _check_side, _check_vertex_count,
-                                check_length, faces, is_degenerate, map_from_colouring,
-                                torus)
-from equihom.slices import GeneralizedDiagonal, check_cell_limit
+from equihom.simplicial import (CELL_LIMIT, SimplicialSet, Torus, _check_side,
+                                _check_vertex_count, check_length, faces, is_degenerate,
+                                map_from_colouring, order_complex, torus)
+from equihom.slices import GeneralizedDiagonal
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import CohomologyGroup, bredon_torus, cohomology, expected_bredon
 
@@ -437,6 +439,46 @@ def involution(x):
         return None
     vertices = vertex_labels(x)
     return {v: vertices[j] for v, j in zip(vertices, antipode)}
+
+
+def gamma(L):
+    """Order complex of the alternating cyclic poset on Z_L, with cap 3.
+
+    a < b iff a is even and b = a +- 1 mod L; the involution is the shift by
+    L/2.  A triangulated circle with L vertices and L edges.
+    """
+    _check_side(L)
+    # an odd vertex's mask holds its two even neighbours, an even one's itself
+    masks = [1 << v | (v % 2 and 1 << v - 1 | 1 << (v + 1) % L) for v in range(L)]
+    return order_complex(range(L), masks, 3, {v: (v + L // 2) % L for v in range(L)})
+
+
+def product_cell_count(sides, d):
+    """Number of non-degenerate d-cells of gamma(L_1) x ... x gamma(L_k).
+
+    A d-chain of the product poset moves j of the k coordinates, each once,
+    from an even value to one of its two odd neighbours, and the moves fill
+    the d steps: d! S(j, d) surjections, counted by inclusion-exclusion.
+    Every coordinate has L_i starting choices whether it moves or not.
+    """
+    k = len(sides)
+    return math.prod(sides) * sum(
+        math.comb(k, j) * sum((-1) ** i * math.comb(d, i) * (d - i) ** j
+                              for i in range(d + 1))
+        for j in range(d, k + 1))
+
+
+def check_cell_limit(sides):
+    """Refuse a product of circles with more than CELL_LIMIT cells in all.
+
+    The vertices are counted first, so a product of many circles is refused
+    before its cells are summed over every degree and every move count.
+    """
+    _check_vertex_count(sides, f"of {len(sides)} circles")
+    total = sum(product_cell_count(sides, d) for d in range(len(sides) + 1))
+    if total > CELL_LIMIT:
+        raise CapacityExceededError(
+            f"torus {sides} has {total} cells (limit {CELL_LIMIT})")
 
 
 def gamma_product(sides):

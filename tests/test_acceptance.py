@@ -18,12 +18,12 @@ from equihom.graphs import (MinorSpec, complete_graph, cycle_graph,
 from equihom.homcomplexes import (CyclePipeline, canonical_cycle_iso,
                                   hom_complex, mu_prime, multihoms,
                                   search_t_colouring)
-from equihom.simplicial import (equivariant_colourings, gamma, map_from_colouring,
+from equihom.simplicial import (equivariant_colourings, map_from_colouring,
                                 mod2_homology_ranks, torus)
 from equihom.slices import arity_experiment, swap_fraction, zeta0
 from equihom.zz2 import bredon_torus, expected_bredon, quotient_pstar_check
 
-from oracles import (brute_multihom_count, colour_dict, involution, is_equivariant,
+from oracles import (brute_multihom_count, colour_dict, gamma, involution, is_equivariant,
                      labelled_cells)
 
 BUDGETS = {}

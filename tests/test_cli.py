@@ -96,6 +96,20 @@ def test_a_streamed_report_is_written_through_a_symbolic_link(tmp_path, capsys):
         target.unlink()
 
 
+def test_a_summary_report_is_written_through_a_symbolic_link(tmp_path, capsys):
+    """A summary verb's --out naming a link writes the file the link
+    points to, and leaves the link a link and no temporary file."""
+    argv = ["bredon", "--n", "2", "--L", "4", "--d", "1"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert run(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_text() == printed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
 def test_a_streamed_report_to_a_pipe_is_written_in_place(tmp_path, capsys):
     """--out naming something that is no regular file, here a named pipe, is
     written straight to it, with no temporary file and no rename over it."""

@@ -13,12 +13,12 @@ from equihom.graphs import (Graph, GraphHom, MinorSpec, complete_graph, cycle_gr
 from equihom.homcomplexes import (MAX_MULTIHOMS, UNLABELLED, CyclePipeline, Multihom,
                                   TColouring, canonical_cycle_iso, hom_complex,
                                   mu_prime, multihoms, search_t_colouring)
-from equihom.simplicial import (gamma, map_from_colouring, mod2_homology_ranks,
-                                order_complex, torus)
+from equihom.simplicial import (SimplicialSet, map_from_colouring, mod2_homology_ranks,
+                                torus)
 
 import oracles
 from oracles import (BLUE, YELLOW, brute_multihom_count, colour_bits, colour_dict, decode,
-                     involution, iota, is_equivariant,
+                     gamma, involution, iota, is_equivariant,
                      is_valid_multihom, labelled_cells, mu_bits_reference,
                      mu_colours_reference, mu_map, multihoms_reference,
                      search_t_reference, side_table_reference, vertex_labels)
@@ -130,19 +130,21 @@ def test_cycle_iso_rejects_even():
 
 
 def test_cycle_iso_refuses_an_edge_sent_to_a_non_edge(monkeypatch):
-    """Trading the circle's odd vertices 1 and 3 corrupts the walk as a map
-    of the circle: the walk still passes the checks on its own steps, but
-    the edge (0, 3) now goes to the multihomomorphisms it visits first and
-    fourth, which are no edge, and the comparison of the edges refuses it."""
-    def twisted(L):
-        below = {v: {v - 1, (v + 1) % L} for v in range(1, L, 2)}
-        below[1], below[3] = below[3], below[1]
-        masks = [1 << v | sum(1 << u for u in below.get(v, ())) for v in range(L)]
-        return order_complex(range(L), masks, 3)
-
-    monkeypatch.setattr(homcomplexes, "gamma", twisted)
-    edges = labelled_cells(twisted(12), 1)
-    assert (0, 3) in edges and (0, 1) not in edges
+    """A chord from ({0},{1}) up to ({1,2},{0}), with its mate, leaves the
+    walk as it was: at each end of a chord the walk's own next vertex is
+    less, or the other end is visited.  So the walk passes the checks on
+    its own steps, and only the comparison of the edges refuses it, since
+    no edge of the circle goes to a chord."""
+    circle = hom_complex(cycle_graph(3))
+    at = circle.vertices.index
+    low, high = Multihom((0,), (1,)), Multihom((1, 2), (0,))
+    ups = [list(up) for up in circle.ups]
+    for u, v in ((low, high), (low.swap(), high.swap())):
+        ups[at(u)] = sorted(ups[at(u)] + [at(v)], key=circle.vertices.__getitem__)
+    chorded = SimplicialSet(circle.vertices, circle.position_cells(0), 3,
+                            circle.antipode, ups)
+    assert chorded.n_cells(1) == circle.n_cells(1) + 2
+    monkeypatch.setattr(homcomplexes, "hom_complex", lambda g: chorded)
     with pytest.raises(InternalError, match="^walk is not bijective on edges$"):
         canonical_cycle_iso(3)
 

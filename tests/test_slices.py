@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -382,15 +383,53 @@ def test_arity_experiment_checks_odd_weight(survey, monkeypatch):
         survey(3, 2, chain_samples=10)
 
 
-@pytest.mark.parametrize("n_max", [5, 9])
-def test_arity_experiment_refuses_large_tori_before_any_work(n_max, monkeypatch):
+@pytest.mark.parametrize("ell, n_max", [(3, 7), (3, 9), (1001, 1)])
+def test_arity_experiment_refuses_large_tori_before_any_work(ell, n_max, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("enumerated before the capacity check")
 
     monkeypatch.setattr(slices, "enumerate_homs", fail)
     monkeypatch.setattr(slices, "CyclePipeline", fail)
     with pytest.raises(CapacityExceededError) as exc:
-        arity_experiment(3, n_max)
-    # the first torus over the cell limit refuses, whatever n_max is
-    assert str(exc.value) == "torus (12, 12, 12, 12, 12) has 269236224 cells (limit 4194304)"
+        arity_experiment(ell, n_max)
+    # the largest torus read, gamma(4*ell)^n_max or at n_max = 1 the
+    # degree plane, is refused on its vertices as torus() refuses it
+    k = max(2, n_max)
+    assert str(exc.value) == (f"torus gamma({4 * ell})^{k} has more vertices "
+                              "than the cell limit 4194304")
+    with pytest.raises(CapacityExceededError, match=re.escape(str(exc.value))):
+        torus(4 * ell, k)
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _admits(check, *args):
+    """Does ``check`` pass, or reach the work that raises _Admitted?"""
+    try:
+        check(*args)
+    except _Admitted:
+        pass
+    except CapacityExceededError:
+        return False
+    return True
+
+
+def test_the_survey_admits_what_the_cell_count_admitted(monkeypatch):
+    """The survey's limit is the vertex limit of gamma(4*ell)^max(2, n_max):
+    it admits every (ell, n_max) whose tori of arity 2 to n_max the old
+    simplicial cell count admitted, and refuses just past the vertex limit.
+    The survey stops at its first piece of work, so none runs."""
+    def admitted(*args, **kwargs):
+        raise _Admitted
+
+    monkeypatch.setattr(slices, "CyclePipeline", admitted)
+    for ell in range(3, 42, 2):
+        L = 4 * ell
+        for n_max in range(1, 9):
+            new = _admits(arity_experiment, ell, n_max)
+            assert new == (L ** max(2, n_max) <= simplicial.CELL_LIMIT), (ell, n_max)
+            old = all(_admits(oracles.check_cell_limit, (L,) * n) for n in range(2, n_max + 1))
+            assert new or not old, (ell, n_max)
 

@@ -9,13 +9,13 @@ from equihom.errors import (InvalidInputError, InvalidParameterError,
                             InvariantViolationError, NotFreeActionError)
 from equihom.graphs import complete_graph
 from equihom.homcomplexes import hom_complex
-from equihom.simplicial import SimplicialSet, gamma, mod2_homology_ranks, order_complex
+from equihom.simplicial import SimplicialSet, mod2_homology_ranks, order_complex
 from equihom.snf import SparseMat, smith_normal_form
 from equihom.zz2 import (CohomologyGroup, bredon_torus, cohomology, equivariant_complex,
                          expected_bredon, quotient_pstar_check)
 
 from oracles import (ModTwoChain, add_at, boundary, cube_orbit_reference, explicit_set,
-                     from_dense, gamma_power, gamma_product, involution_simplex,
+                     from_dense, gamma, gamma_power, gamma_product, involution_simplex,
                      labelled_cells, mod2_homology_ranks_dropping_degenerate_faces,
                      orbit_complex_reference, orbit_pairs_reference,
                      ordinary_cochain_complex, ordinary_cohomology,
